@@ -13,10 +13,9 @@ use dgr_graph::{oracle, GraphStore, MarkParent, PartitionMap, PartitionStrategy,
 use dgr_sim::{DetSim, SchedPolicy};
 use dgr_telemetry::LifecycleTracker;
 use dgr_workloads::mutation::MoveMutator;
-use serde::{Deserialize, Serialize};
 
 /// Result of one marking-under-mutation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoopReport {
     /// Whether cooperation was enabled.
     pub cooperating: bool,

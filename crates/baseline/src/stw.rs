@@ -9,10 +9,9 @@
 
 use dgr_graph::{oracle, GraphStore, Requester};
 use dgr_telemetry::LifecycleTracker;
-use serde::{Deserialize, Serialize};
 
 /// What one stop-the-world collection did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StwReport {
     /// Vertices traced (≈ work done while the world is stopped; grows with
     /// the live set).

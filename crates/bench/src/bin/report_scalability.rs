@@ -7,9 +7,8 @@
 //! `speedup` column is `wall[1 PE] / wall[N PEs]`. Wall-clock speedup
 //! needs real hardware threads; on a single-core CI container every PE
 //! count time-slices one core, so the report asserts only a loose
-//! "monotone-ish" profile (no anti-scaling collapse) and leaves strict
-//! minimum-speedup gating to `bench_gate --min-speedup`, which caps its
-//! requirement at `available_parallelism`.
+//! "monotone-ish" profile (no anti-scaling collapse). Timed throughput
+//! at 1 and 2 PEs is gated by `benchmark/` (`mark_tree`, `mark_digraph`).
 //!
 //! `--small` runs a reduced T5c only (small tree + small digraph, PEs
 //! 1/4/16) for the CI scalability smoke job; `--json` writes
@@ -52,8 +51,8 @@ fn available_parallelism() -> usize {
 ///   failed on tree_d15 past 4 PEs. On a single hardware thread every
 ///   point is noise around 1.0, so per-point comparisons are skipped.
 ///
-/// Thresholds are deliberately loose: strict minimums belong to
-/// `bench_gate --min-speedup`, which caps by the host's parallelism.
+/// Thresholds are deliberately loose: they rule out collapse, and a
+/// shared runner's clock supports nothing stricter.
 fn assert_monotone_ish(name: &str, profile: &[(u16, f64)], floor: f64, decay: f64, para: usize) {
     let base = profile[0].1;
     let mut best = f64::MIN;

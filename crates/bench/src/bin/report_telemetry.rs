@@ -1,7 +1,7 @@
 //! Phase-resolved observability report.
 //!
 //! Runs the GC driver over a list-heavy reduction workload with the
-//! telemetry layer on (the default feature of this crate) and emits:
+//! telemetry layer on (build with `--features telemetry`) and emits:
 //!
 //! * `BENCH_telemetry.json` — per-cycle records plus per-phase (`M_T`,
 //!   `M_R`, `classify`) duration totals, machine-readable;

@@ -18,11 +18,10 @@
 //! accumulates across passes, and blame wants pass-exact clocks.
 //!
 //! Outputs: `BENCH_utilization.json` (under `--json`) with one record
-//! per cell carrying `utilization_pct` for `bench_gate
-//! --min-utilization`, plus `BENCH_utilization_events_<cell>.jsonl`
-//! streams that `dgr-trace blame` reads back — both in the repo root,
-//! which is gitignored. `--small` shrinks the workloads for the CI
-//! `utilization-smoke` job.
+//! per cell carrying `utilization_pct`, plus
+//! `BENCH_utilization_events_<cell>.jsonl` streams that `dgr-trace
+//! blame` reads back — both in the repo root, which is gitignored.
+//! `--small` shrinks the workloads for the CI `utilization-smoke` job.
 
 use dgr_bench::{emit_json, f2, print_table, timed, JsonValue};
 use dgr_core::driver::run_mark1_bsp;

@@ -1,6 +1,7 @@
 //! Repo-specific source lints, run in CI alongside the model checker.
 //!
-//! Five rules, all scoped to `crates/*/src` and the root `src/`:
+//! Seven source rules, scoped to `crates/*/src` and the root `src/`, and
+//! one manifest rule over the root and `crates/*` `Cargo.toml` files:
 //!
 //! 1. **mark-word ordering** — a line touching the packed `(epoch, color)`
 //!    mark word (`r_words`, the lock-free probe target the SoA arrays
@@ -39,6 +40,12 @@
 //!    lines, stating what the edge publishes or acquires. The SeqCst
 //!    audit that introduced the facade justified every survivor; this
 //!    rule keeps future edits honest. Test modules are exempt.
+//! 8. **std-only dependencies** — a `[dependencies]` (or
+//!    `[build-dependencies]`) table may name only `dgr-*` crates and
+//!    `rand`: every other external crate resolves to a hand-written stub
+//!    under `vendor/`, and a stub in the production graph is code the
+//!    whole workspace compiles and nobody reviews as its own.
+//!    `[dev-dependencies]` are exempt (`proptest`).
 //!
 //! The needles below are spelled with `concat!` so the lint does not flag
 //! its own source.
@@ -146,22 +153,67 @@ fn src_dirs(root: &Path) -> Vec<PathBuf> {
     dirs
 }
 
-/// Runs all rules over the repository rooted at `root`; findings are
-/// sorted by file and line.
+/// `path` relative to `root`, `/`-separated.
+fn rel_path(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .to_string_lossy()
+        .replace('\\', "/")
+}
+
+/// Rule 8 over one manifest: the names a production dependency table
+/// introduces, either as keys (`foo = …`, `foo.workspace = true`) or as
+/// sub-table headers (`[dependencies.foo]`).
+fn lint_manifest(rel: &str, text: &str, findings: &mut Vec<Finding>) {
+    // `[workspace.dependencies]` is the path catalog the tables draw
+    // from, not a dependency table, and `[dev-dependencies]` is exempt.
+    let production = |table: &str| table == "dependencies" || table == "build-dependencies";
+    let mut in_production = false;
+    for (i, l) in text.lines().enumerate() {
+        let t = l.trim();
+        let name = if let Some(header) = t.strip_prefix('[') {
+            let header = header.trim_end_matches(']');
+            in_production = production(header);
+            match header.rsplit_once('.') {
+                Some((table, name)) if production(table) => name,
+                _ => continue,
+            }
+        } else if in_production && !t.is_empty() && !t.starts_with('#') {
+            t.split(['.', '=', ' ']).next().unwrap_or(t)
+        } else {
+            continue;
+        };
+        if !name.starts_with("dgr-") && name != "rand" {
+            findings.push(Finding {
+                file: rel.to_string(),
+                line: i + 1,
+                rule: "std-only-deps",
+                text: t.to_string(),
+            });
+        }
+    }
+}
+
+/// Runs all rules over the repository rooted at `root`: manifest findings
+/// first, then source findings, each sorted by file and line.
 pub fn run(root: &Path) -> Vec<Finding> {
     let mut files = Vec::new();
+    let mut manifests = Vec::new();
     for d in src_dirs(root) {
         collect_rs(&d, &mut files);
+        manifests.push(d.with_file_name("Cargo.toml"));
     }
     files.sort();
+    manifests.sort();
 
     let mut findings = Vec::new();
+    for path in manifests {
+        if let Ok(text) = fs::read_to_string(&path) {
+            lint_manifest(&rel_path(root, &path), &text, &mut findings);
+        }
+    }
     for path in files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
+        let rel = rel_path(root, &path);
         let Ok(text) = fs::read_to_string(&path) else {
             continue;
         };
@@ -283,7 +335,20 @@ mod tests {
             MARK_WORD, RELAXED, MUT_NEEDLES[0], MARKWORD_ARRAYS[1], RELAXED, DEQUE_NEW
         );
         fs::write(src.join("evil.rs"), bad).unwrap();
+        fs::write(
+            src.with_file_name("Cargo.toml"),
+            "[dependencies]\ndgr-graph.workspace = true\nrand = \"0.8\"\n\
+             anyhow.workspace = true\n\n[dependencies.libc]\nversion = \"0.2\"\n\n\
+             [dev-dependencies]\nproptest.workspace = true\n",
+        )
+        .unwrap();
         let findings = run(&dir);
+        let deps: Vec<_> = findings
+            .iter()
+            .filter(|f| f.rule == "std-only-deps")
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(deps, [4, 6], "anyhow and libc, not proptest");
         assert!(findings.iter().any(|f| f.rule == "mark-word-relaxed"));
         assert!(findings.iter().any(|f| f.rule == "mark-state-confinement"));
         assert!(findings.iter().any(|f| f.rule == "markword-array-relaxed"));

@@ -29,7 +29,6 @@
 use std::collections::VecDeque;
 
 use dgr_graph::{Color, GraphStore, PartitionMap, PartitionStrategy, Slot, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// Per-PE marking state: exactly the two words the paper promises.
 #[derive(Debug, Clone, Copy, Default)]
@@ -43,7 +42,7 @@ struct PeState {
 }
 
 /// Cost accounting for a compressed pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompressedStats {
     /// Vertices marked.
     pub marked: usize,

@@ -12,7 +12,6 @@ use dgr_graph::{
 };
 use dgr_sim::{DetSim, Envelope, Lane, SchedPolicy};
 use dgr_telemetry::{CounterId, Phase, Registry};
-use serde::{Deserialize, Serialize};
 
 use crate::handler::handle_mark;
 use crate::invariants::check_invariants;
@@ -47,7 +46,7 @@ impl Default for MarkRunConfig {
 }
 
 /// Statistics of a completed marking pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MarkStats {
     /// Marking messages delivered (mark + return events).
     pub events: u64,
@@ -287,7 +286,7 @@ pub fn run_mark3_with(
 }
 
 /// Statistics of a round-synchronous (BSP) marking pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BspStats {
     /// Synchronous rounds executed — the pass's *parallel time* when every
     /// PE executes one task per round.

@@ -9,10 +9,9 @@
 //! bound for comparison.
 
 use dgr_graph::{MarkSlot, Vertex};
-use serde::{Deserialize, Serialize};
 
 /// Byte-level footprint of the marking machinery.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Footprint {
     /// Size of one marking slot (`color` + `mt-cnt` + `mt-par` + `prior`).
     pub slot_bytes: usize,

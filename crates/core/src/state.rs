@@ -1,10 +1,8 @@
 //! Shared marking-process state: activity, `done` flags, and the virtual
 //! task root.
 
-use serde::{Deserialize, Serialize};
-
 /// Which mark-task flavor the R-side marking process is running.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RMode {
     /// `mark1` — the simplified algorithm of Figure 4-1.
     Simple,
@@ -20,7 +18,7 @@ pub enum RMode {
 /// `return1(rootpar)` sets, the outstanding-seed count of the virtual
 /// `troot`, and whether each process is currently active (which the
 /// cooperating mutator primitives consult).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MarkState {
     /// `Some(mode)` while the R-side process (`mark1` or `M_R`) is active.
     pub r_mode: Option<RMode>,

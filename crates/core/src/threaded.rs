@@ -148,13 +148,7 @@ pub fn run_mark1_shared_with(
     strategy: PartitionStrategy,
     telem: &Registry,
 ) -> ThreadedMarkStats {
-    run_mark1_shared_observed(
-        shared,
-        num_pes,
-        strategy,
-        telem,
-        &HeartbeatHandle::default(),
-    )
+    run_mark1_shared_observed(shared, num_pes, strategy, telem, &HeartbeatHandle::new())
 }
 
 /// [`run_mark1_shared_with`] plus a liveness pulse: the pass brackets an

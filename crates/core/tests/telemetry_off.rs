@@ -55,9 +55,8 @@ mod feature_off {
     }
 
     /// Flow stamping adds no bytes to hot-path messages: the causal tag
-    /// the threaded runtime pairs with every work item is zero-sized, so
-    /// the `(FlowTag, MarkMsg)` it queues has the layout of the bare
-    /// message.
+    /// a runtime may pair with a work item is zero-sized, so a queued
+    /// `(FlowTag, MarkMsg)` has the layout of the bare message.
     #[test]
     fn flow_tags_add_nothing_to_messages() {
         use dgr_core::MarkMsg;

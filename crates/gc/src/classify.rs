@@ -2,7 +2,6 @@
 
 use dgr_graph::{GraphStore, Priority, Slot, TaskClass, VertexId, VertexSet};
 use dgr_reduction::{RedMsg, System};
-use serde::{Deserialize, Serialize};
 
 /// `GAR' = V − R' − F`: live vertices not marked by `M_R` (Property 1,
 /// via Theorem 1). Valid after an `M_R` pass completes.
@@ -53,7 +52,7 @@ pub fn classify_task_by_marks(g: &GraphStore, dst: VertexId) -> TaskClass {
 }
 
 /// A census of the pending reduction tasks by class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TaskCensus {
     /// Tasks whose destination is in `R_v` (Property 3).
     pub vital: usize,

@@ -24,6 +24,12 @@ pub const TIMELINE_CAP: usize = 4096;
 /// staying far below any sane watchdog deadline.
 const HEARTBEAT_BATCH: u64 = 256;
 
+/// During a marking phase, up to this many marking tasks are delivered for
+/// every one policy-scheduled task (the paper's Section 6 remark that
+/// marking tasks can take precedence), so marking outpaces a mutator that
+/// keeps growing the graph.
+const MARKING_SERVICE_RATIO: u32 = 3;
+
 /// Order of the two marking phases within a cycle.
 ///
 /// Theorem 2 requires `M_T` to execute **before** `M_R` for deadlock
@@ -114,12 +120,6 @@ pub struct GcConfig {
     /// Recover deadlocked vertices by returning `⊥` to their requesters
     /// (footnote 5's `is-bottom` pseudo-function).
     pub deadlock_recovery: bool,
-    /// During a marking phase, deliver up to this many marking tasks for
-    /// every one policy-scheduled task (the paper's Section 6 remark that
-    /// marking tasks can take precedence). Guarantees marking outpaces a
-    /// mutator that keeps growing the graph; `0` leaves scheduling
-    /// entirely to the policy.
-    pub marking_service_ratio: u32,
     /// Maximum events per marking phase before the cycle is abandoned
     /// (protects against marking chasing an unboundedly growing region).
     pub phase_budget: u64,
@@ -138,7 +138,6 @@ impl Default for GcConfig {
             expunge: true,
             reprioritize: true,
             deadlock_recovery: false,
-            marking_service_ratio: 3,
             phase_budget: 2_000_000,
             max_total_events: 100_000_000,
         }
@@ -170,7 +169,7 @@ impl GcDriver {
             stats: GcStats::default(),
             last_report: CycleReport::default(),
             timeline: VecDeque::new(),
-            heartbeat: HeartbeatHandle::default(),
+            heartbeat: HeartbeatHandle::new(),
             lifecycle: LifecycleTracker::new(),
         }
     }
@@ -543,7 +542,7 @@ impl GcDriver {
             // Priority service for marking tasks, so the wave always
             // outpaces a mutator that keeps allocating (Section 6).
             let mut progressed = false;
-            for _ in 0..self.cfg.marking_service_ratio {
+            for _ in 0..MARKING_SERVICE_RATIO {
                 if done(&self.sys) || !self.sys.step_lane(Lane::Marking) {
                     break;
                 }
@@ -558,9 +557,6 @@ impl GcDriver {
                     done(&self.sys) || progressed,
                     "marking drained without its termination signal"
                 );
-                if !done(&self.sys) && !progressed {
-                    break;
-                }
                 if done(&self.sys) {
                     break;
                 }
@@ -847,6 +843,55 @@ mod tests {
         assert!(gc.stats().reclaimed_total > 0, "garbage was reclaimed");
         assert_eq!(gc.stats().aborted_cycles, 0);
         assert!(gc.sys.graph.check_consistency().is_ok());
+    }
+
+    #[test]
+    fn aborted_cycles_lose_no_work_and_the_next_full_cycle_collects() {
+        let unbudgeted = GcDriver::new(
+            sum_system(40, SystemConfig::default()),
+            GcConfig {
+                period: 50,
+                ..Default::default()
+            },
+        )
+        .run();
+        assert_eq!(unbudgeted, RunOutcome::Value(Value::Int(820)));
+        // A budget no marking phase of this program fits in: every cycle
+        // is abandoned mid-wave, its in-flight marks expunged. With M_T on
+        // the budget runs out in `phase_t`; with it off, in `drive_phase`.
+        for mt_every in [1, 0] {
+            let mut gc = GcDriver::new(
+                sum_system(40, SystemConfig::default()),
+                GcConfig {
+                    period: 50,
+                    mt_every,
+                    phase_budget: 8,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(gc.run(), unbudgeted);
+            assert!(gc.stats().cycles > 1);
+            assert_eq!(
+                gc.stats().aborted_cycles,
+                gc.stats().cycles,
+                "no phase fits in 8 events"
+            );
+            assert_eq!(
+                gc.stats().reclaimed_total,
+                0,
+                "aborted cycles skip restructure"
+            );
+            // The same driver (same lifecycle ledger, same half-colored
+            // vertices) with the budget lifted: the next cycle completes
+            // and reclaims what the aborted ones left floating.
+            gc.cfg.phase_budget = GcConfig::default().phase_budget;
+            let report = gc.run_cycle();
+            assert!(!report.aborted);
+            assert!(report.reclaimed > 0, "floating garbage was reclaimed");
+            assert!(gc.sys.graph.check_consistency().is_ok());
+            let live = dgr_graph::oracle::reachable_r(&gc.sys.graph);
+            assert!(dgr_graph::oracle::garbage(&gc.sys.graph, &live).is_empty());
+        }
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Per-cycle reports and aggregate GC statistics.
 
 use dgr_graph::VertexId;
-use serde::{Deserialize, Serialize};
 
 use crate::classify::TaskCensus;
 
 /// What one mark-and-restructure cycle did.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CycleReport {
     /// Cycle number (1-based).
     pub cycle: u32,
@@ -42,7 +41,7 @@ pub struct CycleReport {
 }
 
 /// Aggregate statistics over all cycles run so far.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcStats {
     /// Completed cycles.
     pub cycles: u32,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::VertexId;
 
 /// The *value* of a vertex: its unique ultimate value computed by the
@@ -26,7 +24,7 @@ use crate::ids::VertexId;
 /// assert!(Value::Bool(true).as_bool().unwrap());
 /// assert!(Value::Bottom.is_bottom());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Value {
     /// A machine integer.
     Int(i64),

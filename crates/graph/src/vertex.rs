@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::VertexId;
 use crate::label::NodeLabel;
 use crate::value::Value;
@@ -15,7 +13,7 @@ use crate::value::Value;
 /// remaining arcs (`req-args_r(v)`) are the arguments not requested at all.
 /// An arc with no request is represented here by `None` in
 /// [`Vertex::request_kinds`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RequestKind {
     /// The value is known to be needed (`req-args_v`).
     Vital,
@@ -48,9 +46,7 @@ impl RequestKind {
 /// assert_eq!(Priority::Vital.min(Priority::Eager), Priority::Eager);
 /// assert_eq!(Priority::Reserve.level(), 1);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Priority {
     /// Priority 1: reachable only through at least one unrequested arc.
     #[default]
@@ -93,7 +89,7 @@ impl fmt::Display for Priority {
 /// to the distributed system context": *transient* means a mark task has
 /// executed at the vertex but the marks spawned on its children have not all
 /// returned (`mt-cnt > 0`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Color {
     /// No mark task has executed at this vertex.
     #[default]
@@ -106,7 +102,7 @@ pub enum Color {
 
 /// The parent of a vertex in the marking tree, or one of the two dummy
 /// roots used for termination detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MarkParent {
     /// A real vertex parent (`mt-par`).
     Vertex(VertexId),
@@ -140,7 +136,7 @@ impl MarkParent {
 /// and are only meaningful on a slot known to belong to the current cycle;
 /// use [`Vertex::mark_at`] / [`crate::GraphStore::mark`] for the
 /// epoch-normalized view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MarkSlot {
     /// Marking color.
     pub color: Color,
@@ -186,7 +182,7 @@ impl MarkSlot {
 }
 
 /// Selects which marking process's slot to operate on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Slot {
     /// The slot used by `M_R` (marking from the root).
     R,
@@ -206,7 +202,7 @@ impl Slot {
 
 /// A party awaiting a vertex's value: either another vertex or an entity
 /// outside the graph (the initial task `<-, root>` has no source vertex).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Requester {
     /// A vertex that spawned a request task.
     Vertex(VertexId),
@@ -242,7 +238,7 @@ impl From<VertexId> for Requester {
 /// Edges form a *multiset*: the same target may appear more than once (e.g.
 /// `x + x`). The paper treats `args` as a set; reachability is unaffected by
 /// the generalization and deletion removes one occurrence at a time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vertex {
     /// The operator/value label.
     pub label: NodeLabel,

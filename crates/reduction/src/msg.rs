@@ -2,10 +2,9 @@
 
 use dgr_core::MarkMsg;
 use dgr_graph::{RequestKind, Requester, Value, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// A task of the reduction process, represented as a message `<s, d>`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RedMsg {
     /// `s` requests the value of `d` (spawned as `<s, d>`; executing it
     /// adds `s` to `requested(d)` and propagates demand further).
@@ -53,7 +52,7 @@ impl RedMsg {
 
 /// The union message type delivered by a full system (reduction tasks,
 /// marking tasks, or both, in their respective lanes).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SysMsg {
     /// A reduction task.
     Red(RedMsg),

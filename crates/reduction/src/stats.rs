@@ -1,9 +1,7 @@
 //! Reduction-engine statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters kept by the reduction engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RedStats {
     /// Request tasks executed.
     pub requests: u64,

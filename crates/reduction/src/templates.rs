@@ -1,7 +1,6 @@
 //! Registry of supercombinator templates.
 
 use dgr_graph::Template;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a registered template (also the payload of
 /// [`Value::Fn`](dgr_graph::Value::Fn)).
@@ -29,7 +28,7 @@ pub type TemplateId = u32;
 /// assert_eq!(store.arity(id), 1);
 /// assert_eq!(store.get(id).name(), "id");
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TemplateStore {
     templates: Vec<Template>,
 }

@@ -11,19 +11,15 @@
 //!   globally atomic (one event at a time), which is strictly stronger than
 //!   the paper's per-vertex atomicity, and the seeded random policy lets
 //!   property tests quantify over adversarial interleavings.
-//! * [`ThreadedRuntime`] — a **real parallel runtime**: one OS thread per
-//!   PE, crossbeam channels as mailboxes, and a [`SharedGraph`] whose
-//!   per-vertex `parking_lot` mutexes provide exactly the paper's atomicity
-//!   granularity. Termination is detected with a global in-flight message
-//!   counter (quiescence).
-//! * [`StealRuntime`] — the **work-stealing runtime**: per-PE Chase–Lev
-//!   deques ([`StealDeque`]) with a sharded lock-free mailbox mesh
-//!   ([`MailboxGrid`]) for cross-PE envelopes, adaptive parking, and
-//!   critical-path depth hints on its `u64` tasks. This is the fast
-//!   substrate the scalability experiments measure; the channel runtime
-//!   is retained as the simpler generic-message baseline.
-//!
-//! The marking algorithms in `dgr-core` run unchanged on all of them.
+//! * [`StealRuntime`] — a **real parallel runtime**: one OS thread per PE
+//!   with a Chase–Lev deque ([`StealDeque`]) each, a sharded lock-free
+//!   mailbox mesh ([`MailboxGrid`]) for cross-PE envelopes, adaptive
+//!   parking, and critical-path depth hints on its `u64` tasks.
+//!   Termination is detected with a global in-flight task counter
+//!   ([`QuiesceState`]). The graph its tasks share is a [`SharedGraph`]:
+//!   per-vertex mutexes provide exactly the paper's atomicity
+//!   granularity, and a dense array of atomic mark words carries the
+//!   marking state.
 //!
 //! # Example
 //!
@@ -52,7 +48,6 @@ pub mod quiesce;
 mod shared;
 mod stats;
 pub mod steal;
-mod threaded;
 
 pub use deque::{Steal, StealDeque};
 pub use det::{DetSim, SchedPolicy};
@@ -62,4 +57,3 @@ pub use quiesce::QuiesceState;
 pub use shared::SharedGraph;
 pub use stats::SimStats;
 pub use steal::{SpawnScope, StealRuntime, StealStats};
-pub use threaded::{ThreadCtx, ThreadedRuntime};

@@ -1,10 +1,10 @@
 //! Sharded lock-free mailboxes: one SPSC ring per (sender, receiver) pair.
 //!
-//! The channel-based runtime funnels every message for a PE through one
-//! `crossbeam` channel — a mutex-protected queue whose lock all senders
-//! and the receiver contend on, and whose wakeup path (condvar) is what
-//! made tree_d15 marking *slower* past 4 PEs. This grid replaces that
-//! funnel with `n²` single-producer single-consumer rings: PE `s` sending
+//! One channel per PE would funnel every message for that PE through a
+//! mutex-protected queue whose lock all senders and the receiver contend
+//! on, with a condvar wakeup path — the design that made tree_d15 marking
+//! *slower* past 4 PEs. This grid avoids the funnel with `n²`
+//! single-producer single-consumer rings: PE `s` sending
 //! to PE `d` touches only ring `(s, d)`, so two senders to the same
 //! destination never contend on anything, and a delivery is one Release
 //! store observed by one Acquire load — no locks, no syscalls, no condvar.

@@ -1,7 +1,6 @@
 //! Message envelopes and scheduling lanes.
 
 use dgr_graph::{PeId, Priority};
-use serde::{Deserialize, Serialize};
 
 /// The scheduling lane a message travels in.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// by `M_R`'s classification) from tasks of the marking process; mutator
 /// notifications get their own lane so a scheduling policy can model the
 /// "simple busy-waiting protocol" of Section 6 by favoring them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Lane {
     /// Graph-mutation notifications (highest urgency).
     Mutator,
@@ -48,7 +47,7 @@ impl Lane {
 }
 
 /// A message addressed to a processing element.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope<M> {
     /// The PE whose mailbox receives the message.
     pub dst: PeId,

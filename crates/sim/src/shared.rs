@@ -2,17 +2,18 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use dgr_graph::{Epochs, GraphError, GraphStore, MarkWords, NodeLabel, Slot, Vertex, VertexId};
-use parking_lot::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
+
+use dgr_graph::{Epochs, GraphStore, MarkWords, Slot, Vertex, VertexId};
+
+const VERTEX_POISONED: &str = "a task panicked while holding a vertex lock";
 
 /// The computation graph in the form the threaded runtime uses: each vertex
-/// behind its own `parking_lot` mutex, the free list behind one more.
+/// behind its own mutex.
 ///
 /// This realizes the paper's atomicity assumption at exactly the granularity
-/// Section 6 discusses: a task locks the vertices it manipulates, marking
-/// tasks "never nest the locking of vertices", and multi-vertex mutator
-/// primitives acquire their locks in vertex-id order (a total order, so the
-/// mutators cannot deadlock against each other).
+/// Section 6 discusses: a task locks the vertices it manipulates, and
+/// marking tasks "never nest the locking of vertices".
 ///
 /// # Example
 ///
@@ -33,7 +34,9 @@ use parking_lot::{Mutex, MutexGuard};
 #[derive(Debug)]
 pub struct SharedGraph {
     verts: Vec<Mutex<Vertex>>,
-    free: Mutex<Vec<VertexId>>,
+    /// The free list, carried through for round-tripping (the shared
+    /// form is read-only in shape: nothing allocates or frees).
+    free: Vec<VertexId>,
     root: Option<VertexId>,
     /// Current marking epoch per [`Slot`] (see [`Epochs`]). Bumped only
     /// between passes, while no marking thread is running, so Relaxed
@@ -59,7 +62,7 @@ impl SharedGraph {
         let marks = MarkWords::from_slots(&verts, Slot::R);
         SharedGraph {
             verts: verts.into_iter().map(Mutex::new).collect(),
-            free: Mutex::new(free),
+            free,
             root,
             mark_epochs: [
                 AtomicU32::new(epochs.mark[Slot::R.index()]),
@@ -73,14 +76,18 @@ impl SharedGraph {
     /// Converts back into a plain store (consumes the shared graph; all
     /// locks must be free, which is guaranteed by ownership).
     pub fn into_store(self) -> GraphStore {
-        let mut verts: Vec<Vertex> = self.verts.into_iter().map(|m| m.into_inner()).collect();
+        let mut verts: Vec<Vertex> = self
+            .verts
+            .into_iter()
+            .map(|m| m.into_inner().expect(VERTEX_POISONED))
+            .collect();
         self.marks.write_back(&mut verts, Slot::R);
         let [epoch_r, epoch_t] = self.mark_epochs;
         let epochs = Epochs {
             mark: [epoch_r.into_inner(), epoch_t.into_inner()],
             touch: self.touch_epoch,
         };
-        GraphStore::from_parts(verts, self.free.into_inner(), self.root, epochs)
+        GraphStore::from_parts(verts, self.free, self.root, epochs)
     }
 
     /// The dense atomic marking state of every vertex's R slot — the
@@ -121,73 +128,17 @@ impl SharedGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is out of range.
+    /// Panics if `id` is out of range, or if a task panicked while
+    /// holding this vertex's lock.
     pub fn lock(&self, id: VertexId) -> MutexGuard<'_, Vertex> {
-        self.verts[id.index()].lock()
-    }
-
-    /// Locks two distinct vertices in id order (deadlock-free for any set
-    /// of callers using the same discipline). For `a == b` a single guard
-    /// is returned.
-    pub fn lock_pair(
-        &self,
-        a: VertexId,
-        b: VertexId,
-    ) -> (MutexGuard<'_, Vertex>, Option<MutexGuard<'_, Vertex>>) {
-        if a == b {
-            (self.lock(a), None)
-        } else if a < b {
-            let ga = self.lock(a);
-            let gb = self.lock(b);
-            (ga, Some(gb))
-        } else {
-            let gb = self.lock(b);
-            let ga = self.lock(a);
-            (ga, Some(gb))
-        }
-    }
-
-    /// Allocates a vertex from the shared free list.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::OutOfVertices`] if the free list is empty.
-    pub fn alloc(&self, label: NodeLabel) -> Result<VertexId, GraphError> {
-        let id = {
-            let mut free = self.free.lock();
-            free.pop().ok_or(GraphError::OutOfVertices {
-                requested: 1,
-                available: 0,
-            })?
-        };
-        let mut v = self.lock(id);
-        *v = Vertex::new(label);
-        // A recycled slot must not inherit the previous occupant's
-        // published marks (the epoch may still be current).
-        self.marks.clear(id.index());
-        Ok(id)
-    }
-
-    /// Returns a vertex to the shared free list, clearing it.
-    pub fn free(&self, id: VertexId) {
-        {
-            let mut v = self.lock(id);
-            v.clear_for_free();
-            self.marks.clear(id.index());
-        }
-        self.free.lock().push(id);
-    }
-
-    /// Number of vertices currently on the free list.
-    pub fn free_count(&self) -> usize {
-        self.free.lock().len()
+        self.verts[id.index()].lock().expect(VERTEX_POISONED)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use dgr_graph::NodeLabel;
 
     #[test]
     fn roundtrip_preserves_contents() {
@@ -202,74 +153,5 @@ mod tests {
         assert_eq!(back.vertex(b).args(), &[a]);
         assert_eq!(back.free_count(), 2);
         assert!(back.check_consistency().is_ok());
-    }
-
-    #[test]
-    fn lock_pair_handles_equal_ids() {
-        let store = GraphStore::with_capacity(2);
-        let shared = SharedGraph::from_store(store);
-        let (g, other) = shared.lock_pair(VertexId::new(0), VertexId::new(0));
-        assert!(other.is_none());
-        drop(g);
-        let (_a, b) = shared.lock_pair(VertexId::new(1), VertexId::new(0));
-        assert!(b.is_some());
-    }
-
-    #[test]
-    fn alloc_and_free_are_thread_safe() {
-        let store = GraphStore::with_capacity(64);
-        let shared = Arc::new(SharedGraph::from_store(store));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let g = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    let mut mine = Vec::new();
-                    for _ in 0..16 {
-                        if let Ok(id) = g.alloc(NodeLabel::Hole) {
-                            mine.push(id);
-                        }
-                    }
-                    for id in mine {
-                        g.free(id);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(shared.free_count(), 64);
-        let back = Arc::try_unwrap(shared).unwrap().into_store();
-        assert!(back.check_consistency().is_ok());
-    }
-
-    #[test]
-    fn concurrent_mutation_with_ordered_locks() {
-        let mut store = GraphStore::with_capacity(2);
-        let a = store.alloc(NodeLabel::If).unwrap();
-        let b = store.alloc(NodeLabel::lit_int(0)).unwrap();
-        let shared = Arc::new(SharedGraph::from_store(store));
-        let handles: Vec<_> = (0..8)
-            .map(|i| {
-                let g = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    // Half the threads lock (a, b), half (b, a); ordered
-                    // acquisition must not deadlock.
-                    let (x, y) = if i % 2 == 0 { (a, b) } else { (b, a) };
-                    for _ in 0..100 {
-                        let (mut ga, gb) = g.lock_pair(x, y);
-                        ga.push_arg(y);
-                        drop(gb);
-                        ga.remove_arg(y);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let back = Arc::try_unwrap(shared).unwrap().into_store();
-        assert!(back.vertex(a).args().is_empty());
-        assert!(back.vertex(b).args().is_empty());
     }
 }

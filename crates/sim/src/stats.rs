@@ -1,7 +1,5 @@
 //! Delivery statistics for the simulator.
 
-use serde::{Deserialize, Serialize};
-
 use crate::msg::Lane;
 
 /// Counters kept by [`DetSim`](crate::DetSim): messages sent and delivered
@@ -11,7 +9,7 @@ use crate::msg::Lane;
 /// These are plain fields updated inline by the simulator — they are
 /// always on (the `telemetry` feature only affects the shared registry
 /// layer, not the simulator's own accounting).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimStats {
     sent: [u64; 5],
     delivered: [u64; 5],

@@ -1,13 +1,11 @@
 //! The work-stealing runtime: per-PE Chase–Lev deques, a sharded mailbox
 //! mesh for cross-PE envelopes, and adaptive parking.
 //!
-//! This is the second generation of the threaded runtime. The first
-//! ([`ThreadedRuntime`](crate::ThreadedRuntime)) gives every PE one
-//! channel mailbox; measurements (`baselines/BENCH_scalability.json`)
-//! showed marking improving only ~1.4× from 1 → 16 PEs and *anti-scaling*
-//! past 4 PEs on tree_d15, because every delivery serialized on the
-//! channel's internal lock and every empty-mailbox wait took the
-//! condvar/syscall wakeup path. Here nothing funnels:
+//! A runtime with one channel mailbox per PE improved marking only ~1.4×
+//! from 1 → 16 PEs and *anti-scaled* past 4 PEs on tree_d15, because
+//! every delivery serialized on the channel's internal lock and every
+//! empty-mailbox wait took the condvar/syscall wakeup path. Here nothing
+//! funnels:
 //!
 //! * each PE owns a [`StealDeque`]: local spawns are LIFO push/pop
 //!   (depth-first, cache-warm), and idle PEs steal half a victim's
@@ -30,13 +28,13 @@
 //!   tasks touches the counter a handful of times.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use dgr_graph::PeId;
 use dgr_telemetry::{
     CounterId, GaugeId, HeartbeatHandle, HistId, PeSchedSnapshot, Phase, Registry, SchedState,
 };
-use parking_lot::Mutex;
 
 use crate::deque::StealDeque;
 use crate::mailbox::MailboxGrid;
@@ -125,7 +123,7 @@ impl ParkSlot {
         // ordering: SeqCst pairs with the parker's SeqCst flag store (see
         // the field docs) — rules out both sides missing each other.
         if self.parked.load(Ordering::SeqCst) {
-            if let Some(t) = self.thread.lock().as_ref() {
+            if let Some(t) = self.thread.lock().expect("park slot poisoned").as_ref() {
                 t.unpark();
             }
         }
@@ -314,7 +312,7 @@ impl StealRuntime {
             initial,
             handler,
             &Registry::new(self.num_pes),
-            &HeartbeatHandle::default(),
+            &HeartbeatHandle::new(),
         )
     }
 
@@ -397,7 +395,8 @@ impl StealRuntime {
                         spill_hw: 0,
                     };
                     w.note_spill_depth(); // overflowed seeds count too
-                    *mesh.parks[me].thread.lock() = Some(std::thread::current());
+                    *mesh.parks[me].thread.lock().expect("park slot poisoned") =
+                        Some(std::thread::current());
                     run_worker(&mut w, mesh, handler, hb, multicore);
                     mesh.telem.sched_finish(me as u16);
                     let shard = mesh.telem.pe(me as u16);
@@ -406,7 +405,7 @@ impl StealRuntime {
                     shard.gauge_max(GaugeId::DequeHighWater, w.deque_high as i64);
                     shard.gauge_max(GaugeId::SpillHighWater, w.spill_hw as i64);
                     shard.observe(HistId::DequeDepthPeak, w.deque_high);
-                    let mut t = totals.lock();
+                    let mut t = totals.lock().expect("pass totals poisoned");
                     t.executed += w.executed;
                     t.envelopes += w.envelopes;
                     t.steals += w.steals;
@@ -449,7 +448,7 @@ impl StealRuntime {
                 );
             }
         }
-        totals.into_inner()
+        totals.into_inner().expect("pass totals poisoned")
     }
 }
 

@@ -35,7 +35,7 @@ fn run_workload(telem: &Registry, num_pes: u16, seeds: u16, depth: u64) -> u64 {
             }
         },
         telem,
-        &HeartbeatHandle::default(),
+        &HeartbeatHandle::new(),
     );
     u64::try_from(start.elapsed().as_nanos()).expect("test runs are short")
 }

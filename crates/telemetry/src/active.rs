@@ -25,8 +25,7 @@ use crate::sched::{PeSchedSnapshot, SchedState, StateClock};
 pub const DEFAULT_RING_CAPACITY: usize = 8192;
 
 /// An opaque flow id travelling with an in-flight message in runtimes
-/// that have no per-message sequence number of their own (the threaded
-/// runtime). `0` is reserved for "no flow" ([`FlowTag::NONE`]); the noop
+/// that have no per-message sequence number of their own. `0` is reserved for "no flow" ([`FlowTag::NONE`]); the noop
 /// counterpart is zero-sized, so `(FlowTag, M)` adds nothing to a work
 /// item in a default build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -1,8 +1,8 @@
 //! Exporters for drained events: JSONL and Chrome `trace_event`.
 //!
-//! JSON is rendered by hand — the vendored `serde` is a no-op marker
-//! stub, and the formats here are small and fixed. The Chrome format is
-//! the "JSON Object Format" understood by `chrome://tracing` and Perfetto:
+//! JSON is rendered by hand — the workspace takes no serialization
+//! dependency, and the formats here are small and fixed. The Chrome format
+//! is the "JSON Object Format" understood by `chrome://tracing` and Perfetto:
 //! a `traceEvents` array of `B`/`E`/`i` records, with the PE mapped to
 //! the thread id so each PE renders as one flame-graph track.
 
