@@ -56,19 +56,14 @@ pub fn mark_under_mutation(
 
     let mut mutator = MoveMutator::new(seed.wrapping_add(1));
     let mut events = 0u64;
-    let mut buf: Vec<MarkMsg> = Vec::new();
     while let Some((_pe, _lane, msg)) = sim.next_event() {
-        handle_mark(&mut state, g, msg, &mut |m| buf.push(m));
-        events += 1;
-        for m in buf.drain(..) {
+        let mut send = |m: MarkMsg| {
             sim.send(route(&partition, m));
-        }
+        };
+        handle_mark(&mut state, g, msg, &mut send);
+        events += 1;
         if mutation_period > 0 && events.is_multiple_of(mutation_period) {
-            let mut coop_buf: Vec<MarkMsg> = Vec::new();
-            mutator.step(&mut state, g, &mut |m| coop_buf.push(m));
-            for m in coop_buf {
-                sim.send(route(&partition, m));
-            }
+            mutator.step(&mut state, g, &mut send);
         }
     }
     assert!(state.r_done, "marking drained without termination");
@@ -137,7 +132,7 @@ pub fn mark_under_mutation_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgr_workloads::graphs::binary_tree;
+    use dgr_workloads::graphs::{binary_tree, rooted_digraph};
 
     #[test]
     fn cooperating_loses_nothing() {
@@ -182,6 +177,31 @@ mod tests {
         // exactly the live set — regardless of lost marks.
         let reach = oracle::reachable_r(&g);
         assert_eq!(g.live_ids().count(), reach.len());
+    }
+
+    /// Shared vertices are what trees lack: a vertex can complete while
+    /// the mark a third vertex owes one of its children is still in
+    /// flight, and a move out of that child must not lose the grandchild.
+    /// Each of these (size, seed) pairs lost one or two live vertices
+    /// before `add_reference` covered the marked-parent/unmarked-child
+    /// case.
+    #[test]
+    fn cooperating_loses_nothing_on_shared_digraphs() {
+        for (n, seed) in [
+            (60, 24186),
+            (2000, 688),
+            (2000, 777),
+            (2000, 861),
+            (2000, 2636),
+        ] {
+            let mut g = rooted_digraph(n, 3.0, seed);
+            let r = mark_under_mutation(&mut g, true, 1, seed);
+            assert!(r.mutations > 0, "n {n} seed {seed}: mutations applied");
+            assert_eq!(r.lost_live, 0, "n {n} seed {seed}");
+            let mut g = rooted_digraph(n, 3.0, seed);
+            let r = mark_under_mutation(&mut g, false, 1, seed);
+            assert!(r.lost_live > 0, "n {n} seed {seed}: cooperation is needed");
+        }
     }
 
     #[test]

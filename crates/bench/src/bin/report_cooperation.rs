@@ -6,13 +6,20 @@
 //! assumption of Chandy–Misra-style algorithms), live vertices end up
 //! unmarked at any nonzero mutation rate — a collector trusting those
 //! marks would reclaim them.
+//!
+//! Two graph families: a tree, where every vertex has one parent, and a
+//! random digraph, where shared vertices let a parent complete while a
+//! mark another parent owes its child is still in flight — the case
+//! trees cannot reach (DESIGN §9 note 11).
 
 use dgr_baseline::noncoop::mark_under_mutation;
 use dgr_bench::{f2, print_table};
-use dgr_workloads::graphs::binary_tree;
+use dgr_graph::GraphStore;
+use dgr_workloads::graphs::{binary_tree, rooted_digraph};
 
-fn main() {
-    const SEEDS: u64 = 20;
+const SEEDS: u64 = 20;
+
+fn family(title: &str, build: impl Fn(u64) -> GraphStore) {
     let mut rows = Vec::new();
     for &period in &[0u64, 16, 8, 4, 2, 1] {
         for coop in [true, false] {
@@ -21,12 +28,12 @@ fn main() {
             let mut mutations = 0u64;
             let mut live = 0usize;
             for seed in 0..SEEDS {
-                let mut g = binary_tree(9);
+                let mut g = build(seed);
                 let r = mark_under_mutation(&mut g, coop, period, seed);
                 lost_total += r.lost_live;
                 lost_runs += usize::from(r.lost_live > 0);
                 mutations += r.mutations;
-                live = r.live;
+                live += r.live;
             }
             rows.push(vec![
                 if period == 0 {
@@ -36,7 +43,7 @@ fn main() {
                 },
                 if coop { "on" } else { "off" }.to_string(),
                 f2(mutations as f64 / SEEDS as f64),
-                live.to_string(),
+                f2(live as f64 / SEEDS as f64),
                 f2(lost_total as f64 / SEEDS as f64),
                 format!("{lost_runs}/{SEEDS}"),
             ]);
@@ -46,18 +53,27 @@ fn main() {
         }
     }
     print_table(
-        "F4-2 / T-abl: live vertices lost by marking under mutation \
-         (binary tree d=9, 20 seeds)",
+        &format!(
+            "F4-2 / T-abl: live vertices lost by marking under mutation \
+             ({title}, {SEEDS} seeds)"
+        ),
         &[
             "mutation rate",
             "cooperation",
             "avg mutations",
-            "live",
+            "avg live",
             "avg lost",
             "runs w/ loss",
         ],
         &rows,
     );
+}
+
+fn main() {
+    family("binary tree d=9", |_| binary_tree(9));
+    family("random digraph n=2000 deg 3 + 16 root arcs", |seed| {
+        rooted_digraph(2000, 3.0, seed)
+    });
     println!(
         "\nShape check: cooperation ON loses 0 at every rate; cooperation OFF \
          loses vertices increasingly often as the mutation rate rises."

@@ -272,6 +272,47 @@ fn move_mid_mark() -> Built {
     }
 }
 
+/// Two moves through a *shared* vertex: root → a, root → b, a → b,
+/// b → c, c → d. The first move lifts c from b to a, the second lifts d
+/// from c to a. When root's mark reaches b before a's does, a's own mark
+/// on b returns at once, so a can complete while b is still transient and
+/// b's mark on c is still in flight: a is marked, its new child c is not.
+/// If the second move happens then, `add-reference(a, c, d)` sees a marked
+/// parent with an unmarked child, and d — no longer c's child when the
+/// late mark lands — is reachable only through the arc just added. The
+/// marked set must still be exact in every interleaving.
+fn double_move_shared() -> Built {
+    let mut g = GraphStore::with_capacity(8);
+    let root = g.alloc(NodeLabel::If).unwrap();
+    let a = g.alloc(NodeLabel::If).unwrap();
+    let b = g.alloc(NodeLabel::If).unwrap();
+    let c = g.alloc(NodeLabel::If).unwrap();
+    let d = g.alloc(NodeLabel::lit_int(1)).unwrap();
+    let _stray = g.alloc(NodeLabel::lit_int(9)).unwrap();
+    g.connect(root, a);
+    g.connect(root, b);
+    g.connect(a, b);
+    g.connect(b, c);
+    g.connect(c, d);
+    g.set_root(root);
+    let initial = mark1_seed(&g);
+    Built {
+        kind: PassKind::Mark1,
+        g,
+        state: r_state(RMode::Simple),
+        initial,
+        muts: vec![
+            MutAction::AddReference { a, b, c },
+            MutAction::DeleteReference { a: b, b: c },
+            MutAction::AddReference { a, b: c, c: d },
+            MutAction::DeleteReference { a: c, b: d },
+        ],
+        tasks: TaskEndpoints::new(),
+        template: None,
+        end: end_exact(),
+    }
+}
+
 /// Mid-mark deletion creating floating garbage: root → a → b → d; the arc
 /// a → b is severed while marking may or may not have passed it. b and d
 /// may legitimately end up marked (they were live at cycle start) — the
@@ -549,6 +590,10 @@ pub fn corpus() -> Vec<Scenario> {
         Scenario {
             name: "mark1-move-mid-mark",
             build: move_mid_mark,
+        },
+        Scenario {
+            name: "mark1-double-move-shared",
+            build: double_move_shared,
         },
         Scenario {
             name: "mark1-deref-drops-subtree",

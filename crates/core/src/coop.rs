@@ -8,7 +8,8 @@
 //!
 //! 1. every transient vertex has an outstanding mark task on each child
 //!    (reflected in `mt-cnt`), and
-//! 2. a marked vertex never points to an unmarked vertex.
+//! 2. a marked vertex never points to an unmarked vertex — except one a
+//!    mark task is already in flight to (see [`add_reference`]).
 //!
 //! Cooperation is needed per marking process and per edge view:
 //! `add-reference` and `expand-node` change `args`, so they cooperate with
@@ -45,6 +46,13 @@ fn r_mark(mode: RMode, v: VertexId, par: MarkParent) -> MarkMsg {
     }
 }
 
+/// Whether `c` is in the child set `M_R` traces from `v`.
+fn has_r_child(g: &GraphStore, v: VertexId, c: VertexId) -> bool {
+    let mut found = false;
+    g.vertex(v).for_each_r_child(|x| found |= x == c);
+    found
+}
+
 /// `delete-reference(a, b)`: removes one `a → b` arc.
 ///
 /// Deleting an arc can never invalidate the marking invariants (marks
@@ -69,24 +77,27 @@ pub fn dereference(g: &mut GraphStore, x: VertexId, y: VertexId) -> bool {
 /// is how a vertex gains direct access to a grandchild, e.g. the head of a
 /// cons cell it has just received).
 ///
-/// Cooperates with the active R-side process per the paper, and with `M_T`
+/// Cooperates with the active R-side process per the paper — plus the
+/// (`a` marked, `b` unmarked) case, which the paper's analysis rules out
+/// and a shared `b` makes reachable (DESIGN §9 note 11) — and with `M_T`
 /// (the new arc is unrequested, hence a T-arc).
 ///
 /// # Errors
 ///
 /// Returns [`GraphError::NotAdjacent`] if the adjacency precondition fails;
 /// the graph is unchanged in that case.
-pub fn add_reference(
+pub fn add_reference<S>(
     state: &mut MarkState,
     g: &mut GraphStore,
     a: VertexId,
     b: VertexId,
     c: VertexId,
-    sink: &mut dyn FnMut(MarkMsg),
-) -> Result<(), GraphError> {
-    let b_is_child = g.vertex(a).r_children().contains(&b);
-    let c_is_grandchild = g.vertex(b).r_children().contains(&c);
-    if !b_is_child || !c_is_grandchild {
+    sink: &mut S,
+) -> Result<(), GraphError>
+where
+    S: FnMut(MarkMsg) + ?Sized,
+{
+    if !has_r_child(g, a, b) || !has_r_child(g, b, c) {
         return Err(GraphError::NotAdjacent { a, b, c });
     }
     if state.cooperation_enabled {
@@ -106,11 +117,25 @@ pub fn add_reference(
                 g.mark_mut(b, Slot::R).mt_cnt += 1;
                 let msg = r_mark(mode, c, MarkParent::Vertex(b));
                 handle_mark(state, g, msg, sink);
+            } else if sa == Marked && sb == Unmarked && g.mark(c, Slot::R).is_unmarked() {
+                // A marked vertex with an unmarked child: invariant 2 holds
+                // only modulo marks in flight. The both-transient case
+                // (no action, below) adds an arc without counting it in
+                // mt-cnt(a), so a can complete while the mark a third
+                // vertex owes b is still travelling. That mark traces b's
+                // children as they are when it lands — after the mutator
+                // moves c from b to a it no longer finds c. No transient
+                // vertex is left to absorb the return, so c is marked
+                // now, hung on the virtual root (as `coop_r_arc` does for
+                // a marked source).
+                state.add_r_extra();
+                let msg = r_mark(mode, c, MarkParent::TaskRootPar);
+                handle_mark(state, g, msg, sink);
             }
-            // All other cases need no action: if b is transient it already
-            // owes a mark to each of its children including c; if both are
-            // marked, c is at least transient by invariant 2; if a is
-            // unmarked, marking has not passed it yet.
+            // All other cases need no action: if both are transient, b
+            // already owes a mark to each of its children including c; if
+            // both are marked, c is at least transient or has a mark in
+            // flight; if a is unmarked, marking has not passed it yet.
         }
         if state.t_active {
             coop_t_arc(state, g, a, c, sink);
@@ -138,13 +163,15 @@ pub fn add_reference(
 /// and under an expanding speculative workload the pass would never end.
 ///
 /// [`Vertex::touched`]: dgr_graph::Vertex::touched
-pub fn coop_t_arc(
+pub fn coop_t_arc<S>(
     state: &mut MarkState,
     g: &mut GraphStore,
     from: VertexId,
     to: VertexId,
-    sink: &mut dyn FnMut(MarkMsg),
-) {
+    sink: &mut S,
+) where
+    S: FnMut(MarkMsg) + ?Sized,
+{
     if !state.cooperation_enabled || !state.t_active {
         return;
     }
@@ -164,13 +191,15 @@ pub fn coop_t_arc(
 /// there is no transient vertex to absorb the return, so the mark hangs on
 /// the process's virtual root and is executed synchronously to restore
 /// invariant 2.
-pub fn coop_r_arc(
+pub fn coop_r_arc<S>(
     state: &mut MarkState,
     g: &mut GraphStore,
     from: VertexId,
     to: VertexId,
-    sink: &mut dyn FnMut(MarkMsg),
-) {
+    sink: &mut S,
+) where
+    S: FnMut(MarkMsg) + ?Sized,
+{
     if !state.cooperation_enabled {
         return;
     }
@@ -191,13 +220,15 @@ pub fn coop_r_arc(
 
 /// Adds `r` to `requested(v)`, cooperating with `M_T` (the new
 /// `v → r` T-arc).
-pub fn add_requester(
+pub fn add_requester<S>(
     state: &mut MarkState,
     g: &mut GraphStore,
     v: VertexId,
     r: Requester,
-    sink: &mut dyn FnMut(MarkMsg),
-) {
+    sink: &mut S,
+) where
+    S: FnMut(MarkMsg) + ?Sized,
+{
     if let Requester::Vertex(x) = r {
         coop_t_arc(state, g, v, x, sink);
     }
@@ -220,14 +251,17 @@ pub fn add_requester(
 /// Propagates template instantiation errors
 /// ([`GraphError::OutOfVertices`], [`GraphError::BadTemplateParam`]); the
 /// graph is unchanged on error.
-pub fn expand_node(
+pub fn expand_node<S>(
     state: &mut MarkState,
     g: &mut GraphStore,
     a: VertexId,
     tpl: &Template,
     actuals: &[VertexId],
-    sink: &mut dyn FnMut(MarkMsg),
-) -> Result<Vec<VertexId>, GraphError> {
+    sink: &mut S,
+) -> Result<Vec<VertexId>, GraphError>
+where
+    S: FnMut(MarkMsg) + ?Sized,
+{
     // Record the colors *before* the splice mutates anything.
     let pre_r = g.mark(a, Slot::R).color;
     let pre_t = g.mark(a, Slot::T).color;
@@ -255,11 +289,11 @@ pub fn expand_node(
                 }
             }
             if pre_r == Transient {
-                let kids = g.vertex(a).r_children();
-                let spawned = kids.len() as u32;
-                for c in kids {
+                let mut spawned = 0u32;
+                g.vertex(a).for_each_r_child(|c| {
+                    spawned += 1;
                     sink(r_mark(mode, c, MarkParent::Vertex(a)));
-                }
+                });
                 g.mark_mut(a, Slot::R).mt_cnt += spawned;
             }
         }
@@ -274,14 +308,14 @@ pub fn expand_node(
             // Marked a: the fresh vertices were colored marked above, and
             // the actuals were already at least transient; nothing to do.
             if pre_t == Transient {
-                let kids = g.vertex(a).t_children();
-                let spawned = kids.len() as u32;
-                for c in kids {
+                let mut spawned = 0u32;
+                g.vertex(a).for_each_t_child(|c| {
+                    spawned += 1;
                     sink(MarkMsg::Mark3 {
                         v: c,
                         par: MarkParent::Vertex(a),
                     });
-                }
+                });
                 g.mark_mut(a, Slot::T).mt_cnt += spawned;
             }
         }
@@ -416,6 +450,42 @@ mod tests {
             g.vertex(a).r_children().iter().filter(|&&x| x == c).count(),
             1
         );
+    }
+
+    #[test]
+    fn add_reference_marked_unmarked_marks_on_virtual_root() {
+        // a completed while the mark some third vertex owes b is still in
+        // flight; the mutator now moves c from b to a. The late mark will
+        // not find c below b, so c is marked here and now.
+        let mut g = GraphStore::with_capacity(4);
+        let a = g.alloc(NodeLabel::If).unwrap();
+        let b = g.alloc(NodeLabel::If).unwrap();
+        let c = g.alloc(NodeLabel::lit_int(1)).unwrap();
+        g.connect(a, b);
+        g.connect(b, c);
+
+        let mut state = MarkState::new();
+        state.begin_r(RMode::Simple);
+        g.mark_mut(a, Slot::R).color = Color::Marked;
+
+        let mut out = Vec::new();
+        add_reference(&mut state, &mut g, a, b, c, &mut |m| out.push(m)).unwrap();
+        delete_reference(&mut g, b, c);
+        assert!(g.mark(c, Slot::R).is_marked(), "c (a leaf) marked at once");
+        assert!(
+            g.mark(b, Slot::R).is_unmarked(),
+            "b is left to its own mark"
+        );
+        assert_eq!(state.r_extra_outstanding(), 1, "hung on the virtual root");
+        assert_eq!(
+            out,
+            vec![MarkMsg::Return {
+                slot: Slot::R,
+                to: MarkParent::TaskRootPar
+            }]
+        );
+        drain(&mut state, &mut g, out);
+        assert_eq!(state.r_extra_outstanding(), 0);
     }
 
     #[test]

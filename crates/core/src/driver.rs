@@ -122,7 +122,6 @@ fn run_pass(
         telem.flow_send(0, 0, fphase, fname, seq + 1);
     }
     let mut stats = MarkStats::default();
-    let mut buf: Vec<MarkMsg> = Vec::new();
     let _pass = telem.span(0, 0, phase, phase.name());
     while let Some((pe, _lane, seq, msg)) = sim.next_event_tagged() {
         if msg.dest_vertex().map(|v| partition.pe_of(v)) != Some(pe) && msg.dest_vertex().is_some()
@@ -132,9 +131,8 @@ fn run_pass(
         let (fphase, fname) = flow_meta(&msg);
         telem.flow_recv(pe.raw(), 0, fphase, fname, seq + 1);
         telem.pe(pe.raw()).inc(CounterId::MarkEvents);
-        handle_mark(state, g, msg, &mut |m| buf.push(m));
-        stats.events += 1;
-        for m in buf.drain(..) {
+        // The handler's sends go straight into the simulator.
+        handle_mark(state, g, msg, &mut |m: MarkMsg| {
             let (fphase, fname) = flow_meta(&m);
             let env = route(&partition, m);
             if env.dst != pe {
@@ -145,7 +143,8 @@ fn run_pass(
             }
             let seq = sim.send(env);
             telem.flow_send(pe.raw(), 0, fphase, fname, seq + 1);
-        }
+        });
+        stats.events += 1;
         if cfg.check_invariants {
             let pending: Vec<MarkMsg> = sim.iter_pending().map(|(_, _, m)| *m).collect();
             if let Err(e) = check_invariants(g, slot, &pending, state) {
@@ -343,7 +342,6 @@ pub fn run_mark1_bsp_with(
     queues[pe_of(&first)].push_back(first);
 
     let mut stats = BspStats::default();
-    let mut buf: Vec<MarkMsg> = Vec::new();
     let _pass = telem.span(0, 0, Phase::Mr, "bsp");
     while queues.iter().any(|q| !q.is_empty()) {
         stats.rounds += 1;
@@ -352,9 +350,8 @@ pub fn run_mark1_bsp_with(
         for (pe, q) in queues.iter_mut().enumerate() {
             if let Some(m) = q.pop_front() {
                 telem.pe(pe as u16).inc(CounterId::MarkEvents);
-                handle_mark(&mut state, g, m, &mut |m| buf.push(m));
+                handle_mark(&mut state, g, m, &mut |m| staged.push(m));
                 stats.events += 1;
-                staged.append(&mut buf);
             }
         }
         telem.instant(0, 0, Phase::Mr, "bsp_round", stats.events - round_start);

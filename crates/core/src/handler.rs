@@ -8,20 +8,22 @@ use crate::state::MarkState;
 /// Executes one marking task atomically.
 ///
 /// Spawned tasks are handed to `sink`, which the driver routes to the PE
-/// owning the destination vertex. The task types follow Figures 4-1, 5-1
-/// and 5-3 of the paper; see the module documentation of
-/// [`crate`](crate#) for the correspondence.
+/// owning the destination vertex. The sink is a generic parameter, not a
+/// trait object: every driver passes a closure that enqueues directly, and
+/// the handler inlines into its delivery loop — one marking event costs
+/// the handler's own work plus its sends, with no buffer in between. The
+/// task types follow Figures 4-1, 5-1 and 5-3 of the paper; see the module
+/// documentation of [`crate`](crate#) for the correspondence.
 ///
 /// Executing a mark task addressed to a vertex that is (erroneously)
 /// on the free list is treated as marking a leaf that is already marked:
 /// an immediate return. A correct system never produces such a task; the
 /// behavior is defensive.
-pub fn handle_mark(
-    state: &mut MarkState,
-    g: &mut GraphStore,
-    msg: MarkMsg,
-    sink: &mut dyn FnMut(MarkMsg),
-) {
+#[inline]
+pub fn handle_mark<S>(state: &mut MarkState, g: &mut GraphStore, msg: MarkMsg, sink: &mut S)
+where
+    S: FnMut(MarkMsg) + ?Sized,
+{
     match msg {
         MarkMsg::Mark1 { v, par } => mark_simple(g, Slot::R, v, par, sink),
         MarkMsg::Mark3 { v, par } => mark_simple(g, Slot::T, v, par, sink),
@@ -32,13 +34,10 @@ pub fn handle_mark(
 
 /// `mark1` / `mark3` (Figures 4-1 and 5-3): identical control flow, only
 /// the slot and the traced child set differ.
-fn mark_simple(
-    g: &mut GraphStore,
-    slot: Slot,
-    v: VertexId,
-    par: MarkParent,
-    sink: &mut dyn FnMut(MarkMsg),
-) {
+fn mark_simple<S>(g: &mut GraphStore, slot: Slot, v: VertexId, par: MarkParent, sink: &mut S)
+where
+    S: FnMut(MarkMsg) + ?Sized,
+{
     let mk = |c: VertexId, p: MarkParent| match slot {
         Slot::R => MarkMsg::Mark1 { v: c, par: p },
         Slot::T => MarkMsg::Mark3 { v: c, par: p },
@@ -77,13 +76,10 @@ fn mark_simple(
 }
 
 /// `mark2` (Figure 5-1): priority marking for `M_R`.
-fn mark2(
-    g: &mut GraphStore,
-    v: VertexId,
-    par: MarkParent,
-    prior: Priority,
-    sink: &mut dyn FnMut(MarkMsg),
-) {
+fn mark2<S>(g: &mut GraphStore, v: VertexId, par: MarkParent, prior: Priority, sink: &mut S)
+where
+    S: FnMut(MarkMsg) + ?Sized,
+{
     if g.vertex(v).is_free() {
         sink(MarkMsg::Return {
             slot: Slot::R,
@@ -115,28 +111,25 @@ fn mark2(
 }
 
 /// `modify(v, par, prior)` from Figure 5-1.
-fn modify(
-    g: &mut GraphStore,
-    v: VertexId,
-    par: MarkParent,
-    prior: Priority,
-    sink: &mut dyn FnMut(MarkMsg),
-) {
+fn modify<S>(g: &mut GraphStore, v: VertexId, par: MarkParent, prior: Priority, sink: &mut S)
+where
+    S: FnMut(MarkMsg) + ?Sized,
+{
     {
         let s = g.mark_mut(v, Slot::R);
         s.color = Color::Transient;
         s.mt_par = Some(par);
         s.prior = prior;
     }
-    let kids = g.vertex(v).r_children_kinds();
-    let spawned = kids.len() as u32;
-    for (c, kind) in kids {
+    let mut spawned = 0u32;
+    g.vertex(v).for_each_r_child_kind(|c, kind| {
+        spawned += 1;
         sink(MarkMsg::Mark2 {
             v: c,
             par: MarkParent::Vertex(v),
             prior: prior.min(Priority::of_request(kind)),
         });
-    }
+    });
     // `+=`, not `=`: when re-marking a transient vertex, marks from the
     // previous traversal are still outstanding and their returns must be
     // absorbed before the vertex completes.
@@ -152,13 +145,10 @@ fn modify(
 }
 
 /// `return1` (Figure 4-1), extended with the virtual `troot` of `M_T`.
-fn return1(
-    state: &mut MarkState,
-    g: &mut GraphStore,
-    slot: Slot,
-    to: MarkParent,
-    sink: &mut dyn FnMut(MarkMsg),
-) {
+fn return1<S>(state: &mut MarkState, g: &mut GraphStore, slot: Slot, to: MarkParent, sink: &mut S)
+where
+    S: FnMut(MarkMsg) + ?Sized,
+{
     match to {
         MarkParent::RootPar => {
             state.note_rootpar_return();

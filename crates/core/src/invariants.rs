@@ -34,7 +34,12 @@ fn children_of(g: &GraphStore, slot: Slot, v: VertexId) -> Vec<VertexId> {
 ///
 /// * **Invariant 1** — for every transient vertex `v`, every unmarked
 ///   child of `v` has a pending mark task targeting it.
-/// * **Invariant 2** — no marked vertex has an unmarked child.
+/// * **Invariant 2** — a marked vertex is complete (`mt-cnt = 0`), and
+///   every unmarked child it has is the target of a pending mark task.
+///   (The paper states "no marked vertex has an unmarked child";
+///   `add-reference` on two transient vertices adds an arc that only the
+///   child's in-flight mark covers, so the source can complete first —
+///   see [`crate::coop::add_reference`].)
 /// * **Invariant 3** — `mt-cnt(v)` equals the number of unreturned mark
 ///   tasks spawned from `v`: pending marks with parent `v`, plus pending
 ///   returns to `v`, plus transient vertices whose `mt-par` is `v`.
@@ -110,6 +115,12 @@ pub fn check_invariants_where(
             ));
         }
         // Invariants 1 and 2.
+        if s.is_marked() && s.mt_cnt != 0 {
+            return Err(format!(
+                "invariant 2 violated: {id} is marked with mt-cnt = {} ({slot:?})",
+                s.mt_cnt
+            ));
+        }
         if s.is_transient() || s.is_marked() {
             for c in children_of(g, slot, id) {
                 let cs = g.mark(c, slot);
@@ -117,17 +128,20 @@ pub fn check_invariants_where(
                     if exempt(id, c) {
                         continue;
                     }
-                    if s.is_marked() {
-                        return Err(format!(
-                            "invariant 2 violated: marked {id} points to unmarked {c} ({slot:?})"
-                        ));
+                    if pending_mark_on.get(&c).copied().unwrap_or_default() > 0 {
+                        continue;
                     }
-                    if pending_mark_on.get(&c).copied().unwrap_or_default() == 0 {
-                        return Err(format!(
+                    return Err(if s.is_marked() {
+                        format!(
+                            "invariant 2 violated: marked {id} points to unmarked {c} \
+                             with no pending mark ({slot:?})"
+                        )
+                    } else {
+                        format!(
                             "invariant 1 violated: transient {id} has unmarked child {c} \
                              with no pending mark ({slot:?})"
-                        ));
-                    }
+                        )
+                    });
                 }
             }
         }
@@ -172,15 +186,19 @@ pub fn check_priority_closure(g: &GraphStore) -> Result<(), String> {
         if !s.is_marked() {
             continue;
         }
-        for (c, kind) in g.vertex(id).r_children_kinds() {
+        let mut open = None;
+        g.vertex(id).for_each_r_child_kind(|c, kind| {
             let need = s.prior.min(dgr_graph::Priority::of_request(kind));
             let cs = g.mark(c, Slot::R);
-            if cs.is_unmarked() || cs.prior < need {
-                return Err(format!(
+            if open.is_none() && (cs.is_unmarked() || cs.prior < need) {
+                open = Some(format!(
                     "priority not closed: {id}@{:?} child {c}@{:?}, needs ≥ {need:?}",
                     s.prior, cs.prior
                 ));
             }
+        });
+        if let Some(e) = open {
+            return Err(e);
         }
     }
     Ok(())

@@ -35,7 +35,7 @@ fn random_move(
     rng: &mut StdRng,
     state: &mut MarkState,
     g: &mut GraphStore,
-    sink: &mut dyn FnMut(MarkMsg),
+    sink: &mut impl FnMut(MarkMsg),
 ) {
     for _ in 0..16 {
         let a = VertexId::new(rng.gen_range(0..g.capacity() as u32));

@@ -11,6 +11,16 @@ pub fn garbage_vertices(g: &GraphStore) -> VertexSet {
         .collect()
 }
 
+/// Property 2' at one live vertex (see [`deadlocked_vertices`]).
+fn is_deadlocked(g: &GraphStore, v: VertexId) -> bool {
+    let mr = g.mark(v, Slot::R);
+    mr.is_marked()
+        && mr.prior == Priority::Vital
+        && !g.mark(v, Slot::T).is_marked()
+        && !g.is_touched(v)
+        && g.vertex(v).value.is_none()
+}
+
 /// `DL'_v = R'_v − T'` (Property 2', via Theorem 2), refined twice:
 /// only vertices that have not yet computed a value (a valued vertex has
 /// nothing left to deadlock on), and only vertices with **no task
@@ -21,16 +31,80 @@ pub fn garbage_vertices(g: &GraphStore) -> VertexSet {
 /// rather than falsely reported. Valid after an `M_T`-then-`M_R` cycle
 /// completes.
 pub fn deadlocked_vertices(g: &GraphStore) -> Vec<VertexId> {
-    g.live_ids()
-        .filter(|&v| {
+    g.live_ids().filter(|&v| is_deadlocked(g, v)).collect()
+}
+
+/// Everything the restructuring phase reads off the marks of a completed
+/// cycle, gathered in **one** pass over the store — the store is the
+/// largest thing a cycle touches, and each sweep of it costs a cache miss
+/// per vertex.
+#[derive(Debug, Default)]
+pub(crate) struct MarkCensus {
+    /// Live vertices marked by `M_T` (zero unless it ran this cycle).
+    pub marked_t: usize,
+    /// Live vertices marked by `M_R`.
+    pub marked_r: usize,
+    /// `marked_r` split by priority (index 0 = vital / priority 3).
+    pub by_priority: [usize; 3],
+    /// [`garbage_vertices`].
+    pub garbage: VertexSet,
+    /// [`deadlocked_vertices`] (empty unless `M_T` ran this cycle).
+    pub deadlocked: Vec<VertexId>,
+    /// `M_R`-marked vertices somebody is waiting on: the only vertices
+    /// whose `requested` set can name a garbage requester.
+    pub waiting: Vec<VertexId>,
+    /// Per vertex slot, the lane priority its pending requests belong in:
+    /// `max(M_R priority, engine demand)` for marked vertices, `None` for
+    /// the rest (empty unless `refresh_demand`).
+    pub lane_priority: Vec<Option<Priority>>,
+}
+
+impl MarkCensus {
+    /// Reads the marks; the T slot only if `M_T` ran this cycle (its
+    /// marks are otherwise an earlier cycle's). With `refresh_demand`
+    /// every marked vertex's demand is also raised to its `lane_priority`
+    /// on the way, so future spawns ride the right lane.
+    ///
+    /// Effective priority = max(fresh `M_R` mark, current engine demand):
+    /// the mark upgrades speculative work that proved needed, while the
+    /// demand guards against marks that are stale-low for vertices
+    /// demanded *during* the pass.
+    pub fn take(g: &mut GraphStore, ran_mt: bool, refresh_demand: bool) -> MarkCensus {
+        let mut c = MarkCensus {
+            garbage: VertexSet::with_capacity(g.capacity()),
+            ..MarkCensus::default()
+        };
+        if refresh_demand {
+            c.lane_priority = vec![None; g.capacity()];
+        }
+        for v in g.ids() {
+            if g.is_free(v) {
+                continue;
+            }
+            if ran_mt && g.mark(v, Slot::T).is_marked() {
+                c.marked_t += 1;
+            }
             let mr = g.mark(v, Slot::R);
-            mr.is_marked()
-                && mr.prior == Priority::Vital
-                && !g.mark(v, Slot::T).is_marked()
-                && !g.is_touched(v)
-                && g.vertex(v).value.is_none()
-        })
-        .collect()
+            if !mr.is_marked() {
+                c.garbage.insert(v);
+                continue;
+            }
+            c.marked_r += 1;
+            c.by_priority[3 - mr.prior as usize] += 1;
+            if ran_mt && is_deadlocked(g, v) {
+                c.deadlocked.push(v);
+            }
+            let vert = g.vertex_mut(v);
+            if !vert.requested().is_empty() {
+                c.waiting.push(v);
+            }
+            if refresh_demand {
+                vert.demand = vert.demand.max(mr.prior);
+                c.lane_priority[v.index()] = Some(vert.demand);
+            }
+        }
+        c
+    }
 }
 
 /// Classifies one pending task by its destination's marks (Properties
@@ -133,6 +207,50 @@ mod tests {
         run_mark2(&mut g, &MarkRunConfig::default());
         let dl = deadlocked_vertices(&g);
         assert_eq!(dl, vec![x], "x deadlocked; the literal already has a value");
+    }
+
+    #[test]
+    fn census_agrees_with_the_per_property_readers() {
+        // root -v-> x (x = x + 1, deadlocked), root → a (requested by
+        // root, so somebody is waiting on it), one dead vertex, one free.
+        let mut g = GraphStore::with_capacity(8);
+        let root = g.alloc(NodeLabel::If).unwrap();
+        let x = g.alloc(NodeLabel::Prim(PrimOp::Add)).unwrap();
+        let a = g.alloc(NodeLabel::lit_int(1)).unwrap();
+        let dead = g.alloc(NodeLabel::lit_int(2)).unwrap();
+        let freed = g.alloc(NodeLabel::lit_int(3)).unwrap();
+        g.connect(root, x);
+        g.vertex_mut(root)
+            .set_request_kind(0, Some(RequestKind::Vital));
+        g.connect(x, x);
+        g.vertex_mut(x)
+            .set_request_kind(0, Some(RequestKind::Vital));
+        g.connect(root, a);
+        g.vertex_mut(a)
+            .add_requester(dgr_graph::Requester::Vertex(root));
+        g.set_root(root);
+        g.free(freed);
+        run_mark3(&mut g, &TaskEndpoints::new(), &MarkRunConfig::default());
+        run_mark2(&mut g, &MarkRunConfig::default());
+
+        let garbage = garbage_vertices(&g);
+        let deadlocked = deadlocked_vertices(&g);
+        assert!(garbage.contains(dead) && deadlocked.contains(&x));
+        let c = MarkCensus::take(&mut g, true, true);
+        assert_eq!(c.garbage, garbage);
+        assert_eq!(c.deadlocked, deadlocked);
+        assert_eq!((c.marked_t, c.marked_r), (0, 3));
+        assert_eq!(c.by_priority, [2, 0, 1], "root and x vital, a reserve");
+        assert_eq!(c.waiting, vec![a]);
+        assert_eq!(c.lane_priority[x.index()], Some(Priority::Vital));
+        assert_eq!(c.lane_priority[dead.index()], None);
+        assert_eq!(c.lane_priority[freed.index()], None);
+        assert_eq!(g.vertex(x).demand, Priority::Vital, "demand refreshed");
+        // Without the options nothing is written and nothing extra read.
+        g.vertex_mut(x).demand = Priority::Reserve;
+        let c = MarkCensus::take(&mut g, false, false);
+        assert!(c.deadlocked.is_empty() && c.lane_priority.is_empty());
+        assert_eq!(g.vertex(x).demand, Priority::Reserve);
     }
 
     #[test]

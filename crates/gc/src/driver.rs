@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use dgr_core::{MarkMsg, RMode};
-use dgr_graph::{MarkParent, Priority, Requester, Slot, Value, VertexSet};
+use dgr_graph::{MarkParent, Priority, Requester, Slot, Value};
 use dgr_reduction::{RedMsg, RunOutcome, System};
 use dgr_sim::Lane;
 use dgr_telemetry::{
@@ -12,7 +12,7 @@ use dgr_telemetry::{
     Phase, TriggerCause,
 };
 
-use crate::classify::{classify_pending_tasks, deadlocked_vertices, garbage_vertices};
+use crate::classify::{classify_pending_tasks, MarkCensus};
 use crate::report::{CycleReport, GcStats};
 
 /// Bound on the per-cycle telemetry timeline kept by [`GcDriver`]:
@@ -365,19 +365,11 @@ impl GcDriver {
                 .telemetry()
                 .begin(0, self.cycle, Phase::Classify, "restructure");
             let t = Instant::now();
-            self.restructure(&mut report, run_mt);
+            telem.marked_by_priority = self.restructure(&mut report, run_mt);
             telem.restructure_us = t.elapsed().as_micros() as u64;
             self.sys
                 .telemetry()
                 .end(0, self.cycle, Phase::Classify, "restructure");
-        }
-        // M_R marks survive until the next cycle's reset: tally them by
-        // priority for the timeline (index 0 = vital / priority 3).
-        for v in self.sys.graph.live_ids() {
-            let s = self.sys.graph.mark(v, Slot::R);
-            if s.is_marked() {
-                telem.marked_by_priority[3 - s.prior as usize] += 1;
-            }
         }
         self.sys.mark_state.end_r();
         self.sys.mark_state.end_t();
@@ -524,9 +516,9 @@ impl GcDriver {
         us
     }
 
-    /// Runs a marking phase: injects the seeds, then keeps delivering
-    /// events (reduction included — the phases are concurrent) until the
-    /// process signals `done` or the phase budget is exhausted.
+    /// Runs a marking phase: keeps delivering events (reduction included —
+    /// the phases are concurrent) until the process signals `done` or the
+    /// phase budget is exhausted. `done` is evaluated once per delivery.
     fn drive_phase(&mut self, report: &mut CycleReport, done: impl Fn(&System) -> bool) {
         let start_total = self.sys.sim().stats().delivered_total();
         let start_marking = self.sys.sim().stats().delivered(Lane::Marking);
@@ -534,6 +526,8 @@ impl GcDriver {
         // Beat the liveness pulse in batches: one clock read per
         // HEARTBEAT_BATCH deliveries instead of per event.
         let mut beats_flushed = 0u64;
+        // Marking tasks served since the last policy-scheduled task.
+        let mut burst = 0u32;
         while !done(&self.sys) {
             if events - beats_flushed >= HEARTBEAT_BATCH {
                 self.heartbeat.progress(events - beats_flushed);
@@ -541,25 +535,17 @@ impl GcDriver {
             }
             // Priority service for marking tasks, so the wave always
             // outpaces a mutator that keeps allocating (Section 6).
-            let mut progressed = false;
-            for _ in 0..MARKING_SERVICE_RATIO {
-                if done(&self.sys) || !self.sys.step_lane(Lane::Marking) {
-                    break;
-                }
-                progressed = true;
+            if burst < MARKING_SERVICE_RATIO && self.sys.step_lane(Lane::Marking) {
+                burst += 1;
                 events += 1;
+                continue;
             }
-            if done(&self.sys) {
-                break;
-            }
+            // The marking lane is empty or has had its share: one task of
+            // the policy's choosing.
+            let progressed = burst > 0;
+            burst = 0;
             if !self.sys.step() {
-                assert!(
-                    done(&self.sys) || progressed,
-                    "marking drained without its termination signal"
-                );
-                if done(&self.sys) {
-                    break;
-                }
+                assert!(progressed, "marking drained without its termination signal");
                 continue;
             }
             events += 1;
@@ -632,12 +618,6 @@ impl GcDriver {
             self.heartbeat.progress(events - beats_flushed);
         }
         report.mark_events += self.sys.sim().stats().delivered(Lane::Marking) - start_marking;
-        report.marked_t = self
-            .sys
-            .graph
-            .live_ids()
-            .filter(|&v| self.sys.graph.mark(v, Slot::T).is_marked())
-            .count();
     }
 
     fn phase_r(&mut self, report: &mut CycleReport) {
@@ -650,18 +630,27 @@ impl GcDriver {
             prior: Priority::Vital,
         });
         self.drive_phase(report, |s| s.mark_state.r_done);
-        report.marked_r = self
-            .sys
-            .graph
-            .live_ids()
-            .filter(|&v| self.sys.graph.mark(v, Slot::R).is_marked())
-            .count();
     }
 
-    fn restructure(&mut self, report: &mut CycleReport, ran_mt: bool) {
+    /// Reads the marks once, then acts on them: reclaim, expunge,
+    /// re-prioritize, recover. Returns the `M_R` marks tallied by priority
+    /// for the timeline (the marks themselves survive until the next
+    /// cycle's reset).
+    fn restructure(&mut self, report: &mut CycleReport, ran_mt: bool) -> [usize; 3] {
         report.census = classify_pending_tasks(&self.sys);
-        let garbage: VertexSet = garbage_vertices(&self.sys.graph);
+        let MarkCensus {
+            marked_t,
+            marked_r,
+            by_priority,
+            garbage,
+            deadlocked,
+            waiting,
+            lane_priority,
+        } = MarkCensus::take(&mut self.sys.graph, ran_mt, self.cfg.reprioritize);
+        report.marked_t = marked_t;
+        report.marked_r = marked_r;
         report.garbage = garbage.len();
+        report.deadlocked = deadlocked;
         if self.lifecycle.enabled() {
             // The lifecycle census taps the very garbage set computed
             // above — never recomputed — so the latency stamped when a
@@ -670,20 +659,11 @@ impl GcDriver {
                 self.lifecycle.garbage_vertex(w.index());
             }
         }
-        if ran_mt {
-            report.deadlocked = deadlocked_vertices(&self.sys.graph);
-        }
 
         if self.cfg.reclaim && !garbage.is_empty() {
             // Purge reclaimed requesters from live `requested` sets so no
             // value is ever returned to a recycled vertex.
-            let live: Vec<_> = self
-                .sys
-                .graph
-                .live_ids()
-                .filter(|&v| !garbage.contains(v))
-                .collect();
-            for v in live {
+            for v in waiting {
                 self.sys.graph.vertex_mut(v).retain_requesters(|r| match r {
                     Requester::Vertex(x) => !garbage.contains(x),
                     Requester::External => true,
@@ -713,32 +693,12 @@ impl GcDriver {
         }
 
         if self.cfg.reprioritize {
-            // Effective priority = max(fresh M_R mark, current engine
-            // demand): the mark upgrades speculative work that proved
-            // needed, while the demand guards against marks that are
-            // stale-low for vertices demanded *during* the pass. Refresh
-            // every live vertex's demand (future spawns ride the right
-            // lane) and re-lane the pending tasks — the paper's dynamic
+            // Every marked vertex's demand was refreshed by the census;
+            // re-lane the pending tasks to match — the paper's dynamic
             // prioritization.
-            let prio: Vec<Option<Priority>> = self
-                .sys
-                .graph
-                .ids()
-                .map(|v| {
-                    let s = self.sys.graph.mark(v, Slot::R);
-                    s.is_marked()
-                        .then(|| s.prior.max(self.sys.graph.vertex(v).demand))
-                })
-                .collect();
-            let live: Vec<_> = self.sys.graph.live_ids().collect();
-            for v in live {
-                if let Some(p) = prio[v.index()] {
-                    self.sys.graph.vertex_mut(v).demand = p;
-                }
-            }
             report.relaned = self.sys.sim_mut().relane(|_, lane, msg| {
                 if let Some(RedMsg::Request { dst, .. }) = msg.as_red() {
-                    if let Some(p) = prio[dst.index()] {
+                    if let Some(p) = lane_priority[dst.index()] {
                         return Lane::Reduction(p);
                     }
                 }
@@ -767,6 +727,7 @@ impl GcDriver {
                 }
             }
         }
+        by_priority
     }
 }
 
@@ -1364,6 +1325,10 @@ mod tests {
         gc.run();
         assert!(gc.stats().mt_cycles < gc.stats().cycles);
         assert!(gc.stats().mt_cycles >= gc.stats().cycles / 3);
+        // A skipped M_T leaves an earlier cycle's T marks in place; they
+        // are not this cycle's to report.
+        assert!(gc.timeline().iter().any(|c| c.ran_mt && c.marked_t > 0));
+        assert!(gc.timeline().iter().all(|c| c.ran_mt || c.marked_t == 0));
     }
 
     #[test]

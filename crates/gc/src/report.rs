@@ -11,9 +11,10 @@ pub struct CycleReport {
     pub cycle: u32,
     /// Whether `M_T` ran this cycle.
     pub ran_mt: bool,
-    /// Vertices marked by `M_T`.
+    /// Vertices carrying an `M_T` mark when restructuring read the marks
+    /// (zero for an aborted cycle, which never restructures).
     pub marked_t: usize,
-    /// Vertices marked by `M_R`.
+    /// Vertices carrying an `M_R` mark when restructuring read the marks.
     pub marked_r: usize,
     /// Marking-task events executed (both processes).
     pub mark_events: u64,

@@ -229,7 +229,7 @@ pub fn priorities(g: &GraphStore) -> Vec<Option<Priority>> {
             .map(|(i, _)| VertexId::new(i as u32))
             .collect();
         while let Some(v) = stack.pop() {
-            for (c, kind) in g.vertex(v).r_children_kinds() {
+            g.vertex(v).for_each_r_child_kind(|c, kind| {
                 if admit(kind)
                     && prior[c.index()].is_none_or(|p| p < level)
                     && prior[c.index()] != Some(level)
@@ -237,7 +237,7 @@ pub fn priorities(g: &GraphStore) -> Vec<Option<Priority>> {
                     prior[c.index()] = Some(level);
                     stack.push(c);
                 }
-            }
+            });
         }
     }
     prior

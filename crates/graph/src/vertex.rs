@@ -517,24 +517,20 @@ impl Vertex {
         }
     }
 
-    /// The child set traced by `M_R` together with each arc's request kind
-    /// (`request-type(c, v)` in Figure 5-1). Vertices referenced by a
-    /// computed structured value behave like *unrequested* arcs: a cons
-    /// cell's components are exactly the lazily-reachable parts of the
-    /// value — nothing has demanded them yet, so they contribute
-    /// `Reserve`, and they are promoted the moment a real request arc is
-    /// added for them.
-    pub fn r_children_kinds(&self) -> Vec<(VertexId, Option<RequestKind>)> {
-        let mut out: Vec<(VertexId, Option<RequestKind>)> = self
-            .args
-            .iter()
-            .zip(&self.request_kinds)
-            .map(|(&a, &k)| (a, k))
-            .collect();
-        if let Some(v) = &self.value {
-            out.extend(v.referenced_vertices().into_iter().map(|c| (c, None)));
+    /// Visits the child set traced by `M_R` together with each arc's request
+    /// kind (`request-type(c, v)` in Figure 5-1), in [`Vertex::r_children`]
+    /// order, without allocating. Vertices referenced by a computed
+    /// structured value behave like *unrequested* arcs: a cons cell's
+    /// components are exactly the lazily-reachable parts of the value —
+    /// nothing has demanded them yet, so they contribute `Reserve`, and
+    /// they are promoted the moment a real request arc is added for them.
+    pub fn for_each_r_child_kind(&self, mut f: impl FnMut(VertexId, Option<RequestKind>)) {
+        for (&a, &k) in self.args.iter().zip(&self.request_kinds) {
+            f(a, k);
         }
-        out
+        if let Some(v) = &self.value {
+            v.for_each_referenced(|c| f(c, None));
+        }
     }
 
     /// Index of the first arc pointing at `target`, if any.
@@ -700,8 +696,9 @@ mod tests {
         assert!(x.r_children().contains(&v(5)));
         assert!(x.t_children().contains(&v(4)));
         // Value components are lazily reachable: unrequested kind.
-        let kinds = x.r_children_kinds();
-        assert!(kinds.contains(&(v(4), None)) && kinds.contains(&(v(5), None)));
+        let mut kinds = Vec::new();
+        x.for_each_r_child_kind(|c, k| kinds.push((c, k)));
+        assert_eq!(kinds, vec![(v(4), None), (v(5), None)]);
     }
 
     #[test]

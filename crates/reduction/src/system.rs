@@ -3,7 +3,7 @@
 use dgr_core::{handle_mark, MarkMsg, MarkState};
 use dgr_graph::HeapDelta;
 use dgr_graph::{
-    GraphStore, PartitionMap, PartitionStrategy, Priority, RequestKind, Requester, Slot,
+    GraphStore, PartitionMap, PartitionStrategy, PeId, Priority, RequestKind, Requester, Slot,
     TaskEndpoints, Value,
 };
 use dgr_sim::{DetSim, Envelope, Lane, SchedPolicy};
@@ -92,7 +92,7 @@ pub struct System {
     /// `Some(pe)` are attributed to that PE as local or remote; sends
     /// with no executing task (external injection, GC driver seeds) are
     /// not attributed.
-    executing: Option<dgr_graph::PeId>,
+    executing: Option<PeId>,
     /// The marking cycle flow events are attributed to; a GC driver sets
     /// it at the start of each cycle so the causal trace of the marking
     /// wave groups by cycle.
@@ -101,6 +101,15 @@ pub struct System {
     /// is on): per-PE live-bytes clocks, waterlines and size classes,
     /// fed from the graph store's byte journal after every dispatch.
     heap: HeapTracker,
+    /// The vertex-to-PE assignment every send routes by. Only a reduction
+    /// task can grow the heap, so dispatch refreshes it there and nowhere
+    /// else.
+    partition: PartitionMap,
+    /// What one reduction task spawned, buffered so that its reduction
+    /// sends precede its marking sends (see [`System::dispatch`]); kept
+    /// across dispatches for their capacity.
+    out_red: Vec<(RedMsg, Priority)>,
+    out_mark: Vec<MarkMsg>,
 }
 
 /// Phase tag and flow-event name of a marking message, by slot: the
@@ -114,21 +123,64 @@ fn mark_flow_meta(m: &MarkMsg) -> (Phase, &'static str) {
     }
 }
 
+/// The PE a message addressed to `dest` executes on; messages with no
+/// destination vertex (returns to the virtual roots, replies to the
+/// external observer) execute on PE 0.
+fn route(partition: &PartitionMap, dest: Option<dgr_graph::VertexId>) -> PeId {
+    dest.map_or(PeId::new(0), |v| partition.pe_of(v))
+}
+
+/// Attributes a send to the PE whose task is currently executing, as
+/// local (same PE) or remote. Sends with no executing task (external
+/// injection) are not counted.
+fn count_send(telem: &Registry, executing: Option<PeId>, dst: PeId) {
+    let Some(src) = executing else { return };
+    let id = if src == dst {
+        CounterId::SendsLocal
+    } else {
+        CounterId::SendsRemote
+    };
+    telem.pe(src.raw()).inc(id);
+}
+
+/// Routes and enqueues a marking task, recording a flow-send event (the
+/// causal edge's origin) on the sending PE — the currently executing one,
+/// or the destination for externally injected seeds. Takes the system's
+/// fields apart so the marking handler's sink can call it while the
+/// handler holds the graph and the marking state.
+fn enqueue_mark(
+    sim: &mut DetSim<SysMsg>,
+    telem: &Registry,
+    partition: &PartitionMap,
+    cycle: u32,
+    executing: Option<PeId>,
+    msg: MarkMsg,
+) {
+    let pe = route(partition, msg.dest_vertex());
+    count_send(telem, executing, pe);
+    let (fphase, fname) = mark_flow_meta(&msg);
+    let src = executing.unwrap_or(pe);
+    let seq = sim.send(Envelope::new(pe, Lane::Marking, SysMsg::Mark(msg)));
+    // Flow id = seq + 1: the simulator's sequence numbers are unique
+    // across the system's lifetime, and 0 stays the "no flow" value.
+    telem.flow_send(src.raw(), cycle, fphase, fname, seq + 1);
+}
+
 impl System {
     /// Creates a system over the given graph and templates.
     pub fn new(mut graph: GraphStore, templates: TemplateStore, config: SystemConfig) -> Self {
         let sim = DetSim::new(config.num_pes, config.policy, config.seed);
         let telem = Registry::new(config.num_pes);
         let mut heap = HeapTracker::new(config.num_pes as usize);
+        let partition = PartitionMap::new(config.num_pes, graph.capacity(), config.partition);
         if heap.enabled() {
             // Stamp everything the builder phase allocated before the
             // tracker existed, so later reclaims of those vertices still
             // carry exact byte stamps, then journal all future traffic.
-            let pm = PartitionMap::new(config.num_pes, graph.capacity(), config.partition);
             let live: Vec<_> = graph.live_ids().collect();
             for v in live {
                 heap.alloc(
-                    pm.pe_of(v).index(),
+                    partition.pe_of(v).index(),
                     v.index(),
                     u64::from(graph.vertex_bytes(v)),
                 );
@@ -148,6 +200,9 @@ impl System {
             executing: None,
             telem_cycle: 0,
             heap,
+            partition,
+            out_red: Vec::new(),
+            out_mark: Vec::new(),
         }
     }
 
@@ -188,7 +243,7 @@ impl System {
         if !self.heap.enabled() || !self.graph.heap_journal_pending() {
             return;
         }
-        let pm = self.partition();
+        let pm = &self.partition;
         for delta in self.graph.take_heap_journal() {
             match delta {
                 HeapDelta::Alloc { id, bytes } => {
@@ -216,14 +271,10 @@ impl System {
         &self.config
     }
 
-    /// The current vertex-to-PE assignment (recomputed so heap growth is
-    /// reflected).
+    /// The current vertex-to-PE assignment (heap growth is reflected as
+    /// soon as the task that grew it has executed).
     pub fn partition(&self) -> PartitionMap {
-        PartitionMap::new(
-            self.config.num_pes,
-            self.graph.capacity(),
-            self.config.partition,
-        )
+        self.partition.clone()
     }
 
     /// Events delivered so far.
@@ -244,46 +295,23 @@ impl System {
 
     /// Routes and enqueues a reduction task with the given lane priority.
     pub fn send_red(&mut self, msg: RedMsg, prio: Priority) {
-        let pe = msg
-            .dest_vertex()
-            .map(|v| self.partition().pe_of(v))
-            .unwrap_or(dgr_graph::PeId::new(0));
-        self.count_send(pe);
+        let pe = route(&self.partition, msg.dest_vertex());
+        count_send(&self.telem, self.executing, pe);
         self.sim
             .send(Envelope::new(pe, Lane::Reduction(prio), SysMsg::Red(msg)));
     }
 
-    /// Routes and enqueues a marking task, recording a flow-send event
-    /// (the causal edge's origin) on the sending PE — the currently
-    /// executing one, or the destination for externally injected seeds.
+    /// Routes and enqueues a marking task (a GC driver's seeds; tasks
+    /// spawned while dispatching take the same path).
     pub fn send_mark(&mut self, msg: MarkMsg) {
-        let pe = msg
-            .dest_vertex()
-            .map(|v| self.partition().pe_of(v))
-            .unwrap_or(dgr_graph::PeId::new(0));
-        self.count_send(pe);
-        let (fphase, fname) = mark_flow_meta(&msg);
-        let src = self.executing.unwrap_or(pe);
-        let seq = self
-            .sim
-            .send(Envelope::new(pe, Lane::Marking, SysMsg::Mark(msg)));
-        // Flow id = seq + 1: the simulator's sequence numbers are unique
-        // across the system's lifetime, and 0 stays the "no flow" value.
-        self.telem
-            .flow_send(src.raw(), self.telem_cycle, fphase, fname, seq + 1);
-    }
-
-    /// Attributes a send to the PE whose task is currently executing, as
-    /// local (same PE) or remote. Sends with no executing task (external
-    /// injection) are not counted.
-    fn count_send(&self, dst: dgr_graph::PeId) {
-        let Some(src) = self.executing else { return };
-        let id = if src == dst {
-            CounterId::SendsLocal
-        } else {
-            CounterId::SendsRemote
-        };
-        self.telem.pe(src.raw()).inc(id);
+        enqueue_mark(
+            &mut self.sim,
+            &self.telem,
+            &self.partition,
+            self.telem_cycle,
+            self.executing,
+            msg,
+        );
     }
 
     /// Spawns the initial task `<-, root>`.
@@ -316,7 +344,7 @@ impl System {
 
     /// Records the delivery end of a marking message's flow edge (see
     /// [`System::send_mark`]); reduction messages are not flow-traced.
-    fn flow_recv(&self, pe: dgr_graph::PeId, seq: u64, msg: &SysMsg) {
+    fn flow_recv(&self, pe: PeId, seq: u64, msg: &SysMsg) {
         if let SysMsg::Mark(m) = msg {
             let (fphase, fname) = mark_flow_meta(m);
             self.telem
@@ -338,7 +366,17 @@ impl System {
         true
     }
 
-    fn dispatch(&mut self, pe: dgr_graph::PeId, lane: Lane, msg: SysMsg) {
+    /// Executes one delivered task and enqueues what it spawns.
+    ///
+    /// A marking task's sends go straight from the handler into the
+    /// simulator: one marking event is one queue pop, one handler call and
+    /// its sends. A reduction task's sends are buffered, because the
+    /// engine interleaves them and the order they enter the simulator is
+    /// part of the delivery order: sequence numbers are global, and
+    /// round-robin picks a PE's oldest message *across* lanes — so all of
+    /// a task's reduction sends get their numbers before any of its
+    /// marking sends, as they always have.
+    fn dispatch(&mut self, pe: PeId, lane: Lane, msg: SysMsg) {
         self.events += 1;
         let shard = self.telem.pe(pe.raw());
         match lane {
@@ -356,10 +394,11 @@ impl System {
                 self.result = Some(value);
             }
             SysMsg::Red(m) => {
-                let mut out_red: Vec<(RedMsg, Priority)> = Vec::new();
-                let mut out_mark: Vec<MarkMsg> = Vec::new();
-                {
-                    let mut ctx = EngineCtx {
+                let mut out_red = std::mem::take(&mut self.out_red);
+                let mut out_mark = std::mem::take(&mut self.out_mark);
+                let capacity = self.graph.capacity();
+                handle_red(
+                    &mut EngineCtx {
                         state: &mut self.mark_state,
                         g: &mut self.graph,
                         templates: &self.templates,
@@ -368,24 +407,34 @@ impl System {
                         stats: &mut self.stats,
                         out_red: &mut out_red,
                         out_mark: &mut out_mark,
-                    };
-                    handle_red(&mut ctx, m);
+                    },
+                    m,
+                );
+                if self.graph.capacity() != capacity {
+                    self.partition = PartitionMap::new(
+                        self.config.num_pes,
+                        self.graph.capacity(),
+                        self.config.partition,
+                    );
                 }
-                for (m, p) in out_red {
+                for (m, p) in out_red.drain(..) {
                     self.send_red(m, p);
                 }
-                for m in out_mark {
+                for m in out_mark.drain(..) {
                     self.send_mark(m);
                 }
+                self.out_red = out_red;
+                self.out_mark = out_mark;
             }
             SysMsg::Mark(m) => {
-                let mut out: Vec<MarkMsg> = Vec::new();
-                handle_mark(&mut self.mark_state, &mut self.graph, m, &mut |m| {
-                    out.push(m)
-                });
-                for m in out {
-                    self.send_mark(m);
-                }
+                let (sim, telem, partition) = (&mut self.sim, &self.telem, &self.partition);
+                let cycle = self.telem_cycle;
+                handle_mark(
+                    &mut self.mark_state,
+                    &mut self.graph,
+                    m,
+                    &mut |m: MarkMsg| enqueue_mark(sim, telem, partition, cycle, Some(pe), m),
+                );
             }
         }
         self.executing = None;

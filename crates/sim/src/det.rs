@@ -503,7 +503,10 @@ impl<M> DetSim<M> {
     pub fn next_event_in_lane_tagged(&mut self, lane: Lane) -> Option<(PeId, Lane, u64, M)> {
         let l = lane.index();
         let (_, pe) = Self::lane_oldest(&self.pes, &mut self.mirror[l], l)?;
-        let (seq, msg) = self.pes[pe as usize][lane.index()].pop_front()?;
+        let (seq, msg) = self.pes[pe as usize][l].pop_front()?;
+        // The entry just served is the mirror's front: drop it now rather
+        // than leave it for the next peek to find stale.
+        self.mirror[l].pop_front();
         self.pending -= 1;
         self.index_remove(pe, lane, seq);
         self.stats.record_deliver(pe, lane);
@@ -538,8 +541,11 @@ impl<M> DetSim<M> {
                 dropped += before - q.len();
             }
         }
-        self.pending -= dropped;
-        self.rebuild_index();
+        // Nothing dropped: every queue is as it was, so are the indexes.
+        if dropped > 0 {
+            self.pending -= dropped;
+            self.rebuild_index();
+        }
         dropped
     }
 
@@ -555,8 +561,8 @@ impl<M> DetSim<M> {
         for (p, lanes) in self.pes.iter_mut().enumerate() {
             let mut staged: Vec<(u64, Lane, M)> = Vec::new();
             for lane in Lane::ALL {
-                let q = std::mem::take(&mut lanes[lane.index()]);
-                for (s, m) in q {
+                // `drain` leaves each queue its buffer for the refill.
+                for (s, m) in lanes[lane.index()].drain(..) {
                     let new = relane(PeId::new(p as u16), lane, &m);
                     if new != lane {
                         moved += 1;
@@ -569,7 +575,10 @@ impl<M> DetSim<M> {
                 lanes[lane.index()].push_back((s, m));
             }
         }
-        self.rebuild_index();
+        // Nothing moved: every queue was refilled exactly as it was.
+        if moved > 0 {
+            self.rebuild_index();
+        }
         moved
     }
 

@@ -103,7 +103,10 @@ impl ChurnReplayer {
 
     /// Applies one operation. `state`/`sink` make the new root arc
     /// cooperate with any active marking process.
-    pub fn apply(&mut self, op: ChurnOp, state: &mut MarkState, sink: &mut dyn FnMut(MarkMsg)) {
+    pub fn apply<S>(&mut self, op: ChurnOp, state: &mut MarkState, sink: &mut S)
+    where
+        S: FnMut(MarkMsg) + ?Sized,
+    {
         match op {
             ChurnOp::New { size, cyclic } => {
                 let size = size.max(1) as usize;

@@ -32,6 +32,18 @@ pub fn random_digraph(n: usize, avg_degree: f64, seed: u64) -> GraphStore {
     g
 }
 
+/// [`random_digraph`] plus sixteen arcs from the root to evenly spaced
+/// vertices, so that every seed reaches most of the graph (one seed in
+/// three otherwise reaches two vertices).
+pub fn rooted_digraph(n: usize, avg_degree: f64, seed: u64) -> GraphStore {
+    let mut g = random_digraph(n, avg_degree, seed);
+    let root = g.root().expect("random_digraph sets a root");
+    for i in 1..=16 {
+        g.connect(root, VertexId::new((i * (n / 17)) as u32));
+    }
+    g
+}
+
 /// A complete binary tree of the given depth (depth 0 = a single leaf).
 pub fn binary_tree(depth: usize) -> GraphStore {
     let n = (1usize << (depth + 1)) - 1;

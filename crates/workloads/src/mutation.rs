@@ -61,12 +61,10 @@ impl MoveMutator {
     /// Applies one move through the cooperating primitives (or raw
     /// primitives when `state.cooperation_enabled` is false, which is the
     /// T-abl ablation). Returns `true` if a mutation was applied.
-    pub fn step(
-        &mut self,
-        state: &mut MarkState,
-        g: &mut GraphStore,
-        sink: &mut dyn FnMut(MarkMsg),
-    ) -> bool {
+    pub fn step<S>(&mut self, state: &mut MarkState, g: &mut GraphStore, sink: &mut S) -> bool
+    where
+        S: FnMut(MarkMsg) + ?Sized,
+    {
         let Some((a, b, c)) = self.find_path(g) else {
             self.misses += 1;
             return false;

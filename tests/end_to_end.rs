@@ -324,3 +324,37 @@ fn deadlock_recovery_never_misfires_on_live_programs() {
     assert_eq!(out, RunOutcome::Value(Value::Bottom));
     assert!(gc.stats().deadlocks_total > 0);
 }
+
+#[test]
+fn gc_counts_pin_the_delivery_order() {
+    // Every count below is a function of the exact order in which the
+    // simulator delivers reduction and marking tasks (round-robin compares
+    // global sequence numbers across lanes). The tuples were recorded on
+    // the commit before the marking-event path was rewritten; a change
+    // that reorders sends or deliveries moves at least one of them.
+    let cases = [
+        (programs::nfib(12), false, (7, 39_308, 5_774, 0, 223)),
+        (programs::qsort(30), false, (53, 108_314, 7_258, 0, 18)),
+        (programs::cyclic_sum(100), false, (14, 34_626, 1_711, 0, 8)),
+        (programs::primes(30), false, (30, 13_032, 3_889, 0, 14)),
+        (programs::nfib(9), true, (7, 27_010, 4_951, 723, 451)),
+    ];
+    for (p, speculation, want) in cases {
+        let cfg = SystemConfig {
+            num_pes: 2,
+            speculation,
+            ..Default::default()
+        };
+        let (out, gc) = run_gc(&p.source, p.needs_prelude, cfg, GcConfig::default());
+        assert_eq!(out, RunOutcome::Value(p.expected.unwrap()), "{}", p.name);
+        let s = gc.stats();
+        let got = (
+            s.cycles,
+            s.mark_events_total,
+            s.reclaimed_total,
+            s.expunged_total,
+            s.relaned_total,
+        );
+        assert_eq!(got, want, "{} (speculation {speculation})", p.name);
+    }
+}
