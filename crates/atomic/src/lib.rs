@@ -34,6 +34,25 @@ use std::fmt::Debug;
 
 pub use std::sync::atomic::Ordering;
 
+/// Aligns and pads `T` to 128 bytes, so two values that different
+/// threads write never share a cache line — nor the adjacent line the
+/// hardware prefetcher pulls with it on x86. The substrate wraps every
+/// index or flag one worker writes while another polls it (deque
+/// `top`/`bottom`, ring `head`/`tail`, park flags); layout tests beside
+/// each of them pin the distances.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub struct CachePadded<T>(pub T);
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+
+    #[inline(always)]
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 /// A named atomic-operation site the mutation harness can weaken.
 ///
 /// Each variant corresponds to one seeded ordering bug in
@@ -63,6 +82,11 @@ pub enum Site {
     /// zero). The seeded mutation relaxes it: a premature decrement whose
     /// effects quiescence no longer covers.
     QuiesceRelease,
+    /// `QuiesceState::publish_covered`'s credit top-up. The seeded
+    /// mutation moves it *after* the publish: a task is briefly visible
+    /// that the counter does not know about, so a fast consumer's
+    /// release can latch `done` while its publisher is still working.
+    QuiesceCreditTopUp,
 }
 
 impl Site {
@@ -75,6 +99,7 @@ impl Site {
             Site::DequeLastElem => "deque-last-elem-no-seqcst",
             Site::MailboxTailPublish => "mailbox-stale-head",
             Site::QuiesceRelease => "quiesce-premature-release",
+            Site::QuiesceCreditTopUp => "quiesce-publish-before-credit",
         }
     }
 }
@@ -325,6 +350,7 @@ mod tests {
             Site::DequeLastElem,
             Site::MailboxTailPublish,
             Site::QuiesceRelease,
+            Site::QuiesceCreditTopUp,
         ] {
             assert!(!StdAtomics::mutated(site));
             for ord in [Ordering::Relaxed, Ordering::SeqCst, Ordering::AcqRel] {

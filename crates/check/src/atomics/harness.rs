@@ -340,6 +340,57 @@ fn quiesce_publish() -> Box<dyn FnOnce() + Send + 'static> {
     })
 }
 
+/// Credit-batched quiescence. The main thread plays a worker running the
+/// seed: it publishes one task into the other worker's ring through
+/// [`QuiesceState::publish_covered`] — a whole block registered, one unit
+/// used — and then idles, releasing the seed and the unused credit. The
+/// other worker drains once. While the task sits unexecuted the count
+/// must not reach zero, however much credit its publisher holds or has
+/// returned; once every worker has idled it must. Whoever latches `done`
+/// must find the publisher finished.
+fn quiesce_credit() -> Box<dyn FnOnce() + Send + 'static> {
+    Box::new(|| {
+        let q: Arc<QuiesceState<ShimAtomics>> = Arc::new(QuiesceState::new(1));
+        let ring: Arc<SpscRing<ShimAtomics>> = Arc::new(SpscRing::new(8));
+        let published = Arc::new(ShimCell::new(0));
+        let t = {
+            let (q, ring) = (Arc::clone(&q), Arc::clone(&ring));
+            let published = Arc::clone(&published);
+            spawn(move || {
+                let mut out = Vec::new();
+                if ring.drain(&mut out) == 0 {
+                    shim_assert(!q.is_done(), || {
+                        "done latched before the published task ran".into()
+                    });
+                } else if q.release(out.len()) {
+                    // Stale or racing read = the publisher was still
+                    // inside its chain when the count hit zero.
+                    let v = published.read();
+                    shim_assert(v == 1, || {
+                        format!("done latched with the publisher mid-chain ({v})")
+                    });
+                }
+            })
+        };
+        let mut credit = 0;
+        q.publish_covered(&mut credit, 1, || ring.push(7).unwrap());
+        published.write(1);
+        let latched = q.release(1 + credit);
+        t.join();
+        let mut rest = Vec::new();
+        if ring.drain(&mut rest) > 0 {
+            shim_assert(!latched && !q.is_done(), || {
+                "done latched with the task still in the ring".into()
+            });
+            q.release(rest.len());
+        }
+        shim_assert(q.is_done(), || "every worker idle but not done".into());
+        shim_assert(q.pending() == 0, || {
+            format!("pending {} after quiescence", q.pending())
+        });
+    })
+}
+
 /// The scenario corpus, smallest first.
 pub const SCENARIOS: &[Scenario] = &[
     Scenario {
@@ -381,6 +432,11 @@ pub const SCENARIOS: &[Scenario] = &[
         name: "quiesce-publish",
         about: "zero-observer sees every released worker's effects",
         make: quiesce_publish,
+    },
+    Scenario {
+        name: "quiesce-credit",
+        about: "held credit never hides a published, unexecuted task",
+        make: quiesce_credit,
     },
 ];
 
@@ -440,5 +496,11 @@ pub const MUTATIONS: &[Mutation] = &[
         scenario: "quiesce-publish",
         what: "quiescence decrement AcqRel -> Relaxed",
         killed_by: "zero-observer misses a released worker's effect (race)",
+    },
+    Mutation {
+        site: Site::QuiesceCreditTopUp,
+        scenario: "quiesce-credit",
+        what: "credit top-up moved after the publish it covers",
+        killed_by: "consumer's release latches done with the publisher mid-chain",
     },
 ];

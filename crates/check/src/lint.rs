@@ -17,7 +17,7 @@
 //! 3. **mark-state confinement** — direct mark-slot mutation
 //!    (`mark_mut` / `slot_mut` / `mark_at_mut`) is allowed only in the
 //!    graph crate itself, the handler/cooperation/compressed/threaded
-//!    modules of `dgr-core` (the sequential and lock-based handler
+//!    modules of `dgr-core` (the sequential and threaded handler
 //!    implementations), and the fault injector of this crate (whose job
 //!    is to play a buggy implementation). Test modules are exempt.
 //! 4. **deque confinement** — constructing a `StealDeque` is allowed only

@@ -38,6 +38,7 @@ fn production_mutation_hooks_are_inert() {
         Site::DequeLastElem,
         Site::MailboxTailPublish,
         Site::QuiesceRelease,
+        Site::QuiesceCreditTopUp,
     ] {
         for ord in [
             Ordering::Relaxed,

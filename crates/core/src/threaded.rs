@@ -16,10 +16,10 @@
 //! * the per-vertex mark state lives in the shared graph's dense
 //!   [`MarkWords`](dgr_graph::MarkWords) array: the Unmarked → Transient
 //!   transition is a CAS claim, the count drain of a `Return` is one
-//!   `fetch_sub` — the vertex mutex is taken exactly once per reachable
-//!   vertex (by the claim winner, to read the child list against
-//!   concurrent mutators) and **never** on the return path, which is half
-//!   of all marking tasks;
+//!   `fetch_sub`, and the claim winner reads the child list from the
+//!   graph's immutable [`SharedGraph::r_children`] snapshot — no lock
+//!   anywhere, and the return path, half of all marking tasks, touches
+//!   the mark words only;
 //! * tasks are allocation-free `u64` words carrying a saturating depth
 //!   hint, so the runtime's LIFO pop / oldest-first steal discipline
 //!   executes deep work locally and hands thieves the biggest remaining
@@ -202,35 +202,27 @@ pub fn run_mark1_shared_observed(
                     emit(scope, return_task(par, depth));
                     return;
                 }
-                // The winner of the CAS claim owns the expansion; the
-                // vertex mutex is held only for the child-list read (the
-                // one field a concurrent mutator could be rewriting).
-                let guard = shared.lock(v);
-                if guard.is_free() {
-                    drop(guard);
+                // A dangling arc into a freed vertex settles like a
+                // duplicate visit, without claiming it.
+                let Some(children) = shared.r_children(v) else {
                     emit(scope, return_task(par, depth));
                     return;
-                }
-                let mut n_children = 0u32;
-                guard.for_each_r_child(|_| n_children += 1);
+                };
                 let parent = if par == ROOTPAR {
                     MarkParent::RootPar
                 } else {
                     MarkParent::Vertex(VertexId::new(par as u32))
                 };
-                match marks.try_claim(v.index(), epoch, n_children, parent) {
-                    Claim::Won(_) if n_children > 0 => {
+                // The winner of the CAS claim owns the expansion.
+                match marks.try_claim(v.index(), epoch, children.len() as u32, parent) {
+                    Claim::Won(_) if !children.is_empty() => {
                         // Spawn deepest-last so the runtime chains the
                         // final child and thieves get the first ones.
-                        guard.for_each_r_child(|c| {
+                        for &c in children {
                             emit(scope, mark_task(c, u64::from(v.raw()), depth + 1));
-                        });
-                        drop(guard);
+                        }
                     }
-                    Claim::Won(_) | Claim::Lost => {
-                        drop(guard);
-                        emit(scope, return_task(par, depth));
-                    }
+                    Claim::Won(_) | Claim::Lost => emit(scope, return_task(par, depth)),
                 }
             } else {
                 // A return task: drain one outstanding child of `to`.
@@ -374,6 +366,28 @@ mod tests {
         for pes in [1u16, 3, 8] {
             let (_, messages) = run_mark1_threaded(g.clone(), pes, PartitionStrategy::Modulo);
             assert_eq!(messages, sim_stats.events, "{pes} PEs");
+        }
+    }
+
+    #[test]
+    fn threaded_pass_never_claims_a_freed_vertex() {
+        // A leaf is freed with its parent's arc still pointing at it: the
+        // mark sent down that arc must settle without a claim, exactly as
+        // the simulator's handler settles it.
+        let mut g = tree(6, 0);
+        let leaf = VertexId::new(100);
+        g.free(leaf);
+        let mut g_sim = g.clone();
+        let sim_stats =
+            crate::driver::run_mark1(&mut g_sim, &crate::driver::MarkRunConfig::default());
+        for pes in [1u16, 2, 4] {
+            let (marked, messages) = run_mark1_threaded(g.clone(), pes, PartitionStrategy::Block);
+            assert_eq!(messages, sim_stats.events, "{pes} PEs");
+            assert!(marked.mark(leaf, Slot::R).is_unmarked(), "{pes} PEs");
+            assert_eq!(marked.free_count(), 1);
+            for v in marked.live_ids() {
+                assert!(marked.mark(v, Slot::R).is_marked(), "{pes} PEs, vertex {v}");
+            }
         }
     }
 

@@ -1,13 +1,12 @@
 //! Struct-of-arrays atomic mark words: the hot per-vertex marking state
 //! of one [`Slot`], packed into dense atomic arrays.
 //!
-//! The lock-based threaded runtime kept a vertex's marking state inside
-//! the `Mutex<Vertex>` it shares with the (cold) reduction fields, so the
-//! marking wave paid a mutex acquisition *and* a whole-vertex cache line
-//! per color transition — and the `Return` half of the wave (one return
-//! per mark, exactly half of all marking tasks) took the lock only to
-//! decrement `mt_cnt`. This module moves that state out of the vertex
-//! structs into two dense arrays:
+//! A vertex struct is fat and mostly cold to the marking wave — label,
+//! argument values, requesters — and a wave that kept its state there
+//! would pull a whole-vertex cache line per color transition; the
+//! `Return` half of the wave (one return per mark, exactly half of all
+//! marking tasks) needs nothing of a vertex but `mt_cnt`. This module
+//! keeps that state outside the vertex structs, in two dense arrays:
 //!
 //! * **state words** — `epoch(32) | mt_cnt(30) | color(2)` per vertex.
 //!   Eight vertices share a cache line, so a DFS-numbered subtree's marks
@@ -184,7 +183,7 @@ impl<A: Atomics> MarkWords<A> {
     /// Acquire pairs with the Release stores of claim/complete: a worker
     /// observing a non-Unmarked color happens-after everything the
     /// transitioning worker did first, so settling a duplicate visit on
-    /// the probe alone is as sound as doing it under the vertex lock.
+    /// the probe alone is sound.
     pub fn probe(&self, i: usize, epoch: u32) -> Option<Color> {
         // ordering: Acquire pairs with the claim/complete Release stores
         // (see the method docs above).
@@ -295,15 +294,6 @@ impl<A: Atomics> MarkWords<A> {
         let par = self.par_words[i].load(Ordering::Acquire);
         debug_assert_eq!((par >> 32) as u32, epoch, "parent from a stale cycle");
         decode_parent(par as u32)
-    }
-
-    /// Clears vertex `i`'s words to the never-written state (a recycled
-    /// slot must not inherit the previous occupant's published marks).
-    pub fn clear(&self, i: usize) {
-        // ordering: Release — a recycled slot's fresh state must not be
-        // reordered behind the old occupant's published marks.
-        self.mark_words[i].store(0, Ordering::Release);
-        self.par_words[i].store(0, Ordering::Release);
     }
 
     /// Writes the array's state back into the vertices' slots (leaving
@@ -417,14 +407,6 @@ mod tests {
         assert_eq!(s.mt_cnt, 1);
         assert_eq!(s.mt_par, Some(MarkParent::Vertex(VertexId::new(0))));
         assert!(back[0].mark_at(Slot::R, 7).is_unmarked(), "untouched");
-    }
-
-    #[test]
-    fn clear_forgets_published_marks() {
-        let words: MarkWords = MarkWords::new(1);
-        words.try_claim(0, 3, 0, MarkParent::RootPar);
-        words.clear(0);
-        assert_eq!(words.probe(0, 3), None);
     }
 
     #[test]

@@ -30,7 +30,10 @@ pub enum PartitionStrategy {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionMap {
     num_pes: u16,
-    capacity: usize,
+    /// Indices per PE under [`PartitionStrategy::Block`], fixed here so
+    /// [`PartitionMap::pe_of`] — called once per routed task — divides
+    /// once, not twice.
+    block: usize,
     strategy: PartitionStrategy,
 }
 
@@ -44,7 +47,7 @@ impl PartitionMap {
         assert!(num_pes > 0, "a system needs at least one PE");
         PartitionMap {
             num_pes,
-            capacity,
+            block: capacity.div_ceil(num_pes as usize).max(1),
             strategy,
         }
     }
@@ -52,12 +55,12 @@ impl PartitionMap {
     /// The PE owning vertex `v`.
     pub fn pe_of(&self, v: VertexId) -> PeId {
         let n = self.num_pes as usize;
+        if n == 1 {
+            return PeId::new(0);
+        }
         match self.strategy {
             PartitionStrategy::Modulo => PeId::new((v.index() % n) as u16),
-            PartitionStrategy::Block => {
-                let block = self.capacity.div_ceil(n).max(1);
-                PeId::new(((v.index() / block).min(n - 1)) as u16)
-            }
+            PartitionStrategy::Block => PeId::new(((v.index() / self.block).min(n - 1)) as u16),
         }
     }
 
@@ -912,6 +915,27 @@ mod tests {
         assert_eq!(p.pe_of(VertexId::new(15)).index(), 3);
         // Out-of-range indices clamp to the last PE rather than panic.
         assert_eq!(p.pe_of(VertexId::new(100)).index(), 3);
+    }
+
+    #[test]
+    fn pe_of_matches_the_formula_it_caches() {
+        for n in [1u16, 2, 3, 4, 7, 16] {
+            for capacity in [0usize, 1, 2, 3, 5, 15, 16, 17, 100, 1000] {
+                let modulo = PartitionMap::new(n, capacity, PartitionStrategy::Modulo);
+                let block = PartitionMap::new(n, capacity, PartitionStrategy::Block);
+                let (n, size) = (n as usize, capacity.div_ceil(n as usize).max(1));
+                // Past `capacity` too: the last block takes the overshoot.
+                for v in 0..capacity + 2 * n + 2 {
+                    let id = VertexId::new(v as u32);
+                    assert_eq!(modulo.pe_of(id).index(), v % n, "{n} {capacity} {v}");
+                    assert_eq!(
+                        block.pe_of(id).index(),
+                        (v / size).min(n - 1),
+                        "{n} {capacity} {v}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

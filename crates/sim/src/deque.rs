@@ -41,7 +41,7 @@
 //! exactly one validated entry — which costs k CASes but amortizes: the
 //! thief's private runway after a half-steal is long.
 
-use dgr_atomic::{AtomicU64Api, Atomics, Ordering, Site, StdAtomics};
+use dgr_atomic::{AtomicU64Api, Atomics, CachePadded, Ordering, Site, StdAtomics};
 
 /// A bounded work-stealing deque of `u64` tasks. See the module docs for
 /// the protocol; capacity is rounded up to a power of two.
@@ -49,10 +49,12 @@ use dgr_atomic::{AtomicU64Api, Atomics, Ordering, Site, StdAtomics};
 pub struct StealDeque<A: Atomics = StdAtomics> {
     buf: Box<[A::U64]>,
     mask: u64,
-    /// Next index a thief would steal (only ever incremented).
-    top: A::U64,
+    /// Next index a thief would steal (only ever incremented). On a line
+    /// of its own: thieves CAS it while the owner stores `bottom` on every
+    /// push and pop, and the runtime keeps one deque per PE side by side.
+    top: CachePadded<A::U64>,
     /// Next index the owner would push (written only by the owner).
-    bottom: A::U64,
+    bottom: CachePadded<A::U64>,
 }
 
 impl<A: Atomics> StealDeque<A> {
@@ -63,8 +65,8 @@ impl<A: Atomics> StealDeque<A> {
         StealDeque {
             buf: (0..cap).map(|_| A::U64::new(0)).collect(),
             mask: (cap - 1) as u64,
-            top: A::U64::new(0),
-            bottom: A::U64::new(0),
+            top: CachePadded(A::U64::new(0)),
+            bottom: CachePadded(A::U64::new(0)),
         }
     }
 
@@ -278,6 +280,18 @@ mod tests {
         assert_eq!(q.steal_half(&mut out), 5);
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
         assert_eq!(q.len(), 5);
+    }
+
+    #[test]
+    fn indices_of_adjacent_deques_never_share_a_line() {
+        let qs: Vec<StealDeque> = (0..3).map(|_| StealDeque::new(8)).collect();
+        let addr = |x: &AtomicU64| std::ptr::from_ref(x) as usize;
+        let mut at: Vec<usize> = qs
+            .iter()
+            .flat_map(|q| [addr(&q.top), addr(&q.bottom)])
+            .collect();
+        at.sort_unstable();
+        assert!(at.windows(2).all(|w| w[1] - w[0] >= 128), "{at:?}");
     }
 
     /// One owner pushing + popping, three thieves stealing: every pushed

@@ -17,9 +17,9 @@
 //!   parking, and critical-path depth hints on its `u64` tasks.
 //!   Termination is detected with a global in-flight task counter
 //!   ([`QuiesceState`]). The graph its tasks share is a [`SharedGraph`]:
-//!   per-vertex mutexes provide exactly the paper's atomicity
-//!   granularity, and a dense array of atomic mark words carries the
-//!   marking state.
+//!   a dense array of atomic mark words carries the marking state — one
+//!   CAS or decrement per task is the paper's per-vertex atomicity — over
+//!   an immutable snapshot of every vertex's children.
 //!
 //! # Example
 //!

@@ -22,7 +22,7 @@
 //! [`Site::MailboxTailPublish`], which lets a consumer observe a fresh
 //! tail whose head-of-ring cell is still stale.
 
-use dgr_atomic::{AtomicU64Api, Atomics, Ordering, Site, StdAtomics};
+use dgr_atomic::{AtomicU64Api, Atomics, CachePadded, Ordering, Site, StdAtomics};
 
 /// One single-producer single-consumer bounded ring of `u64` tasks.
 ///
@@ -34,9 +34,11 @@ pub struct SpscRing<A: Atomics = StdAtomics> {
     buf: Box<[A::U64]>,
     mask: u64,
     /// Next index the consumer will read (written only by the consumer).
-    head: A::U64,
+    /// The two indices have different writers, and the grid lays rings
+    /// with different producers side by side: a line each.
+    head: CachePadded<A::U64>,
     /// Next index the producer will write (written only by the producer).
-    tail: A::U64,
+    tail: CachePadded<A::U64>,
 }
 
 impl<A: Atomics> SpscRing<A> {
@@ -47,8 +49,8 @@ impl<A: Atomics> SpscRing<A> {
         SpscRing {
             buf: (0..cap).map(|_| A::U64::new(0)).collect(),
             mask: (cap - 1) as u64,
-            head: A::U64::new(0),
-            tail: A::U64::new(0),
+            head: CachePadded(A::U64::new(0)),
+            tail: CachePadded(A::U64::new(0)),
         }
     }
 
@@ -173,6 +175,19 @@ mod tests {
         assert_eq!(out, vec![0, 1, 2, 3, 4, 100]);
         assert_eq!(grid.drain(1, &mut out), 0, "drained empty");
         assert_eq!(grid.depth(1), 0);
+    }
+
+    #[test]
+    fn indices_of_adjacent_rings_never_share_a_line() {
+        let grid: MailboxGrid = MailboxGrid::new(2, 8);
+        let addr = |x: &std::sync::atomic::AtomicU64| std::ptr::from_ref(x) as usize;
+        let mut at: Vec<usize> = grid
+            .rings
+            .iter()
+            .flat_map(|r| [addr(&r.head), addr(&r.tail)])
+            .collect();
+        at.sort_unstable();
+        assert!(at.windows(2).all(|w| w[1] - w[0] >= 128), "{at:?}");
     }
 
     #[test]

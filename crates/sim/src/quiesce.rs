@@ -13,8 +13,17 @@
 //! whoever observes the zero. The seeded mutation at
 //! [`Site::QuiesceRelease`] breaks exactly that chain: a premature
 //! (Relaxed) decrement whose effects quiescence no longer covers.
+//!
+//! Registering is a contended RMW, so a worker pays it per block:
+//! [`QuiesceState::publish_covered`] registers *credit* ahead, which
+//! counts as in flight until its holder returns it on an idle beat. The
+//! seeded mutation at [`Site::QuiesceCreditTopUp`] publishes first.
 
 use dgr_atomic::{AtomicBoolApi, AtomicUsizeApi, Atomics, Ordering, Site, StdAtomics};
+
+/// Units a worker registers at once when its credit runs short: the
+/// shared counter then sees one RMW per few hundred publishes.
+const CREDIT_BLOCK: usize = 256;
 
 /// In-flight registered-task counter + terminal flag. Generic over the
 /// [`Atomics`] facade; production monomorphizes to [`StdAtomics`].
@@ -43,6 +52,26 @@ impl<A: Atomics> QuiesceState<A> {
         // task payloads synchronize through the deque/ring Release
         // stores, not through the counter.
         self.pending.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Runs `publish`, which makes `n` tasks visible to other workers,
+    /// against the caller's private `credit`: if fewer than `n` units are
+    /// left, a block is registered first — *before* the publish, the one
+    /// rule [`QuiesceState::register`] has. The caller releases what is
+    /// left of `credit` together with its consumed units when it idles.
+    pub fn publish_covered(&self, credit: &mut usize, n: usize, publish: impl FnOnce()) {
+        let top_up = if *credit < n { n.max(CREDIT_BLOCK) } else { 0 };
+        // Seeded mutation `quiesce-publish-before-credit`; a constant
+        // `false` under `StdAtomics`.
+        let late = A::mutated(Site::QuiesceCreditTopUp);
+        if top_up > 0 && !late {
+            self.register(top_up);
+        }
+        publish();
+        if late {
+            self.register(top_up);
+        }
+        *credit = *credit + top_up - n;
     }
 
     /// Releases `n` consumed registered tasks; returns `true` if this
@@ -95,6 +124,25 @@ mod tests {
         assert!(q.release(1), "last unit flips done");
         assert!(q.is_done());
         assert_eq!(q.pending(), 0);
+    }
+
+    #[test]
+    fn credit_is_registered_in_blocks_and_returned() {
+        let q: QuiesceState = QuiesceState::new(1);
+        let (mut credit, mut published) = (0, 0);
+        for _ in 0..CREDIT_BLOCK + 1 {
+            q.publish_covered(&mut credit, 1, || published += 1);
+        }
+        assert_eq!(published, CREDIT_BLOCK + 1);
+        assert_eq!(q.pending(), 1 + 2 * CREDIT_BLOCK, "two top-ups");
+        assert_eq!(credit, CREDIT_BLOCK - 1);
+        // A publish larger than a block registers exactly what it needs.
+        q.publish_covered(&mut credit, 3 * CREDIT_BLOCK, || ());
+        assert_eq!(credit, CREDIT_BLOCK - 1);
+        // Consumers release the published units, the holder its credit
+        // and the seed: only then does the count reach zero.
+        assert!(!q.release(4 * CREDIT_BLOCK + 1));
+        assert!(q.release(credit + 1));
     }
 
     #[test]

@@ -1,19 +1,26 @@
-//! A computation graph shared between PE threads with per-vertex locks.
+//! A computation graph shared between PE threads: atomic mark words over
+//! an immutable snapshot of the graph's shape.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use std::sync::{Mutex, MutexGuard};
-
 use dgr_graph::{Epochs, GraphStore, MarkWords, Slot, Vertex, VertexId};
 
-const VERTEX_POISONED: &str = "a task panicked while holding a vertex lock";
+/// Set in a [`SharedGraph`] offset word whose vertex is on the free list.
+const FREE: u32 = 1 << 31;
 
-/// The computation graph in the form the threaded runtime uses: each vertex
-/// behind its own mutex.
+/// The computation graph in the form the threaded runtime uses: the
+/// marking state in a dense atomic array, and the one thing a marking
+/// task reads besides it — a vertex's R-children — in a compressed
+/// sparse row snapshot taken when the graph enters the shared form.
 ///
-/// This realizes the paper's atomicity assumption at exactly the granularity
-/// Section 6 discusses: a task locks the vertices it manipulates, and
-/// marking tasks "never nest the locking of vertices".
+/// Nothing allocates, frees or rewires a vertex while a graph is shared,
+/// so the snapshot needs no lock: a task touches one vertex's mark word
+/// and one contiguous slice (Section 6: marking tasks "never nest the
+/// locking of vertices"). This is the static-graph form, all
+/// [`StealRuntime`] runs today; a mutator running beside the marker has
+/// to bring an adjacency it can write.
+///
+/// [`StealRuntime`]: crate::StealRuntime
 ///
 /// # Example
 ///
@@ -21,19 +28,21 @@ const VERTEX_POISONED: &str = "a task panicked while holding a vertex lock";
 /// use dgr_graph::{GraphStore, NodeLabel};
 /// use dgr_sim::SharedGraph;
 ///
-/// let mut store = GraphStore::with_capacity(2);
+/// let mut store = GraphStore::with_capacity(3);
 /// let a = store.alloc(NodeLabel::lit_int(1)).unwrap();
+/// let b = store.alloc(NodeLabel::If).unwrap();
+/// store.connect(b, a);
 /// let shared = SharedGraph::from_store(store);
-/// {
-///     let guard = shared.lock(a);
-///     assert_eq!(guard.label, NodeLabel::lit_int(1));
-/// }
+/// assert_eq!(shared.r_children(b), Some(&[a][..]));
+/// assert_eq!(shared.r_children(a), Some(&[][..]));
 /// let back = shared.into_store();
-/// assert_eq!(back.live_count(), 1);
+/// assert_eq!(back.live_count(), 2);
 /// ```
 #[derive(Debug)]
 pub struct SharedGraph {
-    verts: Vec<Mutex<Vertex>>,
+    /// The vertices as they came in, untouched until
+    /// [`SharedGraph::into_store`] hands them back.
+    verts: Vec<Vertex>,
     /// The free list, carried through for round-tripping (the shared
     /// form is read-only in shape: nothing allocates or frees).
     free: Vec<VertexId>,
@@ -48,11 +57,16 @@ pub struct SharedGraph {
     touch_epoch: u32,
     /// The hot R-slot marking state, as a dense struct-of-arrays atomic
     /// array (see [`MarkWords`]): marking passes transition colors with
-    /// CAS instead of taking the vertex mutex, and the state streams
-    /// through the cache instead of hopping between fat vertices. The
-    /// array is authoritative while the graph is shared;
-    /// [`SharedGraph::into_store`] writes it back into the vertex slots.
+    /// CAS, and the state streams through the cache instead of hopping
+    /// between fat vertices. The array is authoritative while the graph
+    /// is shared; [`SharedGraph::into_store`] writes it back into the
+    /// vertex slots.
     marks: MarkWords,
+    /// Vertex `v`'s R-children are `child_targets[child_start[v] ..
+    /// child_start[v + 1]]`, both ends with [`FREE`] masked off;
+    /// `child_start[v]` carries [`FREE`] iff `v` is on the free list.
+    child_start: Vec<u32>,
+    child_targets: Vec<VertexId>,
 }
 
 impl SharedGraph {
@@ -60,8 +74,21 @@ impl SharedGraph {
     pub fn from_store(store: GraphStore) -> Self {
         let (verts, free, root, epochs) = store.into_parts();
         let marks = MarkWords::from_slots(&verts, Slot::R);
+        let mut child_start = Vec::with_capacity(verts.len() + 1);
+        let mut child_targets = Vec::new();
+        for v in &verts {
+            let start = child_targets.len() as u32;
+            if v.is_free() {
+                child_start.push(start | FREE);
+            } else {
+                child_start.push(start);
+                v.for_each_r_child(|c| child_targets.push(c));
+            }
+        }
+        assert!(child_targets.len() < FREE as usize, "too many arcs");
+        child_start.push(child_targets.len() as u32);
         SharedGraph {
-            verts: verts.into_iter().map(Mutex::new).collect(),
+            verts,
             free,
             root,
             mark_epochs: [
@@ -70,17 +97,15 @@ impl SharedGraph {
             ],
             touch_epoch: epochs.touch,
             marks,
+            child_start,
+            child_targets,
         }
     }
 
-    /// Converts back into a plain store (consumes the shared graph; all
-    /// locks must be free, which is guaranteed by ownership).
+    /// Converts back into a plain store, writing the marks back into the
+    /// vertex slots.
     pub fn into_store(self) -> GraphStore {
-        let mut verts: Vec<Vertex> = self
-            .verts
-            .into_iter()
-            .map(|m| m.into_inner().expect(VERTEX_POISONED))
-            .collect();
+        let mut verts = self.verts;
         self.marks.write_back(&mut verts, Slot::R);
         let [epoch_r, epoch_t] = self.mark_epochs;
         let epochs = Epochs {
@@ -124,14 +149,18 @@ impl SharedGraph {
         self.verts.len()
     }
 
-    /// Locks a single vertex.
+    /// The children `M_R` traces from `id`, in the order
+    /// [`Vertex::for_each_r_child`] visits them, as of
+    /// [`SharedGraph::from_store`]; `None` if `id` is on the free list (a
+    /// dangling arc may still point there, and marking must not claim it).
     ///
     /// # Panics
     ///
-    /// Panics if `id` is out of range, or if a task panicked while
-    /// holding this vertex's lock.
-    pub fn lock(&self, id: VertexId) -> MutexGuard<'_, Vertex> {
-        self.verts[id.index()].lock().expect(VERTEX_POISONED)
+    /// Panics if `id` is out of range.
+    pub fn r_children(&self, id: VertexId) -> Option<&[VertexId]> {
+        let start = self.child_start[id.index()];
+        let end = self.child_start[id.index() + 1] & !FREE;
+        (start & FREE == 0).then(|| &self.child_targets[start as usize..end as usize])
     }
 }
 

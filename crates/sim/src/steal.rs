@@ -23,14 +23,22 @@
 //! * termination is a single global in-flight counter that tracks only
 //!   *visible* tasks (deques and mailboxes): a handler's local spawns
 //!   either continue directly (task chaining) or sit in a private spill
-//!   covered by the unit the worker already holds, and releases are
-//!   batched to the worker's idle beats — a 1-PE pass over a million
-//!   tasks touches the counter a handful of times.
+//!   covered by the unit the worker already holds, publishes draw on
+//!   credit registered a block at a time, and releases are batched to
+//!   the worker's idle beats — a 1-PE pass over a million tasks touches
+//!   the counter a handful of times, a multi-PE pass once per few
+//!   hundred publishes;
+//! * what one worker writes and another polls sits on its own cache
+//!   lines ([`CachePadded`]): each deque's and ring's two indices, each
+//!   park flag. Side by side, two PEs' deque indices shared one line and
+//!   every push invalidated the other PE's pop. (The counter is touched
+//!   too rarely for its line to matter: padding it measured as nothing.)
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use dgr_atomic::CachePadded;
 use dgr_graph::PeId;
 use dgr_telemetry::{
     CounterId, GaugeId, HeartbeatHandle, HistId, PeSchedSnapshot, Phase, Registry, SchedState,
@@ -144,7 +152,7 @@ struct Mesh<'t> {
     /// [`QuiesceState`] so the model checker can explore the protocol's
     /// orderings in isolation (see `crate::quiesce`).
     quiesce: QuiesceState,
-    parks: Vec<ParkSlot>,
+    parks: Vec<CachePadded<ParkSlot>>,
     telem: &'t Registry,
 }
 
@@ -187,6 +195,10 @@ struct Worker {
     /// what lets unregistered spill tasks exist without the global count
     /// ever falsely reaching zero.
     held_releases: usize,
+    /// Units registered ahead of the publishes that will use them (see
+    /// [`QuiesceState::publish_covered`]); what is left goes back with
+    /// `held_releases`.
+    credit: usize,
     /// Cached "the shared deque wants more work" decision, refreshed once
     /// per chain rather than per spawn. Always `false` in a 1-PE system,
     /// where no thief exists and the deque is pure overhead.
@@ -302,8 +314,8 @@ impl StealRuntime {
     /// executes on some PE's worker thread — *not* necessarily the task's
     /// destination PE's: a task spawned for PE `d` starts on `d` (via
     /// deque or mailbox) but may be stolen by an idle PE. State shared
-    /// between tasks must therefore be location-independent (atomics, or
-    /// the per-vertex locks of a [`SharedGraph`](crate::SharedGraph)).
+    /// between tasks must therefore be location-independent (atomics, such
+    /// as the mark words of a [`SharedGraph`](crate::SharedGraph)).
     pub fn run<F>(&self, initial: Vec<(PeId, u64)>, handler: F) -> StealStats
     where
         F: Fn(&mut SpawnScope<'_>, u64) + Sync,
@@ -347,7 +359,7 @@ impl StealRuntime {
                 .collect(),
             grid: MailboxGrid::new(n, self.mailbox_capacity),
             quiesce: QuiesceState::new(initial.len()),
-            parks: (0..n).map(|_| ParkSlot::default()).collect(),
+            parks: (0..n).map(|_| CachePadded::default()).collect(),
             telem,
         };
         // Seed before any worker exists: each destination deque is still
@@ -381,6 +393,7 @@ impl StealRuntime {
                         spill: Vec::new(),
                         spill_reg: spill,
                         held_releases: 0,
+                        credit: 0,
                         feed_deque: n > 1,
                         stage: (0..n).map(|_| Vec::new()).collect(),
                         spawned: Vec::new(),
@@ -483,40 +496,40 @@ where
         }
         if !w.spawned.is_empty() {
             // Only spawns that become visible to other workers (deque or
-            // mailbox) are registered; private-spill spawns ride on this
-            // chain's own pending unit. Register before publishing so
-            // the count never falsely dips to zero (the ordering
-            // rationale lives on `QuiesceState::register`).
-            let registered = if w.feed_deque {
+            // mailbox) draw on registered credit; private-spill spawns
+            // ride on this chain's own pending unit. `publish_covered`
+            // tops the credit up before it runs the publish, so the count
+            // never falsely dips to zero (the ordering rationale lives on
+            // `QuiesceState::register`).
+            let visible = if w.feed_deque {
                 w.spawned.len()
             } else {
                 w.spawned.iter().filter(|(d, _)| d.index() != me).count()
             };
-            if registered > 0 {
-                mesh.quiesce.register(registered);
-            }
             let shard = mesh.telem.pe(me as u16);
-            for (dst, t) in w.spawned.drain(..) {
-                let d = dst.index();
-                if d == me {
-                    shard.inc(CounterId::SendsLocal);
-                    if w.feed_deque {
-                        // Registered above; overflow keeps the unit.
-                        if let Err(t) = mesh.deques[me].push(t) {
-                            w.spill_reg.push(t);
+            mesh.quiesce.publish_covered(&mut w.credit, visible, || {
+                for (dst, t) in w.spawned.drain(..) {
+                    let d = dst.index();
+                    if d == me {
+                        shard.inc(CounterId::SendsLocal);
+                        if w.feed_deque {
+                            // Covered above; overflow keeps the unit.
+                            if let Err(t) = mesh.deques[me].push(t) {
+                                w.spill_reg.push(t);
+                            }
+                        } else {
+                            w.spill.push(t);
                         }
                     } else {
-                        w.spill.push(t);
-                    }
-                } else {
-                    shard.inc(CounterId::SendsRemote);
-                    w.envelopes += 1;
-                    match mesh.grid.push(me, d, t) {
-                        Ok(()) => mesh.parks[d].wake(),
-                        Err(t) => w.stage[d].push(t),
+                        shard.inc(CounterId::SendsRemote);
+                        w.envelopes += 1;
+                        match mesh.grid.push(me, d, t) {
+                            Ok(()) => mesh.parks[d].wake(),
+                            Err(t) => w.stage[d].push(t),
+                        }
                     }
                 }
-            }
+            });
             w.note_spill_depth();
             if mesh.telem.enabled() {
                 let depth = mesh.deques[me].len() as u64;
@@ -608,12 +621,13 @@ fn run_worker<F>(
             idle_spins = 0;
             continue;
         }
-        // Out of local work: flush the deferred releases — only now can
-        // the global count legitimately reach zero on our account.
+        // Out of local work: flush the deferred releases and hand back
+        // the unused credit — only now can the global count legitimately
+        // reach zero on our account.
         mesh.telem.sched_enter(me as u16, SchedState::MailboxDrain);
-        if w.held_releases > 0 {
-            mesh.finish_check(w.held_releases);
-            w.held_releases = 0;
+        let returned = std::mem::take(&mut w.held_releases) + std::mem::take(&mut w.credit);
+        if returned > 0 {
+            mesh.finish_check(returned);
         }
         // 2. Retry staged remote sends while idle.
         let progressed = flush_stage(w, mesh);
@@ -707,6 +721,16 @@ mod tests {
         assert_eq!(t & 0x00FF_FFFF, 0x00AB_CDEF);
         assert_eq!(task_depth(with_depth(0, 1_000_000)), DEPTH_MAX);
         assert_eq!(task_depth(with_depth(t, 2)), 2, "restamp replaces");
+    }
+
+    #[test]
+    fn park_flags_never_share_a_line() {
+        let parks: Vec<CachePadded<ParkSlot>> = (0..3).map(|_| CachePadded::default()).collect();
+        let at: Vec<usize> = parks
+            .iter()
+            .map(|p| std::ptr::from_ref(&p.parked) as usize)
+            .collect();
+        assert!(at.windows(2).all(|w| w[1] - w[0] >= 128), "{at:?}");
     }
 
     #[test]
