@@ -47,6 +47,7 @@ impl MarkMsg {
     /// to the owning PE. Returns `None` for returns addressed to the dummy
     /// roots (`rootpar` / the virtual `troot`), which execute wherever the
     /// marking process was initiated.
+    #[inline]
     pub fn dest_vertex(&self) -> Option<VertexId> {
         match *self {
             MarkMsg::Mark1 { v, .. } | MarkMsg::Mark2 { v, .. } | MarkMsg::Mark3 { v, .. } => {

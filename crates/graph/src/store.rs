@@ -53,6 +53,7 @@ impl PartitionMap {
     }
 
     /// The PE owning vertex `v`.
+    #[inline]
     pub fn pe_of(&self, v: VertexId) -> PeId {
         let n = self.num_pes as usize;
         if n == 1 {

@@ -114,6 +114,7 @@ pub enum MarkParent {
 
 impl MarkParent {
     /// Returns the vertex, if this parent is a real vertex.
+    #[inline]
     pub fn as_vertex(self) -> Option<VertexId> {
         match self {
             MarkParent::Vertex(v) => Some(v),

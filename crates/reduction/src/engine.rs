@@ -99,10 +99,13 @@ fn request(ctx: &mut EngineCtx<'_>, src: Requester, v: VertexId, kind: RequestKi
 /// Activates vertex `v` according to its label (on first demand, and again
 /// after an `expand-node` relabels it).
 fn dispatch(ctx: &mut EngineCtx<'_>, v: VertexId) {
-    let label = ctx.g.vertex(v).label.clone();
-    let argc = ctx.g.vertex(v).args().len();
-    match label {
-        NodeLabel::Lit(val) => complete(ctx, v, val),
+    let vert = ctx.g.vertex(v);
+    let argc = vert.args().len();
+    match vert.label {
+        NodeLabel::Lit(ref val) => {
+            let val = val.clone();
+            complete(ctx, v, val);
+        }
         NodeLabel::Prim(op) => {
             if argc != op.arity() {
                 bottom(ctx, v);
@@ -127,7 +130,7 @@ fn dispatch(ctx: &mut EngineCtx<'_>, v: VertexId) {
             if argc != 2 {
                 bottom(ctx, v);
             } else {
-                let (h, t) = (ctx.g.vertex(v).args()[0], ctx.g.vertex(v).args()[1]);
+                let (h, t) = (vert.args()[0], vert.args()[1]);
                 complete(ctx, v, Value::Cons(h, t));
             }
         }
@@ -251,7 +254,7 @@ fn ret(ctx: &mut EngineCtx<'_>, src: VertexId, v: VertexId, value: Value) {
     };
     ctx.g.vertex_mut(v).set_arg_value(i, value.clone());
 
-    match ctx.g.vertex(v).label.clone() {
+    match ctx.g.vertex(v).label {
         NodeLabel::Prim(op) => prim_return(ctx, v, op),
         NodeLabel::If => if_return(ctx, v, i, value),
         NodeLabel::Apply => apply_return(ctx, v, i, value),
@@ -281,15 +284,9 @@ fn prim_return(ctx: &mut EngineCtx<'_>, v: VertexId, op: PrimOp) {
             complete(ctx, v, out);
         }
         _ => {
-            if ctx.g.vertex(v).pending_arg_values() == 0 {
-                let vals: Vec<Value> = ctx
-                    .g
-                    .vertex(v)
-                    .arg_values()
-                    .iter()
-                    .map(|o| o.clone().expect("all arrived"))
-                    .collect();
-                let out = eval_strict(op, &vals, ctx.stats);
+            let vert = ctx.g.vertex(v);
+            if vert.pending_arg_values() == 0 {
+                let out = eval_strict(op, vert.arg_values(), ctx.stats);
                 complete(ctx, v, out);
             }
         }
@@ -471,34 +468,36 @@ fn oversaturated(ctx: &mut EngineCtx<'_>, v: VertexId, tpl_id: TemplateId, total
     request_arg(ctx, v, 0, RequestKind::Vital);
 }
 
-/// Strict scalar evaluation. Any `⊥` operand yields `⊥` (footnote 4's
-/// definition of strictness); type errors yield `⊥` as well.
-fn eval_strict(op: PrimOp, vals: &[Value], stats: &mut RedStats) -> Value {
+/// Strict scalar evaluation over a vertex's argument values, all of which
+/// have arrived. Any `⊥` operand yields `⊥` (footnote 4's definition of
+/// strictness); type errors yield `⊥` as well.
+fn eval_strict(op: PrimOp, vals: &[Option<Value>], stats: &mut RedStats) -> Value {
     use PrimOp::*;
     use Value::*;
-    if vals.iter().any(|v| v.is_bottom()) {
+    debug_assert!(vals.iter().all(Option::is_some), "all arrived");
+    if vals.iter().any(|v| matches!(v, Some(Bottom))) {
         return Bottom;
     }
     let out = match (op, vals) {
-        (Add, [Int(a), Int(b)]) => Some(Int(a.wrapping_add(*b))),
-        (Sub, [Int(a), Int(b)]) => Some(Int(a.wrapping_sub(*b))),
-        (Mul, [Int(a), Int(b)]) => Some(Int(a.wrapping_mul(*b))),
-        (Div, [Int(_), Int(0)]) | (Mod, [Int(_), Int(0)]) => None,
-        (Div, [Int(a), Int(b)]) => Some(Int(a.wrapping_div(*b))),
-        (Mod, [Int(a), Int(b)]) => Some(Int(a.wrapping_rem(*b))),
-        (Neg, [Int(a)]) => Some(Int(a.wrapping_neg())),
-        (Eq, [Int(a), Int(b)]) => Some(Bool(a == b)),
-        (Eq, [Bool(a), Bool(b)]) => Some(Bool(a == b)),
-        (Eq, [Nil, Nil]) => Some(Bool(true)),
-        (Ne, [Int(a), Int(b)]) => Some(Bool(a != b)),
-        (Ne, [Bool(a), Bool(b)]) => Some(Bool(a != b)),
-        (Lt, [Int(a), Int(b)]) => Some(Bool(a < b)),
-        (Le, [Int(a), Int(b)]) => Some(Bool(a <= b)),
-        (Gt, [Int(a), Int(b)]) => Some(Bool(a > b)),
-        (Ge, [Int(a), Int(b)]) => Some(Bool(a >= b)),
-        (And, [Bool(a), Bool(b)]) => Some(Bool(*a && *b)),
-        (Or, [Bool(a), Bool(b)]) => Some(Bool(*a || *b)),
-        (Not, [Bool(a)]) => Some(Bool(!a)),
+        (Add, [Some(Int(a)), Some(Int(b))]) => Some(Int(a.wrapping_add(*b))),
+        (Sub, [Some(Int(a)), Some(Int(b))]) => Some(Int(a.wrapping_sub(*b))),
+        (Mul, [Some(Int(a)), Some(Int(b))]) => Some(Int(a.wrapping_mul(*b))),
+        (Div | Mod, [Some(Int(_)), Some(Int(0))]) => None,
+        (Div, [Some(Int(a)), Some(Int(b))]) => Some(Int(a.wrapping_div(*b))),
+        (Mod, [Some(Int(a)), Some(Int(b))]) => Some(Int(a.wrapping_rem(*b))),
+        (Neg, [Some(Int(a))]) => Some(Int(a.wrapping_neg())),
+        (Eq, [Some(Int(a)), Some(Int(b))]) => Some(Bool(a == b)),
+        (Eq, [Some(Bool(a)), Some(Bool(b))]) => Some(Bool(a == b)),
+        (Eq, [Some(Nil), Some(Nil)]) => Some(Bool(true)),
+        (Ne, [Some(Int(a)), Some(Int(b))]) => Some(Bool(a != b)),
+        (Ne, [Some(Bool(a)), Some(Bool(b))]) => Some(Bool(a != b)),
+        (Lt, [Some(Int(a)), Some(Int(b))]) => Some(Bool(a < b)),
+        (Le, [Some(Int(a)), Some(Int(b))]) => Some(Bool(a <= b)),
+        (Gt, [Some(Int(a)), Some(Int(b))]) => Some(Bool(a > b)),
+        (Ge, [Some(Int(a)), Some(Int(b))]) => Some(Bool(a >= b)),
+        (And, [Some(Bool(a)), Some(Bool(b))]) => Some(Bool(*a && *b)),
+        (Or, [Some(Bool(a)), Some(Bool(b))]) => Some(Bool(*a || *b)),
+        (Not, [Some(Bool(a))]) => Some(Bool(!a)),
         _ => None,
     };
     out.unwrap_or_else(|| {
@@ -515,15 +514,27 @@ mod tests {
     fn eval_strict_arithmetic() {
         let mut s = RedStats::default();
         assert_eq!(
-            eval_strict(PrimOp::Add, &[Value::Int(2), Value::Int(3)], &mut s),
+            eval_strict(
+                PrimOp::Add,
+                &[Some(Value::Int(2)), Some(Value::Int(3))],
+                &mut s
+            ),
             Value::Int(5)
         );
         assert_eq!(
-            eval_strict(PrimOp::Div, &[Value::Int(7), Value::Int(2)], &mut s),
+            eval_strict(
+                PrimOp::Div,
+                &[Some(Value::Int(7)), Some(Value::Int(2))],
+                &mut s
+            ),
             Value::Int(3)
         );
         assert_eq!(
-            eval_strict(PrimOp::Div, &[Value::Int(7), Value::Int(0)], &mut s),
+            eval_strict(
+                PrimOp::Div,
+                &[Some(Value::Int(7)), Some(Value::Int(0))],
+                &mut s
+            ),
             Value::Bottom
         );
         assert_eq!(s.bottoms, 1);
@@ -533,7 +544,11 @@ mod tests {
     fn eval_strict_is_bottom_preserving() {
         let mut s = RedStats::default();
         assert_eq!(
-            eval_strict(PrimOp::Add, &[Value::Bottom, Value::Int(1)], &mut s),
+            eval_strict(
+                PrimOp::Add,
+                &[Some(Value::Bottom), Some(Value::Int(1))],
+                &mut s
+            ),
             Value::Bottom
         );
         // Strictness propagation is not an error.
@@ -544,11 +559,19 @@ mod tests {
     fn eval_strict_type_errors() {
         let mut s = RedStats::default();
         assert_eq!(
-            eval_strict(PrimOp::Add, &[Value::Bool(true), Value::Int(1)], &mut s),
+            eval_strict(
+                PrimOp::Add,
+                &[Some(Value::Bool(true)), Some(Value::Int(1))],
+                &mut s
+            ),
             Value::Bottom
         );
         assert_eq!(
-            eval_strict(PrimOp::And, &[Value::Int(1), Value::Int(2)], &mut s),
+            eval_strict(
+                PrimOp::And,
+                &[Some(Value::Int(1)), Some(Value::Int(2))],
+                &mut s
+            ),
             Value::Bottom
         );
         assert_eq!(s.bottoms, 2);
@@ -558,19 +581,23 @@ mod tests {
     fn eval_strict_comparisons_and_logic() {
         let mut s = RedStats::default();
         assert_eq!(
-            eval_strict(PrimOp::Lt, &[Value::Int(1), Value::Int(2)], &mut s),
+            eval_strict(
+                PrimOp::Lt,
+                &[Some(Value::Int(1)), Some(Value::Int(2))],
+                &mut s
+            ),
             Value::Bool(true)
         );
         assert_eq!(
-            eval_strict(PrimOp::Eq, &[Value::Nil, Value::Nil], &mut s),
+            eval_strict(PrimOp::Eq, &[Some(Value::Nil), Some(Value::Nil)], &mut s),
             Value::Bool(true)
         );
         assert_eq!(
-            eval_strict(PrimOp::Not, &[Value::Bool(false)], &mut s),
+            eval_strict(PrimOp::Not, &[Some(Value::Bool(false))], &mut s),
             Value::Bool(true)
         );
         assert_eq!(
-            eval_strict(PrimOp::Neg, &[Value::Int(3)], &mut s),
+            eval_strict(PrimOp::Neg, &[Some(Value::Int(3))], &mut s),
             Value::Int(-3)
         );
         assert_eq!(s.bottoms, 0);

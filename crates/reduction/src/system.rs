@@ -106,7 +106,7 @@ pub struct System {
     /// else.
     partition: PartitionMap,
     /// What one reduction task spawned, buffered so that its reduction
-    /// sends precede its marking sends (see [`System::dispatch`]); kept
+    /// sends precede its marking sends (see `System::deliver`); kept
     /// across dispatches for their capacity.
     out_red: Vec<(RedMsg, Priority)>,
     out_mark: Vec<MarkMsg>,
@@ -116,6 +116,7 @@ pub struct System {
 /// task-marking wave (`M_T`) and the priority-marking wave (`M_R`) are
 /// traced under distinct names so a cycle analyzer can keep their
 /// fan-outs apart.
+#[inline]
 fn mark_flow_meta(m: &MarkMsg) -> (Phase, &'static str) {
     match m.slot() {
         Slot::T => (Phase::Mt, "M_T"),
@@ -126,6 +127,7 @@ fn mark_flow_meta(m: &MarkMsg) -> (Phase, &'static str) {
 /// The PE a message addressed to `dest` executes on; messages with no
 /// destination vertex (returns to the virtual roots, replies to the
 /// external observer) execute on PE 0.
+#[inline]
 fn route(partition: &PartitionMap, dest: Option<dgr_graph::VertexId>) -> PeId {
     dest.map_or(PeId::new(0), |v| partition.pe_of(v))
 }
@@ -133,6 +135,7 @@ fn route(partition: &PartitionMap, dest: Option<dgr_graph::VertexId>) -> PeId {
 /// Attributes a send to the PE whose task is currently executing, as
 /// local (same PE) or remote. Sends with no executing task (external
 /// injection) are not counted.
+#[inline]
 fn count_send(telem: &Registry, executing: Option<PeId>, dst: PeId) {
     let Some(src) = executing else { return };
     let id = if src == dst {
@@ -148,6 +151,7 @@ fn count_send(telem: &Registry, executing: Option<PeId>, dst: PeId) {
 /// or the destination for externally injected seeds. Takes the system's
 /// fields apart so the marking handler's sink can call it while the
 /// handler holds the graph and the marking state.
+#[inline]
 fn enqueue_mark(
     sim: &mut DetSim<SysMsg>,
     telem: &Registry,
@@ -334,22 +338,7 @@ impl System {
     /// Delivers and executes one task. Returns `false` if the system is
     /// quiescent.
     pub fn step(&mut self) -> bool {
-        let Some((pe, lane, seq, msg)) = self.sim.next_event_tagged() else {
-            return false;
-        };
-        self.flow_recv(pe, seq, &msg);
-        self.dispatch(pe, lane, msg);
-        true
-    }
-
-    /// Records the delivery end of a marking message's flow edge (see
-    /// [`System::send_mark`]); reduction messages are not flow-traced.
-    fn flow_recv(&self, pe: PeId, seq: u64, msg: &SysMsg) {
-        if let SysMsg::Mark(m) = msg {
-            let (fphase, fname) = mark_flow_meta(m);
-            self.telem
-                .flow_recv(pe.raw(), self.telem_cycle, fphase, fname, seq + 1);
-        }
+        self.deliver(None)
     }
 
     /// Delivers and executes one task from the given lane (oldest first),
@@ -358,15 +347,14 @@ impl System {
     /// service during a collection phase (the paper's Section 6 remark
     /// that marking tasks may take precedence at a vertex).
     pub fn step_lane(&mut self, lane: Lane) -> bool {
-        let Some((pe, lane, seq, msg)) = self.sim.next_event_in_lane_tagged(lane) else {
-            return false;
-        };
-        self.flow_recv(pe, seq, &msg);
-        self.dispatch(pe, lane, msg);
-        true
+        self.deliver(Some(lane))
     }
 
-    /// Executes one delivered task and enqueues what it spawns.
+    /// Pops one task — the policy's pick, or the oldest of `only` — and
+    /// executes it where it was popped, enqueueing what it spawns: the one
+    /// deliver-and-dispatch body behind [`System::step`] and
+    /// [`System::step_lane`], so the message moves from its queue slot
+    /// into its handler and nowhere in between.
     ///
     /// A marking task's sends go straight from the handler into the
     /// simulator: one marking event is one queue pop, one handler call and
@@ -376,7 +364,10 @@ impl System {
     /// round-robin picks a PE's oldest message *across* lanes — so all of
     /// a task's reduction sends get their numbers before any of its
     /// marking sends, as they always have.
-    fn dispatch(&mut self, pe: PeId, lane: Lane, msg: SysMsg) {
+    fn deliver(&mut self, only: Option<Lane>) -> bool {
+        let Some((pe, lane, seq, msg)) = self.sim.next_event_from(only) else {
+            return false;
+        };
         self.events += 1;
         let shard = self.telem.pe(pe.raw());
         match lane {
@@ -427,8 +418,13 @@ impl System {
                 self.out_mark = out_mark;
             }
             SysMsg::Mark(m) => {
-                let (sim, telem, partition) = (&mut self.sim, &self.telem, &self.partition);
+                // The delivery end of the flow edge `enqueue_mark` opened;
+                // reduction messages are not flow-traced.
+                let (fphase, fname) = mark_flow_meta(&m);
                 let cycle = self.telem_cycle;
+                self.telem
+                    .flow_recv(pe.raw(), cycle, fphase, fname, seq + 1);
+                let (sim, telem, partition) = (&mut self.sim, &self.telem, &self.partition);
                 handle_mark(
                     &mut self.mark_state,
                     &mut self.graph,
@@ -439,6 +435,7 @@ impl System {
         }
         self.executing = None;
         self.drain_heap_journal();
+        true
     }
 
     /// Demands the root and runs until the result arrives, the system is

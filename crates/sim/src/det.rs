@@ -37,18 +37,28 @@ pub enum SchedPolicy {
     PriorityFirst,
 }
 
-/// A deterministic multi-PE message-passing simulator.
-///
-/// Each PE has one mailbox per [`Lane`]; [`DetSim::send`] enqueues,
-/// [`DetSim::next_event`] dequeues according to the policy. Executing the
-/// returned message is the caller's job — the simulator only owns delivery
-/// order, so the same simulator drives marking, reduction, and combined
-/// workloads.
-///
+/// Index of the marking lane, the one lane outside `other_pool`.
+const MARKING: usize = Lane::Marking.index();
+
+/// Smallest set bit at or after `from` in the `n` words `word(0..n)`.
+#[inline]
+fn first_bit_at_or_after(n: usize, from: usize, word: impl Fn(usize) -> u64) -> Option<usize> {
+    let mut mask = !0u64 << (from % 64);
+    for w in from / 64..n {
+        let bits = word(w) & mask;
+        if bits != 0 {
+            return Some(w * 64 + bits.trailing_zeros() as usize);
+        }
+        mask = !0;
+    }
+    None
+}
+
 /// A dense ordered set of small indexes (bit words + popcount) for the
 /// occupancy indexes below: O(1) insert/remove with no allocation, and
 /// first-at-or-after / select-nth by word scanning (one or two words for
-/// realistic PE counts).
+/// realistic PE counts). Callers insert only absent members and remove
+/// only present ones (a mailbox turning non-empty / empty).
 #[derive(Debug, Clone, Default)]
 struct IdSet {
     words: Vec<u64>,
@@ -63,59 +73,23 @@ impl IdSet {
         }
     }
 
-    fn insert(&mut self, i: usize) -> bool {
-        let (w, m) = (i / 64, 1u64 << (i % 64));
-        if self.words[w] & m == 0 {
-            self.words[w] |= m;
-            self.len += 1;
-            true
-        } else {
-            false
-        }
+    #[inline]
+    fn insert(&mut self, i: usize) {
+        debug_assert_eq!(self.words[i / 64] & (1 << (i % 64)), 0);
+        self.words[i / 64] |= 1 << (i % 64);
+        self.len += 1;
     }
 
+    #[inline]
     fn remove(&mut self, i: usize) {
-        let (w, m) = (i / 64, 1u64 << (i % 64));
-        if self.words[w] & m != 0 {
-            self.words[w] &= !m;
-            self.len -= 1;
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
+        debug_assert_ne!(self.words[i / 64] & (1 << (i % 64)), 0);
+        self.words[i / 64] &= !(1 << (i % 64));
+        self.len -= 1;
     }
 
     fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
+        self.words.fill(0);
         self.len = 0;
-    }
-
-    /// Smallest member `>= from`, or `None`.
-    fn first_at_or_after(&self, from: usize) -> Option<usize> {
-        let mut w = from / 64;
-        if w >= self.words.len() {
-            return None;
-        }
-        let mut word = self.words[w] & (!0u64 << (from % 64));
-        loop {
-            if word != 0 {
-                return Some(w * 64 + word.trailing_zeros() as usize);
-            }
-            w += 1;
-            if w >= self.words.len() {
-                return None;
-            }
-            word = self.words[w];
-        }
-    }
-
-    fn first(&self) -> Option<usize> {
-        self.first_at_or_after(0)
     }
 
     /// The `k`-th smallest member (0-based).
@@ -139,14 +113,34 @@ impl IdSet {
     }
 }
 
-/// Picks are served from incremental indexes maintained on every
-/// send/deliver, so `next_event` costs amortized O(1) instead of a scan
-/// over every PE × lane pair. The indexes are pure caches over the
-/// mailboxes: every policy delivers in exactly the order the original
-/// scanning implementation did (the `sched_differential` test pins this
-/// against a reference implementation).
+/// A deterministic multi-PE message-passing simulator.
+///
+/// Each PE has one mailbox per [`Lane`]; [`DetSim::send`] enqueues,
+/// [`DetSim::next_event`] dequeues according to the policy. Executing the
+/// returned message is the caller's job — the simulator only owns delivery
+/// order, so the same simulator drives marking, reduction, and combined
+/// workloads.
+///
+/// A delivered message costs one queue operation each way plus the
+/// indexes below, one per scheduling question, each a pure cache over the
+/// mailboxes: every policy delivers in exactly the order a scan over every
+/// PE × lane pair would (the `sched_differential` test pins this against
+/// such a scan, RNG draws included).
+///
+/// | question | index |
+/// |---|---|
+/// | oldest / newest message of a lane, any PE (`Fifo`, `Lifo`, [`DetSim::next_event_in_lane`]) | `mirror` |
+/// | first PE at or after the cursor with work in a lane (`PriorityFirst`) | `lane_pes` |
+/// | first PE at or after the cursor with any work (`RoundRobin`) | the OR of the five `lane_pes` words |
+/// | the `k`-th non-empty marking / other mailbox (`Random`) | `lane_pes[Marking]`, `other_pool` |
+///
+/// Round-robin needs no per-PE counter: a PE has work iff some lane's set
+/// holds it, and which message it then runs is read off its five queue
+/// fronts.
 #[derive(Debug)]
 pub struct DetSim<M> {
+    /// The mailboxes: one queue per `(PE, lane)`, each sorted by sequence
+    /// number because sequence numbers are globally monotone.
     pes: Vec<[VecDeque<(u64, M)>; 5]>,
     policy: SchedPolicy,
     rng: StdRng,
@@ -155,22 +149,18 @@ pub struct DetSim<M> {
     rr_cursor: usize,
     stats: SimStats,
     /// Per-lane mirror of every send's `(seq, pe)` with **lazy deletion**.
-    /// Sequence numbers are globally monotone, so each mirror is sorted by
-    /// construction: its first entry still matching the front of its
-    /// mailbox queue is the lane's globally oldest pending message, and
-    /// its last entry matching a queue back is the newest. Deliveries
-    /// leave stale entries behind; peeks discard them from the ends.
+    /// Each mirror is seq-sorted by construction: its first entry still
+    /// matching the front of its mailbox queue is the lane's globally
+    /// oldest pending message, and its last entry matching a queue back is
+    /// the newest. Deliveries leave stale entries behind; peeks discard
+    /// them from the ends.
     mirror: [VecDeque<(u64, u16)>; 5],
     /// Per-lane set of PEs whose mailbox for that lane is non-empty.
     lane_pes: [IdSet; 5],
     /// Non-empty `(pe, lane index)` pairs (as `pe * 5 + lane`, which is
-    /// `(pe, lane)` lexicographic) outside the marking lane — the order
-    /// the original random-policy scan produced its candidate pool in.
+    /// `(pe, lane)` lexicographic) outside the marking lane — the order a
+    /// scan produces the random policy's candidate pool in.
     other_pool: IdSet,
-    /// Pending-message count per PE (round-robin occupancy).
-    pe_pending: Vec<u32>,
-    /// PEs with at least one pending message, ordered.
-    nonempty_pes: IdSet,
 }
 
 impl<M> DetSim<M> {
@@ -181,52 +171,37 @@ impl<M> DetSim<M> {
     /// Panics if `num_pes` is zero.
     pub fn new(num_pes: u16, policy: SchedPolicy, seed: u64) -> Self {
         assert!(num_pes > 0, "a system needs at least one PE");
+        let n = num_pes as usize;
         DetSim {
-            pes: (0..num_pes).map(|_| Default::default()).collect(),
+            pes: (0..n).map(|_| Default::default()).collect(),
             policy,
             rng: StdRng::seed_from_u64(seed),
             seq: 0,
             pending: 0,
             rr_cursor: 0,
-            stats: SimStats::default(),
+            stats: SimStats::with_pes(n),
             mirror: Default::default(),
-            lane_pes: std::array::from_fn(|_| IdSet::with_capacity(num_pes as usize)),
-            other_pool: IdSet::with_capacity(num_pes as usize * 5),
-            pe_pending: vec![0; num_pes as usize],
-            nonempty_pes: IdSet::with_capacity(num_pes as usize),
+            lane_pes: std::array::from_fn(|_| IdSet::with_capacity(n)),
+            other_pool: IdSet::with_capacity(n * 5),
         }
     }
 
-    /// Records `seq` entering the mailbox `(pe, lane)` in the indexes.
-    fn index_insert(&mut self, pe: u16, lane: Lane, seq: u64) {
-        let l = lane.index();
-        self.mirror[l].push_back((seq, pe));
-        if self.pes[pe as usize][l].len() == 1
-            && self.lane_pes[l].insert(pe as usize)
-            && lane != Lane::Marking
-        {
-            self.other_pool.insert(pe as usize * 5 + l);
+    /// Records mailbox `(pe, l)` turning non-empty in the occupancy sets.
+    #[inline]
+    fn index_insert(&mut self, pe: usize, l: usize) {
+        self.lane_pes[l].insert(pe);
+        if l != MARKING {
+            self.other_pool.insert(pe * 5 + l);
         }
-        if self.pe_pending[pe as usize] == 0 {
-            self.nonempty_pes.insert(pe as usize);
-        }
-        self.pe_pending[pe as usize] += 1;
     }
 
-    /// Records `seq` leaving the mailbox `(pe, lane)`. The mirror entry
-    /// for `seq` stays behind as stale and is discarded by a later lazy
-    /// peek.
-    fn index_remove(&mut self, pe: u16, lane: Lane, _seq: u64) {
-        let l = lane.index();
-        if self.pes[pe as usize][l].is_empty() {
-            self.lane_pes[l].remove(pe as usize);
-            if lane != Lane::Marking {
-                self.other_pool.remove(pe as usize * 5 + l);
-            }
-        }
-        self.pe_pending[pe as usize] -= 1;
-        if self.pe_pending[pe as usize] == 0 {
-            self.nonempty_pes.remove(pe as usize);
+    /// Records mailbox `(pe, l)` turning empty. The mirror entries of what
+    /// it held stay behind as stale and are discarded by a later peek.
+    #[inline]
+    fn index_remove(&mut self, pe: usize, l: usize) {
+        self.lane_pes[l].remove(pe);
+        if l != MARKING {
+            self.other_pool.remove(pe * 5 + l);
         }
     }
 
@@ -236,6 +211,7 @@ impl<M> DetSim<M> {
     /// mirror is seq-sorted, so when `seq` is the mirror minimum every
     /// smaller (hence earlier-queued) message has been delivered, and a
     /// still-pending `seq` must sit at its queue's front.
+    #[inline]
     fn lane_oldest(
         pes: &[[VecDeque<(u64, M)>; 5]],
         mirror: &mut VecDeque<(u64, u16)>,
@@ -270,43 +246,22 @@ impl<M> DetSim<M> {
     /// (`expunge` / `relane`) rewrote queues wholesale.
     fn rebuild_index(&mut self) {
         self.mirror = Default::default();
-        for s in self.lane_pes.iter_mut() {
-            s.clear();
-        }
+        self.lane_pes.iter_mut().for_each(IdSet::clear);
         self.other_pool.clear();
-        self.nonempty_pes.clear();
-        for c in self.pe_pending.iter_mut() {
-            *c = 0;
-        }
-        for (p, lanes) in self.pes.iter().enumerate() {
-            let pe = p as u16;
-            for lane in Lane::ALL {
-                let l = lane.index();
-                let q = &lanes[l];
-                for &(s, _) in q {
-                    self.mirror[l].push_back((s, pe));
-                }
+        let mut depths = [0usize; 5];
+        for p in 0..self.pes.len() {
+            for (l, depth) in depths.iter_mut().enumerate() {
+                let q = &self.pes[p][l];
+                *depth += q.len();
+                self.mirror[l].extend(q.iter().map(|&(s, _)| (s, p as u16)));
                 if !q.is_empty() {
-                    self.lane_pes[l].insert(p);
-                    if lane != Lane::Marking {
-                        self.other_pool.insert(p * 5 + l);
-                    }
-                    self.pe_pending[p] += q.len() as u32;
+                    self.index_insert(p, l);
                 }
-            }
-            if self.pe_pending[p] > 0 {
-                self.nonempty_pes.insert(p);
             }
         }
         // Mirrors must be seq-sorted; queue-concatenation order is not.
         for m in self.mirror.iter_mut() {
             m.make_contiguous().sort_unstable();
-        }
-        let mut depths = [0usize; 5];
-        for lanes in &self.pes {
-            for (l, q) in lanes.iter().enumerate() {
-                depths[l] += q.len();
-            }
         }
         self.stats.set_lane_depths(depths);
     }
@@ -327,13 +282,18 @@ impl<M> DetSim<M> {
     /// # Panics
     ///
     /// Panics if the destination PE does not exist.
+    #[inline]
     pub fn send(&mut self, env: Envelope<M>) -> u64 {
         let seq = self.seq;
-        let q = &mut self.pes[env.dst.index()][env.lane.index()];
-        q.push_back((seq, env.msg));
         self.seq += 1;
         self.pending += 1;
-        self.index_insert(env.dst.raw(), env.lane, seq);
+        let (pe, l) = (env.dst.index(), env.lane.index());
+        let q = &mut self.pes[pe][l];
+        q.push_back((seq, env.msg));
+        if q.len() == 1 {
+            self.index_insert(pe, l);
+        }
+        self.mirror[l].push_back((seq, pe as u16));
         self.stats.record_send(env.lane);
         self.stats.observe_depth(self.pending);
         seq
@@ -371,35 +331,59 @@ impl<M> DetSim<M> {
     /// Like [`DetSim::next_event`], but also returns the sequence number
     /// [`DetSim::send`] assigned the message — the handle tracing uses to
     /// match this delivery to its send.
+    #[inline]
     pub fn next_event_tagged(&mut self) -> Option<(PeId, Lane, u64, M)> {
-        if self.pending == 0 {
-            return None;
-        }
-        let (pe, lane) = match self.policy {
-            SchedPolicy::Fifo => self.pick_extreme(false)?,
-            SchedPolicy::Lifo => self.pick_extreme(true)?,
-            SchedPolicy::RoundRobin => self.pick_round_robin()?,
-            SchedPolicy::Random { marking_bias } => self.pick_random(marking_bias)?,
-            SchedPolicy::PriorityFirst => self.pick_priority_first()?,
+        self.next_event_from(None)
+    }
+
+    /// The one dequeue behind every `next_event*`: the policy's pick, or
+    /// with `only` the oldest pending message of that lane (any PE). A
+    /// caller that serves both kinds from one loop calls this, so the
+    /// message leaves its queue slot at a single place.
+    #[inline]
+    pub fn next_event_from(&mut self, only: Option<Lane>) -> Option<(PeId, Lane, u64, M)> {
+        let (pe, lane, newest) = match only {
+            Some(lane) => {
+                let l = lane.index();
+                let (_, pe) = Self::lane_oldest(&self.pes, &mut self.mirror[l], l)?;
+                // The entry about to be served is the mirror's front: drop
+                // it now rather than leave it for the next peek to find
+                // stale.
+                self.mirror[l].pop_front();
+                (pe as usize, lane, false)
+            }
+            None if self.pending == 0 => return None,
+            None => {
+                let (pe, lane) = match self.policy {
+                    SchedPolicy::Fifo => self.pick_extreme(false)?,
+                    SchedPolicy::Lifo => self.pick_extreme(true)?,
+                    SchedPolicy::RoundRobin => self.pick_round_robin()?,
+                    SchedPolicy::Random { marking_bias } => self.pick_random(marking_bias)?,
+                    SchedPolicy::PriorityFirst => self.pick_priority_first()?,
+                };
+                (pe, lane, matches!(self.policy, SchedPolicy::Lifo))
+            }
         };
         let l = lane.index();
-        let deque = &mut self.pes[pe.index()][l];
-        let (seq, msg) = if matches!(self.policy, SchedPolicy::Lifo) {
-            deque.pop_back()?
+        let q = &mut self.pes[pe][l];
+        let (seq, msg) = if newest {
+            q.pop_back()?
         } else {
-            deque.pop_front()?
+            q.pop_front()?
         };
+        if q.is_empty() {
+            self.index_remove(pe, l);
+        }
         self.pending -= 1;
-        self.index_remove(pe.raw(), lane, seq);
-        self.stats.record_deliver(pe.raw(), lane);
-        Some((pe, lane, seq, msg))
+        self.stats.record_deliver(pe, lane);
+        Some((PeId::new(pe as u16), lane, seq, msg))
     }
 
     /// Globally oldest (`newest = false`) or newest pending message. Queues
-    /// are seq-sorted, so the lane heaps' extreme valid entries are exactly
-    /// the queue fronts/backs the original full scan compared.
-    fn pick_extreme(&mut self, newest: bool) -> Option<(PeId, Lane)> {
-        let mut best: Option<(u64, PeId, Lane)> = None;
+    /// are seq-sorted, so the lane mirrors' extreme valid entries are
+    /// exactly the queue fronts/backs a full scan would compare.
+    fn pick_extreme(&mut self, newest: bool) -> Option<(usize, Lane)> {
+        let mut best: Option<(u64, u16, Lane)> = None;
         for lane in Lane::ALL {
             let l = lane.index();
             let entry = if newest {
@@ -408,31 +392,31 @@ impl<M> DetSim<M> {
                 Self::lane_oldest(&self.pes, &mut self.mirror[l], l)
             };
             if let Some((s, pe)) = entry {
-                let better = match best {
-                    None => true,
-                    Some((bs, _, _)) => {
-                        if newest {
-                            s > bs
-                        } else {
-                            s < bs
-                        }
-                    }
-                };
-                if better {
-                    best = Some((s, PeId::new(pe), lane));
+                if best.is_none_or(|(bs, _, _)| if newest { s > bs } else { s < bs }) {
+                    best = Some((s, pe, lane));
                 }
             }
         }
-        best.map(|(_, p, l)| (p, l))
+        best.map(|(_, p, l)| (p as usize, l))
     }
 
-    /// First PE with work at or after the cursor (wrapping), then the
-    /// oldest message across that PE's five lanes.
-    fn pick_round_robin(&mut self) -> Option<(PeId, Lane)> {
-        let p = self
-            .nonempty_pes
-            .first_at_or_after(self.rr_cursor)
-            .or_else(|| self.nonempty_pes.first())?;
+    /// First PE at or after the cursor (wrapping) whose bit is set in the
+    /// occupancy words `word(0..)`; advances the cursor past it.
+    #[inline]
+    fn rotate(&mut self, word: impl Fn(&[IdSet; 5], usize) -> u64) -> Option<usize> {
+        let (sets, n) = (&self.lane_pes, self.lane_pes[0].words.len());
+        let p = first_bit_at_or_after(n, self.rr_cursor, |w| word(sets, w))
+            .or_else(|| first_bit_at_or_after(n, 0, |w| word(sets, w)))?;
+        self.rr_cursor = if p + 1 == self.pes.len() { 0 } else { p + 1 };
+        Some(p)
+    }
+
+    /// First PE with work at or after the cursor (wrapping) — a PE has
+    /// work iff some lane's set holds it — then the oldest message across
+    /// that PE's five lanes.
+    #[inline]
+    fn pick_round_robin(&mut self) -> Option<(usize, Lane)> {
+        let p = self.rotate(|sets, w| sets.iter().fold(0, |any, s| any | s.words[w]))?;
         let mut best: Option<(u64, Lane)> = None;
         for lane in Lane::ALL {
             if let Some(&(s, _)) = self.pes[p][lane.index()].front() {
@@ -441,52 +425,42 @@ impl<M> DetSim<M> {
                 }
             }
         }
-        let (_, lane) = best?;
-        self.rr_cursor = (p + 1) % self.pes.len();
-        Some((PeId::new(p as u16), lane))
+        best.map(|(_, lane)| (p, lane))
     }
 
     /// Biased coin between the marking pool and everything else, then a
     /// uniform pick within the chosen pool. The pools iterate in the same
-    /// `(pe, lane)` order the original scan materialized them in, and the
-    /// RNG is consulted in the same cases, so the stream of draws — and
-    /// therefore the delivery order — is unchanged.
-    fn pick_random(&mut self, marking_bias: f64) -> Option<(PeId, Lane)> {
-        let marking = &self.lane_pes[Lane::Marking.index()];
-        let use_marking = if marking.is_empty() {
+    /// `(pe, lane)` order a scan materializes them in, and the RNG is
+    /// consulted in the same cases, so the stream of draws — and therefore
+    /// the delivery order — is that of the scan.
+    fn pick_random(&mut self, marking_bias: f64) -> Option<(usize, Lane)> {
+        let marking = &self.lane_pes[MARKING];
+        let use_marking = if marking.len == 0 {
             false
-        } else if self.other_pool.is_empty() {
+        } else if self.other_pool.len == 0 {
             true
         } else {
             self.rng.gen_bool(marking_bias.clamp(0.0, 1.0))
         };
         if use_marking {
-            let i = self.rng.gen_range(0..marking.len());
-            let pe = marking.nth(i);
-            Some((PeId::new(pe as u16), Lane::Marking))
+            let i = self.rng.gen_range(0..marking.len);
+            Some((marking.nth(i), Lane::Marking))
         } else {
-            if self.other_pool.is_empty() {
+            if self.other_pool.len == 0 {
                 return None;
             }
-            let i = self.rng.gen_range(0..self.other_pool.len());
+            let i = self.rng.gen_range(0..self.other_pool.len);
             let idx = self.other_pool.nth(i);
-            Some((PeId::new((idx / 5) as u16), Lane::ALL[idx % 5]))
+            Some((idx / 5, Lane::ALL[idx % 5]))
         }
     }
 
     /// Highest-preference non-empty lane, rotating among its PEs.
-    fn pick_priority_first(&mut self) -> Option<(PeId, Lane)> {
-        for lane in Lane::ALL {
-            let pes = &self.lane_pes[lane.index()];
-            if let Some(p) = pes
-                .first_at_or_after(self.rr_cursor)
-                .or_else(|| pes.first())
-            {
-                self.rr_cursor = (p + 1) % self.pes.len();
-                return Some((PeId::new(p as u16), lane));
-            }
-        }
-        None
+    fn pick_priority_first(&mut self) -> Option<(usize, Lane)> {
+        Lane::ALL.into_iter().find_map(|lane| {
+            let p = self.rotate(|sets, w| sets[lane.index()].words[w])?;
+            Some((p, lane))
+        })
     }
 
     /// Picks, removes and returns the oldest pending message in the given
@@ -500,17 +474,9 @@ impl<M> DetSim<M> {
 
     /// Like [`DetSim::next_event_in_lane`], but also returns the
     /// message's sequence number (see [`DetSim::next_event_tagged`]).
+    #[inline]
     pub fn next_event_in_lane_tagged(&mut self, lane: Lane) -> Option<(PeId, Lane, u64, M)> {
-        let l = lane.index();
-        let (_, pe) = Self::lane_oldest(&self.pes, &mut self.mirror[l], l)?;
-        let (seq, msg) = self.pes[pe as usize][l].pop_front()?;
-        // The entry just served is the mirror's front: drop it now rather
-        // than leave it for the next peek to find stale.
-        self.mirror[l].pop_front();
-        self.pending -= 1;
-        self.index_remove(pe, lane, seq);
-        self.stats.record_deliver(pe, lane);
-        Some((PeId::new(pe), lane, seq, msg))
+        self.next_event_from(Some(lane))
     }
 
     /// Iterates over all pending messages (for `taskroot` construction and

@@ -21,7 +21,8 @@ pub enum Lane {
 impl Lane {
     /// Dense index used by mailbox arrays: mutator 0, marking 1, reduction
     /// vital/eager/reserve 2/3/4.
-    pub fn index(self) -> usize {
+    #[inline]
+    pub const fn index(self) -> usize {
         match self {
             Lane::Mutator => 0,
             Lane::Marking => 1,

@@ -14,7 +14,8 @@ pub struct SimStats {
     sent: [u64; 5],
     delivered: [u64; 5],
     max_depth: usize,
-    /// Deliveries per PE; grown on demand so `Default` needs no PE count.
+    /// Deliveries per PE, one slot per PE of the simulator that owns the
+    /// counters (none under `Default`, which therefore cannot deliver).
     per_pe_delivered: Vec<u64>,
     /// Messages currently pending per lane.
     lane_depth: [usize; 5],
@@ -24,6 +25,16 @@ pub struct SimStats {
 }
 
 impl SimStats {
+    /// Counters for a simulator of `num_pes` PEs: sized here, so that a
+    /// delivery indexes its PE's slot and never grows anything.
+    pub(crate) fn with_pes(num_pes: usize) -> Self {
+        SimStats {
+            per_pe_delivered: vec![0; num_pes],
+            ..Default::default()
+        }
+    }
+
+    #[inline]
     pub(crate) fn record_send(&mut self, lane: Lane) {
         let l = lane.index();
         self.sent[l] += 1;
@@ -31,17 +42,15 @@ impl SimStats {
         self.lane_high_water[l] = self.lane_high_water[l].max(self.lane_depth[l]);
     }
 
-    pub(crate) fn record_deliver(&mut self, pe: u16, lane: Lane) {
+    #[inline]
+    pub(crate) fn record_deliver(&mut self, pe: usize, lane: Lane) {
         let l = lane.index();
         self.delivered[l] += 1;
         self.lane_depth[l] -= 1;
-        let p = pe as usize;
-        if p >= self.per_pe_delivered.len() {
-            self.per_pe_delivered.resize(p + 1, 0);
-        }
-        self.per_pe_delivered[p] += 1;
+        self.per_pe_delivered[pe] += 1;
     }
 
+    #[inline]
     pub(crate) fn observe_depth(&mut self, depth: usize) {
         self.max_depth = self.max_depth.max(depth);
     }
@@ -80,7 +89,8 @@ impl SimStats {
         self.max_depth
     }
 
-    /// Messages delivered on the given PE (0 for PEs never delivered to).
+    /// Messages delivered on the given PE (0 for PEs never delivered to,
+    /// and for PEs the simulator does not have).
     pub fn delivered_on(&self, pe: u16) -> u64 {
         self.per_pe_delivered.get(pe as usize).copied().unwrap_or(0)
     }
@@ -110,7 +120,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let mut s = SimStats::default();
+        let mut s = SimStats::with_pes(2);
         s.record_send(Lane::Marking);
         s.record_send(Lane::Marking);
         s.record_deliver(1, Lane::Marking);
@@ -128,8 +138,20 @@ mod tests {
     }
 
     #[test]
+    fn per_pe_slots_are_sized_at_construction() {
+        let mut s = SimStats::with_pes(3);
+        assert_eq!(s.per_pe_delivered, vec![0, 0, 0]);
+        s.record_send(Lane::Mutator);
+        s.record_deliver(2, Lane::Mutator);
+        assert_eq!(s.per_pe_delivered.len(), 3, "a delivery grows nothing");
+        assert_eq!((s.delivered_on(1), s.delivered_on(2)), (0, 1));
+        assert_eq!(s.delivered_on(3), 0, "past the last PE reads zero");
+        assert_eq!(SimStats::default().delivered_on(0), 0);
+    }
+
+    #[test]
     fn lane_depth_tracks_and_high_water_resets() {
-        let mut s = SimStats::default();
+        let mut s = SimStats::with_pes(1);
         s.record_send(Lane::Marking);
         s.record_send(Lane::Marking);
         s.record_send(Lane::Mutator);

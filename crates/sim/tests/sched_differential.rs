@@ -2,13 +2,16 @@
 //! order the original O(PEs × lanes) scanning implementation did, for
 //! every policy and seed. `RefSim` below is a faithful copy of the old
 //! scan-based pick logic (including the order in which it consults the
-//! RNG), so any divergence in pick order or RNG stream fails here.
+//! RNG), so any divergence in pick order or RNG stream fails here. The
+//! scripts mix policy picks with `next_event_in_lane`, run at PE counts
+//! on both sides of a 64-bit word of the occupancy sets, and end by
+//! checking `SimStats` against counters recomputed from the script.
 
 use std::collections::VecDeque;
 
 use dgr_core::driver::{run_mark2, MarkRunConfig};
 use dgr_graph::{oracle, GraphStore, NodeLabel, PeId, Priority, RequestKind, Slot, VertexId};
-use dgr_sim::{DetSim, Envelope, Lane, SchedPolicy};
+use dgr_sim::{DetSim, Envelope, Lane, SchedPolicy, SimStats};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,6 +65,18 @@ impl<M> RefSim<M> {
         };
         self.pending -= 1;
         Some((pe, lane, msg))
+    }
+
+    /// `next_event_in_lane` by scan: the lane's smallest front over all PEs.
+    fn next_in_lane(&mut self, lane: Lane) -> Option<(PeId, Lane, M)> {
+        let l = lane.index();
+        let fronts = self.pes.iter().enumerate();
+        let (_, p) = fronts
+            .filter_map(|(p, lanes)| lanes[l].front().map(|&(s, _)| (s, p)))
+            .min()?;
+        let (_, msg) = self.pes[p][l].pop_front()?;
+        self.pending -= 1;
+        Some((PeId::new(p as u16), lane, msg))
     }
 
     fn pick_extreme(&self, newest: bool) -> Option<(PeId, Lane)> {
@@ -240,6 +255,162 @@ proptest! {
     }
 }
 
+/// `SimStats` recomputed from the script: what was sent where, what the
+/// reference delivered where, and the backlogs in between.
+#[derive(Default)]
+struct StatsModel {
+    sent: [u64; 5],
+    delivered: [u64; 5],
+    on_pe: Vec<u64>,
+    depth: [usize; 5],
+    high_water: [usize; 5],
+    max_depth: usize,
+}
+
+impl StatsModel {
+    fn send(&mut self, lane: Lane) {
+        let l = lane.index();
+        self.sent[l] += 1;
+        self.depth[l] += 1;
+        self.high_water[l] = self.high_water[l].max(self.depth[l]);
+        self.max_depth = self.max_depth.max(self.depth.iter().sum());
+    }
+
+    fn deliver(&mut self, pe: PeId, lane: Lane) {
+        self.delivered[lane.index()] += 1;
+        self.depth[lane.index()] -= 1;
+        self.on_pe[pe.index()] += 1;
+    }
+
+    /// After surgery the backlogs are whatever the queues now hold — not
+    /// `sent − delivered`: an expunged message left without a delivery.
+    fn surgery<M>(&mut self, queues: &[[VecDeque<(u64, M)>; 5]]) {
+        for l in 0..5 {
+            self.depth[l] = queues.iter().map(|lanes| lanes[l].len()).sum();
+            self.high_water[l] = self.high_water[l].max(self.depth[l]);
+        }
+    }
+
+    fn check(&self, stats: &SimStats) -> Result<(), TestCaseError> {
+        for lane in Lane::ALL {
+            let l = lane.index();
+            prop_assert_eq!(stats.sent(lane), self.sent[l], "sent {:?}", lane);
+            prop_assert_eq!(
+                stats.delivered(lane),
+                self.delivered[l],
+                "delivered {:?}",
+                lane
+            );
+            prop_assert_eq!(stats.lane_depth(lane), self.depth[l], "depth {:?}", lane);
+            prop_assert_eq!(
+                stats.lane_high_water(lane),
+                self.high_water[l],
+                "high water {:?}",
+                lane
+            );
+        }
+        prop_assert_eq!(stats.sent_total(), self.sent.iter().sum::<u64>());
+        prop_assert_eq!(stats.delivered_total(), self.delivered.iter().sum::<u64>());
+        prop_assert_eq!(stats.max_depth(), self.max_depth);
+        // Includes every PE never delivered to, and one the simulator
+        // does not have: both read 0.
+        for (pe, &n) in self.on_pe.iter().chain([&0]).enumerate() {
+            prop_assert_eq!(stats.delivered_on(pe as u16), n, "delivered on PE {}", pe);
+        }
+        Ok(())
+    }
+}
+
+/// The simulator under test, the reference, and the stats model, fed the
+/// same script.
+struct Pair {
+    new_sim: DetSim<u32>,
+    ref_sim: RefSim<u32>,
+    model: StatsModel,
+    next_id: u32,
+}
+
+impl Pair {
+    fn new(num_pes: u16, policy: SchedPolicy, seed: u64) -> Self {
+        Pair {
+            new_sim: DetSim::new(num_pes, policy, seed),
+            ref_sim: RefSim::new(num_pes, policy, seed),
+            model: StatsModel {
+                on_pe: vec![0; num_pes as usize],
+                ..Default::default()
+            },
+            next_id: 0,
+        }
+    }
+
+    fn send(&mut self, (pe, tag): (u16, u8)) {
+        let dst = PeId::new(pe % self.new_sim.num_pes());
+        let lane = lane_of(tag);
+        self.new_sim.send(Envelope::new(dst, lane, self.next_id));
+        self.ref_sim.send(Envelope::new(dst, lane, self.next_id));
+        self.model.send(lane);
+        self.next_id += 1;
+    }
+
+    /// Drains both simulators by the pick script (cycled): a byte below 5
+    /// asks for the oldest message of that lane and, like `GcDriver` when
+    /// the marking lane is empty, falls through to a policy pick if there
+    /// is none; any other byte is a policy pick. One `extra` send follows
+    /// every delivery so picks happen against queues in every state, not
+    /// just a monotone drain, and high-water tracking restarts once on
+    /// the way. Ends by checking the stats.
+    fn drain(
+        &mut self,
+        picks: &[u8],
+        extra: &[(u16, u8)],
+        reset_at: usize,
+        ctx: &str,
+    ) -> Result<(), TestCaseError> {
+        let mut extra = extra.iter();
+        for step in 0.. {
+            if step == reset_at {
+                self.new_sim.reset_lane_high_water();
+                self.model.high_water = self.model.depth;
+            }
+            let pick = picks[step % picks.len()];
+            let mut got = None;
+            if pick < 5 {
+                got = self.new_sim.next_event_in_lane(lane_of(pick));
+                let want = self.ref_sim.next_in_lane(lane_of(pick));
+                prop_assert_eq!(&got, &want, "{} step {} in lane {}", ctx, step, pick);
+            }
+            if got.is_none() {
+                got = self.new_sim.next_event();
+                let want = self.ref_sim.next_event();
+                prop_assert_eq!(&got, &want, "{} step {}", ctx, step);
+            }
+            let Some((pe, lane, _)) = got else { break };
+            self.model.deliver(pe, lane);
+            if let Some(&send) = extra.next() {
+                self.send(send);
+            }
+        }
+        prop_assert_eq!(self.new_sim.len(), 0);
+        self.model.check(self.new_sim.stats())
+    }
+}
+
+/// Pick scripts: the policy alone (`System::run`), `GcDriver`'s marking
+/// service — three marking-lane picks to one of the policy's — and
+/// arbitrary mixes over every lane.
+fn pick_scripts() -> BoxedStrategy<Vec<u8>> {
+    prop_oneof![
+        Just(vec![5]),
+        Just(vec![1, 1, 1, 5]),
+        proptest::collection::vec(0u8..8, 1..12),
+    ]
+}
+
+/// PE counts: one word of the occupancy sets, just past one, past two.
+fn pe_counts() -> BoxedStrategy<u16> {
+    prop_oneof![Just(5u16), Just(65u16), Just(130u16)]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -247,37 +418,20 @@ proptest! {
     /// `(pe, lane, msg)` delivery sequences under every policy and seed.
     #[test]
     fn delivery_order_matches_reference(
-        sends in proptest::collection::vec((0u16..5, 0u8..5), 1..150),
-        extra in proptest::collection::vec((0u16..5, 0u8..5), 0..60),
+        sends in proptest::collection::vec((0u16..130, 0u8..5), 1..150),
+        extra in proptest::collection::vec((0u16..130, 0u8..5), 0..60),
         seed in 0u64..200,
+        num_pes in pe_counts(),
+        picks in pick_scripts(),
+        reset_at in 0usize..120,
     ) {
         for policy in all_policies() {
-            let mut new_sim: DetSim<u32> = DetSim::new(5, policy, seed);
-            let mut ref_sim: RefSim<u32> = RefSim::new(5, policy, seed);
-            let mut next_id = 0u32;
-            for &(pe, tag) in &sends {
-                let lane = lane_of(tag);
-                new_sim.send(Envelope::new(PeId::new(pe), lane, next_id));
-                ref_sim.send(Envelope::new(PeId::new(pe), lane, next_id));
-                next_id += 1;
+            let mut pair = Pair::new(num_pes, policy, seed);
+            for &send in &sends {
+                pair.send(send);
             }
-            let mut extra_iter = extra.iter();
-            loop {
-                let got = new_sim.next_event();
-                let want = ref_sim.next_event();
-                prop_assert_eq!(&got, &want, "policy {:?} seed {}", policy, seed);
-                if got.is_none() {
-                    break;
-                }
-                // Interleave fresh sends so picks happen against queues in
-                // every state, not just a monotone drain.
-                if let Some(&(pe, tag)) = extra_iter.next() {
-                    let lane = lane_of(tag);
-                    new_sim.send(Envelope::new(PeId::new(pe), lane, next_id));
-                    ref_sim.send(Envelope::new(PeId::new(pe), lane, next_id));
-                    next_id += 1;
-                }
-            }
+            let ctx = format!("policy {policy:?} seed {seed}");
+            pair.drain(&picks, &extra, reset_at, &ctx)?;
         }
     }
 
@@ -285,26 +439,27 @@ proptest! {
     /// delivery still matches the reference applied to the same surgery.
     #[test]
     fn surgery_then_delivery_matches_reference(
-        sends in proptest::collection::vec((0u16..4, 0u8..5), 1..100),
+        sends in proptest::collection::vec((0u16..130, 0u8..5), 1..100),
         drop_mod in 2u32..5,
         seed in 0u64..100,
+        num_pes in pe_counts(),
+        picks in pick_scripts(),
+        reset_at in 0usize..60,
     ) {
         for policy in all_policies() {
-            let mut new_sim: DetSim<u32> = DetSim::new(4, policy, seed);
-            let mut ref_sim: RefSim<u32> = RefSim::new(4, policy, seed);
-            for (i, &(pe, tag)) in sends.iter().enumerate() {
-                let lane = lane_of(tag);
-                new_sim.send(Envelope::new(PeId::new(pe), lane, i as u32));
-                ref_sim.send(Envelope::new(PeId::new(pe), lane, i as u32));
+            let mut pair = Pair::new(num_pes, policy, seed);
+            for &send in &sends {
+                pair.send(send);
             }
             // Mirror the surgery on the reference's raw queues: drop every
             // multiple of drop_mod, then promote all reduction messages to
             // the vital lane (order-preserving, as relane does).
-            new_sim.expunge(|_, _, &m| m % drop_mod != 0);
-            new_sim.relane(|_, lane, _| match lane {
+            pair.new_sim.expunge(|_, _, &m| m % drop_mod != 0);
+            pair.new_sim.relane(|_, lane, _| match lane {
                 Lane::Reduction(_) => Lane::Reduction(Priority::Vital),
                 other => other,
             });
+            let ref_sim = &mut pair.ref_sim;
             for lanes in ref_sim.pes.iter_mut() {
                 let mut staged: Vec<(u64, Lane, u32)> = Vec::new();
                 for lane in Lane::ALL {
@@ -326,14 +481,9 @@ proptest! {
                     lanes[lane.index()].push_back((s, m));
                 }
             }
-            loop {
-                let got = new_sim.next_event();
-                let want = ref_sim.next_event();
-                prop_assert_eq!(&got, &want, "policy {:?} seed {}", policy, seed);
-                if got.is_none() {
-                    break;
-                }
-            }
+            pair.model.surgery(&ref_sim.pes);
+            let ctx = format!("policy {policy:?} seed {seed}");
+            pair.drain(&picks, &[], reset_at, &ctx)?;
         }
     }
 }
