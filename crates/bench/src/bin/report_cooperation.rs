@@ -70,6 +70,7 @@ fn family(title: &str, build: impl Fn(u64) -> GraphStore) {
 }
 
 fn main() {
+    dgr_bench::Flags::parse(&[], &[]);
     family("binary tree d=9", |_| binary_tree(9));
     family("random digraph n=2000 deg 3 + 16 root arcs", |seed| {
         rooted_digraph(2000, 3.0, seed)

@@ -5,6 +5,7 @@ use dgr_bench::{f2, print_table};
 use dgr_core::footprint;
 
 fn main() {
+    dgr_bench::Flags::parse(&[], &[]);
     let f = footprint::measure();
     let rows = vec![
         vec![

@@ -35,7 +35,7 @@
 use dgr_baseline::noncoop::mark_under_mutation_observed;
 use dgr_baseline::refcount::replay_churn_rc_observed;
 use dgr_baseline::stw::collect_stw_observed;
-use dgr_bench::{emit_json, f2, print_table, timed, JsonValue};
+use dgr_bench::{emit_json, f2, print_table, timed, Flags, JsonValue};
 use dgr_gc::{GcConfig, GcDriver};
 use dgr_graph::{GraphStore, VertexId};
 use dgr_lang::build_with_prelude;
@@ -226,8 +226,8 @@ fn hist_line(buckets: &[u64; HIST_BUCKETS]) -> String {
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
-    let small = std::env::args().any(|a| a == "--small");
+    let flags = Flags::parse(&["--small", "--json"], &[]);
+    let (json, small) = (flags.has("--json"), flags.has("--small"));
     if !TELEMETRY_ENABLED {
         println!(
             "note: built without the `telemetry` feature — the lifecycle \

@@ -37,7 +37,7 @@
 //! the repo root, which is gitignored. `--small` shrinks the workloads
 //! for the CI `heap-smoke` job.
 
-use dgr_bench::{emit_json, f2, print_table, timed, JsonValue};
+use dgr_bench::{emit_json, f2, print_table, timed, Flags, JsonValue};
 use dgr_gc::{GcConfig, GcDriver, GcTrigger};
 use dgr_lang::build_with_prelude;
 use dgr_reduction::SystemConfig;
@@ -179,8 +179,8 @@ fn sweep_bounds(live0: u64, peak: u64) -> [u64; 4] {
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
-    let small = std::env::args().any(|a| a == "--small");
+    let flags = Flags::parse(&["--small", "--json"], &[]);
+    let (json, small) = (flags.has("--json"), flags.has("--small"));
     if !TELEMETRY_ENABLED {
         println!(
             "note: built without the `telemetry` feature — the heap tracker \

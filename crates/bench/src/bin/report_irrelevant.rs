@@ -49,6 +49,7 @@ fn run(src: &str, label: &str, expunge: bool, reclaim: bool, budget: u64) -> Vec
 }
 
 fn main() {
+    dgr_bench::Flags::parse(&[], &[]);
     // fib under speculation: every `fib k, k<2` speculates an infinite
     // descent that the predicate then cancels — an unbounded irrelevant
     // workload unless the restructuring phase intervenes.

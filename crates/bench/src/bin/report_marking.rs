@@ -2,14 +2,14 @@
 //! quiescent graphs — correctness against the oracle and cost/shape of
 //! the marking wave across graph sizes, degrees and schedules.
 
-use dgr_bench::{emit_json, f2, print_table, timed, JsonValue};
+use dgr_bench::{emit_json, f2, print_table, timed, Flags, JsonValue};
 use dgr_core::driver::{run_mark1, MarkRunConfig};
 use dgr_graph::{oracle, Slot};
 use dgr_sim::SchedPolicy;
 use dgr_workloads::graphs::{binary_tree, chain, random_digraph};
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let json = Flags::parse(&["--json"], &[]).has("--json");
     let mut records = Vec::new();
 
     // Size sweep on random digraphs.

@@ -16,7 +16,7 @@
 //! run must end with both a smaller heap capacity and fewer live bytes
 //! than the uncollected run.
 
-use dgr_bench::{emit_json, print_table, timed, JsonValue};
+use dgr_bench::{emit_json, print_table, timed, Flags, JsonValue};
 use dgr_gc::{GcConfig, GcDriver};
 use dgr_lang::build_with_prelude;
 use dgr_reduction::SystemConfig;
@@ -29,7 +29,7 @@ const SAMPLE_EVERY: u64 = 2_000;
 type Sample = (u64, usize, usize, u64);
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let json = Flags::parse(&["--json"], &[]).has("--json");
 
     // With GC.
     let sys = build_with_prelude(SRC, SystemConfig::default()).unwrap();

@@ -59,6 +59,7 @@ fn deref_region(g: &mut GraphStore, root: VertexId, region: &[VertexId]) {
 }
 
 fn main() {
+    dgr_bench::Flags::parse(&[], &[]);
     const RUNS: u64 = 25;
     let cfg = MarkRunConfig::default();
     let mut rows = Vec::new();

@@ -13,6 +13,7 @@ use dgr_lang::build_with_prelude;
 use dgr_reduction::SystemConfig;
 
 fn main() {
+    dgr_bench::Flags::parse(&[], &[]);
     let mut rows = Vec::new();
     for &n in &[50i64, 150, 400, 1000] {
         // The same program twice: once under the concurrent collector,

@@ -52,6 +52,7 @@ fn ladder(n: usize) -> GraphStore {
 }
 
 fn main() {
+    dgr_bench::Flags::parse(&[], &[]);
     // Part A: re-marking overhead.
     let mut rows = Vec::new();
     for &n in &[64usize, 256, 1024] {

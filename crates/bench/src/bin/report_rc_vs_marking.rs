@@ -28,6 +28,7 @@ fn marking_reclaim(trace: &[dgr_workloads::churn::ChurnOp]) -> (usize, u64) {
 }
 
 fn main() {
+    dgr_bench::Flags::parse(&[], &[]);
     let mut rows = Vec::new();
     for &cyclic in &[0.0f64, 0.1, 0.25, 0.5, 0.75, 1.0] {
         let trace = churn_trace(1_000, 6, cyclic, 0.6, 99);

@@ -16,7 +16,7 @@
 //! 1/2/4/16) for the CI scalability smoke job; `--json` writes
 //! `BENCH_scalability.json` either way.
 
-use dgr_bench::{emit_json, f2, print_table, timed, JsonValue};
+use dgr_bench::{emit_json, f2, print_table, timed, Flags, JsonValue};
 use dgr_core::driver::{run_mark1, run_mark1_bsp, MarkRunConfig};
 use dgr_core::threaded::{reset_shared_r, run_mark1_shared};
 use dgr_graph::PartitionStrategy;
@@ -109,8 +109,8 @@ fn assert_monotone_ish(
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
-    let small = std::env::args().any(|a| a == "--small");
+    let flags = Flags::parse(&["--small", "--json"], &[]);
+    let (json, small) = (flags.has("--json"), flags.has("--small"));
     let mut records = Vec::new();
 
     if !small {

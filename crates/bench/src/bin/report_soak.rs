@@ -28,7 +28,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dgr_bench::{emit_json, f2, print_table, JsonRecord, JsonValue};
+use dgr_bench::{emit_json, f2, print_table, Flags, JsonRecord, JsonValue};
 use dgr_core::threaded::{reset_shared_r, run_mark1_shared_observed};
 use dgr_gc::{GcConfig, GcDriver};
 use dgr_graph::{dot, PartitionStrategy};
@@ -77,23 +77,15 @@ fn quantile_us(sorted: &[u64], q: f64) -> u64 {
     sorted[idx]
 }
 
-fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
-}
-
 fn main() {
-    let small = std::env::args().any(|a| a == "--small");
-    let inject_stall = std::env::args().any(|a| a == "--inject-stall");
-    let seconds: u64 = arg_value("--seconds")
+    let flags = Flags::parse(&["--small", "--inject-stall"], &["--seconds", "--addr"]);
+    let small = flags.has("--small");
+    let inject_stall = flags.has("--inject-stall");
+    let seconds: u64 = flags
+        .value("--seconds")
         .map(|s| s.parse().expect("--seconds takes an integer"))
         .unwrap_or(if small { 5 } else { 20 });
-    let addr = arg_value("--addr").unwrap_or_else(|| "127.0.0.1:0".to_string());
+    let addr = flags.value("--addr").unwrap_or("127.0.0.1:0").to_string();
 
     if !TELEMETRY_ENABLED {
         println!(

@@ -15,6 +15,7 @@ use dgr_reduction::SystemConfig;
 use dgr_sim::SchedPolicy;
 
 fn main() {
+    dgr_bench::Flags::parse(&[], &[]);
     let src = "
         let rec spin = \\n -> if n == 0 then 0 else spin (n - 1) + nfib 5
         in (if nfib 9 > 0 then 1 + nfib 7 else spin 500)

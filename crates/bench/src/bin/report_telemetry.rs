@@ -13,7 +13,7 @@
 //! counters (task deliveries, batches, parks, local/remote sends) and the
 //! batch-size histogram. Pass `--small` for a CI-sized workload.
 
-use dgr_bench::{emit_json, f2, print_table, JsonRecord, JsonValue};
+use dgr_bench::{emit_json, f2, print_table, Flags, JsonRecord, JsonValue};
 use dgr_core::threaded::{reset_shared_r, run_mark1_shared_with};
 use dgr_gc::{GcConfig, GcDriver};
 use dgr_graph::PartitionStrategy;
@@ -32,7 +32,7 @@ fn write_file(path: &str, contents: &str) {
 }
 
 fn main() {
-    let small = std::env::args().any(|a| a == "--small");
+    let small = Flags::parse(&["--small"], &[]).has("--small");
     if !TELEMETRY_ENABLED {
         println!(
             "note: built without the `telemetry` feature — durations and cycle \

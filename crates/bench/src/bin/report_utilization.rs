@@ -23,7 +23,7 @@
 //! blame` reads back — both in the repo root, which is gitignored.
 //! `--small` shrinks the workloads for the CI `utilization-smoke` job.
 
-use dgr_bench::{emit_json, f2, print_table, timed, JsonValue};
+use dgr_bench::{emit_json, f2, print_table, timed, Flags, JsonValue};
 use dgr_core::driver::run_mark1_bsp;
 use dgr_core::threaded::{reset_shared_r, run_mark1_shared_with, ThreadedMarkStats};
 use dgr_graph::{GraphStore, PartitionStrategy};
@@ -68,8 +68,8 @@ fn write_file(path: &str, contents: &str) {
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
-    let small = std::env::args().any(|a| a == "--small");
+    let flags = Flags::parse(&["--small", "--json"], &[]);
+    let (json, small) = (flags.has("--json"), flags.has("--small"));
     if !TELEMETRY_ENABLED {
         println!(
             "note: built without the `telemetry` feature — state clocks are \

@@ -169,12 +169,6 @@ pub fn run_mark1_compressed(
     stats
 }
 
-/// Per-vertex marking bytes of the compressed scheme (one bit, rounded to
-/// a byte here) versus the full scheme's two slots.
-pub fn compressed_footprint_per_vertex() -> usize {
-    1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

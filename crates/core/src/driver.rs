@@ -123,7 +123,7 @@ fn run_pass(
     }
     let mut stats = MarkStats::default();
     let _pass = telem.span(0, 0, phase, phase.name());
-    while let Some((pe, _lane, seq, msg)) = sim.next_event_tagged() {
+    while let Some((pe, _lane, seq, msg)) = sim.next_event_from(None) {
         if msg.dest_vertex().map(|v| partition.pe_of(v)) != Some(pe) && msg.dest_vertex().is_some()
         {
             stats.remote_messages += 1;

@@ -54,20 +54,6 @@ mod feature_off {
         assert_eq!(pulse.progress_total(), 0);
     }
 
-    /// Flow stamping adds no bytes to hot-path messages: the causal tag
-    /// a runtime may pair with a work item is zero-sized, so a queued
-    /// `(FlowTag, MarkMsg)` has the layout of the bare message.
-    #[test]
-    fn flow_tags_add_nothing_to_messages() {
-        use dgr_core::MarkMsg;
-        use dgr_telemetry::FlowTag;
-        assert_eq!(std::mem::size_of::<FlowTag>(), 0);
-        assert_eq!(
-            std::mem::size_of::<(FlowTag, MarkMsg)>(),
-            std::mem::size_of::<MarkMsg>()
-        );
-    }
-
     /// The lifecycle tracker collectors thread through their reclaim
     /// paths is zero-sized and silent: census, reclaim and meter calls
     /// vanish, and a closed cycle reports the default ledger.
@@ -127,7 +113,11 @@ mod feature_off {
         let telem = Registry::new(4);
         telem.sched_enter(0, SchedState::Work);
         telem.sched_enter(0, SchedState::Park);
-        assert_eq!(telem.sched_current(0), None, "no state is ever in force");
+        assert_eq!(
+            telem.sched_snapshot(0).current,
+            None,
+            "no state is ever in force"
+        );
         telem.sched_finish(0);
         assert!(telem.sched_snapshot(0).is_empty());
         let snap = telem.snapshot();
@@ -166,7 +156,7 @@ mod feature_on {
         use dgr_telemetry::SchedState;
         let telem = Registry::new(2);
         telem.sched_enter(1, SchedState::Work);
-        assert_eq!(telem.sched_current(1), Some(SchedState::Work));
+        assert_eq!(telem.sched_snapshot(1).current, Some(SchedState::Work));
         std::thread::sleep(std::time::Duration::from_millis(1));
         telem.sched_finish(1);
         let sched = *telem.snapshot().per_pe[1].sched();

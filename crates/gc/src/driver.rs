@@ -8,8 +8,8 @@ use dgr_graph::{MarkParent, Priority, Requester, Slot, Value};
 use dgr_reduction::{RedMsg, RunOutcome, System};
 use dgr_sim::Lane;
 use dgr_telemetry::{
-    CounterId, CycleReport as CycleTelemetry, HeartbeatHandle, LifecycleSnapshot, LifecycleTracker,
-    Phase, TriggerCause,
+    CounterId, CycleHeap, CycleReport as CycleTelemetry, Floater, HeartbeatHandle,
+    LifecycleSnapshot, LifecycleTracker, Phase, TriggerCause,
 };
 
 use crate::classify::{classify_pending_tasks, MarkCensus};
@@ -426,11 +426,11 @@ impl GcDriver {
         reg.instant(0, self.cycle, Phase::Gc, "relaned", report.relaned as u64);
     }
 
-    /// Closes the cycle's lifecycle ledger and emits the per-cycle `lc_*`
-    /// instants an offline analyzer (`dgr-trace lifecycle`) folds back
-    /// into the float/latency/message-cost table. An aborted cycle never
-    /// censused, so its ledger stays open (stamps must not be swept as
-    /// resurrections) and nothing is emitted.
+    /// Closes the cycle's lifecycle ledger and emits it (with the worst
+    /// floaters) for an offline analyzer (`dgr-trace lifecycle`) to fold
+    /// back into the float/latency/message-cost table. An aborted cycle
+    /// never censused, so its ledger stays open (stamps must not be swept
+    /// as resurrections) and nothing is emitted.
     fn close_lifecycle_cycle(&mut self, report: &CycleReport, lc_mt: u64, lc_mr: u64) {
         if report.aborted {
             return;
@@ -447,54 +447,29 @@ impl GcDriver {
             "lifecycle reclaim stamps drifted from the restructure tally"
         );
         let reg = self.sys.telemetry();
-        if reg.enabled() {
-            reg.instant(0, self.cycle, Phase::Gc, "lc_garbage", lc.garbage);
-            reg.instant(0, self.cycle, Phase::Gc, "lc_reclaimed", lc.reclaimed);
-            reg.instant(0, self.cycle, Phase::Gc, "lc_exact", lc.exact);
-            reg.instant(0, self.cycle, Phase::Gc, "lc_latency_sum", lc.latency_sum);
-            reg.instant(0, self.cycle, Phase::Gc, "lc_float", lc.float);
-            reg.instant(0, self.cycle, Phase::Gc, "lc_msgs_mt", lc.msgs_mt);
-            reg.instant(0, self.cycle, Phase::Gc, "lc_msgs_mr", lc.msgs_mr);
-            reg.instant(0, self.cycle, Phase::Gc, "lc_bound", lc.bound);
-            // Worst-float offenders, value-packed as (vertex << 16) | age
-            // (ages saturate at 0xFFFF) — `dgr-trace lifecycle` unpacks
-            // the same way.
-            for (idx, age) in self.lifecycle.worst_floaters(4) {
-                let packed = (u64::from(idx) << 16) | age.min(0xFFFF);
-                reg.instant(0, self.cycle, Phase::Gc, "lc_floater", packed);
-            }
+        reg.emit(0, self.cycle, &lc);
+        for (idx, age) in self.lifecycle.worst_floaters(4) {
+            reg.emit(0, self.cycle, &Floater::new(idx, age));
         }
     }
 
-    /// Closes the cycle's heap window and emits the per-cycle `hp_*`
-    /// instants `dgr-trace heap` folds back into the live/peak/cause
-    /// table. Restructure frees the garbage set directly on the graph —
-    /// bypassing dispatch — so the journal is drained here first; the
-    /// window then carries every byte the cycle reclaimed.
+    /// Closes the cycle's heap window and emits its ledger, stamped with
+    /// what started the cycle, for `dgr-trace heap` to fold back into the
+    /// live/peak/cause table. Restructure frees the garbage set directly
+    /// on the graph — bypassing dispatch — so the journal is drained here
+    /// first; the window then carries every byte the cycle reclaimed.
     fn close_heap_cycle(&mut self, cause: TriggerCause) {
         self.sys.drain_heap_journal();
-        let ch = self
+        let window = self
             .sys
             .heap_tracker_mut()
             .close_cycle(u64::from(self.cycle));
-        let reg = self.sys.telemetry();
-        if reg.enabled() {
-            reg.instant(0, self.cycle, Phase::Gc, "hp_cause", cause.code());
-            reg.instant(
-                0,
-                self.cycle,
-                Phase::Gc,
-                "hp_bound",
-                self.cfg.trigger.heap_bound().unwrap_or(0),
-            );
-            reg.instant(0, self.cycle, Phase::Gc, "hp_live", ch.live_end);
-            reg.instant(0, self.cycle, Phase::Gc, "hp_peak", ch.peak);
-            reg.instant(0, self.cycle, Phase::Gc, "hp_alloc_bytes", ch.alloc_bytes);
-            reg.instant(0, self.cycle, Phase::Gc, "hp_freed_bytes", ch.freed_bytes);
-            reg.instant(0, self.cycle, Phase::Gc, "hp_allocs", ch.allocs);
-            reg.instant(0, self.cycle, Phase::Gc, "hp_frees", ch.frees);
-            reg.instant(0, self.cycle, Phase::Gc, "hp_exact_bytes", ch.exact_bytes);
-        }
+        let ledger = CycleHeap {
+            cause: cause.code(),
+            bound: self.cfg.trigger.heap_bound().unwrap_or(0),
+            ..window
+        };
+        self.sys.telemetry().emit(0, self.cycle, &ledger);
     }
 
     /// Runs one marking phase wrapped in a telemetry span and a wall-clock
@@ -736,6 +711,22 @@ mod tests {
     use super::*;
     use dgr_graph::{GraphStore, NodeLabel, PrimOp, Template, TemplateNode, TemplateRef};
     use dgr_reduction::{Builder, SystemConfig, TemplateStore};
+    #[cfg(feature = "telemetry")]
+    use dgr_telemetry::{CycleLifecycle, Ledger};
+
+    /// Drains the event stream and folds the last cycle's instants into
+    /// the ledger they were emitted as; also how many of them it took.
+    #[cfg(feature = "telemetry")]
+    fn last_cycle_ledger<L: Ledger>(gc: &GcDriver) -> (L, usize) {
+        let last = gc.stats().cycles;
+        let (_, mut row) = L::open(0, last);
+        let events = gc.sys.telemetry().drain_events();
+        let fields = events
+            .iter()
+            .filter(|e| e.cycle == last && row.absorb(e.name, e.value))
+            .count();
+        (row, fields)
+    }
 
     /// sum(n) = if n == 0 then 0 else n + sum(n - 1).
     fn sum_templates() -> (TemplateStore, u32) {
@@ -946,18 +937,12 @@ mod tests {
             s.exact_bytes, s.freed_bytes,
             "driver-attached tracker stamps every byte it frees"
         );
-        let events = gc.sys.telemetry().drain_events();
-        for name in [
-            "hp_cause",
-            "hp_bound",
-            "hp_live",
-            "hp_peak",
-            "hp_alloc_bytes",
-            "hp_freed_bytes",
-            "hp_exact_bytes",
-        ] {
-            assert!(events.iter().any(|e| e.name == name), "missing {name}");
-        }
+        let (row, fields): (CycleHeap, _) = last_cycle_ledger(&gc);
+        assert_eq!(fields, 9, "one instant per wire field");
+        assert_eq!(row.bound, baseline_live + 128);
+        assert_ne!(row.cause_name(), "?");
+        assert!(row.peak >= row.live_end);
+        assert_eq!(row.exact_bytes, row.freed_bytes);
     }
 
     #[cfg(not(feature = "telemetry"))]
@@ -1054,10 +1039,12 @@ mod tests {
         assert_eq!(s.cycles, u64::from(gc.stats().cycles));
         assert!(s.msgs_mr > 0, "M_R messages metered");
         assert!(s.bound > 0, "Section 4 bound metered");
-        let events = gc.sys.telemetry().drain_events();
-        assert!(events.iter().any(|e| e.name == "lc_reclaimed"));
-        assert!(events.iter().any(|e| e.name == "lc_float"));
-        assert!(events.iter().any(|e| e.name == "lc_msgs_mr"));
+        let (row, fields): (CycleLifecycle, _) = last_cycle_ledger(&gc);
+        assert_eq!(fields, 8, "one instant per wire field");
+        assert_eq!(row.reclaimed, gc.last_report().reclaimed as u64);
+        assert_eq!(row.exact, row.reclaimed);
+        assert_eq!(row.float, 0);
+        assert!(row.msgs_mr > 0);
     }
 
     #[cfg(feature = "telemetry")]

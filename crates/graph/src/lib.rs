@@ -69,7 +69,7 @@ pub use label::{NodeLabel, PrimOp};
 pub use markword::MarkWords;
 pub use oracle::{Oracle, TaskClass, TaskEndpoints, VertexSet};
 pub use store::{
-    default_cost_model, CostModel, Epochs, GraphStore, HeapDelta, PartitionMap, PartitionStrategy,
+    default_cost_model, Epochs, GraphStore, HeapDelta, PartitionMap, PartitionStrategy,
 };
 pub use template::{Template, TemplateNode, TemplateRef};
 pub use value::Value;

@@ -76,19 +76,16 @@ impl PartitionMap {
     }
 }
 
-/// A pluggable per-vertex byte-cost model: maps a label to the number of
-/// bytes the vertex is modeled to occupy in its PE's local store.
+/// The per-vertex byte-cost model: maps a label to the number of bytes
+/// the vertex is modeled to occupy in its PE's local store.
 ///
 /// The store charges the model once at allocation time and remembers the
 /// result in a SoA weights array, so later in-place label overwrites (a
 /// reduction rewriting a vertex to an indirection) keep the allocation-time
 /// weight until the vertex is freed or explicitly
-/// [reweighted](GraphStore::set_vertex_weight). ROADMAP item 3's weighted
-/// task trees plug in their own model via
-/// [`GraphStore::set_cost_model`].
-pub type CostModel = fn(&NodeLabel) -> u32;
-
-/// The default arity-derived cost model: a fixed per-vertex base plus one
+/// [reweighted](GraphStore::set_vertex_weight).
+///
+/// The model is arity-derived: a fixed per-vertex base plus one
 /// arc slot per argument the label naturally takes (`Prim` → its operator
 /// arity, `If` → 3, `Cons`/`Apply` → 2, `Ind` → 1, `Lit`/`Hole` → 0).
 pub fn default_cost_model(label: &NodeLabel) -> u32 {
@@ -194,8 +191,6 @@ pub struct GraphStore {
     /// Cumulative bytes ever charged by allocations (and upward
     /// reweights); never decreases.
     alloc_bytes_total: u64,
-    /// The cost model charged at allocation time.
-    cost_model: CostModel,
     /// Byte-accounting journal, appended only while `journal_on`.
     journal: Vec<HeapDelta>,
     journal_on: bool,
@@ -223,7 +218,6 @@ impl GraphStore {
             epochs: Epochs::default(),
             live_bytes: 0,
             alloc_bytes_total: 0,
-            cost_model: default_cost_model,
             journal: Vec::new(),
             journal_on: false,
         }
@@ -256,7 +250,7 @@ impl GraphStore {
             requested: 1,
             available: 0,
         })?;
-        let bytes = (self.cost_model)(&label);
+        let bytes = default_cost_model(&label);
         let v = &mut self.verts[id.index()];
         debug_assert!(v.in_free_list);
         *v = Vertex::new(label);
@@ -277,7 +271,7 @@ impl GraphStore {
                 available: self.free.len(),
             });
         }
-        let bytes = (self.cost_model)(&NodeLabel::Hole);
+        let bytes = default_cost_model(&NodeLabel::Hole);
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             let id = self.free.pop().expect("checked length");
@@ -360,12 +354,6 @@ impl GraphStore {
         }
     }
 
-    /// Installs a different cost model for *future* allocations.
-    /// Weights already charged keep their allocation-time values.
-    pub fn set_cost_model(&mut self, model: CostModel) {
-        self.cost_model = model;
-    }
-
     /// Turns the byte-accounting journal on or off. While on, every
     /// alloc/free/reweight appends a [`HeapDelta`]; the observer drains
     /// them with [`GraphStore::take_heap_journal`].
@@ -402,13 +390,6 @@ impl GraphStore {
     /// Panics if `id` is out of range.
     pub fn vertex_mut(&mut self, id: VertexId) -> &mut Vertex {
         &mut self.verts[id.index()]
-    }
-
-    /// Fallible shared access.
-    pub fn try_vertex(&self, id: VertexId) -> Result<&Vertex, GraphError> {
-        self.verts
-            .get(id.index())
-            .ok_or(GraphError::InvalidVertex(id))
     }
 
     // ------------------------------------------------------------------
@@ -546,9 +527,8 @@ impl GraphStore {
     /// Rebuilds a store from parts produced by [`GraphStore::into_parts`]
     /// (or assembled by a parallel runtime). Free-list flags are
     /// resynchronized from the `free` vector, and byte weights are
-    /// re-derived from each live vertex's current label under the
-    /// *default* cost model (the parts carry no model, and a rebuilt
-    /// store restarts its allocation accounting).
+    /// re-derived from each live vertex's current label (a rebuilt store
+    /// restarts its allocation accounting).
     pub fn from_parts(
         mut verts: Vec<Vertex>,
         free: Vec<VertexId>,
@@ -577,7 +557,6 @@ impl GraphStore {
             weights,
             live_bytes,
             alloc_bytes_total: live_bytes,
-            cost_model: default_cost_model,
             journal: Vec::new(),
             journal_on: false,
         }
@@ -835,19 +814,6 @@ mod tests {
         g.set_vertex_weight(a, 999);
         assert_eq!(g.live_bytes(), 0, "reweighting a free slot is a no-op");
         assert!(g.check_consistency().is_ok());
-    }
-
-    #[test]
-    fn pluggable_cost_model_applies_to_future_allocs() {
-        fn flat(_: &NodeLabel) -> u32 {
-            64
-        }
-        let mut g = GraphStore::with_capacity(2);
-        let a = g.alloc(NodeLabel::Cons).unwrap();
-        g.set_cost_model(flat);
-        let b = g.alloc(NodeLabel::Cons).unwrap();
-        assert_eq!(g.vertex_bytes(a), 32, "existing weight untouched");
-        assert_eq!(g.vertex_bytes(b), 64);
     }
 
     #[test]

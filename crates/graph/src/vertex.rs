@@ -534,11 +534,6 @@ impl Vertex {
         }
     }
 
-    /// Index of the first arc pointing at `target`, if any.
-    pub fn arg_index_of(&self, target: VertexId) -> Option<usize> {
-        self.args.iter().position(|&a| a == target)
-    }
-
     /// Number of requested arcs whose values have not yet arrived.
     pub fn pending_arg_values(&self) -> usize {
         self.request_kinds

@@ -40,6 +40,13 @@ pub enum SchedPolicy {
 /// Index of the marking lane, the one lane outside `other_pool`.
 const MARKING: usize = Lane::Marking.index();
 
+/// Stale entries a lane's mirror may hold beyond its pending depth before
+/// a send sweeps them: `len ≤ 2 × depth + MIRROR_SLACK` after every send
+/// to the lane, and deliveries never grow a mirror, so it stays within
+/// twice the lane's peak backlog. The constant keeps near-empty lanes
+/// from sweeping on every send.
+const MIRROR_SLACK: usize = 64;
+
 /// Smallest set bit at or after `from` in the `n` words `word(0..n)`.
 #[inline]
 fn first_bit_at_or_after(n: usize, from: usize, word: impl Fn(usize) -> u64) -> Option<usize> {
@@ -129,7 +136,7 @@ impl IdSet {
 ///
 /// | question | index |
 /// |---|---|
-/// | oldest / newest message of a lane, any PE (`Fifo`, `Lifo`, [`DetSim::next_event_in_lane`]) | `mirror` |
+/// | oldest / newest message of a lane, any PE (`Fifo`, `Lifo`, in-lane service) | `mirror` |
 /// | first PE at or after the cursor with work in a lane (`PriorityFirst`) | `lane_pes` |
 /// | first PE at or after the cursor with any work (`RoundRobin`) | the OR of the five `lane_pes` words |
 /// | the `k`-th non-empty marking / other mailbox (`Random`) | `lane_pes[Marking]`, `other_pool` |
@@ -153,7 +160,9 @@ pub struct DetSim<M> {
     /// matching the front of its mailbox queue is the lane's globally
     /// oldest pending message, and its last entry matching a queue back is
     /// the newest. Deliveries leave stale entries behind; peeks discard
-    /// them from the ends.
+    /// them from the ends, and a send sweeps the lane once stale entries
+    /// outnumber pending ones by [`MIRROR_SLACK`] — so a lane no peek ever
+    /// visits (policy picks only) stays bounded by its depth too.
     mirror: [VecDeque<(u64, u16)>; 5],
     /// Per-lane set of PEs whose mailbox for that lane is non-empty.
     lane_pes: [IdSet; 5],
@@ -242,6 +251,24 @@ impl<M> DetSim<M> {
         None
     }
 
+    /// Drops every stale entry of lane `l`'s mirror. The mirror holds each
+    /// pending message of the lane, seq-sorted like the queues themselves,
+    /// so one merge pass decides: an entry is pending iff it is the next
+    /// unmatched message of its PE's queue. Runs when stale entries
+    /// outnumber pending ones, which takes at least that many deliveries
+    /// since the last sweep — amortised O(1) per message.
+    #[cold]
+    fn sweep_mirror(&mut self, l: usize) {
+        let mut next = vec![0usize; self.pes.len()];
+        let pes = &self.pes;
+        self.mirror[l].retain(|&(seq, pe)| {
+            let at = &mut next[pe as usize];
+            let pending = pes[pe as usize][l].get(*at).is_some_and(|&(s, _)| s == seq);
+            *at += usize::from(pending);
+            pending
+        });
+    }
+
     /// Reconstructs every index from the mailboxes, after bulk surgery
     /// (`expunge` / `relane`) rewrote queues wholesale.
     fn rebuild_index(&mut self) {
@@ -273,8 +300,8 @@ impl<M> DetSim<M> {
 
     /// Enqueues a message, returning its globally unique sequence number.
     ///
-    /// The sequence number doubles as a causal handle: tagged dequeues
-    /// ([`DetSim::next_event_tagged`]) return it with the message, so a
+    /// The sequence number doubles as a causal handle:
+    /// [`DetSim::next_event_from`] returns it with the message, so a
     /// caller can pair every delivery with its send — the flow-id scheme
     /// the tracing layer builds happens-before edges from — without the
     /// simulator carrying any extra per-message state.
@@ -296,6 +323,9 @@ impl<M> DetSim<M> {
         self.mirror[l].push_back((seq, pe as u16));
         self.stats.record_send(env.lane);
         self.stats.observe_depth(self.pending);
+        if self.mirror[l].len() > 2 * self.stats.lane_depth(env.lane) + MIRROR_SLACK {
+            self.sweep_mirror(l);
+        }
         seq
     }
 
@@ -324,22 +354,16 @@ impl<M> DetSim<M> {
     /// Picks, removes and returns the next message per the policy, or
     /// `None` when the system is quiescent.
     pub fn next_event(&mut self) -> Option<(PeId, Lane, M)> {
-        self.next_event_tagged()
+        self.next_event_from(None)
             .map(|(pe, lane, _, m)| (pe, lane, m))
     }
 
-    /// Like [`DetSim::next_event`], but also returns the sequence number
-    /// [`DetSim::send`] assigned the message — the handle tracing uses to
-    /// match this delivery to its send.
-    #[inline]
-    pub fn next_event_tagged(&mut self) -> Option<(PeId, Lane, u64, M)> {
-        self.next_event_from(None)
-    }
-
-    /// The one dequeue behind every `next_event*`: the policy's pick, or
-    /// with `only` the oldest pending message of that lane (any PE). A
-    /// caller that serves both kinds from one loop calls this, so the
-    /// message leaves its queue slot at a single place.
+    /// The one dequeue: the policy's pick, or with `only` the oldest
+    /// pending message of that lane (any PE) regardless of policy — used
+    /// to give one lane priority service (e.g. marking tasks during a
+    /// collection phase, per the paper's Section 6 remark). Also returns
+    /// the sequence number [`DetSim::send`] assigned the message — the
+    /// handle tracing uses to match this delivery to its send.
     #[inline]
     pub fn next_event_from(&mut self, only: Option<Lane>) -> Option<(PeId, Lane, u64, M)> {
         let (pe, lane, newest) = match only {
@@ -461,22 +485,6 @@ impl<M> DetSim<M> {
             let p = self.rotate(|sets, w| sets[lane.index()].words[w])?;
             Some((p, lane))
         })
-    }
-
-    /// Picks, removes and returns the oldest pending message in the given
-    /// lane (any PE), regardless of policy — used to give one lane
-    /// priority service (e.g. marking tasks during a collection phase,
-    /// per the paper's Section 6 remark).
-    pub fn next_event_in_lane(&mut self, lane: Lane) -> Option<(PeId, Lane, M)> {
-        self.next_event_in_lane_tagged(lane)
-            .map(|(pe, lane, _, m)| (pe, lane, m))
-    }
-
-    /// Like [`DetSim::next_event_in_lane`], but also returns the
-    /// message's sequence number (see [`DetSim::next_event_tagged`]).
-    #[inline]
-    pub fn next_event_in_lane_tagged(&mut self, lane: Lane) -> Option<(PeId, Lane, u64, M)> {
-        self.next_event_from(Some(lane))
     }
 
     /// Iterates over all pending messages (for `taskroot` construction and
@@ -684,13 +692,69 @@ mod tests {
         let s1 = sim.send(env(1, Lane::Mutator, 11));
         let s2 = sim.send(env(0, Lane::Marking, 12));
         assert_eq!((s0, s1, s2), (0, 1, 2), "seqs are assigned in send order");
-        let (_, _, seq, m) = sim.next_event_tagged().unwrap();
+        let (_, _, seq, m) = sim.next_event_from(None).unwrap();
         assert_eq!((seq, m), (s0, 10));
-        let (_, _, seq, m) = sim.next_event_in_lane_tagged(Lane::Marking).unwrap();
+        let (_, _, seq, m) = sim.next_event_from(Some(Lane::Marking)).unwrap();
         assert_eq!((seq, m), (s2, 12), "lane dequeue skips other lanes");
-        let (_, _, seq, m) = sim.next_event_tagged().unwrap();
+        let (_, _, seq, m) = sim.next_event_from(None).unwrap();
         assert_eq!((seq, m), (s1, 11));
-        assert!(sim.next_event_tagged().is_none());
+        assert!(sim.next_event_from(None).is_none());
+    }
+
+    /// A lane only the policy picks from never has its mirror peeked, so
+    /// nothing but the send-side sweep trims it. Over a million
+    /// send/deliver pairs at a shallow backlog every mirror must be within
+    /// `2 × depth + MIRROR_SLACK` after each send to its lane, and within
+    /// that of the lane's peak depth at all times.
+    #[test]
+    fn mirrors_stay_bounded_when_only_the_policy_picks() {
+        let lanes = [
+            Lane::Marking,
+            Lane::Mutator,
+            Lane::Reduction(Priority::Vital),
+            Lane::Reduction(Priority::Reserve),
+        ];
+        for policy in [
+            SchedPolicy::RoundRobin,
+            SchedPolicy::PriorityFirst,
+            SchedPolicy::Random { marking_bias: 0.5 },
+        ] {
+            let mut sim = DetSim::new(4, policy, 11);
+            let mut sent = 0u64;
+            let mut send = |sim: &mut DetSim<u64>| {
+                // A stride coprime to both counts visits every (PE, lane).
+                let (pe, lane) = ((sent * 7 % 4) as u16, lanes[(sent * 5 % 4) as usize]);
+                sim.send(Envelope::new(PeId::new(pe), lane, sent));
+                sent += 1;
+                let len = sim.mirror[lane.index()].len();
+                let room = 2 * sim.stats().lane_depth(lane) + MIRROR_SLACK;
+                assert!(len <= room, "{policy:?} {lane:?}: {len} > {room} at a send");
+            };
+            for _ in 0..24 {
+                send(&mut sim);
+            }
+            let mut longest = 0usize;
+            for _ in 0..1_000_000 {
+                send(&mut sim);
+                sim.next_event().expect("backlog is never empty");
+                for lane in lanes {
+                    let len = sim.mirror[lane.index()].len();
+                    let room = 2 * sim.stats().lane_high_water(lane) + MIRROR_SLACK;
+                    assert!(len <= room, "{policy:?} {lane:?}: {len} > {room}");
+                    longest = longest.max(len);
+                }
+            }
+            assert_eq!(sim.len(), 24);
+            assert!(longest > MIRROR_SLACK, "{policy:?}: the sweep never ran");
+            // Every pending message is still reachable through the mirrors.
+            let mut drained = 0;
+            for lane in lanes {
+                while sim.next_event_from(Some(lane)).is_some() {
+                    drained += 1;
+                }
+            }
+            assert_eq!(drained, 24, "{policy:?}: a sweep lost a pending entry");
+        }
     }
 
     #[test]

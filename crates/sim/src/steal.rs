@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use dgr_atomic::CachePadded;
 use dgr_graph::PeId;
 use dgr_telemetry::{
-    CounterId, GaugeId, HeartbeatHandle, HistId, PeSchedSnapshot, Phase, Registry, SchedState,
+    CounterId, GaugeId, HeartbeatHandle, HistId, PeSchedSnapshot, Registry, SchedState,
 };
 
 use crate::deque::StealDeque;
@@ -280,34 +280,30 @@ pub struct StealRuntime {
     mailbox_capacity: usize,
 }
 
+/// Per-PE deque ring capacity (overflow spills to a private per-worker
+/// vector).
+const DEQUE_CAPACITY: usize = 8192;
+/// Per-(sender, receiver) mailbox ring capacity (overflow stages at the
+/// sender).
+const MAILBOX_CAPACITY: usize = 1024;
+
 impl StealRuntime {
-    /// Creates a runtime with `num_pes` worker threads and default
-    /// deque/mailbox capacities.
+    /// Creates a runtime with `num_pes` worker threads.
     ///
     /// # Panics
     ///
     /// Panics if `num_pes` is zero.
     pub fn new(num_pes: u16) -> Self {
+        Self::with_rings(num_pes, DEQUE_CAPACITY, MAILBOX_CAPACITY)
+    }
+
+    fn with_rings(num_pes: u16, deque_capacity: usize, mailbox_capacity: usize) -> Self {
         assert!(num_pes > 0, "a system needs at least one PE");
         StealRuntime {
             num_pes,
-            deque_capacity: 8192,
-            mailbox_capacity: 1024,
+            deque_capacity,
+            mailbox_capacity,
         }
-    }
-
-    /// Overrides the per-PE deque ring capacity (rounded to a power of
-    /// two; overflow spills to a private per-worker vector).
-    pub fn with_deque_capacity(mut self, capacity: usize) -> Self {
-        self.deque_capacity = capacity;
-        self
-    }
-
-    /// Overrides the per-(sender, receiver) mailbox ring capacity
-    /// (rounded to a power of two; overflow stages at the sender).
-    pub fn with_mailbox_capacity(mut self, capacity: usize) -> Self {
-        self.mailbox_capacity = capacity;
-        self
     }
 
     /// Runs `handler` on every task until global quiescence. The handler
@@ -429,37 +425,12 @@ impl StealRuntime {
             }
         });
         debug_assert_eq!(mesh.quiesce.pending(), 0);
-        // One instant per (PE, state) with this pass's nanosecond deltas
-        // against the pre-spawn baselines, plus the pass span — the
-        // events `dgr-trace blame` sums. Deltas (not cumulative totals)
-        // mean several passes on one shared registry blame correctly:
-        // each pass's instants carry only its own time.
-        if telem.enabled() {
-            for pe in 0..n as u16 {
-                let sched = telem.sched_snapshot(pe);
-                let base = &sched_base[pe as usize];
-                for s in SchedState::ALL {
-                    telem.instant(
-                        pe,
-                        0,
-                        Phase::Mr,
-                        s.event_name(),
-                        sched.state_ns(s).saturating_sub(base.state_ns(s)),
-                    );
-                }
-                // The pass span is the accounted-time delta: the clock's
-                // cumulative span_ns includes the idle gap between
-                // passes, while total_ns equals the span exactly for
-                // each finished episode (the clock's exact-sum
-                // invariant), so its delta is exactly this pass's span.
-                telem.instant(
-                    pe,
-                    0,
-                    Phase::Mr,
-                    "sched_span",
-                    sched.total_ns().saturating_sub(base.total_ns()),
-                );
-            }
+        // Each PE's clock delta against its pre-spawn baseline, as one
+        // ledger — the events `dgr-trace blame` sums. Deltas (not
+        // cumulative totals) mean several passes on one shared registry
+        // blame correctly: each pass's instants carry only its own time.
+        for (pe, base) in (0u16..).zip(&sched_base) {
+            telem.emit(pe, 0, &telem.sched_snapshot(pe).since(base));
         }
         totals.into_inner().expect("pass totals poisoned")
     }
@@ -776,18 +747,16 @@ mod tests {
         // Deque cap 8 and mailbox cap 8 with a 2^12 fan-out exercises the
         // spill vector and the sender-side stage heavily.
         let hits = AtomicU64::new(0);
-        let stats = StealRuntime::new(3)
-            .with_deque_capacity(8)
-            .with_mailbox_capacity(8)
-            .run(vec![(PeId::new(0), 12u64)], |scope, n| {
-                hits.fetch_add(1, Ordering::SeqCst);
-                if n > 0 {
-                    for t in 0..2u16 {
-                        let dst = PeId::new((scope.me().raw() + t) % 3);
-                        scope.spawn(dst, n - 1);
-                    }
+        let rt = StealRuntime::with_rings(3, 8, 8);
+        let stats = rt.run(vec![(PeId::new(0), 12u64)], |scope, n| {
+            hits.fetch_add(1, Ordering::SeqCst);
+            if n > 0 {
+                for t in 0..2u16 {
+                    let dst = PeId::new((scope.me().raw() + t) % 3);
+                    scope.spawn(dst, n - 1);
                 }
-            });
+            }
+        });
         assert_eq!(stats.executed, (1 << 13) - 1);
         assert_eq!(hits.load(Ordering::SeqCst), (1 << 13) - 1);
     }

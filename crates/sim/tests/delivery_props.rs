@@ -206,7 +206,7 @@ proptest! {
         prop_assert_eq!(count, before - dropped);
     }
 
-    /// next_event_in_lane never returns a message from another lane and
+    /// In-lane service never returns a message from another lane and
     /// drains oldest-first.
     #[test]
     fn lane_targeted_delivery(
@@ -217,7 +217,7 @@ proptest! {
             sim.send(Envelope::new(PeId::new(pe), lane_of(tag), i as u32));
         }
         let mut last = None;
-        while let Some((_pe, lane, id)) = sim.next_event_in_lane(Lane::Marking) {
+        while let Some((_pe, lane, _seq, id)) = sim.next_event_from(Some(Lane::Marking)) {
             prop_assert_eq!(lane, Lane::Marking);
             if let Some(prev) = last {
                 prop_assert!(id > prev, "oldest-first within the lane");

@@ -3,7 +3,7 @@
 //! every policy and seed. `RefSim` below is a faithful copy of the old
 //! scan-based pick logic (including the order in which it consults the
 //! RNG), so any divergence in pick order or RNG stream fails here. The
-//! scripts mix policy picks with `next_event_in_lane`, run at PE counts
+//! scripts mix policy picks with in-lane service, run at PE counts
 //! on both sides of a 64-bit word of the occupancy sets, and end by
 //! checking `SimStats` against counters recomputed from the script.
 
@@ -67,7 +67,7 @@ impl<M> RefSim<M> {
         Some((pe, lane, msg))
     }
 
-    /// `next_event_in_lane` by scan: the lane's smallest front over all PEs.
+    /// In-lane service by scan: the lane's smallest front over all PEs.
     fn next_in_lane(&mut self, lane: Lane) -> Option<(PeId, Lane, M)> {
         let l = lane.index();
         let fronts = self.pes.iter().enumerate();
@@ -375,7 +375,10 @@ impl Pair {
             let pick = picks[step % picks.len()];
             let mut got = None;
             if pick < 5 {
-                got = self.new_sim.next_event_in_lane(lane_of(pick));
+                got = self
+                    .new_sim
+                    .next_event_from(Some(lane_of(pick)))
+                    .map(|(pe, lane, _, m)| (pe, lane, m));
                 let want = self.ref_sim.next_in_lane(lane_of(pick));
                 prop_assert_eq!(&got, &want, "{} step {} in lane {}", ctx, step, pick);
             }

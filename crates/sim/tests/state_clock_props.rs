@@ -158,7 +158,7 @@ mod without_feature {
                 let snap = telem.sched_snapshot(pe);
                 prop_assert!(snap.is_empty());
                 prop_assert_eq!(snap.span_ns, 0);
-                prop_assert!(telem.sched_current(pe).is_none());
+                prop_assert!(telem.sched_snapshot(pe).current.is_none());
             }
         }
     }

@@ -17,25 +17,13 @@ use std::time::Instant;
 
 use crate::heartbeat::Heartbeat;
 use crate::ids::{CounterId, GaugeId, HistId, Phase};
+use crate::ledger::Ledger;
 use crate::metrics::{Counter, Gauge, HistSnapshot, Histogram, MetricsSnapshot, PeSnapshot};
 use crate::ring::{Event, EventKind, EventRing};
 use crate::sched::{PeSchedSnapshot, SchedState, StateClock};
 
 /// Default per-PE event-ring capacity.
 pub const DEFAULT_RING_CAPACITY: usize = 8192;
-
-/// An opaque flow id travelling with an in-flight message in runtimes
-/// that have no per-message sequence number of their own. `0` is reserved for "no flow" ([`FlowTag::NONE`]); the noop
-/// counterpart is zero-sized, so `(FlowTag, M)` adds nothing to a work
-/// item in a default build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FlowTag(pub u64);
-
-impl FlowTag {
-    /// The "no flow" tag: carried by messages that are not stamped and
-    /// ignored on delivery.
-    pub const NONE: FlowTag = FlowTag(0);
-}
 
 /// The recording handle instrumented drivers beat their liveness pulse
 /// through: a cloneable `Arc` around a concrete
@@ -105,12 +93,12 @@ pub struct PeShard {
 }
 
 impl PeShard {
-    fn new(ring_capacity: usize) -> Self {
+    fn new() -> Self {
         PeShard {
             counters: std::array::from_fn(|_| Counter::new()),
             gauges: std::array::from_fn(|_| Gauge::new()),
             hists: std::array::from_fn(|_| Histogram::new()),
-            ring: Mutex::new(EventRing::new(ring_capacity)),
+            ring: Mutex::new(EventRing::new(DEFAULT_RING_CAPACITY)),
             lamport: AtomicU64::new(0),
         }
     }
@@ -140,15 +128,6 @@ impl PeShard {
         self.gauges[id.index()].raise(v);
     }
 
-    /// Adds a (possibly negative) delta to a gauge, returning the new
-    /// value — callers use it to feed a high-water gauge via
-    /// [`gauge_max`](PeShard::gauge_max).
-    pub fn gauge_add(&self, id: GaugeId, d: i64) -> i64 {
-        let g = &self.gauges[id.index()];
-        g.add(d);
-        g.get()
-    }
-
     /// Records a histogram observation.
     pub fn observe(&self, id: HistId, v: u64) {
         self.hists[id.index()].observe(v);
@@ -174,9 +153,6 @@ pub struct Registry {
     /// Per-PE scheduler state clocks (one slot per shard).
     sched: StateClock,
     t0: Instant,
-    /// Flow ids handed out by [`Registry::flow_send_tag`]; starts at 1 so
-    /// 0 stays the [`FlowTag::NONE`] sentinel.
-    next_flow: AtomicU64,
     /// Sender Lamport clock of every flow sent but not yet delivered —
     /// the receive side merges it and removes the entry, so what remains
     /// is exactly the in-flight set.
@@ -186,17 +162,11 @@ pub struct Registry {
 impl Registry {
     /// A registry with one shard per PE and the default ring capacity.
     pub fn new(num_pes: u16) -> Self {
-        Registry::with_capacity(num_pes, DEFAULT_RING_CAPACITY)
-    }
-
-    /// A registry with an explicit per-PE event-ring capacity.
-    pub fn with_capacity(num_pes: u16, ring_capacity: usize) -> Self {
         let n = (num_pes as usize).max(1);
         Registry {
-            shards: (0..n).map(|_| PeShard::new(ring_capacity)).collect(),
+            shards: (0..n).map(|_| PeShard::new()).collect(),
             sched: StateClock::new(n),
             t0: Instant::now(),
-            next_flow: AtomicU64::new(1),
             flows: Mutex::new(HashMap::new()),
         }
     }
@@ -204,11 +174,6 @@ impl Registry {
     /// `true`: this is the recording implementation.
     pub fn enabled(&self) -> bool {
         true
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// The shard for a PE (wrapping beyond the shard count).
@@ -232,11 +197,6 @@ impl Registry {
     /// up to now.
     pub fn sched_finish(&self, pe: u16) {
         self.sched.finish(pe);
-    }
-
-    /// The scheduler state currently in force on PE `pe`, if any.
-    pub fn sched_current(&self, pe: u16) -> Option<SchedState> {
-        self.sched.current(pe)
     }
 
     /// One PE's state-clock snapshot (also embedded per PE in
@@ -279,6 +239,13 @@ impl Registry {
     /// Records a point event with a value payload.
     pub fn instant(&self, pe: u16, cycle: u32, phase: Phase, name: &'static str, value: u64) {
         self.event(pe, cycle, phase, EventKind::Instant, name, value);
+    }
+
+    /// Writes a whole [`Ledger`] at `(pe, cycle)`: one instant per field
+    /// of its wire format, in wire order.
+    pub fn emit<L: Ledger>(&self, pe: u16, cycle: u32, ledger: &L) {
+        let mut fields = *ledger;
+        fields.wire(|name, value| self.instant(pe, cycle, L::PHASE, name, *value));
     }
 
     /// Opens a span closed automatically when the guard drops.
@@ -339,29 +306,6 @@ impl Registry {
             value: flow,
             lamport,
         });
-    }
-
-    /// [`Registry::flow_send`] for runtimes without their own message
-    /// sequence numbers: allocates a fresh flow id, records the send, and
-    /// returns a [`FlowTag`] to travel with the message.
-    pub fn flow_send_tag(&self, pe: u16, cycle: u32, phase: Phase, name: &'static str) -> FlowTag {
-        let flow = self.next_flow.fetch_add(1, Ordering::Relaxed);
-        self.flow_send(pe, cycle, phase, name, flow);
-        FlowTag(flow)
-    }
-
-    /// Resolves a [`FlowTag`] at delivery. [`FlowTag::NONE`] is ignored.
-    pub fn flow_recv_tag(
-        &self,
-        pe: u16,
-        cycle: u32,
-        phase: Phase,
-        name: &'static str,
-        tag: FlowTag,
-    ) {
-        if tag != FlowTag::NONE {
-            self.flow_recv(pe, cycle, phase, name, tag.0);
-        }
     }
 
     /// Number of flows sent but not yet delivered.
@@ -481,17 +425,14 @@ mod tests {
     fn flow_clocks_respect_happens_before() {
         let r = Registry::new(2);
         // PE 0 sends two flows; PE 1 receives them in order.
-        let a = r.flow_send_tag(0, 1, Phase::Mr, "mark");
-        let b = r.flow_send_tag(0, 1, Phase::Mr, "mark");
-        assert_ne!(a, FlowTag::NONE);
-        assert_ne!(a, b, "fresh ids per send");
+        r.flow_send(0, 1, Phase::Mr, "mark", 1);
+        r.flow_send(0, 1, Phase::Mr, "mark", 2);
         assert_eq!(r.flows_in_flight(), 2);
-        r.flow_recv_tag(1, 1, Phase::Mr, "mark", a);
-        r.flow_recv_tag(1, 1, Phase::Mr, "mark", b);
-        r.flow_recv_tag(1, 1, Phase::Mr, "mark", FlowTag::NONE);
+        r.flow_recv(1, 1, Phase::Mr, "mark", 1);
+        r.flow_recv(1, 1, Phase::Mr, "mark", 2);
         assert_eq!(r.flows_in_flight(), 0);
         let evs = r.drain_events();
-        assert_eq!(evs.len(), 4, "NONE tags record nothing");
+        assert_eq!(evs.len(), 4);
         let sends: Vec<&Event> = evs
             .iter()
             .filter(|e| e.kind == EventKind::FlowSend)
@@ -513,12 +454,12 @@ mod tests {
         let r = Registry::new(2);
         // Advance PE 0's clock well past PE 1's, then send 0 -> 1: the
         // receive must jump over the sender's clock, not just tick.
-        for _ in 0..9 {
-            let t = r.flow_send_tag(0, 0, Phase::Mr, "m");
-            r.flow_recv_tag(0, 0, Phase::Mr, "m", t);
+        for flow in 0..9 {
+            r.flow_send(0, 0, Phase::Mr, "m", flow);
+            r.flow_recv(0, 0, Phase::Mr, "m", flow);
         }
-        let t = r.flow_send_tag(0, 0, Phase::Mr, "m");
-        r.flow_recv_tag(1, 0, Phase::Mr, "m", t);
+        r.flow_send(0, 0, Phase::Mr, "m", 9);
+        r.flow_recv(1, 0, Phase::Mr, "m", 9);
         let evs = r.drain_events();
         let recv = evs.iter().rfind(|e| e.kind == EventKind::FlowRecv).unwrap();
         assert_eq!(recv.pe, 1);
@@ -526,14 +467,39 @@ mod tests {
     }
 
     #[test]
+    fn emit_writes_a_ledger_in_wire_order() {
+        use crate::heap::CycleHeap;
+        let r = Registry::new(2);
+        let row = CycleHeap {
+            cause: 1,
+            bound: 64,
+            live_end: 5,
+            exact_bytes: 9,
+            ..Default::default()
+        };
+        r.emit(0, 7, &row);
+        let evs = r.drain_events();
+        let names: Vec<&str> = evs.iter().map(|e| e.name).collect();
+        let mut wire = Vec::new();
+        { row }.wire(|name, _| wire.push(name));
+        assert_eq!(names, wire);
+        assert_eq!(evs.len(), 9);
+        assert!(evs
+            .iter()
+            .all(|e| (e.pe, e.cycle, e.phase, e.kind) == (0, 7, Phase::Gc, EventKind::Instant)));
+        assert_eq!((evs[0].value, evs[1].value, evs[2].value), (1, 64, 5));
+        assert_eq!(evs[8].value, 9);
+    }
+
+    #[test]
     fn sched_clocks_ride_the_snapshot() {
         let r = Registry::new(2);
         r.sched_enter(1, SchedState::Work);
-        assert_eq!(r.sched_current(1), Some(SchedState::Work));
+        assert_eq!(r.sched_snapshot(1).current, Some(SchedState::Work));
         std::thread::sleep(std::time::Duration::from_millis(1));
         r.sched_enter(1, SchedState::Quiesce);
         r.sched_finish(1);
-        assert_eq!(r.sched_current(1), None);
+        assert_eq!(r.sched_snapshot(1).current, None);
         let snap = r.snapshot();
         let sched = snap.per_pe[1].sched();
         assert!(sched.state_ns(SchedState::Work) >= 1_000_000);

@@ -7,8 +7,6 @@
 //! driver fills one in per cycle; renderers here turn a single report —
 //! or a whole timeline of them — into plain text or JSON.
 
-use crate::trace::json_escape;
-
 /// Everything measured about one marking cycle.
 ///
 /// Counter-derived fields (`mark_events`, `sends_local`, `sends_remote`,
@@ -167,12 +165,6 @@ pub fn timeline_text(reports: &[CycleReport]) -> String {
         "total: {cycles} cycles, {total_us}us, {marked} marked, {reclaimed} reclaimed\n"
     ));
     out
-}
-
-/// Escapes a string for a hand-rolled JSON document (re-exported for
-/// callers assembling reports into larger documents).
-pub fn escape_json(s: &str) -> String {
-    json_escape(s)
 }
 
 #[cfg(test)]

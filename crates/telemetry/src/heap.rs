@@ -31,6 +31,8 @@
 //! `HeapTracker` alias at the crate root names this [`Tracker`] or the
 //! zero-sized [`noop::HeapTracker`](crate::noop::HeapTracker).
 
+use crate::ids::Phase;
+use crate::ledger::{ratio, Ledger};
 use crate::lifecycle::quantile;
 use crate::metrics::{bucket_index, HIST_BUCKETS};
 
@@ -52,7 +54,7 @@ impl TriggerCause {
         }
     }
 
-    /// The numeric code carried by the `hp_cause` instant.
+    /// The numeric code a [`CycleHeap`] carries.
     pub fn code(self) -> u64 {
         match self {
             TriggerCause::Period => 0,
@@ -60,22 +62,27 @@ impl TriggerCause {
         }
     }
 
-    /// Decodes an `hp_cause` instant value.
+    /// Decodes a [`CycleHeap::cause`] code.
     pub fn from_code(code: u64) -> Option<TriggerCause> {
-        match code {
-            0 => Some(TriggerCause::Period),
-            1 => Some(TriggerCause::HeapBytes),
-            _ => None,
-        }
+        [TriggerCause::Period, TriggerCause::HeapBytes]
+            .into_iter()
+            .find(|cause| cause.code() == code)
     }
 }
 
 /// One marking cycle's heap ledger — the allocation traffic between two
-/// [`Tracker::close_cycle`] calls — as emitted via `hp_*` instants.
+/// [`Tracker::close_cycle`] calls, plus what started the cycle — as
+/// emitted via `hp_*` instants ([`Ledger::wire`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CycleHeap {
     /// The cycle number this record describes.
     pub cycle: u64,
+    /// What started the cycle, as a [`TriggerCause::code`]. The tracker
+    /// leaves it 0; the collector that knows the cause stamps it.
+    pub cause: u64,
+    /// The live-bytes bound in force (0 when the trigger watches none),
+    /// stamped by the collector like `cause`.
+    pub bound: u64,
     /// Vertices allocated in the window.
     pub allocs: u64,
     /// Vertices freed in the window.
@@ -86,12 +93,57 @@ pub struct CycleHeap {
     pub freed_bytes: u64,
     /// Of the freed bytes, how many came off stamped vertices.
     pub exact_bytes: u64,
-    /// Frees whose vertex carried an allocation stamp.
-    pub exact_frees: u64,
     /// Total live bytes when the cycle closed.
     pub live_end: u64,
     /// Peak total live bytes observed inside the window.
     pub peak: u64,
+}
+
+impl Ledger for CycleHeap {
+    const PHASE: Phase = Phase::Gc;
+
+    fn open(_pe: u16, cycle: u32) -> (u64, Self) {
+        let cycle = u64::from(cycle);
+        (
+            cycle,
+            CycleHeap {
+                cycle,
+                ..Default::default()
+            },
+        )
+    }
+
+    fn wire(&mut self, mut field: impl FnMut(&'static str, &mut u64)) {
+        field("hp_cause", &mut self.cause);
+        field("hp_bound", &mut self.bound);
+        field("hp_live", &mut self.live_end);
+        field("hp_peak", &mut self.peak);
+        field("hp_alloc_bytes", &mut self.alloc_bytes);
+        field("hp_freed_bytes", &mut self.freed_bytes);
+        field("hp_allocs", &mut self.allocs);
+        field("hp_frees", &mut self.frees);
+        field("hp_exact_bytes", &mut self.exact_bytes);
+    }
+}
+
+impl CycleHeap {
+    /// The trigger cause's label (`"?"` for a code this build does not
+    /// know).
+    pub fn cause_name(&self) -> &'static str {
+        TriggerCause::from_code(self.cause).map_or("?", TriggerCause::name)
+    }
+
+    /// Fraction of the window's freed bytes that came off stamped
+    /// vertices (1 when nothing was freed).
+    pub fn exact_fraction(&self) -> f64 {
+        ratio(self.exact_bytes, self.freed_bytes, 1.0)
+    }
+
+    /// Peak live bytes over the bound (0 when no bound was in force):
+    /// above 1, the cycle started too late to hold the waterline.
+    pub fn pressure(&self) -> f64 {
+        ratio(self.peak, self.bound, 0.0)
+    }
 }
 
 /// One PE's byte meters.
@@ -158,20 +210,12 @@ impl HeapSnapshot {
     /// Fraction of freed *bytes* that came off stamped vertices
     /// (1 when nothing was freed).
     pub fn exact_fraction(&self) -> f64 {
-        if self.freed_bytes == 0 {
-            1.0
-        } else {
-            self.exact_bytes as f64 / self.freed_bytes as f64
-        }
+        ratio(self.exact_bytes, self.freed_bytes, 1.0)
     }
 
     /// Mean allocation size in bytes (0 when nothing was allocated).
     pub fn mean_alloc_bytes(&self) -> f64 {
-        if self.size_count == 0 {
-            0.0
-        } else {
-            self.size_sum as f64 / self.size_count as f64
-        }
+        ratio(self.size_sum, self.size_count, 0.0)
     }
 
     /// Bucket-estimated allocation-size quantile in bytes (same
@@ -284,7 +328,6 @@ impl Tracker {
         if exact {
             self.snap.exact_frees += 1;
             self.snap.exact_bytes += bytes;
-            self.cur.exact_frees += 1;
             self.cur.exact_bytes += bytes;
         }
     }
@@ -477,6 +520,28 @@ mod tests {
             assert_eq!(TriggerCause::from_code(cause.code()), Some(cause));
         }
         assert_eq!(TriggerCause::from_code(7), None);
+    }
+
+    #[test]
+    fn ledger_metrics_read_the_stamped_cause_and_bound() {
+        let row = CycleHeap {
+            cause: TriggerCause::HeapBytes.code(),
+            bound: 1000,
+            peak: 1200,
+            freed_bytes: 200,
+            exact_bytes: 50,
+            ..Default::default()
+        };
+        assert_eq!(row.cause_name(), "heap");
+        assert!((row.pressure() - 1.2).abs() < 1e-9);
+        assert!((row.exact_fraction() - 0.25).abs() < 1e-9);
+        let blank = CycleHeap {
+            cause: 7,
+            ..Default::default()
+        };
+        assert_eq!(blank.cause_name(), "?");
+        assert_eq!(blank.pressure(), 0.0);
+        assert_eq!(blank.exact_fraction(), 1.0);
     }
 
     #[test]

@@ -36,6 +36,7 @@ pub mod flight;
 pub mod heap;
 pub mod heartbeat;
 pub mod ids;
+pub mod ledger;
 pub mod lifecycle;
 pub mod metrics;
 pub mod noop;
@@ -48,7 +49,8 @@ pub use flight::{flight_json, flight_path, write_flight, FLIGHT_DIR_ENV};
 pub use heap::{CycleHeap, HeapSnapshot, PeHeap, TriggerCause};
 pub use heartbeat::Heartbeat;
 pub use ids::{CounterId, GaugeId, HistId, Phase};
-pub use lifecycle::{CycleLifecycle, LifecycleSnapshot};
+pub use ledger::Ledger;
+pub use lifecycle::{CycleLifecycle, Floater, LifecycleSnapshot};
 pub use metrics::{
     bucket_index, bucket_label, bucket_lower_edge, bucket_upper_edge, HistSnapshot,
     MetricsSnapshot, PeSnapshot, HIST_BUCKETS,
@@ -58,7 +60,7 @@ pub use sched::{PeSchedSnapshot, SchedState, StateClock};
 pub use trace::{chrome_trace_json, events_jsonl, json_escape};
 
 #[cfg(feature = "telemetry")]
-pub use active::{FlowTag, HeartbeatHandle, PeShard, Registry, SpanGuard};
+pub use active::{HeartbeatHandle, PeShard, Registry, SpanGuard};
 #[cfg(feature = "telemetry")]
 pub use heap::Tracker as HeapTracker;
 #[cfg(feature = "telemetry")]
@@ -69,7 +71,7 @@ pub use noop::HeapTracker;
 #[cfg(not(feature = "telemetry"))]
 pub use noop::LifecycleTracker;
 #[cfg(not(feature = "telemetry"))]
-pub use noop::{FlowTag, HeartbeatHandle, PeShard, Registry, SpanGuard};
+pub use noop::{HeartbeatHandle, PeShard, Registry, SpanGuard};
 
 /// `true` when this build records telemetry (the `telemetry` feature is
 /// on), `false` when [`Registry`] is the zero-sized no-op.

@@ -31,10 +31,13 @@
 //! at the crate root names this [`Tracker`] or the zero-sized
 //! [`noop::LifecycleTracker`](crate::noop::LifecycleTracker).
 
+use crate::ids::Phase;
+use crate::ledger::{ratio, Ledger};
 use crate::metrics::{bucket_index, HIST_BUCKETS};
 
 /// One collection cycle's lifecycle ledger, as returned by
-/// [`Tracker::end_cycle`].
+/// [`Tracker::end_cycle`] and emitted via `lc_*` instants
+/// ([`Ledger::wire`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CycleLifecycle {
     /// The cycle number this record describes.
@@ -56,6 +59,86 @@ pub struct CycleLifecycle {
     /// Section 4 message-bound units charged to this cycle (see
     /// [`LifecycleSnapshot::efficiency`]).
     pub bound: u64,
+}
+
+impl Ledger for CycleLifecycle {
+    const PHASE: Phase = Phase::Gc;
+
+    fn open(_pe: u16, cycle: u32) -> (u64, Self) {
+        let cycle = u64::from(cycle);
+        (
+            cycle,
+            CycleLifecycle {
+                cycle,
+                ..Default::default()
+            },
+        )
+    }
+
+    fn wire(&mut self, mut field: impl FnMut(&'static str, &mut u64)) {
+        field("lc_garbage", &mut self.garbage);
+        field("lc_reclaimed", &mut self.reclaimed);
+        field("lc_exact", &mut self.exact);
+        field("lc_latency_sum", &mut self.latency_sum);
+        field("lc_float", &mut self.float);
+        field("lc_msgs_mt", &mut self.msgs_mt);
+        field("lc_msgs_mr", &mut self.msgs_mr);
+        field("lc_bound", &mut self.bound);
+    }
+}
+
+impl CycleLifecycle {
+    /// Mean exact reclamation latency in cycles (0 when nothing exact).
+    pub fn mean_latency(&self) -> f64 {
+        ratio(self.latency_sum, self.exact, 0.0)
+    }
+
+    /// Marking messages per reclaimed vertex (0 when nothing reclaimed).
+    pub fn msgs_per_reclaimed(&self) -> f64 {
+        ratio(self.msgs_mt + self.msgs_mr, self.reclaimed, 0.0)
+    }
+
+    /// Observed messages over the bound (0 when no bound was metered).
+    pub fn efficiency(&self) -> f64 {
+        ratio(self.msgs_mt + self.msgs_mr, self.bound, 0.0)
+    }
+}
+
+/// One worst-float offender as an `lc_floater` instant carries it: the
+/// vertex index and its age in cycles packed into one value, ages
+/// saturating at `0xFFFF`. A single-field [`Ledger`], so the one `emit`
+/// writes it; a cycle emits several, so a fold offers each instant to a
+/// fresh one ([`Ledger::absorb`]) instead of keying them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Floater(u64);
+
+impl Floater {
+    /// Packs an offender.
+    pub fn new(vertex: u32, age: u64) -> Self {
+        Floater((u64::from(vertex) << 16) | age.min(0xFFFF))
+    }
+
+    /// The floating vertex's index.
+    pub fn vertex(self) -> u32 {
+        (self.0 >> 16) as u32
+    }
+
+    /// Cycles it had floated when emitted (saturated).
+    pub fn age(self) -> u64 {
+        self.0 & 0xFFFF
+    }
+}
+
+impl Ledger for Floater {
+    const PHASE: Phase = Phase::Gc;
+
+    fn open(_pe: u16, cycle: u32) -> (u64, Self) {
+        (u64::from(cycle), Floater(0))
+    }
+
+    fn wire(&mut self, mut field: impl FnMut(&'static str, &mut u64)) {
+        field("lc_floater", &mut self.0);
+    }
 }
 
 /// Cheap copyable totals of a [`Tracker`], suitable for publishing into
@@ -95,44 +178,28 @@ impl LifecycleSnapshot {
 
     /// Mean exact reclamation latency in cycles (0 when nothing exact).
     pub fn mean_latency(&self) -> f64 {
-        if self.exact == 0 {
-            0.0
-        } else {
-            self.latency_sum as f64 / self.exact as f64
-        }
+        ratio(self.latency_sum, self.exact, 0.0)
     }
 
     /// Fraction of reclaims with an exact latency (1 when none reclaimed).
     pub fn exact_fraction(&self) -> f64 {
-        if self.reclaimed == 0 {
-            1.0
-        } else {
-            self.exact as f64 / self.reclaimed as f64
-        }
+        ratio(self.exact, self.reclaimed, 1.0)
     }
 
     /// Messages per reclaimed vertex, split `(M_T, M_R)` (0 when nothing
     /// was reclaimed).
     pub fn msgs_per_reclaimed(&self) -> (f64, f64) {
-        if self.reclaimed == 0 {
-            (0.0, 0.0)
-        } else {
-            (
-                self.msgs_mt as f64 / self.reclaimed as f64,
-                self.msgs_mr as f64 / self.reclaimed as f64,
-            )
-        }
+        (
+            ratio(self.msgs_mt, self.reclaimed, 0.0),
+            ratio(self.msgs_mr, self.reclaimed, 0.0),
+        )
     }
 
     /// Observed messages over the Section 4 bound units metered alongside
     /// them — ≤ 1 means marking stayed within the paper's budget. 0 when
     /// no bound was metered.
     pub fn efficiency(&self) -> f64 {
-        if self.bound == 0 {
-            0.0
-        } else {
-            (self.msgs_mt + self.msgs_mr) as f64 / self.bound as f64
-        }
+        ratio(self.msgs_mt + self.msgs_mr, self.bound, 0.0)
     }
 
     /// Bucket-estimated latency quantile in cycles (same convention as
@@ -174,9 +241,6 @@ const UNSTAMPED: u64 = 0;
 /// collector's own restructure path, which already owns the graph.
 #[derive(Debug, Default)]
 pub struct Tracker {
-    /// Per-vertex: cycle of first sight + 1 (birth stamp). Allocation is
-    /// invisible to the GC plane, so "birth" is first observation.
-    born: Vec<u64>,
     /// Per-vertex: cycle first censused garbage + 1.
     since: Vec<u64>,
     /// Per-vertex: last cycle censused garbage + 1 (resurrection sweep).
@@ -219,31 +283,12 @@ impl Tracker {
         self.open = true;
     }
 
-    /// Stamps a vertex's birth (first sight) and, if it had been censused
-    /// garbage, clears the stamp — a reachable vertex is not floating.
-    pub fn observe_alive(&mut self, idx: usize) {
-        let cycle = self.cur.cycle;
-        let born = Self::slot(&mut self.born, idx);
-        if *born == UNSTAMPED {
-            *born = cycle + 1;
-        }
-        if idx < self.since.len() && self.since[idx] != UNSTAMPED {
-            self.since[idx] = UNSTAMPED;
-            self.seen[idx] = UNSTAMPED;
-            self.floating.retain(|&f| f as usize != idx);
-        }
-    }
-
     /// Censuses a vertex as dead-but-unreclaimed this cycle. First sight
     /// stamps its `unreachable` cycle; every sight ages it into the
     /// float-age histogram. Idempotent within a cycle.
     pub fn garbage_vertex(&mut self, idx: usize) {
         debug_assert!(self.open, "census outside begin_cycle/end_cycle");
         let cycle = self.cur.cycle;
-        let born = Self::slot(&mut self.born, idx);
-        if *born == UNSTAMPED {
-            *born = cycle + 1;
-        }
         let seen = Self::slot(&mut self.seen, idx);
         if *seen == cycle + 1 {
             return; // already censused this cycle
@@ -340,23 +385,6 @@ impl Tracker {
         out.truncate(k);
         out
     }
-
-    /// The cycle a vertex was first censused garbage, if it is currently
-    /// floating.
-    pub fn unreachable_cycle(&self, idx: usize) -> Option<u64> {
-        match self.since.get(idx) {
-            Some(&s) if s != UNSTAMPED => Some(s - 1),
-            _ => None,
-        }
-    }
-
-    /// The cycle a vertex was first observed, if ever.
-    pub fn birth_cycle(&self, idx: usize) -> Option<u64> {
-        match self.born.get(idx) {
-            Some(&b) if b != UNSTAMPED => Some(b - 1),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -408,8 +436,7 @@ mod tests {
         assert_eq!(s.float_age[bucket_index(0)], 1, "age 0 at first census");
         assert_eq!(s.float_age[2], 2, "ages 2 and 3 share bucket 2");
         assert_eq!(s.latency_quantile(0.5), 3);
-        assert_eq!(t.unreachable_cycle(7), None, "stamp cleared on reclaim");
-        assert_eq!(t.birth_cycle(7), Some(1));
+        assert!(t.worst_floaters(1).is_empty(), "stamp cleared on reclaim");
     }
 
     #[test]
@@ -444,19 +471,6 @@ mod tests {
         t.reclaim_vertex(9);
         let rec = t.end_cycle();
         assert_eq!(rec.latency_sum, 1);
-    }
-
-    #[test]
-    fn observe_alive_clears_a_stamp_immediately() {
-        let mut t = Tracker::new();
-        t.begin_cycle(1);
-        t.garbage_vertex(4);
-        t.end_cycle();
-        t.begin_cycle(2);
-        t.observe_alive(4);
-        assert_eq!(t.end_cycle().float, 0);
-        assert_eq!(t.unreachable_cycle(4), None);
-        assert_eq!(t.birth_cycle(4), Some(1), "birth survives resurrection");
     }
 
     #[test]
@@ -503,6 +517,37 @@ mod tests {
         let s = t.snapshot();
         assert_eq!(s.msgs_per_reclaimed(), (4.0, 6.0));
         assert_eq!(s.efficiency(), 0.5);
+    }
+
+    #[test]
+    fn cycle_ledger_metrics() {
+        let row = CycleLifecycle {
+            reclaimed: 4,
+            exact: 4,
+            latency_sum: 8,
+            msgs_mt: 10,
+            msgs_mr: 30,
+            bound: 50,
+            ..Default::default()
+        };
+        assert!((row.mean_latency() - 2.0).abs() < 1e-9);
+        assert!((row.msgs_per_reclaimed() - 10.0).abs() < 1e-9);
+        assert!((row.efficiency() - 0.8).abs() < 1e-9);
+        let blank = CycleLifecycle::default();
+        assert_eq!(blank.mean_latency(), 0.0);
+        assert_eq!(blank.msgs_per_reclaimed(), 0.0);
+        assert_eq!(blank.efficiency(), 0.0);
+    }
+
+    #[test]
+    fn unpack_matches_the_driver_packing() {
+        let f = Floater::new(1234, 77);
+        assert_eq!((f.vertex(), f.age()), (1234, 77));
+        assert_eq!(Floater::new(9, 1 << 40).age(), 0xFFFF, "age saturates");
+        let (_, mut back) = Floater::open(0, 3);
+        assert!(back.absorb("lc_floater", (1234 << 16) | 77));
+        assert_eq!(back, f);
+        assert!(!back.absorb("lc_float", 1), "a different instant");
     }
 
     #[test]

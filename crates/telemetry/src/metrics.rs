@@ -56,11 +56,6 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Adds a (possibly negative) delta.
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
     /// Raises the value to `v` if `v` is larger (high-water tracking).
     pub fn raise(&self, v: i64) {
         self.0.fetch_max(v, Ordering::Relaxed);
@@ -364,9 +359,7 @@ mod tests {
         c.add(4);
         assert_eq!(c.get(), 5);
         let g = Gauge::new();
-        g.set(7);
-        g.add(-3);
-        assert_eq!(g.get(), 4);
+        g.set(4);
         g.raise(2);
         assert_eq!(g.get(), 4, "raise never lowers");
         g.raise(11);

@@ -8,23 +8,11 @@
 
 use crate::heap::{CycleHeap, HeapSnapshot, TriggerCause};
 use crate::ids::{CounterId, GaugeId, HistId, Phase};
+use crate::ledger::Ledger;
 use crate::lifecycle::{CycleLifecycle, LifecycleSnapshot};
 use crate::metrics::MetricsSnapshot;
 use crate::ring::Event;
 use crate::sched::{PeSchedSnapshot, SchedState};
-
-/// No-op counterpart of [`active::FlowTag`](crate::active::FlowTag).
-///
-/// Zero-sized, so a `(FlowTag, M)` work item is layout-identical to a
-/// bare `M` — flow stamping adds no bytes to hot-path messages in a
-/// default build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FlowTag;
-
-impl FlowTag {
-    /// The "no flow" tag (the only value there is).
-    pub const NONE: FlowTag = FlowTag;
-}
 
 /// No-op counterpart of
 /// [`active::HeartbeatHandle`](crate::active::HeartbeatHandle).
@@ -99,12 +87,6 @@ impl PeShard {
     #[inline(always)]
     pub fn gauge_max(&self, _id: GaugeId, _v: i64) {}
 
-    /// Does nothing; always returns 0.
-    #[inline(always)]
-    pub fn gauge_add(&self, _id: GaugeId, _d: i64) -> i64 {
-        0
-    }
-
     /// Does nothing.
     #[inline(always)]
     pub fn observe(&self, _id: HistId, _v: u64) {}
@@ -121,22 +103,10 @@ impl Registry {
         Registry
     }
 
-    /// A no-op registry (ignores both arguments).
-    #[inline(always)]
-    pub fn with_capacity(_num_pes: u16, _ring_capacity: usize) -> Self {
-        Registry
-    }
-
     /// `false`: nothing is recorded.
     #[inline(always)]
     pub fn enabled(&self) -> bool {
         false
-    }
-
-    /// Always 0.
-    #[inline(always)]
-    pub fn num_shards(&self) -> usize {
-        0
     }
 
     /// The shared zero-sized shard.
@@ -159,12 +129,6 @@ impl Registry {
     #[inline(always)]
     pub fn sched_finish(&self, _pe: u16) {}
 
-    /// Always `None`.
-    #[inline(always)]
-    pub fn sched_current(&self, _pe: u16) -> Option<SchedState> {
-        None
-    }
-
     /// Always the empty clock.
     #[inline(always)]
     pub fn sched_snapshot(&self, _pe: u16) -> PeSchedSnapshot {
@@ -183,6 +147,10 @@ impl Registry {
     #[inline(always)]
     pub fn instant(&self, _pe: u16, _cycle: u32, _phase: Phase, _name: &'static str, _value: u64) {}
 
+    /// Does nothing.
+    #[inline(always)]
+    pub fn emit<L: Ledger>(&self, _pe: u16, _cycle: u32, _ledger: &L) {}
+
     /// A zero-sized guard.
     #[inline(always)]
     pub fn span(&self, _pe: u16, _cycle: u32, _phase: Phase, _name: &'static str) -> SpanGuard<'_> {
@@ -197,30 +165,6 @@ impl Registry {
     /// Does nothing.
     #[inline(always)]
     pub fn flow_recv(&self, _pe: u16, _cycle: u32, _phase: Phase, _name: &'static str, _flow: u64) {
-    }
-
-    /// Does nothing; returns the zero-sized tag.
-    #[inline(always)]
-    pub fn flow_send_tag(
-        &self,
-        _pe: u16,
-        _cycle: u32,
-        _phase: Phase,
-        _name: &'static str,
-    ) -> FlowTag {
-        FlowTag
-    }
-
-    /// Does nothing.
-    #[inline(always)]
-    pub fn flow_recv_tag(
-        &self,
-        _pe: u16,
-        _cycle: u32,
-        _phase: Phase,
-        _name: &'static str,
-        _tag: FlowTag,
-    ) {
     }
 
     /// Always 0.
@@ -280,10 +224,6 @@ impl LifecycleTracker {
 
     /// Does nothing.
     #[inline(always)]
-    pub fn observe_alive(&mut self, _idx: usize) {}
-
-    /// Does nothing.
-    #[inline(always)]
     pub fn garbage_vertex(&mut self, _idx: usize) {}
 
     /// Does nothing.
@@ -310,18 +250,6 @@ impl LifecycleTracker {
     #[inline(always)]
     pub fn worst_floaters(&self, _k: usize) -> Vec<(u32, u64)> {
         Vec::new()
-    }
-
-    /// Always `None`.
-    #[inline(always)]
-    pub fn unreachable_cycle(&self, _idx: usize) -> Option<u64> {
-        None
-    }
-
-    /// Always `None`.
-    #[inline(always)]
-    pub fn birth_cycle(&self, _idx: usize) -> Option<u64> {
-        None
     }
 }
 
@@ -405,7 +333,6 @@ mod tests {
         assert_eq!(std::mem::size_of::<Registry>(), 0);
         assert_eq!(std::mem::size_of::<PeShard>(), 0);
         assert_eq!(std::mem::size_of::<SpanGuard<'_>>(), 0);
-        assert_eq!(std::mem::size_of::<FlowTag>(), 0);
         assert_eq!(std::mem::size_of::<HeartbeatHandle>(), 0);
         assert_eq!(std::mem::size_of::<LifecycleTracker>(), 0);
         assert_eq!(std::mem::size_of::<HeapTracker>(), 0);
@@ -432,7 +359,6 @@ mod tests {
         let mut t = LifecycleTracker::new();
         assert!(!t.enabled());
         t.begin_cycle(1);
-        t.observe_alive(0);
         t.garbage_vertex(1);
         t.reclaim_vertex(1);
         t.meter_msgs(3, 4, 10);
@@ -440,8 +366,6 @@ mod tests {
         assert_eq!(rec, CycleLifecycle::default());
         assert!(t.snapshot().is_empty());
         assert!(t.worst_floaters(8).is_empty());
-        assert_eq!(t.unreachable_cycle(1), None);
-        assert_eq!(t.birth_cycle(1), None);
     }
 
     #[test]
@@ -471,12 +395,10 @@ mod tests {
         {
             let _g = r.span(0, 1, Phase::Gc, "cycle");
         }
-        let tag = r.flow_send_tag(0, 1, Phase::Mr, "mark");
-        r.flow_recv_tag(1, 1, Phase::Mr, "mark", tag);
+        r.emit(0, 1, &CycleHeap::default());
         r.flow_send(0, 1, Phase::Mt, "mark", 7);
         r.flow_recv(1, 1, Phase::Mt, "mark", 7);
         r.sched_enter(0, SchedState::Work);
-        assert_eq!(r.sched_current(0), None, "no state clock runs");
         r.sched_finish(0);
         assert!(r.sched_snapshot(0).is_empty());
         assert_eq!(r.snapshot().merged().sched().total_ns(), 0);

@@ -37,6 +37,15 @@ impl EventKind {
             EventKind::FlowRecv => "flow_recv",
         }
     }
+
+    /// The kind a [`name`](EventKind::name) stands for; `None` for
+    /// anything else.
+    pub fn parse(name: &str) -> Option<EventKind> {
+        use EventKind::*;
+        [Begin, End, Instant, FlowSend, FlowRecv]
+            .into_iter()
+            .find(|k| k.name() == name)
+    }
 }
 
 /// One structured trace event.

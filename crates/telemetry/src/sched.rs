@@ -32,6 +32,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use crate::ids::Phase;
+use crate::ledger::{ratio, Ledger};
+
 /// What a scheduler worker is doing right now. Closed enum — the blame
 /// report and the Prometheus exporter both enumerate [`SchedState::ALL`],
 /// so adding a state extends every consumer by compile error.
@@ -74,11 +77,6 @@ impl SchedState {
         self as usize
     }
 
-    /// The state at a dense index, if in range.
-    pub fn from_index(i: usize) -> Option<SchedState> {
-        SchedState::ALL.get(i).copied()
-    }
-
     /// Stable snake_case name (also the JSON value and the Prometheus
     /// `state` label).
     pub fn name(self) -> &'static str {
@@ -93,9 +91,9 @@ impl SchedState {
         }
     }
 
-    /// The instant-event name carrying this state's nanosecond total in
-    /// an events JSONL dump — what `dgr-trace blame` parses.
-    pub fn event_name(self) -> &'static str {
+    /// The instant name carrying this state's nanoseconds on the wire
+    /// (see the [`Ledger`] impl of [`PeSchedSnapshot`]).
+    fn event_name(self) -> &'static str {
         match self {
             SchedState::Work => "sched_work",
             SchedState::StealSearch => "sched_steal_search",
@@ -105,14 +103,6 @@ impl SchedState {
             SchedState::MailboxDrain => "sched_mailbox_drain",
             SchedState::Quiesce => "sched_quiesce",
         }
-    }
-
-    /// Recovers a state from its [`event_name`](SchedState::event_name).
-    pub fn from_event_name(name: &str) -> Option<SchedState> {
-        SchedState::ALL
-            .iter()
-            .copied()
-            .find(|s| s.event_name() == name)
     }
 }
 
@@ -167,11 +157,6 @@ impl StateClock {
         }
     }
 
-    /// Number of slots.
-    pub fn num_slots(&self) -> usize {
-        self.slots.len()
-    }
-
     fn now_ns(&self) -> u64 {
         self.t0.elapsed().as_nanos() as u64
     }
@@ -215,14 +200,6 @@ impl StateClock {
         slot.last_ns.fetch_max(now, Ordering::Relaxed);
     }
 
-    /// The state currently in force on PE `pe`, if any.
-    pub fn current(&self, pe: u16) -> Option<SchedState> {
-        match self.slot(pe).current.load(Ordering::Relaxed) {
-            NO_STATE => None,
-            i => SchedState::from_index(i as usize),
-        }
-    }
-
     /// Copies one PE's clock out. Mid-episode, the in-force state is
     /// virtually charged up to now, so snapshots taken while the worker
     /// runs still satisfy `Σ ns ≈ span_ns` (exactly, once finished).
@@ -233,12 +210,9 @@ impl StateClock {
             ns[i] = cell.load(Ordering::Relaxed);
         }
         let first = slot.first_ns.load(Ordering::Relaxed);
+        // `NO_STATE` is past the end of `ALL`, so it reads as `None`.
         let cur = slot.current.load(Ordering::Relaxed);
-        let current = if cur == NO_STATE {
-            None
-        } else {
-            SchedState::from_index(cur as usize)
-        };
+        let current = SchedState::ALL.get(cur as usize).copied();
         let span_ns = if first == NEVER {
             0
         } else if let Some(state) = current {
@@ -259,7 +233,7 @@ impl StateClock {
 }
 
 /// A point-in-time copy of one PE's state clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PeSchedSnapshot {
     /// Nanoseconds charged to each state, indexed by
     /// [`SchedState::index`].
@@ -272,17 +246,49 @@ pub struct PeSchedSnapshot {
     pub span_ns: u64,
 }
 
-impl Default for PeSchedSnapshot {
-    fn default() -> Self {
-        PeSchedSnapshot {
-            ns: [0; SchedState::COUNT],
-            current: None,
-            span_ns: 0,
+/// As a ledger a clock is one pass's deltas ([`PeSchedSnapshot::since`]),
+/// keyed by PE: one `sched_*` instant per state plus the pass span, and
+/// folds **sum** — a stream holding several passes on one registry folds
+/// to the true multi-pass clock.
+impl Ledger for PeSchedSnapshot {
+    const PHASE: Phase = Phase::Mr;
+
+    fn open(pe: u16, _cycle: u32) -> (u64, Self) {
+        (u64::from(pe), PeSchedSnapshot::default())
+    }
+
+    fn wire(&mut self, mut field: impl FnMut(&'static str, &mut u64)) {
+        for s in SchedState::ALL {
+            field(s.event_name(), &mut self.ns[s.index()]);
         }
+        field("sched_span", &mut self.span_ns);
+    }
+
+    fn combine(held: u64, new: u64) -> u64 {
+        held + new
     }
 }
 
 impl PeSchedSnapshot {
+    /// What this clock accumulated after `base` was read off the same
+    /// slot — one pass's ledger. The span is the accounted-time delta:
+    /// the clock's cumulative `span_ns` includes the idle gap between
+    /// passes, while `total_ns` equals the span exactly for each finished
+    /// episode, so its delta is exactly the pass's span.
+    pub fn since(&self, base: &PeSchedSnapshot) -> PeSchedSnapshot {
+        PeSchedSnapshot {
+            ns: std::array::from_fn(|i| self.ns[i].saturating_sub(base.ns[i])),
+            current: None,
+            span_ns: self.total_ns().saturating_sub(base.total_ns()),
+        }
+    }
+
+    /// Accounted fraction of the span; 1.0 for an empty clock (nothing
+    /// ran, nothing unaccounted).
+    pub fn accounted(&self) -> f64 {
+        ratio(self.total_ns(), self.span_ns, 1.0)
+    }
+
     /// Nanoseconds charged to one state.
     pub fn state_ns(&self, state: SchedState) -> u64 {
         self.ns[state.index()]
@@ -331,10 +337,7 @@ mod tests {
     fn states_are_dense_with_unique_names() {
         for (i, s) in SchedState::ALL.iter().enumerate() {
             assert_eq!(s.index(), i);
-            assert_eq!(SchedState::from_index(i), Some(*s));
-            assert_eq!(SchedState::from_event_name(s.event_name()), Some(*s));
         }
-        assert_eq!(SchedState::from_index(SchedState::COUNT), None);
         let mut names: Vec<&str> = SchedState::ALL.iter().map(|s| s.name()).collect();
         names.extend(SchedState::ALL.iter().map(|s| s.event_name()));
         let n = names.len();
@@ -371,11 +374,11 @@ mod tests {
     #[test]
     fn finish_is_idempotent_and_current_tracks() {
         let clock = StateClock::new(1);
-        assert_eq!(clock.current(0), None);
+        assert_eq!(clock.snapshot_pe(0).current, None);
         clock.enter(0, SchedState::Park);
-        assert_eq!(clock.current(0), Some(SchedState::Park));
+        assert_eq!(clock.snapshot_pe(0).current, Some(SchedState::Park));
         clock.finish(0);
-        assert_eq!(clock.current(0), None);
+        assert_eq!(clock.snapshot_pe(0).current, None);
         let a = clock.snapshot_pe(0);
         clock.finish(0);
         let b = clock.snapshot_pe(0);
@@ -401,11 +404,43 @@ mod tests {
         clock.finish(2);
         assert!(clock.snapshot_pe(0).state_ns(SchedState::Work) > 0);
         assert!(clock.snapshot_pe(1).is_empty(), "slot 1 untouched");
-        assert_eq!(clock.num_slots(), 2);
         let zero = StateClock::new(0);
         zero.enter(5, SchedState::Work);
         zero.finish(5);
-        assert_eq!(zero.num_slots(), 1);
+        assert_eq!(
+            zero.snapshot_pe(0),
+            zero.snapshot_pe(5),
+            "a zero-PE clock still has its one slot"
+        );
+    }
+
+    #[test]
+    fn a_pass_ledger_is_the_delta_and_folds_by_summing() {
+        let mut base = PeSchedSnapshot::default();
+        base.ns[SchedState::Work.index()] = 100;
+        base.span_ns = 5_000; // cumulative span: includes idle gaps
+        let mut now = base;
+        now.ns[SchedState::Work.index()] = 400;
+        now.ns[SchedState::Park.index()] = 50;
+        now.span_ns = 9_000;
+        now.current = Some(SchedState::Park);
+        let pass = now.since(&base);
+        assert_eq!(pass.state_ns(SchedState::Work), 300);
+        assert_eq!(pass.state_ns(SchedState::Park), 50);
+        assert_eq!(pass.span_ns, 350, "accounted delta, not wall window");
+        assert_eq!(pass.current, None);
+        assert!((pass.accounted() - 1.0).abs() < 1e-12);
+        assert_eq!(PeSchedSnapshot::default().accounted(), 1.0);
+        // Two passes of the same PE fold to their sum.
+        let (key, mut folded) = PeSchedSnapshot::open(3, 0);
+        assert_eq!(key, 3);
+        for _ in 0..2 {
+            let mut fields = pass;
+            fields.wire(|name, v| assert!(folded.absorb(name, *v)));
+        }
+        assert_eq!(folded.state_ns(SchedState::Work), 600);
+        assert_eq!(folded.span_ns, 700);
+        assert!(!folded.absorb("bsp_span_us", 1));
     }
 
     #[test]

@@ -63,7 +63,7 @@ fn chrome_trace_flow_golden() {
 /// Every `E` must close the most recent unclosed `B` with the same name
 /// on the same track, and every `f` must resolve a previously-emitted
 /// `s` with the same flow id — checked over a trace produced by real
-/// (nested, multi-PE) span guards and flow tags on the always-compiled
+/// (nested, multi-PE) span guards and flow events on the always-compiled
 /// active registry.
 #[test]
 fn chrome_trace_begin_end_pairs_match() {
@@ -73,8 +73,8 @@ fn chrome_trace_begin_end_pairs_match() {
         {
             let _mr = reg.span(0, 1, Phase::Mr, "M_R");
             reg.instant(1, 1, Phase::Mr, "wave", 4);
-            let tag = reg.flow_send_tag(0, 1, Phase::Mr, "mark");
-            reg.flow_recv_tag(1, 1, Phase::Mr, "mark", tag);
+            reg.flow_send(0, 1, Phase::Mr, "mark", 1);
+            reg.flow_recv(1, 1, Phase::Mr, "mark", 1);
         }
         let _classify = reg.span(2, 1, Phase::Classify, "restructure");
     }

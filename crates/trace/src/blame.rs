@@ -28,57 +28,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::{critical_paths, match_flows, Kind, ParsedEvent};
+use dgr_telemetry::{PeSchedSnapshot, SchedState};
 
-/// Scheduler states in clock order, as `(instant name, display name)`.
-///
-/// Mirrors `dgr_telemetry::SchedState::{event_name, name}`; kept as
-/// string pairs so the analyzer stays free of runtime dependencies.
-pub const SCHED_STATES: [(&str, &str); 7] = [
-    ("sched_work", "work"),
-    ("sched_steal_search", "steal_search"),
-    ("sched_spin", "spin"),
-    ("sched_yield", "yield"),
-    ("sched_park", "park"),
-    ("sched_mailbox_drain", "mailbox_drain"),
-    ("sched_quiesce", "quiesce"),
-];
-
-/// Indices into a [`PeClock::ns`] array, matching [`SCHED_STATES`].
-const WORK: usize = 0;
-const STEAL_SEARCH: usize = 1;
-const SPIN: usize = 2;
-const YIELD: usize = 3;
-const PARK: usize = 4;
-const MAILBOX_DRAIN: usize = 5;
-const QUIESCE: usize = 6;
-
-/// One PE's reconstructed state clock.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PeClock {
-    /// The PE the clock belongs to.
-    pub pe: u16,
-    /// Nanoseconds per state, indexed like [`SCHED_STATES`].
-    pub ns: [u64; 7],
-    /// Episode span (first enter to last transition), nanoseconds.
-    pub span_ns: u64,
-}
-
-impl PeClock {
-    /// Total accounted nanoseconds across all states.
-    pub fn total_ns(&self) -> u64 {
-        self.ns.iter().sum()
-    }
-
-    /// Accounted fraction of the episode span, in [0, 1]; 1.0 for an
-    /// empty clock (nothing ran, nothing unaccounted).
-    pub fn accounted(&self) -> f64 {
-        if self.span_ns == 0 {
-            return 1.0;
-        }
-        self.total_ns() as f64 / self.span_ns as f64
-    }
-}
+use crate::{critical_paths, fold, match_flows, Kind, ParsedEvent};
 
 /// Where the span estimate came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,8 +57,9 @@ impl SpanSource {
 /// Per-PE clocks plus the span estimate — the input to [`attribution`].
 #[derive(Debug, Clone)]
 pub struct BlameReport {
-    /// One clock per PE that emitted `sched_*` instants, by PE id.
-    pub pes: Vec<PeClock>,
+    /// One clock per PE that emitted `sched_*` instants, by PE id: the
+    /// sum of its per-pass ledgers.
+    pub pes: BTreeMap<u64, PeSchedSnapshot>,
     /// Estimated inherent span of the workload, nanoseconds.
     pub est_span_ns: Option<u64>,
     /// Provenance of `est_span_ns`.
@@ -115,30 +68,16 @@ pub struct BlameReport {
 
 /// Folds a parsed stream into per-PE state clocks and a span estimate.
 ///
-/// `sched_*` instants are keyed by `(pe, state)` and **sum**: the
-/// runtime emits per-pass deltas, so a stream holding several passes on
-/// one registry folds to the true multi-pass clock — each pass's
-/// instants carry only its own time, and spans add because the span
-/// instant is the pass's accounted time, not the wall-clock window.
+/// The runtime emits per-pass deltas and the fold sums them, so a stream
+/// holding several passes on one registry folds to the true multi-pass
+/// clock — each pass's instants carry only its own time, and spans add
+/// because the span instant is the pass's accounted time, not the
+/// wall-clock window.
 pub fn blame(events: &[ParsedEvent]) -> BlameReport {
-    let mut clocks: BTreeMap<u16, PeClock> = BTreeMap::new();
-    let mut bsp_span_us: Option<u64> = None;
-    for e in events {
-        if e.kind != Kind::Instant {
-            continue;
-        }
-        if e.name == "bsp_span_us" {
-            bsp_span_us = Some(e.value);
-            continue;
-        }
-        if e.name == "sched_span" {
-            clocks.entry(e.pe).or_default().span_ns += e.value;
-            continue;
-        }
-        if let Some(i) = SCHED_STATES.iter().position(|(ev, _)| *ev == e.name) {
-            clocks.entry(e.pe).or_default().ns[i] += e.value;
-        }
-    }
+    let bsp_span_us = events
+        .iter()
+        .rfind(|e| e.kind == Kind::Instant && e.name == "bsp_span_us")
+        .map(|e| e.value);
     let graph = match_flows(events);
     let (est_span_ns, span_source) = if !graph.edges.is_empty() {
         let us: u64 = critical_paths(&graph).iter().map(|p| p.span_us).sum();
@@ -148,15 +87,8 @@ pub fn blame(events: &[ParsedEvent]) -> BlameReport {
     } else {
         (None, SpanSource::None)
     };
-    let pes = clocks
-        .into_iter()
-        .map(|(pe, mut c)| {
-            c.pe = pe;
-            c
-        })
-        .collect();
     BlameReport {
-        pes,
+        pes: fold(events),
         est_span_ns,
         span_source,
     }
@@ -206,16 +138,16 @@ impl Attribution {
 
 /// Computes the attribution from a [`BlameReport`].
 pub fn attribution(r: &BlameReport) -> Attribution {
-    let total_span: u64 = r.pes.iter().map(|c| c.span_ns).sum();
+    let total_span: u64 = r.pes.values().map(|c| c.span_ns).sum();
     if total_span == 0 {
         return Attribution {
             min_accounted: 1.0,
             ..Default::default()
         };
     }
-    let sum = |i: usize| r.pes.iter().map(|c| c.ns[i]).sum::<u64>();
-    let work = sum(WORK);
-    let idle = sum(SPIN) + sum(YIELD);
+    let sum = |s: SchedState| r.pes.values().map(|c| c.state_ns(s)).sum::<u64>();
+    let work = sum(SchedState::Work);
+    let idle = sum(SchedState::Spin) + sum(SchedState::Yield);
     // max(0, P*S - W) of idle is unavoidable: wall >= max(W/P, S), so a
     // perfect run still burns that much PE-time waiting on the chain.
     let unavoidable = match r.est_span_ns {
@@ -226,13 +158,17 @@ pub fn attribution(r: &BlameReport) -> Attribution {
     let frac = |ns: u64| ns as f64 / total_span as f64;
     Attribution {
         work: frac(work),
-        steal: frac(sum(STEAL_SEARCH)),
-        mailbox: frac(sum(MAILBOX_DRAIN)),
-        park: frac(sum(PARK)),
-        quiesce: frac(sum(QUIESCE)),
+        steal: frac(sum(SchedState::StealSearch)),
+        mailbox: frac(sum(SchedState::MailboxDrain)),
+        park: frac(sum(SchedState::Park)),
+        quiesce: frac(sum(SchedState::Quiesce)),
         span_limit: frac(span_limit),
         imbalance: frac(idle - span_limit),
-        min_accounted: r.pes.iter().map(|c| c.accounted()).fold(1.0f64, f64::min),
+        min_accounted: r
+            .pes
+            .values()
+            .map(PeSchedSnapshot::accounted)
+            .fold(1.0f64, f64::min),
     }
 }
 
@@ -261,26 +197,26 @@ pub fn blame_text(r: &BlameReport) -> String {
         )),
     }
     out.push_str("pe  span_us  acct%   work%  steal%  spin%  yield%  park%  mbox%  quies%\n");
-    for c in &r.pes {
-        let f = |i: usize| {
+    for (pe, c) in &r.pes {
+        let f = |s: SchedState| {
             if c.span_ns == 0 {
                 0.0
             } else {
-                c.ns[i] as f64 / c.span_ns as f64 * 100.0
+                c.state_ns(s) as f64 / c.span_ns as f64 * 100.0
             }
         };
         out.push_str(&format!(
             "{:>2}  {:>7}  {:>5.1}  {:>6.1}  {:>6.1}  {:>5.1}  {:>6.1}  {:>5.1}  {:>5.1}  {:>6.1}\n",
-            c.pe,
+            pe,
             c.span_ns / 1000,
             c.accounted() * 100.0,
-            f(WORK),
-            f(STEAL_SEARCH),
-            f(SPIN),
-            f(YIELD),
-            f(PARK),
-            f(MAILBOX_DRAIN),
-            f(QUIESCE),
+            f(SchedState::Work),
+            f(SchedState::StealSearch),
+            f(SchedState::Spin),
+            f(SchedState::Yield),
+            f(SchedState::Park),
+            f(SchedState::MailboxDrain),
+            f(SchedState::Quiesce),
         ));
     }
     out.push_str("aggregate (fractions of total PE-time):\n");
@@ -310,49 +246,37 @@ pub fn blame_text(r: &BlameReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{instant, ledger_events};
 
-    fn instant(pe: u16, name: &str, value: u64) -> ParsedEvent {
-        ParsedEvent {
-            ts_us: 0,
-            pe,
-            cycle: 0,
-            phase: "M_R".to_string(),
-            kind: Kind::Instant,
-            name: name.to_string(),
-            value,
-            lamport: 0,
-        }
+    /// One pass's ledger for a PE: `work` ns working, `spin` ns spinning.
+    fn pass(pe: u16, work: u64, spin: u64) -> Vec<ParsedEvent> {
+        let mut clock = PeSchedSnapshot::default();
+        clock.ns[SchedState::Work.index()] = work;
+        clock.ns[SchedState::Spin.index()] = spin;
+        clock.span_ns = work + spin;
+        ledger_events(pe, 0, &clock)
     }
 
     /// A two-PE episode: PE 0 works the whole span, PE 1 works half and
     /// spins the other half.
     fn two_pe_stream(extra: Vec<ParsedEvent>) -> Vec<ParsedEvent> {
-        let mut ev = vec![
-            instant(0, "sched_work", 1_000_000),
-            instant(0, "sched_span", 1_000_000),
-            instant(1, "sched_work", 500_000),
-            instant(1, "sched_spin", 500_000),
-            instant(1, "sched_span", 1_000_000),
-        ];
+        let mut ev = pass(0, 1_000_000, 0);
+        ev.extend(pass(1, 500_000, 500_000));
         ev.extend(extra);
         ev
     }
 
     #[test]
     fn clocks_fold_per_pe_by_summing_pass_deltas() {
-        let mut ev = two_pe_stream(vec![]);
         // A second pass appends its own deltas for PE 0; the folded
         // clock is the sum of both passes.
-        ev.push(instant(0, "sched_work", 2_000_000));
-        ev.push(instant(0, "sched_span", 2_000_000));
-        let r = blame(&ev);
-        assert_eq!(r.pes.len(), 2);
-        assert_eq!(r.pes[0].pe, 0);
-        assert_eq!(r.pes[0].ns[WORK], 3_000_000);
-        assert_eq!(r.pes[0].span_ns, 3_000_000);
-        assert!((r.pes[0].accounted() - 1.0).abs() < 1e-12);
-        assert_eq!(r.pes[1].total_ns(), 1_000_000);
-        assert!((r.pes[1].accounted() - 1.0).abs() < 1e-12);
+        let r = blame(&two_pe_stream(pass(0, 2_000_000, 0)));
+        assert_eq!(r.pes.keys().copied().collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(r.pes[&0].state_ns(SchedState::Work), 3_000_000);
+        assert_eq!(r.pes[&0].span_ns, 3_000_000);
+        assert!((r.pes[&0].accounted() - 1.0).abs() < 1e-12);
+        assert_eq!(r.pes[&1].total_ns(), 1_000_000);
+        assert!((r.pes[&1].accounted() - 1.0).abs() < 1e-12);
         assert_eq!(r.span_source, SpanSource::None);
     }
 
@@ -371,7 +295,7 @@ mod tests {
     fn bsp_span_estimate_reclassifies_unavoidable_idle() {
         // Span estimate 900us: P*S - W = 2*900k - 1500k = 300k ns of the
         // 500k idle is unavoidable; 200k remains imbalance.
-        let r = blame(&two_pe_stream(vec![instant(0, "bsp_span_us", 900)]));
+        let r = blame(&two_pe_stream(vec![instant(0, 0, "bsp_span_us", 900)]));
         assert_eq!(r.span_source, SpanSource::Bsp);
         assert_eq!(r.est_span_ns, Some(900_000));
         let a = attribution(&r);
@@ -382,28 +306,15 @@ mod tests {
 
     #[test]
     fn flow_edges_outrank_the_bsp_estimate() {
+        let flow = |ts_us, pe, kind| ParsedEvent {
+            ts_us,
+            kind,
+            ..instant(pe, 1, "M_R", 7)
+        };
         let flows = vec![
-            ParsedEvent {
-                ts_us: 10,
-                pe: 0,
-                cycle: 1,
-                phase: "M_R".to_string(),
-                kind: Kind::FlowSend,
-                name: "M_R".to_string(),
-                value: 7,
-                lamport: 0,
-            },
-            ParsedEvent {
-                ts_us: 260,
-                pe: 1,
-                cycle: 1,
-                phase: "M_R".to_string(),
-                kind: Kind::FlowRecv,
-                name: "M_R".to_string(),
-                value: 7,
-                lamport: 0,
-            },
-            instant(0, "bsp_span_us", 900),
+            flow(10, 0, Kind::FlowSend),
+            flow(260, 1, Kind::FlowRecv),
+            instant(0, 0, "bsp_span_us", 900),
         ];
         let r = blame(&two_pe_stream(flows));
         assert_eq!(r.span_source, SpanSource::Flow);
@@ -412,7 +323,7 @@ mod tests {
 
     #[test]
     fn report_renders_every_cause_and_the_accounting_line() {
-        let ev = two_pe_stream(vec![instant(0, "bsp_span_us", 900)]);
+        let ev = two_pe_stream(vec![instant(0, 0, "bsp_span_us", 900)]);
         let text = blame_text(&blame(&ev));
         for needle in [
             "speedup-gap attribution over 2 PEs",

@@ -1,82 +1,21 @@
 //! Offline heap-pressure reconstruction from `hp_*` instants.
 //!
-//! The GC driver closes every cycle's heap window by emitting one
-//! instant per field (`hp_cause`, `hp_bound`, `hp_live`, `hp_peak`,
-//! `hp_alloc_bytes`, `hp_freed_bytes`, `hp_allocs`, `hp_frees`,
-//! `hp_exact_bytes`). This module folds a parsed stream back into the
+//! The GC driver closes every cycle's heap window by emitting its
+//! [`CycleHeap`] ledger. [`heap`] folds a parsed stream back into the
 //! per-cycle live/peak/trigger-cause table — the same numbers the live
-//! `/status` heap block shows, recovered from the JSONL alone.
-//!
-//! Like [`lifecycle`](crate::lifecycle), instants are keyed by cycle
-//! with the last value winning, so re-runs appended to one stream
-//! report the final window of each cycle.
+//! `/status` heap block shows, recovered from the JSONL alone. The last
+//! value wins per cycle, so re-runs appended to one stream report the
+//! final window of each cycle.
 
-use std::collections::BTreeMap;
+use dgr_telemetry::{CycleHeap, TriggerCause};
 
-use crate::{Kind, ParsedEvent};
-
-/// One cycle's reconstructed heap window.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HeapRow {
-    /// The GC cycle number.
-    pub cycle: u32,
-    /// What started the cycle (the `TriggerCause` code: 0 period,
-    /// 1 heap bytes).
-    pub cause: u64,
-    /// The byte bound in force (0 when the trigger watches none).
-    pub bound: u64,
-    /// Live bytes when the window closed (post-reclaim).
-    pub live: u64,
-    /// Peak live bytes inside the window.
-    pub peak: u64,
-    /// Bytes allocated during the window.
-    pub alloc_bytes: u64,
-    /// Bytes freed during the window.
-    pub freed_bytes: u64,
-    /// Allocations during the window.
-    pub allocs: u64,
-    /// Frees during the window.
-    pub frees: u64,
-    /// Freed bytes that carried an exact allocation stamp.
-    pub exact_bytes: u64,
-}
-
-impl HeapRow {
-    /// The trigger cause decoded (`"period"`, `"heap"`, or `"?"` for a
-    /// code this analyzer doesn't know).
-    pub fn cause_name(&self) -> &'static str {
-        match self.cause {
-            0 => "period",
-            1 => "heap",
-            _ => "?",
-        }
-    }
-
-    /// Fraction of freed bytes with an exact stamp (1 when none freed).
-    pub fn exact_fraction(&self) -> f64 {
-        if self.freed_bytes == 0 {
-            1.0
-        } else {
-            self.exact_bytes as f64 / self.freed_bytes as f64
-        }
-    }
-
-    /// Peak live bytes over the bound (0 when no bound was in force):
-    /// above 1, the cycle started too late to hold the waterline.
-    pub fn pressure(&self) -> f64 {
-        if self.bound == 0 {
-            0.0
-        } else {
-            self.peak as f64 / self.bound as f64
-        }
-    }
-}
+use crate::{fold, ParsedEvent};
 
 /// The reconstructed heap table plus run-wide aggregates.
 #[derive(Debug, Clone, Default)]
 pub struct HeapReport {
-    /// One row per closed cycle window, in cycle order.
-    pub rows: Vec<HeapRow>,
+    /// One ledger per closed cycle window, in cycle order.
+    pub rows: Vec<CycleHeap>,
 }
 
 impl HeapReport {
@@ -85,62 +24,30 @@ impl HeapReport {
         self.rows.iter().map(|r| r.peak).max().unwrap_or(0)
     }
 
-    /// Total bytes allocated across all windows.
-    pub fn alloc_bytes(&self) -> u64 {
-        self.rows.iter().map(|r| r.alloc_bytes).sum()
-    }
-
-    /// Total bytes freed across all windows.
-    pub fn freed_bytes(&self) -> u64 {
-        self.rows.iter().map(|r| r.freed_bytes).sum()
-    }
-
-    /// Run-wide fraction of freed bytes with an exact stamp.
-    pub fn exact_fraction(&self) -> f64 {
-        let freed = self.freed_bytes();
-        if freed == 0 {
-            1.0
-        } else {
-            self.rows.iter().map(|r| r.exact_bytes).sum::<u64>() as f64 / freed as f64
+    /// The run as one window: traffic summed over all windows (no cause,
+    /// bound, peak or closing level — those belong to single cycles).
+    fn total(&self) -> CycleHeap {
+        let sum = |f: fn(&CycleHeap) -> u64| self.rows.iter().map(f).sum();
+        CycleHeap {
+            alloc_bytes: sum(|r| r.alloc_bytes),
+            freed_bytes: sum(|r| r.freed_bytes),
+            exact_bytes: sum(|r| r.exact_bytes),
+            ..Default::default()
         }
     }
 
     /// Cycles started by each cause, `(period, heap)`.
     pub fn cause_tally(&self) -> (u64, u64) {
-        let heap = self.rows.iter().filter(|r| r.cause == 1).count() as u64;
+        let heap = TriggerCause::HeapBytes.code();
+        let heap = self.rows.iter().filter(|r| r.cause == heap).count() as u64;
         (self.rows.len() as u64 - heap, heap)
     }
 }
 
 /// Folds a parsed stream's `hp_*` instants into the per-cycle table.
 pub fn heap(events: &[ParsedEvent]) -> HeapReport {
-    let mut rows: BTreeMap<u32, HeapRow> = BTreeMap::new();
-    for e in events {
-        if e.kind != Kind::Instant || !e.name.starts_with("hp_") {
-            continue;
-        }
-        let row = rows.entry(e.cycle).or_default();
-        match e.name.as_str() {
-            "hp_cause" => row.cause = e.value,
-            "hp_bound" => row.bound = e.value,
-            "hp_live" => row.live = e.value,
-            "hp_peak" => row.peak = e.value,
-            "hp_alloc_bytes" => row.alloc_bytes = e.value,
-            "hp_freed_bytes" => row.freed_bytes = e.value,
-            "hp_allocs" => row.allocs = e.value,
-            "hp_frees" => row.frees = e.value,
-            "hp_exact_bytes" => row.exact_bytes = e.value,
-            _ => {}
-        }
-    }
     HeapReport {
-        rows: rows
-            .into_iter()
-            .map(|(cycle, mut r)| {
-                r.cycle = cycle;
-                r
-            })
-            .collect(),
+        rows: fold(events).into_values().collect(),
     }
 }
 
@@ -152,14 +59,15 @@ pub fn heap_text(r: &HeapReport) -> String {
         return out;
     }
     let (period, pressure) = r.cause_tally();
+    let total = r.total();
     out.push_str(&format!(
         "heap pressure over {} cycles ({period} period-triggered, {pressure} heap-triggered): \
          peak {} bytes, {} allocated, {} freed ({:.1}% exact)\n",
         r.rows.len(),
         r.peak(),
-        r.alloc_bytes(),
-        r.freed_bytes(),
-        r.exact_fraction() * 100.0,
+        total.alloc_bytes,
+        total.freed_bytes,
+        total.exact_fraction() * 100.0,
     ));
     out.push_str(
         "cycle  cause     bound     live     peak    alloc_b   freed_b  allocs  frees  exact%  press\n",
@@ -170,7 +78,7 @@ pub fn heap_text(r: &HeapReport) -> String {
             row.cycle,
             row.cause_name(),
             row.bound,
-            row.live,
+            row.live_end,
             row.peak,
             row.alloc_bytes,
             row.freed_bytes,
@@ -186,47 +94,38 @@ pub fn heap_text(r: &HeapReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::ledger_events;
 
-    fn hp(cycle: u32, name: &str, value: u64) -> ParsedEvent {
-        ParsedEvent {
-            ts_us: 0,
-            pe: 0,
-            cycle,
-            phase: "gc".to_string(),
-            kind: Kind::Instant,
-            name: name.to_string(),
-            value,
-            lamport: 0,
-        }
-    }
-
-    fn one_cycle(cycle: u32, cause: u64, peak: u64) -> Vec<ParsedEvent> {
-        vec![
-            hp(cycle, "hp_cause", cause),
-            hp(cycle, "hp_bound", 1000),
-            hp(cycle, "hp_live", peak / 2),
-            hp(cycle, "hp_peak", peak),
-            hp(cycle, "hp_alloc_bytes", 400),
-            hp(cycle, "hp_freed_bytes", 200),
-            hp(cycle, "hp_allocs", 10),
-            hp(cycle, "hp_frees", 5),
-            hp(cycle, "hp_exact_bytes", 200),
-        ]
+    fn one_cycle(cycle: u32, cause: TriggerCause, peak: u64) -> Vec<ParsedEvent> {
+        let row = CycleHeap {
+            cause: cause.code(),
+            bound: 1000,
+            live_end: peak / 2,
+            peak,
+            alloc_bytes: 400,
+            freed_bytes: 200,
+            allocs: 10,
+            frees: 5,
+            exact_bytes: 200,
+            ..Default::default()
+        };
+        ledger_events(0, cycle, &row)
     }
 
     #[test]
     fn folds_rows_per_cycle_and_totals() {
-        let mut ev = one_cycle(1, 0, 800);
-        ev.extend(one_cycle(2, 1, 1200));
+        let mut ev = one_cycle(1, TriggerCause::Period, 800);
+        ev.extend(one_cycle(2, TriggerCause::HeapBytes, 1200));
         let r = heap(&ev);
         assert_eq!(r.rows.len(), 2);
         assert_eq!(r.rows[0].cycle, 1);
         assert_eq!(r.rows[0].cause_name(), "period");
         assert_eq!(r.rows[1].cause_name(), "heap");
+        assert_eq!(r.rows[1].live_end, 600);
         assert_eq!(r.peak(), 1200);
-        assert_eq!(r.alloc_bytes(), 800);
-        assert_eq!(r.freed_bytes(), 400);
-        assert!((r.exact_fraction() - 1.0).abs() < 1e-9);
+        assert_eq!(r.total().alloc_bytes, 800);
+        assert_eq!(r.total().freed_bytes, 400);
+        assert!((r.total().exact_fraction() - 1.0).abs() < 1e-9);
         assert_eq!(r.cause_tally(), (1, 1));
         assert!((r.rows[0].pressure() - 0.8).abs() < 1e-9);
         assert!((r.rows[1].pressure() - 1.2).abs() < 1e-9);
@@ -234,10 +133,12 @@ mod tests {
 
     #[test]
     fn last_value_wins_within_a_cycle() {
-        let mut ev = one_cycle(3, 0, 800);
-        ev.push(hp(3, "hp_peak", 900));
+        let mut ev = one_cycle(3, TriggerCause::Period, 800);
+        ev.extend(one_cycle(3, TriggerCause::Period, 900));
         let r = heap(&ev);
+        assert_eq!(r.rows.len(), 1);
         assert_eq!(r.rows[0].peak, 900);
+        assert_eq!(r.rows[0].alloc_bytes, 400, "replaced, not summed");
     }
 
     #[test]
@@ -248,8 +149,8 @@ mod tests {
 
     #[test]
     fn report_renders_the_table() {
-        let mut ev = one_cycle(1, 1, 950);
-        ev.extend(one_cycle(2, 0, 700));
+        let mut ev = one_cycle(1, TriggerCause::HeapBytes, 950);
+        ev.extend(one_cycle(2, TriggerCause::Period, 700));
         let text = heap_text(&heap(&ev));
         assert!(
             text.contains("1 period-triggered, 1 heap-triggered"),

@@ -22,65 +22,31 @@
 //!   the marking wave: wide and shallow or narrow and deep.
 //! * [`summarize`] / [`diff_text`] — whole-run statistics and an A/B
 //!   comparison between two runs.
-//! * [`blame`] — speedup-gap attribution: folds the `sched_*` state
-//!   clock instants the work-stealing runtime emits into per-PE time
-//!   breakdowns and names the dominant gap cause (load imbalance,
-//!   steal overhead, mailbox delay, parking, or true span limit).
-//! * [`lifecycle`] — vertex-lifecycle reconstruction: folds the `lc_*`
-//!   instants the GC driver closes each cycle with into the per-cycle
-//!   float/latency/message-cost table and the worst-floater list.
-//! * [`heap`] — heap-pressure reconstruction: folds the `hp_*` instants
-//!   the GC driver closes each cycle with into the per-cycle
-//!   live/peak/trigger-cause table.
+//! * ledger folds — one loop rebuilds any `dgr_telemetry` [`Ledger`] from
+//!   the instants a run emitted it as; the three reports below are that
+//!   loop plus their text:
+//!   * [`blame`] — speedup-gap attribution: the per-PE `sched_*` state
+//!     clocks the work-stealing runtime emits, split into per-PE time
+//!     breakdowns and a dominant gap cause (load imbalance, steal
+//!     overhead, mailbox delay, parking, or true span limit).
+//!   * [`lifecycle`] — vertex-lifecycle reconstruction: the per-cycle
+//!     `lc_*` float/latency/message-cost ledgers the GC driver closes each
+//!     cycle with, and the worst-floater list.
+//!   * [`heap`] — heap-pressure reconstruction: the per-cycle `hp_*`
+//!     live/peak/trigger-cause ledgers.
 
 use std::collections::BTreeMap;
 
+/// Event kinds, by the `kind` strings `dgr_telemetry` emits.
+pub use dgr_telemetry::EventKind as Kind;
+use dgr_telemetry::Ledger;
+
 pub mod blame;
-pub use blame::{attribution, blame, blame_text, Attribution, BlameReport, PeClock, SpanSource};
+pub use blame::{attribution, blame, blame_text, Attribution, BlameReport, SpanSource};
 pub mod heap;
-pub use heap::{heap, heap_text, HeapReport, HeapRow};
+pub use heap::{heap, heap_text, HeapReport};
 pub mod lifecycle;
-pub use lifecycle::{lifecycle, lifecycle_text, unpack_floater, LifecycleReport, LifecycleRow};
-
-/// Event kinds, mirroring the `kind` strings `dgr_telemetry` emits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
-    /// A span opened (`"begin"`).
-    Begin,
-    /// A span closed (`"end"`).
-    End,
-    /// A point event (`"instant"`).
-    Instant,
-    /// A message departed; `value` is the flow id (`"flow_send"`).
-    FlowSend,
-    /// A message arrived; `value` is the flow id (`"flow_recv"`).
-    FlowRecv,
-}
-
-impl Kind {
-    /// Parses the JSON `kind` string; `None` for anything unknown.
-    pub fn parse(s: &str) -> Option<Kind> {
-        match s {
-            "begin" => Some(Kind::Begin),
-            "end" => Some(Kind::End),
-            "instant" => Some(Kind::Instant),
-            "flow_send" => Some(Kind::FlowSend),
-            "flow_recv" => Some(Kind::FlowRecv),
-            _ => None,
-        }
-    }
-
-    /// The JSON `kind` string.
-    pub fn name(self) -> &'static str {
-        match self {
-            Kind::Begin => "begin",
-            Kind::End => "end",
-            Kind::Instant => "instant",
-            Kind::FlowSend => "flow_send",
-            Kind::FlowRecv => "flow_recv",
-        }
-    }
-}
+pub use lifecycle::{lifecycle, lifecycle_text, LifecycleReport};
 
 /// One event parsed back from a JSON Lines stream or flight dump.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,6 +139,29 @@ pub fn parse_events(text: &str) -> Vec<ParsedEvent> {
         });
     }
     out
+}
+
+/// Rebuilds `key → ledger` from the instants a run emitted `L` as
+/// (`Registry::emit`): every instant is offered to the ledger its
+/// `(pe, cycle)` opens, which files it by name and combines repeats by
+/// its own rule ([`Ledger::combine`]). Keys no instant of `L` touched
+/// get no entry.
+pub(crate) fn fold<L: Ledger>(events: &[ParsedEvent]) -> BTreeMap<u64, L> {
+    let mut ledgers: BTreeMap<u64, L> = BTreeMap::new();
+    for e in events.iter().filter(|e| e.kind == Kind::Instant) {
+        let (key, mut fresh) = L::open(e.pe, e.cycle);
+        match ledgers.get_mut(&key) {
+            Some(ledger) => {
+                ledger.absorb(&e.name, e.value);
+            }
+            None => {
+                if fresh.absorb(&e.name, e.value) {
+                    ledgers.insert(key, fresh);
+                }
+            }
+        }
+    }
+    ledgers
 }
 
 /// One resolved message hop: a `flow_send` matched to its `flow_recv`.
@@ -574,18 +563,12 @@ pub fn analyze(events: &[ParsedEvent]) -> RunStats {
     }
 }
 
-fn mean_span(paths: &[CriticalPath]) -> f64 {
+/// Mean of `of` over the paths (0 when there are none).
+fn mean(paths: &[CriticalPath], of: fn(&CriticalPath) -> f64) -> f64 {
     if paths.is_empty() {
         return 0.0;
     }
-    paths.iter().map(|p| p.span_us as f64).sum::<f64>() / paths.len() as f64
-}
-
-fn mean_hops(paths: &[CriticalPath]) -> f64 {
-    if paths.is_empty() {
-        return 0.0;
-    }
-    paths.iter().map(|p| p.hops as f64).sum::<f64>() / paths.len() as f64
+    paths.iter().map(of).sum::<f64>() / paths.len() as f64
 }
 
 fn delta_line(label: &str, a: f64, b: f64) -> String {
@@ -601,31 +584,16 @@ fn delta_line(label: &str, a: f64, b: f64) -> String {
 pub fn diff_text(label_a: &str, a: &RunStats, label_b: &str, b: &RunStats) -> String {
     let mut out = String::new();
     out.push_str(&format!("diff: {label_a} -> {label_b}\n"));
-    out.push_str(&delta_line(
-        "events",
-        a.summary.events as f64,
-        b.summary.events as f64,
-    ));
-    out.push_str(&delta_line(
-        "matched flows",
-        a.summary.flows as f64,
-        b.summary.flows as f64,
-    ));
-    out.push_str(&delta_line(
-        "cycles",
-        a.summary.cycles as f64,
-        b.summary.cycles as f64,
-    ));
-    out.push_str(&delta_line(
-        "critical path span us",
-        mean_span(&a.paths),
-        mean_span(&b.paths),
-    ));
-    out.push_str(&delta_line(
-        "critical path hops",
-        mean_hops(&a.paths),
-        mean_hops(&b.paths),
-    ));
+    let mut row = |label: &str, of: fn(&RunStats) -> f64| {
+        out.push_str(&delta_line(label, of(a), of(b)));
+    };
+    row("events", |r| r.summary.events as f64);
+    row("matched flows", |r| r.summary.flows as f64);
+    row("cycles", |r| r.summary.cycles as f64);
+    row("critical path span us", |r| {
+        mean(&r.paths, |p| p.span_us as f64)
+    });
+    row("critical path hops", |r| mean(&r.paths, |p| p.hops as f64));
     for phase in ["M_T", "M_R"] {
         if a.fanout.per_phase.contains_key(phase) || b.fanout.per_phase.contains_key(phase) {
             out.push_str(&delta_line(
@@ -639,8 +607,47 @@ pub fn diff_text(label_a: &str, a: &RunStats, label_b: &str, b: &RunStats) -> St
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// One instant as the parser would hand it over.
+    pub(crate) fn instant(pe: u16, cycle: u32, name: &str, value: u64) -> ParsedEvent {
+        ParsedEvent {
+            ts_us: 0,
+            pe,
+            cycle,
+            phase: "gc".to_string(),
+            kind: Kind::Instant,
+            name: name.to_string(),
+            value,
+            lamport: 0,
+        }
+    }
+
+    /// The instants `Registry::emit(pe, cycle, ledger)` records, parsed.
+    pub(crate) fn ledger_events<L: Ledger>(pe: u16, cycle: u32, ledger: &L) -> Vec<ParsedEvent> {
+        let mut out = Vec::new();
+        { *ledger }.wire(|name, value| out.push(instant(pe, cycle, name, *value)));
+        out
+    }
+
+    #[test]
+    fn fold_opens_a_ledger_only_for_its_own_instants() {
+        use dgr_telemetry::{CycleHeap, CycleLifecycle};
+        let row = CycleHeap {
+            peak: 9,
+            ..Default::default()
+        };
+        let mut events = ledger_events(0, 4, &row);
+        events.push(instant(0, 5, "reclaimed", 3));
+        let mut span = instant(0, 6, "cycle", 0);
+        span.kind = Kind::Begin;
+        events.push(span);
+        let heaps: BTreeMap<u64, CycleHeap> = fold(&events);
+        assert_eq!(heaps.keys().copied().collect::<Vec<_>>(), vec![4]);
+        assert_eq!(heaps[&4], CycleHeap { cycle: 4, ..row });
+        assert!(fold::<CycleLifecycle>(&events).is_empty());
+    }
 
     fn ev(ts: u64, pe: u16, cycle: u32, phase: &str, kind: Kind, value: u64) -> ParsedEvent {
         ParsedEvent {

@@ -1,154 +1,59 @@
 //! Offline vertex-lifecycle reconstruction from `lc_*` instants.
 //!
-//! The GC driver closes every completed cycle by emitting one instant
-//! per lifecycle ledger field (`lc_garbage`, `lc_reclaimed`, `lc_exact`,
-//! `lc_latency_sum`, `lc_float`, `lc_msgs_mt`, `lc_msgs_mr`, `lc_bound`)
-//! plus up to four `lc_floater` instants whose value packs the offender
-//! as `(vertex_index << 16) | min(age, 0xFFFF)`. This module folds a
-//! parsed stream back into the per-cycle float/latency/message-cost
-//! table — the same numbers the live `/status` lifecycle block shows,
-//! recovered from the JSONL alone.
-//!
-//! Like [`blame`](crate::blame), instants are keyed by cycle with the
-//! last value winning, so re-runs appended to one stream report the
-//! final ledger of each cycle.
+//! The GC driver closes every completed cycle by emitting its
+//! [`CycleLifecycle`] ledger plus up to four [`Floater`] offenders.
+//! [`lifecycle`] folds a parsed stream back into the per-cycle
+//! float/latency/message-cost table — the same numbers the live `/status`
+//! lifecycle block shows, recovered from the JSONL alone. The last value
+//! wins per cycle, so re-runs appended to one stream report the final
+//! ledger of each cycle.
 
 use std::collections::BTreeMap;
 
-use crate::{Kind, ParsedEvent};
+use dgr_telemetry::{CycleLifecycle, Floater, Ledger};
 
-/// One completed cycle's reconstructed lifecycle ledger.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LifecycleRow {
-    /// The GC cycle number.
-    pub cycle: u32,
-    /// Vertices censused dead-but-unreclaimed (pre-reclaim).
-    pub garbage: u64,
-    /// Vertices reclaimed this cycle.
-    pub reclaimed: u64,
-    /// Reclaims that carried an exact latency stamp.
-    pub exact: u64,
-    /// Sum of the exact latencies, in cycles.
-    pub latency_sum: u64,
-    /// Vertices still floating after this cycle's reclaim.
-    pub float: u64,
-    /// `M_T` messages charged to the cycle.
-    pub msgs_mt: u64,
-    /// `M_R` messages charged to the cycle.
-    pub msgs_mr: u64,
-    /// Section 4 message-bound units charged to the cycle.
-    pub bound: u64,
-}
-
-impl LifecycleRow {
-    /// Mean exact reclamation latency in cycles (0 when nothing exact).
-    pub fn mean_latency(&self) -> f64 {
-        if self.exact == 0 {
-            0.0
-        } else {
-            self.latency_sum as f64 / self.exact as f64
-        }
-    }
-
-    /// Messages per reclaimed vertex (0 when nothing reclaimed).
-    pub fn msgs_per_reclaimed(&self) -> f64 {
-        if self.reclaimed == 0 {
-            0.0
-        } else {
-            (self.msgs_mt + self.msgs_mr) as f64 / self.reclaimed as f64
-        }
-    }
-
-    /// Observed messages over the bound (0 when no bound was metered).
-    pub fn efficiency(&self) -> f64 {
-        if self.bound == 0 {
-            0.0
-        } else {
-            (self.msgs_mt + self.msgs_mr) as f64 / self.bound as f64
-        }
-    }
-}
+use crate::{fold, Kind, ParsedEvent};
 
 /// The reconstructed lifecycle table plus run-wide aggregates.
 #[derive(Debug, Clone, Default)]
 pub struct LifecycleReport {
-    /// One row per cycle that closed a ledger, in cycle order.
-    pub rows: Vec<LifecycleRow>,
+    /// One ledger per cycle that closed one, in cycle order.
+    pub rows: Vec<CycleLifecycle>,
     /// Worst floating vertices over the whole stream: `(vertex, age)`
     /// with the maximum age each vertex ever reached, oldest first.
     pub worst_floaters: Vec<(u32, u64)>,
 }
 
 impl LifecycleReport {
-    /// Total vertices reclaimed across all rows.
-    pub fn reclaimed(&self) -> u64 {
-        self.rows.iter().map(|r| r.reclaimed).sum()
-    }
-
-    /// Total reclaims with an exact latency stamp.
-    pub fn exact(&self) -> u64 {
-        self.rows.iter().map(|r| r.exact).sum()
-    }
-
-    /// Run-wide mean exact latency in cycles.
-    pub fn mean_latency(&self) -> f64 {
-        let exact = self.exact();
-        if exact == 0 {
-            0.0
-        } else {
-            self.rows.iter().map(|r| r.latency_sum).sum::<u64>() as f64 / exact as f64
+    /// The run as one ledger: reclaims and latencies summed over all
+    /// rows, the float count of the last closed cycle.
+    fn total(&self) -> CycleLifecycle {
+        let sum = |f: fn(&CycleLifecycle) -> u64| self.rows.iter().map(f).sum();
+        CycleLifecycle {
+            reclaimed: sum(|r| r.reclaimed),
+            exact: sum(|r| r.exact),
+            latency_sum: sum(|r| r.latency_sum),
+            float: self.rows.last().map_or(0, |r| r.float),
+            ..Default::default()
         }
     }
-
-    /// The float count after the last closed cycle.
-    pub fn float_now(&self) -> u64 {
-        self.rows.last().map(|r| r.float).unwrap_or(0)
-    }
-}
-
-/// Unpacks an `lc_floater` value into `(vertex_index, age)`.
-pub fn unpack_floater(value: u64) -> (u32, u64) {
-    ((value >> 16) as u32, value & 0xFFFF)
 }
 
 /// Folds a parsed stream's `lc_*` instants into the per-cycle table.
 pub fn lifecycle(events: &[ParsedEvent]) -> LifecycleReport {
-    let mut rows: BTreeMap<u32, LifecycleRow> = BTreeMap::new();
     let mut floaters: BTreeMap<u32, u64> = BTreeMap::new();
-    for e in events {
-        if e.kind != Kind::Instant || !e.name.starts_with("lc_") {
-            continue;
-        }
-        if e.name == "lc_floater" {
-            let (v, age) = unpack_floater(e.value);
-            let slot = floaters.entry(v).or_insert(0);
-            *slot = (*slot).max(age);
-            continue;
-        }
-        let row = rows.entry(e.cycle).or_default();
-        match e.name.as_str() {
-            "lc_garbage" => row.garbage = e.value,
-            "lc_reclaimed" => row.reclaimed = e.value,
-            "lc_exact" => row.exact = e.value,
-            "lc_latency_sum" => row.latency_sum = e.value,
-            "lc_float" => row.float = e.value,
-            "lc_msgs_mt" => row.msgs_mt = e.value,
-            "lc_msgs_mr" => row.msgs_mr = e.value,
-            "lc_bound" => row.bound = e.value,
-            _ => {}
+    for e in events.iter().filter(|e| e.kind == Kind::Instant) {
+        let (_, mut floater) = Floater::open(e.pe, e.cycle);
+        if floater.absorb(&e.name, e.value) {
+            let age = floaters.entry(floater.vertex()).or_insert(0);
+            *age = (*age).max(floater.age());
         }
     }
     let mut worst: Vec<(u32, u64)> = floaters.into_iter().collect();
     worst.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     worst.truncate(8);
     LifecycleReport {
-        rows: rows
-            .into_iter()
-            .map(|(cycle, mut r)| {
-                r.cycle = cycle;
-                r
-            })
-            .collect(),
+        rows: fold(events).into_values().collect(),
         worst_floaters: worst,
     }
 }
@@ -160,8 +65,8 @@ pub fn lifecycle_text(r: &LifecycleReport) -> String {
         out.push_str("no lc_* instants — was the run built with the `telemetry` feature?\n");
         return out;
     }
-    let reclaimed = r.reclaimed();
-    let exact = r.exact();
+    let total = r.total();
+    let (reclaimed, exact) = (total.reclaimed, total.exact);
     let exact_pct = if reclaimed == 0 {
         100.0
     } else {
@@ -171,8 +76,8 @@ pub fn lifecycle_text(r: &LifecycleReport) -> String {
         "vertex lifecycle over {} cycles: {reclaimed} reclaimed ({exact} exact, {exact_pct:.1}%), \
          mean latency {:.2} cycles, float now {}\n",
         r.rows.len(),
-        r.mean_latency(),
-        r.float_now(),
+        total.mean_latency(),
+        total.float,
     ));
     out.push_str("cycle  garbage  reclaim  exact  mean_lat  float  msgs_mt  msgs_mr  bound  msg/rec    eff\n");
     for row in &r.rows {
@@ -203,40 +108,34 @@ pub fn lifecycle_text(r: &LifecycleReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn lc(cycle: u32, name: &str, value: u64) -> ParsedEvent {
-        ParsedEvent {
-            ts_us: 0,
-            pe: 0,
-            cycle,
-            phase: "gc".to_string(),
-            kind: Kind::Instant,
-            name: name.to_string(),
-            value,
-            lamport: 0,
-        }
-    }
+    use crate::tests::ledger_events;
 
     fn one_cycle(cycle: u32, reclaimed: u64, float: u64) -> Vec<ParsedEvent> {
-        vec![
-            lc(cycle, "lc_garbage", reclaimed + float),
-            lc(cycle, "lc_reclaimed", reclaimed),
-            lc(cycle, "lc_exact", reclaimed),
-            lc(cycle, "lc_latency_sum", reclaimed * 2),
-            lc(cycle, "lc_float", float),
-            lc(cycle, "lc_msgs_mt", 10),
-            lc(cycle, "lc_msgs_mr", 30),
-            lc(cycle, "lc_bound", 50),
-        ]
+        let row = CycleLifecycle {
+            garbage: reclaimed + float,
+            reclaimed,
+            exact: reclaimed,
+            latency_sum: reclaimed * 2,
+            float,
+            msgs_mt: 10,
+            msgs_mr: 30,
+            bound: 50,
+            ..Default::default()
+        };
+        ledger_events(0, cycle, &row)
+    }
+
+    fn floater(cycle: u32, vertex: u32, age: u64) -> Vec<ParsedEvent> {
+        ledger_events(0, cycle, &Floater::new(vertex, age))
     }
 
     #[test]
     fn folds_rows_per_cycle_and_totals() {
         let mut ev = one_cycle(1, 4, 2);
         ev.extend(one_cycle(2, 6, 0));
-        ev.push(lc(1, "lc_floater", (7 << 16) | 3));
-        ev.push(lc(2, "lc_floater", (7 << 16) | 5)); // same vertex, older
-        ev.push(lc(2, "lc_floater", (9 << 16) | 1));
+        ev.extend(floater(1, 7, 3));
+        ev.extend(floater(2, 7, 5)); // same vertex, older
+        ev.extend(floater(2, 9, 1));
         let r = lifecycle(&ev);
         assert_eq!(r.rows.len(), 2);
         assert_eq!(r.rows[0].cycle, 1);
@@ -245,8 +144,9 @@ mod tests {
         assert!((r.rows[0].mean_latency() - 2.0).abs() < 1e-9);
         assert!((r.rows[0].msgs_per_reclaimed() - 10.0).abs() < 1e-9);
         assert!((r.rows[0].efficiency() - 0.8).abs() < 1e-9);
-        assert_eq!(r.reclaimed(), 10);
-        assert_eq!(r.float_now(), 0, "last cycle drained the float");
+        assert_eq!(r.total().reclaimed, 10);
+        assert!((r.total().mean_latency() - 2.0).abs() < 1e-9);
+        assert_eq!(r.total().float, 0, "last cycle drained the float");
         assert_eq!(
             r.worst_floaters,
             vec![(7, 5), (9, 1)],
@@ -257,15 +157,10 @@ mod tests {
     #[test]
     fn last_value_wins_within_a_cycle() {
         let mut ev = one_cycle(3, 4, 1);
-        ev.push(lc(3, "lc_reclaimed", 9));
+        ev.extend(one_cycle(3, 9, 1));
         let r = lifecycle(&ev);
+        assert_eq!(r.rows.len(), 1);
         assert_eq!(r.rows[0].reclaimed, 9);
-    }
-
-    #[test]
-    fn unpack_matches_the_driver_packing() {
-        assert_eq!(unpack_floater((1234 << 16) | 77), (1234, 77));
-        assert_eq!(unpack_floater(0xFFFF), (0, 0xFFFF), "age saturates");
     }
 
     #[test]
@@ -277,7 +172,7 @@ mod tests {
     #[test]
     fn report_renders_the_table_and_offenders() {
         let mut ev = one_cycle(1, 4, 2);
-        ev.push(lc(1, "lc_floater", (42 << 16) | 6));
+        ev.extend(floater(1, 42, 6));
         let text = lifecycle_text(&lifecycle(&ev));
         assert!(text.contains("4 reclaimed (4 exact, 100.0%)"), "{text}");
         assert!(text.contains("float now 2"), "{text}");

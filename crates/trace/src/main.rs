@@ -18,8 +18,9 @@
 use std::process::ExitCode;
 
 use dgr_trace::{
-    analyze, critical_path_text, critical_paths, fanout, fanout_text, match_flows, parse_events,
-    summarize, summary_text, ParsedEvent,
+    analyze, blame, blame_text, critical_path_text, critical_paths, fanout, fanout_text, heap,
+    heap_text, lifecycle, lifecycle_text, match_flows, parse_events, summarize, summary_text,
+    ParsedEvent,
 };
 
 const USAGE: &str =
@@ -48,11 +49,18 @@ fn run() -> Result<String, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cmd, rest) = args.split_first().ok_or_else(|| USAGE.to_string())?;
     match cmd.as_str() {
-        "summarize" => {
+        "summarize" | "fanout" | "blame" | "lifecycle" | "heap" => {
             let [path] = rest else {
                 return Err(USAGE.to_string());
             };
-            Ok(summary_text(&summarize(&load(path)?)))
+            let events = load(path)?;
+            Ok(match cmd.as_str() {
+                "summarize" => summary_text(&summarize(&events)),
+                "fanout" => fanout_text(&fanout(&events)),
+                "blame" => blame_text(&blame(&events)),
+                "lifecycle" => lifecycle_text(&lifecycle(&events)),
+                _ => heap_text(&heap(&events)),
+            })
         }
         "critical-path" => {
             let path = rest.first().ok_or_else(|| USAGE.to_string())?;
@@ -68,32 +76,6 @@ fn run() -> Result<String, String> {
                 paths.retain(|p| p.cycle == c);
             }
             Ok(critical_path_text(&paths, verbose))
-        }
-        "fanout" => {
-            let [path] = rest else {
-                return Err(USAGE.to_string());
-            };
-            Ok(fanout_text(&fanout(&load(path)?)))
-        }
-        "blame" => {
-            let [path] = rest else {
-                return Err(USAGE.to_string());
-            };
-            Ok(dgr_trace::blame_text(&dgr_trace::blame(&load(path)?)))
-        }
-        "lifecycle" => {
-            let [path] = rest else {
-                return Err(USAGE.to_string());
-            };
-            Ok(dgr_trace::lifecycle_text(&dgr_trace::lifecycle(&load(
-                path,
-            )?)))
-        }
-        "heap" => {
-            let [path] = rest else {
-                return Err(USAGE.to_string());
-            };
-            Ok(dgr_trace::heap_text(&dgr_trace::heap(&load(path)?)))
         }
         "diff" => {
             let [before, after] = rest else {
