@@ -134,7 +134,7 @@ pub fn run_mark1_compressed(
                 }
                 g.mark_mut(v, Slot::R).color = Color::Marked;
                 stats.marked += 1;
-                for c in g.vertex(v).r_children() {
+                g.vertex(v).for_each_r_child(|c| {
                     let dst = partition.pe_of(c).raw();
                     if dst == me {
                         local[me as usize].push(c);
@@ -143,7 +143,7 @@ pub fn run_mark1_compressed(
                         pes[me as usize].deficit += 1;
                         net.push_back(Msg::Mark { v: c, from: me });
                     }
-                }
+                });
             }
         }
         if progressed {

@@ -446,10 +446,10 @@ mod tests {
             "invariant 2 restored synchronously"
         );
         assert_eq!(g.mark(b, Slot::R).mt_cnt, 2);
-        assert_eq!(
-            g.vertex(a).r_children().iter().filter(|&&x| x == c).count(),
-            1
-        );
+        let mut arcs_to_c = 0;
+        g.vertex(a)
+            .for_each_r_child(|x| arcs_to_c += usize::from(x == c));
+        assert_eq!(arcs_to_c, 1);
     }
 
     #[test]

@@ -17,9 +17,17 @@ pub struct Footprint {
     pub slot_bytes: usize,
     /// Marking overhead per vertex: two slots (one for `M_R`, one `M_T`).
     pub per_vertex_marking_bytes: usize,
-    /// Total size of a vertex record, marking slots included.
+    /// Size of a vertex record, marking slots included. The record *is*
+    /// the vertex — label, arcs with their request kinds and returned
+    /// values, requesters, value — as long as it has at most three arcs
+    /// and two requesters, which covers every label a combinator graph
+    /// has. A longer list moves into a boxed spill block this number
+    /// leaves out: 72 + 21 bytes per arc of capacity for arcs,
+    /// 24 + 8 per requester for requesters, before allocator overhead.
     pub vertex_bytes: usize,
-    /// Fraction of the vertex record spent on marking state (0..=1).
+    /// Fraction of the vertex record spent on marking state (0..=1);
+    /// exact for a vertex that has not spilled, an upper bound for one
+    /// that has.
     pub marking_fraction: f64,
     /// The paper's compressed design: two machine words per PE,
     /// independent of vertex count.

@@ -22,10 +22,10 @@ fn is_mark_for_slot(m: &MarkMsg, slot: Slot) -> Option<(VertexId, MarkParent)> {
     }
 }
 
-fn children_of(g: &GraphStore, slot: Slot, v: VertexId) -> Vec<VertexId> {
+fn for_each_child(g: &GraphStore, slot: Slot, v: VertexId, f: impl FnMut(VertexId)) {
     match slot {
-        Slot::R => g.vertex(v).r_children(),
-        Slot::T => g.vertex(v).t_children(),
+        Slot::R => g.vertex(v).for_each_r_child(f),
+        Slot::T => g.vertex(v).for_each_t_child(f),
     }
 }
 
@@ -122,27 +122,29 @@ pub fn check_invariants_where(
             ));
         }
         if s.is_transient() || s.is_marked() {
-            for c in children_of(g, slot, id) {
-                let cs = g.mark(c, slot);
-                if cs.is_unmarked() {
-                    if exempt(id, c) {
-                        continue;
-                    }
-                    if pending_mark_on.get(&c).copied().unwrap_or_default() > 0 {
-                        continue;
-                    }
-                    return Err(if s.is_marked() {
-                        format!(
-                            "invariant 2 violated: marked {id} points to unmarked {c} \
-                             with no pending mark ({slot:?})"
-                        )
-                    } else {
-                        format!(
-                            "invariant 1 violated: transient {id} has unmarked child {c} \
-                             with no pending mark ({slot:?})"
-                        )
-                    });
+            // The first unmarked child nothing covers, if any.
+            let mut uncovered = None;
+            for_each_child(g, slot, id, |c| {
+                if uncovered.is_none()
+                    && g.mark(c, slot).is_unmarked()
+                    && !exempt(id, c)
+                    && pending_mark_on.get(&c).copied().unwrap_or_default() == 0
+                {
+                    uncovered = Some(c);
                 }
+            });
+            if let Some(c) = uncovered {
+                return Err(if s.is_marked() {
+                    format!(
+                        "invariant 2 violated: marked {id} points to unmarked {c} \
+                         with no pending mark ({slot:?})"
+                    )
+                } else {
+                    format!(
+                        "invariant 1 violated: transient {id} has unmarked child {c} \
+                         with no pending mark ({slot:?})"
+                    )
+                });
             }
         }
     }

@@ -688,9 +688,9 @@ impl GcDriver {
                     continue;
                 }
                 vert.value = Some(Value::Bottom);
-                vert.replace_args(Vec::new());
+                vert.replace_args([]);
                 let requesters = vert.take_requested();
-                for r in requesters {
+                for &r in requesters.iter() {
                     self.sys.send_red(
                         RedMsg::Return {
                             src: v,
@@ -756,7 +756,7 @@ mod tests {
                     NodeLabel::Apply,
                     vec![TemplateRef::Local(5), TemplateRef::Local(6)],
                 ),
-                TemplateNode::new(NodeLabel::Lit(Value::Fn(0, vec![])), vec![]),
+                TemplateNode::new(NodeLabel::Lit(Value::function(0, vec![])), vec![]),
                 TemplateNode::new(
                     NodeLabel::Prim(PrimOp::Sub),
                     vec![TemplateRef::Param(0), TemplateRef::Local(7)],

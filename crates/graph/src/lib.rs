@@ -52,12 +52,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod arcs;
 pub mod dot;
 mod error;
 mod ids;
 mod label;
 pub mod markword;
 pub mod oracle;
+mod requesters;
 mod store;
 mod template;
 mod value;
@@ -68,6 +70,7 @@ pub use ids::{PeId, VertexId};
 pub use label::{NodeLabel, PrimOp};
 pub use markword::MarkWords;
 pub use oracle::{Oracle, TaskClass, TaskEndpoints, VertexSet};
+pub use requesters::Requesters;
 pub use store::{
     default_cost_model, Epochs, GraphStore, HeapDelta, PartitionMap, PartitionStrategy,
 };

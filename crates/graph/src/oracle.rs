@@ -191,11 +191,11 @@ pub fn reachable_r(g: &GraphStore) -> VertexSet {
     let mut stack = vec![root];
     set.insert(root);
     while let Some(v) = stack.pop() {
-        for c in g.vertex(v).r_children() {
+        g.vertex(v).for_each_r_child(|c| {
             if set.insert(c) {
                 stack.push(c);
             }
-        }
+        });
     }
     set
 }
@@ -254,11 +254,11 @@ pub fn reachable_t(g: &GraphStore, tasks: &TaskEndpoints) -> VertexSet {
         }
     }
     while let Some(v) = stack.pop() {
-        for c in g.vertex(v).t_children() {
+        g.vertex(v).for_each_t_child(|c| {
             if set.insert(c) {
                 stack.push(c);
             }
-        }
+        });
     }
     set
 }

@@ -199,28 +199,22 @@ pub struct GraphStore {
 impl GraphStore {
     /// Creates a store whose free list holds `capacity` fresh vertices.
     pub fn with_capacity(capacity: usize) -> Self {
-        let mut verts = Vec::with_capacity(capacity);
-        let mut free = Vec::with_capacity(capacity);
-        for i in 0..capacity {
-            let mut v = Vertex::default();
-            v.in_free_list = true;
-            verts.push(v);
-            free.push(VertexId::new(i as u32));
-        }
-        // Pop from the low end first so allocation order matches index order,
-        // which keeps examples and tests readable.
-        free.reverse();
-        GraphStore {
-            weights: vec![0; capacity],
-            verts,
-            free,
+        let mut g = GraphStore {
+            verts: Vec::new(),
+            free: Vec::new(),
             root: None,
             epochs: Epochs::default(),
+            weights: Vec::new(),
             live_bytes: 0,
             alloc_bytes_total: 0,
             journal: Vec::new(),
             journal_on: false,
-        }
+        };
+        g.grow(capacity);
+        // Pop from the low end first so allocation order matches index order,
+        // which keeps examples and tests readable.
+        g.free.reverse();
+        g
     }
 
     /// Creates an empty store (no capacity; grow with [`GraphStore::grow`]).
@@ -231,13 +225,13 @@ impl GraphStore {
     /// Adds `extra` fresh vertices to the free list.
     pub fn grow(&mut self, extra: usize) {
         let start = self.verts.len();
-        for i in 0..extra {
-            let mut v = Vertex::default();
-            v.in_free_list = true;
-            self.verts.push(v);
-            self.weights.push(0);
-            self.free.push(VertexId::new((start + i) as u32));
-        }
+        let end = start + extra;
+        // Each array reserves once and writes its new slots where they
+        // will live.
+        self.verts.resize_with(end, Vertex::free_slot);
+        self.weights.resize(end, 0);
+        self.free
+            .extend((start..end).map(|i| VertexId::new(i as u32)));
     }
 
     /// Allocates a vertex from the free list `F` with the given label.
@@ -253,7 +247,7 @@ impl GraphStore {
         let bytes = default_cost_model(&label);
         let v = &mut self.verts[id.index()];
         debug_assert!(v.in_free_list);
-        *v = Vertex::new(label);
+        v.reinit(label);
         self.charge_alloc(id, bytes);
         Ok(id)
     }
@@ -275,7 +269,7 @@ impl GraphStore {
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             let id = self.free.pop().expect("checked length");
-            self.verts[id.index()] = Vertex::new(NodeLabel::Hole);
+            self.verts[id.index()].reinit(NodeLabel::Hole);
             self.charge_alloc(id, bytes);
             out.push(id);
         }

@@ -170,17 +170,13 @@ impl Template {
                 TemplateRef::Global(v) => v,
             }
         };
-        for (i, node) in self.nodes.iter().enumerate().skip(1) {
-            let id = fresh[i - 1];
-            let args: Vec<VertexId> = node.args.iter().map(|&r| resolve(r)).collect();
+        // Each node's arcs are resolved straight into its vertex.
+        let ids = std::iter::once(target).chain(fresh.iter().copied());
+        for (node, id) in self.nodes.iter().zip(ids) {
             let v = g.vertex_mut(id);
             v.label = node.label.clone();
-            v.replace_args(args);
+            v.replace_args(node.args.iter().map(|&r| resolve(r)));
         }
-        let root_args: Vec<VertexId> = self.nodes[0].args.iter().map(|&r| resolve(r)).collect();
-        let tv = g.vertex_mut(target);
-        tv.label = self.nodes[0].label.clone();
-        tv.replace_args(root_args);
         Ok(fresh)
     }
 }

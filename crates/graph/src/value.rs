@@ -1,6 +1,7 @@
 //! Ultimate values computed by the reduction process.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ids::VertexId;
 
@@ -11,7 +12,11 @@ use crate::ids::VertexId;
 /// a [`Value::Cons`] names the head and tail *vertices*, so demanding a list
 /// element is a further graph traversal (this is what makes `add-reference`
 /// necessary — see `dgr-core`). A [`Value::Fn`] is a (possibly partial)
-/// supercombinator application awaiting more arguments.
+/// supercombinator application awaiting more arguments; its captures sit
+/// behind one thin shared pointer, which keeps a `Value` at 16 bytes (and
+/// with it [`NodeLabel`](crate::NodeLabel), every `arg_values` slot and
+/// every return task) and makes handing a function value on a
+/// reference-count bump instead of a copy of the captures.
 ///
 /// [`Value::Bottom`] is the explicit `⊥` produced by the optional
 /// `is-bottom`-style deadlock recovery the paper's footnote 5 sketches.
@@ -35,13 +40,18 @@ pub enum Value {
     /// A cons cell in weak head normal form; head and tail remain vertices.
     Cons(VertexId, VertexId),
     /// A (possibly partial) function value: supercombinator template plus
-    /// the argument vertices captured so far.
-    Fn(u32, Vec<VertexId>),
+    /// the argument vertices captured so far (see [`Value::function`]).
+    Fn(u32, Arc<Vec<VertexId>>),
     /// The undefined value `⊥`, produced by deadlock recovery.
     Bottom,
 }
 
 impl Value {
+    /// A function value of template `tpl` that has captured `caps`.
+    pub fn function(tpl: u32, caps: Vec<VertexId>) -> Self {
+        Value::Fn(tpl, Arc::new(caps))
+    }
+
     /// Returns the integer payload, if this is an [`Value::Int`].
     pub fn as_int(&self) -> Option<i64> {
         match self {
@@ -71,17 +81,9 @@ impl Value {
         matches!(self, Value::Bottom)
     }
 
-    /// Vertices this value keeps live (the components of structured data).
-    pub fn referenced_vertices(&self) -> Vec<VertexId> {
-        match self {
-            Value::Cons(h, t) => vec![*h, *t],
-            Value::Fn(_, caps) => caps.clone(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Visits the vertices [`Value::referenced_vertices`] returns, in the
-    /// same order, without allocating.
+    /// Visits the vertices this value keeps live (the components of
+    /// structured data, a function's captures), in order, without
+    /// allocating.
     pub fn for_each_referenced(&self, mut f: impl FnMut(VertexId)) {
         match self {
             Value::Cons(h, t) => {
@@ -89,7 +91,7 @@ impl Value {
                 f(*t);
             }
             Value::Fn(_, caps) => {
-                for &c in caps {
+                for &c in caps.iter() {
                     f(c);
                 }
             }
@@ -138,12 +140,32 @@ mod tests {
         assert!(!Value::Nil.is_bottom());
     }
 
+    fn referenced(v: &Value) -> Vec<VertexId> {
+        let mut out = Vec::new();
+        v.for_each_referenced(|c| out.push(c));
+        out
+    }
+
     #[test]
     fn referenced_vertices_cover_structured_data() {
         let (h, t) = (VertexId::new(1), VertexId::new(2));
-        assert_eq!(Value::Cons(h, t).referenced_vertices(), vec![h, t]);
-        assert_eq!(Value::Fn(0, vec![h]).referenced_vertices(), vec![h]);
-        assert!(Value::Int(0).referenced_vertices().is_empty());
+        assert_eq!(referenced(&Value::Cons(h, t)), vec![h, t]);
+        assert_eq!(
+            referenced(&Value::function(0, vec![t, h, t])),
+            vec![t, h, t]
+        );
+        assert!(referenced(&Value::Int(0)).is_empty());
+    }
+
+    #[test]
+    fn a_clone_shares_the_captures() {
+        let f = Value::function(3, vec![VertexId::new(1)]);
+        let g = f.clone();
+        let (Value::Fn(_, a), Value::Fn(_, b)) = (&f, &g) else {
+            unreachable!("both are function values")
+        };
+        assert!(Arc::ptr_eq(a, b), "a clone bumps a count, copies nothing");
+        assert_eq!(f, Value::function(3, vec![VertexId::new(1)]));
     }
 
     #[test]
@@ -153,7 +175,7 @@ mod tests {
             Value::Bool(true),
             Value::Nil,
             Value::Cons(VertexId::new(0), VertexId::new(1)),
-            Value::Fn(2, vec![]),
+            Value::function(2, vec![]),
             Value::Bottom,
         ] {
             assert!(!v.to_string().is_empty());

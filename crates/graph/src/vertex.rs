@@ -2,8 +2,10 @@
 
 use std::fmt;
 
+use crate::arcs::Arcs;
 use crate::ids::VertexId;
 use crate::label::NodeLabel;
+use crate::requesters::Requesters;
 use crate::value::Value;
 
 /// How an argument's value was requested.
@@ -231,10 +233,15 @@ impl From<VertexId> for Requester {
 ///
 /// Carries the label, the paper's three outgoing-edge sets, the received
 /// argument values (reduction-engine state), the computed value, and the two
-/// marking slots. Arcs are kept as parallel vectors:
+/// marking slots. Arcs read as parallel slices:
 /// `args[i]` is the target, `request_kinds[i]` records whether (and how) the
 /// arc was requested, and `arg_values[i]` holds the returned value once the
 /// requested computation replies.
+///
+/// The vertex is **one record**: up to three arcs and two requesters live
+/// in it, so a vertex of a combinator graph owns no heap block, and only a
+/// longer list moves into a boxed spill block (see the `arcs` and
+/// `requesters` modules; DESIGN.md, crate map, `graph`).
 ///
 /// Edges form a *multiset*: the same target may appear more than once (e.g.
 /// `x + x`). The paper treats `args` as a set; reachability is unaffected by
@@ -243,10 +250,8 @@ impl From<VertexId> for Requester {
 pub struct Vertex {
     /// The operator/value label.
     pub label: NodeLabel,
-    args: Vec<VertexId>,
-    request_kinds: Vec<Option<RequestKind>>,
-    arg_values: Vec<Option<Value>>,
-    requested: Vec<Requester>,
+    arcs: Arcs,
+    requested: Requesters,
     /// The computed ultimate value, if the reduction process has produced it.
     pub value: Option<Value>,
     /// Marking slot for `M_R`.
@@ -279,10 +284,8 @@ impl Vertex {
     pub fn new(label: NodeLabel) -> Self {
         Vertex {
             label,
-            args: Vec::new(),
-            request_kinds: Vec::new(),
-            arg_values: Vec::new(),
-            requested: Vec::new(),
+            arcs: Arcs::default(),
+            requested: Requesters::default(),
             value: None,
             mr: MarkSlot::default(),
             mt: MarkSlot::default(),
@@ -292,23 +295,47 @@ impl Vertex {
         }
     }
 
+    /// A fresh slot of the free list `F`.
+    pub(crate) fn free_slot() -> Self {
+        Vertex {
+            in_free_list: true,
+            ..Vertex::default()
+        }
+    }
+
+    /// Resets this vertex, in place, to exactly [`Vertex::new`]`(label)`:
+    /// how the store hands out a slot without building a record elsewhere
+    /// and moving it over the old one.
+    #[inline]
+    pub(crate) fn reinit(&mut self, label: NodeLabel) {
+        self.clear_for_free();
+        self.label = label;
+        self.mr = MarkSlot::default();
+        self.mt = MarkSlot::default();
+        self.in_free_list = false;
+    }
+
     /// The `args(v)` edge set (in insertion order; may contain duplicates).
+    #[inline]
     pub fn args(&self) -> &[VertexId] {
-        &self.args
+        self.arcs.targets()
     }
 
     /// Request kinds parallel to [`Vertex::args`]; `None` = unrequested.
+    #[inline]
     pub fn request_kinds(&self) -> &[Option<RequestKind>] {
-        &self.request_kinds
+        self.arcs.kinds()
     }
 
     /// Received argument values parallel to [`Vertex::args`].
+    #[inline]
     pub fn arg_values(&self) -> &[Option<Value>] {
-        &self.arg_values
+        self.arcs.values()
     }
 
     /// `requested(v)`: the parties that have requested this vertex's value
     /// and have not yet been replied to.
+    #[inline]
     pub fn requested(&self) -> &[Requester] {
         &self.requested
     }
@@ -361,19 +388,16 @@ impl Vertex {
     }
 
     /// Appends an (unrequested) arc to `args(v)`.
+    #[inline]
     pub fn push_arg(&mut self, target: VertexId) {
-        self.args.push(target);
-        self.request_kinds.push(None);
-        self.arg_values.push(None);
+        self.arcs.push(target);
     }
 
     /// Removes the first occurrence of `target` from `args(v)`, returning
     /// the arc's request kind if the arc existed.
     pub fn remove_arg(&mut self, target: VertexId) -> Option<Option<RequestKind>> {
-        let i = self.args.iter().position(|&a| a == target)?;
-        self.args.remove(i);
-        self.arg_values.remove(i);
-        Some(self.request_kinds.remove(i))
+        let i = self.args().iter().position(|&a| a == target)?;
+        Some(self.arcs.remove(i).1)
     }
 
     /// Removes the arc at index `i`, returning its target and request kind.
@@ -382,9 +406,7 @@ impl Vertex {
     ///
     /// Panics if `i` is out of bounds.
     pub fn remove_arg_at(&mut self, i: usize) -> (VertexId, Option<RequestKind>) {
-        let target = self.args.remove(i);
-        self.arg_values.remove(i);
-        (target, self.request_kinds.remove(i))
+        self.arcs.remove(i)
     }
 
     /// Marks arc `i` as requested with the given kind, returning the
@@ -394,7 +416,7 @@ impl Vertex {
     ///
     /// Panics if `i` is out of bounds.
     pub fn set_request_kind(&mut self, i: usize, kind: Option<RequestKind>) -> Option<RequestKind> {
-        std::mem::replace(&mut self.request_kinds[i], kind)
+        self.arcs.set_kind(i, kind)
     }
 
     /// Records the returned value for arc `i`.
@@ -403,10 +425,11 @@ impl Vertex {
     ///
     /// Panics if `i` is out of bounds.
     pub fn set_arg_value(&mut self, i: usize, v: Value) {
-        self.arg_values[i] = Some(v);
+        self.arcs.set_value(i, v);
     }
 
     /// Adds a requester to `requested(v)`.
+    #[inline]
     pub fn add_requester(&mut self, r: Requester) {
         self.requested.push(r);
     }
@@ -414,76 +437,56 @@ impl Vertex {
     /// Removes one occurrence of a requester (the paper's *dereference*
     /// partner operation), returning `true` if it was present.
     pub fn remove_requester(&mut self, r: Requester) -> bool {
-        if let Some(i) = self.requested.iter().position(|&x| x == r) {
-            self.requested.remove(i);
-            true
-        } else {
-            false
-        }
+        self.requested.remove(r)
     }
 
     /// Keeps only the requesters for which `keep` returns `true` (used by
     /// the restructuring phase to purge reclaimed requesters). Returns how
     /// many were removed.
-    pub fn retain_requesters(&mut self, mut keep: impl FnMut(Requester) -> bool) -> usize {
-        let before = self.requested.len();
-        self.requested.retain(|&r| keep(r));
-        before - self.requested.len()
+    pub fn retain_requesters(&mut self, keep: impl FnMut(Requester) -> bool) -> usize {
+        self.requested.retain(keep)
     }
 
     /// Drains and returns `requested(v)` (used when replying to all
-    /// requesters at once).
-    pub fn take_requested(&mut self) -> Vec<Requester> {
+    /// requesters at once). The list moves out as the record it is — no
+    /// heap block unless it had spilled.
+    #[inline]
+    pub fn take_requested(&mut self) -> Requesters {
         std::mem::take(&mut self.requested)
     }
 
     /// `req-args(v)`: targets of arcs that have been requested (any kind).
     pub fn req_args(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.args
+        self.args()
             .iter()
-            .zip(&self.request_kinds)
+            .zip(self.request_kinds())
             .filter(|(_, k)| k.is_some())
             .map(|(&a, _)| a)
     }
 
     /// `req-args_v(v)` or `req-args_e(v)` depending on `kind`.
     pub fn req_args_of(&self, kind: RequestKind) -> impl Iterator<Item = VertexId> + '_ {
-        self.args
+        self.args()
             .iter()
-            .zip(&self.request_kinds)
+            .zip(self.request_kinds())
             .filter(move |(_, k)| **k == Some(kind))
             .map(|(&a, _)| a)
     }
 
     /// `args(v) − req-args(v)`: targets of unrequested arcs.
     pub fn unrequested_args(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.args
+        self.args()
             .iter()
-            .zip(&self.request_kinds)
+            .zip(self.request_kinds())
             .filter(|(_, k)| k.is_none())
             .map(|(&a, _)| a)
     }
 
-    /// The child set traced by `M_T` (Figure 5-3):
-    /// `requested(v) ∪ (args(v) − req-args(v))`, plus the vertices a computed
-    /// structured value keeps live.
-    pub fn t_children(&self) -> Vec<VertexId> {
-        let mut out: Vec<VertexId> = self
-            .requested
-            .iter()
-            .filter_map(|r| r.as_vertex())
-            .collect();
-        out.extend(self.unrequested_args());
-        if let Some(v) = &self.value {
-            out.extend(v.referenced_vertices());
-        }
-        out
-    }
-
-    /// Visits the children [`Vertex::t_children`] returns, in the same
-    /// order, without allocating.
+    /// Visits the child set traced by `M_T` (Figure 5-3):
+    /// `requested(v) ∪ (args(v) − req-args(v))`, then the vertices a
+    /// computed structured value keeps live. Allocates nothing.
     pub fn for_each_t_child(&self, mut f: impl FnMut(VertexId)) {
-        for r in &self.requested {
+        for r in self.requested() {
             if let Some(v) = r.as_vertex() {
                 f(v);
             }
@@ -496,21 +499,12 @@ impl Vertex {
         }
     }
 
-    /// The child set traced by `M_R`: all of `args(v)`, plus the vertices a
-    /// computed structured value keeps live (a cons value names its head and
-    /// tail even after the arcs are rewritten).
-    pub fn r_children(&self) -> Vec<VertexId> {
-        let mut out = self.args.clone();
-        if let Some(v) = &self.value {
-            out.extend(v.referenced_vertices());
-        }
-        out
-    }
-
-    /// Visits the children [`Vertex::r_children`] returns, in the same
-    /// order, without allocating — the marking wave's hot path.
+    /// Visits the child set traced by `M_R`: all of `args(v)`, then the
+    /// vertices a computed structured value keeps live (a cons value names
+    /// its head and tail even after the arcs are rewritten). Allocates
+    /// nothing — the marking wave's hot path.
     pub fn for_each_r_child(&self, mut f: impl FnMut(VertexId)) {
-        for &a in &self.args {
+        for &a in self.args() {
             f(a);
         }
         if let Some(v) = &self.value {
@@ -519,14 +513,14 @@ impl Vertex {
     }
 
     /// Visits the child set traced by `M_R` together with each arc's request
-    /// kind (`request-type(c, v)` in Figure 5-1), in [`Vertex::r_children`]
-    /// order, without allocating. Vertices referenced by a computed
+    /// kind (`request-type(c, v)` in Figure 5-1), in
+    /// [`Vertex::for_each_r_child`] order, without allocating. Vertices referenced by a computed
     /// structured value behave like *unrequested* arcs: a cons cell's
     /// components are exactly the lazily-reachable parts of the value —
     /// nothing has demanded them yet, so they contribute `Reserve`, and
     /// they are promoted the moment a real request arc is added for them.
     pub fn for_each_r_child_kind(&self, mut f: impl FnMut(VertexId, Option<RequestKind>)) {
-        for (&a, &k) in self.args.iter().zip(&self.request_kinds) {
+        for (&a, &k) in self.args().iter().zip(self.request_kinds()) {
             f(a, k);
         }
         if let Some(v) = &self.value {
@@ -536,9 +530,9 @@ impl Vertex {
 
     /// Number of requested arcs whose values have not yet arrived.
     pub fn pending_arg_values(&self) -> usize {
-        self.request_kinds
+        self.request_kinds()
             .iter()
-            .zip(&self.arg_values)
+            .zip(self.arg_values())
             .filter(|(k, v)| k.is_some() && v.is_none())
             .count()
     }
@@ -547,10 +541,8 @@ impl Vertex {
     /// vertex is returned to the free list).
     pub fn clear_for_free(&mut self) {
         self.label = NodeLabel::Hole;
-        self.args.clear();
-        self.request_kinds.clear();
-        self.arg_values.clear();
-        self.requested.clear();
+        self.arcs.clear();
+        self.requested = Requesters::default();
         self.value = None;
         self.demand = Priority::Reserve;
         self.touched_at = 0;
@@ -559,17 +551,18 @@ impl Vertex {
         // consulted; slots are reset when the next marking cycle begins.
     }
 
-    /// Replaces all edges at once (used by `splice-in-subgraph`).
-    pub fn replace_args(&mut self, args: Vec<VertexId>) {
-        let n = args.len();
-        self.args = args;
-        self.request_kinds = vec![None; n];
-        self.arg_values = vec![None; n];
+    /// Replaces all edges at once (used by `splice-in-subgraph`); the new
+    /// arcs are unrequested and carry no value. Written straight into the
+    /// record, so the caller needs no temporary list.
+    #[inline]
+    pub fn replace_args(&mut self, args: impl IntoIterator<Item = VertexId>) {
+        self.arcs.replace(args);
     }
 
-    /// Internal consistency of the parallel vectors.
+    /// Internal consistency of the parallel slices.
     pub fn check_consistency(&self) -> bool {
-        self.args.len() == self.request_kinds.len() && self.args.len() == self.arg_values.len()
+        self.args().len() == self.request_kinds().len()
+            && self.args().len() == self.arg_values().len()
     }
 }
 
@@ -667,6 +660,18 @@ mod tests {
         assert_eq!(req, vec![v(1), v(2)]);
     }
 
+    fn r_children(x: &Vertex) -> Vec<VertexId> {
+        let mut out = Vec::new();
+        x.for_each_r_child(|c| out.push(c));
+        out
+    }
+
+    fn t_children(x: &Vertex) -> Vec<VertexId> {
+        let mut out = Vec::new();
+        x.for_each_t_child(|c| out.push(c));
+        out
+    }
+
     #[test]
     fn t_children_trace_requested_and_unrequested() {
         let mut x = Vertex::new(NodeLabel::Prim(PrimOp::Add));
@@ -676,25 +681,23 @@ mod tests {
         x.add_requester(Requester::Vertex(v(7)));
         x.add_requester(Requester::External);
 
-        let t = x.t_children();
-        // requested(v) ∪ (args − req-args): {7} ∪ {2}; External contributes
-        // nothing.
-        assert!(t.contains(&v(7)));
-        assert!(t.contains(&v(2)));
-        assert!(!t.contains(&v(1)));
+        // requested(v) ∪ (args − req-args): {7} ∪ {2}, in that order;
+        // External contributes nothing, the requested arc to 1 neither.
+        assert_eq!(t_children(&x), vec![v(7), v(2)]);
+        assert_eq!(r_children(&x), vec![v(1), v(2)]);
     }
 
     #[test]
     fn children_include_value_references() {
         let mut x = Vertex::new(NodeLabel::Cons);
         x.value = Some(Value::Cons(v(4), v(5)));
-        assert!(x.r_children().contains(&v(4)));
-        assert!(x.r_children().contains(&v(5)));
-        assert!(x.t_children().contains(&v(4)));
+        x.push_arg(v(3));
+        assert_eq!(r_children(&x), vec![v(3), v(4), v(5)]);
+        assert_eq!(t_children(&x), vec![v(3), v(4), v(5)]);
         // Value components are lazily reachable: unrequested kind.
         let mut kinds = Vec::new();
         x.for_each_r_child_kind(|c, k| kinds.push((c, k)));
-        assert_eq!(kinds, vec![(v(4), None), (v(5), None)]);
+        assert_eq!(kinds, vec![(v(3), None), (v(4), None), (v(5), None)]);
     }
 
     #[test]
@@ -705,7 +708,7 @@ mod tests {
         assert!(x.remove_requester(Requester::Vertex(v(1))));
         assert!(!x.remove_requester(Requester::Vertex(v(1))));
         let drained = x.take_requested();
-        assert_eq!(drained, vec![Requester::Vertex(v(2))]);
+        assert_eq!(&drained[..], &[Requester::Vertex(v(2))]);
         assert!(x.requested().is_empty());
     }
 

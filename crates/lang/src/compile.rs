@@ -39,7 +39,7 @@ impl CompiledProgram {
             message: e.to_string(),
         };
         let f = g
-            .alloc(NodeLabel::Lit(Value::Fn(self.main, Vec::new())))
+            .alloc(NodeLabel::Lit(Value::function(self.main, Vec::new())))
             .map_err(to_compile_err)?;
         let app = g.alloc(NodeLabel::Apply).map_err(to_compile_err)?;
         g.connect(app, f);
@@ -113,7 +113,7 @@ impl ScCompiler<'_> {
             LExpr::Bool(b) => self.push(TemplateNode::new(NodeLabel::lit_bool(*b), vec![])),
             LExpr::Nil => self.push(TemplateNode::new(NodeLabel::Lit(Value::Nil), vec![])),
             LExpr::ScRef(id) => self.push(TemplateNode::new(
-                NodeLabel::Lit(Value::Fn(*id as TemplateId, Vec::new())),
+                NodeLabel::Lit(Value::function(*id as TemplateId, Vec::new())),
                 vec![],
             )),
             LExpr::Var(x) => self.lookup(x)?,
@@ -181,7 +181,7 @@ impl ScCompiler<'_> {
             LExpr::Nil => self.nodes[slot] = TemplateNode::new(NodeLabel::Lit(Value::Nil), vec![]),
             LExpr::ScRef(id) => {
                 self.nodes[slot] = TemplateNode::new(
-                    NodeLabel::Lit(Value::Fn(*id as TemplateId, Vec::new())),
+                    NodeLabel::Lit(Value::function(*id as TemplateId, Vec::new())),
                     vec![],
                 )
             }

@@ -62,7 +62,7 @@ impl<'g> Builder<'g> {
     /// A reference to a supercombinator (a function value with no captured
     /// arguments).
     pub fn fn_ref(&mut self, tpl: TemplateId) -> VertexId {
-        self.lit(Value::Fn(tpl, Vec::new()))
+        self.lit(Value::function(tpl, Vec::new()))
     }
 
     /// A strict primitive application.

@@ -183,17 +183,15 @@ fn request_arg(ctx: &mut EngineCtx<'_>, v: VertexId, i: usize, kind: RequestKind
 /// arguments (this is what turns exhausted subcomputations into garbage),
 /// and replies to every requester.
 fn complete(ctx: &mut EngineCtx<'_>, v: VertexId, value: Value) {
-    {
-        let vert = ctx.g.vertex_mut(v);
-        vert.value = Some(value.clone());
-        // delete-reference on every remaining argument arc. Arc removal
-        // never requires marking cooperation. Vertices the value itself
-        // names (cons components, captured arguments) stay reachable via
-        // the value.
-        vert.replace_args(Vec::new());
-    }
-    let requesters = ctx.g.vertex_mut(v).take_requested();
-    for r in requesters {
+    let vert = ctx.g.vertex_mut(v);
+    vert.value = Some(value.clone());
+    // delete-reference on every remaining argument arc. Arc removal
+    // never requires marking cooperation. Vertices the value itself
+    // names (cons components, captured arguments) stay reachable via
+    // the value.
+    vert.replace_args([]);
+    let requesters = vert.take_requested();
+    for &r in requesters.iter() {
         reply(ctx, v, r, value.clone());
     }
 }
@@ -381,13 +379,15 @@ fn apply_return(ctx: &mut EngineCtx<'_>, v: VertexId, i: usize, value: Value) {
                 bottom(ctx, v);
                 return;
             }
-            let mut total = caps;
-            total.extend_from_slice(&ctx.g.vertex(v).args()[1..]);
+            let applied = &ctx.g.vertex(v).args()[1..];
+            let mut total = Vec::with_capacity(caps.len() + applied.len());
+            total.extend_from_slice(&caps);
+            total.extend_from_slice(applied);
             let arity = ctx.templates.arity(tpl_id);
             use std::cmp::Ordering::*;
             match total.len().cmp(&arity) {
                 Equal => expand_in_place(ctx, v, tpl_id, &total),
-                Less => complete(ctx, v, Value::Fn(tpl_id, total)),
+                Less => complete(ctx, v, Value::function(tpl_id, total)),
                 Greater => oversaturated(ctx, v, tpl_id, &total),
             }
         }
@@ -458,10 +458,9 @@ fn oversaturated(ctx: &mut EngineCtx<'_>, v: VertexId, tpl_id: TemplateId, total
         bottom(ctx, v);
         return;
     }
-    let mut new_args = vec![b];
-    new_args.extend_from_slice(&total[arity..]);
-    ctx.g.vertex_mut(v).replace_args(new_args.clone());
-    for c in new_args {
+    let new_args = || std::iter::once(b).chain(total[arity..].iter().copied());
+    ctx.g.vertex_mut(v).replace_args(new_args());
+    for c in new_args() {
         coop::coop_r_arc(ctx.state, ctx.g, v, c, &mut |m| ctx.out_mark.push(m));
         coop::coop_t_arc(ctx.state, ctx.g, v, c, &mut |m| ctx.out_mark.push(m));
     }

@@ -898,7 +898,7 @@ mod tests {
                     vec![TemplateRef::Local(5), TemplateRef::Local(6)],
                 ),
                 // 5: the function value for sum itself
-                TemplateNode::new(NodeLabel::Lit(Value::Fn(sum, vec![])), vec![]),
+                TemplateNode::new(NodeLabel::Lit(Value::function(sum, vec![])), vec![]),
                 // 6: n - 1
                 TemplateNode::new(
                     NodeLabel::Prim(PrimOp::Sub),
@@ -959,7 +959,9 @@ mod tests {
     fn fixed_heap_exhaustion_yields_bottom() {
         let (ts, inc) = inc_store();
         let mut g = GraphStore::with_capacity(3);
-        let f = g.alloc(NodeLabel::Lit(Value::Fn(inc, vec![]))).unwrap();
+        let f = g
+            .alloc(NodeLabel::Lit(Value::function(inc, vec![])))
+            .unwrap();
         let x = g.alloc(NodeLabel::lit_int(1)).unwrap();
         let app = g.alloc(NodeLabel::Apply).unwrap();
         g.connect(app, f);
@@ -979,7 +981,9 @@ mod tests {
     fn heap_grows_when_allowed() {
         let (ts, inc) = inc_store();
         let mut g = GraphStore::with_capacity(3);
-        let f = g.alloc(NodeLabel::Lit(Value::Fn(inc, vec![]))).unwrap();
+        let f = g
+            .alloc(NodeLabel::Lit(Value::function(inc, vec![])))
+            .unwrap();
         let x = g.alloc(NodeLabel::lit_int(1)).unwrap();
         let app = g.alloc(NodeLabel::Apply).unwrap();
         g.connect(app, f);

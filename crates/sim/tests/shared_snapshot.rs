@@ -28,7 +28,7 @@ fn store(
         g.vertex_mut(ids[v % n]).value = Some(if head % 2 == 0 {
             Value::Cons(ids[head % n], ids[tail % n])
         } else {
-            Value::Fn(0, vec![ids[head % n], ids[tail % n], ids[head % n]])
+            Value::function(0, vec![ids[head % n], ids[tail % n], ids[head % n]])
         });
     }
     g.set_root(ids[0]);
