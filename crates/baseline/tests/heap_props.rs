@@ -1,7 +1,7 @@
 //! Property tests for heap-byte accounting against a shadow ledger.
 //!
 //! The tracker's contract, checked against an independently-maintained
-//! shadow over random alloc/free/reweight/episode traffic:
+//! shadow over random alloc/free/episode traffic:
 //!
 //! * the live clock is exactly `alloc_bytes − freed_bytes` as summed by
 //!   the shadow (the tracker never drifts from the ledger it meters);
@@ -41,9 +41,8 @@ struct Shadow {
 
 /// Drives `ops` pseudo-random heap operations (xorshift64 from `seed`)
 /// through a fresh tracker and the shadow in lockstep. Every free hits
-/// a stamped vertex; reweights only touch live vertices. Returns both
-/// plus the per-op `(tracker live, tracker peak)` trace for the
-/// feature-on equality check.
+/// a stamped vertex. Returns both plus the per-op `(tracker live,
+/// tracker peak)` trace for the feature-on equality check.
 fn drive(ops: usize, seed: u64, pes: usize) -> (HeapTracker, Shadow, Vec<(u64, u64)>) {
     let mut t = HeapTracker::new(pes);
     let mut sh = Shadow::default();
@@ -69,26 +68,13 @@ fn drive(ops: usize, seed: u64, pes: usize) -> (HeapTracker, Shadow, Vec<(u64, u
                 sh.alloc_bytes += bytes;
                 sh.allocs += 1;
             }
-            5..=6 => {
+            5..=7 => {
                 if let Some((&idx, &(pe, w))) = sh.live_set.iter().next() {
                     t.free(pe, idx, w);
                     sh.live_set.remove(&idx);
                     sh.live -= w;
                     sh.freed_bytes += w;
                     sh.frees += 1;
-                }
-            }
-            // Grow-only reweights keep the `live = alloc − freed`
-            // identity checkable (a shrink debits live without
-            // crediting freed bytes; the unit tests pin that case).
-            7 => {
-                if let Some((&idx, &(pe, w))) = sh.live_set.iter().last() {
-                    let new = w + bytes % 64;
-                    t.reweight(pe, idx, w, new);
-                    sh.live_set.insert(idx, (pe, new));
-                    sh.live += new - w;
-                    sh.peak = sh.peak.max(sh.live);
-                    sh.alloc_bytes += new - w;
                 }
             }
             8 => {

@@ -1,6 +1,6 @@
 //! Repo-specific source lints, run in CI alongside the model checker.
 //!
-//! Seven source rules, scoped to `crates/*/src` and the root `src/`, and
+//! Eight source rules, scoped to `crates/*/src` and the root `src/`, and
 //! one manifest rule over the root and `crates/*` `Cargo.toml` files:
 //!
 //! 1. **mark-word ordering** — a line touching the packed `(epoch, color)`
@@ -46,6 +46,15 @@
 //!    under `vendor/`, and a stub in the production graph is code the
 //!    whole workspace compiles and nobody reviews as its own.
 //!    `[dev-dependencies]` are exempt (`proptest`).
+//! 9. **ids have writers** — every variant of the closed id enums
+//!    (`CounterId`, `GaugeId`, `HistId`, the simulator's `Lane`, the byte
+//!    journal's `HeapDelta`) must be *produced* somewhere: named in
+//!    expression position — a match-arm pattern (`E::V … =>`) reads, it
+//!    does not write — by non-test source outside the enum's own
+//!    declaration and `impl` block and outside `crates/telemetry` and
+//!    `crates/observe`, which carry and render ids but originate none. A
+//!    metric nobody bumps renders as a constant zero and a lane nobody
+//!    sends on is a queue every pick still scans; both have shipped.
 //!
 //! The needles below are spelled with `concat!` so the lint does not flag
 //! its own source.
@@ -98,6 +107,19 @@ const SHIMMED: [&str; 4] = [
     "crates/sim/src/quiesce.rs",
     "crates/graph/src/markword.rs",
 ];
+
+/// Rule 9's subjects: each closed id enum and the file declaring it.
+const PRODUCED_ENUMS: [(&str, &str); 5] = [
+    ("CounterId", "crates/telemetry/src/ids.rs"),
+    ("GaugeId", "crates/telemetry/src/ids.rs"),
+    ("HistId", "crates/telemetry/src/ids.rs"),
+    ("Lane", "crates/sim/src/msg.rs"),
+    ("HeapDelta", "crates/graph/src/store.rs"),
+];
+
+/// The crates that carry and render ids (name tables, shards, the
+/// exposition, the watchdog) and never originate one.
+const ID_CARRIERS: [&str; 2] = ["crates/telemetry/", "crates/observe/"];
 
 /// Where every surviving non-Relaxed ordering must be annotated.
 fn ordering_commented_scope(rel: &str) -> bool {
@@ -194,6 +216,92 @@ fn lint_manifest(rel: &str, text: &str, findings: &mut Vec<Finding>) {
     }
 }
 
+/// Brace depth change over one line (comment lines count for nothing).
+fn brace_delta(l: &str) -> i32 {
+    if l.trim().starts_with("//") {
+        return 0;
+    }
+    l.matches('{').count() as i32 - l.matches('}').count() as i32
+}
+
+/// The line range of the brace block opened by the first line that starts
+/// with `header` (empty if there is none).
+fn block(lines: &[&str], header: &str) -> std::ops::Range<usize> {
+    let Some(start) = lines.iter().position(|l| l.starts_with(header)) else {
+        return 0..0;
+    };
+    let mut depth = 0;
+    for (i, l) in lines.iter().enumerate().skip(start) {
+        depth += brace_delta(l);
+        if depth == 0 {
+            return start..i + 1;
+        }
+    }
+    start..lines.len()
+}
+
+/// The variants an enum declares in `body` (its [`block`]), with their
+/// line indexes: the capitalized identifiers at brace depth one.
+fn enum_variants(lines: &[&str], body: std::ops::Range<usize>) -> Vec<(usize, String)> {
+    let mut depth = 0;
+    let mut variants = Vec::new();
+    for i in body {
+        let t = lines[i].trim();
+        if depth == 1 && t.starts_with(char::is_uppercase) {
+            let end = t.find(|c: char| !c.is_alphanumeric()).unwrap_or(t.len());
+            variants.push((i, t[..end].to_string()));
+        }
+        depth += brace_delta(lines[i]);
+    }
+    variants
+}
+
+/// Whether line `l` names `needle` (`Enum::Variant`) in expression
+/// position: as a whole path, and not as the pattern of a match arm.
+fn produces(l: &str, needle: &str) -> bool {
+    !l.trim().starts_with("//")
+        && l.match_indices(needle).any(|(at, _)| {
+            let rest = &l[at + needle.len()..];
+            !rest.starts_with(char::is_alphanumeric) && !rest.contains("=>")
+        })
+}
+
+/// Rule 9 over the collected sources (`(repo-relative path, text)`).
+fn lint_produced(sources: &[(String, String)], findings: &mut Vec<Finding>) {
+    for (name, home) in PRODUCED_ENUMS {
+        let Some((_, text)) = sources.iter().find(|(rel, _)| rel == home) else {
+            continue;
+        };
+        let home_lines: Vec<&str> = text.lines().collect();
+        let decl = block(&home_lines, &format!("pub enum {name} {{"));
+        let own_impl = block(&home_lines, &format!("impl {name} {{"));
+        for (line, variant) in enum_variants(&home_lines, decl.clone()) {
+            let needle = format!("{name}::{variant}");
+            let produced = sources
+                .iter()
+                .filter(|(rel, _)| !ID_CARRIERS.iter().any(|c| rel.starts_with(c)))
+                .any(|(rel, text)| {
+                    text.lines()
+                        .enumerate()
+                        .take_while(|(_, l)| {
+                            let t = l.trim();
+                            t != "#[cfg(test)]" && !t.starts_with("mod tests")
+                        })
+                        .filter(|(i, _)| rel != home || !(decl.contains(i) || own_impl.contains(i)))
+                        .any(|(_, l)| produces(l, &needle))
+                });
+            if !produced {
+                findings.push(Finding {
+                    file: home.to_string(),
+                    line: line + 1,
+                    rule: "ids-have-writers",
+                    text: needle,
+                });
+            }
+        }
+    }
+}
+
 /// Runs all rules over the repository rooted at `root`: manifest findings
 /// first, then source findings, each sorted by file and line.
 pub fn run(root: &Path) -> Vec<Finding> {
@@ -212,11 +320,11 @@ pub fn run(root: &Path) -> Vec<Finding> {
             lint_manifest(&rel_path(root, &path), &text, &mut findings);
         }
     }
-    for path in files {
-        let rel = rel_path(root, &path);
-        let Ok(text) = fs::read_to_string(&path) else {
-            continue;
-        };
+    let sources: Vec<(String, String)> = files
+        .iter()
+        .filter_map(|p| Some((rel_path(root, p), fs::read_to_string(p).ok()?)))
+        .collect();
+    for (rel, text) in &sources {
         let mut in_tests = false;
         let lines: Vec<&str> = text.lines().collect();
         for (i, &l) in lines.iter().enumerate() {
@@ -245,7 +353,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
                     text: t.to_string(),
                 });
             }
-            if !in_tests && !allowed_deque(&rel) && l.contains(DEQUE_NEW) {
+            if !in_tests && !allowed_deque(rel) && l.contains(DEQUE_NEW) {
                 findings.push(Finding {
                     file: rel.clone(),
                     line: i + 1,
@@ -253,7 +361,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
                     text: t.to_string(),
                 });
             }
-            if !in_tests && !allowed_mut(&rel) && MUT_NEEDLES.iter().any(|n| l.contains(n)) {
+            if !in_tests && !allowed_mut(rel) && MUT_NEEDLES.iter().any(|n| l.contains(n)) {
                 findings.push(Finding {
                     file: rel.clone(),
                     line: i + 1,
@@ -278,7 +386,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
                 });
             }
             if !in_tests
-                && ordering_commented_scope(&rel)
+                && ordering_commented_scope(rel)
                 && ORDERING_STRONG.iter().any(|n| l.contains(n))
             {
                 // The annotation may sit on the same line or anywhere in
@@ -302,6 +410,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
             }
         }
     }
+    lint_produced(&sources, &mut findings);
     findings
 }
 
@@ -353,6 +462,64 @@ mod tests {
         assert!(findings.iter().any(|f| f.rule == "mark-state-confinement"));
         assert!(findings.iter().any(|f| f.rule == "markword-array-relaxed"));
         assert!(findings.iter().any(|f| f.rule == "deque-confinement"));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_id_nothing_produces_is_reported() {
+        let dir = std::env::temp_dir().join("dgr-check-lint-fixture-ids");
+        let write = |krate: &str, file: &str, text: &str| {
+            let src = dir.join("crates").join(krate).join("src");
+            fs::create_dir_all(&src).unwrap();
+            fs::write(src.join(file), text).unwrap();
+        };
+        // `Orphan` is declared, tabled and rendered, matched on by a
+        // consumer and bumped by a test — and produced by nothing.
+        write(
+            "telemetry",
+            "ids.rs",
+            "pub enum CounterId {\n    /// Bumped below.\n    Used,\n    Orphan,\n}\n\n\
+             impl CounterId {\n    pub const ALL: [CounterId; 2] = [CounterId::Used, CounterId::Orphan];\n}\n",
+        );
+        write(
+            "observe",
+            "prom.rs",
+            "fn f() { help(CounterId::Orphan); }\n",
+        );
+        write(
+            "sim",
+            "msg.rs",
+            "pub enum Lane {\n    Marking,\n    Reduction(Priority),\n    Idle,\n}\n\n\
+             impl Lane {\n    pub const ALL: [Lane; 3] = [Lane::Marking, Lane::Reduction(V), Lane::Idle];\n}\n",
+        );
+        write(
+            "graph",
+            "store.rs",
+            "pub enum HeapDelta {\n    Alloc {\n        id: VertexId,\n    },\n}\n\
+             fn charge() { journal.push(HeapDelta::Alloc { id }); }\n",
+        );
+        write(
+            "user",
+            "lib.rs",
+            "fn f(shard: &Shard, lane: Lane) {\n    shard.inc(CounterId::Used);\n    \
+             // shard.inc(CounterId::Orphan);\n    send(Lane::Marking);\n    \
+             send(Lane::Reduction(p));\n    match lane {\n        Lane::Idle => {}\n        \
+             _ => match id { CounterId::Orphan => 1, _ => 0 },\n    }\n}\n\
+             #[cfg(test)]\nmod tests {\n    fn t() { shard.inc(CounterId::Orphan); send(Lane::Idle); }\n}\n",
+        );
+        let got: Vec<_> = run(&dir)
+            .into_iter()
+            .map(|f| (f.rule, f.file, f.line, f.text))
+            .collect();
+        let ids = "crates/telemetry/src/ids.rs".to_string();
+        let msg = "crates/sim/src/msg.rs".to_string();
+        assert_eq!(
+            got,
+            [
+                ("ids-have-writers", ids, 4, "CounterId::Orphan".to_string()),
+                ("ids-have-writers", msg, 4, "Lane::Idle".to_string()),
+            ]
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

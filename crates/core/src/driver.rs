@@ -64,25 +64,10 @@ pub fn reset_slot(g: &mut GraphStore, slot: Slot) {
     g.begin_mark_cycle(slot);
 }
 
-/// Routes a marking message to the PE owning its destination vertex;
-/// returns addressed to the dummy roots execute on PE 0, where the marking
-/// process was initiated.
+/// Addresses a marking message to the PE it executes on
+/// ([`PartitionMap::pe_of_dest`]).
 pub fn route(partition: &PartitionMap, msg: MarkMsg) -> Envelope<MarkMsg> {
-    let pe = msg
-        .dest_vertex()
-        .map(|v| partition.pe_of(v))
-        .unwrap_or(dgr_graph::PeId::new(0));
-    Envelope::new(pe, Lane::Marking, msg)
-}
-
-/// Phase tag and flow-event name for a marking message, by slot: the
-/// `M_T` wave and the `M_R` wave get distinct names so the analyzer can
-/// histogram their fan-outs separately (Theorem 2 orders them).
-fn flow_meta(m: &MarkMsg) -> (Phase, &'static str) {
-    match m.slot() {
-        Slot::T => (Phase::Mt, "M_T"),
-        Slot::R => (Phase::Mr, "M_R"),
-    }
+    Envelope::new(partition.pe_of_dest(msg.dest_vertex()), Lane::Marking, msg)
 }
 
 /// Dumps the flight recorder (event-ring tail, metrics snapshot, every
@@ -117,7 +102,7 @@ fn run_pass(
     let mut sim: DetSim<MarkMsg> = DetSim::new(cfg.num_pes, cfg.policy, cfg.seed);
     for m in initial {
         // Seeds originate on PE 0, where the marking process starts.
-        let (fphase, fname) = flow_meta(&m);
+        let (fphase, fname) = m.flow_meta();
         let seq = sim.send(route(&partition, m));
         telem.flow_send(0, 0, fphase, fname, seq + 1);
     }
@@ -128,12 +113,12 @@ fn run_pass(
         {
             stats.remote_messages += 1;
         }
-        let (fphase, fname) = flow_meta(&msg);
+        let (fphase, fname) = msg.flow_meta();
         telem.flow_recv(pe.raw(), 0, fphase, fname, seq + 1);
         telem.pe(pe.raw()).inc(CounterId::MarkEvents);
         // The handler's sends go straight into the simulator.
         handle_mark(state, g, msg, &mut |m: MarkMsg| {
-            let (fphase, fname) = flow_meta(&m);
+            let (fphase, fname) = m.flow_meta();
             let env = route(&partition, m);
             if env.dst != pe {
                 stats.remote_messages += 1;
@@ -214,16 +199,6 @@ pub fn run_mark1_with(g: &mut GraphStore, cfg: &MarkRunConfig, telem: &Registry)
 ///
 /// Panics if the graph has no root or termination is not signalled.
 pub fn run_mark2(g: &mut GraphStore, cfg: &MarkRunConfig) -> MarkStats {
-    run_mark2_with(g, cfg, &Registry::new(cfg.num_pes))
-}
-
-/// [`run_mark2`] with an explicit telemetry registry (see
-/// [`run_mark1_with`] for what is recorded).
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_mark2`].
-pub fn run_mark2_with(g: &mut GraphStore, cfg: &MarkRunConfig, telem: &Registry) -> MarkStats {
     let root = g.root().expect("marking needs a root");
     reset_slot(g, Slot::R);
     let mut state = MarkState::new();
@@ -239,7 +214,7 @@ pub fn run_mark2_with(g: &mut GraphStore, cfg: &MarkRunConfig, telem: &Registry)
             prior: Priority::Vital,
         }],
         Phase::Mr,
-        telem,
+        &Registry::new(cfg.num_pes),
     );
     assert!(state.r_done, "M_R drained without termination signal");
     stats
@@ -253,21 +228,6 @@ pub fn run_mark2_with(g: &mut GraphStore, cfg: &MarkRunConfig, telem: &Registry)
 ///
 /// Panics if termination is not signalled.
 pub fn run_mark3(g: &mut GraphStore, tasks: &TaskEndpoints, cfg: &MarkRunConfig) -> MarkStats {
-    run_mark3_with(g, tasks, cfg, &Registry::new(cfg.num_pes))
-}
-
-/// [`run_mark3`] with an explicit telemetry registry: the pass is wrapped
-/// in an `M_T` span with the same per-PE counters as [`run_mark1_with`].
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_mark3`].
-pub fn run_mark3_with(
-    g: &mut GraphStore,
-    tasks: &TaskEndpoints,
-    cfg: &MarkRunConfig,
-    telem: &Registry,
-) -> MarkStats {
     reset_slot(g, Slot::T);
     let mut state = MarkState::new();
     state.begin_t(tasks.seeds().len() as u32);
@@ -279,7 +239,8 @@ pub fn run_mark3_with(
             par: MarkParent::TaskRootPar,
         })
         .collect();
-    let stats = run_pass(g, cfg, &mut state, Slot::T, initial, Phase::Mt, telem);
+    let telem = Registry::new(cfg.num_pes);
+    let stats = run_pass(g, cfg, &mut state, Slot::T, initial, Phase::Mt, &telem);
     assert!(state.t_done, "M_T drained without termination signal");
     stats
 }
@@ -305,23 +266,6 @@ pub struct BspStats {
 ///
 /// Panics if the graph has no root or termination is not signalled.
 pub fn run_mark1_bsp(g: &mut GraphStore, num_pes: u16, strategy: PartitionStrategy) -> BspStats {
-    run_mark1_bsp_with(g, num_pes, strategy, &Registry::new(num_pes))
-}
-
-/// [`run_mark1_bsp`] with an explicit telemetry registry: the pass is
-/// wrapped in an `M_R` span, each PE's executed tasks land in its
-/// mark-event counter, and every round emits an instant event carrying
-/// the number of tasks it executed.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_mark1_bsp`].
-pub fn run_mark1_bsp_with(
-    g: &mut GraphStore,
-    num_pes: u16,
-    strategy: PartitionStrategy,
-    telem: &Registry,
-) -> BspStats {
     use std::collections::VecDeque;
     let root = g.root().expect("marking needs a root");
     reset_slot(g, Slot::R);
@@ -329,11 +273,7 @@ pub fn run_mark1_bsp_with(
     let mut state = MarkState::new();
     state.begin_r(RMode::Simple);
 
-    let pe_of = |m: &MarkMsg| {
-        m.dest_vertex()
-            .map(|v| partition.pe_of(v).index())
-            .unwrap_or(0)
-    };
+    let pe_of = |m: &MarkMsg| partition.pe_of_dest(m.dest_vertex()).index();
     let mut queues: Vec<VecDeque<MarkMsg>> = vec![VecDeque::new(); num_pes as usize];
     let first = MarkMsg::Mark1 {
         v: root,
@@ -342,19 +282,15 @@ pub fn run_mark1_bsp_with(
     queues[pe_of(&first)].push_back(first);
 
     let mut stats = BspStats::default();
-    let _pass = telem.span(0, 0, Phase::Mr, "bsp");
     while queues.iter().any(|q| !q.is_empty()) {
         stats.rounds += 1;
-        let round_start = stats.events;
         let mut staged: Vec<MarkMsg> = Vec::new();
-        for (pe, q) in queues.iter_mut().enumerate() {
+        for q in queues.iter_mut() {
             if let Some(m) = q.pop_front() {
-                telem.pe(pe as u16).inc(CounterId::MarkEvents);
                 handle_mark(&mut state, g, m, &mut |m| staged.push(m));
                 stats.events += 1;
             }
         }
-        telem.instant(0, 0, Phase::Mr, "bsp_round", stats.events - round_start);
         for m in staged {
             let pe = pe_of(&m);
             queues[pe].push_back(m);

@@ -1,6 +1,7 @@
 //! Marking task messages.
 
 use dgr_graph::{MarkParent, Priority, Slot, VertexId};
+use dgr_telemetry::Phase;
 
 /// A marking task, represented (like every task) as a message `<s, d>`:
 /// the destination vertex is where the task executes, the parent is the
@@ -63,6 +64,18 @@ impl MarkMsg {
             MarkMsg::Mark1 { .. } | MarkMsg::Mark2 { .. } => Slot::R,
             MarkMsg::Mark3 { .. } => Slot::T,
             MarkMsg::Return { slot, .. } => slot,
+        }
+    }
+
+    /// Phase tag and flow-event name of this message, by slot: the
+    /// task-marking wave (`M_T`) and the priority-marking wave (`M_R`) are
+    /// traced under distinct names so a cycle analyzer can keep their
+    /// fan-outs apart (Theorem 2 orders them).
+    #[inline]
+    pub fn flow_meta(&self) -> (Phase, &'static str) {
+        match self.slot() {
+            Slot::T => (Phase::Mt, "M_T"),
+            Slot::R => (Phase::Mr, "M_R"),
         }
     }
 }

@@ -73,7 +73,7 @@ mod feature_off {
     }
 
     /// The heap tracker the reduction system stamps allocation traffic
-    /// through is zero-sized and silent: alloc/free/reweight, trigger
+    /// through is zero-sized and silent: alloc/free, trigger
     /// tallies and cycle closes all vanish, and a closed cycle reports
     /// the default ledger.
     #[test]
@@ -83,8 +83,7 @@ mod feature_off {
         let mut hp = HeapTracker::new(4);
         assert!(!hp.enabled());
         hp.alloc(0, 7, 64);
-        hp.reweight(0, 7, 64, 96);
-        hp.free(0, 7, 96);
+        hp.free(0, 7, 64);
         hp.record_trigger(TriggerCause::HeapBytes);
         hp.begin_episode();
         assert_eq!(hp.close_cycle(1), CycleHeap::default());
@@ -198,18 +197,17 @@ mod feature_on {
         let mut hp = HeapTracker::new(2);
         assert!(hp.enabled());
         hp.alloc(1, 7, 64);
-        hp.reweight(1, 7, 64, 96);
-        assert_eq!(hp.live_bytes(), 96);
-        assert_eq!(hp.peak_bytes(), 96);
-        hp.free(1, 7, 96);
+        assert_eq!(hp.live_bytes(), 64);
+        assert_eq!(hp.peak_bytes(), 64);
+        hp.free(1, 7, 64);
         hp.record_trigger(TriggerCause::HeapBytes);
         let cy = hp.close_cycle(1);
-        assert_eq!(cy.exact_bytes, 96, "the stamp followed the reweight");
-        assert_eq!(cy.peak, 96);
+        assert_eq!(cy.exact_bytes, 64, "the free matched the stamp");
+        assert_eq!(cy.peak, 64);
         assert_eq!(cy.live_end, 0);
         let s = hp.snapshot();
-        assert_eq!(s.alloc_bytes, 96, "64 allocated + 32 growth");
-        assert_eq!(s.per_pe[1].peak, 96);
+        assert_eq!(s.alloc_bytes, 64);
+        assert_eq!(s.per_pe[1].peak, 64);
         assert_eq!(s.trigger_heap, 1);
     }
 

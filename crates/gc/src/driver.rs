@@ -8,7 +8,7 @@ use dgr_graph::{MarkParent, Priority, Requester, Slot, Value};
 use dgr_reduction::{RedMsg, RunOutcome, System};
 use dgr_sim::Lane;
 use dgr_telemetry::{
-    CounterId, CycleHeap, CycleReport as CycleTelemetry, Floater, HeartbeatHandle,
+    CounterId, CycleHeap, CycleReport as CycleTelemetry, Floater, GaugeId, HeartbeatHandle, HistId,
     LifecycleSnapshot, LifecycleTracker, Phase, TriggerCause,
 };
 
@@ -318,58 +318,47 @@ impl GcDriver {
         // across phases, so the deltas bracket each timed phase exactly).
         let mut lc_mt = 0u64;
         let mut lc_mr = 0u64;
-        match self.cfg.order {
-            CycleOrder::TBeforeR => {
-                if run_mt {
-                    let before = report.mark_events;
-                    telem.mt_us = self.timed_phase(Phase::Mt, "M_T", &mut report, Self::phase_t);
-                    lc_mt = report.mark_events - before;
-                }
-                if !report.aborted {
-                    let before = report.mark_events;
-                    telem.mr_us = self.timed_phase(Phase::Mr, "M_R", &mut report, Self::phase_r);
-                    lc_mr = report.mark_events - before;
-                }
+        let order = match self.cfg.order {
+            CycleOrder::TBeforeR => [Phase::Mt, Phase::Mr],
+            CycleOrder::RBeforeT => [Phase::Mr, Phase::Mt],
+        };
+        for phase in order {
+            let is_mt = phase == Phase::Mt;
+            if report.aborted || (is_mt && !run_mt) {
+                continue;
             }
-            CycleOrder::RBeforeT => {
-                let before = report.mark_events;
-                telem.mr_us = self.timed_phase(Phase::Mr, "M_R", &mut report, Self::phase_r);
-                lc_mr = report.mark_events - before;
-                if run_mt && !report.aborted {
-                    let before = report.mark_events;
-                    telem.mt_us = self.timed_phase(Phase::Mt, "M_T", &mut report, Self::phase_t);
-                    lc_mt = report.mark_events - before;
+            let before = report.mark_events;
+            let (us, ()) = self.timed_phase(phase, phase.name(), |gc| {
+                if is_mt {
+                    gc.phase_t(&mut report)
+                } else {
+                    gc.phase_r(&mut report)
                 }
+            });
+            let events = report.mark_events - before;
+            if is_mt {
+                (telem.mt_us, lc_mt) = (us, events);
+            } else {
+                (telem.mr_us, lc_mr) = (us, events);
             }
         }
         // Cooperation during the later phase may have retracted the earlier
         // phase's `done` flag (orphan marks hung on the virtual roots);
         // settle both before reading the marks.
         if !report.aborted {
-            self.sys
-                .telemetry()
-                .begin(0, self.cycle, Phase::Mr, "settle");
-            self.heartbeat.begin_phase(self.cycle, Phase::Mr);
-            let t = Instant::now();
             let before = report.mark_events;
-            self.drive_phase(&mut report, |s| {
-                s.mark_state.r_done && (!run_mt || s.mark_state.t_done)
+            (telem.settle_us, ()) = self.timed_phase(Phase::Mr, "settle", |gc| {
+                gc.drive_phase(&mut report, |s| {
+                    s.mark_state.r_done && (!run_mt || s.mark_state.t_done)
+                })
             });
             lc_mr += report.mark_events - before;
-            telem.settle_us = t.elapsed().as_micros() as u64;
-            self.heartbeat.end_phase();
-            self.sys.telemetry().end(0, self.cycle, Phase::Mr, "settle");
         }
         if !report.aborted {
-            self.sys
-                .telemetry()
-                .begin(0, self.cycle, Phase::Classify, "restructure");
-            let t = Instant::now();
-            telem.marked_by_priority = self.restructure(&mut report, run_mt);
-            telem.restructure_us = t.elapsed().as_micros() as u64;
-            self.sys
-                .telemetry()
-                .end(0, self.cycle, Phase::Classify, "restructure");
+            (telem.restructure_us, telem.marked_by_priority) =
+                self.timed_phase(Phase::Classify, "restructure", |gc| {
+                    gc.restructure(&mut report, run_mt)
+                });
         }
         self.sys.mark_state.end_r();
         self.sys.mark_state.end_t();
@@ -383,6 +372,11 @@ impl GcDriver {
         telem.irrelevant = report.census.irrelevant;
         telem.deadlocked = report.deadlocked.len();
         telem.mark_backlog_hw = self.sys.sim().stats().lane_high_water(Lane::Marking) as u64;
+        // The simulator's lanes are system-wide, so the backlog peak and
+        // the cycle time land on PE 0's shard like the restructure tallies.
+        let shard = self.sys.telemetry().pe(0);
+        shard.gauge_max(GaugeId::MailboxHighWater, telem.mark_backlog_hw as i64);
+        shard.observe(HistId::CycleUs, telem.total_us);
         let snap1 = self.sys.telemetry().snapshot();
         telem.sends_local =
             snap1.counter_total(CounterId::SendsLocal) - snap0.counter_total(CounterId::SendsLocal);
@@ -472,23 +466,23 @@ impl GcDriver {
         self.sys.telemetry().emit(0, self.cycle, &ledger);
     }
 
-    /// Runs one marking phase wrapped in a telemetry span and a wall-clock
-    /// timer; returns the elapsed microseconds.
-    fn timed_phase(
+    /// Runs one phase of a cycle wrapped in a telemetry span, a heartbeat
+    /// phase and a wall-clock timer; returns the elapsed microseconds and
+    /// what the phase returned.
+    fn timed_phase<R>(
         &mut self,
         phase: Phase,
         name: &'static str,
-        report: &mut CycleReport,
-        f: fn(&mut Self, &mut CycleReport),
-    ) -> u64 {
+        f: impl FnOnce(&mut Self) -> R,
+    ) -> (u64, R) {
         self.sys.telemetry().begin(0, self.cycle, phase, name);
         self.heartbeat.begin_phase(self.cycle, phase);
         let t = Instant::now();
-        f(self, report);
+        let out = f(self);
         let us = t.elapsed().as_micros() as u64;
         self.heartbeat.end_phase();
         self.sys.telemetry().end(0, self.cycle, phase, name);
-        us
+        (us, out)
     }
 
     /// Runs a marking phase: keeps delivering events (reduction included —
@@ -1010,6 +1004,29 @@ mod tests {
         assert!(events.iter().any(|e| e.name == "M_R"));
         assert!(events.iter().any(|e| e.name == "cycle"));
         assert!(events.iter().any(|e| e.name == "restructure"));
+    }
+
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn a_closed_cycle_feeds_the_backlog_gauge_and_the_cycle_histogram() {
+        let sys = sum_system(30, SystemConfig::default());
+        let mut gc = GcDriver::new(
+            sys,
+            GcConfig {
+                period: 40,
+                ..Default::default()
+            },
+        );
+        gc.run();
+        let peak = gc.timeline().iter().map(|c| c.mark_backlog_hw).max();
+        let peak = peak.expect("the run closed a cycle");
+        assert!(peak > 0, "a marking wave queued something");
+        let merged = gc.sys.telemetry().snapshot().merged();
+        assert_eq!(merged.gauge(GaugeId::MailboxHighWater), peak as i64);
+        let cycle_us = merged.hist(HistId::CycleUs);
+        assert_eq!(cycle_us.count, u64::from(gc.stats().cycles));
+        let total_us: u64 = gc.timeline().iter().map(|c| c.total_us).sum();
+        assert_eq!(cycle_us.sum, total_us);
     }
 
     #[cfg(feature = "telemetry")]

@@ -65,6 +65,15 @@ impl PartitionMap {
         }
     }
 
+    /// The PE a message addressed to `dest` executes on: the owner of its
+    /// destination vertex, and PE 0 — where marking is initiated and the
+    /// external observer listens — for a message with none (a return to
+    /// a virtual root, the reply to the observer).
+    #[inline]
+    pub fn pe_of_dest(&self, dest: Option<VertexId>) -> PeId {
+        dest.map_or(PeId::new(0), |v| self.pe_of(v))
+    }
+
     /// Number of processing elements.
     pub fn num_pes(&self) -> u16 {
         self.num_pes
@@ -82,8 +91,7 @@ impl PartitionMap {
 /// The store charges the model once at allocation time and remembers the
 /// result in a SoA weights array, so later in-place label overwrites (a
 /// reduction rewriting a vertex to an indirection) keep the allocation-time
-/// weight until the vertex is freed or explicitly
-/// [reweighted](GraphStore::set_vertex_weight).
+/// weight until the vertex is freed.
 ///
 /// The model is arity-derived: a fixed per-vertex base plus one
 /// arc slot per argument the label naturally takes (`Prim` → its operator
@@ -122,15 +130,6 @@ pub enum HeapDelta {
         id: VertexId,
         /// The modeled byte weight it released.
         bytes: u32,
-    },
-    /// A live vertex's weight was explicitly changed.
-    Reweight {
-        /// The reweighted vertex.
-        id: VertexId,
-        /// The weight before the change.
-        old: u32,
-        /// The weight after the change.
-        new: u32,
     },
 }
 
@@ -188,8 +187,7 @@ pub struct GraphStore {
     weights: Vec<u32>,
     /// Sum of the weights of all live vertices.
     live_bytes: u64,
-    /// Cumulative bytes ever charged by allocations (and upward
-    /// reweights); never decreases.
+    /// Cumulative bytes ever charged by allocations; never decreases.
     alloc_bytes_total: u64,
     /// Byte-accounting journal, appended only while `journal_on`.
     journal: Vec<HeapDelta>,
@@ -317,8 +315,7 @@ impl GraphStore {
         self.live_bytes
     }
 
-    /// Cumulative bytes ever charged by allocations and upward
-    /// reweights (never decreases).
+    /// Cumulative bytes ever charged by allocations (never decreases).
     pub fn alloc_bytes_total(&self) -> u64 {
         self.alloc_bytes_total
     }
@@ -328,28 +325,8 @@ impl GraphStore {
         self.weights[id.index()]
     }
 
-    /// Explicitly reweights live vertex `id` to `bytes`, adjusting the
-    /// live-bytes clock by the difference. Upward reweights also count
-    /// toward [`GraphStore::alloc_bytes_total`] (they model growth).
-    /// No-op on a free slot.
-    pub fn set_vertex_weight(&mut self, id: VertexId, bytes: u32) {
-        if self.verts[id.index()].in_free_list {
-            return;
-        }
-        let old = std::mem::replace(&mut self.weights[id.index()], bytes);
-        self.live_bytes = self.live_bytes - u64::from(old) + u64::from(bytes);
-        self.alloc_bytes_total += u64::from(bytes.saturating_sub(old));
-        if self.journal_on && old != bytes {
-            self.journal.push(HeapDelta::Reweight {
-                id,
-                old,
-                new: bytes,
-            });
-        }
-    }
-
     /// Turns the byte-accounting journal on or off. While on, every
-    /// alloc/free/reweight appends a [`HeapDelta`]; the observer drains
+    /// alloc/free appends a [`HeapDelta`]; the observer drains
     /// them with [`GraphStore::take_heap_journal`].
     pub fn set_heap_journal(&mut self, on: bool) {
         self.journal_on = on;
@@ -795,30 +772,12 @@ mod tests {
     }
 
     #[test]
-    fn reweight_adjusts_the_clock_and_respects_free_slots() {
-        let mut g = GraphStore::with_capacity(2);
-        let a = g.alloc(NodeLabel::If).unwrap(); // 16 + 3*8 = 40
-        g.set_vertex_weight(a, 100);
-        assert_eq!(g.live_bytes(), 100);
-        assert_eq!(g.alloc_bytes_total(), 100, "upward reweight charged");
-        g.set_vertex_weight(a, 10);
-        assert_eq!(g.live_bytes(), 10);
-        assert_eq!(g.alloc_bytes_total(), 100, "downward reweight is free");
-        g.free(a);
-        g.set_vertex_weight(a, 999);
-        assert_eq!(g.live_bytes(), 0, "reweighting a free slot is a no-op");
-        assert!(g.check_consistency().is_ok());
-    }
-
-    #[test]
     fn journal_replays_the_byte_traffic() {
         let mut g = GraphStore::with_capacity(3);
         let silent = g.alloc(NodeLabel::Hole).unwrap();
         g.set_heap_journal(true);
         assert!(!g.heap_journal_pending());
         let a = g.alloc(NodeLabel::Ind).unwrap(); // 16 + 8
-        g.set_vertex_weight(a, 30);
-        g.set_vertex_weight(a, 30); // no change, no entry
         g.free(a);
         g.free(silent);
         let j = g.take_heap_journal();
@@ -826,12 +785,7 @@ mod tests {
             j,
             vec![
                 HeapDelta::Alloc { id: a, bytes: 24 },
-                HeapDelta::Reweight {
-                    id: a,
-                    old: 24,
-                    new: 30
-                },
-                HeapDelta::Free { id: a, bytes: 30 },
+                HeapDelta::Free { id: a, bytes: 24 },
                 HeapDelta::Free {
                     id: silent,
                     bytes: 16
@@ -850,7 +804,6 @@ mod tests {
         let a = g.alloc(NodeLabel::If).unwrap();
         let b = g.alloc(NodeLabel::lit_int(1)).unwrap();
         g.free(b);
-        g.set_vertex_weight(a, 7); // custom weight is NOT carried by parts
         let (verts, free, root, epochs) = g.into_parts();
         let g2 = GraphStore::from_parts(verts, free, root, epochs);
         assert_eq!(g2.vertex_bytes(a), 40, "re-derived from the If label");

@@ -412,7 +412,6 @@ fn counter_help(id: CounterId) -> &'static str {
         CounterId::Tasks => "Messages handled by the threaded runtime (any kind)",
         CounterId::MarkEvents => "Marking-lane deliveries (mark + return tasks)",
         CounterId::RedEvents => "Reduction-lane deliveries",
-        CounterId::MutEvents => "Mutator-lane deliveries",
         CounterId::SendsLocal => "Sends whose destination PE is the sending PE",
         CounterId::SendsRemote => "Sends that cross a PE boundary",
         CounterId::Batches => "Cross-PE batches flushed by the threaded runtime",
@@ -430,7 +429,6 @@ fn counter_help(id: CounterId) -> &'static str {
 
 fn gauge_help(id: GaugeId) -> &'static str {
     match id {
-        GaugeId::MailboxDepth => "Pending messages in the PE's mailboxes right now",
         GaugeId::MailboxHighWater => "Largest mailbox depth observed on the PE",
         GaugeId::DequeDepth => "Tasks in the PE's work-stealing deque right now",
         GaugeId::DequeHighWater => "Largest deque depth observed on the PE",
@@ -503,7 +501,7 @@ mod tests {
     fn rendering_is_deterministic() {
         let reg = Registry::new(3);
         reg.pe(0).inc(CounterId::Tasks);
-        reg.pe(2).gauge_set(GaugeId::MailboxDepth, 9);
+        reg.pe(2).gauge_set(GaugeId::DequeDepth, 9);
         let snap = reg.snapshot();
         assert_eq!(render_snapshot(&snap), render_snapshot(&snap));
     }

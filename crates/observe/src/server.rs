@@ -154,8 +154,7 @@ pub fn status_json(hub: &ObserveHub) -> String {
     for (pe, shard) in snap.per_pe.iter().enumerate() {
         let _ = writeln!(
             out,
-            "    {{\"pe\": {pe}, \"depth\": {}, \"high_water\": {}}}{}",
-            shard.gauge(GaugeId::MailboxDepth),
+            "    {{\"pe\": {pe}, \"high_water\": {}}}{}",
             shard.gauge(GaugeId::MailboxHighWater),
             if pe + 1 < n { "," } else { "" },
         );

@@ -27,7 +27,7 @@ fn populated_hub() -> ObserveHub {
     reg.pe(0).inc(CounterId::Tasks);
     reg.pe(0).add(CounterId::MarkEvents, 41);
     reg.pe(1).inc(CounterId::SendsRemote);
-    reg.pe(0).gauge_set(GaugeId::MailboxDepth, 3);
+    reg.pe(0).gauge_set(GaugeId::DequeDepth, 3);
     reg.pe(1).gauge_set(GaugeId::MailboxHighWater, 17);
     for v in [1u64, 2, 8, 300] {
         reg.pe(0).observe(HistId::BatchSize, v);
@@ -230,7 +230,7 @@ fn families_follow_the_fixed_enum_order() {
         "# TYPE dgr_stolen_from_total counter",
         "# TYPE dgr_stolen_tasks_total counter",
         "# TYPE dgr_steal_misses_total counter",
-        "# TYPE dgr_mailbox_depth gauge",
+        "# TYPE dgr_mailbox_high_water gauge",
         "# TYPE dgr_spill_high_water gauge",
         "# TYPE dgr_batch_size histogram",
         "# TYPE dgr_batch_size_quantile gauge",
@@ -274,7 +274,7 @@ fn samples_carry_the_published_values() {
     assert!(text.contains("dgr_tasks_total{pe=\"0\"} 1\n"));
     assert!(text.contains("dgr_mark_events_total{pe=\"0\"} 41\n"));
     assert!(text.contains("dgr_sends_remote_total{pe=\"1\"} 1\n"));
-    assert!(text.contains("dgr_mailbox_depth{pe=\"0\"} 3\n"));
+    assert!(text.contains("dgr_deque_depth{pe=\"0\"} 3\n"));
     assert!(text.contains("dgr_mailbox_high_water{pe=\"1\"} 17\n"));
     assert!(text.contains("dgr_batch_size_count 4\n"));
     assert!(text.contains("dgr_batch_size_sum 311\n"));

@@ -3,11 +3,11 @@
 use dgr_core::{handle_mark, MarkMsg, MarkState};
 use dgr_graph::HeapDelta;
 use dgr_graph::{
-    GraphStore, PartitionMap, PartitionStrategy, PeId, Priority, RequestKind, Requester, Slot,
+    GraphStore, PartitionMap, PartitionStrategy, PeId, Priority, RequestKind, Requester,
     TaskEndpoints, Value,
 };
 use dgr_sim::{DetSim, Envelope, Lane, SchedPolicy};
-use dgr_telemetry::{CounterId, HeapSnapshot, HeapTracker, Phase, Registry};
+use dgr_telemetry::{CounterId, HeapSnapshot, HeapTracker, Registry};
 
 use crate::engine::{handle_red, EngineCtx};
 use crate::msg::{RedMsg, SysMsg};
@@ -112,26 +112,6 @@ pub struct System {
     out_mark: Vec<MarkMsg>,
 }
 
-/// Phase tag and flow-event name of a marking message, by slot: the
-/// task-marking wave (`M_T`) and the priority-marking wave (`M_R`) are
-/// traced under distinct names so a cycle analyzer can keep their
-/// fan-outs apart.
-#[inline]
-fn mark_flow_meta(m: &MarkMsg) -> (Phase, &'static str) {
-    match m.slot() {
-        Slot::T => (Phase::Mt, "M_T"),
-        Slot::R => (Phase::Mr, "M_R"),
-    }
-}
-
-/// The PE a message addressed to `dest` executes on; messages with no
-/// destination vertex (returns to the virtual roots, replies to the
-/// external observer) execute on PE 0.
-#[inline]
-fn route(partition: &PartitionMap, dest: Option<dgr_graph::VertexId>) -> PeId {
-    dest.map_or(PeId::new(0), |v| partition.pe_of(v))
-}
-
 /// Attributes a send to the PE whose task is currently executing, as
 /// local (same PE) or remote. Sends with no executing task (external
 /// injection) are not counted.
@@ -160,9 +140,9 @@ fn enqueue_mark(
     executing: Option<PeId>,
     msg: MarkMsg,
 ) {
-    let pe = route(partition, msg.dest_vertex());
+    let pe = partition.pe_of_dest(msg.dest_vertex());
     count_send(telem, executing, pe);
-    let (fphase, fname) = mark_flow_meta(&msg);
+    let (fphase, fname) = msg.flow_meta();
     let src = executing.unwrap_or(pe);
     let seq = sim.send(Envelope::new(pe, Lane::Marking, SysMsg::Mark(msg)));
     // Flow id = seq + 1: the simulator's sequence numbers are unique
@@ -258,14 +238,6 @@ impl System {
                     self.heap
                         .free(pm.pe_of(id).index(), id.index(), u64::from(bytes));
                 }
-                HeapDelta::Reweight { id, old, new } => {
-                    self.heap.reweight(
-                        pm.pe_of(id).index(),
-                        id.index(),
-                        u64::from(old),
-                        u64::from(new),
-                    );
-                }
             }
         }
     }
@@ -299,7 +271,7 @@ impl System {
 
     /// Routes and enqueues a reduction task with the given lane priority.
     pub fn send_red(&mut self, msg: RedMsg, prio: Priority) {
-        let pe = route(&self.partition, msg.dest_vertex());
+        let pe = self.partition.pe_of_dest(msg.dest_vertex());
         count_send(&self.telem, self.executing, pe);
         self.sim
             .send(Envelope::new(pe, Lane::Reduction(prio), SysMsg::Red(msg)));
@@ -373,7 +345,6 @@ impl System {
         match lane {
             Lane::Marking => shard.inc(CounterId::MarkEvents),
             Lane::Reduction(_) => shard.inc(CounterId::RedEvents),
-            Lane::Mutator => shard.inc(CounterId::MutEvents),
         }
         self.executing = Some(pe);
         match msg {
@@ -420,7 +391,7 @@ impl System {
             SysMsg::Mark(m) => {
                 // The delivery end of the flow edge `enqueue_mark` opened;
                 // reduction messages are not flow-traced.
-                let (fphase, fname) = mark_flow_meta(&m);
+                let (fphase, fname) = m.flow_meta();
                 let cycle = self.telem_cycle;
                 self.telem
                     .flow_recv(pe.raw(), cycle, fphase, fname, seq + 1);

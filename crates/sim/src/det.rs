@@ -6,7 +6,7 @@ use dgr_graph::PeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::msg::{Envelope, Lane};
+use crate::msg::{Envelope, Lane, PerLane};
 use crate::stats::SimStats;
 
 /// How the simulator picks the next task to execute.
@@ -32,12 +32,13 @@ pub enum SchedPolicy {
         marking_bias: f64,
     },
     /// Highest-preference lane first ([`Lane::ALL`] order), rotating among
-    /// PEs within a lane. Models a scheduler that favors mutator
-    /// notifications, then marking, then vital reduction work.
+    /// PEs within a lane. Models a scheduler that favors marking, then
+    /// vital reduction work.
     PriorityFirst,
 }
 
-/// Index of the marking lane, the one lane outside `other_pool`.
+/// Index of the marking lane, the one lane outside the random policy's
+/// non-marking pool.
 const MARKING: usize = Lane::Marking.index();
 
 /// Stale entries a lane's mirror may hold beyond its pending depth before
@@ -99,6 +100,10 @@ impl IdSet {
         self.len = 0;
     }
 
+    fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] & (1 << (i % 64)) != 0
+    }
+
     /// The `k`-th smallest member (0-based).
     ///
     /// # Panics
@@ -138,17 +143,17 @@ impl IdSet {
 /// |---|---|
 /// | oldest / newest message of a lane, any PE (`Fifo`, `Lifo`, in-lane service) | `mirror` |
 /// | first PE at or after the cursor with work in a lane (`PriorityFirst`) | `lane_pes` |
-/// | first PE at or after the cursor with any work (`RoundRobin`) | the OR of the five `lane_pes` words |
-/// | the `k`-th non-empty marking / other mailbox (`Random`) | `lane_pes[Marking]`, `other_pool` |
+/// | first PE at or after the cursor with any work (`RoundRobin`) | the OR of the four `lane_pes` words |
+/// | the `k`-th non-empty marking / other mailbox (`Random`) | `lane_pes[Marking]`, the three other `lane_pes` read in `(pe, lane)` order |
 ///
 /// Round-robin needs no per-PE counter: a PE has work iff some lane's set
-/// holds it, and which message it then runs is read off its five queue
+/// holds it, and which message it then runs is read off its four queue
 /// fronts.
 #[derive(Debug)]
 pub struct DetSim<M> {
     /// The mailboxes: one queue per `(PE, lane)`, each sorted by sequence
     /// number because sequence numbers are globally monotone.
-    pes: Vec<[VecDeque<(u64, M)>; 5]>,
+    pes: Vec<PerLane<VecDeque<(u64, M)>>>,
     policy: SchedPolicy,
     rng: StdRng,
     seq: u64,
@@ -163,13 +168,9 @@ pub struct DetSim<M> {
     /// them from the ends, and a send sweeps the lane once stale entries
     /// outnumber pending ones by [`MIRROR_SLACK`] — so a lane no peek ever
     /// visits (policy picks only) stays bounded by its depth too.
-    mirror: [VecDeque<(u64, u16)>; 5],
+    mirror: PerLane<VecDeque<(u64, u16)>>,
     /// Per-lane set of PEs whose mailbox for that lane is non-empty.
-    lane_pes: [IdSet; 5],
-    /// Non-empty `(pe, lane index)` pairs (as `pe * 5 + lane`, which is
-    /// `(pe, lane)` lexicographic) outside the marking lane — the order a
-    /// scan produces the random policy's candidate pool in.
-    other_pool: IdSet,
+    lane_pes: PerLane<IdSet>,
 }
 
 impl<M> DetSim<M> {
@@ -188,29 +189,9 @@ impl<M> DetSim<M> {
             seq: 0,
             pending: 0,
             rr_cursor: 0,
-            stats: SimStats::with_pes(n),
+            stats: SimStats::default(),
             mirror: Default::default(),
             lane_pes: std::array::from_fn(|_| IdSet::with_capacity(n)),
-            other_pool: IdSet::with_capacity(n * 5),
-        }
-    }
-
-    /// Records mailbox `(pe, l)` turning non-empty in the occupancy sets.
-    #[inline]
-    fn index_insert(&mut self, pe: usize, l: usize) {
-        self.lane_pes[l].insert(pe);
-        if l != MARKING {
-            self.other_pool.insert(pe * 5 + l);
-        }
-    }
-
-    /// Records mailbox `(pe, l)` turning empty. The mirror entries of what
-    /// it held stay behind as stale and are discarded by a later peek.
-    #[inline]
-    fn index_remove(&mut self, pe: usize, l: usize) {
-        self.lane_pes[l].remove(pe);
-        if l != MARKING {
-            self.other_pool.remove(pe * 5 + l);
         }
     }
 
@@ -222,7 +203,7 @@ impl<M> DetSim<M> {
     /// still-pending `seq` must sit at its queue's front.
     #[inline]
     fn lane_oldest(
-        pes: &[[VecDeque<(u64, M)>; 5]],
+        pes: &[PerLane<VecDeque<(u64, M)>>],
         mirror: &mut VecDeque<(u64, u16)>,
         l: usize,
     ) -> Option<(u64, u16)> {
@@ -238,7 +219,7 @@ impl<M> DetSim<M> {
     /// Mirror of [`DetSim::lane_oldest`] for the newest entry: discards
     /// stale entries from the back, validating against queue backs.
     fn lane_newest(
-        pes: &[[VecDeque<(u64, M)>; 5]],
+        pes: &[PerLane<VecDeque<(u64, M)>>],
         mirror: &mut VecDeque<(u64, u16)>,
         l: usize,
     ) -> Option<(u64, u16)> {
@@ -274,15 +255,14 @@ impl<M> DetSim<M> {
     fn rebuild_index(&mut self) {
         self.mirror = Default::default();
         self.lane_pes.iter_mut().for_each(IdSet::clear);
-        self.other_pool.clear();
-        let mut depths = [0usize; 5];
+        let mut depths: PerLane<usize> = Default::default();
         for p in 0..self.pes.len() {
             for (l, depth) in depths.iter_mut().enumerate() {
                 let q = &self.pes[p][l];
                 *depth += q.len();
                 self.mirror[l].extend(q.iter().map(|&(s, _)| (s, p as u16)));
                 if !q.is_empty() {
-                    self.index_insert(p, l);
+                    self.lane_pes[l].insert(p);
                 }
             }
         }
@@ -291,11 +271,6 @@ impl<M> DetSim<M> {
             m.make_contiguous().sort_unstable();
         }
         self.stats.set_lane_depths(depths);
-    }
-
-    /// Number of processing elements.
-    pub fn num_pes(&self) -> u16 {
-        self.pes.len() as u16
     }
 
     /// Enqueues a message, returning its globally unique sequence number.
@@ -318,11 +293,10 @@ impl<M> DetSim<M> {
         let q = &mut self.pes[pe][l];
         q.push_back((seq, env.msg));
         if q.len() == 1 {
-            self.index_insert(pe, l);
+            self.lane_pes[l].insert(pe);
         }
         self.mirror[l].push_back((seq, pe as u16));
         self.stats.record_send(env.lane);
-        self.stats.observe_depth(self.pending);
         if self.mirror[l].len() > 2 * self.stats.lane_depth(env.lane) + MIRROR_SLACK {
             self.sweep_mirror(l);
         }
@@ -396,10 +370,12 @@ impl<M> DetSim<M> {
             q.pop_front()?
         };
         if q.is_empty() {
-            self.index_remove(pe, l);
+            // The mirror entries of what the mailbox held stay behind as
+            // stale and are discarded by a later peek or sweep.
+            self.lane_pes[l].remove(pe);
         }
         self.pending -= 1;
-        self.stats.record_deliver(pe, lane);
+        self.stats.record_deliver(lane);
         Some((PeId::new(pe as u16), lane, seq, msg))
     }
 
@@ -427,7 +403,7 @@ impl<M> DetSim<M> {
     /// First PE at or after the cursor (wrapping) whose bit is set in the
     /// occupancy words `word(0..)`; advances the cursor past it.
     #[inline]
-    fn rotate(&mut self, word: impl Fn(&[IdSet; 5], usize) -> u64) -> Option<usize> {
+    fn rotate(&mut self, word: impl Fn(&PerLane<IdSet>, usize) -> u64) -> Option<usize> {
         let (sets, n) = (&self.lane_pes, self.lane_pes[0].words.len());
         let p = first_bit_at_or_after(n, self.rr_cursor, |w| word(sets, w))
             .or_else(|| first_bit_at_or_after(n, 0, |w| word(sets, w)))?;
@@ -437,7 +413,7 @@ impl<M> DetSim<M> {
 
     /// First PE with work at or after the cursor (wrapping) — a PE has
     /// work iff some lane's set holds it — then the oldest message across
-    /// that PE's five lanes.
+    /// that PE's four lanes.
     #[inline]
     fn pick_round_robin(&mut self) -> Option<(usize, Lane)> {
         let p = self.rotate(|sets, w| sets.iter().fold(0, |any, s| any | s.words[w]))?;
@@ -459,9 +435,10 @@ impl<M> DetSim<M> {
     /// the delivery order — is that of the scan.
     fn pick_random(&mut self, marking_bias: f64) -> Option<(usize, Lane)> {
         let marking = &self.lane_pes[MARKING];
+        let others: usize = self.lane_pes[MARKING + 1..].iter().map(|s| s.len).sum();
         let use_marking = if marking.len == 0 {
             false
-        } else if self.other_pool.len == 0 {
+        } else if others == 0 {
             true
         } else {
             self.rng.gen_bool(marking_bias.clamp(0.0, 1.0))
@@ -470,13 +447,30 @@ impl<M> DetSim<M> {
             let i = self.rng.gen_range(0..marking.len);
             Some((marking.nth(i), Lane::Marking))
         } else {
-            if self.other_pool.len == 0 {
+            if others == 0 {
                 return None;
             }
-            let i = self.rng.gen_range(0..self.other_pool.len);
-            let idx = self.other_pool.nth(i);
-            Some((idx / 5, Lane::ALL[idx % 5]))
+            let i = self.rng.gen_range(0..others);
+            Some(self.nth_other(i))
         }
+    }
+
+    /// The `k`-th non-empty non-marking mailbox in `(pe, lane)` order, read
+    /// off the reduction lanes' sets PE by PE — only this policy asks, so
+    /// only it pays.
+    fn nth_other(&self, mut k: usize) -> (usize, Lane) {
+        let others = self.lane_pes.iter().zip(Lane::ALL).skip(MARKING + 1);
+        for pe in 0..self.pes.len() {
+            for (set, lane) in others.clone() {
+                if set.contains(pe) {
+                    if k == 0 {
+                        return (pe, lane);
+                    }
+                    k -= 1;
+                }
+            }
+        }
+        unreachable!("nth_other out of range")
     }
 
     /// Highest-preference non-empty lane, rotating among its PEs.
@@ -555,11 +549,6 @@ impl<M> DetSim<M> {
         }
         moved
     }
-
-    /// Number of delivery events executed so far (virtual time).
-    pub fn time(&self) -> u64 {
-        self.stats.delivered_total()
-    }
 }
 
 #[cfg(test)]
@@ -576,7 +565,7 @@ mod tests {
         let mut sim = DetSim::new(3, SchedPolicy::Fifo, 0);
         sim.send(env(2, Lane::Marking, 1));
         sim.send(env(0, Lane::Reduction(Priority::Vital), 2));
-        sim.send(env(1, Lane::Mutator, 3));
+        sim.send(env(1, Lane::Reduction(Priority::Reserve), 3));
         let got: Vec<u32> = std::iter::from_fn(|| sim.next_event().map(|(_, _, m)| m)).collect();
         assert_eq!(got, vec![1, 2, 3]);
     }
@@ -603,14 +592,14 @@ mod tests {
     }
 
     #[test]
-    fn priority_first_prefers_mutator_then_marking() {
+    fn priority_first_prefers_marking_then_vital() {
         let mut sim = DetSim::new(1, SchedPolicy::PriorityFirst, 0);
         sim.send(env(0, Lane::Reduction(Priority::Reserve), 1));
-        sim.send(env(0, Lane::Marking, 2));
-        sim.send(env(0, Lane::Mutator, 3));
+        sim.send(env(0, Lane::Reduction(Priority::Eager), 2));
+        sim.send(env(0, Lane::Marking, 3));
         sim.send(env(0, Lane::Reduction(Priority::Vital), 4));
         let got: Vec<u32> = std::iter::from_fn(|| sim.next_event().map(|(_, _, m)| m)).collect();
-        assert_eq!(got, vec![3, 2, 4, 1]);
+        assert_eq!(got, vec![3, 4, 2, 1]);
     }
 
     #[test]
@@ -679,7 +668,7 @@ mod tests {
     fn iter_pending_sees_everything() {
         let mut sim = DetSim::new(3, SchedPolicy::Fifo, 0);
         sim.send(env(0, Lane::Marking, 1));
-        sim.send(env(2, Lane::Mutator, 2));
+        sim.send(env(2, Lane::Reduction(Priority::Eager), 2));
         let all: Vec<u32> = sim.iter_pending().map(|(_, _, &m)| m).collect();
         assert_eq!(all.len(), 2);
         assert!(all.contains(&1) && all.contains(&2));
@@ -689,7 +678,7 @@ mod tests {
     fn tagged_dequeues_return_the_send_seq() {
         let mut sim = DetSim::new(2, SchedPolicy::Fifo, 0);
         let s0 = sim.send(env(0, Lane::Marking, 10));
-        let s1 = sim.send(env(1, Lane::Mutator, 11));
+        let s1 = sim.send(env(1, Lane::Reduction(Priority::Vital), 11));
         let s2 = sim.send(env(0, Lane::Marking, 12));
         assert_eq!((s0, s1, s2), (0, 1, 2), "seqs are assigned in send order");
         let (_, _, seq, m) = sim.next_event_from(None).unwrap();
@@ -708,12 +697,7 @@ mod tests {
     /// that of the lane's peak depth at all times.
     #[test]
     fn mirrors_stay_bounded_when_only_the_policy_picks() {
-        let lanes = [
-            Lane::Marking,
-            Lane::Mutator,
-            Lane::Reduction(Priority::Vital),
-            Lane::Reduction(Priority::Reserve),
-        ];
+        let lanes = Lane::ALL;
         for policy in [
             SchedPolicy::RoundRobin,
             SchedPolicy::PriorityFirst,
@@ -761,11 +745,11 @@ mod tests {
     fn stats_count_sends_and_deliveries() {
         let mut sim = DetSim::new(1, SchedPolicy::Fifo, 0);
         sim.send(env(0, Lane::Marking, 1));
-        sim.send(env(0, Lane::Mutator, 2));
+        sim.send(env(0, Lane::Reduction(Priority::Vital), 2));
         sim.next_event();
-        assert_eq!(sim.stats().sent_total(), 2);
         assert_eq!(sim.stats().delivered_total(), 1);
-        assert_eq!(sim.time(), 1);
+        assert_eq!(sim.stats().delivered(Lane::Marking), 1);
+        assert_eq!(sim.stats().lane_depth(Lane::Reduction(Priority::Vital)), 1);
     }
 
     #[test]

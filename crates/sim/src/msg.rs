@@ -5,13 +5,10 @@ use dgr_graph::{PeId, Priority};
 /// The scheduling lane a message travels in.
 ///
 /// The paper distinguishes tasks of the reduction process (prioritized 3/2/1
-/// by `M_R`'s classification) from tasks of the marking process; mutator
-/// notifications get their own lane so a scheduling policy can model the
-/// "simple busy-waiting protocol" of Section 6 by favoring them.
+/// by `M_R`'s classification) from tasks of the marking process; those are
+/// the four kinds of task the system sends, so those are the lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Lane {
-    /// Graph-mutation notifications (highest urgency).
-    Mutator,
     /// Mark and return tasks of `M_R` / `M_T`.
     Marking,
     /// Reduction tasks, prioritized by the destination vertex's class.
@@ -19,33 +16,29 @@ pub enum Lane {
 }
 
 impl Lane {
-    /// Dense index used by mailbox arrays: mutator 0, marking 1, reduction
-    /// vital/eager/reserve 2/3/4.
+    /// Dense index used by mailbox arrays: marking 0, reduction
+    /// vital/eager/reserve 1/2/3.
     #[inline]
     pub const fn index(self) -> usize {
         match self {
-            Lane::Mutator => 0,
-            Lane::Marking => 1,
-            Lane::Reduction(Priority::Vital) => 2,
-            Lane::Reduction(Priority::Eager) => 3,
-            Lane::Reduction(Priority::Reserve) => 4,
+            Lane::Marking => 0,
+            Lane::Reduction(Priority::Vital) => 1,
+            Lane::Reduction(Priority::Eager) => 2,
+            Lane::Reduction(Priority::Reserve) => 3,
         }
     }
 
     /// All lanes in scheduling-preference order.
-    pub const ALL: [Lane; 5] = [
-        Lane::Mutator,
+    pub const ALL: [Lane; 4] = [
         Lane::Marking,
         Lane::Reduction(Priority::Vital),
         Lane::Reduction(Priority::Eager),
         Lane::Reduction(Priority::Reserve),
     ];
-
-    /// Returns `true` for the reduction lanes.
-    pub fn is_reduction(self) -> bool {
-        matches!(self, Lane::Reduction(_))
-    }
 }
+
+/// One slot per lane, indexed by [`Lane::index`].
+pub(crate) type PerLane<T> = [T; Lane::ALL.len()];
 
 /// A message addressed to a processing element.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,9 +71,9 @@ mod tests {
 
     #[test]
     fn reduction_lanes() {
-        assert!(Lane::Reduction(Priority::Vital).is_reduction());
-        assert!(!Lane::Marking.is_reduction());
-        assert!(!Lane::Mutator.is_reduction());
+        let want = [Priority::Vital, Priority::Eager, Priority::Reserve];
+        assert_eq!(Lane::ALL[0], Lane::Marking);
+        assert_eq!(Lane::ALL[1..], want.map(Lane::Reduction));
     }
 
     #[test]

@@ -19,13 +19,7 @@ fn policies() -> Vec<SchedPolicy> {
 }
 
 fn lane_of(tag: u8) -> Lane {
-    match tag % 5 {
-        0 => Lane::Mutator,
-        1 => Lane::Marking,
-        2 => Lane::Reduction(Priority::Vital),
-        3 => Lane::Reduction(Priority::Eager),
-        _ => Lane::Reduction(Priority::Reserve),
-    }
+    Lane::ALL[tag as usize % Lane::ALL.len()]
 }
 
 /// A small random graph with per-arc request kinds: `edges` are
@@ -169,7 +163,7 @@ proptest! {
             }
             prop_assert!(seen.iter().take(next_id as usize).all(|&s| s));
             prop_assert!(sim.is_empty());
-            prop_assert_eq!(sim.stats().sent_total(), sim.stats().delivered_total());
+            prop_assert_eq!(sim.stats().delivered_total(), u64::from(next_id));
         }
     }
 

@@ -16,10 +16,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// One slot per lane, as in the simulator.
+type PerLane<T> = [T; Lane::ALL.len()];
+
 /// The pre-optimization simulator: full scan over every PE × lane per
 /// delivery.
 struct RefSim<M> {
-    pes: Vec<[VecDeque<(u64, M)>; 5]>,
+    pes: Vec<PerLane<VecDeque<(u64, M)>>>,
     policy: SchedPolicy,
     rng: StdRng,
     seq: u64,
@@ -187,9 +190,10 @@ fn all_policies() -> Vec<SchedPolicy> {
     ]
 }
 
+/// Tag 1 is the marking lane, which the `[1, 1, 1, 5]` pick script
+/// serves.
 fn lane_of(tag: u8) -> Lane {
-    match tag % 5 {
-        0 => Lane::Mutator,
+    match tag % 4 {
         1 => Lane::Marking,
         2 => Lane::Reduction(Priority::Vital),
         3 => Lane::Reduction(Priority::Eager),
@@ -255,37 +259,31 @@ proptest! {
     }
 }
 
-/// `SimStats` recomputed from the script: what was sent where, what the
-/// reference delivered where, and the backlogs in between.
+/// `SimStats` recomputed from the script: what the reference delivered
+/// in which lane, and the backlogs in between.
 #[derive(Default)]
 struct StatsModel {
-    sent: [u64; 5],
-    delivered: [u64; 5],
-    on_pe: Vec<u64>,
-    depth: [usize; 5],
-    high_water: [usize; 5],
-    max_depth: usize,
+    delivered: PerLane<u64>,
+    depth: PerLane<usize>,
+    high_water: PerLane<usize>,
 }
 
 impl StatsModel {
     fn send(&mut self, lane: Lane) {
         let l = lane.index();
-        self.sent[l] += 1;
         self.depth[l] += 1;
         self.high_water[l] = self.high_water[l].max(self.depth[l]);
-        self.max_depth = self.max_depth.max(self.depth.iter().sum());
     }
 
-    fn deliver(&mut self, pe: PeId, lane: Lane) {
+    fn deliver(&mut self, lane: Lane) {
         self.delivered[lane.index()] += 1;
         self.depth[lane.index()] -= 1;
-        self.on_pe[pe.index()] += 1;
     }
 
     /// After surgery the backlogs are whatever the queues now hold — not
     /// `sent − delivered`: an expunged message left without a delivery.
-    fn surgery<M>(&mut self, queues: &[[VecDeque<(u64, M)>; 5]]) {
-        for l in 0..5 {
+    fn surgery<M>(&mut self, queues: &[PerLane<VecDeque<(u64, M)>>]) {
+        for l in 0..Lane::ALL.len() {
             self.depth[l] = queues.iter().map(|lanes| lanes[l].len()).sum();
             self.high_water[l] = self.high_water[l].max(self.depth[l]);
         }
@@ -294,7 +292,6 @@ impl StatsModel {
     fn check(&self, stats: &SimStats) -> Result<(), TestCaseError> {
         for lane in Lane::ALL {
             let l = lane.index();
-            prop_assert_eq!(stats.sent(lane), self.sent[l], "sent {:?}", lane);
             prop_assert_eq!(
                 stats.delivered(lane),
                 self.delivered[l],
@@ -309,14 +306,7 @@ impl StatsModel {
                 lane
             );
         }
-        prop_assert_eq!(stats.sent_total(), self.sent.iter().sum::<u64>());
         prop_assert_eq!(stats.delivered_total(), self.delivered.iter().sum::<u64>());
-        prop_assert_eq!(stats.max_depth(), self.max_depth);
-        // Includes every PE never delivered to, and one the simulator
-        // does not have: both read 0.
-        for (pe, &n) in self.on_pe.iter().chain([&0]).enumerate() {
-            prop_assert_eq!(stats.delivered_on(pe as u16), n, "delivered on PE {}", pe);
-        }
         Ok(())
     }
 }
@@ -327,6 +317,7 @@ struct Pair {
     new_sim: DetSim<u32>,
     ref_sim: RefSim<u32>,
     model: StatsModel,
+    num_pes: u16,
     next_id: u32,
 }
 
@@ -335,16 +326,14 @@ impl Pair {
         Pair {
             new_sim: DetSim::new(num_pes, policy, seed),
             ref_sim: RefSim::new(num_pes, policy, seed),
-            model: StatsModel {
-                on_pe: vec![0; num_pes as usize],
-                ..Default::default()
-            },
+            model: StatsModel::default(),
+            num_pes,
             next_id: 0,
         }
     }
 
     fn send(&mut self, (pe, tag): (u16, u8)) {
-        let dst = PeId::new(pe % self.new_sim.num_pes());
+        let dst = PeId::new(pe % self.num_pes);
         let lane = lane_of(tag);
         self.new_sim.send(Envelope::new(dst, lane, self.next_id));
         self.ref_sim.send(Envelope::new(dst, lane, self.next_id));
@@ -387,8 +376,8 @@ impl Pair {
                 let want = self.ref_sim.next_event();
                 prop_assert_eq!(&got, &want, "{} step {}", ctx, step);
             }
-            let Some((pe, lane, _)) = got else { break };
-            self.model.deliver(pe, lane);
+            let Some((_, lane, _)) = got else { break };
+            self.model.deliver(lane);
             if let Some(&send) = extra.next() {
                 self.send(send);
             }

@@ -515,12 +515,12 @@ mod tests {
     #[test]
     fn gauges_and_hists_reach_snapshots() {
         let r = Registry::new(1);
-        r.pe(0).gauge_set(GaugeId::MailboxDepth, 3);
+        r.pe(0).gauge_set(GaugeId::DequeDepth, 3);
         r.pe(0).gauge_max(GaugeId::MailboxHighWater, 9);
         r.pe(0).gauge_max(GaugeId::MailboxHighWater, 4);
         r.pe(0).observe(HistId::BatchSize, 5);
         let m = r.snapshot().merged();
-        assert_eq!(m.gauge(GaugeId::MailboxDepth), 3);
+        assert_eq!(m.gauge(GaugeId::DequeDepth), 3);
         assert_eq!(m.gauge(GaugeId::MailboxHighWater), 9);
         assert_eq!(m.hist(HistId::BatchSize).count, 1);
         assert_eq!(m.hist(HistId::BatchSize).sum, 5);

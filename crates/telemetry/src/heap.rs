@@ -87,7 +87,7 @@ pub struct CycleHeap {
     pub allocs: u64,
     /// Vertices freed in the window.
     pub frees: u64,
-    /// Bytes charged by allocations (and upward reweights).
+    /// Bytes charged by allocations.
     pub alloc_bytes: u64,
     /// Bytes released by frees.
     pub freed_bytes: u64,
@@ -173,7 +173,7 @@ pub struct HeapSnapshot {
     pub live: u64,
     /// Peak total live bytes since the episode began.
     pub peak: u64,
-    /// Cumulative bytes ever allocated (incl. upward reweights).
+    /// Cumulative bytes ever allocated.
     pub alloc_bytes: u64,
     /// Cumulative bytes ever freed.
     pub freed_bytes: u64,
@@ -332,26 +332,6 @@ impl Tracker {
         }
     }
 
-    /// Records vertex `idx` (owned by `pe`) reweighting from `old` to
-    /// `new` bytes: the live clocks move by the difference, upward
-    /// deltas count as allocated bytes (growth), and the stamp follows
-    /// the new weight so the eventual free stays exact.
-    pub fn reweight(&mut self, pe: usize, idx: usize, old: u64, new: u64) {
-        let stamped = idx < self.stamps.len() && self.stamps[idx] != UNSTAMPED;
-        if stamped {
-            self.stamps[idx] = new + 1;
-        }
-        let grow = new.saturating_sub(old);
-        let shard = self.pe_slot(pe);
-        shard.live = (shard.live + new).saturating_sub(old);
-        shard.peak = shard.peak.max(shard.live);
-        shard.alloc_bytes += grow;
-        self.snap.live = (self.snap.live + new).saturating_sub(old);
-        self.snap.alloc_bytes += grow;
-        self.cur.alloc_bytes += grow;
-        self.note_peak();
-    }
-
     /// Tallies why a GC cycle started.
     pub fn record_trigger(&mut self, cause: TriggerCause) {
         match cause {
@@ -449,22 +429,6 @@ mod tests {
         t.alloc(0, 5, 8);
         t.free(0, 5, 8);
         assert_eq!(t.snapshot().exact_frees, 2);
-    }
-
-    #[test]
-    fn reweight_moves_the_clock_and_keeps_the_free_exact() {
-        let mut t = Tracker::new(1);
-        t.alloc(0, 3, 24);
-        t.reweight(0, 3, 24, 30);
-        assert_eq!(t.live_bytes(), 30);
-        assert_eq!(t.snapshot().alloc_bytes, 30, "growth charged");
-        t.reweight(0, 3, 30, 10);
-        assert_eq!(t.live_bytes(), 10);
-        assert_eq!(t.snapshot().alloc_bytes, 30, "shrink is free");
-        t.free(0, 3, 10);
-        let s = t.snapshot();
-        assert_eq!(s.exact_bytes, 10, "stamp followed the reweight");
-        assert_eq!(s.live, 0);
     }
 
     #[test]

@@ -25,8 +25,7 @@ fn phase_code(p: Phase) -> u64 {
         Phase::Mt => 0,
         Phase::Mr => 1,
         Phase::Classify => 2,
-        Phase::Mutate => 3,
-        Phase::Gc => 4,
+        Phase::Gc => 3,
     }
 }
 
@@ -35,8 +34,7 @@ fn phase_from_code(c: u64) -> Option<Phase> {
         0 => Some(Phase::Mt),
         1 => Some(Phase::Mr),
         2 => Some(Phase::Classify),
-        3 => Some(Phase::Mutate),
-        4 => Some(Phase::Gc),
+        3 => Some(Phase::Gc),
         _ => None,
     }
 }
@@ -166,13 +164,7 @@ mod tests {
 
     #[test]
     fn phase_codes_round_trip() {
-        for p in [
-            Phase::Mt,
-            Phase::Mr,
-            Phase::Classify,
-            Phase::Mutate,
-            Phase::Gc,
-        ] {
+        for p in [Phase::Mt, Phase::Mr, Phase::Classify, Phase::Gc] {
             assert_eq!(phase_from_code(phase_code(p)), Some(p));
         }
         assert_eq!(phase_from_code(PHASE_IDLE), None);

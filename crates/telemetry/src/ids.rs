@@ -9,8 +9,8 @@
 ///
 /// `Mt`/`Mr` are the paper's two marking processes; `Classify` covers the
 /// restructuring work that reads the finished marks (GAR reclaim, IRR
-/// expunge, re-laning, deadlock report); `Mutate` is reduction work
-/// outside any marking phase; `Gc` tags whole-cycle bookkeeping.
+/// expunge, re-laning, deadlock report); `Gc` tags whole-cycle
+/// bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// The task-marking process `M_T`.
@@ -19,8 +19,6 @@ pub enum Phase {
     Mr,
     /// Restructuring: classification and the actions taken on it.
     Classify,
-    /// Mutator / reduction activity outside a marking phase.
-    Mutate,
     /// Whole-cycle bookkeeping (cycle spans, settle, aborts).
     Gc,
 }
@@ -32,7 +30,6 @@ impl Phase {
             Phase::Mt => "M_T",
             Phase::Mr => "M_R",
             Phase::Classify => "classify",
-            Phase::Mutate => "mutate",
             Phase::Gc => "gc",
         }
     }
@@ -47,8 +44,6 @@ pub enum CounterId {
     MarkEvents,
     /// Reduction-lane deliveries.
     RedEvents,
-    /// Mutator-lane deliveries.
-    MutEvents,
     /// Sends whose destination PE is the sending PE.
     SendsLocal,
     /// Sends that cross a PE boundary.
@@ -81,14 +76,13 @@ pub enum CounterId {
 
 impl CounterId {
     /// Number of counters.
-    pub const COUNT: usize = 16;
+    pub const COUNT: usize = 15;
 
     /// Every counter, in `index` order.
     pub const ALL: [CounterId; CounterId::COUNT] = [
         CounterId::Tasks,
         CounterId::MarkEvents,
         CounterId::RedEvents,
-        CounterId::MutEvents,
         CounterId::SendsLocal,
         CounterId::SendsRemote,
         CounterId::Batches,
@@ -114,7 +108,6 @@ impl CounterId {
             CounterId::Tasks => "tasks",
             CounterId::MarkEvents => "mark_events",
             CounterId::RedEvents => "red_events",
-            CounterId::MutEvents => "mut_events",
             CounterId::SendsLocal => "sends_local",
             CounterId::SendsRemote => "sends_remote",
             CounterId::Batches => "batches",
@@ -134,9 +127,9 @@ impl CounterId {
 /// The fixed set of gauges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GaugeId {
-    /// Pending messages in a PE's mailboxes right now.
-    MailboxDepth,
-    /// Largest mailbox depth observed (set with `gauge_max`).
+    /// Largest marking-lane backlog a GC cycle reached (set with
+    /// `gauge_max` on PE 0 when the cycle closes: the simulator's lanes
+    /// are global, so the system has one such peak, not one per PE).
     MailboxHighWater,
     /// Tasks in a PE's work-stealing deque right now.
     DequeDepth,
@@ -149,11 +142,10 @@ pub enum GaugeId {
 
 impl GaugeId {
     /// Number of gauges.
-    pub const COUNT: usize = 5;
+    pub const COUNT: usize = 4;
 
     /// Every gauge, in `index` order.
     pub const ALL: [GaugeId; GaugeId::COUNT] = [
-        GaugeId::MailboxDepth,
         GaugeId::MailboxHighWater,
         GaugeId::DequeDepth,
         GaugeId::DequeHighWater,
@@ -168,7 +160,6 @@ impl GaugeId {
     /// Stable snake_case name (also the JSON key).
     pub fn name(self) -> &'static str {
         match self {
-            GaugeId::MailboxDepth => "mailbox_depth",
             GaugeId::MailboxHighWater => "mailbox_high_water",
             GaugeId::DequeDepth => "deque_depth",
             GaugeId::DequeHighWater => "deque_high_water",

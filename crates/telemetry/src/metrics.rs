@@ -502,10 +502,10 @@ mod tests {
         let mut q = PeSnapshot::default();
         p.counters[CounterId::Tasks.index()] = 3;
         q.counters[CounterId::Tasks.index()] = 4;
-        p.gauges[GaugeId::MailboxDepth.index()] = 9;
-        q.gauges[GaugeId::MailboxDepth.index()] = 2;
+        p.gauges[GaugeId::DequeDepth.index()] = 9;
+        q.gauges[GaugeId::DequeDepth.index()] = 2;
         p.merge(&q);
         assert_eq!(p.counter(CounterId::Tasks), 7);
-        assert_eq!(p.gauge(GaugeId::MailboxDepth), 9, "gauges merge by max");
+        assert_eq!(p.gauge(GaugeId::DequeDepth), 9, "gauges merge by max");
     }
 }

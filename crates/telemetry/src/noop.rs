@@ -285,10 +285,6 @@ impl HeapTracker {
 
     /// Does nothing.
     #[inline(always)]
-    pub fn reweight(&mut self, _pe: usize, _idx: usize, _old: u64, _new: u64) {}
-
-    /// Does nothing.
-    #[inline(always)]
     pub fn record_trigger(&mut self, _cause: TriggerCause) {}
 
     /// Does nothing.
@@ -343,8 +339,7 @@ mod tests {
         let mut t = HeapTracker::new(4);
         assert!(!t.enabled());
         t.alloc(0, 1, 32);
-        t.reweight(0, 1, 32, 64);
-        t.free(0, 1, 64);
+        t.free(0, 1, 32);
         t.record_trigger(TriggerCause::HeapBytes);
         t.begin_episode();
         let rec = t.close_cycle(3);

@@ -332,16 +332,48 @@ fn gc_counts_pin_the_delivery_order() {
     // global sequence numbers across lanes). The tuples were recorded on
     // the commit before the marking-event path was rewritten; a change
     // that reorders sends or deliveries moves at least one of them.
+    let rr = (SchedPolicy::RoundRobin, 0);
+    // The two policies whose pick code the four-lane simulator rewrote
+    // (the random pool, the preference-order walk), recorded on the commit
+    // before it.
+    let random = |seed| (SchedPolicy::Random { marking_bias: 0.5 }, seed);
+    let pf = (SchedPolicy::PriorityFirst, 0);
     let cases = [
-        (programs::nfib(12), false, (7, 39_308, 5_774, 0, 223)),
-        (programs::qsort(30), false, (53, 108_314, 7_258, 0, 18)),
-        (programs::cyclic_sum(100), false, (14, 34_626, 1_711, 0, 8)),
-        (programs::primes(30), false, (30, 13_032, 3_889, 0, 14)),
-        (programs::nfib(9), true, (7, 27_010, 4_951, 723, 451)),
+        (programs::nfib(12), false, rr, (7, 39_308, 5_774, 0, 223)),
+        (programs::qsort(30), false, rr, (53, 108_314, 7_258, 0, 18)),
+        (
+            programs::cyclic_sum(100),
+            false,
+            rr,
+            (14, 34_626, 1_711, 0, 8),
+        ),
+        (programs::primes(30), false, rr, (30, 13_032, 3_889, 0, 14)),
+        (programs::nfib(9), true, rr, (7, 27_010, 4_951, 723, 451)),
+        (
+            programs::qsort(30),
+            false,
+            random(7),
+            (43, 81_711, 7_468, 0, 22),
+        ),
+        (
+            programs::nfib(9),
+            true,
+            random(8),
+            (11, 65_644, 6_077, 1_121, 1_479),
+        ),
+        (programs::nfib(9), true, pf, (9, 19_188, 1_259, 102, 104)),
+        (
+            programs::cyclic_sum(100),
+            false,
+            pf,
+            (25, 69_774, 1_889, 0, 0),
+        ),
     ];
-    for (p, speculation, want) in cases {
+    for (p, speculation, (policy, seed), want) in cases {
         let cfg = SystemConfig {
             num_pes: 2,
+            policy,
+            seed,
             speculation,
             ..Default::default()
         };
@@ -355,6 +387,10 @@ fn gc_counts_pin_the_delivery_order() {
             s.expunged_total,
             s.relaned_total,
         );
-        assert_eq!(got, want, "{} (speculation {speculation})", p.name);
+        assert_eq!(
+            got, want,
+            "{} (speculation {speculation}, {policy:?}, seed {seed})",
+            p.name
+        );
     }
 }
