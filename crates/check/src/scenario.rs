@@ -158,8 +158,11 @@ impl Built {
                 }
                 MutAction::Expand { at, ref actuals } => {
                     let tpl = self.template.as_ref().expect("Expand needs a template");
-                    dgr_core::coop::expand_node(&mut off, &mut g, at, tpl, actuals, &mut sink)
-                        .expect("scenario script: expand_node");
+                    let fresh = &mut Vec::new();
+                    dgr_core::coop::expand_node(
+                        &mut off, &mut g, at, tpl, actuals, fresh, &mut sink,
+                    )
+                    .expect("scenario script: expand_node");
                 }
             }
         }

@@ -327,10 +327,9 @@ impl World {
                     .template
                     .as_ref()
                     .expect("Expand needs a template");
-                coop::expand_node(&mut self.state, &mut self.g, at, tpl, &actuals, &mut |m| {
-                    out.push(m)
-                })
-                .expect("scenario script: expand_node");
+                let (state, g, fresh) = (&mut self.state, &mut self.g, &mut Vec::new());
+                coop::expand_node(state, g, at, tpl, &actuals, fresh, &mut |m| out.push(m))
+                    .expect("scenario script: expand_node");
             }
         }
         self.mut_cursor += 1;

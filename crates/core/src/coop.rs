@@ -244,7 +244,7 @@ pub fn add_requester<S>(
 /// spawned on all of `a`'s new children and `mt-cnt(a)` adjusted. Both
 /// marking processes are cooperated with.
 ///
-/// Returns the freshly allocated vertices.
+/// Leaves the freshly allocated vertices in the caller's `fresh`.
 ///
 /// # Errors
 ///
@@ -257,8 +257,9 @@ pub fn expand_node<S>(
     a: VertexId,
     tpl: &Template,
     actuals: &[VertexId],
+    fresh: &mut Vec<VertexId>,
     sink: &mut S,
-) -> Result<Vec<VertexId>, GraphError>
+) -> Result<(), GraphError>
 where
     S: FnMut(MarkMsg) + ?Sized,
 {
@@ -266,12 +267,12 @@ where
     let pre_r = g.mark(a, Slot::R).color;
     let pre_t = g.mark(a, Slot::T).color;
 
-    let fresh = tpl.instantiate(g, a, actuals)?;
+    tpl.instantiate(g, a, actuals, fresh)?;
 
     if state.cooperation_enabled {
         use dgr_graph::Color::*;
         if let Some(mode) = state.r_mode {
-            for &f in &fresh {
+            for &f in fresh.iter() {
                 let s = g.mark_mut(f, Slot::R);
                 s.mt_cnt = 0;
                 s.mt_par = None;
@@ -298,7 +299,7 @@ where
             }
         }
         if state.t_active {
-            for &f in &fresh {
+            for &f in fresh.iter() {
                 let s = g.mark_mut(f, Slot::T);
                 s.mt_cnt = 0;
                 s.mt_par = None;
@@ -320,7 +321,7 @@ where
             }
         }
     }
-    Ok(fresh)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -602,12 +603,14 @@ mod tests {
         g.mark_mut(arg, Slot::R).color = Color::Marked;
         g.mark_mut(arg, Slot::R).prior = Priority::Vital;
 
-        let fresh = expand_node(
+        let mut fresh = Vec::new();
+        expand_node(
             &mut state,
             &mut g,
             app,
             &inc_template(),
             &[arg],
+            &mut fresh,
             &mut |_| panic!("no marks when parent marked"),
         )
         .unwrap();
@@ -630,11 +633,19 @@ mod tests {
         g.mark_mut(app, Slot::R).mt_par = Some(MarkParent::RootPar);
         g.mark_mut(app, Slot::R).mt_cnt = 1; // owes a mark to arg (in flight)
 
-        let mut out = Vec::new();
-        let fresh = expand_node(&mut state, &mut g, app, &inc_template(), &[arg], &mut |m| {
-            out.push(m)
-        })
+        let (mut out, mut fresh) = (Vec::new(), Vec::new());
+        let tpl = inc_template();
+        expand_node(
+            &mut state,
+            &mut g,
+            app,
+            &tpl,
+            &[arg],
+            &mut fresh,
+            &mut |m| out.push(m),
+        )
         .unwrap();
+        assert_eq!(fresh.len(), 1);
         for &f in &fresh {
             assert!(g.mark(f, Slot::R).is_unmarked());
         }
@@ -651,12 +662,14 @@ mod tests {
         g.connect(app, arg);
         let mut state = MarkState::new();
         state.begin_r(RMode::Simple);
-        let fresh = expand_node(
+        let mut fresh = Vec::new();
+        expand_node(
             &mut state,
             &mut g,
             app,
             &inc_template(),
             &[arg],
+            &mut fresh,
             &mut |_| panic!("no marks for unmarked parent"),
         )
         .unwrap();

@@ -52,6 +52,12 @@ impl PartitionMap {
         }
     }
 
+    /// The same PEs and strategy over `capacity` vertex slots — the map
+    /// after the store grew.
+    pub fn resized(&self, capacity: usize) -> Self {
+        PartitionMap::new(self.num_pes, capacity, self.strategy)
+    }
+
     /// The PE owning vertex `v`.
     #[inline]
     pub fn pe_of(&self, v: VertexId) -> PeId {
@@ -250,13 +256,16 @@ impl GraphStore {
         Ok(id)
     }
 
-    /// Allocates `n` vertices at once (all-or-nothing).
+    /// Allocates `n` vertices at once (all-or-nothing), leaving exactly
+    /// their ids in the caller's `out` — a list the caller keeps across
+    /// calls, so a bulk allocation makes no allocator call of its own.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::OutOfVertices`] if fewer than `n` vertices are
     /// free; in that case nothing is allocated.
-    pub fn alloc_many(&mut self, n: usize) -> Result<Vec<VertexId>, GraphError> {
+    pub fn alloc_many(&mut self, n: usize, out: &mut Vec<VertexId>) -> Result<(), GraphError> {
+        out.clear();
         if self.free.len() < n {
             return Err(GraphError::OutOfVertices {
                 requested: n,
@@ -264,14 +273,13 @@ impl GraphStore {
             });
         }
         let bytes = default_cost_model(&NodeLabel::Hole);
-        let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             let id = self.free.pop().expect("checked length");
             self.verts[id.index()].reinit(NodeLabel::Hole);
             self.charge_alloc(id, bytes);
             out.push(id);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Returns vertex `id` to the free list, clearing its contents.
@@ -620,9 +628,10 @@ mod tests {
     #[test]
     fn alloc_many_is_all_or_nothing() {
         let mut g = GraphStore::with_capacity(3);
-        assert!(g.alloc_many(4).is_err());
-        assert_eq!(g.free_count(), 3);
-        let ids = g.alloc_many(3).unwrap();
+        let mut ids = vec![VertexId::new(9)];
+        assert!(g.alloc_many(4, &mut ids).is_err());
+        assert_eq!((g.free_count(), ids.len()), (3, 0));
+        g.alloc_many(3, &mut ids).unwrap();
         assert_eq!(ids.len(), 3);
         assert_eq!(g.free_count(), 0);
     }

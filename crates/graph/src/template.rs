@@ -138,8 +138,9 @@ impl Template {
     /// This is the raw `splice-in-subgraph(v, g)`: `target` is relabeled
     /// with node 0's label and its args replaced by node 0's args; the
     /// remaining nodes are allocated from the free list. The ids of the
-    /// freshly allocated vertices are returned (for the cooperating
-    /// `expand-node` wrapper in `dgr-core`, which must color them).
+    /// freshly allocated vertices are left in the caller's `fresh` (for
+    /// the cooperating `expand-node` wrapper in `dgr-core`, which must
+    /// color them).
     ///
     /// # Errors
     ///
@@ -152,14 +153,15 @@ impl Template {
         g: &mut GraphStore,
         target: VertexId,
         actuals: &[VertexId],
-    ) -> Result<Vec<VertexId>, GraphError> {
+        fresh: &mut Vec<VertexId>,
+    ) -> Result<(), GraphError> {
         if actuals.len() < self.arity {
             return Err(GraphError::BadTemplateParam {
                 index: self.arity - 1,
                 supplied: actuals.len(),
             });
         }
-        let fresh = g.alloc_many(self.extra_vertices())?;
+        g.alloc_many(self.extra_vertices(), fresh)?;
         // Local index i maps to: target when i == 0, fresh[i-1] otherwise.
         let resolve = |r: TemplateRef| -> VertexId {
             match r {
@@ -177,7 +179,7 @@ impl Template {
             v.label = node.label.clone();
             v.replace_args(node.args.iter().map(|&r| resolve(r)));
         }
-        Ok(fresh)
+        Ok(())
     }
 }
 
@@ -235,7 +237,8 @@ mod tests {
         let arg = g.alloc(NodeLabel::lit_int(41)).unwrap();
         let app = g.alloc(NodeLabel::Apply).unwrap();
         let tpl = inc_template();
-        let fresh = tpl.instantiate(&mut g, app, &[arg]).unwrap();
+        let mut fresh = Vec::new();
+        tpl.instantiate(&mut g, app, &[arg], &mut fresh).unwrap();
         assert_eq!(fresh.len(), 1);
         assert_eq!(g.vertex(app).label, NodeLabel::Prim(PrimOp::Add));
         assert_eq!(g.vertex(app).args(), &[arg, fresh[0]]);
@@ -247,7 +250,9 @@ mod tests {
         let mut g = GraphStore::with_capacity(4);
         let app = g.alloc(NodeLabel::Apply).unwrap();
         let tpl = inc_template();
-        let err = tpl.instantiate(&mut g, app, &[]).unwrap_err();
+        let err = tpl
+            .instantiate(&mut g, app, &[], &mut Vec::new())
+            .unwrap_err();
         assert!(matches!(err, GraphError::BadTemplateParam { .. }));
         assert_eq!(g.free_count(), 3, "graph unchanged on error");
     }
@@ -258,7 +263,9 @@ mod tests {
         let app = g.alloc(NodeLabel::Apply).unwrap();
         let tpl = inc_template();
         let arg = app; // irrelevant; allocation fails first
-        let err = tpl.instantiate(&mut g, app, &[arg]).unwrap_err();
+        let err = tpl
+            .instantiate(&mut g, app, &[arg], &mut Vec::new())
+            .unwrap_err();
         assert!(matches!(err, GraphError::OutOfVertices { .. }));
         assert_eq!(g.vertex(app).label, NodeLabel::Apply);
     }
@@ -280,7 +287,8 @@ mod tests {
         .unwrap();
         let mut g = GraphStore::with_capacity(4);
         let app = g.alloc(NodeLabel::Apply).unwrap();
-        let fresh = tpl.instantiate(&mut g, app, &[]).unwrap();
+        let mut fresh = Vec::new();
+        tpl.instantiate(&mut g, app, &[], &mut fresh).unwrap();
         assert_eq!(g.vertex(app).args()[1], app, "tail points back at root");
         assert_eq!(g.vertex(app).args()[0], fresh[0]);
     }
@@ -299,7 +307,7 @@ mod tests {
             )],
         )
         .unwrap();
-        tpl.instantiate(&mut g, app, &[]).unwrap();
+        tpl.instantiate(&mut g, app, &[], &mut Vec::new()).unwrap();
         assert_eq!(g.vertex(app).args(), &[shared]);
     }
 }

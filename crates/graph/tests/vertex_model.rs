@@ -192,7 +192,8 @@ proptest! {
     #[test]
     fn a_recycled_slot_equals_a_fresh_vertex(ops in ops(), many in 0usize..3) {
         let mut g = GraphStore::with_capacity(3);
-        let ids = g.alloc_many(3).unwrap();
+        let mut ids = Vec::new();
+        g.alloc_many(3, &mut ids).unwrap();
         for &v in &ids {
             scribble(&mut g, v, &ops);
         }
@@ -201,7 +202,8 @@ proptest! {
         }
         // Through `alloc_many` for the first `many` slots, `alloc` for the rest.
         let label = NodeLabel::Prim(PrimOp::Add);
-        for v in g.alloc_many(many).unwrap() {
+        g.alloc_many(many, &mut ids).unwrap();
+        for v in ids {
             prop_assert_eq!(g.vertex(v), &Vertex::new(NodeLabel::Hole));
         }
         for _ in many..3 {

@@ -4,7 +4,7 @@ use dgr_core::{handle_mark, MarkMsg, MarkState};
 use dgr_graph::HeapDelta;
 use dgr_graph::{
     GraphStore, PartitionMap, PartitionStrategy, PeId, Priority, RequestKind, Requester,
-    TaskEndpoints, Value,
+    TaskEndpoints, Value, VertexId,
 };
 use dgr_sim::{DetSim, Envelope, Lane, SchedPolicy};
 use dgr_telemetry::{CounterId, HeapSnapshot, HeapTracker, Registry};
@@ -102,14 +102,15 @@ pub struct System {
     /// fed from the graph store's byte journal after every dispatch.
     heap: HeapTracker,
     /// The vertex-to-PE assignment every send routes by. Only a reduction
-    /// task can grow the heap, so dispatch refreshes it there and nowhere
+    /// task can grow the heap, so the engine resizes it there and nowhere
     /// else.
     partition: PartitionMap,
-    /// What one reduction task spawned, buffered so that its reduction
-    /// sends precede its marking sends (see `System::deliver`); kept
-    /// across dispatches for their capacity.
-    out_red: Vec<(RedMsg, Priority)>,
+    /// The marking tasks one reduction task spawned, held back until its
+    /// reduction sends are in (see `System::deliver`), and the engine's
+    /// two id lists; all kept across dispatches for their capacity.
     out_mark: Vec<MarkMsg>,
+    actuals: Vec<VertexId>,
+    fresh: Vec<VertexId>,
 }
 
 /// Attributes a send to the PE whose task is currently executing, as
@@ -185,8 +186,9 @@ impl System {
             telem_cycle: 0,
             heap,
             partition,
-            out_red: Vec::new(),
             out_mark: Vec::new(),
+            actuals: Vec::new(),
+            fresh: Vec::new(),
         }
     }
 
@@ -328,14 +330,15 @@ impl System {
     /// [`System::step_lane`], so the message moves from its queue slot
     /// into its handler and nowhere in between.
     ///
-    /// A marking task's sends go straight from the handler into the
-    /// simulator: one marking event is one queue pop, one handler call and
-    /// its sends. A reduction task's sends are buffered, because the
-    /// engine interleaves them and the order they enter the simulator is
-    /// part of the delivery order: sequence numbers are global, and
-    /// round-robin picks a PE's oldest message *across* lanes — so all of
-    /// a task's reduction sends get their numbers before any of its
-    /// marking sends, as they always have.
+    /// A task's sends go straight from its handler into the simulator: one
+    /// event is one queue pop, one handler call and its sends. The one
+    /// exception is the marking tasks a *reduction* task spawns through
+    /// the cooperating mutators, which wait in `out_mark` until the engine
+    /// returns. The engine interleaves the two kinds and the order they
+    /// enter the simulator is part of the delivery order — sequence
+    /// numbers are global, and round-robin picks a PE's oldest message
+    /// *across* lanes — so all of a task's reduction sends get their
+    /// numbers before any of its marking sends, as they always have.
     fn deliver(&mut self, only: Option<Lane>) -> bool {
         let Some((pe, lane, seq, msg)) = self.sim.next_event_from(only) else {
             return false;
@@ -347,18 +350,14 @@ impl System {
             Lane::Reduction(_) => shard.inc(CounterId::RedEvents),
         }
         self.executing = Some(pe);
+        let (cycle, sim, telem) = (self.telem_cycle, &mut self.sim, &self.telem);
         match msg {
             SysMsg::Red(RedMsg::Return {
                 dst: Requester::External,
                 value,
                 ..
-            }) => {
-                self.result = Some(value);
-            }
+            }) => self.result = Some(value),
             SysMsg::Red(m) => {
-                let mut out_red = std::mem::take(&mut self.out_red);
-                let mut out_mark = std::mem::take(&mut self.out_mark);
-                let capacity = self.graph.capacity();
                 handle_red(
                     &mut EngineCtx {
                         state: &mut self.mark_state,
@@ -367,35 +366,28 @@ impl System {
                         speculation: self.config.speculation,
                         grow_step: self.config.grow_step,
                         stats: &mut self.stats,
-                        out_red: &mut out_red,
-                        out_mark: &mut out_mark,
+                        partition: &mut self.partition,
+                        red: |dst, m, prio| {
+                            count_send(telem, Some(pe), dst);
+                            sim.send(Envelope::new(dst, Lane::Reduction(prio), SysMsg::Red(m)));
+                        },
+                        spawned: 0,
+                        out_mark: &mut self.out_mark,
+                        actuals: &mut self.actuals,
+                        fresh: &mut self.fresh,
                     },
                     m,
                 );
-                if self.graph.capacity() != capacity {
-                    self.partition = PartitionMap::new(
-                        self.config.num_pes,
-                        self.graph.capacity(),
-                        self.config.partition,
-                    );
+                for m in self.out_mark.drain(..) {
+                    enqueue_mark(sim, telem, &self.partition, cycle, Some(pe), m);
                 }
-                for (m, p) in out_red.drain(..) {
-                    self.send_red(m, p);
-                }
-                for m in out_mark.drain(..) {
-                    self.send_mark(m);
-                }
-                self.out_red = out_red;
-                self.out_mark = out_mark;
             }
             SysMsg::Mark(m) => {
                 // The delivery end of the flow edge `enqueue_mark` opened;
                 // reduction messages are not flow-traced.
                 let (fphase, fname) = m.flow_meta();
-                let cycle = self.telem_cycle;
-                self.telem
-                    .flow_recv(pe.raw(), cycle, fphase, fname, seq + 1);
-                let (sim, telem, partition) = (&mut self.sim, &self.telem, &self.partition);
+                telem.flow_recv(pe.raw(), cycle, fphase, fname, seq + 1);
+                let partition = &self.partition;
                 handle_mark(
                     &mut self.mark_state,
                     &mut self.graph,

@@ -42,11 +42,16 @@ pub enum SchedPolicy {
 const MARKING: usize = Lane::Marking.index();
 
 /// Stale entries a lane's mirror may hold beyond its pending depth before
-/// a send sweeps them: `len ≤ 2 × depth + MIRROR_SLACK` after every send
-/// to the lane, and deliveries never grow a mirror, so it stays within
-/// twice the lane's peak backlog. The constant keeps near-empty lanes
-/// from sweeping on every send.
+/// a send drops it: `len ≤ 2 × depth + MIRROR_SLACK` after every send to
+/// the lane, and deliveries never grow a mirror, so it stays within twice
+/// the lane's peak backlog. The constant keeps a near-empty lane's mirror
+/// from being dropped and rebuilt every few sends.
 const MIRROR_SLACK: usize = 64;
+
+/// One PE's mailboxes: a queue of `(seq, message)` per lane.
+type Mailboxes<M> = PerLane<VecDeque<(u64, M)>>;
+/// The `(seq, pe)` of a lane's sends, oldest first (see [`DetSim`]'s `mirror`).
+type Mirror = VecDeque<(u64, u16)>;
 
 /// Smallest set bit at or after `from` in the `n` words `word(0..n)`.
 #[inline]
@@ -141,7 +146,7 @@ impl IdSet {
 ///
 /// | question | index |
 /// |---|---|
-/// | oldest / newest message of a lane, any PE (`Fifo`, `Lifo`, in-lane service) | `mirror` |
+/// | oldest / newest message of a lane, any PE (`Fifo`, `Lifo`, in-lane service) | `mirror`, built when first asked |
 /// | first PE at or after the cursor with work in a lane (`PriorityFirst`) | `lane_pes` |
 /// | first PE at or after the cursor with any work (`RoundRobin`) | the OR of the four `lane_pes` words |
 /// | the `k`-th non-empty marking / other mailbox (`Random`) | `lane_pes[Marking]`, the three other `lane_pes` read in `(pe, lane)` order |
@@ -153,22 +158,26 @@ impl IdSet {
 pub struct DetSim<M> {
     /// The mailboxes: one queue per `(PE, lane)`, each sorted by sequence
     /// number because sequence numbers are globally monotone.
-    pes: Vec<PerLane<VecDeque<(u64, M)>>>,
+    pes: Vec<Mailboxes<M>>,
     policy: SchedPolicy,
     rng: StdRng,
     seq: u64,
     pending: usize,
     rr_cursor: usize,
     stats: SimStats,
-    /// Per-lane mirror of every send's `(seq, pe)` with **lazy deletion**.
-    /// Each mirror is seq-sorted by construction: its first entry still
+    /// Per-lane mirror of the pending sends' `(seq, pe)` with **lazy
+    /// deletion**, `None` until somebody asks for that lane's oldest or
+    /// newest — a lane only the policy's occupancy sets pick from never
+    /// pays for one. A mirror is seq-sorted: its first entry still
     /// matching the front of its mailbox queue is the lane's globally
     /// oldest pending message, and its last entry matching a queue back is
-    /// the newest. Deliveries leave stale entries behind; peeks discard
-    /// them from the ends, and a send sweeps the lane once stale entries
-    /// outnumber pending ones by [`MIRROR_SLACK`] — so a lane no peek ever
-    /// visits (policy picks only) stays bounded by its depth too.
-    mirror: PerLane<VecDeque<(u64, u16)>>,
+    /// the newest. Deliveries leave stale entries behind and peeks discard
+    /// them from the ends; once stale entries outnumber pending ones by
+    /// [`MIRROR_SLACK`] most deliveries are bypassing the mirror, so the
+    /// send that notices drops it and the next ask, if one comes, builds
+    /// it afresh in O(depth) — at least `depth + MIRROR_SLACK` sends
+    /// apart, amortised O(1) per message.
+    mirror: PerLane<Option<Mirror>>,
     /// Per-lane set of PEs whose mailbox for that lane is non-empty.
     lane_pes: PerLane<IdSet>,
 }
@@ -195,6 +204,24 @@ impl<M> DetSim<M> {
         }
     }
 
+    /// Lane `l`'s mirror beside the mailboxes its entries are validated
+    /// against, built first if the lane has none: every pending message's
+    /// `(seq, pe)`, seq-sorted — queue-concatenation order is not.
+    #[inline]
+    fn lane_mirror(&mut self, l: usize) -> (&[Mailboxes<M>], &mut Mirror) {
+        #[cold]
+        fn build<M>(pes: &[Mailboxes<M>], l: usize) -> Mirror {
+            let mut m = Mirror::new();
+            for (p, lanes) in pes.iter().enumerate() {
+                m.extend(lanes[l].iter().map(|&(s, _)| (s, p as u16)));
+            }
+            m.make_contiguous().sort_unstable();
+            m
+        }
+        let pes = &self.pes[..];
+        (pes, self.mirror[l].get_or_insert_with(|| build(pes, l)))
+    }
+
     /// The lane's oldest pending `(seq, pe)`, discarding stale mirror
     /// entries from the front. A front entry is valid iff it matches the
     /// front of its mailbox queue: sequence numbers are unique and the
@@ -202,11 +229,7 @@ impl<M> DetSim<M> {
     /// smaller (hence earlier-queued) message has been delivered, and a
     /// still-pending `seq` must sit at its queue's front.
     #[inline]
-    fn lane_oldest(
-        pes: &[PerLane<VecDeque<(u64, M)>>],
-        mirror: &mut VecDeque<(u64, u16)>,
-        l: usize,
-    ) -> Option<(u64, u16)> {
+    fn lane_oldest(pes: &[Mailboxes<M>], mirror: &mut Mirror, l: usize) -> Option<(u64, u16)> {
         while let Some(&(seq, pe)) = mirror.front() {
             if pes[pe as usize][l].front().map(|&(s, _)| s) == Some(seq) {
                 return Some((seq, pe));
@@ -218,11 +241,7 @@ impl<M> DetSim<M> {
 
     /// Mirror of [`DetSim::lane_oldest`] for the newest entry: discards
     /// stale entries from the back, validating against queue backs.
-    fn lane_newest(
-        pes: &[PerLane<VecDeque<(u64, M)>>],
-        mirror: &mut VecDeque<(u64, u16)>,
-        l: usize,
-    ) -> Option<(u64, u16)> {
+    fn lane_newest(pes: &[Mailboxes<M>], mirror: &mut Mirror, l: usize) -> Option<(u64, u16)> {
         while let Some(&(seq, pe)) = mirror.back() {
             if pes[pe as usize][l].back().map(|&(s, _)| s) == Some(seq) {
                 return Some((seq, pe));
@@ -232,26 +251,9 @@ impl<M> DetSim<M> {
         None
     }
 
-    /// Drops every stale entry of lane `l`'s mirror. The mirror holds each
-    /// pending message of the lane, seq-sorted like the queues themselves,
-    /// so one merge pass decides: an entry is pending iff it is the next
-    /// unmatched message of its PE's queue. Runs when stale entries
-    /// outnumber pending ones, which takes at least that many deliveries
-    /// since the last sweep — amortised O(1) per message.
-    #[cold]
-    fn sweep_mirror(&mut self, l: usize) {
-        let mut next = vec![0usize; self.pes.len()];
-        let pes = &self.pes;
-        self.mirror[l].retain(|&(seq, pe)| {
-            let at = &mut next[pe as usize];
-            let pending = pes[pe as usize][l].get(*at).is_some_and(|&(s, _)| s == seq);
-            *at += usize::from(pending);
-            pending
-        });
-    }
-
-    /// Reconstructs every index from the mailboxes, after bulk surgery
-    /// (`expunge` / `relane`) rewrote queues wholesale.
+    /// Reconstructs the occupancy sets and depths from the mailboxes and
+    /// drops the mirrors, after bulk surgery (`expunge` / `relane`)
+    /// rewrote queues wholesale.
     fn rebuild_index(&mut self) {
         self.mirror = Default::default();
         self.lane_pes.iter_mut().for_each(IdSet::clear);
@@ -260,15 +262,10 @@ impl<M> DetSim<M> {
             for (l, depth) in depths.iter_mut().enumerate() {
                 let q = &self.pes[p][l];
                 *depth += q.len();
-                self.mirror[l].extend(q.iter().map(|&(s, _)| (s, p as u16)));
                 if !q.is_empty() {
                     self.lane_pes[l].insert(p);
                 }
             }
-        }
-        // Mirrors must be seq-sorted; queue-concatenation order is not.
-        for m in self.mirror.iter_mut() {
-            m.make_contiguous().sort_unstable();
         }
         self.stats.set_lane_depths(depths);
     }
@@ -295,10 +292,12 @@ impl<M> DetSim<M> {
         if q.len() == 1 {
             self.lane_pes[l].insert(pe);
         }
-        self.mirror[l].push_back((seq, pe as u16));
         self.stats.record_send(env.lane);
-        if self.mirror[l].len() > 2 * self.stats.lane_depth(env.lane) + MIRROR_SLACK {
-            self.sweep_mirror(l);
+        if let Some(mirror) = &mut self.mirror[l] {
+            mirror.push_back((seq, pe as u16));
+            if mirror.len() > 2 * self.stats.lane_depth(env.lane) + MIRROR_SLACK {
+                self.mirror[l] = None;
+            }
         }
         seq
     }
@@ -343,11 +342,12 @@ impl<M> DetSim<M> {
         let (pe, lane, newest) = match only {
             Some(lane) => {
                 let l = lane.index();
-                let (_, pe) = Self::lane_oldest(&self.pes, &mut self.mirror[l], l)?;
+                let (pes, mirror) = self.lane_mirror(l);
+                let (_, pe) = Self::lane_oldest(pes, mirror, l)?;
                 // The entry about to be served is the mirror's front: drop
                 // it now rather than leave it for the next peek to find
                 // stale.
-                self.mirror[l].pop_front();
+                mirror.pop_front();
                 (pe as usize, lane, false)
             }
             None if self.pending == 0 => return None,
@@ -370,8 +370,8 @@ impl<M> DetSim<M> {
             q.pop_front()?
         };
         if q.is_empty() {
-            // The mirror entries of what the mailbox held stay behind as
-            // stale and are discarded by a later peek or sweep.
+            // The mirror entries of what the mailbox held, if the lane has
+            // a mirror, stay behind as stale for a later peek to discard.
             self.lane_pes[l].remove(pe);
         }
         self.pending -= 1;
@@ -386,10 +386,11 @@ impl<M> DetSim<M> {
         let mut best: Option<(u64, u16, Lane)> = None;
         for lane in Lane::ALL {
             let l = lane.index();
+            let (pes, mirror) = self.lane_mirror(l);
             let entry = if newest {
-                Self::lane_newest(&self.pes, &mut self.mirror[l], l)
+                Self::lane_newest(pes, mirror, l)
             } else {
-                Self::lane_oldest(&self.pes, &mut self.mirror[l], l)
+                Self::lane_oldest(pes, mirror, l)
             };
             if let Some((s, pe)) = entry {
                 if best.is_none_or(|(bs, _, _)| if newest { s > bs } else { s < bs }) {
@@ -690,54 +691,91 @@ mod tests {
         assert!(sim.next_event_from(None).is_none());
     }
 
-    /// A lane only the policy picks from never has its mirror peeked, so
-    /// nothing but the send-side sweep trims it. Over a million
-    /// send/deliver pairs at a shallow backlog every mirror must be within
-    /// `2 × depth + MIRROR_SLACK` after each send to its lane, and within
-    /// that of the lane's peak depth at all times.
+    /// The three policies that pick by occupancy set, never by mirror.
+    const SET_POLICIES: [SchedPolicy; 3] = [
+        SchedPolicy::RoundRobin,
+        SchedPolicy::PriorityFirst,
+        SchedPolicy::Random { marking_bias: 0.5 },
+    ];
+
+    /// The `i`-th send of the mirror tests: a stride coprime to both
+    /// counts visits every (PE, lane).
+    fn strided_send(sim: &mut DetSim<u64>, i: u64) -> Lane {
+        let (pe, lane) = ((i * 7 % 4) as u16, Lane::ALL[(i * 5 % 4) as usize]);
+        sim.send(Envelope::new(PeId::new(pe), lane, i));
+        lane
+    }
+
+    /// Nobody asks for a lane's oldest or newest under these policies, so
+    /// no lane ever has a mirror to maintain.
     #[test]
-    fn mirrors_stay_bounded_when_only_the_policy_picks() {
-        let lanes = Lane::ALL;
-        for policy in [
-            SchedPolicy::RoundRobin,
-            SchedPolicy::PriorityFirst,
-            SchedPolicy::Random { marking_bias: 0.5 },
-        ] {
+    fn no_mirror_exists_when_only_the_policy_picks() {
+        for policy in SET_POLICIES {
             let mut sim = DetSim::new(4, policy, 11);
-            let mut sent = 0u64;
-            let mut send = |sim: &mut DetSim<u64>| {
-                // A stride coprime to both counts visits every (PE, lane).
-                let (pe, lane) = ((sent * 7 % 4) as u16, lanes[(sent * 5 % 4) as usize]);
-                sim.send(Envelope::new(PeId::new(pe), lane, sent));
-                sent += 1;
-                let len = sim.mirror[lane.index()].len();
-                let room = 2 * sim.stats().lane_depth(lane) + MIRROR_SLACK;
-                assert!(len <= room, "{policy:?} {lane:?}: {len} > {room} at a send");
-            };
-            for _ in 0..24 {
-                send(&mut sim);
+            for i in 0..24 {
+                strided_send(&mut sim, i);
             }
-            let mut longest = 0usize;
-            for _ in 0..1_000_000 {
-                send(&mut sim);
+            for i in 24..1_000_024 {
+                strided_send(&mut sim, i);
                 sim.next_event().expect("backlog is never empty");
-                for lane in lanes {
-                    let len = sim.mirror[lane.index()].len();
-                    let room = 2 * sim.stats().lane_high_water(lane) + MIRROR_SLACK;
-                    assert!(len <= room, "{policy:?} {lane:?}: {len} > {room}");
-                    longest = longest.max(len);
-                }
             }
             assert_eq!(sim.len(), 24);
-            assert!(longest > MIRROR_SLACK, "{policy:?}: the sweep never ran");
-            // Every pending message is still reachable through the mirrors.
+            assert!(sim.mirror.iter().all(Option::is_none), "{policy:?}");
+        }
+    }
+
+    /// Asked once, then left to the policy: each mirror is built by the
+    /// ask, kept within `2 × depth + MIRROR_SLACK` at every send to its
+    /// lane (dropped when it would cross) and within that of the lane's
+    /// peak depth at all times, and an ask after the drop still finds
+    /// every pending message.
+    #[test]
+    fn an_abandoned_mirror_stays_bounded_until_it_is_dropped() {
+        let len =
+            |sim: &DetSim<u64>, lane: Lane| sim.mirror[lane.index()].as_ref().map(VecDeque::len);
+        for policy in SET_POLICIES {
+            let mut sim = DetSim::new(4, policy, 11);
+            for i in 0..28 {
+                strided_send(&mut sim, i);
+            }
+            for lane in Lane::ALL {
+                sim.next_event_from(Some(lane)).expect("seven per lane");
+                assert!(
+                    len(&sim, lane).is_some(),
+                    "{policy:?} {lane:?}: the ask builds"
+                );
+            }
+            let mut dropped = 0;
+            for i in 28..1_000_028 {
+                let before = len(&sim, Lane::ALL[(i * 5 % 4) as usize]);
+                let lane = strided_send(&mut sim, i);
+                let room = 2 * sim.stats().lane_depth(lane) + MIRROR_SLACK;
+                match len(&sim, lane) {
+                    Some(n) => assert!(n <= room, "{policy:?} {lane:?}: {n} > {room} at a send"),
+                    None => dropped += usize::from(before.is_some()),
+                }
+                sim.next_event().expect("backlog is never empty");
+                for lane in Lane::ALL {
+                    let room = 2 * sim.stats().lane_high_water(lane) + MIRROR_SLACK;
+                    let n = len(&sim, lane).unwrap_or(0);
+                    assert!(n <= room, "{policy:?} {lane:?}: {n} > {room}");
+                }
+            }
+            assert_eq!(
+                dropped, 4,
+                "{policy:?}: each abandoned mirror is dropped once"
+            );
+            assert_eq!(sim.len(), 24);
             let mut drained = 0;
-            for lane in lanes {
+            for lane in Lane::ALL {
                 while sim.next_event_from(Some(lane)).is_some() {
                     drained += 1;
                 }
             }
-            assert_eq!(drained, 24, "{policy:?}: a sweep lost a pending entry");
+            assert_eq!(
+                drained, 24,
+                "{policy:?}: a rebuilt mirror lost a pending entry"
+            );
         }
     }
 

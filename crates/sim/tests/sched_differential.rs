@@ -3,9 +3,11 @@
 //! every policy and seed. `RefSim` below is a faithful copy of the old
 //! scan-based pick logic (including the order in which it consults the
 //! RNG), so any divergence in pick order or RNG stream fails here. The
-//! scripts mix policy picks with in-lane service, run at PE counts
-//! on both sides of a 64-bit word of the occupancy sets, and end by
-//! checking `SimStats` against counters recomputed from the script.
+//! scripts mix policy picks with in-lane service — first asked for at an
+//! arbitrary point, abandoned until the lane's lazily built mirror is
+//! dropped, and asked for again — run at PE counts on both sides of a
+//! 64-bit word of the occupancy sets, and end by checking `SimStats`
+//! against counters recomputed from the script.
 
 use std::collections::VecDeque;
 
@@ -341,13 +343,36 @@ impl Pair {
         self.next_id += 1;
     }
 
-    /// Drains both simulators by the pick script (cycled): a byte below 5
-    /// asks for the oldest message of that lane and, like `GcDriver` when
-    /// the marking lane is empty, falls through to a policy pick if there
-    /// is none; any other byte is a policy pick. One `extra` send follows
-    /// every delivery so picks happen against queues in every state, not
-    /// just a monotone drain, and high-water tracking restarts once on
-    /// the way. Ends by checking the stats.
+    /// One delivery from both simulators: a `pick` below 5 asks for the
+    /// oldest message of that lane and, like `GcDriver` when the marking
+    /// lane is empty, falls through to a policy pick if there is none; any
+    /// other byte is a policy pick. Returns `false` once both are empty.
+    fn step(&mut self, pick: u8, ctx: &str, step: usize) -> Result<bool, TestCaseError> {
+        let mut got = None;
+        if pick < 5 {
+            got = self
+                .new_sim
+                .next_event_from(Some(lane_of(pick)))
+                .map(|(pe, lane, _, m)| (pe, lane, m));
+            let want = self.ref_sim.next_in_lane(lane_of(pick));
+            prop_assert_eq!(&got, &want, "{} step {} in lane {}", ctx, step, pick);
+        }
+        if got.is_none() {
+            got = self.new_sim.next_event();
+            let want = self.ref_sim.next_event();
+            prop_assert_eq!(&got, &want, "{} step {}", ctx, step);
+        }
+        if let Some((_, lane, _)) = got {
+            self.model.deliver(lane);
+        }
+        Ok(got.is_some())
+    }
+
+    /// Drains both simulators by the pick script (cycled, see
+    /// [`Pair::step`]). One `extra` send follows every delivery so picks
+    /// happen against queues in every state, not just a monotone drain,
+    /// and high-water tracking restarts once on the way. Ends by checking
+    /// the stats.
     fn drain(
         &mut self,
         picks: &[u8],
@@ -361,29 +386,46 @@ impl Pair {
                 self.new_sim.reset_lane_high_water();
                 self.model.high_water = self.model.depth;
             }
-            let pick = picks[step % picks.len()];
-            let mut got = None;
-            if pick < 5 {
-                got = self
-                    .new_sim
-                    .next_event_from(Some(lane_of(pick)))
-                    .map(|(pe, lane, _, m)| (pe, lane, m));
-                let want = self.ref_sim.next_in_lane(lane_of(pick));
-                prop_assert_eq!(&got, &want, "{} step {} in lane {}", ctx, step, pick);
+            if !self.step(picks[step % picks.len()], ctx, step)? {
+                break;
             }
-            if got.is_none() {
-                got = self.new_sim.next_event();
-                let want = self.ref_sim.next_event();
-                prop_assert_eq!(&got, &want, "{} step {}", ctx, step);
-            }
-            let Some((_, lane, _)) = got else { break };
-            self.model.deliver(lane);
             if let Some(&send) = extra.next() {
                 self.send(send);
             }
         }
         prop_assert_eq!(self.new_sim.len(), 0);
         self.model.check(self.new_sim.stats())
+    }
+
+    /// The surgery of the restructuring phase on both simulators: drop
+    /// every multiple of `drop_mod`, then promote all reduction messages
+    /// to the vital lane (order-preserving, as `relane` does) — on the
+    /// reference by rewriting its raw queues.
+    fn surgery(&mut self, drop_mod: u32) {
+        let promote = |lane| match lane {
+            Lane::Reduction(_) => Lane::Reduction(Priority::Vital),
+            other => other,
+        };
+        self.new_sim.expunge(|_, _, &m| m % drop_mod != 0);
+        self.new_sim.relane(|_, lane, _| promote(lane));
+        let ref_sim = &mut self.ref_sim;
+        for lanes in ref_sim.pes.iter_mut() {
+            let mut staged: Vec<(u64, Lane, u32)> = Vec::new();
+            for lane in Lane::ALL {
+                for (s, m) in std::mem::take(&mut lanes[lane.index()]) {
+                    if m % drop_mod == 0 {
+                        ref_sim.pending -= 1;
+                    } else {
+                        staged.push((s, promote(lane), m));
+                    }
+                }
+            }
+            staged.sort_by_key(|&(s, _, _)| s);
+            for (s, lane, m) in staged {
+                lanes[lane.index()].push_back((s, m));
+            }
+        }
+        self.model.surgery(&ref_sim.pes);
     }
 }
 
@@ -443,39 +485,73 @@ proptest! {
             for &send in &sends {
                 pair.send(send);
             }
-            // Mirror the surgery on the reference's raw queues: drop every
-            // multiple of drop_mod, then promote all reduction messages to
-            // the vital lane (order-preserving, as relane does).
-            pair.new_sim.expunge(|_, _, &m| m % drop_mod != 0);
-            pair.new_sim.relane(|_, lane, _| match lane {
-                Lane::Reduction(_) => Lane::Reduction(Priority::Vital),
-                other => other,
-            });
-            let ref_sim = &mut pair.ref_sim;
-            for lanes in ref_sim.pes.iter_mut() {
-                let mut staged: Vec<(u64, Lane, u32)> = Vec::new();
-                for lane in Lane::ALL {
-                    let q = std::mem::take(&mut lanes[lane.index()]);
-                    for (s, m) in q {
-                        if m % drop_mod == 0 {
-                            ref_sim.pending -= 1;
-                            continue;
-                        }
-                        let new_lane = match lane {
-                            Lane::Reduction(_) => Lane::Reduction(Priority::Vital),
-                            other => other,
-                        };
-                        staged.push((s, new_lane, m));
-                    }
-                }
-                staged.sort_by_key(|&(s, _, _)| s);
-                for (s, lane, m) in staged {
-                    lanes[lane.index()].push_back((s, m));
-                }
-            }
-            pair.model.surgery(&ref_sim.pes);
+            pair.surgery(drop_mod);
             let ctx = format!("policy {policy:?} seed {seed}");
             pair.drain(&picks, &[], reset_at, &ctx)?;
+        }
+    }
+
+    /// A lane's mirror exists only from the first ask for that lane's
+    /// oldest, and is dropped by surgery and by a send once policy picks
+    /// have bypassed it `2 × depth + MIRROR_SLACK` times. The first ask
+    /// lands after sends, `warm` policy picks and optionally surgery; the
+    /// asked lanes are then abandoned to the policy for long enough to
+    /// force the drop (with sends aimed at them, and optionally another
+    /// surgery while their mirrors exist) and asked again.
+    #[test]
+    fn lazily_built_mirrors_match_reference(
+        sends in proptest::collection::vec((0u16..130, 0u8..5), 1..80),
+        warm in 0usize..40,
+        asks in proptest::collection::vec(1u8..5, 1..6),
+        surgery_before_ask in 0u32..5,
+        surgery_after_ask in 0u32..5,
+        seed in 0u64..100,
+        num_pes in pe_counts(),
+        picks in pick_scripts(),
+    ) {
+        /// `MIRROR_SLACK` in `det.rs`, plus a margin.
+        const SLACK: usize = 64 + 8;
+        for policy in all_policies() {
+            let ctx = format!("policy {policy:?} seed {seed}");
+            let mut pair = Pair::new(num_pes, policy, seed);
+            let mut step = 0;
+            for &send in &sends {
+                pair.send(send);
+            }
+            for &send in sends.iter().cycle().take(warm) {
+                pair.step(5, &ctx, step)?;
+                pair.send(send);
+                step += 1;
+            }
+            // A modulus below 2 stands for no surgery.
+            if surgery_before_ask >= 2 {
+                pair.surgery(surgery_before_ask);
+            }
+            for &ask in &asks {
+                pair.step(ask, &ctx, step)?;
+                step += 1;
+            }
+            if surgery_after_ask >= 2 {
+                pair.surgery(surgery_after_ask);
+                for &ask in &asks {
+                    pair.step(ask, &ctx, step)?;
+                    step += 1;
+                }
+            }
+            // Every asked lane receives more than `2 × depth + MIRROR_SLACK`
+            // sends while nothing but the policy delivers: no lane is
+            // deeper than everything pending.
+            let abandon = asks.len() * (2 * (pair.new_sim.len() + 1) + SLACK);
+            for (i, &(pe, _)) in sends.iter().cycle().take(abandon).enumerate() {
+                pair.send((pe, asks[i % asks.len()]));
+                pair.step(5, &ctx, step)?;
+                step += 1;
+            }
+            for &ask in &asks {
+                pair.step(ask, &ctx, step)?;
+                step += 1;
+            }
+            pair.drain(&picks, &[], usize::MAX, &ctx)?;
         }
     }
 }

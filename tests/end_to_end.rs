@@ -338,43 +338,99 @@ fn gc_counts_pin_the_delivery_order() {
     // before it.
     let random = |seed| (SchedPolicy::Random { marking_bias: 0.5 }, seed);
     let pf = (SchedPolicy::PriorityFirst, 0);
+    // Two PEs, vertices dealt round (`Modulo`) — or, where a task's sends
+    // are routed by a map that follows the heap's capacity, in blocks: the
+    // two `Block` tuples were recorded on the commit before a reduction
+    // task's sends went straight into the simulator, and hold as long as
+    // every send of the task that grows the heap is routed by the grown
+    // map.
+    let modulo2 = (2, PartitionStrategy::Modulo);
     let cases = [
-        (programs::nfib(12), false, rr, (7, 39_308, 5_774, 0, 223)),
-        (programs::qsort(30), false, rr, (53, 108_314, 7_258, 0, 18)),
+        (
+            programs::nfib(12),
+            false,
+            rr,
+            modulo2,
+            (7, 39_308, 5_774, 0, 223),
+        ),
+        (
+            programs::qsort(30),
+            false,
+            rr,
+            modulo2,
+            (53, 108_314, 7_258, 0, 18),
+        ),
         (
             programs::cyclic_sum(100),
             false,
             rr,
+            modulo2,
             (14, 34_626, 1_711, 0, 8),
         ),
-        (programs::primes(30), false, rr, (30, 13_032, 3_889, 0, 14)),
-        (programs::nfib(9), true, rr, (7, 27_010, 4_951, 723, 451)),
+        (
+            programs::primes(30),
+            false,
+            rr,
+            modulo2,
+            (30, 13_032, 3_889, 0, 14),
+        ),
+        (
+            programs::nfib(9),
+            true,
+            rr,
+            modulo2,
+            (7, 27_010, 4_951, 723, 451),
+        ),
         (
             programs::qsort(30),
             false,
             random(7),
+            modulo2,
             (43, 81_711, 7_468, 0, 22),
         ),
         (
             programs::nfib(9),
             true,
             random(8),
+            modulo2,
             (11, 65_644, 6_077, 1_121, 1_479),
         ),
-        (programs::nfib(9), true, pf, (9, 19_188, 1_259, 102, 104)),
+        (
+            programs::nfib(9),
+            true,
+            pf,
+            modulo2,
+            (9, 19_188, 1_259, 102, 104),
+        ),
         (
             programs::cyclic_sum(100),
             false,
             pf,
+            modulo2,
             (25, 69_774, 1_889, 0, 0),
         ),
+        (
+            programs::nfib(12),
+            false,
+            rr,
+            (2, PartitionStrategy::Block),
+            (8, 43_474, 5_829, 0, 368),
+        ),
+        (
+            programs::nfib(9),
+            true,
+            rr,
+            (4, PartitionStrategy::Block),
+            (7, 19_604, 3_545, 574, 427),
+        ),
     ];
-    for (p, speculation, (policy, seed), want) in cases {
+    for (p, speculation, (policy, seed), (num_pes, partition), want) in cases {
         let cfg = SystemConfig {
-            num_pes: 2,
+            num_pes,
             policy,
             seed,
             speculation,
+            partition,
             ..Default::default()
         };
         let (out, gc) = run_gc(&p.source, p.needs_prelude, cfg, GcConfig::default());
@@ -389,7 +445,7 @@ fn gc_counts_pin_the_delivery_order() {
         );
         assert_eq!(
             got, want,
-            "{} (speculation {speculation}, {policy:?}, seed {seed})",
+            "{} (speculation {speculation}, {policy:?}, seed {seed}, {num_pes} PEs, {partition:?})",
             p.name
         );
     }

@@ -1,8 +1,12 @@
 //! A reduction task does not allocate: a vertex is one record with its
 //! arcs, request kinds, returned values and requesters inline, a function
-//! value shares its captures, and a slot is recycled in place — so what is
-//! left per task is a fraction of one allocator call (the id list of an
-//! expansion and its actuals), not the 1.6–2.1 a `Vec`-backed vertex cost.
+//! value shares its captures, a slot is recycled in place, and an
+//! expansion's id list and actuals live in lists the system keeps across
+//! tasks — so what is left is the store's growth, the captures of a
+//! partial application, and the spill block of a vertex with more than
+//! three arcs (`foldl f acc xs`, one per element of `cyclic_sum`): under a
+//! tenth of an allocator call per task, not the 1.6–2.1 a `Vec`-backed
+//! vertex cost.
 //!
 //! The test binary's global allocator counts the `alloc` and `realloc`
 //! calls the calling thread makes; this file holds a single test so
@@ -90,7 +94,7 @@ fn programs() -> [(&'static str, &'static str, i64); 4] {
 
 #[test]
 fn a_reduction_task_makes_a_fraction_of_one_allocator_call() {
-    const CEILING: f64 = 0.3;
+    const CEILING: f64 = 0.1;
     for (name, source, expected) in programs() {
         let config = SystemConfig {
             num_pes: 2,
