@@ -13,13 +13,13 @@
 //! trees cannot reach (DESIGN §9 note 11).
 
 use dgr_baseline::noncoop::mark_under_mutation;
-use dgr_bench::{f2, print_table};
+use dgr_bench::{record, Report};
 use dgr_graph::GraphStore;
 use dgr_workloads::graphs::{binary_tree, rooted_digraph};
 
 const SEEDS: u64 = 20;
 
-fn family(title: &str, build: impl Fn(u64) -> GraphStore) {
+fn family(report: &mut Report, title: &str, build: impl Fn(u64) -> GraphStore) {
     let mut rows = Vec::new();
     for &period in &[0u64, 16, 8, 4, 2, 1] {
         for coop in [true, false] {
@@ -35,48 +35,39 @@ fn family(title: &str, build: impl Fn(u64) -> GraphStore) {
                 mutations += r.mutations;
                 live += r.live;
             }
-            rows.push(vec![
-                if period == 0 {
-                    "none".into()
-                } else {
-                    format!("1/{period}")
-                },
-                if coop { "on" } else { "off" }.to_string(),
-                f2(mutations as f64 / SEEDS as f64),
-                f2(live as f64 / SEEDS as f64),
-                f2(lost_total as f64 / SEEDS as f64),
-                format!("{lost_runs}/{SEEDS}"),
-            ]);
+            rows.push(record! {
+                "mutation_rate" => if period == 0 { "none".into() } else { format!("1/{period}") },
+                "cooperation" => if coop { "on" } else { "off" },
+                "avg_mutations" => mutations as f64 / SEEDS as f64,
+                "avg_live" => live as f64 / SEEDS as f64,
+                "avg_lost" => lost_total as f64 / SEEDS as f64,
+                "runs_with_loss" => lost_runs,
+            });
             if coop {
                 assert_eq!(lost_total, 0, "cooperation must never lose a live vertex");
             }
         }
     }
-    print_table(
+    report.table(
         &format!(
             "F4-2 / T-abl: live vertices lost by marking under mutation \
              ({title}, {SEEDS} seeds)"
         ),
-        &[
-            "mutation rate",
-            "cooperation",
-            "avg mutations",
-            "avg live",
-            "avg lost",
-            "runs w/ loss",
-        ],
-        &rows,
+        rows,
     );
 }
 
 fn main() {
-    dgr_bench::Flags::parse(&[], &[]);
-    family("binary tree d=9", |_| binary_tree(9));
-    family("random digraph n=2000 deg 3 + 16 root arcs", |seed| {
-        rooted_digraph(2000, 3.0, seed)
-    });
+    let mut report = Report::new("cooperation", &[], &[]);
+    family(&mut report, "binary tree d=9", |_| binary_tree(9));
+    family(
+        &mut report,
+        "random digraph n=2000 deg 3 + 16 root arcs",
+        |seed| rooted_digraph(2000, 3.0, seed),
+    );
     println!(
         "\nShape check: cooperation ON loses 0 at every rate; cooperation OFF \
          loses vertices increasingly often as the mutation rate rises."
     );
+    report.finish();
 }

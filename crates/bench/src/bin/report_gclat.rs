@@ -25,17 +25,16 @@
 //! taps the very garbage sets the collectors compute, so a drop below
 //! that means a backend reclaimed vertices its census never saw.
 //!
-//! Outputs: `BENCH_gclat.json` (under `--json`) with one record per
-//! (backend, workload) cell carrying `mean_latency_cycles` for
-//! `bench_gate --max-reclaim-latency`, plus `BENCH_gclat_events.jsonl`
-//! (the gcdriver cell's event stream) for `dgr-trace lifecycle` — both
-//! in the repo root, which is gitignored. `--small` shrinks the
-//! workloads for the CI `gclat-smoke` job.
+//! Each (backend, workload) cell carries `mean_latency_cycles` under a
+//! telemetry build, for `bench_gate --max mean_latency_cycles=N`; that
+//! build also writes `BENCH_gclat_events.jsonl` (the gcdriver cell's
+//! event stream) for `dgr-trace lifecycle`. `--small` shrinks the
+//! workloads for CI's `ledger-smoke` job.
 
 use dgr_baseline::noncoop::mark_under_mutation_observed;
 use dgr_baseline::refcount::replay_churn_rc_observed;
 use dgr_baseline::stw::collect_stw_observed;
-use dgr_bench::{emit_json, f2, print_table, timed, Flags, JsonValue};
+use dgr_bench::{record, timed, Report};
 use dgr_gc::{GcConfig, GcDriver};
 use dgr_graph::{GraphStore, VertexId};
 use dgr_lang::build_with_prelude;
@@ -226,13 +225,13 @@ fn hist_line(buckets: &[u64; HIST_BUCKETS]) -> String {
 }
 
 fn main() {
-    let flags = Flags::parse(&["--small", "--json"], &[]);
-    let (json, small) = (flags.has("--json"), flags.has("--small"));
+    let mut report = Report::new("gclat", &["--small"], &[]);
+    let small = report.has("--small");
     if !TELEMETRY_ENABLED {
         println!(
             "note: built without the `telemetry` feature — the lifecycle \
-             tracker is a zero-sized no-op, so latency/float/message columns \
-             read zero; wall times and message counts are still reported"
+             tracker is a zero-sized no-op, so the latency/float/message \
+             columns are absent; wall times and message counts are reported"
         );
     }
 
@@ -244,8 +243,7 @@ fn main() {
 
     let (gc_cell, gc_events) = run_gcdriver(sum_n);
     if TELEMETRY_ENABLED {
-        std::fs::write("BENCH_gclat_events.jsonl", &gc_events)
-            .unwrap_or_else(|e| panic!("writing BENCH_gclat_events.jsonl: {e}"));
+        report.side_file("BENCH_gclat_events.jsonl", &gc_events);
     }
     let cells = [
         gc_cell,
@@ -280,30 +278,16 @@ fn main() {
         ),
     ];
 
-    let mut records = Vec::new();
     let mut rows = Vec::new();
     for cell in &cells {
         let s = &cell.snap;
-        let (_, mr) = s.msgs_per_reclaimed();
-        rows.push(vec![
-            cell.name.to_string(),
-            s.cycles.to_string(),
-            s.reclaimed.to_string(),
-            f2(s.exact_fraction() * 100.0),
-            f2(s.mean_latency()),
-            s.latency_quantile(0.99).to_string(),
-            s.float_now.to_string(),
-            f2(mr),
-            f2(s.efficiency()),
-            f2(cell.wall_ms),
-        ]);
-        let mut rec = vec![
-            ("benchmark", JsonValue::Str(format!("gclat_{}", cell.name))),
-            ("vertices", JsonValue::Int(cell.vertices)),
-            ("pes", JsonValue::Int(1)),
-            ("messages", JsonValue::Int(cell.messages)),
-            ("wall_us", JsonValue::Float(cell.wall_ms * 1e3)),
-        ];
+        let mut rec = record! {
+            "benchmark" => format!("gclat_{}", cell.name),
+            "vertices" => cell.vertices,
+            "pes" => 1u64,
+            "messages" => cell.messages,
+            "wall_us" => cell.wall_ms * 1e3,
+        };
         if TELEMETRY_ENABLED {
             // The exactness contract: the census taps the very garbage
             // set each backend computes, so (nearly) every reclaim
@@ -319,54 +303,41 @@ fn main() {
                     s.reclaimed
                 );
             }
-            rec.push(("reclaimed", JsonValue::Int(s.reclaimed)));
-            rec.push(("exact_pct", JsonValue::Float(s.exact_fraction() * 100.0)));
-            rec.push(("mean_latency_cycles", JsonValue::Float(s.mean_latency())));
-            rec.push((
-                "p99_latency_cycles",
-                JsonValue::Int(s.latency_quantile(0.99)),
-            ));
-            rec.push(("float_now", JsonValue::Int(s.float_now)));
-            rec.push(("msgs_per_reclaimed_mr", JsonValue::Float(mr)));
+            rec.extend(record! {
+                "cycles" => s.cycles,
+                "reclaimed" => s.reclaimed,
+                "exact_pct" => s.exact_fraction() * 100.0,
+                "mean_latency_cycles" => s.mean_latency(),
+                "p99_latency_cycles" => s.latency_quantile(0.99),
+                "float_now" => s.float_now,
+                "msgs_per_reclaimed_mr" => s.msgs_per_reclaimed().1,
+                "efficiency" => s.efficiency(),
+            });
         }
-        records.push(rec);
+        rows.push(rec);
     }
-    print_table(
-        &format!(
-            "T10: reclamation latency / float / message cost per backend \
-             ({} workloads)",
-            if small { "small" } else { "full" }
-        ),
-        &[
-            "cell",
-            "cycles",
-            "reclaimed",
-            "exact %",
-            "mean lat",
-            "p99 lat",
-            "float now",
-            "msgs/rec",
-            "eff",
-            "wall ms",
-        ],
-        &rows,
+    let size = if small { "small" } else { "full" };
+    report.table(
+        &format!("T10: reclamation latency / float / message cost per backend ({size} workloads)"),
+        rows,
     );
 
     if TELEMETRY_ENABLED {
-        println!("\nhistograms (reclamation-latency cycles / float-age cycles):");
-        for cell in &cells {
-            println!(
-                "  {:<16} latency  {}",
-                cell.name,
-                hist_line(&cell.snap.latency)
-            );
-            println!("  {:<16} float    {}", "", hist_line(&cell.snap.float_age));
-        }
+        let rows = (cells.iter())
+            .map(|cell| {
+                record! {
+                    "cell" => cell.name,
+                    "latency_cycles" => hist_line(&cell.snap.latency),
+                    "float_age_cycles" => hist_line(&cell.snap.float_age),
+                }
+            })
+            .collect();
+        report.table("T10 histograms (occupied buckets only)", rows);
         println!(
-            "\nwrote BENCH_gclat_events.jsonl (gcdriver cell) — fold it back \
-             with: dgr-trace lifecycle BENCH_gclat_events.jsonl"
+            "\nfold the gcdriver cell's events back with: \
+             dgr-trace lifecycle BENCH_gclat_events.jsonl"
         );
     }
 
-    emit_json(json, "BENCH_gclat.json", &records);
+    report.finish();
 }

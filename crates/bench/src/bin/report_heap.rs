@@ -30,14 +30,13 @@
 //! tracker stamps at allocation via the graph's journal, so a drop
 //! means bytes were freed that no stamp ever covered.
 //!
-//! Outputs: `BENCH_heap.json` (under `--json`) with one record per
-//! (family, bound) cell carrying `peak_live_bytes` for
-//! `bench_gate --max-peak-bytes`, plus `BENCH_heap_events.jsonl` (the
-//! tightest `sumsq` cell's event stream) for `dgr-trace heap` — both in
-//! the repo root, which is gitignored. `--small` shrinks the workloads
-//! for the CI `heap-smoke` job.
+//! Each (family, bound) cell carries `peak_live_bytes` under a telemetry
+//! build, for `bench_gate --max peak_live_bytes=N`; that build also
+//! writes `BENCH_heap_events.jsonl` (the tightest `sumsq` cell's event
+//! stream) for `dgr-trace heap`. `--small` shrinks the workloads for
+//! CI's `ledger-smoke` job.
 
-use dgr_bench::{emit_json, f2, print_table, timed, Flags, JsonValue};
+use dgr_bench::{record, timed, Report};
 use dgr_gc::{GcConfig, GcDriver, GcTrigger};
 use dgr_lang::build_with_prelude;
 use dgr_reduction::SystemConfig;
@@ -57,9 +56,9 @@ struct Cell {
     messages: u64,
     wall_ms: f64,
     cycles: u64,
-    /// Peak live bytes: the tracker's exact waterline under telemetry,
-    /// the per-cycle sampled maximum of the graph clock otherwise.
-    peak: u64,
+    /// The graph clock's maximum over the cycle boundaries; the
+    /// tracker's exact waterline is `snap.peak`.
+    sampled_peak: u64,
     live_end: u64,
     snap: HeapSnapshot,
 }
@@ -143,12 +142,6 @@ fn run_cell(
     if drain {
         events.push_str(&events_jsonl(&gc.sys.telemetry().drain_events()));
     }
-    let snap = gc.sys.heap_snapshot();
-    let peak = if TELEMETRY_ENABLED {
-        snap.peak
-    } else {
-        sampled_peak
-    };
     (
         Cell {
             family,
@@ -157,9 +150,9 @@ fn run_cell(
             messages: gc.sys.events(),
             wall_ms,
             cycles: u64::from(gc.stats().cycles),
-            peak,
+            sampled_peak,
             live_end: gc.sys.graph.live_bytes(),
-            snap,
+            snap: gc.sys.heap_snapshot(),
         },
         events,
     )
@@ -179,13 +172,13 @@ fn sweep_bounds(live0: u64, peak: u64) -> [u64; 4] {
 }
 
 fn main() {
-    let flags = Flags::parse(&["--small", "--json"], &[]);
-    let (json, small) = (flags.has("--json"), flags.has("--small"));
+    let mut report = Report::new("heap", &["--small"], &[]);
+    let small = report.has("--small");
     if !TELEMETRY_ENABLED {
         println!(
             "note: built without the `telemetry` feature — the heap tracker \
-             is a zero-sized no-op, so peak bytes fall back to per-cycle \
-             samples of the graph clock and the exactness columns read zero"
+             is a zero-sized no-op, so its waterline and exactness columns \
+             are absent; the sampled peak reads the graph clock per cycle"
         );
     }
 
@@ -198,7 +191,6 @@ fn main() {
     ];
 
     let mut cells: Vec<Cell> = Vec::new();
-    let mut events_written = false;
     for (family, src, vertices) in families {
         let (live0, probe_peak) = probe(src);
         for (i, bound) in sweep_bounds(live0, probe_peak).into_iter().enumerate() {
@@ -207,41 +199,26 @@ fn main() {
             let drain = TELEMETRY_ENABLED && family == "sumsq" && i == 0;
             let (cell, events) = run_cell(family, src, vertices, bound, drain);
             if drain {
-                std::fs::write("BENCH_heap_events.jsonl", &events)
-                    .unwrap_or_else(|e| panic!("writing BENCH_heap_events.jsonl: {e}"));
-                events_written = true;
+                report.side_file("BENCH_heap_events.jsonl", &events);
             }
             cells.push(cell);
         }
     }
 
-    let mut records = Vec::new();
     let mut rows = Vec::new();
     for (i, cell) in cells.iter().enumerate() {
         let s = &cell.snap;
-        rows.push(vec![
-            cell.family.to_string(),
-            cell.bound.to_string(),
-            cell.cycles.to_string(),
-            s.trigger_heap.to_string(),
-            cell.peak.to_string(),
-            cell.live_end.to_string(),
-            s.alloc_bytes.to_string(),
-            f2(s.exact_fraction() * 100.0),
-            f2(cell.wall_ms),
-        ]);
-        let mut rec = vec![
-            (
-                "benchmark",
-                JsonValue::Str(format!("heap_{}_b{}", cell.family, i % 4)),
-            ),
-            ("vertices", JsonValue::Int(cell.vertices)),
-            ("pes", JsonValue::Int(1)),
-            ("messages", JsonValue::Int(cell.messages)),
-            ("wall_us", JsonValue::Float(cell.wall_ms * 1e3)),
-            ("bound_bytes", JsonValue::Int(cell.bound)),
-            ("cycles", JsonValue::Int(cell.cycles)),
-        ];
+        let mut rec = record! {
+            "benchmark" => format!("heap_{}_b{}", cell.family, i % 4),
+            "vertices" => cell.vertices,
+            "pes" => 1u64,
+            "messages" => cell.messages,
+            "wall_us" => cell.wall_ms * 1e3,
+            "bound_bytes" => cell.bound,
+            "cycles" => cell.cycles,
+            "sampled_peak_bytes" => cell.sampled_peak,
+            "live_end_bytes" => cell.live_end,
+        };
         if TELEMETRY_ENABLED {
             // The exactness contract: every byte the tracker frees was
             // stamped when the graph journaled its allocation, so
@@ -257,34 +234,20 @@ fn main() {
                     s.freed_bytes
                 );
             }
-            rec.push(("peak_live_bytes", JsonValue::Int(cell.peak)));
-            rec.push(("live_end_bytes", JsonValue::Int(cell.live_end)));
-            rec.push(("alloc_bytes", JsonValue::Int(s.alloc_bytes)));
-            rec.push(("exact_pct", JsonValue::Float(s.exact_fraction() * 100.0)));
-            rec.push(("trigger_heap", JsonValue::Int(s.trigger_heap)));
-            rec.push(("trigger_period", JsonValue::Int(s.trigger_period)));
+            rec.extend(record! {
+                "peak_live_bytes" => s.peak,
+                "alloc_bytes" => s.alloc_bytes,
+                "exact_pct" => s.exact_fraction() * 100.0,
+                "trigger_heap" => s.trigger_heap,
+                "trigger_period" => s.trigger_period,
+            });
         }
-        records.push(rec);
+        rows.push(rec);
     }
-
-    print_table(
-        &format!(
-            "T11: pressure-coupled GC — byte bound vs cycles and peak \
-             ({} workloads)",
-            if small { "small" } else { "full" }
-        ),
-        &[
-            "family",
-            "bound",
-            "cycles",
-            "trig heap",
-            "peak",
-            "live end",
-            "alloc b",
-            "exact %",
-            "wall ms",
-        ],
-        &rows,
+    let size = if small { "small" } else { "full" };
+    report.table(
+        &format!("T11: pressure-coupled GC — byte bound vs cycles and peak ({size} workloads)"),
+        rows,
     );
 
     // The coupling contract, per family (4 cells each, tight → loose):
@@ -292,7 +255,8 @@ fn main() {
     // waterline below the no-pressure anchor. On churn the waterline is
     // additionally monotone in the bound; sumsq's two tightest bounds
     // share a reclamation-lag floor, so it is held only to the
-    // tight-vs-anchor drop.
+    // tight-vs-anchor drop. The waterline is the tracker's, so those
+    // two hold under a telemetry build.
     for fam in cells.chunks(4) {
         let name = fam[0].family;
         for w in fam.windows(2) {
@@ -315,38 +279,38 @@ fn main() {
         );
         if TELEMETRY_ENABLED {
             assert!(
-                fam[0].peak < fam[3].peak,
+                fam[0].snap.peak < fam[3].snap.peak,
                 "{name}: the tightest bound must hold a lower waterline \
                  than the no-pressure anchor ({} vs {})",
-                fam[0].peak,
-                fam[3].peak
+                fam[0].snap.peak,
+                fam[3].snap.peak
             );
             if name == "churn" {
                 for w in fam.windows(2) {
                     assert!(
-                        w[0].peak <= w[1].peak,
+                        w[0].snap.peak <= w[1].snap.peak,
                         "churn: tightening the bound must not raise the \
                          waterline: bound {} peaked at {}, bound {} at {}",
                         w[0].bound,
-                        w[0].peak,
+                        w[0].snap.peak,
                         w[1].bound,
-                        w[1].peak
+                        w[1].snap.peak
                     );
                 }
             }
             println!(
                 "\ncoupling holds on {name}: {} cycles at bound {} \
                  (peak {}) vs {} cycles unpressured (peak {})",
-                fam[0].cycles, fam[0].bound, fam[0].peak, fam[3].cycles, fam[3].peak
+                fam[0].cycles, fam[0].bound, fam[0].snap.peak, fam[3].cycles, fam[3].snap.peak
             );
         }
     }
-    if events_written {
+    if TELEMETRY_ENABLED {
         println!(
-            "\nwrote BENCH_heap_events.jsonl (tightest sumsq cell) — fold it \
-             back with: dgr-trace heap BENCH_heap_events.jsonl"
+            "\nfold the tightest sumsq cell's events back with: \
+             dgr-trace heap BENCH_heap_events.jsonl"
         );
     }
 
-    emit_json(json, "BENCH_heap.json", &records);
+    report.finish();
 }

@@ -6,13 +6,13 @@
 //! wasted work is bounded; without it, the event budget blows up (or the
 //! run never finishes).
 
-use dgr_bench::{f2, print_table};
+use dgr_bench::{record, JsonRecord, Report};
 use dgr_gc::{GcConfig, GcDriver};
 use dgr_lang::build_with_prelude;
 use dgr_reduction::{RunOutcome, SystemConfig};
 use dgr_sim::SchedPolicy;
 
-fn run(src: &str, label: &str, expunge: bool, reclaim: bool, budget: u64) -> Vec<String> {
+fn run(src: &str, label: &str, expunge: bool, reclaim: bool, budget: u64) -> JsonRecord {
     let cfg = SystemConfig {
         speculation: true,
         policy: SchedPolicy::Random { marking_bias: 0.5 },
@@ -32,24 +32,24 @@ fn run(src: &str, label: &str, expunge: bool, reclaim: bool, budget: u64) -> Vec
         },
     );
     let out = gc.run();
-    vec![
-        label.to_string(),
-        match out {
+    record! {
+        "restructuring" => label,
+        "outcome" => match out {
             RunOutcome::Value(v) => format!("{v}"),
             RunOutcome::Quiescent => "quiescent".into(),
             RunOutcome::Budget => "BUDGET BLOWN".into(),
         },
-        gc.sys.events().to_string(),
-        gc.sys.stats.dereferences.to_string(),
-        gc.stats().expunged_total.to_string(),
-        gc.stats().reclaimed_total.to_string(),
-        gc.sys.stats.dangling_requests.to_string(),
-        f2(gc.sys.stats.total_tasks() as f64 / 1000.0) + "k",
-    ]
+        "events" => gc.sys.events(),
+        "derefs" => gc.sys.stats.dereferences,
+        "expunged" => gc.stats().expunged_total,
+        "reclaimed" => gc.stats().reclaimed_total,
+        "dangling" => gc.sys.stats.dangling_requests,
+        "tasks" => gc.sys.stats.total_tasks(),
+    }
 }
 
 fn main() {
-    dgr_bench::Flags::parse(&[], &[]);
+    let mut report = Report::new("irrelevant", &[], &[]);
     // fib under speculation: every `fib k, k<2` speculates an infinite
     // descent that the predicate then cancels — an unbounded irrelevant
     // workload unless the restructuring phase intervenes.
@@ -60,20 +60,10 @@ fn main() {
         run(src, "reclaim only", false, true, budget),
         run(src, "neither", false, false, budget),
     ];
-    print_table(
+    report.table(
         "T3: speculative `fib 10` under three restructuring policies \
          (budget 2M events)",
-        &[
-            "restructuring",
-            "outcome",
-            "events",
-            "derefs",
-            "expunged",
-            "reclaimed",
-            "dangling",
-            "tasks",
-        ],
-        &rows,
+        rows,
     );
     println!(
         "\nShape check: with expunging the irrelevant tasks die in the pools \
@@ -82,4 +72,5 @@ fn main() {
          0) and more work is wasted; with neither, the speculative descent is \
          never cut and the budget is exhausted."
     );
+    report.finish();
 }

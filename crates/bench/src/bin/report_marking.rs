@@ -2,15 +2,14 @@
 //! quiescent graphs — correctness against the oracle and cost/shape of
 //! the marking wave across graph sizes, degrees and schedules.
 
-use dgr_bench::{emit_json, f2, print_table, timed, Flags, JsonValue};
+use dgr_bench::{record, timed, Report};
 use dgr_core::driver::{run_mark1, MarkRunConfig};
 use dgr_graph::{oracle, Slot};
 use dgr_sim::SchedPolicy;
 use dgr_workloads::graphs::{binary_tree, chain, random_digraph};
 
 fn main() {
-    let json = Flags::parse(&["--json"], &[]).has("--json");
-    let mut records = Vec::new();
+    let mut report = Report::new("marking", &[], &[]);
 
     // Size sweep on random digraphs.
     let mut rows = Vec::new();
@@ -25,77 +24,50 @@ fn main() {
                 .live_ids()
                 .all(|v| reach.contains(v) == g.mark(v, Slot::R).is_marked());
             assert!(agree, "marking disagrees with the oracle");
-            rows.push(vec![
-                n.to_string(),
-                f2(deg),
-                reach.len().to_string(),
-                stats.marked.to_string(),
-                stats.events.to_string(),
-                f2(stats.events as f64 / reach.len().max(1) as f64),
-                stats.remote_messages.to_string(),
-                f2(ms),
-            ]);
-            records.push(vec![
-                (
-                    "benchmark",
-                    JsonValue::Str(format!("detsim_fifo_random_digraph_deg{deg:.0}")),
-                ),
-                ("vertices", JsonValue::Int(n as u64)),
-                ("pes", JsonValue::Int(cfg.num_pes as u64)),
-                ("messages", JsonValue::Int(stats.events)),
-                ("wall_us", JsonValue::Float(ms * 1e3)),
-            ]);
+            rows.push(record! {
+                "benchmark" => format!("detsim_fifo_random_digraph_deg{deg:.0}"),
+                "vertices" => n,
+                "pes" => cfg.num_pes,
+                "messages" => stats.events,
+                "wall_us" => ms * 1e3,
+                "reachable" => reach.len(),
+                "marked" => stats.marked,
+                "per_reachable" => stats.events as f64 / reach.len().max(1) as f64,
+                "remote" => stats.remote_messages,
+            });
         }
     }
-    print_table(
-        "F4-1a: mark1 on random digraphs (4 PEs, FIFO)",
-        &[
-            "|V|",
-            "degree",
-            "|R|",
-            "marked",
-            "events",
-            "events/|R|",
-            "remote",
-            "ms",
-        ],
-        &rows,
-    );
+    report.table("F4-1a: mark1 on random digraphs (4 PEs, FIFO)", rows);
 
     // Shape sweep: tree vs chain (parallel wavefront vs sequential path),
     // plus the depth-15 tree (65k vertices) — the scalability experiments'
     // reference workload — under the det-sim FIFO schedule.
     let mut rows = Vec::new();
-    for (name, slug, mut g) in [
-        ("tree d=14", "detsim_fifo_tree_d14", binary_tree(14)),
-        ("tree d=15", "detsim_fifo_tree_d15", binary_tree(15)),
-        ("chain 32k", "detsim_fifo_chain_32k", chain(32_768)),
+    for (slug, mut g) in [
+        ("detsim_fifo_tree_d14", binary_tree(14)),
+        ("detsim_fifo_tree_d15", binary_tree(15)),
+        ("detsim_fifo_chain_32k", chain(32_768)),
     ] {
-        let vertices = g.live_ids().count() as u64;
+        let vertices = g.live_ids().count();
         let cfg = MarkRunConfig::default();
         let (stats, ms) = timed(|| run_mark1(&mut g, &cfg));
-        rows.push(vec![
-            name.to_string(),
-            stats.marked.to_string(),
-            stats.events.to_string(),
-            f2(ms),
-        ]);
-        records.push(vec![
-            ("benchmark", JsonValue::Str(slug.to_string())),
-            ("vertices", JsonValue::Int(vertices)),
-            ("pes", JsonValue::Int(cfg.num_pes as u64)),
-            ("messages", JsonValue::Int(stats.events)),
-            ("wall_us", JsonValue::Float(ms * 1e3)),
-        ]);
+        rows.push(record! {
+            "benchmark" => slug,
+            "vertices" => vertices,
+            "pes" => cfg.num_pes,
+            "messages" => stats.events,
+            "wall_us" => ms * 1e3,
+            "marked" => stats.marked,
+        });
     }
-    print_table(
+    report.table(
         "F4-1b: marking-tree shape (tree wavefront vs sequential chain)",
-        &["graph", "marked", "events", "ms"],
-        &rows,
+        rows,
     );
 
     // Schedule robustness: every policy yields the same mark set.
     let mut rows = Vec::new();
+    let mut marked = Vec::new();
     for (name, policy) in [
         ("fifo", SchedPolicy::Fifo),
         ("lifo", SchedPolicy::Lifo),
@@ -110,22 +82,14 @@ fn main() {
             ..Default::default()
         };
         let stats = run_mark1(&mut g, &cfg);
-        rows.push(vec![
-            name.to_string(),
-            stats.marked.to_string(),
-            stats.events.to_string(),
-        ]);
+        marked.push(stats.marked);
+        rows.push(record! { "policy" => name, "marked" => stats.marked, "events" => stats.events });
     }
-    let marked: Vec<&String> = rows.iter().map(|r| &r[1]).collect();
     assert!(
         marked.windows(2).all(|w| w[0] == w[1]),
         "mark set must be schedule-independent"
     );
-    print_table(
-        "F4-1c: schedule independence (|V|=20k, degree 3)",
-        &["policy", "marked", "events"],
-        &rows,
-    );
+    report.table("F4-1c: schedule independence (|V|=20k, degree 3)", rows);
 
-    emit_json(json, "BENCH_marking.json", &records);
+    report.finish();
 }

@@ -9,14 +9,13 @@
 //! is always on (it feeds the `GcTrigger::HeapBytes` pressure trigger),
 //! so the comparison is feature-independent; under a telemetry build
 //! the heap tracker's waterline and exact-stamp accounting ride along
-//! in the summary and the JSON records.
+//! in the final-heap table.
 //!
-//! Output: `BENCH_memory.json` (under `--json`) with one record per
-//! run mode. The boundedness contract is hard-asserted: the collected
+//! The boundedness contract is hard-asserted: the collected
 //! run must end with both a smaller heap capacity and fewer live bytes
 //! than the uncollected run.
 
-use dgr_bench::{emit_json, print_table, timed, Flags, JsonValue};
+use dgr_bench::{record, timed, Report};
 use dgr_gc::{GcConfig, GcDriver};
 use dgr_lang::build_with_prelude;
 use dgr_reduction::SystemConfig;
@@ -29,7 +28,7 @@ const SAMPLE_EVERY: u64 = 2_000;
 type Sample = (u64, usize, usize, u64);
 
 fn main() {
-    let json = Flags::parse(&["--json"], &[]).has("--json");
+    let mut report = Report::new("memory", &[], &[]);
 
     // With GC.
     let sys = build_with_prelude(SRC, SystemConfig::default()).unwrap();
@@ -97,55 +96,53 @@ fn main() {
         plain.graph.live_bytes(),
     );
 
-    let rows: Vec<Vec<String>> = gc_samples
+    let rows = gc_samples
         .iter()
         .zip(plain_samples.iter().chain(std::iter::repeat(&plain_final)))
         .map(|(&(ev, gl, gcap, gb), &(_, pl, pcap, pb))| {
-            vec![
-                ev.to_string(),
-                gl.to_string(),
-                gcap.to_string(),
-                gb.to_string(),
-                pl.to_string(),
-                pcap.to_string(),
-                pb.to_string(),
-            ]
+            record! {
+                "events" => ev,
+                "gc_live" => gl,
+                "gc_capacity" => gcap,
+                "gc_bytes" => gb,
+                "nogc_live" => pl,
+                "nogc_capacity" => pcap,
+                "nogc_bytes" => pb,
+            }
         })
         .collect();
-    print_table(
-        &format!("T8: heap over time for `{SRC}`"),
-        &[
-            "events",
-            "gc live",
-            "gc heap",
-            "gc bytes",
-            "no-gc live",
-            "no-gc heap",
-            "no-gc bytes",
-        ],
-        &rows,
-    );
-    println!(
-        "\nfinal: with GC live={} heap={} bytes={} ({} events); \
-         without GC live={} heap={} bytes={} ({} events)",
-        gc_final.1,
-        gc_final.2,
-        gc_final.3,
-        gc_final.0,
-        plain_final.1,
-        plain_final.2,
-        plain_final.3,
-        plain_final.0
-    );
+    report.table(&format!("T8: heap over time for `{SRC}`"), rows);
+
+    let mut with_gc = record! {
+        "benchmark" => "memory_with_gc",
+        "vertices" => 200u64,
+        "pes" => 1u64,
+        "messages" => gc_final.0,
+        "wall_us" => gc_wall_ms * 1e3,
+        "final_live" => gc_final.1,
+        "final_capacity" => gc_final.2,
+        "final_live_bytes" => gc_final.3,
+        "sampled_peak_bytes" => gc_peak,
+    };
     if TELEMETRY_ENABLED {
-        println!(
-            "tracker: peak {} bytes, {} allocated, {} freed ({:.1}% exact stamps)",
-            snap.peak,
-            snap.alloc_bytes,
-            snap.freed_bytes,
-            snap.exact_fraction() * 100.0
-        );
+        with_gc.extend(record! {
+            "peak_live_bytes" => snap.peak,
+            "alloc_bytes" => snap.alloc_bytes,
+            "freed_bytes" => snap.freed_bytes,
+            "exact_pct" => snap.exact_fraction() * 100.0,
+        });
     }
+    let without_gc = record! {
+        "benchmark" => "memory_without_gc",
+        "vertices" => 200u64,
+        "pes" => 1u64,
+        "messages" => plain_final.0,
+        "wall_us" => plain_wall_ms * 1e3,
+        "final_live" => plain_final.1,
+        "final_capacity" => plain_final.2,
+        "final_live_bytes" => plain_final.3,
+    };
+    report.table("T8: final heap per run mode", vec![with_gc, without_gc]);
     assert!(
         gc_final.2 < plain_final.2,
         "the collected heap must end smaller (capacity)"
@@ -160,29 +157,5 @@ fn main() {
          total allocation — memory equal to the entire history of the program."
     );
 
-    let mut with_gc = vec![
-        ("benchmark", JsonValue::Str("memory_with_gc".to_string())),
-        ("vertices", JsonValue::Int(200)),
-        ("pes", JsonValue::Int(1)),
-        ("messages", JsonValue::Int(gc_final.0)),
-        ("wall_us", JsonValue::Float(gc_wall_ms * 1e3)),
-        ("final_live_bytes", JsonValue::Int(gc_final.3)),
-        ("final_capacity", JsonValue::Int(gc_final.2 as u64)),
-        ("sampled_peak_bytes", JsonValue::Int(gc_peak)),
-    ];
-    if TELEMETRY_ENABLED {
-        with_gc.push(("peak_live_bytes", JsonValue::Int(snap.peak)));
-        with_gc.push(("alloc_bytes", JsonValue::Int(snap.alloc_bytes)));
-        with_gc.push(("exact_pct", JsonValue::Float(snap.exact_fraction() * 100.0)));
-    }
-    let without_gc = vec![
-        ("benchmark", JsonValue::Str("memory_without_gc".to_string())),
-        ("vertices", JsonValue::Int(200)),
-        ("pes", JsonValue::Int(1)),
-        ("messages", JsonValue::Int(plain_final.0)),
-        ("wall_us", JsonValue::Float(plain_wall_ms * 1e3)),
-        ("final_live_bytes", JsonValue::Int(plain_final.3)),
-        ("final_capacity", JsonValue::Int(plain_final.2 as u64)),
-    ];
-    emit_json(json, "BENCH_memory.json", &[with_gc, without_gc]);
+    report.finish();
 }

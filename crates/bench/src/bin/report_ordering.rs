@@ -12,7 +12,7 @@
 //! * Paper's order (`M_T` then `M_R`): the fresh R marks already exclude
 //!   the dereferenced region, so nothing is misreported.
 
-use dgr_bench::print_table;
+use dgr_bench::{record, Report};
 use dgr_core::driver::{run_mark2, run_mark3, MarkRunConfig};
 use dgr_gc::deadlocked_vertices;
 use dgr_graph::{oracle, GraphStore, NodeLabel, PrimOp, RequestKind, VertexId};
@@ -59,7 +59,7 @@ fn deref_region(g: &mut GraphStore, root: VertexId, region: &[VertexId]) {
 }
 
 fn main() {
-    dgr_bench::Flags::parse(&[], &[]);
+    let mut report = Report::new("ordering", &[], &[]);
     const RUNS: u64 = 25;
     let cfg = MarkRunConfig::default();
     let mut rows = Vec::new();
@@ -90,25 +90,25 @@ fn main() {
                 .filter(|&&v| !o.deadlocked.contains(v))
                 .count();
         }
-        rows.push(vec![
-            order.to_string(),
-            RUNS.to_string(),
-            flagged_total.to_string(),
-            false_pos.to_string(),
-        ]);
+        rows.push(record! {
+            "order" => order,
+            "runs" => RUNS,
+            "flagged" => flagged_total,
+            "false_positives" => false_pos,
+        });
         if !wrong {
             assert_eq!(false_pos, 0, "the paper's order must not misreport");
         }
     }
-    print_table(
+    report.table(
         "T7: phase order and deadlock misreporting \
          (24-vertex vital region dereferenced between phases, 25 runs)",
-        &["order", "runs", "vertices flagged", "false positives"],
-        &rows,
+        rows,
     );
     println!(
         "\nShape check: the wrong order fabricates deadlocks out of garbage \
          (stale `R_v` ∩ fresh `¬T`); the paper's order reports none — \
          exactly the asymmetry Theorem 2's proof part (b) isolates."
     );
+    report.finish();
 }

@@ -7,15 +7,15 @@
 //! mutator never observes a pause longer than one task execution.
 
 use dgr_baseline::stw::collect_stw;
-use dgr_bench::{f2, print_table};
+use dgr_bench::{record, Report};
 use dgr_gc::{GcConfig, GcDriver};
 use dgr_lang::build_with_prelude;
 use dgr_reduction::SystemConfig;
 
 fn main() {
-    dgr_bench::Flags::parse(&[], &[]);
+    let mut report = Report::new("pause", &[], &[]);
     let mut rows = Vec::new();
-    for &n in &[50i64, 150, 400, 1000] {
+    for &n in &[50u64, 150, 400, 1000] {
         // The same program twice: once under the concurrent collector,
         // once pausing for stop-the-world collections at the same period.
         let src = format!("sum (map (\\x -> x * x) (range 1 {n}))");
@@ -35,11 +35,6 @@ fn main() {
         let out = gc.run();
         assert!(matches!(out, dgr_reduction::RunOutcome::Value(_)));
         let cc_cycles = gc.stats().cycles.max(1);
-        let cc_mark = gc.stats().mark_events_total;
-        let cc_max_cycle = gc.stats().max_cycle_mark_events;
-        let cc_reclaimed = gc.stats().reclaimed_total;
-        // Overlap: reduction tasks executed *during* marking phases.
-        let overlap = gc.last_report().reduction_events_during_marking;
 
         // Stop-the-world at the same cadence.
         let mut sys = build_with_prelude(&src, SystemConfig::default()).unwrap();
@@ -63,32 +58,22 @@ fn main() {
             }
         }
 
-        rows.push(vec![
-            n.to_string(),
-            cc_cycles.to_string(),
-            cc_reclaimed.to_string(),
-            f2(cc_mark as f64 / cc_cycles as f64),
-            cc_max_cycle.to_string(),
-            overlap.to_string(),
-            stw_reclaimed.to_string(),
-            stw_pause_max.to_string(),
-            "0".to_string(),
-        ]);
+        rows.push(record! {
+            "n" => n,
+            "cc_cycles" => cc_cycles,
+            "cc_reclaimed" => gc.stats().reclaimed_total,
+            "cc_mark_per_cycle" => gc.stats().mark_events_total as f64 / f64::from(cc_cycles),
+            "cc_max_cycle" => gc.stats().max_cycle_mark_events,
+            // Overlap: reduction tasks executed *during* marking phases.
+            "cc_overlap" => gc.last_report().reduction_events_during_marking,
+            "stw_reclaimed" => stw_reclaimed,
+            "stw_max_pause" => stw_pause_max,
+            "stw_overlap" => 0u64,
+        });
     }
-    print_table(
+    report.table(
         "T1: concurrent cycles vs stop-the-world pauses (sum of squares 1..n)",
-        &[
-            "n",
-            "cc cycles",
-            "cc reclaimed",
-            "cc mark/cycle",
-            "cc max cycle",
-            "cc overlap",
-            "stw reclaimed",
-            "stw max pause",
-            "stw overlap",
-        ],
-        &rows,
+        rows,
     );
     println!(
         "\nShape check: both collectors' tracing work grows with the live set, \
@@ -97,4 +82,5 @@ fn main() {
          zero by definition. The occasional M_T pass is the one synchronous \
          piece (Section 6 runs it rarely for exactly that reason)."
     );
+    report.finish();
 }

@@ -10,7 +10,7 @@
 //! becomes vital; the following GC cycles re-mark it, re-lane its pending
 //! tasks, and refresh the vertices' demand priority.
 
-use dgr_bench::{f2, print_table};
+use dgr_bench::{record, Report};
 use dgr_core::driver::{run_mark1, run_mark2, MarkRunConfig};
 use dgr_gc::{GcConfig, GcDriver};
 use dgr_graph::{oracle, GraphStore, NodeLabel, RequestKind, Slot};
@@ -52,7 +52,7 @@ fn ladder(n: usize) -> GraphStore {
 }
 
 fn main() {
-    dgr_bench::Flags::parse(&[], &[]);
+    let mut report = Report::new("priority", &[], &[]);
     // Part A: re-marking overhead.
     let mut rows = Vec::new();
     for &n in &[64usize, 256, 1024] {
@@ -76,25 +76,18 @@ fn main() {
                     .then(|| g.mark(v, Slot::R).prior);
                 assert_eq!(got, want[v.index()], "priority mismatch at {v}");
             }
-            rows.push(vec![
-                n.to_string(),
-                policy_name.to_string(),
-                base.events.to_string(),
-                m2.events.to_string(),
-                f2(m2.events as f64 / base.events.max(1) as f64),
-            ]);
+            rows.push(record! {
+                "rungs" => n,
+                "policy" => policy_name,
+                "mark1_events" => base.events,
+                "mark2_events" => m2.events,
+                "overhead" => m2.events as f64 / base.events.max(1) as f64,
+            });
         }
     }
-    print_table(
+    report.table(
         "F5-1/2: mark2 re-marking overhead on the eager-shortcut ladder",
-        &[
-            "rungs",
-            "policy",
-            "mark1 events",
-            "mark2 events",
-            "overhead",
-        ],
-        &rows,
+        rows,
     );
 
     // Part B: upgrade latency under the GC driver (T6).
@@ -119,31 +112,24 @@ fn main() {
             },
         );
         let out = gc.run();
-        rows.push(vec![
-            period.to_string(),
-            format!("{out:?}"),
-            gc.sys.stats.upgrades.to_string(),
-            gc.stats().relaned_total.to_string(),
-            gc.stats().cycles.to_string(),
-            gc.sys.events().to_string(),
-        ]);
+        rows.push(record! {
+            "period" => period,
+            "outcome" => format!("{out:?}"),
+            "upgrades" => gc.sys.stats.upgrades,
+            "relaned" => gc.stats().relaned_total,
+            "cycles" => gc.stats().cycles,
+            "events" => gc.sys.events(),
+        });
     }
-    print_table(
+    report.table(
         "T6: eager→vital upgrade propagation (speculated chosen branch, \
          PriorityFirst starves the eager lane between cycles)",
-        &[
-            "GC period",
-            "outcome",
-            "upgrades",
-            "relaned",
-            "cycles",
-            "events",
-        ],
-        &rows,
+        rows,
     );
     println!(
         "\nShape check: mark2's overhead factor grows with ladder size under \
          the adversarial schedule and stays near 1 otherwise; shorter GC \
          periods re-lane upgraded work sooner, finishing in fewer events."
     );
+    report.finish();
 }

@@ -8,7 +8,7 @@
 //! operation.
 
 use dgr_baseline::refcount::replay_churn_rc;
-use dgr_bench::{f2, print_table};
+use dgr_bench::{record, Report};
 use dgr_core::{MarkMsg, MarkState};
 use dgr_gc::{GcConfig, GcDriver};
 use dgr_reduction::{System, SystemConfig, TemplateStore};
@@ -28,7 +28,7 @@ fn marking_reclaim(trace: &[dgr_workloads::churn::ChurnOp]) -> (usize, u64) {
 }
 
 fn main() {
-    dgr_bench::Flags::parse(&[], &[]);
+    let mut report = Report::new("rc_vs_marking", &[], &[]);
     let mut rows = Vec::new();
     for &cyclic in &[0.0f64, 0.1, 0.25, 0.5, 0.75, 1.0] {
         let trace = churn_trace(1_000, 6, cyclic, 0.6, 99);
@@ -39,28 +39,19 @@ fn main() {
             rc.reclaimed + rc.leaked,
             "marking reclaims what RC reclaims plus what it leaks"
         );
-        rows.push(vec![
-            format!("{:.0}%", cyclic * 100.0),
-            mark_reclaimed.to_string(),
-            mark_events.to_string(),
-            rc.reclaimed.to_string(),
-            rc.leaked.to_string(),
-            f2(rc.leaked as f64 / mark_reclaimed.max(1) as f64 * 100.0) + "%",
-            rc.count_messages.to_string(),
-        ]);
+        rows.push(record! {
+            "cyclic_pct" => cyclic * 100.0,
+            "mark_reclaimed" => mark_reclaimed,
+            "mark_events" => mark_events,
+            "rc_reclaimed" => rc.reclaimed,
+            "rc_leaked" => rc.leaked,
+            "leak_pct" => rc.leaked as f64 / mark_reclaimed.max(1) as f64 * 100.0,
+            "rc_count_msgs" => rc.count_messages,
+        });
     }
-    print_table(
+    report.table(
         "T2: churn (1000 clusters of 6, drop 60%) — marking vs reference counting",
-        &[
-            "cyclic",
-            "mark reclaimed",
-            "mark events",
-            "rc reclaimed",
-            "rc leaked",
-            "leak share",
-            "rc count msgs",
-        ],
-        &rows,
+        rows,
     );
     println!(
         "\nShape check: the leak share tracks the cyclic fraction (0% leaks \
@@ -70,4 +61,5 @@ fn main() {
          The paper's second deficiency — RC cannot classify tasks or detect \
          deadlock — holds by construction: counts carry no reachability."
     );
+    report.finish();
 }

@@ -13,10 +13,9 @@
 //! 1 and 2 PEs is gated by `benchmark/` (`mark_tree`, `mark_digraph`).
 //!
 //! `--small` runs a reduced T5c only (one tree + the digraph, PEs
-//! 1/2/4/16) for the CI scalability smoke job; `--json` writes
-//! `BENCH_scalability.json` either way.
+//! 1/2/4/16) for the CI scalability smoke job.
 
-use dgr_bench::{emit_json, f2, print_table, timed, Flags, JsonValue};
+use dgr_bench::{record, timed, Report};
 use dgr_core::driver::{run_mark1, run_mark1_bsp, MarkRunConfig};
 use dgr_core::threaded::{reset_shared_r, run_mark1_shared};
 use dgr_graph::PartitionStrategy;
@@ -109,9 +108,8 @@ fn assert_monotone_ish(
 }
 
 fn main() {
-    let flags = Flags::parse(&["--small", "--json"], &[]);
-    let (json, small) = (flags.has("--json"), flags.has("--small"));
-    let mut records = Vec::new();
+    let mut report = Report::new("scalability", &["--small"], &[]);
+    let small = report.has("--small");
 
     if !small {
         // T5a: ideal parallel time (BSP rounds) vs PEs.
@@ -123,17 +121,17 @@ fn main() {
             if pes == 1 {
                 base_rounds = stats.rounds;
             }
-            rows.push(vec![
-                pes.to_string(),
-                stats.events.to_string(),
-                stats.rounds.to_string(),
-                f2(base_rounds as f64 / stats.rounds as f64),
-            ]);
+            rows.push(record! {
+                "pes" => pes,
+                "tasks" => stats.events,
+                "rounds" => stats.rounds,
+                "speedup" => base_rounds as f64 / stats.rounds as f64,
+            });
         }
-        print_table(
-            "T5a: round-synchronous marking, binary tree depth 15 (65k vertices)",
-            &["PEs", "work (tasks)", "parallel time (rounds)", "speedup"],
-            &rows,
+        report.table(
+            "T5a: round-synchronous marking, binary tree depth 15 (65k vertices); \
+             rounds = parallel time",
+            rows,
         );
 
         // T5b: the chain is the worst case — no parallelism to extract.
@@ -141,16 +139,11 @@ fn main() {
         for &pes in &[1u16, 8, 64] {
             let mut g = dgr_workloads::graphs::chain(8192);
             let stats = run_mark1_bsp(&mut g, pes, PartitionStrategy::Modulo);
-            rows.push(vec![
-                pes.to_string(),
-                stats.events.to_string(),
-                stats.rounds.to_string(),
-            ]);
+            rows.push(record! { "pes" => pes, "tasks" => stats.events, "rounds" => stats.rounds });
         }
-        print_table(
+        report.table(
             "T5b: round-synchronous marking, chain of 8192 (the marking tree is a path)",
-            &["PEs", "work (tasks)", "parallel time (rounds)"],
-            &rows,
+            rows,
         );
     }
 
@@ -212,34 +205,25 @@ fn main() {
             let stats = stats.expect("REPS >= 1");
             let speedup = profile.first().map_or(1.0, |&(_, base)| base / best_ms);
             profile.push((pes, best_ms));
-            rows.push(vec![
-                pes.to_string(),
-                stats.messages.to_string(),
-                stats.envelopes.to_string(),
-                f2(best_ms),
-                f2(speedup),
-            ]);
-            records.push(vec![
-                (
-                    "benchmark",
-                    JsonValue::Str(format!("threaded_mark1_{name}")),
-                ),
-                ("vertices", JsonValue::Int(vertices)),
-                ("pes", JsonValue::Int(pes as u64)),
-                ("messages", JsonValue::Int(stats.messages)),
-                ("wall_us", JsonValue::Float(best_ms * 1e3)),
-            ]);
+            rows.push(record! {
+                "benchmark" => format!("threaded_mark1_{name}"),
+                "vertices" => vertices,
+                "pes" => pes,
+                "messages" => stats.messages,
+                "wall_us" => best_ms * 1e3,
+                "envelopes" => stats.envelopes,
+                "speedup" => speedup,
+            });
         }
         // Both before and after the cells, for the gate to apply.
         delivered = delivered.min(delivered_parallelism(reported));
-        print_table(
+        report.table(
             &format!(
                 "T5c: work-stealing runtime, {name} + block partition \
                  ({vertices} vertices, best of {REPS}, {reported} hardware threads \
                  reported, {delivered:.1} delivered)"
             ),
-            &["PEs", "tasks", "cross-PE envelopes", "wall ms", "speedup"],
-            &rows,
+            rows,
         );
         let para = if delivered >= 1.5 { reported } else { 1 };
         assert_monotone_ish(name, &profile, thresholds, para);
@@ -260,19 +244,18 @@ fn main() {
                     ..Default::default()
                 };
                 let stats = run_mark1(&mut g, &cfg);
-                rows.push(vec![
-                    pes.to_string(),
-                    name.to_string(),
-                    stats.events.to_string(),
-                    stats.remote_messages.to_string(),
-                    f2(stats.remote_messages as f64 / stats.events.max(1) as f64 * 100.0) + "%",
-                ]);
+                rows.push(record! {
+                    "pes" => pes,
+                    "partition" => name,
+                    "events" => stats.events,
+                    "remote" => stats.remote_messages,
+                    "remote_pct" => stats.remote_messages as f64 / stats.events.max(1) as f64 * 100.0,
+                });
             }
         }
-        print_table(
+        report.table(
             "T5d: cross-partition marking traffic (random digraph 50k, degree 3)",
-            &["PEs", "partition", "events", "remote", "remote share"],
-            &rows,
+            rows,
         );
         println!(
             "\nShape check: parallel time falls near-linearly with PEs on the tree \
@@ -282,5 +265,5 @@ fn main() {
         );
     }
 
-    emit_json(json, "BENCH_scalability.json", &records);
+    report.finish();
 }

@@ -8,7 +8,7 @@
 //! bounded DOT, event tail) into the hub and self-scrapes `/metrics`
 //! over real HTTP to measure end-to-end scrape latency.
 //!
-//! Emits `BENCH_soak.json`: iterations, cycles completed, reclaim
+//! Under `--json` writes `BENCH_soak.json`: iterations, cycles completed, reclaim
 //! totals, watchdog incidents, scrape latency quantiles, and (with
 //! `--inject-stall`) the result of forcing a stalled marking phase —
 //! `/healthz` must flip to 503 and a flight dump must land in
@@ -28,7 +28,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dgr_bench::{emit_json, f2, print_table, Flags, JsonRecord, JsonValue};
+use dgr_bench::{record, Report};
 use dgr_core::threaded::{reset_shared_r, run_mark1_shared_observed};
 use dgr_gc::{GcConfig, GcDriver};
 use dgr_graph::{dot, PartitionStrategy};
@@ -78,14 +78,18 @@ fn quantile_us(sorted: &[u64], q: f64) -> u64 {
 }
 
 fn main() {
-    let flags = Flags::parse(&["--small", "--inject-stall"], &["--seconds", "--addr"]);
-    let small = flags.has("--small");
-    let inject_stall = flags.has("--inject-stall");
-    let seconds: u64 = flags
+    let mut report = Report::new(
+        "soak",
+        &["--small", "--inject-stall"],
+        &["--seconds", "--addr"],
+    );
+    let small = report.has("--small");
+    let inject_stall = report.has("--inject-stall");
+    let seconds: u64 = report
         .value("--seconds")
         .map(|s| s.parse().expect("--seconds takes an integer"))
         .unwrap_or(if small { 5 } else { 20 });
-    let addr = flags.value("--addr").unwrap_or("127.0.0.1:0").to_string();
+    let addr = report.value("--addr").unwrap_or("127.0.0.1:0").to_string();
 
     if !TELEMETRY_ENABLED {
         println!(
@@ -200,34 +204,34 @@ fn main() {
     let incidents_steady = hub.incidents();
     let (healthz_steady, _) = http_get(addr, "/healthz");
     scrape_us.sort_unstable();
-    print_table(
+    let scrape_mean_us = scrape_us.iter().sum::<u64>() as f64 / scrape_us.len().max(1) as f64;
+    report.table(
         &format!("soak: {iterations} iterations over {seconds}s"),
-        &[
-            "gc cycles",
-            "reclaimed",
-            "expunged",
-            "relaned",
-            "incidents",
-            "healthz",
-            "scrape p50 us",
-            "scrape p99 us",
-        ],
-        &[vec![
-            totals.cycles.to_string(),
-            totals.reclaimed.to_string(),
-            totals.expunged.to_string(),
-            totals.relaned.to_string(),
-            incidents_steady.to_string(),
-            healthz_steady.to_string(),
-            quantile_us(&scrape_us, 0.5).to_string(),
-            quantile_us(&scrape_us, 0.99).to_string(),
-        ]],
+        vec![record! {
+            "benchmark" => "soak",
+            "seconds" => seconds,
+            "iterations" => iterations,
+            "gc_cycles" => totals.cycles,
+            "gc_cycles_aborted" => totals.aborted,
+            "reclaimed" => totals.reclaimed,
+            "expunged" => totals.expunged,
+            "relaned" => totals.relaned,
+            "deadlocked" => totals.deadlocked,
+            "watchdog_incidents" => incidents_steady,
+            "healthz" => healthz_steady,
+            "scrapes" => hub.scrapes(),
+            "scrape_p50_us" => quantile_us(&scrape_us, 0.5),
+            "scrape_p90_us" => quantile_us(&scrape_us, 0.9),
+            "scrape_p99_us" => quantile_us(&scrape_us, 0.99),
+            "scrape_max_us" => scrape_us.last().copied().unwrap_or(0),
+            "scrape_mean_us" => scrape_mean_us,
+            "telemetry" => TELEMETRY_ENABLED,
+        }],
     );
     assert_eq!(healthz_steady, 200, "steady-state soak must stay healthy");
 
     // Optional stall injection: hold a marking phase silent past the
     // watchdog deadline, observe 503 + flight dump, then recover.
-    let mut stall_record: Option<(u64, bool, u16)> = None;
     if inject_stall {
         let pulse = hub.heartbeat_handle();
         pulse.begin_phase(u32::MAX, Phase::Mr);
@@ -256,78 +260,25 @@ fn main() {
             }
             std::thread::sleep(Duration::from_millis(50));
         }
-        println!(
-            "inject-stall: healthz={degraded_status} during stall, flight dump {} at {}, \
-             healthz={recovered} after recovery",
-            if dump_exists { "present" } else { "MISSING" },
-            flight_path(0).display(),
+        println!("flight dump path: {}", flight_path(0).display());
+        report.table(
+            "inject-stall: /healthz during the stall and after recovery",
+            vec![record! {
+                "benchmark" => "soak_inject_stall",
+                "incidents" => hub.incidents() - incidents_steady,
+                "flight_dump" => dump_exists,
+                "healthz_during_stall" => degraded_status,
+                "healthz_recovered" => recovered,
+            }],
         );
         if TELEMETRY_ENABLED {
             assert_eq!(degraded_status, 503, "stall must flip /healthz to 503");
             assert!(dump_exists, "stall must produce a flight dump");
             assert_eq!(recovered, 200, "ending the phase must recover health");
         }
-        stall_record = Some((
-            hub.incidents() - incidents_steady,
-            dump_exists,
-            degraded_status,
-        ));
     }
 
-    let mut records: Vec<JsonRecord> = vec![vec![
-        ("benchmark", JsonValue::Str("soak".into())),
-        ("seconds", JsonValue::Int(seconds)),
-        ("iterations", JsonValue::Int(iterations)),
-        ("gc_cycles", JsonValue::Int(totals.cycles)),
-        ("gc_cycles_aborted", JsonValue::Int(totals.aborted)),
-        ("reclaimed", JsonValue::Int(totals.reclaimed)),
-        ("expunged", JsonValue::Int(totals.expunged)),
-        ("relaned", JsonValue::Int(totals.relaned)),
-        ("deadlocked", JsonValue::Int(totals.deadlocked)),
-        ("watchdog_incidents", JsonValue::Int(incidents_steady)),
-        ("healthz", JsonValue::Int(u64::from(healthz_steady))),
-        ("scrapes", JsonValue::Int(hub.scrapes())),
-        (
-            "scrape_p50_us",
-            JsonValue::Int(quantile_us(&scrape_us, 0.5)),
-        ),
-        (
-            "scrape_p90_us",
-            JsonValue::Int(quantile_us(&scrape_us, 0.9)),
-        ),
-        (
-            "scrape_p99_us",
-            JsonValue::Int(quantile_us(&scrape_us, 0.99)),
-        ),
-        (
-            "scrape_max_us",
-            JsonValue::Int(scrape_us.last().copied().unwrap_or(0)),
-        ),
-        (
-            "scrape_mean_us",
-            JsonValue::Float(if scrape_us.is_empty() {
-                0.0
-            } else {
-                scrape_us.iter().sum::<u64>() as f64 / scrape_us.len() as f64
-            }),
-        ),
-        ("telemetry", JsonValue::Int(u64::from(TELEMETRY_ENABLED))),
-    ]];
-    if let Some((incidents, dump, status)) = stall_record {
-        records.push(vec![
-            ("benchmark", JsonValue::Str("soak_inject_stall".into())),
-            ("incidents", JsonValue::Int(incidents)),
-            ("flight_dump", JsonValue::Int(u64::from(dump))),
-            ("healthz_during_stall", JsonValue::Int(u64::from(status))),
-        ]);
-    }
-    emit_json(true, "BENCH_soak.json", &records);
-    println!(
-        "scrape latency: mean {} us over {} self-scrapes",
-        f2(scrape_us.iter().sum::<u64>() as f64 / scrape_us.len().max(1) as f64),
-        scrape_us.len(),
-    );
-
+    report.finish();
     server.shutdown();
     dog.join().expect("watchdog joins");
 }

@@ -7,7 +7,7 @@
 //! along the needed spine. After each cycle the Figure 3-3 relationships
 //! are checked against the sequential oracle.
 
-use dgr_bench::print_table;
+use dgr_bench::{record, Report};
 use dgr_gc::{classify_pending_tasks, GcConfig, GcDriver};
 use dgr_graph::oracle;
 use dgr_lang::build_with_prelude;
@@ -15,7 +15,7 @@ use dgr_reduction::SystemConfig;
 use dgr_sim::SchedPolicy;
 
 fn main() {
-    dgr_bench::Flags::parse(&[], &[]);
+    let mut report = Report::new("taxonomy", &[], &[]);
     let src = "
         let rec spin = \\n -> if n == 0 then 0 else spin (n - 1) + nfib 5
         in (if nfib 9 > 0 then 1 + nfib 7 else spin 500)
@@ -38,7 +38,7 @@ fn main() {
     gc.sys.demand_root();
 
     let mut rows = Vec::new();
-    for cycle in 1..=100 {
+    for cycle in 1..=100u64 {
         for _ in 0..300 {
             if !gc.sys.step() {
                 break;
@@ -80,30 +80,20 @@ fn main() {
         if rows.len() >= 30 {
             continue; // table stays readable; the run continues to the result
         }
-        rows.push(vec![
-            cycle.to_string(),
-            census_before.vital.to_string(),
-            census_before.eager.to_string(),
-            census_before.reserve.to_string(),
-            census_before.irrelevant.to_string(),
-            report.expunged.to_string(),
-            report.reclaimed.to_string(),
-            report.relaned.to_string(),
-        ]);
+        rows.push(record! {
+            "cycle" => cycle,
+            "vital" => census_before.vital,
+            "eager" => census_before.eager,
+            "reserve" => census_before.reserve,
+            "irrelevant" => census_before.irrelevant,
+            "expunged" => report.expunged,
+            "reclaimed" => report.reclaimed,
+            "relaned" => report.relaned,
+        });
     }
-    print_table(
+    report.table(
         "F3-2: pending-task census per cycle (speculative two-branch program)",
-        &[
-            "cycle",
-            "vital",
-            "eager",
-            "reserve",
-            "irrelevant",
-            "expunged",
-            "reclaimed",
-            "relaned",
-        ],
-        &rows,
+        rows,
     );
     println!("\nresult: {:?}", gc.sys.result);
     println!(
@@ -112,4 +102,5 @@ fn main() {
          irrelevant and are expunged, vital tasks carry the spine, and the \
          Figure 3-3 set relationships hold at every cycle."
     );
+    report.finish();
 }

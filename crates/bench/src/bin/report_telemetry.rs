@@ -3,8 +3,8 @@
 //! Runs the GC driver over a list-heavy reduction workload with the
 //! telemetry layer on (build with `--features telemetry`) and emits:
 //!
-//! * `BENCH_telemetry.json` — per-cycle records plus per-phase (`M_T`,
-//!   `M_R`, `classify`) duration totals, machine-readable;
+//! * `BENCH_telemetry.json` (under `--json`) — per-cycle records plus
+//!   per-phase (`M_T`, `M_R`, `classify`) duration totals;
 //! * `BENCH_telemetry_trace.json` — the drained event ring in Chrome
 //!   `trace_event` format, loadable in `chrome://tracing` or Perfetto;
 //! * `BENCH_telemetry_events.jsonl` — the same events as JSON Lines.
@@ -13,7 +13,7 @@
 //! counters (task deliveries, batches, parks, local/remote sends) and the
 //! batch-size histogram. Pass `--small` for a CI-sized workload.
 
-use dgr_bench::{emit_json, f2, print_table, Flags, JsonRecord, JsonValue};
+use dgr_bench::{record, Report};
 use dgr_core::threaded::{reset_shared_r, run_mark1_shared_with};
 use dgr_gc::{GcConfig, GcDriver};
 use dgr_graph::PartitionStrategy;
@@ -21,18 +21,14 @@ use dgr_lang::build_with_prelude;
 use dgr_reduction::SystemConfig;
 use dgr_sim::SharedGraph;
 use dgr_telemetry::{
-    bucket_label, chrome_trace_json, events_jsonl, timeline_text, CounterId, GaugeId, HistId,
-    Registry, TELEMETRY_ENABLED,
+    bucket_label, chrome_trace_json, events_jsonl, CounterId, GaugeId, HistId, Registry,
+    TELEMETRY_ENABLED,
 };
 use dgr_workloads::graphs::binary_tree_dfs;
 
-fn write_file(path: &str, contents: &str) {
-    std::fs::write(path, contents).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("wrote {path} ({} bytes)", contents.len());
-}
-
 fn main() {
-    let small = Flags::parse(&["--small"], &[]).has("--small");
+    let mut report = Report::new("telemetry", &["--small"], &[]);
+    let small = report.has("--small");
     if !TELEMETRY_ENABLED {
         println!(
             "note: built without the `telemetry` feature — durations and cycle \
@@ -60,35 +56,32 @@ fn main() {
     );
 
     let cycles: Vec<_> = gc.timeline().iter().cloned().collect();
-    println!("\n== per-cycle timeline (sum of squares 1..{n}) ==");
-    println!("{}", timeline_text(&cycles));
+    let rows = (cycles.iter())
+        .map(|c| {
+            record! {
+                "benchmark" => "gc_cycle",
+                "cycle" => c.cycle,
+                "mt_us" => c.mt_us,
+                "mr_us" => c.mr_us,
+                "settle_us" => c.settle_us,
+                "classify_us" => c.restructure_us,
+                "total_us" => c.total_us,
+                "mark_events" => c.mark_events,
+                "red_events_during_marking" => c.red_events_during_marking,
+                "sends_local" => c.sends_local,
+                "sends_remote" => c.sends_remote,
+                "mark_backlog_hw" => c.mark_backlog_hw,
+                "marked_t" => c.marked_t,
+                "marked_r" => c.marked_r(),
+                "garbage" => c.garbage,
+                "reclaimed" => c.reclaimed,
+                "expunged" => c.expunged,
+                "relaned" => c.relaned,
+            }
+        })
+        .collect();
+    report.table(&format!("per-cycle timeline (sum of squares 1..{n})"), rows);
 
-    let mut records: Vec<JsonRecord> = Vec::new();
-    for c in &cycles {
-        records.push(vec![
-            ("benchmark", JsonValue::Str("gc_cycle".into())),
-            ("cycle", JsonValue::Int(u64::from(c.cycle))),
-            ("mt_us", JsonValue::Int(c.mt_us)),
-            ("mr_us", JsonValue::Int(c.mr_us)),
-            ("settle_us", JsonValue::Int(c.settle_us)),
-            ("classify_us", JsonValue::Int(c.restructure_us)),
-            ("total_us", JsonValue::Int(c.total_us)),
-            ("mark_events", JsonValue::Int(c.mark_events)),
-            (
-                "red_events_during_marking",
-                JsonValue::Int(c.red_events_during_marking),
-            ),
-            ("sends_local", JsonValue::Int(c.sends_local)),
-            ("sends_remote", JsonValue::Int(c.sends_remote)),
-            ("mark_backlog_hw", JsonValue::Int(c.mark_backlog_hw)),
-            ("marked_t", JsonValue::Int(c.marked_t as u64)),
-            ("marked_r", JsonValue::Int(c.marked_r() as u64)),
-            ("garbage", JsonValue::Int(c.garbage as u64)),
-            ("reclaimed", JsonValue::Int(c.reclaimed as u64)),
-            ("expunged", JsonValue::Int(c.expunged as u64)),
-            ("relaned", JsonValue::Int(c.relaned as u64)),
-        ]);
-    }
     // The per-phase totals the trajectory tooling plots: M_T (synchronous
     // deadlock-detection pass), M_R (concurrent marking incl. settling),
     // classify (census + restructuring).
@@ -100,29 +93,22 @@ fn main() {
         ),
         ("classify", cycles.iter().map(|c| c.restructure_us).sum()),
     ];
-    let mut rows = Vec::new();
-    for (phase, us) in phase_totals {
-        rows.push(vec![
-            phase.to_string(),
-            us.to_string(),
-            f2(us as f64 / cycles.len().max(1) as f64),
-        ]);
-        records.push(vec![
-            ("benchmark", JsonValue::Str("phase_total".into())),
-            ("phase", JsonValue::Str(phase.into())),
-            ("total_us", JsonValue::Int(us)),
-            ("cycles", JsonValue::Int(cycles.len() as u64)),
-        ]);
-    }
-    print_table(
-        &format!("phase totals over {} cycles", cycles.len()),
-        &["phase", "total us", "us/cycle"],
-        &rows,
-    );
+    let rows = (phase_totals.into_iter())
+        .map(|(phase, us)| {
+            record! {
+                "benchmark" => "phase_total",
+                "phase" => phase,
+                "total_us" => us,
+                "cycles" => cycles.len(),
+                "us_per_cycle" => us as f64 / cycles.len().max(1) as f64,
+            }
+        })
+        .collect();
+    report.table(&format!("phase totals over {} cycles", cycles.len()), rows);
 
     let events = gc.sys.telemetry().drain_events();
-    write_file("BENCH_telemetry_trace.json", &chrome_trace_json(&events));
-    write_file("BENCH_telemetry_events.jsonl", &events_jsonl(&events));
+    report.side_file("BENCH_telemetry_trace.json", &chrome_trace_json(&events));
+    report.side_file("BENCH_telemetry_events.jsonl", &events_jsonl(&events));
     println!(
         "trace: {} events ({} dropped by the ring)",
         events.len(),
@@ -137,64 +123,30 @@ fn main() {
     reset_shared_r(&shared);
     let telem = Registry::new(pes);
     let stats = run_mark1_shared_with(&shared, pes, PartitionStrategy::Block, &telem);
-    let snap = gather(&telem);
-    print_table(
-        &format!("threaded mark1, tree depth {depth}, {pes} PEs, block partition"),
-        &[
-            "tasks",
-            "batches",
-            "parks",
-            "local",
-            "remote",
-            "batch avg",
-            "mbox hw",
-        ],
-        &[vec![
-            snap.counter(CounterId::Tasks).to_string(),
-            snap.counter(CounterId::Batches).to_string(),
-            snap.counter(CounterId::Parks).to_string(),
-            snap.counter(CounterId::SendsLocal).to_string(),
-            snap.counter(CounterId::SendsRemote).to_string(),
-            f2(snap.hist(HistId::BatchSize).mean()),
-            snap.gauge(GaugeId::MailboxHighWater).to_string(),
-        ]],
-    );
+    let snap = telem.snapshot().merged();
     let batch = snap.hist(HistId::BatchSize);
-    let batch_rows: Vec<Vec<String>> = batch
-        .buckets
-        .iter()
-        .enumerate()
+    report.table(
+        &format!("threaded mark1, tree depth {depth}, {pes} PEs, block partition"),
+        vec![record! {
+            "benchmark" => "threaded_mark1",
+            "pes" => pes,
+            "messages" => stats.messages,
+            "tasks" => snap.counter(CounterId::Tasks),
+            "batches" => snap.counter(CounterId::Batches),
+            "parks" => snap.counter(CounterId::Parks),
+            "sends_local" => snap.counter(CounterId::SendsLocal),
+            "sends_remote" => snap.counter(CounterId::SendsRemote),
+            "batch_mean" => batch.mean(),
+            "mailbox_hw" => snap.gauge(GaugeId::MailboxHighWater).max(0) as u64,
+        }],
+    );
+    let rows: Vec<_> = (batch.buckets.iter().enumerate())
         .filter(|(_, &count)| count > 0)
-        .map(|(i, &count)| vec![bucket_label(i), count.to_string()])
+        .map(|(i, &count)| record! { "bucket" => bucket_label(i), "batches" => count })
         .collect();
-    if !batch_rows.is_empty() {
-        print_table("outbox batch sizes", &["bucket", "batches"], &batch_rows);
+    if !rows.is_empty() {
+        report.table("outbox batch sizes", rows);
     }
-    records.push(vec![
-        ("benchmark", JsonValue::Str("threaded_mark1".into())),
-        ("pes", JsonValue::Int(u64::from(pes))),
-        ("messages", JsonValue::Int(stats.messages)),
-        ("tasks", JsonValue::Int(snap.counter(CounterId::Tasks))),
-        ("batches", JsonValue::Int(snap.counter(CounterId::Batches))),
-        ("parks", JsonValue::Int(snap.counter(CounterId::Parks))),
-        (
-            "sends_local",
-            JsonValue::Int(snap.counter(CounterId::SendsLocal)),
-        ),
-        (
-            "sends_remote",
-            JsonValue::Int(snap.counter(CounterId::SendsRemote)),
-        ),
-        (
-            "batch_mean",
-            JsonValue::Float(snap.hist(HistId::BatchSize).mean()),
-        ),
-    ]);
 
-    emit_json(true, "BENCH_telemetry.json", &records);
-}
-
-/// Merged view over all PE shards of a registry.
-fn gather(telem: &Registry) -> dgr_telemetry::PeSnapshot {
-    telem.snapshot().merged()
+    report.finish();
 }

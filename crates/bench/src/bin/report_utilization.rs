@@ -17,18 +17,17 @@
 //! Every measured rep gets a **fresh registry**: the state clock
 //! accumulates across passes, and blame wants pass-exact clocks.
 //!
-//! Outputs: `BENCH_utilization.json` (under `--json`) with one record
-//! per cell carrying `utilization_pct`, plus
-//! `BENCH_utilization_events_<cell>.jsonl` streams that `dgr-trace
-//! blame` reads back — both in the repo root, which is gitignored.
-//! `--small` shrinks the workloads for the CI `utilization-smoke` job.
+//! Under a telemetry build each cell carries `utilization_pct` and
+//! writes a `BENCH_utilization_events_<cell>.jsonl` stream that
+//! `dgr-trace blame` reads back. `--small` shrinks the workloads for
+//! CI's `ledger-smoke` job.
 
-use dgr_bench::{emit_json, f2, print_table, timed, Flags, JsonValue};
+use dgr_bench::{record, timed, Report};
 use dgr_core::driver::run_mark1_bsp;
 use dgr_core::threaded::{reset_shared_r, run_mark1_shared_with, ThreadedMarkStats};
 use dgr_graph::{GraphStore, PartitionStrategy};
 use dgr_sim::SharedGraph;
-use dgr_telemetry::{events_jsonl, Phase, Registry, TELEMETRY_ENABLED};
+use dgr_telemetry::{events_jsonl, Event, EventKind, Phase, Registry, TELEMETRY_ENABLED};
 use dgr_trace::{attribution, blame, blame_text, parse_events};
 use dgr_workloads::graphs::{binary_tree_dfs, random_digraph};
 
@@ -63,21 +62,16 @@ fn measure(shared: &SharedGraph, pes: u16) -> Cell {
     best.expect("REPS >= 1")
 }
 
-fn write_file(path: &str, contents: &str) {
-    std::fs::write(path, contents).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-}
-
 fn main() {
-    let flags = Flags::parse(&["--small", "--json"], &[]);
-    let (json, small) = (flags.has("--json"), flags.has("--small"));
+    let mut report = Report::new("utilization", &["--small"], &[]);
+    let small = report.has("--small");
     if !TELEMETRY_ENABLED {
         println!(
             "note: built without the `telemetry` feature — state clocks are \
-             zero-sized no-ops, so utilization and blame are unavailable; \
-             wall times and message counts are still reported"
+             zero-sized no-ops, so utilization and blame are absent; wall \
+             times and message counts are reported"
         );
     }
-    let mut records = Vec::new();
 
     // (name, vertices, store) — the scalability families, headline cells
     // tree_d16 @ 16 PEs and digraph_1m @ 4 PEs in full mode.
@@ -108,90 +102,71 @@ fn main() {
             if pes == 1 {
                 serial_wall_us = wall_us;
             }
+            let mut rec = record! {
+                "benchmark" => format!("utilization_{name}"),
+                "vertices" => vertices,
+                "pes" => pes,
+                "messages" => cell.stats.messages,
+                "steals" => cell.stats.steals,
+                "parks" => cell.stats.parks,
+                "wall_us" => wall_us,
+                "speedup" => serial_wall_us / wall_us.max(1e-9),
+            };
+            if !TELEMETRY_ENABLED {
+                rows.push(rec);
+                continue;
+            }
             // Inherent-span estimate: serial wall scaled by the ideal
-            // parallel-time fraction the BSP rounds measure.
+            // parallel-time fraction the BSP rounds measure, carried in
+            // the stream as the instant `dgr-trace blame` reads.
             let mut stream = cell.events_jsonl;
-            let span_est_us = if pes > 1 && serial_rounds > 0 && TELEMETRY_ENABLED {
+            if pes > 1 && serial_rounds > 0 {
                 let rounds = run_mark1_bsp(&mut bsp_store, pes, PartitionStrategy::Block).rounds;
                 let est = (serial_wall_us * rounds as f64 / serial_rounds as f64) as u64;
-                // Same schema events_jsonl produces, appended by hand so
-                // the estimate travels with the stream.
-                stream.push_str(&format!(
-                    "{{\"ts_us\": 0, \"pe\": 0, \"cycle\": 0, \"phase\": \"{}\", \
-                     \"kind\": \"instant\", \"name\": \"bsp_span_us\", \"value\": {est}, \
-                     \"lamport\": 0}}\n",
-                    Phase::Mr.name()
-                ));
-                Some(est)
-            } else {
-                None
-            };
+                stream.push_str(&events_jsonl(&[Event {
+                    ts_us: 0,
+                    pe: 0,
+                    cycle: 0,
+                    phase: Phase::Mr,
+                    kind: EventKind::Instant,
+                    name: "bsp_span_us",
+                    value: est,
+                    lamport: 0,
+                }]));
+                rec.extend(record! { "span_est_us" => est });
+            }
             let cell_key = format!("{name}_p{pes}");
-            if TELEMETRY_ENABLED {
-                write_file(
-                    &format!("BENCH_utilization_events_{cell_key}.jsonl"),
-                    &stream,
+            report.side_file(
+                &format!("BENCH_utilization_events_{cell_key}.jsonl"),
+                &stream,
+            );
+            let blamed = blame(&parse_events(&stream));
+            let attr = attribution(&blamed);
+            if pes > 1 {
+                println!("\n-- {cell_key} --");
+                print!("{}", blame_text(&blamed));
+            }
+            rec.extend(record! { "utilization_pct" => attr.work * 100.0 });
+            if blamed.pes.len() == pes as usize {
+                // The exact-sum invariant of the state clock: every
+                // PE's wall-clock is fully charged to some state.
+                assert!(
+                    attr.min_accounted >= 0.95,
+                    "{cell_key}: state clock accounts for only {:.1}% of \
+                     the worst PE's wall-clock",
+                    attr.min_accounted * 100.0
                 );
             }
-            let report = blame(&parse_events(&stream));
-            let attr = attribution(&report);
-            let util_pct = attr.work * 100.0;
-            if pes > 1 && TELEMETRY_ENABLED {
-                println!("\n-- {cell_key} --");
-                print!("{}", blame_text(&report));
-            }
-            rows.push(vec![
-                pes.to_string(),
-                cell.stats.messages.to_string(),
-                cell.stats.steals.to_string(),
-                cell.stats.parks.to_string(),
-                f2(cell.wall_ms),
-                f2(serial_wall_us / wall_us.max(1e-9)),
-                f2(util_pct),
-                span_est_us.map_or("-".to_string(), |us| us.to_string()),
-            ]);
-            let mut rec = vec![
-                ("benchmark", JsonValue::Str(format!("utilization_{name}"))),
-                ("vertices", JsonValue::Int(vertices)),
-                ("pes", JsonValue::Int(u64::from(pes))),
-                ("messages", JsonValue::Int(cell.stats.messages)),
-                ("steals", JsonValue::Int(cell.stats.steals)),
-                ("parks", JsonValue::Int(cell.stats.parks)),
-                ("wall_us", JsonValue::Float(wall_us)),
-            ];
-            if TELEMETRY_ENABLED {
-                rec.push(("utilization_pct", JsonValue::Float(util_pct)));
-                if report.pes.len() == pes as usize {
-                    // The exact-sum invariant of the state clock: every
-                    // PE's wall-clock is fully charged to some state.
-                    assert!(
-                        attr.min_accounted >= 0.95,
-                        "{cell_key}: state clock accounts for only {:.1}% of \
-                         the worst PE's wall-clock",
-                        attr.min_accounted * 100.0
-                    );
-                }
-            }
-            records.push(rec);
+            rows.push(rec);
         }
-        print_table(
+        report.table(
             &format!(
                 "T9: per-PE utilization, {name} + block partition \
                  ({vertices} vertices, best of {REPS})"
             ),
-            &[
-                "PEs",
-                "tasks",
-                "steals",
-                "parks",
-                "wall ms",
-                "speedup",
-                "util %",
-                "span est us",
-            ],
-            &rows,
+            rows,
         );
     }
 
-    emit_json(json, "BENCH_utilization.json", &records);
+    report.finish();
 }
