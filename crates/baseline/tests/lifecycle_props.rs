@@ -11,13 +11,14 @@
 //!   (`oracle::garbage` is the DetSim ground truth the whole repo
 //!   verifies marking against).
 //!
-//! The same drive runs in both feature states — CI executes this file
-//! with and without `telemetry`; the default build must stay silent.
+//! The drive is generic over the recording switch: the property runs it
+//! on `On`, and the same drive on `Off` must stay silent — both in every
+//! build.
 
 use std::collections::BTreeMap;
 
 use dgr_graph::{oracle, GraphStore, VertexId};
-use dgr_telemetry::{CycleLifecycle, LifecycleTracker};
+use dgr_telemetry::{CycleLifecycle, LifecycleTracker, Off, On, Switch};
 use dgr_workloads::graphs::random_digraph;
 use proptest::prelude::*;
 
@@ -56,14 +57,14 @@ fn sever(g: &mut GraphStore, rng: &mut u64, count: usize) {
 /// garbage set every cycle and reclaiming it every `reclaim_every`-th,
 /// with the tracker and the shadow ledger fed identically. Returns the
 /// tracker, its per-cycle ledgers, and the shadow expectations.
-fn drive(
+fn drive<R: Switch>(
     n: usize,
     seed: u64,
     cycles: u64,
     reclaim_every: u64,
-) -> (LifecycleTracker, Vec<CycleLifecycle>, Vec<ShadowCycle>) {
+) -> (LifecycleTracker<R>, Vec<CycleLifecycle>, Vec<ShadowCycle>) {
     let mut g = random_digraph(n, 2.0, seed);
-    let mut lc = LifecycleTracker::new();
+    let mut lc = LifecycleTracker::default();
     let mut rng = seed | 1;
     let mut first_seen: BTreeMap<usize, u64> = BTreeMap::new();
     let mut ledgers = Vec::new();
@@ -98,78 +99,68 @@ fn drive(
     (lc, ledgers, shadow)
 }
 
-#[cfg(feature = "telemetry")]
-mod with_feature {
-    use super::*;
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// Cycle by cycle, the tracker's ledger equals the shadow built
-        /// from the oracle's garbage sets: census totals, reclaim
-        /// totals, exact latencies (reclaim − first-census cycle), and
-        /// the float count (distinct garbage − reclaims so far).
-        #[test]
-        fn ledgers_match_the_oracle_shadow(
-            n in 30usize..120,
-            seed in 0u64..1024,
-            cycles in 4u64..10,
-            reclaim_every in 1u64..4,
-        ) {
-            let (lc, ledgers, shadow) = drive(n, seed, cycles, reclaim_every);
-            let mut total_latency = 0u64;
-            let mut total_reclaimed = 0u64;
-            for (c, (led, sc)) in ledgers.iter().zip(&shadow).enumerate() {
-                prop_assert_eq!(led.cycle, c as u64);
-                prop_assert_eq!(led.garbage, sc.garbage, "cycle {}: census", c);
-                prop_assert_eq!(led.reclaimed, sc.reclaimed, "cycle {}: reclaims", c);
-                prop_assert_eq!(
-                    led.exact, led.reclaimed,
-                    "cycle {}: every reclaim was censused first, so every \
-                     latency is exact", c
-                );
-                prop_assert_eq!(led.latency_sum, sc.latency_sum, "cycle {}: latency", c);
-                prop_assert_eq!(led.float, sc.float, "cycle {}: float", c);
-                total_latency += sc.latency_sum;
-                total_reclaimed += sc.reclaimed;
-            }
-            let s = lc.snapshot();
-            prop_assert_eq!(s.cycles, cycles);
-            prop_assert_eq!(s.reclaimed, total_reclaimed);
-            prop_assert_eq!(s.exact, total_reclaimed);
-            prop_assert_eq!(s.latency_sum, total_latency);
-            prop_assert_eq!(s.float_now, shadow.last().expect("cycles >= 1").float);
+    /// Cycle by cycle, the tracker's ledger equals the shadow built
+    /// from the oracle's garbage sets: census totals, reclaim
+    /// totals, exact latencies (reclaim − first-census cycle), and
+    /// the float count (distinct garbage − reclaims so far).
+    #[test]
+    fn ledgers_match_the_oracle_shadow(
+        n in 30usize..120,
+        seed in 0u64..1024,
+        cycles in 4u64..10,
+        reclaim_every in 1u64..4,
+    ) {
+        let (lc, ledgers, shadow) = drive::<On>(n, seed, cycles, reclaim_every);
+        let mut total_latency = 0u64;
+        let mut total_reclaimed = 0u64;
+        for (c, (led, sc)) in ledgers.iter().zip(&shadow).enumerate() {
+            prop_assert_eq!(led.cycle, c as u64);
+            prop_assert_eq!(led.garbage, sc.garbage, "cycle {}: census", c);
+            prop_assert_eq!(led.reclaimed, sc.reclaimed, "cycle {}: reclaims", c);
             prop_assert_eq!(
-                s.latency.iter().sum::<u64>(), s.exact,
-                "every exact latency landed in exactly one bucket"
+                led.exact, led.reclaimed,
+                "cycle {}: every reclaim was censused first, so every \
+                 latency is exact", c
             );
+            prop_assert_eq!(led.latency_sum, sc.latency_sum, "cycle {}: latency", c);
+            prop_assert_eq!(led.float, sc.float, "cycle {}: float", c);
+            total_latency += sc.latency_sum;
+            total_reclaimed += sc.reclaimed;
         }
+        let s = lc.snapshot();
+        prop_assert_eq!(s.cycles, cycles);
+        prop_assert_eq!(s.reclaimed, total_reclaimed);
+        prop_assert_eq!(s.exact, total_reclaimed);
+        prop_assert_eq!(s.latency_sum, total_latency);
+        prop_assert_eq!(s.float_now, shadow.last().expect("cycles >= 1").float);
+        prop_assert_eq!(
+            s.latency.iter().sum::<u64>(), s.exact,
+            "every exact latency landed in exactly one bucket"
+        );
     }
 }
 
-#[cfg(not(feature = "telemetry"))]
-mod without_feature {
-    use super::*;
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
-
-        /// The zero-sized no-op tracker records nothing: the same drive
-        /// that fills the ledgers under the feature returns defaults.
-        #[test]
-        fn the_noop_tracker_stays_empty(
-            n in 30usize..120,
-            seed in 0u64..1024,
-            cycles in 4u64..10,
-            reclaim_every in 1u64..4,
-        ) {
-            let (lc, ledgers, _) = drive(n, seed, cycles, reclaim_every);
-            prop_assert!(!lc.enabled());
-            for led in &ledgers {
-                prop_assert_eq!(*led, CycleLifecycle::default());
-            }
-            prop_assert!(lc.snapshot().is_empty());
-            prop_assert!(lc.worst_floaters(4).is_empty());
+    /// The zero-sized `Off` tracker records nothing: the same drive
+    /// that fills the ledgers on `On` returns defaults.
+    #[test]
+    fn the_off_tracker_stays_empty(
+        n in 30usize..120,
+        seed in 0u64..1024,
+        cycles in 4u64..10,
+        reclaim_every in 1u64..4,
+    ) {
+        let (lc, ledgers, _) = drive::<Off>(n, seed, cycles, reclaim_every);
+        prop_assert!(!lc.enabled());
+        for led in &ledgers {
+            prop_assert_eq!(*led, CycleLifecycle::default());
         }
+        prop_assert!(lc.snapshot().is_empty());
+        prop_assert!(lc.worst_floaters(4).is_empty());
     }
 }

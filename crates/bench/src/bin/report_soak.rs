@@ -86,8 +86,7 @@ fn main() {
     let small = report.has("--small");
     let inject_stall = report.has("--inject-stall");
     let seconds: u64 = report
-        .value("--seconds")
-        .map(|s| s.parse().expect("--seconds takes an integer"))
+        .value_as("--seconds")
         .unwrap_or(if small { 5 } else { 20 });
     let addr = report.value("--addr").unwrap_or("127.0.0.1:0").to_string();
 

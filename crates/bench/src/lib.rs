@@ -31,24 +31,10 @@ struct Flags {
 }
 
 impl Flags {
-    /// Parses the process arguments against the `switches` (bare flags
-    /// such as `--small`, `--json`) and `valued` flags (such as
-    /// `--seconds N`) this binary accepts. Anything else — an unknown
-    /// flag, a stray positional, a value flag at the end of the line —
-    /// prints the usage to stderr and exits with status 2.
-    fn parse(switches: &[&str], valued: &[&str]) -> Flags {
-        let mut args = std::env::args();
-        let bin = args.next().unwrap_or_default();
-        Flags::parse_from(args, switches, valued).unwrap_or_else(|bad| {
-            let bin = bin.rsplit(['/', '\\']).next().unwrap_or(&bin);
-            let usage: Vec<String> = (switches.iter().map(|s| format!("[{s}]")))
-                .chain(valued.iter().map(|v| format!("[{v} VALUE]")))
-                .collect();
-            eprintln!("{bin}: {bad}\nusage: {bin} {}", usage.join(" "));
-            std::process::exit(2);
-        })
-    }
-
+    /// Parses `args` against the `switches` (bare flags such as
+    /// `--small`, `--json`) and `valued` flags (such as `--seconds N`)
+    /// this binary accepts. Anything else — an unknown flag, a stray
+    /// positional, a value flag at the end of the line — is an error.
     fn parse_from(
         mut args: impl Iterator<Item = String>,
         switches: &[&str],
@@ -221,6 +207,9 @@ pub fn json_text(records: &[JsonRecord]) -> String {
 #[derive(Debug)]
 pub struct Report {
     name: &'static str,
+    /// The binary's name, and its usage line for a bad argument.
+    bin: String,
+    usage: String,
     flags: Flags,
     records: Vec<JsonRecord>,
 }
@@ -232,11 +221,27 @@ impl Report {
     /// `BENCH_<name>.json` into the current directory.
     pub fn new(name: &'static str, switches: &[&str], valued: &[&str]) -> Report {
         let switches: Vec<&str> = switches.iter().copied().chain(["--json"]).collect();
-        Report {
+        let mut args = std::env::args();
+        let bin = args.next().unwrap_or_default();
+        let bin = bin.rsplit(['/', '\\']).next().unwrap_or(&bin).to_string();
+        let usage: Vec<String> = (switches.iter().map(|s| format!("[{s}]")))
+            .chain(valued.iter().map(|v| format!("[{v} VALUE]")))
+            .collect();
+        let mut report = Report {
             name,
-            flags: Flags::parse(&switches, valued),
+            usage: format!("usage: {bin} {}", usage.join(" ")),
+            bin,
+            flags: Flags::default(),
             records: Vec::new(),
-        }
+        };
+        report.flags = Flags::parse_from(args, &switches, valued)
+            .unwrap_or_else(|bad| report.exit_with_usage(&bad));
+        report
+    }
+
+    fn exit_with_usage(&self, bad: &str) -> ! {
+        eprintln!("{}: {bad}\n{}", self.bin, self.usage);
+        std::process::exit(2);
     }
 
     /// Whether `flag` was passed.
@@ -247,6 +252,17 @@ impl Report {
     /// The value passed with `flag`, if it was (the last one wins).
     pub fn value(&self, flag: &str) -> Option<&str> {
         self.flags.value(flag)
+    }
+
+    /// The value passed with `flag`, parsed as a `T`. A value that does
+    /// not parse prints the usage and exits with status 2, as an unknown
+    /// flag does.
+    pub fn value_as<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        let v = self.value(flag)?;
+        Some(
+            (v.parse())
+                .unwrap_or_else(|_| self.exit_with_usage(&format!("{flag} cannot take {v:?}"))),
+        )
     }
 
     /// Prints `rows` as a table ([`table_text`]) and keeps them for

@@ -94,3 +94,17 @@ fn ordering_writes_one_record_per_printed_row_and_only_under_json() {
         "{json}"
     );
 }
+
+#[test]
+fn an_unparsable_value_is_usage_and_exit_2_not_a_panic() {
+    let dir = Scratch::new("soak_bad_seconds");
+    let out = Command::new(env!("CARGO_BIN_EXE_report_soak"))
+        .args(["--seconds", "x"])
+        .current_dir(&dir.0)
+        .output()
+        .expect("report runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("usage: report_soak"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -1,6 +1,6 @@
 //! Repo-specific source lints, run in CI alongside the model checker.
 //!
-//! Eight source rules, scoped to `crates/*/src` and the root `src/`, and
+//! Nine source rules, scoped to `crates/*/src` and the root `src/`, and
 //! one manifest rule over the root and `crates/*` `Cargo.toml` files:
 //!
 //! 1. **mark-word ordering** — a line touching the packed `(epoch, color)`
@@ -55,6 +55,11 @@
 //!    `crates/observe`, which carry and render ids but originate none. A
 //!    metric nobody bumps renders as a constant zero and a lane nobody
 //!    sends on is a queue every pick still scans; both have shipped.
+//! 10. **switch once** — no file under `crates/telemetry/src` but its
+//!     `lib.rs` may name the `telemetry` feature: `lib.rs` turns it into
+//!     the `Build` alias every facade type defaults to, and a second
+//!     reader is a second implementation that compiles in one feature
+//!     state only.
 //!
 //! The needles below are spelled with `concat!` so the lint does not flag
 //! its own source.
@@ -98,6 +103,12 @@ const ORDERING_STRONG: [&str; 4] = [
     concat!("Ordering::", "SeqCst"),
 ];
 const ORDERING_COMMENT: &str = concat!("// ord", "ering:");
+const TELEMETRY_FEATURE: &str = concat!("feature = ", "\"telemetry\"");
+
+/// Rule 10's scope and its one exemption.
+fn reads_the_switch_twice(rel: &str) -> bool {
+    rel.starts_with("crates/telemetry/src/") && rel != "crates/telemetry/src/lib.rs"
+}
 
 /// The substrate modules that are generic over the atomics facade and
 /// model-checked by `atomics` — raw std atomics are banned here.
@@ -377,6 +388,14 @@ pub fn run(root: &Path) -> Vec<Finding> {
                     text: t.to_string(),
                 });
             }
+            if reads_the_switch_twice(rel) && l.contains(TELEMETRY_FEATURE) {
+                findings.push(Finding {
+                    file: rel.clone(),
+                    line: i + 1,
+                    rule: "telemetry-switch-once",
+                    text: t.to_string(),
+                });
+            }
             if !in_tests && SHIMMED.contains(&rel.as_str()) && l.contains(STD_ATOMIC) {
                 findings.push(Finding {
                     file: rel.clone(),
@@ -520,6 +539,26 @@ mod tests {
                 ("ids-have-writers", msg, 4, "Lane::Idle".to_string()),
             ]
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_second_telemetry_switch_is_reported() {
+        let dir = std::env::temp_dir().join("dgr-check-lint-fixture-switch");
+        let src = dir.join("crates").join("telemetry").join("src");
+        fs::create_dir_all(&src).unwrap();
+        let switch = format!(
+            "#[cfg(not({TELEMETRY_FEATURE}))]\nmod {};\n",
+            concat!("no", "op")
+        );
+        fs::write(src.join("lib.rs"), &switch).unwrap();
+        fs::write(src.join("active.rs"), format!("//! doc\n{switch}")).unwrap();
+        let got: Vec<_> = run(&dir)
+            .into_iter()
+            .map(|f| (f.rule, f.file, f.line))
+            .collect();
+        let active = "crates/telemetry/src/active.rs".to_string();
+        assert_eq!(got, [("telemetry-switch-once", active, 2)], "lib.rs may");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The paper remarks that the per-vertex `mt-cnt` / `mt-par` fields "incur
 //! a high space overhead" and that "it is possible to combine all of the
-//! mt-cnt's and mt-par's into just two words on each PE" [6]. This module
+//! mt-cnt's and mt-par's into just two words on each PE" \[6\]. This module
 //! implements that design: the marking tree is built over *processing
 //! elements* rather than vertices, with Dijkstra–Scholten-style engagement:
 //!

@@ -154,15 +154,13 @@ where
 /// solely to find deadlocked vertices (Section 6), and its snapshot
 /// semantics tolerate task reachability that arises *after* a vertex was
 /// finished: the deadlock report screens out any vertex with task
-/// activity since the pass began ([`Vertex::touched`]) or with a computed
-/// value, and a vertex in `R_v` without either was necessarily covered by
+/// activity since the pass began ([`GraphStore::is_touched`]) or with a
+/// computed value, and a vertex in `R_v` without either was covered by
 /// the pass's seeds (its vital request either predates the pass — making
 /// it a task endpoint — or stamps it). Escalating here instead (re-seeding
 /// the virtual `troot`) would make `M_T` chase the mutator indefinitely:
 /// every request to an already-finished vertex would re-arm termination,
 /// and under an expanding speculative workload the pass would never end.
-///
-/// [`Vertex::touched`]: dgr_graph::Vertex::touched
 pub fn coop_t_arc<S>(
     state: &mut MarkState,
     g: &mut GraphStore,

@@ -3,7 +3,7 @@
 //! The paper notes that the algorithm "as presented incurs a high space
 //! overhead, in that each vertex requires space for mt-cnt, mt-par, and
 //! marking bits", and points to a compression (all `mt-cnt`s and `mt-par`s
-//! folded into two words per PE) described in the companion report [6].
+//! folded into two words per PE) described in the companion report \[6\].
 //! This module measures the uncompressed overhead this implementation
 //! actually pays — experiment T4 reports it — and documents the compressed
 //! bound for comparison.

@@ -199,7 +199,7 @@ impl GcDriver {
 
     /// Per-cycle telemetry reports (phase wall-clock durations, message
     /// tallies, marking census), oldest first. Bounded at
-    /// [`TIMELINE_CAP`] cycles: older entries are dropped. Durations and
+    /// `TIMELINE_CAP` cycles: older entries are dropped. Durations and
     /// marking counts are always populated; the message counters are zero
     /// unless the `telemetry` feature is on.
     pub fn timeline(&self) -> &VecDeque<CycleTelemetry> {

@@ -27,8 +27,8 @@ struct Spill(Vec<Requester>);
 ///
 /// Exactly one of the two forms holds the list and the other is in its
 /// default state, so equality is the derived one: `spill` is `Some` iff the
-/// list is longer than [`INLINE`], and then `len == 0`; otherwise the list
-/// is the first `len` inline slots and the rest hold [`NOBODY`].
+/// list is longer than `INLINE`, and then `len == 0`; otherwise the list
+/// is the first `len` inline slots and the rest hold `NOBODY`.
 ///
 /// # Example
 ///

@@ -23,11 +23,11 @@
 //! # Features
 //!
 //! The hub, exporter, server and watchdog are always real — they work
-//! on the always-compiled concrete types of `dgr-telemetry`. The
+//! on the concrete snapshot and heartbeat types of `dgr-telemetry`. The
 //! forwarded `telemetry` feature only decides whether the
-//! `HeartbeatHandle` the drivers hold is the recording `Arc` or the
-//! zero-sized no-op; with it off, a hub's pulse never beats and the
-//! watchdog correctly judges "nothing to supervise".
+//! `HeartbeatHandle` the drivers hold defaults to `On` (the recording
+//! `Arc`) or `Off` (zero-sized); with it off, a hub's pulse never beats
+//! and the watchdog correctly judges "nothing to supervise".
 //!
 //! ```no_run
 //! use std::sync::Arc;

@@ -449,11 +449,11 @@ fn hist_help(id: HistId) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgr_telemetry::active::Registry;
+    type Registry = dgr_telemetry::Registry<dgr_telemetry::On>;
 
     #[test]
     fn histogram_buckets_are_cumulative_and_end_at_count() {
-        let reg = Registry::new(1);
+        let reg = Registry::with_pes(1);
         for v in [1u64, 1, 5, 300] {
             reg.pe(0).observe(HistId::BatchSize, v);
         }
@@ -472,7 +472,7 @@ mod tests {
 
     #[test]
     fn sched_families_report_clock_and_rates() {
-        let reg = Registry::new(2);
+        let reg = Registry::with_pes(2);
         reg.sched_enter(1, SchedState::Work);
         std::thread::sleep(std::time::Duration::from_millis(2));
         reg.sched_finish(1);
@@ -499,7 +499,7 @@ mod tests {
 
     #[test]
     fn rendering_is_deterministic() {
-        let reg = Registry::new(3);
+        let reg = Registry::with_pes(3);
         reg.pe(0).inc(CounterId::Tasks);
         reg.pe(2).gauge_set(GaugeId::DequeDepth, 9);
         let snap = reg.snapshot();

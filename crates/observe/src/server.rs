@@ -351,9 +351,9 @@ mod tests {
 
     #[test]
     fn status_json_breaks_the_scheduler_down_per_pe() {
-        use dgr_telemetry::active::Registry;
+        type Registry = dgr_telemetry::Registry<dgr_telemetry::On>;
         let hub = ObserveHub::new();
-        let reg = Registry::new(2);
+        let reg = Registry::with_pes(2);
         reg.sched_enter(0, SchedState::Work);
         std::thread::sleep(Duration::from_millis(1));
         reg.sched_finish(0);

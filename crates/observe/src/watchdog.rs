@@ -13,12 +13,12 @@
 //!
 //! A heartbeat with zero beats means no instrumented driver ever
 //! attached (e.g. a default, no-`telemetry` build where the facade
-//! handle is the no-op) — that is *nothing to supervise*, not a stall,
+//! handle is `Off`) — that is *nothing to supervise*, not a stall,
 //! so feature-off processes always report healthy.
 //!
 //! On the healthy → degraded transition the watchdog records an
 //! incident and writes a flight dump (the hub's retained event tail
-//! plus the latest metrics snapshot) via the always-compiled
+//! plus the latest metrics snapshot) via the
 //! [`dgr_telemetry::flight`] recorder, landing in `$DGR_FLIGHT_DIR`.
 //! Recovery (a fresh beat, a drained mailbox) flips health back
 //! automatically; the incident counter is monotone.

@@ -14,7 +14,7 @@
 //!   the three quantile gauges.
 
 use dgr_observe::{render, CensusSnapshot, GcProgress, ObserveHub};
-use dgr_telemetry::active::Registry;
+type Registry = dgr_telemetry::Registry<dgr_telemetry::On>;
 use dgr_telemetry::{
     CounterId, GaugeId, HeapSnapshot, HistId, LifecycleSnapshot, PeHeap, Phase, SchedState,
 };
@@ -23,7 +23,7 @@ use dgr_telemetry::{
 /// gauge and histogram traffic, scheduler state clocks and steal-victim
 /// counters, a census, GC progress, and a heartbeat mid-phase.
 fn populated_hub() -> ObserveHub {
-    let reg = Registry::new(2);
+    let reg = Registry::with_pes(2);
     reg.pe(0).inc(CounterId::Tasks);
     reg.pe(0).add(CounterId::MarkEvents, 41);
     reg.pe(1).inc(CounterId::SendsRemote);

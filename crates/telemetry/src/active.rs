@@ -1,9 +1,9 @@
-//! The live registry: per-PE metric shards plus per-PE event rings.
+//! The registry — per-PE metric shards plus per-PE event rings — and the
+//! heartbeat handle drivers beat their liveness pulse through.
 //!
-//! This module is always compiled (so it is always tested); the
-//! `telemetry` feature only controls whether the crate-root `Registry`
-//! alias points here or at [`noop`](crate::noop). The two expose an
-//! identical API, so instrumentation sites are written once.
+//! Each type here is generic over a [`Switch`] defaulting to the build's
+//! [`Build`] (see the crate docs): under [`Off`](crate::Off) it is
+//! zero-sized and every method returns its empty value.
 //!
 //! Sharding: every PE writes its own shard, so hot-path updates never
 //! contend. Readers merge shards at snapshot time. PEs beyond the shard
@@ -12,75 +12,83 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::heartbeat::Heartbeat;
 use crate::ids::{CounterId, GaugeId, HistId, Phase};
 use crate::ledger::Ledger;
-use crate::metrics::{Counter, Gauge, HistSnapshot, Histogram, MetricsSnapshot, PeSnapshot};
+use crate::metrics::{Counter, Gauge, Histogram, MetricsSnapshot, PeSnapshot};
 use crate::ring::{Event, EventKind, EventRing};
 use crate::sched::{PeSchedSnapshot, SchedState, StateClock};
+use crate::switch::Switch;
+use crate::Build;
 
 /// Default per-PE event-ring capacity.
 pub const DEFAULT_RING_CAPACITY: usize = 8192;
 
-/// The recording handle instrumented drivers beat their liveness pulse
-/// through: a cloneable `Arc` around a concrete
-/// [`Heartbeat`](crate::heartbeat::Heartbeat).
-///
-/// The noop counterpart is zero-sized, so a driver field holding one
-/// costs nothing in a default build. An observer (the `dgr-observe`
-/// watchdog) reads the shared concrete heartbeat from another thread.
-#[derive(Debug, Clone, Default)]
-pub struct HeartbeatHandle(Arc<Heartbeat>);
+/// The handle instrumented drivers beat their liveness pulse through: a
+/// cloneable `Arc` around a concrete [`Heartbeat`], which an observer
+/// (the `dgr-observe` watchdog) reads from another thread. Under
+/// [`Off`](crate::Off) it is zero-sized and every beat compiles away.
+#[derive(Debug, Clone)]
+pub struct HeartbeatHandle<R: Switch = Build>(R::Keep<Arc<Heartbeat>>);
+
+impl<R: Switch> Default for HeartbeatHandle<R> {
+    fn default() -> Self {
+        HeartbeatHandle(R::keep(Arc::default))
+    }
+}
 
 impl HeartbeatHandle {
     /// A handle around a fresh heartbeat.
     pub fn new() -> Self {
-        HeartbeatHandle::default()
+        Self::default()
     }
+}
 
+impl<R: Switch> HeartbeatHandle<R> {
     /// Wraps an existing shared heartbeat (how an observability hub
     /// hands its pulse to a driver).
     pub fn from_shared(hb: Arc<Heartbeat>) -> Self {
-        HeartbeatHandle(hb)
+        HeartbeatHandle(R::keep(|| hb))
     }
 
-    /// The shared concrete heartbeat behind this handle.
+    /// The shared heartbeat behind this handle; under [`Off`](crate::Off)
+    /// a fresh one that nothing beats.
     pub fn shared(&self) -> Arc<Heartbeat> {
-        Arc::clone(&self.0)
+        R::with(&self.0, None, |hb| Some(Arc::clone(hb))).unwrap_or_default()
     }
 
-    /// `true`: beats are recorded.
-    pub fn enabled(&self) -> bool {
-        true
+    /// Whether beats are recorded.
+    pub const fn enabled(&self) -> bool {
+        R::ON
     }
 
     /// Records that a marking phase of `cycle` entered force.
     pub fn begin_phase(&self, cycle: u32, phase: Phase) {
-        self.0.begin_phase(cycle, phase);
+        R::with(&self.0, (), |hb| hb.begin_phase(cycle, phase));
     }
 
     /// Records that the current phase left force.
     pub fn end_phase(&self) {
-        self.0.end_phase();
+        R::with(&self.0, (), |hb| hb.end_phase());
     }
 
     /// Records `n` more deliveries.
     pub fn progress(&self, n: u64) {
-        self.0.progress(n);
+        R::with(&self.0, (), |hb| hb.progress(n));
     }
 
     /// Records a completed mark-and-restructure cycle.
     pub fn cycle_done(&self) {
-        self.0.cycle_done();
+        R::with(&self.0, (), |hb| hb.cycle_done());
     }
 }
 
-/// One PE's metrics and event ring.
+/// One PE's metrics, event ring and Lamport clock.
 #[derive(Debug)]
-pub struct PeShard {
+struct Shard {
     counters: [Counter; CounterId::COUNT],
     gauges: [Gauge; GaugeId::COUNT],
     hists: [Histogram; HistId::COUNT],
@@ -92,9 +100,9 @@ pub struct PeShard {
     lamport: AtomicU64,
 }
 
-impl PeShard {
+impl Shard {
     fn new() -> Self {
-        PeShard {
+        Shard {
             counters: std::array::from_fn(|_| Counter::new()),
             gauges: std::array::from_fn(|_| Gauge::new()),
             hists: std::array::from_fn(|_| Histogram::new()),
@@ -103,53 +111,54 @@ impl PeShard {
         }
     }
 
-    /// The PE's current Lamport clock.
-    pub fn lamport(&self) -> u64 {
-        self.lamport.load(Ordering::Relaxed)
+    fn ring(&self) -> MutexGuard<'_, EventRing> {
+        self.ring.lock().expect("telemetry ring poisoned")
     }
 
+    fn snapshot(&self) -> PeSnapshot {
+        PeSnapshot::from_parts(
+            std::array::from_fn(|i| self.counters[i].get()),
+            std::array::from_fn(|i| self.gauges[i].get()),
+            std::array::from_fn(|i| self.hists[i].snapshot()),
+        )
+    }
+}
+
+/// One PE's metrics, as [`Registry::pe`] hands them out.
+#[derive(Debug)]
+pub struct PeShard<'a, R: Switch = Build>(R::Keep<&'a Shard>);
+
+impl<R: Switch> PeShard<'_, R> {
     /// Adds one to a counter.
     pub fn inc(&self, id: CounterId) {
-        self.counters[id.index()].inc();
+        self.add(id, 1);
     }
 
     /// Adds `n` to a counter.
     pub fn add(&self, id: CounterId, n: u64) {
-        self.counters[id.index()].add(n);
+        R::with(&self.0, (), |s| s.counters[id.index()].add(n));
     }
 
     /// Overwrites a gauge.
     pub fn gauge_set(&self, id: GaugeId, v: i64) {
-        self.gauges[id.index()].set(v);
+        R::with(&self.0, (), |s| s.gauges[id.index()].set(v));
     }
 
     /// Raises a gauge to `v` if larger.
     pub fn gauge_max(&self, id: GaugeId, v: i64) {
-        self.gauges[id.index()].raise(v);
+        R::with(&self.0, (), |s| s.gauges[id.index()].raise(v));
     }
 
     /// Records a histogram observation.
     pub fn observe(&self, id: HistId, v: u64) {
-        self.hists[id.index()].observe(v);
-    }
-
-    fn push_event(&self, e: Event) {
-        self.ring.lock().expect("telemetry ring poisoned").push(e);
-    }
-
-    fn snapshot(&self) -> PeSnapshot {
-        let counters = std::array::from_fn(|i| self.counters[i].get());
-        let gauges = std::array::from_fn(|i| self.gauges[i].get());
-        let hists: [HistSnapshot; HistId::COUNT] =
-            std::array::from_fn(|i| self.hists[i].snapshot());
-        PeSnapshot::from_parts(counters, gauges, hists)
+        R::with(&self.0, (), |s| s.hists[id.index()].observe(v));
     }
 }
 
-/// The metrics/tracing registry: per-PE shards behind a shared reference.
+/// What a recording [`Registry`] keeps.
 #[derive(Debug)]
-pub struct Registry {
-    shards: Box<[PeShard]>,
+struct Live {
+    shards: Box<[Shard]>,
     /// Per-PE scheduler state clocks (one slot per shard).
     sched: StateClock,
     t0: Instant,
@@ -159,50 +168,79 @@ pub struct Registry {
     flows: Mutex<HashMap<u64, u64>>,
 }
 
-impl Registry {
-    /// A registry with one shard per PE and the default ring capacity.
-    pub fn new(num_pes: u16) -> Self {
-        let n = (num_pes as usize).max(1);
-        Registry {
-            shards: (0..n).map(|_| PeShard::new()).collect(),
-            sched: StateClock::new(n),
-            t0: Instant::now(),
-            flows: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// `true`: this is the recording implementation.
-    pub fn enabled(&self) -> bool {
-        true
-    }
-
-    /// The shard for a PE (wrapping beyond the shard count).
-    pub fn pe(&self, pe: u16) -> &PeShard {
+impl Live {
+    fn shard(&self, pe: u16) -> &Shard {
         &self.shards[pe as usize % self.shards.len()]
     }
 
-    /// Microseconds since the registry was created.
-    pub fn now_us(&self) -> u64 {
+    fn now_us(&self) -> u64 {
         self.t0.elapsed().as_micros() as u64
     }
 
+    fn flows(&self) -> MutexGuard<'_, HashMap<u64, u64>> {
+        self.flows.lock().expect("telemetry flow map poisoned")
+    }
+}
+
+/// The metrics/tracing registry: per-PE shards behind a shared reference.
+#[derive(Debug)]
+pub struct Registry<R: Switch = Build>(R::Keep<Live>);
+
+impl Registry {
+    /// A registry of the build's switch with one shard per PE.
+    pub fn new(num_pes: u16) -> Self {
+        Self::with_pes(num_pes)
+    }
+}
+
+impl<R: Switch> Registry<R> {
+    /// A registry with one shard per PE (at least one) and the default
+    /// ring capacity.
+    pub fn with_pes(num_pes: u16) -> Self {
+        Registry(R::keep(|| {
+            let n = (num_pes as usize).max(1);
+            Live {
+                shards: (0..n).map(|_| Shard::new()).collect(),
+                sched: StateClock::new(n),
+                t0: Instant::now(),
+                flows: Mutex::default(),
+            }
+        }))
+    }
+
+    /// Whether this registry records.
+    pub const fn enabled(&self) -> bool {
+        R::ON
+    }
+
+    /// The shard for a PE (wrapping beyond the shard count).
+    pub fn pe(&self, pe: u16) -> PeShard<'_, R> {
+        PeShard(R::map(&self.0, |s| s.shard(pe)))
+    }
+
+    /// Microseconds since the registry was created (0 under `Off`).
+    pub fn now_us(&self) -> u64 {
+        R::with(&self.0, 0, Live::now_us)
+    }
+
     /// Transitions PE `pe`'s scheduler state clock into `state`. Entering
-    /// the state already in force is free; see
-    /// [`StateClock::enter`](crate::sched::StateClock::enter).
+    /// the state already in force is free; see [`StateClock::enter`].
     pub fn sched_enter(&self, pe: u16, state: SchedState) {
-        self.sched.enter(pe, state);
+        R::with(&self.0, (), |s| s.sched.enter(pe, state));
     }
 
     /// Closes PE `pe`'s state-clock episode, charging the in-force state
     /// up to now.
     pub fn sched_finish(&self, pe: u16) {
-        self.sched.finish(pe);
+        R::with(&self.0, (), |s| s.sched.finish(pe));
     }
 
     /// One PE's state-clock snapshot (also embedded per PE in
     /// [`Registry::snapshot`]).
     pub fn sched_snapshot(&self, pe: u16) -> PeSchedSnapshot {
-        self.sched.snapshot_pe(pe)
+        R::with(&self.0, PeSchedSnapshot::default(), |s| {
+            s.sched.snapshot_pe(pe)
+        })
     }
 
     fn event(
@@ -214,15 +252,17 @@ impl Registry {
         name: &'static str,
         value: u64,
     ) {
-        self.pe(pe).push_event(Event {
-            ts_us: self.now_us(),
-            pe,
-            cycle,
-            phase,
-            kind,
-            name,
-            value,
-            lamport: 0,
+        R::with(&self.0, (), |s| {
+            s.shard(pe).ring().push(Event {
+                ts_us: s.now_us(),
+                pe,
+                cycle,
+                phase,
+                kind,
+                name,
+                value,
+                lamport: 0,
+            })
         });
     }
 
@@ -249,36 +289,29 @@ impl Registry {
     }
 
     /// Opens a span closed automatically when the guard drops.
-    pub fn span(&self, pe: u16, cycle: u32, phase: Phase, name: &'static str) -> SpanGuard<'_> {
+    pub fn span(&self, pe: u16, cycle: u32, phase: Phase, name: &'static str) -> SpanGuard<'_, R> {
         self.begin(pe, cycle, phase, name);
-        SpanGuard {
-            reg: self,
-            pe,
-            cycle,
-            phase,
-            name,
-        }
+        SpanGuard(R::map(&self.0, |_| (self, pe, cycle, phase, name)))
     }
 
     /// Records a message leaving PE `pe` under an externally chosen flow
     /// id (a simulator sequence number, say). Ticks the PE's Lamport
     /// clock and remembers it for the matching [`Registry::flow_recv`].
     pub fn flow_send(&self, pe: u16, cycle: u32, phase: Phase, name: &'static str, flow: u64) {
-        let shard = self.pe(pe);
-        let lamport = shard.lamport.fetch_add(1, Ordering::Relaxed) + 1;
-        self.flows
-            .lock()
-            .expect("telemetry flow map poisoned")
-            .insert(flow, lamport);
-        shard.push_event(Event {
-            ts_us: self.now_us(),
-            pe,
-            cycle,
-            phase,
-            kind: EventKind::FlowSend,
-            name,
-            value: flow,
-            lamport,
+        R::with(&self.0, (), |s| {
+            let shard = s.shard(pe);
+            let lamport = shard.lamport.fetch_add(1, Ordering::Relaxed) + 1;
+            s.flows().insert(flow, lamport);
+            shard.ring().push(Event {
+                ts_us: s.now_us(),
+                pe,
+                cycle,
+                phase,
+                kind: EventKind::FlowSend,
+                name,
+                value: flow,
+                lamport,
+            })
         });
     }
 
@@ -287,96 +320,87 @@ impl Registry {
     /// `max(local, sender) + 1`. Unknown flow ids (the send was recorded
     /// before the registry existed, or never) merge against 0.
     pub fn flow_recv(&self, pe: u16, cycle: u32, phase: Phase, name: &'static str, flow: u64) {
-        let sent = self
-            .flows
-            .lock()
-            .expect("telemetry flow map poisoned")
-            .remove(&flow)
-            .unwrap_or(0);
-        let shard = self.pe(pe);
-        shard.lamport.fetch_max(sent, Ordering::Relaxed);
-        let lamport = shard.lamport.fetch_add(1, Ordering::Relaxed) + 1;
-        shard.push_event(Event {
-            ts_us: self.now_us(),
-            pe,
-            cycle,
-            phase,
-            kind: EventKind::FlowRecv,
-            name,
-            value: flow,
-            lamport,
+        R::with(&self.0, (), |s| {
+            let sent = s.flows().remove(&flow).unwrap_or(0);
+            let shard = s.shard(pe);
+            shard.lamport.fetch_max(sent, Ordering::Relaxed);
+            let lamport = shard.lamport.fetch_add(1, Ordering::Relaxed) + 1;
+            shard.ring().push(Event {
+                ts_us: s.now_us(),
+                pe,
+                cycle,
+                phase,
+                kind: EventKind::FlowRecv,
+                name,
+                value: flow,
+                lamport,
+            })
         });
     }
 
     /// Number of flows sent but not yet delivered.
     pub fn flows_in_flight(&self) -> usize {
-        self.flows
-            .lock()
-            .expect("telemetry flow map poisoned")
-            .len()
+        R::with(&self.0, 0, |s| s.flows().len())
     }
 
     /// Copies every shard's metrics out, each with its PE's scheduler
     /// state clock attached.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            per_pe: self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let mut snap = s.snapshot();
-                    snap.set_sched(self.sched.snapshot_pe(i as u16));
+        R::with(&self.0, MetricsSnapshot::default(), |s| MetricsSnapshot {
+            per_pe: (s.shards.iter().enumerate())
+                .map(|(i, shard)| {
+                    let mut snap = shard.snapshot();
+                    snap.set_sched(s.sched.snapshot_pe(i as u16));
                     snap
                 })
                 .collect(),
-        }
+        })
     }
 
     /// Removes and returns all buffered events, stably sorted by
     /// timestamp (ties keep per-shard insertion order, so a single PE's
     /// begin/end nesting survives equal timestamps).
     pub fn drain_events(&self) -> Vec<Event> {
-        let mut out = Vec::new();
-        for s in self.shards.iter() {
-            out.extend(s.ring.lock().expect("telemetry ring poisoned").drain());
-        }
-        out.sort_by_key(|e| e.ts_us);
-        out
+        R::with(&self.0, Vec::new(), |s| {
+            let mut out: Vec<Event> = s.shards.iter().flat_map(|sh| sh.ring().drain()).collect();
+            out.sort_by_key(|e| e.ts_us);
+            out
+        })
     }
 
     /// Total events lost to ring wraparound so far.
     pub fn dropped_events(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.ring.lock().expect("telemetry ring poisoned").dropped())
-            .sum()
+        R::with(&self.0, 0, |s| {
+            s.shards.iter().map(|sh| sh.ring().dropped()).sum()
+        })
     }
 }
 
+/// What a [`SpanGuard`] closes: the registry and the span's key.
+type Span<'a, R> = (&'a Registry<R>, u16, u32, Phase, &'static str);
+
 /// Closes its span when dropped.
 #[derive(Debug)]
-pub struct SpanGuard<'a> {
-    reg: &'a Registry,
-    pe: u16,
-    cycle: u32,
-    phase: Phase,
-    name: &'static str,
-}
+pub struct SpanGuard<'a, R: Switch = Build>(R::Keep<Span<'a, R>>);
 
-impl Drop for SpanGuard<'_> {
+impl<R: Switch> Drop for SpanGuard<'_, R> {
     fn drop(&mut self) {
-        self.reg.end(self.pe, self.cycle, self.phase, self.name);
+        R::with(&self.0, (), |&(reg, pe, cycle, phase, name)| {
+            reg.end(pe, cycle, phase, name)
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::On;
+
+    type Registry = super::Registry<On>;
 
     #[test]
     fn shards_wrap_and_merge() {
-        let r = Registry::new(2);
+        let r = Registry::with_pes(2);
         r.pe(0).inc(CounterId::Tasks);
         r.pe(1).add(CounterId::Tasks, 2);
         r.pe(2).add(CounterId::Tasks, 10); // wraps to shard 0
@@ -390,14 +414,14 @@ mod tests {
 
     #[test]
     fn zero_pes_still_gets_a_shard() {
-        let r = Registry::new(0);
+        let r = Registry::with_pes(0);
         r.pe(7).inc(CounterId::Parks);
         assert_eq!(r.snapshot().counter_total(CounterId::Parks), 1);
     }
 
     #[test]
     fn spans_nest_and_drain_ordered() {
-        let r = Registry::new(1);
+        let r = Registry::with_pes(1);
         {
             let _cycle = r.span(0, 1, Phase::Gc, "cycle");
             let _mr = r.span(0, 1, Phase::Mr, "M_R");
@@ -423,7 +447,7 @@ mod tests {
 
     #[test]
     fn flow_clocks_respect_happens_before() {
-        let r = Registry::new(2);
+        let r = Registry::with_pes(2);
         // PE 0 sends two flows; PE 1 receives them in order.
         r.flow_send(0, 1, Phase::Mr, "mark", 1);
         r.flow_send(0, 1, Phase::Mr, "mark", 2);
@@ -451,7 +475,7 @@ mod tests {
 
     #[test]
     fn flow_recv_merges_the_senders_clock() {
-        let r = Registry::new(2);
+        let r = Registry::with_pes(2);
         // Advance PE 0's clock well past PE 1's, then send 0 -> 1: the
         // receive must jump over the sender's clock, not just tick.
         for flow in 0..9 {
@@ -469,7 +493,7 @@ mod tests {
     #[test]
     fn emit_writes_a_ledger_in_wire_order() {
         use crate::heap::CycleHeap;
-        let r = Registry::new(2);
+        let r = Registry::with_pes(2);
         let row = CycleHeap {
             cause: 1,
             bound: 64,
@@ -493,7 +517,7 @@ mod tests {
 
     #[test]
     fn sched_clocks_ride_the_snapshot() {
-        let r = Registry::new(2);
+        let r = Registry::with_pes(2);
         r.sched_enter(1, SchedState::Work);
         assert_eq!(r.sched_snapshot(1).current, Some(SchedState::Work));
         std::thread::sleep(std::time::Duration::from_millis(1));
@@ -514,7 +538,7 @@ mod tests {
 
     #[test]
     fn gauges_and_hists_reach_snapshots() {
-        let r = Registry::new(1);
+        let r = Registry::with_pes(1);
         r.pe(0).gauge_set(GaugeId::DequeDepth, 3);
         r.pe(0).gauge_max(GaugeId::MailboxHighWater, 9);
         r.pe(0).gauge_max(GaugeId::MailboxHighWater, 4);

@@ -2,12 +2,11 @@
 //! metrics snapshot and the in-flight message set to a JSON file when an
 //! invariant check is about to panic.
 //!
-//! The dump is always compiled (it takes plain slices/snapshots, so it
-//! works even when the registry is the no-op — the in-flight set comes
-//! from the simulator, not from telemetry). The `events` array embeds
-//! one event object **per line** in exactly the schema of
-//! [`events_jsonl`](crate::trace::events_jsonl), so `dgr-trace` reads a
-//! flight file with the same line parser it uses for event streams.
+//! The dump takes plain slices and snapshots, so it works even when the
+//! registry records nothing — the in-flight set comes from the simulator,
+//! not from telemetry. The `events` array embeds one event object **per
+//! line** in exactly the schema of [`events_jsonl`], so `dgr-trace` reads
+//! a flight file with the same line parser it uses for event streams.
 
 use std::fs;
 use std::io;

@@ -26,15 +26,16 @@
 //! 5. [`Tracker::begin_episode`] resets the waterlines (a bench resets
 //!    between sweep cells so each cell reports its own peak).
 //!
-//! Like [`lifecycle`](crate::lifecycle), everything here is always
-//! compiled; the `telemetry` feature only decides whether the
-//! `HeapTracker` alias at the crate root names this [`Tracker`] or the
-//! zero-sized [`noop::HeapTracker`](crate::noop::HeapTracker).
+//! Like every facade type, [`Tracker`] is generic over a [`Switch`]:
+//! `Tracker<Off>` is zero-sized, and [`Tracker::enabled`] returning
+//! `false` lets call sites skip their journal-drain loops.
 
 use crate::ids::Phase;
 use crate::ledger::{ratio, Ledger};
-use crate::lifecycle::quantile;
+use crate::lifecycle::{quantile, slot};
 use crate::metrics::{bucket_index, HIST_BUCKETS};
+use crate::switch::Switch;
+use crate::Build;
 
 /// Why a GC cycle started, under pressure-coupled triggering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,11 +238,9 @@ impl HeapSnapshot {
 /// values are `bytes + 1`).
 const UNSTAMPED: u64 = 0;
 
-/// The recording heap tracker (see the module docs for the protocol).
-/// Single-threaded by design: it is fed from the system's dispatch loop
-/// and the collector's restructure path, which already own the graph.
+/// What a recording [`Tracker`] keeps.
 #[derive(Debug, Default)]
-pub struct Tracker {
+struct Books {
     /// Per-vertex: allocation-stamped byte weight + 1.
     stamps: Vec<u64>,
     /// The open window's ledger (traffic since the last `close_cycle`).
@@ -250,146 +249,151 @@ pub struct Tracker {
     snap: HeapSnapshot,
 }
 
+/// The heap tracker (see the module docs for the protocol).
+/// Single-threaded by design: it is fed from the system's dispatch loop
+/// and the collector's restructure path, which already own the graph.
+#[derive(Debug)]
+pub struct Tracker<R: Switch = Build>(R::Keep<Books>);
+
 impl Tracker {
-    /// A fresh tracker with `num_pes` per-PE meters.
+    /// A tracker of the build's switch with `num_pes` per-PE meters.
     pub fn new(num_pes: usize) -> Self {
-        Tracker {
+        Self::with_pes(num_pes)
+    }
+}
+
+impl<R: Switch> Tracker<R> {
+    /// A fresh tracker with `num_pes` per-PE meters.
+    pub fn with_pes(num_pes: usize) -> Self {
+        Tracker(R::keep(|| Books {
             snap: HeapSnapshot {
                 per_pe: vec![PeHeap::default(); num_pes],
                 ..Default::default()
             },
             ..Default::default()
-        }
+        }))
     }
 
-    /// `true`: this is the recording implementation.
-    #[inline(always)]
+    /// Whether this tracker records (when not, skip the journal drain).
     pub const fn enabled(&self) -> bool {
-        true
-    }
-
-    fn pe_slot(&mut self, pe: usize) -> &mut PeHeap {
-        if pe >= self.snap.per_pe.len() {
-            self.snap.per_pe.resize(pe + 1, PeHeap::default());
-        }
-        &mut self.snap.per_pe[pe]
-    }
-
-    fn stamp_slot(&mut self, idx: usize) -> &mut u64 {
-        if idx >= self.stamps.len() {
-            self.stamps.resize(idx + 1, UNSTAMPED);
-        }
-        &mut self.stamps[idx]
-    }
-
-    fn note_peak(&mut self) {
-        self.snap.peak = self.snap.peak.max(self.snap.live);
-        self.cur.peak = self.cur.peak.max(self.snap.live);
+        R::ON
     }
 
     /// Records vertex `idx` (owned by `pe`) allocating `bytes`: stamps
     /// the weight, feeds the clocks, waterlines and size histogram.
     pub fn alloc(&mut self, pe: usize, idx: usize, bytes: u64) {
-        *self.stamp_slot(idx) = bytes + 1;
-        let shard = self.pe_slot(pe);
-        shard.live += bytes;
-        shard.peak = shard.peak.max(shard.live);
-        shard.alloc_bytes += bytes;
-        shard.allocs += 1;
-        self.snap.live += bytes;
-        self.snap.alloc_bytes += bytes;
-        self.snap.allocs += 1;
-        self.snap.size[bucket_index(bytes)] += 1;
-        self.snap.size_count += 1;
-        self.snap.size_sum += bytes;
-        self.snap.size_max = self.snap.size_max.max(bytes);
-        self.cur.allocs += 1;
-        self.cur.alloc_bytes += bytes;
-        self.note_peak();
+        R::with_mut(&mut self.0, (), |b| {
+            *slot(&mut b.stamps, idx) = bytes + 1;
+            let shard = slot(&mut b.snap.per_pe, pe);
+            shard.live += bytes;
+            shard.peak = shard.peak.max(shard.live);
+            shard.alloc_bytes += bytes;
+            shard.allocs += 1;
+            b.snap.live += bytes;
+            b.snap.alloc_bytes += bytes;
+            b.snap.allocs += 1;
+            b.snap.size[bucket_index(bytes)] += 1;
+            b.snap.size_count += 1;
+            b.snap.size_sum += bytes;
+            b.snap.size_max = b.snap.size_max.max(bytes);
+            b.cur.allocs += 1;
+            b.cur.alloc_bytes += bytes;
+            b.snap.peak = b.snap.peak.max(b.snap.live);
+            b.cur.peak = b.cur.peak.max(b.snap.live);
+        });
     }
 
     /// Records vertex `idx` (owned by `pe`) freeing `bytes`. Exact when
     /// the vertex carried an allocation stamp; inexact otherwise (the
     /// tracker attached after the vertex was built).
     pub fn free(&mut self, pe: usize, idx: usize, bytes: u64) {
-        let exact = idx < self.stamps.len() && self.stamps[idx] != UNSTAMPED;
-        if exact {
-            self.stamps[idx] = UNSTAMPED;
-        }
-        let shard = self.pe_slot(pe);
-        shard.live = shard.live.saturating_sub(bytes);
-        shard.free_bytes += bytes;
-        shard.frees += 1;
-        self.snap.live = self.snap.live.saturating_sub(bytes);
-        self.snap.freed_bytes += bytes;
-        self.snap.frees += 1;
-        self.cur.frees += 1;
-        self.cur.freed_bytes += bytes;
-        if exact {
-            self.snap.exact_frees += 1;
-            self.snap.exact_bytes += bytes;
-            self.cur.exact_bytes += bytes;
-        }
+        R::with_mut(&mut self.0, (), |b| {
+            let exact = idx < b.stamps.len() && b.stamps[idx] != UNSTAMPED;
+            if exact {
+                b.stamps[idx] = UNSTAMPED;
+            }
+            let shard = slot(&mut b.snap.per_pe, pe);
+            shard.live = shard.live.saturating_sub(bytes);
+            shard.free_bytes += bytes;
+            shard.frees += 1;
+            b.snap.live = b.snap.live.saturating_sub(bytes);
+            b.snap.freed_bytes += bytes;
+            b.snap.frees += 1;
+            b.cur.frees += 1;
+            b.cur.freed_bytes += bytes;
+            if exact {
+                b.snap.exact_frees += 1;
+                b.snap.exact_bytes += bytes;
+                b.cur.exact_bytes += bytes;
+            }
+        });
     }
 
     /// Tallies why a GC cycle started.
     pub fn record_trigger(&mut self, cause: TriggerCause) {
-        match cause {
-            TriggerCause::Period => self.snap.trigger_period += 1,
-            TriggerCause::HeapBytes => self.snap.trigger_heap += 1,
-        }
+        R::with_mut(&mut self.0, (), |b| match cause {
+            TriggerCause::Period => b.snap.trigger_period += 1,
+            TriggerCause::HeapBytes => b.snap.trigger_heap += 1,
+        });
     }
 
     /// Resets the waterlines to the current live level — the start of a
     /// fresh measurement episode (a bench sweep cell). Cumulative meters
     /// and stamps are untouched.
     pub fn begin_episode(&mut self) {
-        self.snap.peak = self.snap.live;
-        for shard in &mut self.snap.per_pe {
-            shard.peak = shard.live;
-        }
-        self.cur.peak = self.snap.live;
+        R::with_mut(&mut self.0, (), |b| {
+            b.snap.peak = b.snap.live;
+            for shard in &mut b.snap.per_pe {
+                shard.peak = shard.live;
+            }
+            b.cur.peak = b.snap.live;
+        });
     }
 
     /// Closes the window at GC cycle `cycle`: stamps the cycle number
     /// and closing live level into the ledger, returns it, and opens a
     /// fresh window whose peak starts at the current live level.
     pub fn close_cycle(&mut self, cycle: u64) -> CycleHeap {
-        self.cur.cycle = cycle;
-        self.cur.live_end = self.snap.live;
-        self.snap.cycles += 1;
-        let closed = self.cur;
-        self.cur = CycleHeap {
-            peak: self.snap.live,
-            ..Default::default()
-        };
-        closed
+        R::with_mut(&mut self.0, CycleHeap::default(), |b| {
+            b.cur.cycle = cycle;
+            b.cur.live_end = b.snap.live;
+            b.snap.cycles += 1;
+            let closed = b.cur;
+            b.cur = CycleHeap {
+                peak: b.snap.live,
+                ..Default::default()
+            };
+            closed
+        })
     }
 
     /// Total live bytes across all PEs, as accounted by the tracker.
     pub fn live_bytes(&self) -> u64 {
-        self.snap.live
+        R::with(&self.0, 0, |b| b.snap.live)
     }
 
     /// Peak total live bytes since the episode began.
     pub fn peak_bytes(&self) -> u64 {
-        self.snap.peak
+        R::with(&self.0, 0, |b| b.snap.peak)
     }
 
     /// Running totals (the open window is visible in the scalar meters;
     /// per-cycle ledgers come from [`Tracker::close_cycle`]).
     pub fn snapshot(&self) -> HeapSnapshot {
-        self.snap.clone()
+        R::with(&self.0, HeapSnapshot::default(), |b| b.snap.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::On;
+
+    type Tracker = super::Tracker<On>;
 
     #[test]
     fn clocks_meters_and_histogram_track_alloc_free() {
-        let mut t = Tracker::new(2);
+        let mut t = Tracker::with_pes(2);
         t.alloc(0, 0, 32);
         t.alloc(1, 1, 16);
         t.alloc(0, 2, 100);
@@ -416,7 +420,7 @@ mod tests {
 
     #[test]
     fn stamped_frees_are_exact_and_unstamped_are_not() {
-        let mut t = Tracker::new(1);
+        let mut t = Tracker::with_pes(1);
         t.alloc(0, 5, 40);
         t.free(0, 5, 40);
         t.free(0, 9, 60); // never stamped
@@ -433,7 +437,7 @@ mod tests {
 
     #[test]
     fn close_cycle_windows_the_traffic() {
-        let mut t = Tracker::new(1);
+        let mut t = Tracker::with_pes(1);
         t.alloc(0, 0, 50);
         let c1 = t.close_cycle(1);
         assert_eq!(c1.cycle, 1);
@@ -453,7 +457,7 @@ mod tests {
 
     #[test]
     fn episodes_reset_waterlines_but_not_meters() {
-        let mut t = Tracker::new(2);
+        let mut t = Tracker::with_pes(2);
         t.alloc(0, 0, 100);
         t.free(0, 0, 100);
         t.alloc(1, 1, 10);
@@ -468,7 +472,7 @@ mod tests {
 
     #[test]
     fn trigger_tallies_land_under_their_cause() {
-        let mut t = Tracker::new(1);
+        let mut t = Tracker::with_pes(1);
         t.record_trigger(TriggerCause::Period);
         t.record_trigger(TriggerCause::HeapBytes);
         t.record_trigger(TriggerCause::HeapBytes);

@@ -4,13 +4,10 @@
 //! A [`Heartbeat`] is a handful of relaxed atomics: the current GC cycle
 //! and phase, a monotone delivery-progress counter, and coarse
 //! timestamps. Instrumented drivers beat it from their hot loops through
-//! the [`HeartbeatHandle`](crate::HeartbeatHandle) facade (zero-sized
-//! no-op in a default build, an `Arc` of this type with the `telemetry`
-//! feature on); an observer — `dgr-observe`'s watchdog — polls the
-//! concrete type from another thread.
-//!
-//! Like [`metrics`](crate::metrics), this module is always compiled so
-//! both feature states test the real implementation.
+//! the [`HeartbeatHandle`](crate::HeartbeatHandle) facade (an `Arc` of
+//! this type under `On`, zero-sized under `Off`); an observer —
+//! `dgr-observe`'s watchdog — polls the concrete type from another
+//! thread.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

@@ -7,7 +7,7 @@
 //! PE and pass) and writes into the event stream as one instant per
 //! field. [`Ledger::wire`] is the only place its instant names are
 //! spelled: [`Registry::emit`](crate::Registry::emit) walks it to record
-//! the instants (nothing at all in the no-op twin), and `dgr-trace`'s fold
+//! the instants (nothing at all under `Off`), and `dgr-trace`'s fold
 //! offers every parsed instant to [`Ledger::absorb`], which walks it again
 //! to find the field the name belongs to. A new field is one line in a
 //! `wire`; a new ledger is one `impl`.

@@ -26,14 +26,15 @@
 //! every other histogram in this crate ([`bucket_index`]), so the
 //! Prometheus exporter and the offline analyzer share edge math.
 //!
-//! Like [`sched`](crate::sched), everything here is always compiled; the
-//! `telemetry` feature only decides whether the `LifecycleTracker` alias
-//! at the crate root names this [`Tracker`] or the zero-sized
-//! [`noop::LifecycleTracker`](crate::noop::LifecycleTracker).
+//! Like every facade type, [`Tracker`] is generic over a [`Switch`]:
+//! `Tracker<Off>` is zero-sized, and [`Tracker::enabled`] returning
+//! `false` lets call sites skip their whole-graph census loops.
 
 use crate::ids::Phase;
 use crate::ledger::{ratio, Ledger};
 use crate::metrics::{bucket_index, HIST_BUCKETS};
+use crate::switch::Switch;
+use crate::Build;
 
 /// One collection cycle's lifecycle ledger, as returned by
 /// [`Tracker::end_cycle`] and emitted via `lc_*` instants
@@ -236,11 +237,9 @@ pub(crate) fn quantile(buckets: &[u64; HIST_BUCKETS], count: u64, max: u64, q: f
 /// are `cycle + 1`).
 const UNSTAMPED: u64 = 0;
 
-/// The recording vertex-lifecycle tracker (see the module docs for the
-/// per-cycle protocol). Single-threaded by design: it is driven from the
-/// collector's own restructure path, which already owns the graph.
+/// What a recording [`Tracker`] keeps.
 #[derive(Debug, Default)]
-pub struct Tracker {
+struct Books {
     /// Per-vertex: cycle first censused garbage + 1.
     since: Vec<u64>,
     /// Per-vertex: last cycle censused garbage + 1 (resurrection sweep).
@@ -255,87 +254,110 @@ pub struct Tracker {
     snap: LifecycleSnapshot,
 }
 
+/// `v[idx]`, growing `v` with defaults (`UNSTAMPED`, for a stamp array)
+/// to reach it (shared with the [`heap`](crate::heap) tracker).
+pub(crate) fn slot<T: Clone + Default>(v: &mut Vec<T>, idx: usize) -> &mut T {
+    if idx >= v.len() {
+        v.resize(idx + 1, T::default());
+    }
+    &mut v[idx]
+}
+
+/// The vertex-lifecycle tracker (see the module docs for the per-cycle
+/// protocol). Single-threaded by design: it is driven from the
+/// collector's own restructure path, which already owns the graph.
+#[derive(Debug)]
+pub struct Tracker<R: Switch = Build>(R::Keep<Books>);
+
+impl<R: Switch> Default for Tracker<R> {
+    fn default() -> Self {
+        Tracker(R::keep(Books::default))
+    }
+}
+
 impl Tracker {
-    /// A fresh tracker.
+    /// A fresh tracker of the build's switch.
     pub fn new() -> Self {
-        Tracker::default()
+        Self::default()
     }
+}
 
-    /// `true`: this is the recording implementation.
-    #[inline(always)]
+impl<R: Switch> Tracker<R> {
+    /// Whether this tracker records (when not, skip the census loop).
     pub const fn enabled(&self) -> bool {
-        true
-    }
-
-    fn slot(v: &mut Vec<u64>, idx: usize) -> &mut u64 {
-        if idx >= v.len() {
-            v.resize(idx + 1, UNSTAMPED);
-        }
-        &mut v[idx]
+        R::ON
     }
 
     /// Opens cycle `cycle`, resetting the per-cycle ledger.
     pub fn begin_cycle(&mut self, cycle: u64) {
-        self.cur = CycleLifecycle {
-            cycle,
-            ..Default::default()
-        };
-        self.open = true;
+        R::with_mut(&mut self.0, (), |b| {
+            b.cur = CycleLifecycle {
+                cycle,
+                ..Default::default()
+            };
+            b.open = true;
+        });
     }
 
     /// Censuses a vertex as dead-but-unreclaimed this cycle. First sight
     /// stamps its `unreachable` cycle; every sight ages it into the
     /// float-age histogram. Idempotent within a cycle.
     pub fn garbage_vertex(&mut self, idx: usize) {
-        debug_assert!(self.open, "census outside begin_cycle/end_cycle");
-        let cycle = self.cur.cycle;
-        let seen = Self::slot(&mut self.seen, idx);
-        if *seen == cycle + 1 {
-            return; // already censused this cycle
-        }
-        *seen = cycle + 1;
-        let since = Self::slot(&mut self.since, idx);
-        let age = if *since == UNSTAMPED {
-            *since = cycle + 1;
-            self.floating.push(idx as u32);
-            0
-        } else {
-            cycle - (*since - 1)
-        };
-        self.cur.garbage += 1;
-        self.snap.float_age[bucket_index(age)] += 1;
+        R::with_mut(&mut self.0, (), |b| {
+            debug_assert!(b.open, "census outside begin_cycle/end_cycle");
+            let cycle = b.cur.cycle;
+            let seen = slot(&mut b.seen, idx);
+            if *seen == cycle + 1 {
+                return; // already censused this cycle
+            }
+            *seen = cycle + 1;
+            let since = slot(&mut b.since, idx);
+            let age = if *since == UNSTAMPED {
+                *since = cycle + 1;
+                b.floating.push(idx as u32);
+                0
+            } else {
+                cycle - (*since - 1)
+            };
+            b.cur.garbage += 1;
+            b.snap.float_age[bucket_index(age)] += 1;
+        });
     }
 
     /// Records a vertex's reclamation. With a stamp, the latency
     /// `cycle − unreachable` is exact and histogrammed; without one, the
     /// reclaim is counted but its latency is unknown (inexact).
     pub fn reclaim_vertex(&mut self, idx: usize) {
-        debug_assert!(self.open, "reclaim outside begin_cycle/end_cycle");
-        let cycle = self.cur.cycle;
-        self.cur.reclaimed += 1;
-        self.snap.reclaimed += 1;
-        let since = Self::slot(&mut self.since, idx);
-        if *since == UNSTAMPED {
-            return; // never censused: latency unknown
-        }
-        let latency = cycle - (*since - 1);
-        *since = UNSTAMPED;
-        self.seen[idx] = UNSTAMPED;
-        self.floating.retain(|&f| f as usize != idx);
-        self.cur.exact += 1;
-        self.cur.latency_sum += latency;
-        self.snap.exact += 1;
-        self.snap.latency_sum += latency;
-        self.snap.latency_max = self.snap.latency_max.max(latency);
-        self.snap.latency[bucket_index(latency)] += 1;
+        R::with_mut(&mut self.0, (), |b| {
+            debug_assert!(b.open, "reclaim outside begin_cycle/end_cycle");
+            let cycle = b.cur.cycle;
+            b.cur.reclaimed += 1;
+            b.snap.reclaimed += 1;
+            let since = slot(&mut b.since, idx);
+            if *since == UNSTAMPED {
+                return; // never censused: latency unknown
+            }
+            let latency = cycle - (*since - 1);
+            *since = UNSTAMPED;
+            b.seen[idx] = UNSTAMPED;
+            b.floating.retain(|&f| f as usize != idx);
+            b.cur.exact += 1;
+            b.cur.latency_sum += latency;
+            b.snap.exact += 1;
+            b.snap.latency_sum += latency;
+            b.snap.latency_max = b.snap.latency_max.max(latency);
+            b.snap.latency[bucket_index(latency)] += 1;
+        });
     }
 
     /// Charges this cycle's `M_T`/`M_R` sends and the Section 4 bound
     /// units they are compared against. Additive within a cycle.
     pub fn meter_msgs(&mut self, mt: u64, mr: u64, bound: u64) {
-        self.cur.msgs_mt += mt;
-        self.cur.msgs_mr += mr;
-        self.cur.bound += bound;
+        R::with_mut(&mut self.0, (), |b| {
+            b.cur.msgs_mt += mt;
+            b.cur.msgs_mr += mr;
+            b.cur.bound += bound;
+        });
     }
 
     /// Closes the cycle: sweeps stamps that were not re-censused (the
@@ -343,57 +365,61 @@ impl Tracker {
     /// over), fixes the cycle's float count, folds the ledger into the
     /// running totals and returns it.
     pub fn end_cycle(&mut self) -> CycleLifecycle {
-        let cycle = self.cur.cycle;
-        let since = &mut self.since;
-        let seen = &mut self.seen;
-        self.floating.retain(|&f| {
-            let idx = f as usize;
-            if seen[idx] == cycle + 1 {
-                true
-            } else {
-                since[idx] = UNSTAMPED;
-                seen[idx] = UNSTAMPED;
-                false
-            }
-        });
-        self.cur.float = self.floating.len() as u64;
-        self.snap.float_now = self.cur.float;
-        self.snap.msgs_mt += self.cur.msgs_mt;
-        self.snap.msgs_mr += self.cur.msgs_mr;
-        self.snap.bound += self.cur.bound;
-        self.snap.cycles += 1;
-        self.open = false;
-        self.cur
+        R::with_mut(&mut self.0, CycleLifecycle::default(), |b| {
+            let cycle = b.cur.cycle;
+            let (since, seen) = (&mut b.since, &mut b.seen);
+            b.floating.retain(|&f| {
+                let idx = f as usize;
+                if seen[idx] == cycle + 1 {
+                    true
+                } else {
+                    since[idx] = UNSTAMPED;
+                    seen[idx] = UNSTAMPED;
+                    false
+                }
+            });
+            b.cur.float = b.floating.len() as u64;
+            b.snap.float_now = b.cur.float;
+            b.snap.msgs_mt += b.cur.msgs_mt;
+            b.snap.msgs_mr += b.cur.msgs_mr;
+            b.snap.bound += b.cur.bound;
+            b.snap.cycles += 1;
+            b.open = false;
+            b.cur
+        })
     }
 
     /// Running totals (valid between cycles; mid-cycle the open ledger is
     /// not yet folded in).
     pub fn snapshot(&self) -> LifecycleSnapshot {
-        self.snap.clone()
+        R::with(&self.0, LifecycleSnapshot::default(), |b| b.snap.clone())
     }
 
     /// The `k` longest-floating vertices as `(index, age)` pairs, oldest
     /// first. Ages are relative to the last opened cycle.
     pub fn worst_floaters(&self, k: usize) -> Vec<(u32, u64)> {
-        let cycle = self.cur.cycle;
-        let mut out: Vec<(u32, u64)> = self
-            .floating
-            .iter()
-            .map(|&f| (f, cycle - (self.since[f as usize] - 1)))
-            .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out.truncate(k);
-        out
+        R::with(&self.0, Vec::new(), |b| {
+            let cycle = b.cur.cycle;
+            let mut out: Vec<(u32, u64)> = (b.floating.iter())
+                .map(|&f| (f, cycle - (b.since[f as usize] - 1)))
+                .collect();
+            out.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
+            out.truncate(k);
+            out
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::On;
+
+    type Tracker = super::Tracker<On>;
 
     #[test]
     fn same_cycle_reclaim_has_zero_exact_latency() {
-        let mut t = Tracker::new();
+        let mut t = Tracker::default();
         t.begin_cycle(1);
         t.garbage_vertex(3);
         t.reclaim_vertex(3);
@@ -411,7 +437,7 @@ mod tests {
 
     #[test]
     fn latency_is_cycles_floated_and_float_ages_accumulate() {
-        let mut t = Tracker::new();
+        let mut t = Tracker::default();
         for c in 1..=4 {
             t.begin_cycle(c);
             t.garbage_vertex(7);
@@ -441,7 +467,7 @@ mod tests {
 
     #[test]
     fn unstamped_reclaim_is_counted_but_inexact() {
-        let mut t = Tracker::new();
+        let mut t = Tracker::default();
         t.begin_cycle(5);
         t.reclaim_vertex(2);
         let rec = t.end_cycle();
@@ -454,7 +480,7 @@ mod tests {
 
     #[test]
     fn resurrection_sweeps_the_stamp() {
-        let mut t = Tracker::new();
+        let mut t = Tracker::default();
         t.begin_cycle(1);
         t.garbage_vertex(9);
         assert_eq!(t.end_cycle().float, 1);
@@ -475,7 +501,7 @@ mod tests {
 
     #[test]
     fn census_is_idempotent_within_a_cycle() {
-        let mut t = Tracker::new();
+        let mut t = Tracker::default();
         t.begin_cycle(3);
         t.garbage_vertex(1);
         t.garbage_vertex(1);
@@ -486,7 +512,7 @@ mod tests {
 
     #[test]
     fn worst_floaters_are_oldest_first_and_bounded() {
-        let mut t = Tracker::new();
+        let mut t = Tracker::default();
         t.begin_cycle(1);
         t.garbage_vertex(10);
         t.end_cycle();
@@ -506,7 +532,7 @@ mod tests {
 
     #[test]
     fn message_meters_and_efficiency() {
-        let mut t = Tracker::new();
+        let mut t = Tracker::default();
         t.begin_cycle(1);
         t.garbage_vertex(0);
         t.reclaim_vertex(0);

@@ -1,11 +1,9 @@
 //! Concrete atomic metric primitives and their snapshots.
 //!
-//! Everything here is always compiled, feature or not: the `telemetry`
-//! feature only decides whether the [`Registry`](crate::Registry) facade
-//! at the crate root aliases [`active`](crate::active) (which is built on
-//! these types) or [`noop`](crate::noop). Keeping the primitives
-//! unconditional means the unit and property tests exercise the real
-//! atomics in every build configuration.
+//! A recording [`Registry`](crate::Registry) is built on these types; an
+//! `Off` one holds none of them. They do not depend on the `telemetry`
+//! feature, so the unit and property tests exercise the real atomics in
+//! every build configuration.
 //!
 //! All atomics use `Relaxed` ordering: metrics are monotone tallies read
 //! after the fact, never used for synchronization.
@@ -266,7 +264,7 @@ impl Default for PeSnapshot {
 }
 
 impl PeSnapshot {
-    /// Builds a snapshot from raw arrays (used by the active registry).
+    /// Builds a snapshot from raw arrays (used by the registry).
     pub fn from_parts(
         counters: [u64; CounterId::COUNT],
         gauges: [i64; GaugeId::COUNT],

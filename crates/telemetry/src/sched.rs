@@ -24,10 +24,9 @@
 //!
 //! Like the rest of the metric layer, slots are relaxed atomics: each PE
 //! writes only its own slot, observers snapshot from other threads and
-//! read monotone tallies after the fact. This module is always compiled;
-//! the `telemetry` feature only decides whether the crate-root
-//! [`Registry`](crate::Registry) facade routes `sched_enter` /
-//! `sched_finish` here or to the empty-bodied no-op.
+//! read monotone tallies after the fact. A recording
+//! [`Registry`](crate::Registry) routes `sched_enter` / `sched_finish`
+//! here; an `Off` one keeps no clock and returns first.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

@@ -1,7 +1,7 @@
 //! Property tests for the sharded metrics layer: folding per-PE shards
 //! must be indistinguishable from running a single global accumulator.
 
-use dgr_telemetry::active::Registry;
+type Registry = dgr_telemetry::Registry<dgr_telemetry::On>;
 use dgr_telemetry::metrics::HistSnapshot;
 use dgr_telemetry::{CounterId, GaugeId, HistId};
 use proptest::prelude::*;
@@ -13,7 +13,7 @@ proptest! {
     fn merged_shards_equal_global_counter(
         ops in proptest::collection::vec((0u16..8, 0usize..CounterId::COUNT, 1u64..100), 1..200),
     ) {
-        let sharded = Registry::new(8);
+        let sharded = Registry::with_pes(8);
         let mut global = [0u64; CounterId::COUNT];
         for &(pe, which, n) in &ops {
             let id = CounterId::ALL[which];
@@ -35,7 +35,7 @@ proptest! {
     fn merged_shards_equal_global_histogram(
         ops in proptest::collection::vec((0u16..8, 0u64..100_000), 1..200),
     ) {
-        let sharded = Registry::new(8);
+        let sharded = Registry::with_pes(8);
         let mut global = HistSnapshot::default();
         for &(pe, v) in &ops {
             sharded.pe(pe).observe(HistId::BatchSize, v);
@@ -51,7 +51,7 @@ proptest! {
     fn merged_high_water_is_the_max_shard(
         ops in proptest::collection::vec((0u16..8, 0i64..10_000), 1..100),
     ) {
-        let sharded = Registry::new(8);
+        let sharded = Registry::with_pes(8);
         let mut max = 0i64;
         for &(pe, v) in &ops {
             sharded.pe(pe).gauge_max(GaugeId::MailboxHighWater, v);

@@ -3,7 +3,7 @@
 //! the perf-trajectory tooling, so their exact byte shape is contract:
 //! any change here is a deliberate format revision, not an accident.
 
-use dgr_telemetry::active::Registry;
+type Registry = dgr_telemetry::Registry<dgr_telemetry::On>;
 use dgr_telemetry::{chrome_trace_json, timeline_json, CycleReport, Event, EventKind, Phase};
 
 fn ev(ts_us: u64, pe: u16, kind: EventKind, name: &'static str, value: u64) -> Event {
@@ -63,11 +63,11 @@ fn chrome_trace_flow_golden() {
 /// Every `E` must close the most recent unclosed `B` with the same name
 /// on the same track, and every `f` must resolve a previously-emitted
 /// `s` with the same flow id — checked over a trace produced by real
-/// (nested, multi-PE) span guards and flow events on the always-compiled
-/// active registry.
+/// (nested, multi-PE) span guards and flow events on the recording
+/// registry.
 #[test]
 fn chrome_trace_begin_end_pairs_match() {
-    let reg = Registry::new(3);
+    let reg = Registry::with_pes(3);
     {
         let _cycle = reg.span(0, 1, Phase::Gc, "cycle");
         {

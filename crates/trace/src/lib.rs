@@ -25,14 +25,14 @@
 //! * ledger folds — one loop rebuilds any `dgr_telemetry` [`Ledger`] from
 //!   the instants a run emitted it as; the three reports below are that
 //!   loop plus their text:
-//!   * [`blame`] — speedup-gap attribution: the per-PE `sched_*` state
+//!   * [`blame`](mod@blame) — speedup-gap attribution: the per-PE `sched_*` state
 //!     clocks the work-stealing runtime emits, split into per-PE time
 //!     breakdowns and a dominant gap cause (load imbalance, steal
 //!     overhead, mailbox delay, parking, or true span limit).
-//!   * [`lifecycle`] — vertex-lifecycle reconstruction: the per-cycle
+//!   * [`lifecycle`](mod@lifecycle) — vertex-lifecycle reconstruction: the per-cycle
 //!     `lc_*` float/latency/message-cost ledgers the GC driver closes each
 //!     cycle with, and the worst-floater list.
-//!   * [`heap`] — heap-pressure reconstruction: the per-cycle `hp_*`
+//!   * [`heap`](mod@heap) — heap-pressure reconstruction: the per-cycle `hp_*`
 //!     live/peak/trigger-cause ledgers.
 
 use std::collections::BTreeMap;

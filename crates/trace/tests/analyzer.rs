@@ -1,9 +1,9 @@
-//! End-to-end: events generated through the real (always-compiled)
-//! telemetry registry, rendered to both on-disk formats, parsed back and
-//! analyzed. Uses `dgr_telemetry::active::Registry` by full path so the
-//! workspace's telemetry feature stays untouched.
+//! End-to-end: events generated through the recording (`On`) telemetry
+//! registry, rendered to both on-disk formats, parsed back and analyzed.
+//! Naming the `On` instantiation leaves the workspace's telemetry feature
+//! untouched.
 
-use dgr_telemetry::active::Registry;
+type Registry = dgr_telemetry::Registry<dgr_telemetry::On>;
 use dgr_telemetry::{events_jsonl, flight_json, Phase};
 use dgr_trace::{analyze, critical_paths, match_flows, parse_events, Kind};
 
@@ -30,7 +30,7 @@ fn record_wave(reg: &Registry) {
 
 #[test]
 fn jsonl_round_trip_preserves_every_flow_event() {
-    let reg = Registry::new(4);
+    let reg = Registry::with_pes(4);
     record_wave(&reg);
     let events = reg.drain_events();
     let parsed = parse_events(&events_jsonl(&events));
@@ -51,7 +51,7 @@ fn jsonl_round_trip_preserves_every_flow_event() {
 
 #[test]
 fn critical_path_span_never_exceeds_cycle_wall_clock() {
-    let reg = Registry::new(4);
+    let reg = Registry::with_pes(4);
     record_wave(&reg);
     let parsed = parse_events(&events_jsonl(&reg.drain_events()));
     let paths = critical_paths(&match_flows(&parsed));
@@ -77,7 +77,7 @@ fn critical_path_span_never_exceeds_cycle_wall_clock() {
 
 #[test]
 fn flight_dump_parses_like_the_jsonl_it_embeds() {
-    let reg = Registry::new(4);
+    let reg = Registry::with_pes(4);
     record_wave(&reg);
     let events = reg.drain_events();
     let dump = flight_json(
@@ -101,7 +101,7 @@ fn flight_dump_parses_like_the_jsonl_it_embeds() {
 
 #[test]
 fn fanout_splits_mt_and_mr_phases() {
-    let reg = Registry::new(4);
+    let reg = Registry::with_pes(4);
     record_wave(&reg);
     let parsed = parse_events(&events_jsonl(&reg.drain_events()));
     let run = analyze(&parsed);

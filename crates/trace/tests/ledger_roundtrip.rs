@@ -3,10 +3,10 @@
 //!
 //! The ledgers are written out field by field (no `..Default`), so a
 //! field added to a record but not to its wire format fails to compile
-//! here first and to round-trip second. Uses `active::Registry` by full
-//! path, so the property runs in both feature states.
+//! here first and to round-trip second. Records through the `On`
+//! registry, so the property runs in both feature states.
 
-use dgr_telemetry::active::Registry;
+type Registry = dgr_telemetry::Registry<dgr_telemetry::On>;
 use dgr_telemetry::{
     events_jsonl, CycleHeap, CycleLifecycle, Floater, PeSchedSnapshot, Phase, SchedState,
 };
@@ -66,7 +66,7 @@ proptest! {
         ),
         stale in proptest::collection::vec(VALUE, 9..10),
     ) {
-        let reg = Registry::new(2);
+        let reg = Registry::with_pes(2);
         let mut heaps = Vec::new();
         let mut lifecycles = Vec::new();
         for (i, (hp, lc)) in cycles.iter().enumerate() {
@@ -98,7 +98,7 @@ proptest! {
             1..16,
         ),
     ) {
-        let reg = Registry::new(4);
+        let reg = Registry::with_pes(4);
         let mut want = std::collections::BTreeMap::new();
         for (pe, v) in &passes {
             let pass = pass_clock(v);
@@ -119,7 +119,7 @@ proptest! {
     fn floaters_fold_back_to_their_oldest_sighting(
         sightings in proptest::collection::vec((0u32..6, 0u64..100_000), 1..24),
     ) {
-        let reg = Registry::new(1);
+        let reg = Registry::with_pes(1);
         let mut want = std::collections::BTreeMap::new();
         for (i, &(vertex, age)) in sightings.iter().enumerate() {
             reg.emit(0, i as u32 / 4 + 1, &Floater::new(vertex, age));
