@@ -38,7 +38,7 @@ use dgr_bench::{record, timed, Report};
 use dgr_gc::{GcConfig, GcDriver};
 use dgr_graph::{GraphStore, VertexId};
 use dgr_lang::build_with_prelude;
-use dgr_reduction::SystemConfig;
+use dgr_reduction::{RunOutcome, SystemConfig};
 use dgr_telemetry::{
     bucket_label, events_jsonl, LifecycleSnapshot, LifecycleTracker, HIST_BUCKETS,
     TELEMETRY_ENABLED,
@@ -93,33 +93,21 @@ fn run_gcdriver(n: i64) -> (Cell, String) {
             ..Default::default()
         },
     );
-    // Same loop as `GcDriver::run`, but draining the event ring after
-    // every cycle: the ring is overwrite-oldest, and a full run's
-    // reduction spans would evict the early cycles' `lc_*` instants
-    // before a single end-of-run drain could see them.
+    // Drain the event ring at every window end: the ring is
+    // overwrite-oldest, and a full run's reduction spans would evict the
+    // early cycles' `lc_*` instants before a single end-of-run drain
+    // could see them.
     let mut events = String::new();
-    let (_, wall_ms) = timed(|| {
+    let (out, wall_ms) = timed(|| {
         gc.sys.demand_root();
-        loop {
-            let mut n = 0;
-            while n < gc.config().period && gc.sys.result.is_none() {
-                if !gc.sys.step() {
-                    break;
-                }
-                n += 1;
-            }
-            if gc.sys.result.is_some() {
-                break;
-            }
-            let was_quiescent = gc.sys.sim().is_empty();
-            gc.run_cycle();
+        gc.run_more_with(|gc| {
             events.push_str(&events_jsonl(&gc.sys.telemetry().drain_events()));
-            if gc.sys.result.is_some() || (was_quiescent && gc.sys.sim().is_empty()) {
-                break;
-            }
-        }
+        })
     });
-    assert!(gc.sys.result.is_some(), "the reduction reached a value");
+    assert!(
+        matches!(out, RunOutcome::Value(_)),
+        "the reduction reached a value: {out:?}"
+    );
     events.push_str(&events_jsonl(&gc.sys.telemetry().drain_events()));
     (
         Cell {

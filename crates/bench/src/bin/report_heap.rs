@@ -39,8 +39,8 @@
 use dgr_bench::{record, timed, Report};
 use dgr_gc::{GcConfig, GcDriver, GcTrigger};
 use dgr_lang::build_with_prelude;
-use dgr_reduction::SystemConfig;
-use dgr_telemetry::{events_jsonl, HeapSnapshot, TriggerCause, TELEMETRY_ENABLED};
+use dgr_reduction::{RunOutcome, SystemConfig};
+use dgr_telemetry::{events_jsonl, HeapSnapshot, TELEMETRY_ENABLED};
 
 /// The period used while pressure drives the sweep: high enough that the
 /// byte bound decides every cycle, low enough to bound a cell where the
@@ -78,8 +78,8 @@ fn probe(src: &str) -> (u64, u64) {
     (live0, peak)
 }
 
-/// Runs one sweep cell: the same loop as `GcDriver::run`, but draining
-/// the event ring after every cycle when `drain` is set — the ring is
+/// Runs one sweep cell, sampling the graph clock at every window end and,
+/// when `drain` is set, draining the event ring there too — the ring is
 /// overwrite-oldest, and a full run's reduction spans would evict the
 /// early cycles' `hp_*` instants before an end-of-run drain saw them.
 fn run_cell(
@@ -101,43 +101,18 @@ fn run_cell(
     );
     let mut events = String::new();
     let mut sampled_peak = gc.sys.graph.live_bytes();
-    let (_, wall_ms) = timed(|| {
+    let (out, wall_ms) = timed(|| {
         gc.sys.demand_root();
-        loop {
-            let mut n = 0u64;
-            let mut cause = None;
-            while gc.sys.result.is_none() {
-                if n > 0 {
-                    cause = gc
-                        .config()
-                        .trigger
-                        .fired(n, SWEEP_PERIOD, gc.sys.graph.live_bytes());
-                    if cause.is_some() {
-                        break;
-                    }
-                }
-                if !gc.sys.step() {
-                    break;
-                }
-                n += 1;
-            }
+        gc.run_more_with(|gc| {
             sampled_peak = sampled_peak.max(gc.sys.graph.live_bytes());
-            if gc.sys.result.is_some() {
-                break;
-            }
-            let was_quiescent = gc.sys.sim().is_empty();
-            gc.run_cycle_as(cause.unwrap_or(TriggerCause::Period));
             if drain {
                 events.push_str(&events_jsonl(&gc.sys.telemetry().drain_events()));
             }
-            if gc.sys.result.is_some() || (was_quiescent && gc.sys.sim().is_empty()) {
-                break;
-            }
-        }
+        })
     });
     assert!(
-        gc.sys.result.is_some(),
-        "{family}: reduction reached a value"
+        matches!(out, RunOutcome::Value(_)),
+        "{family}: reduction reached a value: {out:?}"
     );
     if drain {
         events.push_str(&events_jsonl(&gc.sys.telemetry().drain_events()));

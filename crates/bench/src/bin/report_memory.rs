@@ -44,12 +44,8 @@ fn main() {
     let mut gc_peak = gc.sys.graph.live_bytes();
     let (_, gc_wall_ms) = timed(|| {
         gc.sys.demand_root();
-        loop {
-            for _ in 0..300 {
-                if !gc.sys.step() {
-                    break;
-                }
-            }
+        // Sample at every window end, before that window's cycle.
+        gc.run_more_with(|gc| {
             gc_peak = gc_peak.max(gc.sys.graph.live_bytes());
             if gc.sys.events() / SAMPLE_EVERY > gc_samples.len() as u64 {
                 gc_samples.push((
@@ -59,11 +55,7 @@ fn main() {
                     gc.sys.graph.live_bytes(),
                 ));
             }
-            if gc.sys.result.is_some() {
-                break;
-            }
-            gc.run_cycle();
-        }
+        })
     });
     let gc_final: Sample = (
         gc.sys.events(),

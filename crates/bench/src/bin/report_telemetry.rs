@@ -55,7 +55,7 @@ fn main() {
         "workload finished: {out:?}"
     );
 
-    let cycles: Vec<_> = gc.timeline().iter().cloned().collect();
+    let cycles = gc.timeline();
     let rows = (cycles.iter())
         .map(|c| {
             record! {
@@ -67,7 +67,7 @@ fn main() {
                 "classify_us" => c.restructure_us,
                 "total_us" => c.total_us,
                 "mark_events" => c.mark_events,
-                "red_events_during_marking" => c.red_events_during_marking,
+                "red_events_during_marking" => c.reduction_events_during_marking,
                 "sends_local" => c.sends_local,
                 "sends_remote" => c.sends_remote,
                 "mark_backlog_hw" => c.mark_backlog_hw,

@@ -42,9 +42,8 @@ pub fn deadlocked_vertices(g: &GraphStore) -> Vec<VertexId> {
 pub(crate) struct MarkCensus {
     /// Live vertices marked by `M_T` (zero unless it ran this cycle).
     pub marked_t: usize,
-    /// Live vertices marked by `M_R`.
-    pub marked_r: usize,
-    /// `marked_r` split by priority (index 0 = vital / priority 3).
+    /// Live vertices marked by `M_R`, by priority (index 0 = vital /
+    /// priority 3).
     pub by_priority: [usize; 3],
     /// [`garbage_vertices`].
     pub garbage: VertexSet,
@@ -89,7 +88,6 @@ impl MarkCensus {
                 c.garbage.insert(v);
                 continue;
             }
-            c.marked_r += 1;
             c.by_priority[3 - mr.prior as usize] += 1;
             if ran_mt && is_deadlocked(g, v) {
                 c.deadlocked.push(v);
@@ -239,7 +237,7 @@ mod tests {
         let c = MarkCensus::take(&mut g, true, true);
         assert_eq!(c.garbage, garbage);
         assert_eq!(c.deadlocked, deadlocked);
-        assert_eq!((c.marked_t, c.marked_r), (0, 3));
+        assert_eq!(c.marked_t, 0);
         assert_eq!(c.by_priority, [2, 0, 1], "root and x vital, a reserve");
         assert_eq!(c.waiting, vec![a]);
         assert_eq!(c.lane_priority[x.index()], Some(Priority::Vital));

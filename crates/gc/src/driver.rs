@@ -1,6 +1,7 @@
 //! The endless mark-and-restructure cycle, interleaved with reduction.
 
 use std::collections::VecDeque;
+use std::sync::LazyLock;
 use std::time::Instant;
 
 use dgr_core::{MarkMsg, RMode};
@@ -8,15 +9,15 @@ use dgr_graph::{MarkParent, Priority, Requester, Slot, Value};
 use dgr_reduction::{RedMsg, RunOutcome, System};
 use dgr_sim::Lane;
 use dgr_telemetry::{
-    CounterId, CycleHeap, CycleReport as CycleTelemetry, Floater, GaugeId, HeartbeatHandle, HistId,
-    LifecycleSnapshot, LifecycleTracker, Phase, TriggerCause,
+    CounterId, CycleHeap, Floater, GaugeId, HeartbeatHandle, HistId, LifecycleSnapshot,
+    LifecycleTracker, Phase, TriggerCause,
 };
 
 use crate::classify::{classify_pending_tasks, MarkCensus};
 use crate::report::{CycleReport, GcStats};
 
-/// Bound on the per-cycle telemetry timeline kept by [`GcDriver`]:
-/// long-running drivers retain the most recent this-many cycles.
+/// Bound on the per-cycle timeline kept by [`GcDriver`]: long-running
+/// drivers retain the most recent this-many cycles.
 pub const TIMELINE_CAP: usize = 4096;
 
 /// Deliveries per liveness-pulse progress beat inside a marking phase:
@@ -79,8 +80,10 @@ impl GcTrigger {
     /// The driver consults this only after at least one delivery, so a
     /// bound below the irreducible live set degrades to one cycle per
     /// reduction event instead of a cycle storm that starves the
-    /// mutator. (Public so bench harnesses that drive cycles manually —
-    /// to drain the event ring per cycle — match the driver exactly.)
+    /// mutator. (Public only because the benchmark's traced run,
+    /// `benchmark/src/reduce.rs`, re-expresses the driver's loop with it;
+    /// code that needs to act between windows uses
+    /// [`GcDriver::run_more_with`].)
     pub fn fired(self, n: u64, period: u64, live: u64) -> Option<TriggerCause> {
         match self {
             GcTrigger::Period => (n >= period).then_some(TriggerCause::Period),
@@ -153,8 +156,7 @@ pub struct GcDriver {
     cfg: GcConfig,
     cycle: u32,
     stats: GcStats,
-    last_report: CycleReport,
-    timeline: VecDeque<CycleTelemetry>,
+    timeline: VecDeque<CycleReport>,
     heartbeat: HeartbeatHandle,
     lifecycle: LifecycleTracker,
 }
@@ -167,7 +169,6 @@ impl GcDriver {
             cfg,
             cycle: 0,
             stats: GcStats::default(),
-            last_report: CycleReport::default(),
             timeline: VecDeque::new(),
             heartbeat: HeartbeatHandle::new(),
             lifecycle: LifecycleTracker::new(),
@@ -197,12 +198,10 @@ impl GcDriver {
         self.heartbeat = hb;
     }
 
-    /// Per-cycle telemetry reports (phase wall-clock durations, message
-    /// tallies, marking census), oldest first. Bounded at
-    /// `TIMELINE_CAP` cycles: older entries are dropped. Durations and
-    /// marking counts are always populated; the message counters are zero
-    /// unless the `telemetry` feature is on.
-    pub fn timeline(&self) -> &VecDeque<CycleTelemetry> {
+    /// Every cycle's report (phase wall-clock durations, marking counts,
+    /// census and tallies), oldest first. Bounded at `TIMELINE_CAP`
+    /// cycles: older entries are dropped.
+    pub fn timeline(&self) -> &VecDeque<CycleReport> {
         &self.timeline
     }
 
@@ -211,9 +210,11 @@ impl GcDriver {
         &self.stats
     }
 
-    /// The most recent cycle's report.
+    /// The most recent cycle's report: the timeline's newest entry, or an
+    /// empty report before the first cycle.
     pub fn last_report(&self) -> &CycleReport {
-        &self.last_report
+        static NONE: LazyLock<CycleReport> = LazyLock::new(CycleReport::default);
+        self.timeline.back().unwrap_or(&NONE)
     }
 
     /// The configuration.
@@ -231,6 +232,14 @@ impl GcDriver {
 
     /// Continues running without demanding the root again.
     pub fn run_more(&mut self) -> RunOutcome {
+        self.run_more_with(|_| {})
+    }
+
+    /// [`run_more`](Self::run_more), calling `at_window_end` each time a
+    /// reduction window ends: before that window's cycle, or before
+    /// returning if the window ended the run. The hook only observes: the
+    /// deliveries and the cycles are `run_more`'s.
+    pub fn run_more_with(&mut self, mut at_window_end: impl FnMut(&GcDriver)) -> RunOutcome {
         loop {
             let mut n = 0;
             let mut cause = None;
@@ -252,6 +261,7 @@ impl GcDriver {
                 }
                 n += 1;
             }
+            at_window_end(self);
             if let Some(v) = &self.sys.result {
                 return RunOutcome::Value(v.clone());
             }
@@ -290,21 +300,16 @@ impl GcDriver {
         // the cycle number, so a trace analyzer can group the wave DAG
         // per cycle.
         self.sys.set_telemetry_cycle(self.cycle);
-        let mut report = CycleReport {
-            cycle: self.cycle,
-            ..Default::default()
-        };
         let run_mt = self.cfg.mt_every > 0 && (self.cycle - 1).is_multiple_of(self.cfg.mt_every);
-        report.ran_mt = run_mt;
-        let cycle_start = Instant::now();
-        self.lifecycle.begin_cycle(u64::from(self.cycle));
-        let snap0 = self.sys.telemetry().snapshot();
-        self.sys.sim_mut().reset_lane_high_water();
-        let mut telem = CycleTelemetry {
+        let mut report = CycleReport {
             cycle: self.cycle,
             ran_mt: run_mt,
             ..Default::default()
         };
+        let cycle_start = Instant::now();
+        self.lifecycle.begin_cycle(u64::from(self.cycle));
+        let snap0 = self.sys.telemetry().snapshot();
+        self.sys.sim_mut().reset_lane_high_water();
         self.sys
             .telemetry()
             .begin(0, self.cycle, Phase::Gc, "cycle");
@@ -328,7 +333,7 @@ impl GcDriver {
                 continue;
             }
             let before = report.mark_events;
-            let (us, ()) = self.timed_phase(phase, phase.name(), |gc| {
+            let us = self.timed_phase(phase, phase.name(), |gc| {
                 if is_mt {
                     gc.phase_t(&mut report)
                 } else {
@@ -337,9 +342,9 @@ impl GcDriver {
             });
             let events = report.mark_events - before;
             if is_mt {
-                (telem.mt_us, lc_mt) = (us, events);
+                (report.mt_us, lc_mt) = (us, events);
             } else {
-                (telem.mr_us, lc_mr) = (us, events);
+                (report.mr_us, lc_mr) = (us, events);
             }
         }
         // Cooperation during the later phase may have retracted the earlier
@@ -347,7 +352,7 @@ impl GcDriver {
         // settle both before reading the marks.
         if !report.aborted {
             let before = report.mark_events;
-            (telem.settle_us, ()) = self.timed_phase(Phase::Mr, "settle", |gc| {
+            report.settle_us = self.timed_phase(Phase::Mr, "settle", |gc| {
                 gc.drive_phase(&mut report, |s| {
                     s.mark_state.r_done && (!run_mt || s.mark_state.t_done)
                 })
@@ -355,55 +360,42 @@ impl GcDriver {
             lc_mr += report.mark_events - before;
         }
         if !report.aborted {
-            (telem.restructure_us, telem.marked_by_priority) =
-                self.timed_phase(Phase::Classify, "restructure", |gc| {
-                    gc.restructure(&mut report, run_mt)
-                });
+            report.restructure_us = self.timed_phase(Phase::Classify, "restructure", |gc| {
+                gc.restructure(&mut report, run_mt)
+            });
         }
         self.sys.mark_state.end_r();
         self.sys.mark_state.end_t();
         self.sys.telemetry().end(0, self.cycle, Phase::Gc, "cycle");
-        telem.total_us = cycle_start.elapsed().as_micros() as u64;
-        telem.aborted = report.aborted;
-        telem.mark_events = report.mark_events;
-        telem.red_events_during_marking = report.reduction_events_during_marking;
-        telem.marked_t = report.marked_t;
-        telem.garbage = report.garbage;
-        telem.irrelevant = report.census.irrelevant;
-        telem.deadlocked = report.deadlocked.len();
-        telem.mark_backlog_hw = self.sys.sim().stats().lane_high_water(Lane::Marking) as u64;
+        report.total_us = cycle_start.elapsed().as_micros() as u64;
+        report.mark_backlog_hw = self.sys.sim().stats().lane_high_water(Lane::Marking) as u64;
         // The simulator's lanes are system-wide, so the backlog peak and
         // the cycle time land on PE 0's shard like the restructure tallies.
         let shard = self.sys.telemetry().pe(0);
-        shard.gauge_max(GaugeId::MailboxHighWater, telem.mark_backlog_hw as i64);
-        shard.observe(HistId::CycleUs, telem.total_us);
+        shard.gauge_max(GaugeId::MailboxHighWater, report.mark_backlog_hw as i64);
+        shard.observe(HistId::CycleUs, report.total_us);
         let snap1 = self.sys.telemetry().snapshot();
-        telem.sends_local =
+        report.sends_local =
             snap1.counter_total(CounterId::SendsLocal) - snap0.counter_total(CounterId::SendsLocal);
-        telem.sends_remote = snap1.counter_total(CounterId::SendsRemote)
+        report.sends_remote = snap1.counter_total(CounterId::SendsRemote)
             - snap0.counter_total(CounterId::SendsRemote);
-        self.emit_restructure_tallies(&mut telem, &report);
+        self.emit_restructure_tallies(&report);
         self.close_lifecycle_cycle(&report, lc_mt, lc_mr);
         self.close_heap_cycle(cause);
+        self.stats.absorb(&report);
         if self.timeline.len() == TIMELINE_CAP {
             self.timeline.pop_front();
         }
-        self.timeline.push_back(telem);
-        self.stats.absorb(&report);
-        self.last_report = report.clone();
+        self.timeline.push_back(report.clone());
         self.heartbeat.cycle_done();
         report
     }
 
-    /// The single emission point for the restructure tallies: the
-    /// timeline fields, the per-PE counter shards and the per-cycle
-    /// instants all read the same report here, so the lifecycle stamps
-    /// (taken on the very same garbage set) cannot drift from the
-    /// counters.
-    fn emit_restructure_tallies(&self, telem: &mut CycleTelemetry, report: &CycleReport) {
-        telem.reclaimed = report.reclaimed;
-        telem.expunged = report.expunged;
-        telem.relaned = report.relaned;
+    /// The single emission point for the restructure tallies: the per-PE
+    /// counter shards and the per-cycle instants all read the same report
+    /// here, so the lifecycle stamps (taken on the very same garbage set)
+    /// cannot drift from the counters.
+    fn emit_restructure_tallies(&self, report: &CycleReport) {
         let reg = self.sys.telemetry();
         let shard = reg.pe(0);
         shard.add(CounterId::Reclaimed, report.reclaimed as u64);
@@ -433,7 +425,7 @@ impl GcDriver {
         // marking tree: one mark per vertex claimed plus its return.
         // `2 × marked` is that bound in messages; the efficiency ratio
         // exposes re-marks of shared vertices and priority upgrades.
-        let bound = 2 * (report.marked_r + report.marked_t) as u64;
+        let bound = 2 * (report.marked_r() + report.marked_t) as u64;
         self.lifecycle.meter_msgs(lc_mt, lc_mr, bound);
         let lc = self.lifecycle.end_cycle();
         debug_assert!(
@@ -467,22 +459,16 @@ impl GcDriver {
     }
 
     /// Runs one phase of a cycle wrapped in a telemetry span, a heartbeat
-    /// phase and a wall-clock timer; returns the elapsed microseconds and
-    /// what the phase returned.
-    fn timed_phase<R>(
-        &mut self,
-        phase: Phase,
-        name: &'static str,
-        f: impl FnOnce(&mut Self) -> R,
-    ) -> (u64, R) {
+    /// phase and a wall-clock timer; returns the elapsed microseconds.
+    fn timed_phase(&mut self, phase: Phase, name: &'static str, f: impl FnOnce(&mut Self)) -> u64 {
         self.sys.telemetry().begin(0, self.cycle, phase, name);
         self.heartbeat.begin_phase(self.cycle, phase);
         let t = Instant::now();
-        let out = f(self);
+        f(self);
         let us = t.elapsed().as_micros() as u64;
         self.heartbeat.end_phase();
         self.sys.telemetry().end(0, self.cycle, phase, name);
-        (us, out)
+        us
     }
 
     /// Runs a marking phase: keeps delivering events (reduction included —
@@ -602,14 +588,12 @@ impl GcDriver {
     }
 
     /// Reads the marks once, then acts on them: reclaim, expunge,
-    /// re-prioritize, recover. Returns the `M_R` marks tallied by priority
-    /// for the timeline (the marks themselves survive until the next
-    /// cycle's reset).
-    fn restructure(&mut self, report: &mut CycleReport, ran_mt: bool) -> [usize; 3] {
+    /// re-prioritize, recover. (The marks themselves survive until the
+    /// next cycle's reset.)
+    fn restructure(&mut self, report: &mut CycleReport, ran_mt: bool) {
         report.census = classify_pending_tasks(&self.sys);
         let MarkCensus {
             marked_t,
-            marked_r,
             by_priority,
             garbage,
             deadlocked,
@@ -617,7 +601,7 @@ impl GcDriver {
             lane_priority,
         } = MarkCensus::take(&mut self.sys.graph, ran_mt, self.cfg.reprioritize);
         report.marked_t = marked_t;
-        report.marked_r = marked_r;
+        report.marked_by_priority = by_priority;
         report.garbage = garbage.len();
         report.deadlocked = deadlocked;
         if self.lifecycle.enabled() {
@@ -696,7 +680,6 @@ impl GcDriver {
                 }
             }
         }
-        by_priority
     }
 }
 
@@ -966,20 +949,99 @@ mod tests {
                 ..Default::default()
             },
         );
+        assert_eq!(*gc.last_report(), CycleReport::default(), "no cycle yet");
         gc.run();
         assert_eq!(gc.timeline().len(), gc.stats().cycles as usize);
         let last = gc.timeline().back().unwrap();
         assert_eq!(last.cycle, gc.stats().cycles);
-        assert_eq!(last.marked_t, gc.last_report().marked_t);
-        assert_eq!(last.marked_r(), gc.last_report().marked_r);
-        assert_eq!(last.reclaimed, gc.last_report().reclaimed);
-        assert_eq!(last.garbage, gc.last_report().garbage);
+        assert_eq!(*gc.last_report(), *last);
+        for c in gc.timeline() {
+            assert!(
+                c.mt_us + c.mr_us + c.settle_us + c.restructure_us <= c.total_us,
+                "the phases nest inside the cycle: {c:?}"
+            );
+        }
         // Marking happened, so the marking-lane backlog rose above the
         // reset point at least once in some cycle (always-on sim stats).
         assert!(gc.timeline().iter().any(|c| c.mark_backlog_hw > 0));
-        // The renderers accept a live report.
-        assert!(last.render_text().contains("cycle"));
-        assert!(last.render_json().starts_with('{'));
+    }
+
+    /// The report with its wall-clock fields zeroed: what two runs of the
+    /// same schedule must agree on.
+    fn sans_durations(c: &CycleReport) -> CycleReport {
+        CycleReport {
+            mt_us: 0,
+            mr_us: 0,
+            settle_us: 0,
+            restructure_us: 0,
+            total_us: 0,
+            ..c.clone()
+        }
+    }
+
+    /// `run()` beside `demand_root(); run_more_with(..)`: the same
+    /// schedule, and one hook call per window end — before that window's
+    /// cycle, so each call has seen exactly one cycle per earlier call.
+    #[test]
+    fn the_hook_is_the_loop() {
+        let policies = [
+            dgr_sim::SchedPolicy::RoundRobin,
+            dgr_sim::SchedPolicy::Random { marking_bias: 0.5 },
+        ];
+        // How many runs ended in a reduction window, and how many inside
+        // a cycle: the matrix must exercise both.
+        let mut endings = [0u32; 2];
+        for policy in policies {
+            for trigger in [GcTrigger::Period, GcTrigger::Either(6_000)] {
+                for speculation in [false, true] {
+                    for seed in [1, 7] {
+                        let what = format!("{policy:?} {trigger:?} spec {speculation} seed {seed}");
+                        let sys = || {
+                            let cfg = SystemConfig {
+                                speculation,
+                                policy,
+                                seed,
+                                ..Default::default()
+                            };
+                            sum_system(30, cfg)
+                        };
+                        // A short period puts much of the reduction inside
+                        // cycles, so some runs end there.
+                        let cfg = GcConfig {
+                            period: 12,
+                            trigger,
+                            ..Default::default()
+                        };
+                        let mut plain = GcDriver::new(sys(), cfg.clone());
+                        let plain_out = plain.run();
+                        let mut hooked = GcDriver::new(sys(), cfg);
+                        hooked.sys.demand_root();
+                        let (mut calls, mut events_at_last_call) = (0u32, 0);
+                        let hooked_out = hooked.run_more_with(|gc| {
+                            assert_eq!(gc.stats().cycles, calls, "{what}");
+                            calls += 1;
+                            events_at_last_call = gc.sys.events();
+                        });
+                        assert_eq!(hooked_out, RunOutcome::Value(Value::Int(465)), "{what}");
+                        assert_eq!(hooked_out, plain_out, "{what}");
+                        assert_eq!(hooked.sys.events(), plain.sys.events(), "{what}");
+                        assert_eq!(hooked.stats(), plain.stats(), "{what}");
+                        let timeline = |gc: &GcDriver| -> Vec<_> {
+                            gc.timeline().iter().map(sans_durations).collect()
+                        };
+                        assert_eq!(timeline(&hooked), timeline(&plain), "{what}");
+                        // Nothing delivered after the last call: the value
+                        // arrived in that call's window, and no cycle ran
+                        // after it. Otherwise the last cycle delivered it.
+                        let ended_in_window = events_at_last_call == hooked.sys.events();
+                        let cycles = hooked.stats().cycles;
+                        assert_eq!(calls, cycles + u32::from(ended_in_window), "{what}");
+                        endings[usize::from(ended_in_window)] += 1;
+                    }
+                }
+            }
+        }
+        assert!(endings.iter().all(|&n| n > 0), "both endings: {endings:?}");
     }
 
     #[cfg(feature = "telemetry")]

@@ -4,7 +4,13 @@ use dgr_graph::VertexId;
 
 use crate::classify::TaskCensus;
 
-/// What one mark-and-restructure cycle did.
+/// What one mark-and-restructure cycle did, and how long each phase took:
+/// the one per-cycle record, returned by the cycle and kept in
+/// [`GcDriver::timeline`](crate::GcDriver::timeline).
+///
+/// The phase durations, marking counts and tallies are always populated;
+/// `sends_local` / `sends_remote` are zero unless the `telemetry`
+/// feature is on.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CycleReport {
     /// Cycle number (1-based).
@@ -14,8 +20,10 @@ pub struct CycleReport {
     /// Vertices carrying an `M_T` mark when restructuring read the marks
     /// (zero for an aborted cycle, which never restructures).
     pub marked_t: usize,
-    /// Vertices carrying an `M_R` mark when restructuring read the marks.
-    pub marked_r: usize,
+    /// Vertices carrying an `M_R` mark when restructuring read the marks,
+    /// by priority (index 0 = priority 3 / vital, 1 = priority 2 / eager,
+    /// 2 = priority 1 / reserve).
+    pub marked_by_priority: [usize; 3],
     /// Marking-task events executed (both processes).
     pub mark_events: u64,
     /// Reduction-task events that executed *during* the marking phases
@@ -39,6 +47,30 @@ pub struct CycleReport {
     /// abandoned without restructuring (the graph stays safe; the next
     /// cycle retries).
     pub aborted: bool,
+    /// Wall-clock duration of the synchronous `M_T` phase, microseconds.
+    pub mt_us: u64,
+    /// Wall-clock duration of the concurrent `M_R` phase, microseconds.
+    pub mr_us: u64,
+    /// Wall-clock duration of the settle drive, microseconds.
+    pub settle_us: u64,
+    /// Wall-clock duration of restructuring (census + reclaim),
+    /// microseconds.
+    pub restructure_us: u64,
+    /// Wall-clock duration of the whole cycle, microseconds.
+    pub total_us: u64,
+    /// Intra-PE sends during the cycle.
+    pub sends_local: u64,
+    /// Cross-PE sends during the cycle.
+    pub sends_remote: u64,
+    /// High-water mark of the marking-lane backlog during the cycle.
+    pub mark_backlog_hw: u64,
+}
+
+impl CycleReport {
+    /// Vertices carrying an `M_R` mark, all priorities together.
+    pub fn marked_r(&self) -> usize {
+        self.marked_by_priority.iter().sum()
+    }
 }
 
 /// Aggregate statistics over all cycles run so far.
@@ -113,5 +145,14 @@ mod tests {
         assert_eq!(s.expunged_total, 2);
         assert_eq!(s.max_cycle_mark_events, 30);
         assert_eq!(s.aborted_cycles, 1);
+    }
+
+    #[test]
+    fn marked_r_sums_priorities() {
+        let r = CycleReport {
+            marked_by_priority: [4, 2, 1],
+            ..Default::default()
+        };
+        assert_eq!(r.marked_r(), 7);
     }
 }

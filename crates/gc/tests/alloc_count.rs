@@ -79,7 +79,7 @@ fn a_cycle_allocates_a_constant_however_many_events_it_delivers() {
         let before = ALLOCATIONS.with(Cell::get);
         let report = gc.run_cycle();
         let allocations = ALLOCATIONS.with(Cell::get) - before;
-        assert_eq!(report.marked_r, n);
+        assert_eq!(report.marked_r(), n);
         assert_eq!(report.mark_events, 2 * n as u64, "one mark, one return");
         assert!(
             allocations <= CEILING,

@@ -1,5 +1,5 @@
-//! dgr-telemetry: zero-dependency tracing, metrics and marking-cycle
-//! timelines for the distributed-reduction runtime.
+//! dgr-telemetry: zero-dependency tracing and metrics for the
+//! distributed-reduction runtime.
 //!
 //! The crate has three layers:
 //!
@@ -10,10 +10,10 @@
 //! * **Events** ([`ring`], [`trace`]): span begin/end and instant events
 //!   (PE, cycle, phase tag, value) in a fixed-capacity overwrite-oldest
 //!   ring per PE, drained to JSON Lines or Chrome `trace_event` format.
-//! * **Cycle reports** ([`cycle`]): one [`CycleReport`] per marking
-//!   cycle — phase durations, local/remote traffic, backlog high-water,
-//!   per-priority marked counts, census and reclaim tallies — with
-//!   plain-text and JSON timeline renderers.
+//! * **Ledgers** ([`ledger`], [`heap`], [`lifecycle`], [`sched`]): the
+//!   per-cycle and per-pass records the trackers close, each written to
+//!   the event stream as one instant per field. (The GC driver's own
+//!   per-cycle record, phase durations included, is `dgr_gc::CycleReport`.)
 //!
 //! # The `telemetry` feature
 //!
@@ -30,7 +30,6 @@
 //! record in any build names `On`: `Registry::<On>::with_pes(n)`.
 
 pub mod active;
-pub mod cycle;
 pub mod flight;
 pub mod heap;
 pub mod heartbeat;
@@ -43,7 +42,6 @@ pub mod sched;
 pub mod switch;
 pub mod trace;
 
-pub use cycle::{timeline_json, timeline_text, CycleReport};
 pub use flight::{flight_json, flight_path, write_flight, FLIGHT_DIR_ENV};
 pub use heap::{CycleHeap, HeapSnapshot, PeHeap, TriggerCause};
 pub use heartbeat::Heartbeat;

@@ -1,10 +1,10 @@
 //! Golden-file pins for the exporters. The Chrome trace is loaded by
-//! external tools (`chrome://tracing`, Perfetto) and the timeline JSON by
-//! the perf-trajectory tooling, so their exact byte shape is contract:
-//! any change here is a deliberate format revision, not an accident.
+//! external tools (`chrome://tracing`, Perfetto), so its exact byte shape
+//! is contract: any change here is a deliberate format revision, not an
+//! accident.
 
 type Registry = dgr_telemetry::Registry<dgr_telemetry::On>;
-use dgr_telemetry::{chrome_trace_json, timeline_json, CycleReport, Event, EventKind, Phase};
+use dgr_telemetry::{chrome_trace_json, Event, EventKind, Phase};
 
 fn ev(ts_us: u64, pe: u16, kind: EventKind, name: &'static str, value: u64) -> Event {
     Event {
@@ -128,35 +128,4 @@ fn field(line: &str, key: &str, term: char) -> Option<String> {
     let rest = &line[start..];
     let end = rest.find(term).unwrap_or(rest.len());
     Some(rest[..end].to_string())
-}
-
-#[test]
-fn timeline_json_golden() {
-    let reports = [
-        CycleReport {
-            cycle: 1,
-            ran_mt: true,
-            mt_us: 10,
-            mr_us: 20,
-            marked_t: 2,
-            marked_by_priority: [1, 0, 3],
-            ..Default::default()
-        },
-        CycleReport {
-            cycle: 2,
-            ..Default::default()
-        },
-    ];
-    let got = timeline_json(&reports);
-    assert!(got.starts_with("[\n"), "array opening: {got:?}");
-    assert!(got.trim_end().ends_with(']'), "array closing");
-    assert_eq!(
-        got.matches("{\"cycle\":").count(),
-        2,
-        "one object per cycle"
-    );
-    // The first record round-trips through the single-report renderer —
-    // the schema is pinned field-by-field in the cycle module's tests.
-    assert!(got.contains(&reports[0].render_json()));
-    assert!(got.contains("\"marked_by_priority\": [1, 0, 3]"));
 }

@@ -15,11 +15,11 @@
 //! | [`sim`] | `dgr-sim` | deterministic multi-PE simulator and threaded runtime |
 //! | [`marking`] | `dgr-core` | `mark1`/`mark2`/`mark3`, cooperating mutators, invariants |
 //! | [`reduction`] | `dgr-reduction` | demand-driven + speculative reduction engine |
-//! | [`gc`] | `dgr-gc` | the mark-and-restructure cycle (GC, deadlock, task management) |
+//! | [`gc`] | `dgr-gc` | the mark-and-restructure cycle (GC, deadlock, task management) and its per-cycle timeline |
 //! | [`lang`] | `dgr-lang` | mini functional language → supercombinator templates |
 //! | [`workloads`] | `dgr-workloads` | graph/program/churn/mutation generators |
 //! | [`baseline`] | `dgr-baseline` | reference counting, stop-the-world, non-cooperating marking |
-//! | [`telemetry`] | `dgr-telemetry` | zero-dependency metrics, traces, cycle timelines (feature `telemetry`) |
+//! | [`telemetry`] | `dgr-telemetry` | zero-dependency metrics, traces, per-cycle ledgers (feature `telemetry`) |
 //! | [`observe`] | `dgr-observe` | live plane: `/metrics` exporter, status endpoint, progress watchdog |
 //!
 //! # Quickstart
