@@ -112,7 +112,8 @@ impl MarkState {
     }
 
     /// Registers one more seed hung on the virtual `troot` (used by the
-    /// cooperating mutators when a marked-T vertex gains a new T-arc).
+    /// cooperating mutators when a marked-T vertex gains a new T-arc, and
+    /// by a GC driver seeding a pass one task endpoint at a time).
     pub fn add_troot_seed(&mut self) {
         self.troot_outstanding += 1;
         self.t_done = false;

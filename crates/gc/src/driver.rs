@@ -528,14 +528,6 @@ impl GcDriver {
         // Clear the activity stamps: "touched" now means "task activity
         // at or after t_a", which the deadlock report consults.
         self.sys.graph.clear_touched();
-        let seeds = self.sys.pending_task_endpoints();
-        self.sys.mark_state.begin_t(seeds.seeds().len() as u32);
-        for &v in seeds.seeds() {
-            self.sys.send_mark(MarkMsg::Mark3 {
-                v,
-                par: MarkParent::TaskRootPar,
-            });
-        }
         // The M_T pass runs SYNCHRONOUSLY: reduction tasks queue but do
         // not execute, so T' is an exact snapshot of task reachability at
         // t_a. This is the paper's own trade — Section 6 notes M_T
@@ -545,34 +537,38 @@ impl GcDriver {
         // its `requested` set, cutting the backward chain the trace
         // needed, and a passively-waiting ancestor would be misreported as
         // deadlocked. M_R, which runs every cycle, stays fully concurrent.
-        let start_marking = self.sys.sim().stats().delivered(Lane::Marking);
-        let mut events = 0u64;
-        let mut beats_flushed = 0u64;
-        while !self.sys.mark_state.t_done {
-            if events - beats_flushed >= HEARTBEAT_BATCH {
-                self.heartbeat.progress(events - beats_flushed);
-                beats_flushed = events;
-            }
-            if !self.sys.step_lane(Lane::Marking) {
-                assert!(
-                    self.sys.mark_state.t_done,
-                    "M_T drained without its termination signal"
-                );
-                break;
-            }
-            events += 1;
-            if events >= self.cfg.phase_budget {
-                report.aborted = true;
-                self.sys
-                    .sim_mut()
-                    .expunge(|_, _, msg| msg.as_red().is_some());
-                break;
-            }
+        // With no reduction task delivered and nothing else sent, the
+        // marking lane's oldest-first service is plain send order and the
+        // scheduler has nothing to decide, so the pass drains a queue of
+        // its own and the simulator is told the totals once. It hangs one
+        // `mark3` on the virtual `troot` per endpoint of every pending task
+        // (`begin_t(0)` and a seed registered per mark is `begin_t(seeds)`
+        // without counting them first).
+        self.sys.mark_state.begin_t(0);
+        let heartbeat = &self.heartbeat;
+        let (events, finished) = self.sys.drain_marking(
+            |state, v| {
+                state.add_troot_seed();
+                MarkMsg::Mark3 {
+                    v,
+                    par: MarkParent::TaskRootPar,
+                }
+            },
+            |state| state.t_done,
+            self.cfg.phase_budget,
+            |n| {
+                if n % HEARTBEAT_BATCH == 0 {
+                    heartbeat.progress(HEARTBEAT_BATCH);
+                }
+            },
+        );
+        if events % HEARTBEAT_BATCH > 0 {
+            heartbeat.progress(events % HEARTBEAT_BATCH);
         }
-        if events > beats_flushed {
-            self.heartbeat.progress(events - beats_flushed);
-        }
-        report.mark_events += self.sys.sim().stats().delivered(Lane::Marking) - start_marking;
+        report.mark_events += events;
+        // Aborted: the pass dropped its in-flight marks; colors and
+        // counts are reset at the start of the next cycle's phases.
+        report.aborted = !finished;
     }
 
     fn phase_r(&mut self, report: &mut CycleReport) {
@@ -786,7 +782,7 @@ mod tests {
         .run();
         assert_eq!(unbudgeted, RunOutcome::Value(Value::Int(820)));
         // A budget no marking phase of this program fits in: every cycle
-        // is abandoned mid-wave, its in-flight marks expunged. With M_T on
+        // is abandoned mid-wave, its in-flight marks dropped. With M_T on
         // the budget runs out in `phase_t`; with it off, in `drive_phase`.
         for mt_every in [1, 0] {
             let mut gc = GcDriver::new(
@@ -798,7 +794,27 @@ mod tests {
                     ..Default::default()
                 },
             );
-            assert_eq!(gc.run(), unbudgeted);
+            gc.sys.demand_root();
+            // Each window after the first opens on what an aborted cycle
+            // left: no marking task anywhere in the simulator, whose
+            // pending count is the reduction tasks it holds.
+            let out = gc.run_more_with(|gc| {
+                if gc.stats().cycles == 0 {
+                    return;
+                }
+                let last = gc.last_report();
+                assert!(last.aborted);
+                if mt_every == 1 {
+                    assert_eq!(last.mark_events, 8, "M_T stops at its 8th event");
+                }
+                let sim = gc.sys.sim();
+                assert_eq!(sim.stats().lane_depth(Lane::Marking), 0);
+                let reductions = sim
+                    .iter_pending()
+                    .filter(|(_, lane, _)| *lane != Lane::Marking);
+                assert_eq!(sim.len(), reductions.count());
+            });
+            assert_eq!(out, unbudgeted);
             assert!(gc.stats().cycles > 1);
             assert_eq!(
                 gc.stats().aborted_cycles,
@@ -1055,7 +1071,14 @@ mod tests {
                 ..Default::default()
             },
         );
-        gc.run();
+        gc.sys.demand_root();
+        // The sequence number each cycle's M_T pass starts from: every
+        // send so far was delivered, is pending, or was expunged.
+        let mut bases = Vec::new();
+        gc.run_more_with(|gc| {
+            let (sim, expunged) = (gc.sys.sim(), gc.stats().expunged_total);
+            bases.push(sim.stats().delivered_total() + (sim.len() + expunged) as u64);
+        });
         let sends: u64 = gc
             .timeline()
             .iter()
@@ -1063,9 +1086,36 @@ mod tests {
             .sum();
         assert!(sends > 0, "cycle phases attributed task sends");
         let events = gc.sys.telemetry().drain_events();
+        assert_eq!(gc.sys.telemetry().dropped_events(), 0);
         assert!(events.iter().any(|e| e.name == "M_R"));
         assert!(events.iter().any(|e| e.name == "cycle"));
         assert!(events.iter().any(|e| e.name == "restructure"));
+        // Each M_T pass sends, and delivers, exactly the flows `base + 1
+        // ..= base + sent`: the i-th send took sequence number base + i.
+        for (cycle, &base) in (1..=gc.stats().cycles).zip(&bases) {
+            let (_, mut ledger) = CycleLifecycle::open(0, cycle);
+            for e in events.iter().filter(|e| e.cycle == cycle) {
+                ledger.absorb(e.name, e.value);
+            }
+            let pass = base + 1..=base + ledger.msgs_mt;
+            assert!(!pass.is_empty(), "cycle {cycle} had pending tasks");
+            for kind in [
+                dgr_telemetry::EventKind::FlowSend,
+                dgr_telemetry::EventKind::FlowRecv,
+            ] {
+                let mut ids: Vec<u64> = events
+                    .iter()
+                    .filter(|e| e.kind == kind && pass.contains(&e.value))
+                    .inspect(|e| assert_eq!((e.cycle, e.phase), (cycle, Phase::Mt)))
+                    .map(|e| e.value)
+                    .collect();
+                ids.sort_unstable();
+                assert!(
+                    ids.iter().copied().eq(pass.clone()),
+                    "cycle {cycle} {kind:?}"
+                );
+            }
+        }
     }
 
     #[cfg(feature = "telemetry")]

@@ -1,5 +1,7 @@
 //! A complete reduction system on the deterministic simulator.
 
+use std::collections::VecDeque;
+
 use dgr_core::{handle_mark, MarkMsg, MarkState};
 use dgr_graph::HeapDelta;
 use dgr_graph::{
@@ -7,7 +9,7 @@ use dgr_graph::{
     TaskEndpoints, Value, VertexId,
 };
 use dgr_sim::{DetSim, Envelope, Lane, SchedPolicy};
-use dgr_telemetry::{CounterId, HeapSnapshot, HeapTracker, Registry};
+use dgr_telemetry::{Build, CounterId, HeapSnapshot, HeapTracker, Registry, Switch};
 
 use crate::engine::{handle_red, EngineCtx};
 use crate::msg::{RedMsg, SysMsg};
@@ -111,6 +113,26 @@ pub struct System {
     out_mark: Vec<MarkMsg>,
     actuals: Vec<VertexId>,
     fresh: Vec<VertexId>,
+    /// The queue [`System::drain_marking`] runs a pass from, empty between
+    /// passes and kept for its capacity.
+    mark_fifo: VecDeque<Queued>,
+}
+
+/// A marking task queued by [`System::drain_marking`]. Under `Off` it is
+/// the bare message; under `On` it also carries the sequence number the
+/// send took and the PE it routes to, which its delivery's flow event and
+/// event counter need.
+type Queued = (<Build as Switch>::Keep<(u64, PeId)>, MarkMsg);
+
+/// The endpoints of every pending reduction task, in the simulator's
+/// `iter_pending` order: the seeds of `M_T`'s virtual task roots.
+fn task_endpoints(sim: &DetSim<SysMsg>) -> impl Iterator<Item = VertexId> + '_ {
+    sim.iter_pending()
+        .filter_map(|(_, _, msg)| msg.as_red())
+        .flat_map(|red| {
+            let (s, d) = red.endpoints();
+            s.into_iter().chain(d)
+        })
 }
 
 /// Attributes a send to the PE whose task is currently executing, as
@@ -189,6 +211,7 @@ impl System {
             out_mark: Vec::new(),
             actuals: Vec::new(),
             fresh: Vec::new(),
+            mark_fifo: VecDeque::new(),
         }
     }
 
@@ -401,6 +424,89 @@ impl System {
         true
     }
 
+    /// Runs a marking pass during which no reduction task executes: seeds
+    /// one mark per endpoint of every pending reduction task (`seed` makes
+    /// it, and may register it with the marking state), then delivers
+    /// marking tasks in send order until `done` holds, calling `progress`
+    /// after each delivery with the pass's count so far. Returns the
+    /// deliveries made and whether `done` was reached; after `budget`
+    /// deliveries the pass stops and drops the marking tasks it still holds.
+    ///
+    /// Nothing else is sent meanwhile, so send order is the order
+    /// [`System::step_lane`] would deliver the marking lane in, and the
+    /// pass needs nothing from the scheduler: it runs from a queue the
+    /// system keeps across passes, and the simulator is told the totals
+    /// once, by [`DetSim::bypass`]. The telemetry of every send and
+    /// delivery is recorded as `step_lane` records it, with the same flow
+    /// ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a marking task is pending when the pass starts, or if the
+    /// pass runs out of marking tasks before `done` holds.
+    pub fn drain_marking(
+        &mut self,
+        mut seed: impl FnMut(&mut MarkState, VertexId) -> MarkMsg,
+        done: impl Fn(&MarkState) -> bool,
+        budget: u64,
+        mut progress: impl FnMut(u64),
+    ) -> (u64, bool) {
+        let (cycle, telem, partition) = (self.telem_cycle, &self.telem, &self.partition);
+        let (fifo, state, graph) = (&mut self.mark_fifo, &mut self.mark_state, &mut self.graph);
+        let (mut delivered, mut finished) = (0, true);
+        self.sim.bypass(Lane::Marking, |sim, base| {
+            assert_eq!(
+                sim.stats().lane_depth(Lane::Marking),
+                0,
+                "a marking pass starts with no marking task pending"
+            );
+            // Queues a marking task sent from `src` (`None`: a seed),
+            // recorded as `enqueue_mark` records a send.
+            let mut sent = 0;
+            let mut push = |fifo: &mut VecDeque<Queued>, src: Option<PeId>, m: MarkMsg| {
+                let seq = base + sent;
+                sent += 1;
+                let tag = || {
+                    let pe = partition.pe_of_dest(m.dest_vertex());
+                    count_send(telem, src, pe);
+                    let (fphase, fname) = m.flow_meta();
+                    telem.flow_send(src.unwrap_or(pe).raw(), cycle, fphase, fname, seq + 1);
+                    (seq, pe)
+                };
+                fifo.push_back((Build::keep(tag), m));
+            };
+            for v in task_endpoints(sim) {
+                let m = seed(state, v);
+                push(fifo, None, m);
+            }
+            let mut peak = fifo.len();
+            while !done(state) {
+                let (tag, m) = fifo
+                    .pop_front()
+                    .expect("marking drained without its termination signal");
+                // Recorded as `deliver` records a marking task's delivery.
+                let pe = Build::with(&tag, None, |&(seq, pe): &(u64, PeId)| {
+                    telem.pe(pe.raw()).inc(CounterId::MarkEvents);
+                    let (fphase, fname) = m.flow_meta();
+                    telem.flow_recv(pe.raw(), cycle, fphase, fname, seq + 1);
+                    Some(pe)
+                });
+                handle_mark(state, graph, m, &mut |m| push(fifo, pe, m));
+                peak = peak.max(fifo.len());
+                delivered += 1;
+                progress(delivered);
+                if delivered >= budget {
+                    fifo.clear();
+                    finished = false;
+                    break;
+                }
+            }
+            (sent, delivered, peak)
+        });
+        self.events += delivered;
+        (delivered, finished)
+    }
+
     /// Demands the root and runs until the result arrives, the system is
     /// quiescent, or the event budget is exhausted.
     pub fn run(&mut self) -> RunOutcome {
@@ -430,19 +536,7 @@ impl System {
     /// The endpoints of every pending reduction task, including tasks "in
     /// transit" between PEs — the seeds for `M_T`'s virtual task roots.
     pub fn pending_task_endpoints(&self) -> TaskEndpoints {
-        let mut t = TaskEndpoints::new();
-        for (_pe, _lane, msg) in self.sim.iter_pending() {
-            if let Some(red) = msg.as_red() {
-                let (s, d) = red.endpoints();
-                if let Some(s) = s {
-                    t.push_seed(s);
-                }
-                if let Some(d) = d {
-                    t.push_seed(d);
-                }
-            }
-        }
-        t
+        task_endpoints(&self.sim).collect()
     }
 
     /// Consumes the system, returning the graph.

@@ -302,6 +302,25 @@ impl<M> DetSim<M> {
         seq
     }
 
+    /// Accounts for a burst of `lane` traffic that never enters the
+    /// mailboxes: `pass` queues and delivers the burst itself, in send
+    /// order, while the simulator can only be read. `pass` gets the first
+    /// sequence number it may assign and returns `(sent, delivered, peak)`:
+    /// how many messages it sent (each took the next sequence number), how
+    /// many of them it delivered (dropping the rest, as
+    /// [`DetSim::expunge`] would) and its own queue's largest backlog.
+    /// Afterwards the simulator stands where those sends and deliveries
+    /// through the lane's mailboxes would have left it: the sequence
+    /// numbers are consumed, the lane's delivered count has grown, its
+    /// depth is where it was, and its high water is at least that depth
+    /// plus `peak`.
+    pub fn bypass(&mut self, lane: Lane, pass: impl FnOnce(&Self, u64) -> (u64, u64, usize)) {
+        let (sent, delivered, peak) = pass(self, self.seq);
+        debug_assert!(delivered <= sent, "delivered more than was sent");
+        self.seq += sent;
+        self.stats.record_bypass(lane, delivered, peak);
+    }
+
     /// Number of pending messages.
     pub fn len(&self) -> usize {
         self.pending
@@ -777,6 +796,23 @@ mod tests {
                 "{policy:?}: a rebuilt mirror lost a pending entry"
             );
         }
+    }
+
+    #[test]
+    fn a_bypass_consumes_its_sequence_numbers_and_leaves_the_queues_alone() {
+        let mut sim = DetSim::new(2, SchedPolicy::Fifo, 0);
+        sim.send(env(1, Lane::Reduction(Priority::Vital), 10));
+        sim.bypass(Lane::Marking, |sim, base| {
+            assert_eq!((base, sim.len()), (1, 1), "the pass reads the simulator");
+            (5, 4, 3)
+        });
+        assert_eq!(sim.send(env(0, Lane::Marking, 11)), 1 + 5);
+        let stats = sim.stats();
+        assert_eq!(stats.delivered(Lane::Marking), 4);
+        assert_eq!(stats.lane_depth(Lane::Marking), 1);
+        assert_eq!(stats.lane_high_water(Lane::Marking), 3);
+        let got: Vec<u32> = std::iter::from_fn(|| sim.next_event().map(|(_, _, m)| m)).collect();
+        assert_eq!(got, vec![10, 11]);
     }
 
     #[test]

@@ -36,6 +36,17 @@ impl SimStats {
         self.lane_depth[l] -= 1;
     }
 
+    /// What `record_send` and `record_deliver` would have recorded for a
+    /// burst of `lane` traffic that bypassed the mailboxes and ended with
+    /// its own queue empty: `delivered` more deliveries, the depth where
+    /// it was, and a high water of at least the depth plus the burst's
+    /// `peak` backlog.
+    pub(crate) fn record_bypass(&mut self, lane: Lane, delivered: u64, peak: usize) {
+        let l = lane.index();
+        self.delivered[l] += delivered;
+        self.lane_high_water[l] = self.lane_high_water[l].max(self.lane_depth[l] + peak);
+    }
+
     /// Re-derives per-lane depths after bulk mailbox surgery
     /// (expunge/relane); high-water marks are raised, never lowered.
     pub(crate) fn set_lane_depths(&mut self, depths: PerLane<usize>) {
@@ -111,6 +122,25 @@ mod tests {
             1,
             "reset restarts from the current depth"
         );
+    }
+
+    #[test]
+    fn a_bypass_counts_as_its_sends_and_deliveries() {
+        // One pending marking task, then a burst that peaks at three and
+        // delivers four of its five sends, dropping the fifth.
+        let mut bypassed = SimStats::default();
+        bypassed.record_send(Lane::Marking);
+        let mut sent = bypassed.clone();
+        bypassed.record_bypass(Lane::Marking, 4, 3);
+        for burst in [3, 1] {
+            (0..burst).for_each(|_| sent.record_send(Lane::Marking));
+            (0..burst).for_each(|_| sent.record_deliver(Lane::Marking));
+        }
+        sent.record_send(Lane::Marking);
+        sent.set_lane_depths([1, 0, 0, 0]);
+        assert_eq!(bypassed.delivered(Lane::Marking), 5 - 1);
+        assert_eq!(bypassed, sent);
+        assert_eq!(bypassed.lane_high_water(Lane::Marking), 1 + 3);
     }
 
     #[test]

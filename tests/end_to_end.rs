@@ -450,3 +450,110 @@ fn gc_counts_pin_the_delivery_order() {
         );
     }
 }
+
+/// FNV-1a over the little-endian bytes of 64-bit words.
+fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        w.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+#[test]
+fn gc_timelines_pin_every_cycle() {
+    // What the totals above miss: each cycle's marking events, marking
+    // backlog peak, reduction events during marking and restructure
+    // tallies, then the run's delivered events in all and per lane. Each
+    // cell is a digest of those words, recorded on the commit before the
+    // M_T pass stopped going through the simulator's mailboxes.
+    use dgr::sim::Lane;
+    let policies = [
+        SchedPolicy::RoundRobin,
+        SchedPolicy::Fifo,
+        SchedPolicy::Lifo,
+        SchedPolicy::PriorityFirst,
+        SchedPolicy::Random { marking_bias: 0.5 },
+    ];
+    let programs = [
+        (programs::nfib(14), false),
+        (programs::nfib(12), true),
+        (programs::cyclic_sum(300), false),
+        (programs::primes(60), false),
+    ];
+    // One row per policy, one column per program, in the orders above.
+    let want: [[u64; 4]; 5] = [
+        [
+            0x7a77_7cb7_36fd_6ff2,
+            0x0801_e8fa_03f7_436c,
+            0x12d5_6185_efbf_e757,
+            0x7643_3671_8b0a_ec47,
+        ],
+        [
+            0x6da5_9b98_0daf_bfc5,
+            0xf928_c80e_804d_adfa,
+            0x82ac_59ea_7deb_9f8a,
+            0x6def_d4c8_7f96_a849,
+        ],
+        [
+            0xe8a2_20ee_17c4_be05,
+            0x8999_fc2e_8e61_2bb4,
+            0xa9b5_f39c_1d8a_cd83,
+            0x43af_ea3b_852b_eeb2,
+        ],
+        [
+            0x8a8a_49a7_f70d_2389,
+            0x5269_e1ac_59cb_6547,
+            0xe69f_dc37_6393_882f,
+            0x386c_1ff5_fa9e_bc2f,
+        ],
+        [
+            0x32fc_dbf2_ff0b_6fda,
+            0x76fb_d0fd_51da_9e88,
+            0xacf6_0c2f_eb3c_0f53,
+            0x9c91_e62b_667b_5b52,
+        ],
+    ];
+    for (policy, want) in policies.into_iter().zip(want) {
+        for ((p, speculation), want) in programs.iter().zip(want) {
+            let cfg = SystemConfig {
+                num_pes: 3,
+                policy,
+                speculation: *speculation,
+                ..Default::default()
+            };
+            // Some runs do not finish within the budget: newest-first
+            // chases the speculative `nfib` recursion, which never bottoms
+            // out, and marking-first leaves the mutator little beyond the
+            // 50-event windows between cycles. Those are pinned up to the
+            // budget, their outcome folded into the digest.
+            let gc_cfg = GcConfig {
+                period: 50,
+                max_total_events: 500_000,
+                ..Default::default()
+            };
+            let (out, gc) = run_gc(&p.source, p.needs_prelude, cfg, gc_cfg);
+            let what = format!("{} (speculation {speculation}, {policy:?})", p.name);
+            let finished = out == RunOutcome::Value(p.expected.clone().unwrap());
+            assert!(finished || out == RunOutcome::Budget, "{what}: {out:?}");
+            let cycles = gc.timeline().iter().flat_map(|c| {
+                [
+                    c.mark_events,
+                    c.mark_backlog_hw,
+                    c.reduction_events_during_marking,
+                    c.reclaimed as u64,
+                    c.expunged as u64,
+                    c.relaned as u64,
+                ]
+            });
+            let sim = gc.sys.sim().stats();
+            let lanes = Lane::ALL.map(|l| sim.delivered(l));
+            let got = digest(
+                cycles
+                    .chain([u64::from(finished), gc.sys.events()])
+                    .chain(lanes),
+            );
+            assert_eq!(got, want, "{what}: {got:#018x}");
+        }
+    }
+}
