@@ -20,3 +20,33 @@
 pub mod noncoop;
 pub mod refcount;
 pub mod stw;
+
+use dgr_graph::{oracle, GraphStore, Requester};
+use dgr_telemetry::LifecycleTracker;
+
+/// Reclaims every vertex the root cannot reach, observed through `lc`:
+/// censuses the garbage, purges it from the live vertices' requester sets
+/// (the concurrent restructuring phase's hygiene: no value is ever
+/// returned to a recycled vertex), then frees and stamps it. Returns the
+/// reachable and the reclaimed vertex counts.
+fn reclaim_unreachable(g: &mut GraphStore, lc: &mut LifecycleTracker) -> (usize, usize) {
+    let reach = oracle::reachable_r(g);
+    let garbage = oracle::garbage(g, &reach);
+    if lc.enabled() {
+        for w in garbage.iter() {
+            lc.garbage_vertex(w.index());
+        }
+    }
+    let live: Vec<_> = g.live_ids().filter(|&v| !garbage.contains(v)).collect();
+    for v in live {
+        g.vertex_mut(v).retain_requesters(|r| match r {
+            Requester::Vertex(x) => !garbage.contains(x),
+            Requester::External => true,
+        });
+    }
+    for w in garbage.iter() {
+        g.free(w);
+        lc.reclaim_vertex(w.index());
+    }
+    (reach.len(), garbage.len())
+}

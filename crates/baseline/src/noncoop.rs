@@ -7,11 +7,11 @@
 //! The move mutation keeps root-reachability invariant, so every unmarked
 //! live vertex at the end is a definite loss.
 
-use dgr_core::driver::{reset_slot, route};
-use dgr_core::{handle_mark, MarkMsg, MarkState, RMode};
-use dgr_graph::{oracle, GraphStore, MarkParent, PartitionMap, PartitionStrategy, Requester, Slot};
-use dgr_sim::{DetSim, SchedPolicy};
-use dgr_telemetry::LifecycleTracker;
+use dgr_core::driver::{reset_slot, run_pass, MarkRunConfig};
+use dgr_core::{MarkMsg, MarkState, RMode};
+use dgr_graph::{oracle, GraphStore, MarkParent, Slot};
+use dgr_sim::SchedPolicy;
+use dgr_telemetry::{LifecycleTracker, Registry};
 use dgr_workloads::mutation::MoveMutator;
 
 /// Result of one marking-under-mutation run.
@@ -44,28 +44,29 @@ pub fn mark_under_mutation(
     state.cooperation_enabled = cooperating;
     state.begin_r(RMode::Simple);
 
-    let partition = PartitionMap::new(4, g.capacity(), PartitionStrategy::Modulo);
-    let mut sim: DetSim<MarkMsg> = DetSim::new(4, SchedPolicy::Random { marking_bias: 0.5 }, seed);
-    sim.send(route(
-        &partition,
-        MarkMsg::Mark1 {
+    let cfg = MarkRunConfig {
+        num_pes: 4,
+        policy: SchedPolicy::Random { marking_bias: 0.5 },
+        seed,
+        ..Default::default()
+    };
+    let mut mutator = MoveMutator::new(seed.wrapping_add(1));
+    let stats = run_pass(
+        g,
+        &cfg,
+        &mut state,
+        Slot::R,
+        vec![MarkMsg::Mark1 {
             v: root,
             par: MarkParent::RootPar,
+        }],
+        &Registry::new(cfg.num_pes),
+        |events, state, g, send| {
+            if mutation_period > 0 && events.is_multiple_of(mutation_period) {
+                mutator.step(state, g, send);
+            }
         },
-    ));
-
-    let mut mutator = MoveMutator::new(seed.wrapping_add(1));
-    let mut events = 0u64;
-    while let Some((_pe, _lane, msg)) = sim.next_event() {
-        let mut send = |m: MarkMsg| {
-            sim.send(route(&partition, m));
-        };
-        handle_mark(&mut state, g, msg, &mut send);
-        events += 1;
-        if mutation_period > 0 && events.is_multiple_of(mutation_period) {
-            mutator.step(&mut state, g, &mut send);
-        }
-    }
+    );
     assert!(state.r_done, "marking drained without termination");
 
     let reach = oracle::reachable_r(g);
@@ -78,7 +79,7 @@ pub fn mark_under_mutation(
         mutations: mutator.applied,
         live: reach.len(),
         lost_live,
-        mark_events: events,
+        mark_events: stats.events,
     }
 }
 
@@ -102,29 +103,11 @@ pub fn mark_under_mutation_observed(
     lc: &mut LifecycleTracker,
 ) -> CoopReport {
     let r = mark_under_mutation(g, cooperating, mutation_period, seed);
-    let reach = oracle::reachable_r(g);
-    let garbage = oracle::garbage(g, &reach);
-    if lc.enabled() {
-        for w in garbage.iter() {
-            lc.garbage_vertex(w.index());
-        }
-    }
-    // Same requester hygiene as the concurrent restructuring phase.
-    let live: Vec<_> = g.live_ids().filter(|&v| !garbage.contains(v)).collect();
-    for v in live {
-        g.vertex_mut(v).retain_requesters(|req| match req {
-            Requester::Vertex(x) => !garbage.contains(x),
-            Requester::External => true,
-        });
-    }
     let marked = g
         .live_ids()
         .filter(|&v| g.mark(v, Slot::R).is_marked())
         .count() as u64;
-    for w in garbage.iter() {
-        g.free(w);
-        lc.reclaim_vertex(w.index());
-    }
+    crate::reclaim_unreachable(g, lc);
     lc.meter_msgs(0, r.mark_events, 2 * marked);
     r
 }

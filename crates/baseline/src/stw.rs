@@ -7,7 +7,7 @@
 //! collector's cycles, during which reduction keeps executing
 //! (`CycleReport::reduction_events_during_marking > 0`).
 
-use dgr_graph::{oracle, GraphStore, Requester};
+use dgr_graph::GraphStore;
 use dgr_telemetry::LifecycleTracker;
 
 /// What one stop-the-world collection did.
@@ -43,31 +43,12 @@ pub fn collect_stw(g: &mut GraphStore) -> StwReport {
 /// collection carries its true cross-collection latency. STW exchanges no
 /// messages, so the meter records zeros (and a zero bound).
 pub fn collect_stw_observed(g: &mut GraphStore, lc: &mut LifecycleTracker) -> StwReport {
-    let reach = oracle::reachable_r(g);
-    let garbage = oracle::garbage(g, &reach);
-    if lc.enabled() {
-        for w in garbage.iter() {
-            lc.garbage_vertex(w.index());
-        }
-    }
-    // Purge reclaimed requesters, then free (same hygiene as the
-    // concurrent restructuring phase).
-    let live: Vec<_> = g.live_ids().filter(|&v| !garbage.contains(v)).collect();
-    for v in live {
-        g.vertex_mut(v).retain_requesters(|r| match r {
-            Requester::Vertex(x) => !garbage.contains(x),
-            Requester::External => true,
-        });
-    }
-    for w in garbage.iter() {
-        g.free(w);
-        lc.reclaim_vertex(w.index());
-    }
+    let (traced, reclaimed) = crate::reclaim_unreachable(g, lc);
     lc.meter_msgs(0, 0, 0);
     StwReport {
-        traced: reach.len(),
-        reclaimed: garbage.len(),
-        pause_units: reach.len() + g.capacity(),
+        traced,
+        reclaimed,
+        pause_units: traced + g.capacity(),
     }
 }
 

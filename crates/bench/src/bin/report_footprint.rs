@@ -2,10 +2,9 @@
 //! remark).
 
 use dgr_bench::{record, Report};
-use dgr_core::compressed::run_mark1_compressed;
 use dgr_core::driver::{run_mark1, MarkRunConfig};
 use dgr_core::footprint;
-use dgr_graph::PartitionStrategy;
+use dgr_graph::{PartitionMap, Slot};
 use dgr_workloads::graphs::random_digraph;
 
 fn main() {
@@ -37,8 +36,9 @@ fn main() {
         rows,
     );
 
-    // The compressed variant is implemented (dgr_core::compressed):
-    // measure what the space saving costs in messages.
+    // What the space saving costs in messages is fixed by the graph: the
+    // compressed design sends one mark per cross-PE R-arc out of a marked
+    // vertex, and acknowledges each of them plus the initiator's.
     let mut rows = Vec::new();
     for &pes in &[4u16, 16] {
         let mut g = random_digraph(30_000, 3.0, 5);
@@ -47,29 +47,34 @@ fn main() {
             ..Default::default()
         };
         let full = run_mark1(&mut g, &cfg);
-        let mut g2 = random_digraph(30_000, 3.0, 5);
-        let comp = run_mark1_compressed(&mut g2, pes, PartitionStrategy::Modulo);
-        assert_eq!(full.marked, comp.marked, "both mark exactly R");
+        let partition = PartitionMap::new(pes, g.capacity(), cfg.partition);
+        let mut remote = 0u64;
+        for v in g.live_ids().filter(|&v| g.mark(v, Slot::R).is_marked()) {
+            g.vertex(v).for_each_r_child(|c| {
+                remote += u64::from(partition.pe_of(c) != partition.pe_of(v));
+            });
+        }
         rows.push(record! {
             "pes" => pes,
             "marked" => full.marked,
             "full_msgs" => full.events,
             "full_remote" => full.remote_messages,
-            "compressed_remote" => comp.remote_marks,
-            "compressed_acks" => comp.acks,
+            "compressed_remote" => remote,
+            "compressed_acks" => remote + 1,
         });
     }
     report.table(
         &format!(
-            "T4b: full ({}B/vertex) vs compressed (1 bit/vertex + 2 words/PE) \
-             marking (Section 6) — same 30k-vertex graph",
+            "T4b: full ({}B/vertex) marking, run, vs the compressed design \
+             (1 bit/vertex + 2 words/PE, Section 6), counted from the marked \
+             graph — same 30k-vertex graph",
             f.per_vertex_marking_bytes
         ),
         rows,
     );
     println!(
         "\nShape check: the compressed scheme (Dijkstra–Scholten engagement \
-         over PEs) erases the per-vertex mt-cnt/mt-par fields at the cost of \
+         over PEs) would erase the per-vertex mt-cnt/mt-par fields at the cost of \
          one acknowledgement per cross-PE mark; the paper deems the full \
          per-vertex form acceptable when object granularity is large."
     );

@@ -78,6 +78,35 @@ fn marking_json_passes_the_gate_against_the_committed_baseline() {
     assert_eq!(records, printed_rows(&stdout), "one record per printed row");
 }
 
+/// T4b's rows, recorded from the binary that still ran the compressed
+/// protocol: its message columns are the counts `report_footprint` now
+/// takes from the marked graph, and each remote mark is half a full
+/// remote pair (a mark and its return).
+#[test]
+fn footprint_counts_the_compressed_messages_the_protocol_sent() {
+    let dir = Scratch::new("footprint");
+    dir.run(env!("CARGO_BIN_EXE_report_footprint"), &["--json"]);
+    let json = dir.read("BENCH_footprint.json");
+    let rows: Vec<&str> = json
+        .lines()
+        .filter(|l| l.contains("\"compressed_remote\""))
+        .collect();
+    let want = [
+        (4, 28247, 170006, 128146, 64073, 64074),
+        (16, 28247, 170006, 159528, 79764, 79765),
+    ];
+    assert_eq!(rows.len(), want.len(), "{json}");
+    for (row, (pes, marked, msgs, full_remote, remote, acks)) in rows.iter().zip(want) {
+        let expected = format!(
+            "{{\"pes\": {pes}, \"marked\": {marked}, \"full_msgs\": {msgs}, \
+             \"full_remote\": {full_remote}, \"compressed_remote\": {remote}, \
+             \"compressed_acks\": {acks}}}"
+        );
+        assert_eq!(row.trim().trim_end_matches(','), expected);
+        assert_eq!(full_remote, 2 * remote);
+    }
+}
+
 #[test]
 fn ordering_writes_one_record_per_printed_row_and_only_under_json() {
     let dir = Scratch::new("ordering");

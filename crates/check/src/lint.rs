@@ -1,6 +1,6 @@
 //! Repo-specific source lints, run in CI alongside the model checker.
 //!
-//! Nine source rules, scoped to `crates/*/src` and the root `src/`, and
+//! Ten source rules, scoped to `crates/*/src` and the root `src/`, and
 //! one manifest rule over the root and `crates/*` `Cargo.toml` files:
 //!
 //! 1. **mark-word ordering** — a line touching the packed `(epoch, color)`
@@ -16,7 +16,7 @@
 //!    drain could read a stale parent and misroute the return wave.
 //! 3. **mark-state confinement** — direct mark-slot mutation
 //!    (`mark_mut` / `slot_mut` / `mark_at_mut`) is allowed only in the
-//!    graph crate itself, the handler/cooperation/compressed/threaded
+//!    graph crate itself, the handler/cooperation/threaded
 //!    modules of `dgr-core` (the sequential and threaded handler
 //!    implementations), and the fault injector of this crate (whose job
 //!    is to play a buggy implementation). Test modules are exempt.
@@ -60,6 +60,12 @@
 //!     the `Build` alias every facade type defaults to, and a second
 //!     reader is a second implementation that compiles in one feature
 //!     state only.
+//! 11. **one marking loop** — non-test code may call `handle_mark` only
+//!     in `crates/core/src` (the handler, the cooperating primitives and
+//!     `driver::run_pass`, the one simulator marking loop, whose
+//!     per-event hook is where a caller mutates between events), in the
+//!     reduction system's own delivery loop and in the model checker's
+//!     world. A pass anywhere else is a hand-copied loop that drifts.
 //!
 //! The needles below are spelled with `concat!` so the lint does not flag
 //! its own source.
@@ -104,6 +110,15 @@ const ORDERING_STRONG: [&str; 4] = [
 ];
 const ORDERING_COMMENT: &str = concat!("// ord", "ering:");
 const TELEMETRY_FEATURE: &str = concat!("feature = ", "\"telemetry\"");
+const HANDLE_MARK: &str = concat!("handle_", "mark(");
+
+/// Rule 11's exemptions: the crate that defines the handler, and the two
+/// other loops that deliver marking messages.
+fn may_deliver_marks(rel: &str) -> bool {
+    rel.starts_with("crates/core/src/")
+        || rel == "crates/reduction/src/system.rs"
+        || rel == "crates/check/src/world.rs"
+}
 
 /// Rule 10's scope and its one exemption.
 fn reads_the_switch_twice(rel: &str) -> bool {
@@ -140,10 +155,9 @@ fn ordering_commented_scope(rel: &str) -> bool {
 /// Files (repo-relative, `/`-separated) allowed to mutate mark slots
 /// directly. `crates/graph/src/` is prefix-matched: the graph crate owns
 /// the slots.
-const MUT_ALLOWLIST: [&str; 5] = [
+const MUT_ALLOWLIST: [&str; 4] = [
     "crates/core/src/handler.rs",
     "crates/core/src/coop.rs",
-    "crates/core/src/compressed.rs",
     "crates/core/src/threaded.rs",
     "crates/check/src/faults.rs",
 ];
@@ -388,6 +402,14 @@ pub fn run(root: &Path) -> Vec<Finding> {
                     text: t.to_string(),
                 });
             }
+            if !in_tests && !may_deliver_marks(rel) && l.contains(HANDLE_MARK) {
+                findings.push(Finding {
+                    file: rel.clone(),
+                    line: i + 1,
+                    rule: "one-marking-loop",
+                    text: t.to_string(),
+                });
+            }
             if reads_the_switch_twice(rel) && l.contains(TELEMETRY_FEATURE) {
                 findings.push(Finding {
                     file: rel.clone(),
@@ -559,6 +581,30 @@ mod tests {
             .collect();
         let active = "crates/telemetry/src/active.rs".to_string();
         assert_eq!(got, [("telemetry-switch-once", active, 2)], "lib.rs may");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_marking_loop_outside_the_drivers_is_reported() {
+        let dir = std::env::temp_dir().join("dgr-check-lint-fixture-loop");
+        let call = format!("fn f() {{\n    {HANDLE_MARK}&mut s, g, m, &mut send);\n}}\n");
+        for (krate, file) in [
+            ("core", "driver.rs"),
+            ("reduction", "system.rs"),
+            ("check", "world.rs"),
+            ("baseline", "noncoop.rs"),
+        ] {
+            let src = dir.join("crates").join(krate).join("src");
+            fs::create_dir_all(&src).unwrap();
+            let tests = format!("#[cfg(test)]\nmod tests {{\n{call}}}\n");
+            fs::write(src.join(file), format!("{call}{tests}")).unwrap();
+        }
+        let got: Vec<_> = run(&dir)
+            .into_iter()
+            .map(|f| (f.rule, f.file, f.line))
+            .collect();
+        let noncoop = "crates/baseline/src/noncoop.rs".to_string();
+        assert_eq!(got, [("one-marking-loop", noncoop, 2)], "tests may");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -66,7 +66,7 @@ pub fn reset_slot(g: &mut GraphStore, slot: Slot) {
 
 /// Addresses a marking message to the PE it executes on
 /// ([`PartitionMap::pe_of_dest`]).
-pub fn route(partition: &PartitionMap, msg: MarkMsg) -> Envelope<MarkMsg> {
+fn route(partition: &PartitionMap, msg: MarkMsg) -> Envelope<MarkMsg> {
     Envelope::new(partition.pe_of_dest(msg.dest_vertex()), Lane::Marking, msg)
 }
 
@@ -89,15 +89,32 @@ fn flight_dump_and_panic(reason: String, pe: u16, telem: &Registry, sim: &DetSim
     panic!("{reason}");
 }
 
-fn run_pass(
+/// The one simulator marking loop: sends `initial` from PE 0 and delivers
+/// until nothing is pending, in an `M_R` span for the R slot, `M_T` for T.
+/// After each delivery `after_event` gets the pass's event count (that
+/// event included), the state, the graph and the send sink — the place to
+/// mutate between two events; what it sends counts as the delivering PE's.
+/// The invariant check `cfg` may ask for runs after the hook.
+///
+/// # Panics
+///
+/// Panics after a flight-recorder dump if a checked invariant fails.
+pub fn run_pass<H>(
     g: &mut GraphStore,
     cfg: &MarkRunConfig,
     state: &mut MarkState,
     slot: Slot,
     initial: Vec<MarkMsg>,
-    phase: Phase,
     telem: &Registry,
-) -> MarkStats {
+    mut after_event: H,
+) -> MarkStats
+where
+    H: FnMut(u64, &mut MarkState, &mut GraphStore, &mut dyn FnMut(MarkMsg)),
+{
+    let phase = match slot {
+        Slot::R => Phase::Mr,
+        Slot::T => Phase::Mt,
+    };
     let partition = PartitionMap::new(cfg.num_pes, g.capacity(), cfg.partition);
     let mut sim: DetSim<MarkMsg> = DetSim::new(cfg.num_pes, cfg.policy, cfg.seed);
     for m in initial {
@@ -109,15 +126,12 @@ fn run_pass(
     let mut stats = MarkStats::default();
     let _pass = telem.span(0, 0, phase, phase.name());
     while let Some((pe, _lane, seq, msg)) = sim.next_event_from(None) {
-        if msg.dest_vertex().map(|v| partition.pe_of(v)) != Some(pe) && msg.dest_vertex().is_some()
-        {
-            stats.remote_messages += 1;
-        }
         let (fphase, fname) = msg.flow_meta();
         telem.flow_recv(pe.raw(), 0, fphase, fname, seq + 1);
         telem.pe(pe.raw()).inc(CounterId::MarkEvents);
-        // The handler's sends go straight into the simulator.
-        handle_mark(state, g, msg, &mut |m: MarkMsg| {
+        // The handler's sends, and the hook's, go straight into the
+        // simulator.
+        let mut send = |m: MarkMsg| {
             let (fphase, fname) = m.flow_meta();
             let env = route(&partition, m);
             if env.dst != pe {
@@ -128,8 +142,10 @@ fn run_pass(
             }
             let seq = sim.send(env);
             telem.flow_send(pe.raw(), 0, fphase, fname, seq + 1);
-        });
+        };
+        handle_mark(state, g, msg, &mut send);
         stats.events += 1;
+        after_event(stats.events, state, g, &mut send);
         if cfg.check_invariants {
             let pending: Vec<MarkMsg> = sim.iter_pending().map(|(_, _, m)| *m).collect();
             if let Err(e) = check_invariants(g, slot, &pending, state) {
@@ -185,8 +201,8 @@ pub fn run_mark1_with(g: &mut GraphStore, cfg: &MarkRunConfig, telem: &Registry)
             v: root,
             par: MarkParent::RootPar,
         }],
-        Phase::Mr,
         telem,
+        |_, _, _, _| {},
     );
     assert!(state.r_done, "mark1 drained without termination signal");
     stats
@@ -213,8 +229,8 @@ pub fn run_mark2(g: &mut GraphStore, cfg: &MarkRunConfig) -> MarkStats {
             par: MarkParent::RootPar,
             prior: Priority::Vital,
         }],
-        Phase::Mr,
         &Registry::new(cfg.num_pes),
+        |_, _, _, _| {},
     );
     assert!(state.r_done, "M_R drained without termination signal");
     stats
@@ -240,7 +256,15 @@ pub fn run_mark3(g: &mut GraphStore, tasks: &TaskEndpoints, cfg: &MarkRunConfig)
         })
         .collect();
     let telem = Registry::new(cfg.num_pes);
-    let stats = run_pass(g, cfg, &mut state, Slot::T, initial, Phase::Mt, &telem);
+    let stats = run_pass(
+        g,
+        cfg,
+        &mut state,
+        Slot::T,
+        initial,
+        &telem,
+        |_, _, _, _| {},
+    );
     assert!(state.t_done, "M_T drained without termination signal");
     stats
 }

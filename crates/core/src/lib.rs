@@ -29,8 +29,10 @@
 //!
 //! Marking tasks are ordinary messages; [`handle_mark`] executes one
 //! atomically. The [`driver`] module runs complete marking passes on the
-//! deterministic simulator, and [`threaded`] runs `mark1` on the real
-//! parallel runtime.
+//! deterministic simulator — all through one loop,
+//! [`driver::run_pass`], whose per-event hook is where a caller mutates
+//! the graph between two events — and [`threaded`] runs `mark1` on the
+//! real parallel runtime.
 //!
 //! # Example: a complete `mark1` pass
 //!
@@ -58,7 +60,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compressed;
 pub mod coop;
 pub mod driver;
 pub mod footprint;

@@ -2,13 +2,11 @@
 //! while the graph is mutated mid-marking through the cooperating
 //! primitives, across algorithms, schedules and mutation rates.
 
-use dgr_core::driver::{reset_slot, route};
-use dgr_core::invariants::check_invariants;
-use dgr_core::{coop, handle_mark, MarkMsg, MarkState, RMode};
-use dgr_graph::{
-    GraphStore, MarkParent, NodeLabel, PartitionMap, PartitionStrategy, Priority, Slot, VertexId,
-};
-use dgr_sim::{DetSim, SchedPolicy};
+use dgr_core::driver::{reset_slot, run_pass, MarkRunConfig};
+use dgr_core::{coop, MarkMsg, MarkState, RMode};
+use dgr_graph::{GraphStore, MarkParent, NodeLabel, Priority, Slot, VertexId};
+use dgr_sim::SchedPolicy;
+use dgr_telemetry::Registry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -35,7 +33,7 @@ fn random_move(
     rng: &mut StdRng,
     state: &mut MarkState,
     g: &mut GraphStore,
-    sink: &mut impl FnMut(MarkMsg),
+    sink: &mut dyn FnMut(MarkMsg),
 ) {
     for _ in 0..16 {
         let a = VertexId::new(rng.gen_range(0..g.capacity() as u32));
@@ -56,47 +54,45 @@ fn random_move(
 fn stress(mode: RMode, seed: u64, mutation_period: u64) {
     let mut g = random_tree(6);
     reset_slot(&mut g, Slot::R);
-    let partition = PartitionMap::new(4, g.capacity(), PartitionStrategy::Modulo);
-    let mut sim: DetSim<MarkMsg> = DetSim::new(4, SchedPolicy::Random { marking_bias: 0.5 }, seed);
     let mut state = MarkState::new();
     state.begin_r(mode);
     let root = g.root().unwrap();
-    sim.send(route(
-        &partition,
-        match mode {
-            RMode::Simple => MarkMsg::Mark1 {
-                v: root,
-                par: MarkParent::RootPar,
-            },
-            RMode::Priority => MarkMsg::Mark2 {
-                v: root,
-                par: MarkParent::RootPar,
-                prior: Priority::Vital,
-            },
+    let first = match mode {
+        RMode::Simple => MarkMsg::Mark1 {
+            v: root,
+            par: MarkParent::RootPar,
         },
-    ));
+        RMode::Priority => MarkMsg::Mark2 {
+            v: root,
+            par: MarkParent::RootPar,
+            prior: Priority::Vital,
+        },
+    };
+    let cfg = MarkRunConfig {
+        num_pes: 4,
+        policy: SchedPolicy::Random { marking_bias: 0.5 },
+        seed,
+        check_invariants: true,
+        ..Default::default()
+    };
     let mut rng = StdRng::seed_from_u64(seed ^ 0xdead);
-    let mut events = 0u64;
-    let mut buf = Vec::new();
-    while let Some((_pe, _lane, msg)) = sim.next_event() {
-        handle_mark(&mut state, &mut g, msg, &mut |m| buf.push(m));
-        for m in buf.drain(..) {
-            sim.send(route(&partition, m));
-        }
-        events += 1;
-        if mutation_period > 0 && events.is_multiple_of(mutation_period) {
-            let mut coop_buf = Vec::new();
-            random_move(&mut rng, &mut state, &mut g, &mut |m| coop_buf.push(m));
-            for m in coop_buf {
-                sim.send(route(&partition, m));
+    run_pass(
+        &mut g,
+        &cfg,
+        &mut state,
+        Slot::R,
+        vec![first],
+        &Registry::new(cfg.num_pes),
+        |events, state, g, send| {
+            if mutation_period > 0 && events.is_multiple_of(mutation_period) {
+                random_move(&mut rng, state, g, send);
             }
-        }
-        let pending: Vec<MarkMsg> = sim.iter_pending().map(|(_, _, m)| *m).collect();
-        if let Err(e) = check_invariants(&g, Slot::R, &pending, &state) {
-            panic!("mode {mode:?} seed {seed} period {mutation_period} event {events}: {e}");
-        }
-        assert!(events < 200_000, "marking diverged");
-    }
+            assert!(
+                events < 200_000,
+                "mode {mode:?} seed {seed} period {mutation_period}: marking diverged"
+            );
+        },
+    );
     assert!(state.r_done);
     // Safety/liveness spot check: everything root-reachable is marked
     // (moves preserve R).

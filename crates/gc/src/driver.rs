@@ -296,10 +296,7 @@ impl GcDriver {
     pub fn run_cycle_as(&mut self, cause: TriggerCause) -> CycleReport {
         self.cycle += 1;
         self.sys.heap_tracker_mut().record_trigger(cause);
-        // Flow events recorded during this cycle's marking waves carry
-        // the cycle number, so a trace analyzer can group the wave DAG
-        // per cycle.
-        self.sys.set_telemetry_cycle(self.cycle);
+        self.sys.begin_cycle(self.cycle);
         let run_mt = self.cfg.mt_every > 0 && (self.cycle - 1).is_multiple_of(self.cfg.mt_every);
         let mut report = CycleReport {
             cycle: self.cycle,
@@ -309,7 +306,6 @@ impl GcDriver {
         let cycle_start = Instant::now();
         self.lifecycle.begin_cycle(u64::from(self.cycle));
         let snap0 = self.sys.telemetry().snapshot();
-        self.sys.sim_mut().reset_lane_high_water();
         self.sys
             .telemetry()
             .begin(0, self.cycle, Phase::Gc, "cycle");
@@ -506,11 +502,7 @@ impl GcDriver {
             events += 1;
             if events >= self.cfg.phase_budget {
                 report.aborted = true;
-                // Drop all in-flight marking tasks; colors and counts are
-                // reset at the start of the next cycle's phases.
-                self.sys
-                    .sim_mut()
-                    .expunge(|_, _, msg| msg.as_red().is_some());
+                self.sys.drop_marking();
                 break;
             }
         }
@@ -626,33 +618,13 @@ impl GcDriver {
         }
 
         if self.cfg.expunge {
-            // Property 6: tasks whose destination is garbage are
-            // irrelevant. Tasks whose *source* is garbage are dropped too:
-            // their reply targets may be recycled.
-            let dead = |v: dgr_graph::VertexId| garbage.contains(v);
-            report.expunged = self.sys.sim_mut().expunge(|_, _, msg| match msg.as_red() {
-                Some(RedMsg::Request { src, dst, .. }) => {
-                    !dead(*dst) && !src.as_vertex().is_some_and(dead)
-                }
-                Some(RedMsg::Return { src, dst, .. }) => {
-                    !dead(*src) && !dst.as_vertex().is_some_and(dead)
-                }
-                None => true,
-            });
+            report.expunged = self.sys.expunge_tasks(|v| garbage.contains(v));
         }
 
         if self.cfg.reprioritize {
             // Every marked vertex's demand was refreshed by the census;
-            // re-lane the pending tasks to match — the paper's dynamic
-            // prioritization.
-            report.relaned = self.sys.sim_mut().relane(|_, lane, msg| {
-                if let Some(RedMsg::Request { dst, .. }) = msg.as_red() {
-                    if let Some(p) = lane_priority[dst.index()] {
-                        return Lane::Reduction(p);
-                    }
-                }
-                lane
-            });
+            // re-lane the pending tasks to match.
+            report.relaned = self.sys.relane_requests(|v| lane_priority[v.index()]);
         }
 
         if self.cfg.deadlock_recovery {

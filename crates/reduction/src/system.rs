@@ -215,10 +215,13 @@ impl System {
         }
     }
 
-    /// Sets the marking cycle number flow events are stamped with (GC
-    /// drivers call this at the start of each cycle).
-    pub fn set_telemetry_cycle(&mut self, cycle: u32) {
+    /// Starts marking cycle `cycle` (GC drivers call this first in each
+    /// cycle): flow events are stamped with it from now on, and the
+    /// simulator's backlog peaks restart from the current backlogs, so
+    /// the cycle reads its own peak.
+    pub fn begin_cycle(&mut self, cycle: u32) {
         self.telem_cycle = cycle;
+        self.sim.reset_lane_high_water();
     }
 
     /// The system's telemetry registry (the zero-sized no-op in a default
@@ -288,10 +291,36 @@ impl System {
         &self.sim
     }
 
-    /// The simulator, mutably (for expunging and re-laning by a GC
-    /// driver's restructuring phase).
-    pub fn sim_mut(&mut self) -> &mut DetSim<SysMsg> {
-        &mut self.sim
+    /// Deletes every pending reduction task one of whose endpoints is
+    /// `dead` — the restructuring phase's expunging (Property 6): a task
+    /// whose destination is garbage is irrelevant, and one whose source
+    /// is garbage goes too, since its reply target may be recycled.
+    /// Returns how many tasks were deleted.
+    pub fn expunge_tasks(&mut self, dead: impl Fn(VertexId) -> bool) -> usize {
+        self.sim.expunge(|_, _, msg| match msg.as_red() {
+            Some(red) => {
+                let (src, dst) = red.endpoints();
+                !src.is_some_and(&dead) && !dst.is_some_and(&dead)
+            }
+            None => true,
+        })
+    }
+
+    /// Moves every pending request whose destination `lane_of` gives a
+    /// priority into that priority's lane — the restructuring phase's
+    /// dynamic re-prioritization. Returns how many tasks moved.
+    pub fn relane_requests(&mut self, lane_of: impl Fn(VertexId) -> Option<Priority>) -> usize {
+        self.sim.relane(|_, lane, msg| match msg.as_red() {
+            Some(RedMsg::Request { dst, .. }) => lane_of(*dst).map_or(lane, Lane::Reduction),
+            _ => lane,
+        })
+    }
+
+    /// Drops every pending marking task: a marking phase that ran out of
+    /// budget abandons its pass (the next cycle's phases reset colors and
+    /// counts).
+    pub fn drop_marking(&mut self) {
+        self.sim.expunge(|_, _, msg| msg.as_red().is_some());
     }
 
     /// Routes and enqueues a reduction task with the given lane priority.

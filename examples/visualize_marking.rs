@@ -6,11 +6,11 @@
 //! Then:     `dot -Tsvg wave_2.dot > wave_2.svg` (if graphviz is installed)
 
 use dgr::graph::dot::{to_dot, DotOptions};
-use dgr::graph::{MarkParent, PartitionMap, PartitionStrategy, Slot};
-use dgr::marking::driver::{reset_slot, route};
-use dgr::marking::{handle_mark, MarkMsg, MarkState, RMode};
+use dgr::graph::{MarkParent, Slot};
+use dgr::marking::driver::{reset_slot, run_pass, MarkRunConfig};
+use dgr::marking::{MarkMsg, MarkState, RMode};
 use dgr::prelude::*;
-use dgr::sim::DetSim;
+use dgr::telemetry::Registry;
 
 fn main() {
     // A small diamond-rich graph.
@@ -26,37 +26,45 @@ fn main() {
     g.set_root(root);
 
     reset_slot(&mut g, Slot::R);
-    let partition = PartitionMap::new(3, g.capacity(), PartitionStrategy::Modulo);
-    let mut sim: DetSim<MarkMsg> = DetSim::new(3, SchedPolicy::Fifo, 0);
     let mut state = MarkState::new();
     state.begin_r(RMode::Simple);
-    sim.send(route(
-        &partition,
-        MarkMsg::Mark1 {
-            v: root,
-            par: MarkParent::RootPar,
-        },
-    ));
+    let cfg = MarkRunConfig {
+        num_pes: 3,
+        policy: SchedPolicy::Fifo,
+        ..Default::default()
+    };
 
     let mut snapshots = 0;
-    let mut events = 0;
-    let mut buf = Vec::new();
     let opts = DotOptions::default();
-    while let Some((_pe, _lane, msg)) = sim.next_event() {
-        handle_mark(&mut state, &mut g, msg, &mut |m| buf.push(m));
-        for m in buf.drain(..) {
-            sim.send(route(&partition, m));
-        }
-        events += 1;
-        if events % 5 == 0 || sim.is_empty() {
-            let path = format!("wave_{snapshots}.dot");
-            std::fs::write(&path, to_dot(&g, &opts)).expect("write snapshot");
-            println!("event {events:>3}: wrote {path}");
-            snapshots += 1;
-        }
+    let mut snapshot = |g: &GraphStore, events: u64| {
+        let path = format!("wave_{snapshots}.dot");
+        std::fs::write(&path, to_dot(g, &opts)).expect("write snapshot");
+        println!("event {events:>3}: wrote {path}");
+        snapshots += 1;
+    };
+    let stats = run_pass(
+        &mut g,
+        &cfg,
+        &mut state,
+        Slot::R,
+        vec![MarkMsg::Mark1 {
+            v: root,
+            par: MarkParent::RootPar,
+        }],
+        &Registry::new(cfg.num_pes),
+        |events, _, g, _| {
+            if events % 5 == 0 {
+                snapshot(g, events);
+            }
+        },
+    );
+    // The finished wave, unless the last event already drew it.
+    if stats.events % 5 != 0 {
+        snapshot(&g, stats.events);
     }
     assert!(state.r_done);
     println!(
-        "\nmarking complete in {events} events; render the snapshots with\n  for f in wave_*.dot; do dot -Tsvg $f > ${{f%.dot}}.svg; done"
+        "\nmarking complete in {} events; render the snapshots with\n  for f in wave_*.dot; do dot -Tsvg $f > ${{f%.dot}}.svg; done",
+        stats.events
     );
 }

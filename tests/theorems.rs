@@ -4,74 +4,58 @@
 //! taken at the paper's time points (`t_a` = M_T begins, `t_b` = M_R
 //! begins, `t_c` = M_R ends).
 
-use dgr::graph::{oracle, MarkParent, PartitionMap, PartitionStrategy, Slot, VertexSet};
-use dgr::marking::driver::{reset_slot, route};
-use dgr::marking::{handle_mark, MarkMsg, MarkState, RMode};
+use dgr::graph::{oracle, MarkParent, Slot, VertexSet};
+use dgr::marking::driver::{reset_slot, run_pass, MarkRunConfig};
+use dgr::marking::{MarkMsg, MarkState, RMode};
 use dgr::prelude::*;
-use dgr::sim::{DetSim, SchedPolicy};
+use dgr::sim::SchedPolicy;
+use dgr::telemetry::Registry;
 use dgr::workloads::churn::{churn_trace, ChurnOp, ChurnReplayer};
 
-/// Drives one marking pass to completion over a churning graph: every
+/// Drives one `M_R` pass to completion over a churning graph: every
 /// `period` marking events, one churn operation is applied through the
-/// cooperating hooks. Returns the oracle's garbage set at pass end.
+/// cooperating hooks.
 fn marked_pass_with_churn(
     rep: &mut ChurnReplayer,
     state: &mut MarkState,
     ops: &mut std::vec::IntoIter<ChurnOp>,
     period: u64,
     seed: u64,
-    slot: Slot,
 ) {
-    let partition = PartitionMap::new(4, rep.g.capacity().max(1), PartitionStrategy::Modulo);
-    let mut sim: DetSim<MarkMsg> = DetSim::new(4, SchedPolicy::Random { marking_bias: 0.5 }, seed);
-    match slot {
-        Slot::R => {
-            reset_slot(&mut rep.g, Slot::R);
-            state.begin_r(RMode::Priority);
-            let root = rep.g.root().unwrap();
-            sim.send(route(
-                &partition,
-                MarkMsg::Mark2 {
-                    v: root,
-                    par: MarkParent::RootPar,
-                    prior: Priority::Vital,
-                },
-            ));
-        }
-        Slot::T => {
-            reset_slot(&mut rep.g, Slot::T);
-            // A quiescent replayer has no tasks: seed nothing.
-            state.begin_t(0);
-        }
-    }
-    let mut events = 0u64;
-    let mut buf = Vec::new();
-    while let Some((_pe, _lane, msg)) = sim.next_event() {
-        handle_mark(state, &mut rep.g, msg, &mut |m| buf.push(m));
-        for m in buf.drain(..) {
-            sim.send(route(&partition, m));
-        }
-        events += 1;
-        if events.is_multiple_of(period) {
-            if let Some(op) = ops.next() {
-                let mut coop_buf = Vec::new();
-                rep.apply(op, state, &mut |m| coop_buf.push(m));
-                for m in coop_buf {
-                    sim.send(route(&partition, m));
+    // The pass holds the graph; the replayer has it back for each op.
+    let mut g = std::mem::take(&mut rep.g);
+    reset_slot(&mut g, Slot::R);
+    state.begin_r(RMode::Priority);
+    let root = g.root().unwrap();
+    let cfg = MarkRunConfig {
+        policy: SchedPolicy::Random { marking_bias: 0.5 },
+        seed,
+        ..Default::default()
+    };
+    run_pass(
+        &mut g,
+        &cfg,
+        state,
+        Slot::R,
+        vec![MarkMsg::Mark2 {
+            v: root,
+            par: MarkParent::RootPar,
+            prior: Priority::Vital,
+        }],
+        &Registry::new(cfg.num_pes),
+        |events, state, g, send| {
+            if events.is_multiple_of(period) {
+                if let Some(op) = ops.next() {
+                    std::mem::swap(&mut rep.g, g);
+                    rep.apply(op, state, send);
+                    std::mem::swap(&mut rep.g, g);
                 }
             }
-        }
-    }
-    match slot {
-        Slot::R => {
-            assert!(state.r_done, "M_R drained without done");
-            state.end_r();
-        }
-        Slot::T => {
-            assert!(state.t_done);
-            state.end_t();
-        }
-    }
+        },
+    );
+    rep.g = g;
+    assert!(state.r_done, "M_R drained without done");
+    state.end_r();
 }
 
 /// Theorem 1: `GAR(t_b) ⊆ GAR'(t_c) ⊆ GAR(t_c)` — everything that was
@@ -94,7 +78,7 @@ fn theorem_1_garbage_containments() {
 
         // Run M_R with churn interleaved.
         let mut ops = churn_trace(60, 4, 0.4, 0.5, seed + 1000).into_iter();
-        marked_pass_with_churn(&mut rep, &mut state, &mut ops, 5, seed, Slot::R);
+        marked_pass_with_churn(&mut rep, &mut state, &mut ops, 5, seed);
 
         // t_c snapshot.
         let reach_tc = oracle::reachable_r(&rep.g);
@@ -208,7 +192,7 @@ fn lemma_1_safety_under_mutation() {
         let gar_tb = oracle::garbage(&rep.g, &reach);
 
         let mut ops = churn_trace(40, 5, 0.5, 0.5, seed + 500).into_iter();
-        marked_pass_with_churn(&mut rep, &mut state, &mut ops, 3, seed, Slot::R);
+        marked_pass_with_churn(&mut rep, &mut state, &mut ops, 3, seed);
 
         for v in gar_tb.iter() {
             assert!(
