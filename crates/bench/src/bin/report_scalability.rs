@@ -1,10 +1,11 @@
 //! Experiment T5: marking scalability across processing elements.
 //!
-//! Parallel time is measured two ways. Round-synchronously (BSP): in each
-//! round every PE executes one pending marking task, so the number of
-//! rounds is the pass's ideal parallel time with that many PEs. And in
-//! wall time on the work-stealing threaded runtime, where the derived
-//! `speedup` column is `wall[1 PE] / wall[N PEs]`. Wall-clock speedup
+//! Parallel time is measured two ways. Round-synchronously (BSP, the
+//! simulator's `SchedPolicy::Rounds`): in each round every PE executes
+//! one pending marking task, so the number of rounds is the pass's ideal
+//! parallel time with that many PEs. And in wall time on the
+//! work-stealing threaded runtime, where the derived `speedup` column is
+//! `wall[1 PE] / wall[N PEs]`. Wall-clock speedup
 //! needs real hardware threads; where every PE count time-slices one
 //! core the report asserts only a loose "monotone-ish" profile (no
 //! anti-scaling collapse), and where the host runs two threads at once —
@@ -16,10 +17,10 @@
 //! 1/2/4/16) for the CI scalability smoke job.
 
 use dgr_bench::{record, timed, Report};
-use dgr_core::driver::{run_mark1, run_mark1_bsp, MarkRunConfig};
+use dgr_core::driver::{run_mark1, MarkRunConfig};
 use dgr_core::threaded::{reset_shared_r, run_mark1_shared};
 use dgr_graph::PartitionStrategy;
-use dgr_sim::SharedGraph;
+use dgr_sim::{SchedPolicy, SharedGraph};
 use dgr_workloads::graphs::{binary_tree_dfs, random_digraph};
 use std::time::{Duration, Instant};
 
@@ -112,12 +113,17 @@ fn main() {
     let small = report.has("--small");
 
     if !small {
-        // T5a: ideal parallel time (BSP rounds) vs PEs.
+        // T5a: ideal parallel time (rounds) vs PEs.
+        let rounds = |num_pes| MarkRunConfig {
+            num_pes,
+            policy: SchedPolicy::Rounds,
+            ..Default::default()
+        };
         let mut rows = Vec::new();
         let mut base_rounds = 0u64;
         for &pes in &[1u16, 2, 4, 8, 16, 32, 64] {
             let mut g = binary_tree_dfs(15); // 65k vertices
-            let stats = run_mark1_bsp(&mut g, pes, PartitionStrategy::Modulo);
+            let stats = run_mark1(&mut g, &rounds(pes));
             if pes == 1 {
                 base_rounds = stats.rounds;
             }
@@ -138,7 +144,7 @@ fn main() {
         let mut rows = Vec::new();
         for &pes in &[1u16, 8, 64] {
             let mut g = dgr_workloads::graphs::chain(8192);
-            let stats = run_mark1_bsp(&mut g, pes, PartitionStrategy::Modulo);
+            let stats = run_mark1(&mut g, &rounds(pes));
             rows.push(record! { "pes" => pes, "tasks" => stats.events, "rounds" => stats.rounds });
         }
         report.table(

@@ -14,15 +14,15 @@
 //! batch-size histogram. Pass `--small` for a CI-sized workload.
 
 use dgr_bench::{record, Report};
-use dgr_core::threaded::{reset_shared_r, run_mark1_shared_with};
+use dgr_core::threaded::{reset_shared_r, run_mark1_shared_observed};
 use dgr_gc::{GcConfig, GcDriver};
 use dgr_graph::PartitionStrategy;
 use dgr_lang::build_with_prelude;
 use dgr_reduction::SystemConfig;
 use dgr_sim::SharedGraph;
 use dgr_telemetry::{
-    bucket_label, chrome_trace_json, events_jsonl, CounterId, GaugeId, HistId, Registry,
-    TELEMETRY_ENABLED,
+    bucket_label, chrome_trace_json, events_jsonl, CounterId, GaugeId, HeartbeatHandle, HistId,
+    Registry, TELEMETRY_ENABLED,
 };
 use dgr_workloads::graphs::binary_tree_dfs;
 
@@ -122,7 +122,8 @@ fn main() {
     let shared = SharedGraph::from_store(binary_tree_dfs(depth));
     reset_shared_r(&shared);
     let telem = Registry::new(pes);
-    let stats = run_mark1_shared_with(&shared, pes, PartitionStrategy::Block, &telem);
+    let hb = HeartbeatHandle::new();
+    let stats = run_mark1_shared_observed(&shared, pes, PartitionStrategy::Block, &telem, &hb);
     let snap = telem.snapshot().merged();
     let batch = snap.hist(HistId::BatchSize);
     report.table(

@@ -7,12 +7,13 @@
 //! non-working PE-time went: steal overhead, mailbox delay, parking,
 //! true span limit, or load imbalance.
 //!
-//! The span estimate piggybacks on the BSP round counter: with `W` the
-//! serial round count (one task per round on one PE) and `R_P` the
-//! round count at `P` PEs, the workload's inherent span is approximated
-//! as `serial_wall * R_P / W` and injected into the event stream as a
-//! `bsp_span_us` instant, which `blame` uses when no flow edges exist
-//! (the steal runtime does not flow-stamp its envelopes).
+//! The span estimate piggybacks on the simulator's round-synchronous
+//! (BSP) policy, `SchedPolicy::Rounds`: with `W` the serial round count
+//! (one task per round on one PE, so the 1-PE pass's message count) and
+//! `R_P` the round count at `P` PEs, the workload's inherent span is
+//! approximated as `serial_wall * R_P / W` and injected into the event
+//! stream as a `bsp_span_us` instant, which `blame` uses when no flow
+//! edges exist (the steal runtime does not flow-stamp its envelopes).
 //!
 //! Every measured rep gets a **fresh registry**: the state clock
 //! accumulates across passes, and blame wants pass-exact clocks.
@@ -23,10 +24,10 @@
 //! CI's `ledger-smoke` job.
 
 use dgr_bench::{record, timed, Report};
-use dgr_core::driver::run_mark1_bsp;
-use dgr_core::threaded::{reset_shared_r, run_mark1_shared_with, ThreadedMarkStats};
+use dgr_core::driver::{run_mark1, MarkRunConfig};
+use dgr_core::threaded::{reset_shared_r, run_mark1_shared_observed, ThreadedMarkStats};
 use dgr_graph::{GraphStore, PartitionStrategy};
-use dgr_sim::SharedGraph;
+use dgr_sim::{SchedPolicy, SharedGraph};
 use dgr_telemetry::{events_jsonl, Event, EventKind, Phase, Registry, TELEMETRY_ENABLED};
 use dgr_trace::{attribution, blame, blame_text, parse_events};
 use dgr_workloads::graphs::{binary_tree_dfs, random_digraph};
@@ -49,8 +50,9 @@ fn measure(shared: &SharedGraph, pes: u16) -> Cell {
     for _ in 0..REPS {
         reset_shared_r(shared);
         let telem = Registry::new(pes);
+        let hb = dgr_telemetry::HeartbeatHandle::new();
         let (stats, ms) =
-            timed(|| run_mark1_shared_with(shared, pes, PartitionStrategy::Block, &telem));
+            timed(|| run_mark1_shared_observed(shared, pes, PartitionStrategy::Block, &telem, &hb));
         if best.as_ref().is_none_or(|b| ms < b.wall_ms) {
             best = Some(Cell {
                 wall_ms: ms,
@@ -89,18 +91,18 @@ fn main() {
     let pe_list: &[u16] = if small { &[1, 4] } else { &[1, 4, 16] };
 
     for (name, vertices, store) in workloads {
-        // BSP round counts feed the span estimate; run_mark1_bsp resets
-        // the R slot itself, so one mutable store serves every PE count.
-        let mut bsp_store = store.clone();
-        let serial_rounds = run_mark1_bsp(&mut bsp_store, 1, PartitionStrategy::Block).rounds;
+        // Round counts feed the span estimate; run_mark1 resets the R
+        // slot itself, so one mutable store serves every PE count.
+        let mut rounds_store = store.clone();
         let shared = SharedGraph::from_store(store);
         let mut rows = Vec::new();
-        let mut serial_wall_us = 0.0f64;
+        let (mut serial_wall_us, mut serial_rounds) = (0.0f64, 0u64);
         for &pes in pe_list {
             let cell = measure(&shared, pes);
             let wall_us = cell.wall_ms * 1e3;
             if pes == 1 {
                 serial_wall_us = wall_us;
+                serial_rounds = cell.stats.messages;
             }
             let mut rec = record! {
                 "benchmark" => format!("utilization_{name}"),
@@ -117,11 +119,17 @@ fn main() {
                 continue;
             }
             // Inherent-span estimate: serial wall scaled by the ideal
-            // parallel-time fraction the BSP rounds measure, carried in
-            // the stream as the instant `dgr-trace blame` reads.
+            // parallel-time fraction the rounds measure, carried in the
+            // stream as the instant `dgr-trace blame` reads.
             let mut stream = cell.events_jsonl;
-            if pes > 1 && serial_rounds > 0 {
-                let rounds = run_mark1_bsp(&mut bsp_store, pes, PartitionStrategy::Block).rounds;
+            if pes > 1 {
+                let cfg = MarkRunConfig {
+                    num_pes: pes,
+                    policy: SchedPolicy::Rounds,
+                    partition: PartitionStrategy::Block,
+                    ..Default::default()
+                };
+                let rounds = run_mark1(&mut rounds_store, &cfg).rounds;
                 let est = (serial_wall_us * rounds as f64 / serial_rounds as f64) as u64;
                 stream.push_str(&events_jsonl(&[Event {
                     ts_us: 0,

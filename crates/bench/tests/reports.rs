@@ -137,3 +137,41 @@ fn an_unparsable_value_is_usage_and_exit_2_not_a_panic() {
     assert!(stderr.contains("usage: report_soak"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+/// `report_scalability`'s T5a and T5b rows, computed through the library
+/// the report calls: `mark1` under `SchedPolicy::Rounds` with the
+/// default (modulo) placement. The round counts are those the report
+/// printed when a separate round-synchronous loop produced them.
+#[test]
+fn scalability_round_counts_are_pinned() {
+    use dgr_core::driver::{run_mark1, MarkRunConfig};
+    use dgr_sim::SchedPolicy;
+    use dgr_workloads::graphs::{binary_tree_dfs, chain};
+
+    let rounds = |mut g: dgr_graph::GraphStore, num_pes| {
+        let cfg = MarkRunConfig {
+            num_pes,
+            policy: SchedPolicy::Rounds,
+            ..Default::default()
+        };
+        let stats = run_mark1(&mut g, &cfg);
+        (stats.events, stats.rounds)
+    };
+    let t5a = [
+        (1, 131_070),
+        (2, 65_537),
+        (4, 32_903),
+        (8, 18_384),
+        (16, 10_287),
+        (32, 5_604),
+        (64, 3_121),
+    ];
+    for (pes, want) in t5a {
+        let got = rounds(binary_tree_dfs(15), pes);
+        assert_eq!(got, (131_070, want), "T5a, {pes} PEs");
+    }
+    for pes in [1, 8, 64] {
+        let got = rounds(chain(8192), pes);
+        assert_eq!(got, (16_384, 16_384), "T5b, {pes} PEs");
+    }
+}

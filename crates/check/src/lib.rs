@@ -1,7 +1,8 @@
 //! Bounded model checking of the decentralized marking protocol.
 //!
 //! The drivers in `dgr-core` test the handful of delivery orders that
-//! `SchedPolicy::{Fifo,Lifo,RoundRobin,Random}` happen to produce. This
+//! `SchedPolicy::{Fifo,Lifo,RoundRobin,Random,PriorityFirst,Rounds}`
+//! happen to produce. This
 //! crate instead enumerates **every** delivery interleaving (up to state
 //! equivalence) of a marking pass on a corpus of small adversarial graphs —
 //! cycles, shared subgraphs, and runs with the cooperating mutator

@@ -54,6 +54,10 @@ pub struct MarkStats {
     pub marked: usize,
     /// Messages that crossed a partition boundary.
     pub remote_messages: u64,
+    /// Rounds the pass took under [`SchedPolicy::Rounds`] — its parallel
+    /// time with `num_pes` PEs running one task each per round; 0 under
+    /// the other policies.
+    pub rounds: u64,
 }
 
 /// Resets one marking slot on every vertex (free-list vertices included) —
@@ -70,19 +74,19 @@ fn route(partition: &PartitionMap, msg: MarkMsg) -> Envelope<MarkMsg> {
     Envelope::new(partition.pe_of_dest(msg.dest_vertex()), Lane::Marking, msg)
 }
 
-/// Dumps the flight recorder (event-ring tail, metrics snapshot, every
-/// undelivered message) next to the process, then panics with `reason`.
-/// The dump works with telemetry off too — the in-flight set comes from
-/// the simulator, the rings are just empty.
-fn flight_dump_and_panic(reason: String, pe: u16, telem: &Registry, sim: &DetSim<MarkMsg>) -> ! {
-    let in_flight: Vec<String> = sim
-        .iter_pending()
-        .map(|(p, l, m)| format!("pe={} lane={l:?} {m:?}", p.raw()))
-        .collect();
+/// Dumps the flight recorder (event-ring tail, metrics snapshot and the
+/// undelivered messages `in_flight`) next to the process, then panics
+/// with `reason`. The dump works with telemetry off too: the rings are
+/// just empty.
+pub(crate) fn flight_dump_and_panic(
+    reason: &str,
+    pe: u16,
+    telem: &Registry,
+    in_flight: &[String],
+) -> ! {
     let dropped = telem.dropped_events();
     let events = telem.drain_events();
-    match dgr_telemetry::write_flight(&reason, pe, &events, dropped, &telem.snapshot(), &in_flight)
-    {
+    match dgr_telemetry::write_flight(reason, pe, &events, dropped, &telem.snapshot(), in_flight) {
         Ok(path) => eprintln!("flight recorder: wrote {}", path.display()),
         Err(e) => eprintln!("flight recorder: dump failed: {e}"),
     }
@@ -149,19 +153,20 @@ where
         if cfg.check_invariants {
             let pending: Vec<MarkMsg> = sim.iter_pending().map(|(_, _, m)| *m).collect();
             if let Err(e) = check_invariants(g, slot, &pending, state) {
-                flight_dump_and_panic(
-                    format!(
-                        "invariant violation on PE {} after event {} (handling {msg:?}): {e}",
-                        pe.raw(),
-                        stats.events
-                    ),
+                let in_flight: Vec<String> = sim
+                    .iter_pending()
+                    .map(|(p, l, m)| format!("pe={} lane={l:?} {m:?}", p.raw()))
+                    .collect();
+                let reason = format!(
+                    "invariant violation on PE {} after event {} (handling {msg:?}): {e}",
                     pe.raw(),
-                    telem,
-                    &sim,
+                    stats.events
                 );
+                flight_dump_and_panic(&reason, pe.raw(), telem, &in_flight);
             }
         }
     }
+    stats.rounds = sim.stats().rounds();
     stats.marked = g
         .live_ids()
         .filter(|&v| g.mark(v, slot).is_marked())
@@ -269,61 +274,6 @@ pub fn run_mark3(g: &mut GraphStore, tasks: &TaskEndpoints, cfg: &MarkRunConfig)
     stats
 }
 
-/// Statistics of a round-synchronous (BSP) marking pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BspStats {
-    /// Synchronous rounds executed — the pass's *parallel time* when every
-    /// PE executes one task per round.
-    pub rounds: u64,
-    /// Total marking tasks executed — the pass's *work*.
-    pub events: u64,
-}
-
-/// Runs `mark1` in round-synchronous (BSP) fashion: in each round every PE
-/// executes at most one pending marking task; tasks spawned in a round are
-/// delivered for the next. The returned [`BspStats::rounds`] is the pass's
-/// ideal parallel time with `num_pes` processors — the hardware-independent
-/// scalability measure of experiment T5 (wall-clock speedup requires more
-/// hardware threads than a CI container has).
-///
-/// # Panics
-///
-/// Panics if the graph has no root or termination is not signalled.
-pub fn run_mark1_bsp(g: &mut GraphStore, num_pes: u16, strategy: PartitionStrategy) -> BspStats {
-    use std::collections::VecDeque;
-    let root = g.root().expect("marking needs a root");
-    reset_slot(g, Slot::R);
-    let partition = PartitionMap::new(num_pes, g.capacity(), strategy);
-    let mut state = MarkState::new();
-    state.begin_r(RMode::Simple);
-
-    let pe_of = |m: &MarkMsg| partition.pe_of_dest(m.dest_vertex()).index();
-    let mut queues: Vec<VecDeque<MarkMsg>> = vec![VecDeque::new(); num_pes as usize];
-    let first = MarkMsg::Mark1 {
-        v: root,
-        par: MarkParent::RootPar,
-    };
-    queues[pe_of(&first)].push_back(first);
-
-    let mut stats = BspStats::default();
-    while queues.iter().any(|q| !q.is_empty()) {
-        stats.rounds += 1;
-        let mut staged: Vec<MarkMsg> = Vec::new();
-        for q in queues.iter_mut() {
-            if let Some(m) = q.pop_front() {
-                handle_mark(&mut state, g, m, &mut |m| staged.push(m));
-                stats.events += 1;
-            }
-        }
-        for m in staged {
-            let pe = pe_of(&m);
-            queues[pe].push_back(m);
-        }
-    }
-    assert!(state.r_done, "BSP marking drained without termination");
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,15 +297,21 @@ mod tests {
         g.set_root(ids[0]);
 
         let mut rounds = Vec::new();
-        for pes in [1u16, 4, 16] {
+        for num_pes in [1u16, 4, 16] {
             let mut g2 = g.clone();
-            let stats = run_mark1_bsp(&mut g2, pes, PartitionStrategy::Modulo);
+            let cfg = MarkRunConfig {
+                num_pes,
+                policy: SchedPolicy::Rounds,
+                ..Default::default()
+            };
+            let stats = run_mark1(&mut g2, &cfg);
             assert_eq!(stats.events, 2 * n as u64, "one mark + one return each");
             for v in g2.live_ids() {
                 assert!(g2.mark(v, Slot::R).is_marked());
             }
             rounds.push(stats.rounds);
         }
+        assert_eq!(rounds[0], 2 * n as u64, "one PE runs one task per round");
         assert!(
             rounds[0] > rounds[1] && rounds[1] > rounds[2],
             "parallel time falls with PEs: {rounds:?}"
@@ -385,6 +341,7 @@ mod tests {
             SchedPolicy::RoundRobin,
             SchedPolicy::PriorityFirst,
             SchedPolicy::Random { marking_bias: 0.5 },
+            SchedPolicy::Rounds,
         ] {
             let (mut g, [root, a, b, c, stray]) = diamond();
             let cfg = MarkRunConfig {

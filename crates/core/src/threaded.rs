@@ -131,31 +131,18 @@ pub fn run_mark1_shared(
     num_pes: u16,
     strategy: PartitionStrategy,
 ) -> ThreadedMarkStats {
-    run_mark1_shared_with(shared, num_pes, strategy, &Registry::new(num_pes))
+    let telem = Registry::new(num_pes);
+    run_mark1_shared_observed(shared, num_pes, strategy, &telem, &HeartbeatHandle::new())
 }
 
-/// [`run_mark1_shared`] with an explicit telemetry registry: the pass is
-/// wrapped in an `M_R` span, each PE's executed marking tasks land in its
-/// mark-event counter, and the underlying runtime records deque depth,
-/// steals, drained batch sizes and park events per PE.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_mark1_shared`].
-pub fn run_mark1_shared_with(
-    shared: &SharedGraph,
-    num_pes: u16,
-    strategy: PartitionStrategy,
-    telem: &Registry,
-) -> ThreadedMarkStats {
-    run_mark1_shared_observed(shared, num_pes, strategy, telem, &HeartbeatHandle::new())
-}
-
-/// [`run_mark1_shared_with`] plus a liveness pulse: the pass brackets an
-/// `M_R` phase on `hb` and the runtime beats delivery progress per local
-/// drain run, so the `dgr-observe` watchdog can supervise a long pass
-/// from another thread. With the default (no-op) handle this is exactly
-/// [`run_mark1_shared_with`].
+/// [`run_mark1_shared`] with an explicit telemetry registry and a
+/// liveness pulse. The pass is wrapped in an `M_R` span, each PE's
+/// executed marking tasks land in its mark-event counter, and the
+/// underlying runtime records deque depth, steals, drained batch sizes
+/// and park events per PE. The pass also brackets an `M_R` phase on `hb`
+/// and the runtime beats delivery progress per local drain run, so the
+/// `dgr-observe` watchdog can supervise a long pass from another thread;
+/// pass `&HeartbeatHandle::new()` (a no-op) for no pulse.
 ///
 /// # Panics
 ///
@@ -256,14 +243,7 @@ pub fn run_mark1_shared_observed(
         // Flight-record before panicking: the runtime is quiescent, so
         // the in-flight set is empty — the event-ring tail and counters
         // are what's left to explain the missing termination signal.
-        let reason = "quiescent without termination signal";
-        let dropped = telem.dropped_events();
-        let events = telem.drain_events();
-        match dgr_telemetry::write_flight(reason, 0, &events, dropped, &telem.snapshot(), &[]) {
-            Ok(path) => eprintln!("flight recorder: wrote {}", path.display()),
-            Err(e) => eprintln!("flight recorder: dump failed: {e}"),
-        }
-        panic!("{reason}");
+        crate::driver::flight_dump_and_panic("quiescent without termination signal", 0, telem, &[]);
     }
     ThreadedMarkStats {
         messages: stats.executed,

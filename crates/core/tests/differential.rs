@@ -1,11 +1,12 @@
-//! Differential testing: three independent implementations of the marking
-//! pass — event-simulated, round-synchronous (BSP) and threaded (real
-//! parallelism) — must produce the identical mark set on the same graph,
-//! which must equal the sequential oracle's `R`.
+//! Differential testing: the marking pass event-simulated (oldest message
+//! first, and round-synchronously) and threaded (real parallelism) must
+//! produce the identical mark set on the same graph, which must equal the
+//! sequential oracle's `R`.
 
-use dgr_core::driver::{run_mark1, run_mark1_bsp, MarkRunConfig};
+use dgr_core::driver::{run_mark1, MarkRunConfig};
 use dgr_core::threaded::run_mark1_threaded;
 use dgr_graph::{oracle, GraphStore, NodeLabel, PartitionStrategy, Slot, VertexId};
+use dgr_sim::SchedPolicy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,6 +41,19 @@ fn random_graph(n: usize, degree: f64, seed: u64, free_some: bool) -> GraphStore
     g
 }
 
+/// Marks `base` round-synchronously on `num_pes` PEs under `partition`.
+fn rounds(base: &GraphStore, num_pes: u16, partition: PartitionStrategy) -> GraphStore {
+    let mut g = base.clone();
+    let cfg = MarkRunConfig {
+        num_pes,
+        policy: SchedPolicy::Rounds,
+        partition,
+        ..Default::default()
+    };
+    run_mark1(&mut g, &cfg);
+    g
+}
+
 fn mark_set(g: &GraphStore) -> Vec<bool> {
     g.ids()
         .map(|v| !g.is_free(v) && g.mark(v, Slot::R).is_marked())
@@ -68,9 +82,8 @@ fn three_implementations_agree_with_each_other_and_the_oracle() {
             );
             assert_eq!(mark_set(&sim), want, "sim, seed {seed}, {pes} PEs");
 
-            let mut bsp = base.clone();
-            run_mark1_bsp(&mut bsp, pes, PartitionStrategy::Modulo);
-            assert_eq!(mark_set(&bsp), want, "bsp, seed {seed}, {pes} PEs");
+            let bsp = rounds(&base, pes, PartitionStrategy::Modulo);
+            assert_eq!(mark_set(&bsp), want, "rounds, seed {seed}, {pes} PEs");
 
             let (thr, _) = run_mark1_threaded(base.clone(), pes, PartitionStrategy::Block);
             assert_eq!(mark_set(&thr), want, "threaded, seed {seed}, {pes} PEs");
@@ -154,9 +167,8 @@ fn agreement_on_pathological_shapes() {
         let mut sim = base.clone();
         run_mark1(&mut sim, &MarkRunConfig::default());
         assert_eq!(mark_set(&sim), want, "shape {i} sim");
-        let mut bsp = base.clone();
-        run_mark1_bsp(&mut bsp, 5, PartitionStrategy::Block);
-        assert_eq!(mark_set(&bsp), want, "shape {i} bsp");
+        let bsp = rounds(&base, 5, PartitionStrategy::Block);
+        assert_eq!(mark_set(&bsp), want, "shape {i} rounds");
         let (thr, _) = run_mark1_threaded(base.clone(), 5, PartitionStrategy::Modulo);
         assert_eq!(mark_set(&thr), want, "shape {i} threaded");
     }

@@ -488,17 +488,17 @@ impl GcDriver {
             // outpaces a mutator that keeps allocating (Section 6).
             if burst < MARKING_SERVICE_RATIO && self.sys.step_lane(Lane::Marking) {
                 burst += 1;
-                events += 1;
-                continue;
+            } else {
+                // The marking lane is empty or has had its share: one task
+                // of the policy's choosing.
+                let progressed = burst > 0;
+                burst = 0;
+                if !self.sys.step() {
+                    assert!(progressed, "marking drained without its termination signal");
+                    continue;
+                }
             }
-            // The marking lane is empty or has had its share: one task of
-            // the policy's choosing.
-            let progressed = burst > 0;
-            burst = 0;
-            if !self.sys.step() {
-                assert!(progressed, "marking drained without its termination signal");
-                continue;
-            }
+            // Every delivery counts against the budget, a marking one too.
             events += 1;
             if events >= self.cfg.phase_budget {
                 report.aborted = true;
@@ -755,14 +755,15 @@ mod tests {
         assert_eq!(unbudgeted, RunOutcome::Value(Value::Int(820)));
         // A budget no marking phase of this program fits in: every cycle
         // is abandoned mid-wave, its in-flight marks dropped. With M_T on
-        // the budget runs out in `phase_t`; with it off, in `drive_phase`.
-        for mt_every in [1, 0] {
+        // the budget runs out in `phase_t`; with it off, in `drive_phase`,
+        // where a budget of 7 runs out inside a burst of marking service.
+        for (mt_every, phase_budget) in [(1, 8), (0, 8), (0, 7)] {
             let mut gc = GcDriver::new(
                 sum_system(40, SystemConfig::default()),
                 GcConfig {
                     period: 50,
                     mt_every,
-                    phase_budget: 8,
+                    phase_budget,
                     ..Default::default()
                 },
             );
@@ -778,6 +779,9 @@ mod tests {
                 assert!(last.aborted);
                 if mt_every == 1 {
                     assert_eq!(last.mark_events, 8, "M_T stops at its 8th event");
+                } else {
+                    let delivered = last.mark_events + last.reduction_events_during_marking;
+                    assert_eq!(delivered, phase_budget, "M_R stops at its budget");
                 }
                 let sim = gc.sys.sim();
                 assert_eq!(sim.stats().lane_depth(Lane::Marking), 0);
@@ -791,7 +795,7 @@ mod tests {
             assert_eq!(
                 gc.stats().aborted_cycles,
                 gc.stats().cycles,
-                "no phase fits in 8 events"
+                "no phase fits in {phase_budget} events"
             );
             assert_eq!(
                 gc.stats().reclaimed_total,

@@ -1,10 +1,10 @@
 //! End-to-end evaluation tests: source text → parse → lift → compile →
 //! distributed reduction → value.
 
-use dgr_graph::Value;
+use dgr_graph::{Priority, Value};
 use dgr_lang::{eval_source, eval_with_prelude};
 use dgr_reduction::{RunOutcome, SystemConfig};
-use dgr_sim::SchedPolicy;
+use dgr_sim::{Lane, SchedPolicy};
 
 fn eval(src: &str) -> RunOutcome {
     eval_source(src, SystemConfig::default()).unwrap_or_else(|e| panic!("{src}: {e}"))
@@ -184,6 +184,39 @@ fn results_stable_across_schedulers() {
             ..Default::default()
         };
         assert_eq!(eval_source(src, cfg).unwrap(), int(144), "seed {seed}");
+    }
+}
+
+/// Reduction under the round-synchronous policy: the value does not
+/// depend on the PE count, one PE runs one task per round, and a second
+/// PE shortens the run. With speculation on, vital and eager tasks share
+/// each PE's one task per round.
+#[test]
+fn rounds_reduce_to_the_value_and_count_parallel_time() {
+    let speculative = "sum (map (\\x -> if x < 3 then x * 2 else x + 1) (range 1 20))";
+    for (src, speculation, want) in [("nfib 12", false, 465), (speculative, true, 231)] {
+        let mut rounds = Vec::new();
+        for num_pes in [1u16, 2, 4] {
+            let cfg = SystemConfig {
+                policy: SchedPolicy::Rounds,
+                num_pes,
+                speculation,
+                ..Default::default()
+            };
+            let mut sys = dgr_lang::build_with_prelude(src, cfg).unwrap();
+            assert_eq!(sys.run(), int(want), "{src} on {num_pes} PEs");
+            let stats = sys.sim().stats();
+            if num_pes == 1 {
+                assert_eq!(stats.rounds(), stats.delivered_total(), "{src}");
+            }
+            let eager = stats.delivered(Lane::Reduction(Priority::Eager));
+            assert_eq!(eager > 0, speculation, "{src}: eager tasks ran");
+            rounds.push(stats.rounds());
+        }
+        assert!(
+            rounds[1] < rounds[0],
+            "{src}: two PEs take fewer rounds: {rounds:?}"
+        );
     }
 }
 

@@ -35,6 +35,15 @@ pub enum SchedPolicy {
     /// PEs within a lane. Models a scheduler that favors marking, then
     /// vital reduction work.
     PriorityFirst,
+    /// Round-synchronous (BSP): in each round every PE, in index order,
+    /// runs its oldest pending message across its lanes if that message
+    /// was sent before the round began. [`SimStats::rounds`](crate::SimStats::rounds)
+    /// is then a pass's ideal parallel time on that many PEs, experiment
+    /// T5's hardware-independent scalability measure (wall-clock speedup
+    /// needs more hardware threads than a CI container has). Lane service
+    /// ([`DetSim::next_event_from`] with a lane) and [`DetSim::bypass`]
+    /// run outside the rounds.
+    Rounds,
 }
 
 /// Index of the marking lane, the one lane outside the random policy's
@@ -150,10 +159,12 @@ impl IdSet {
 /// | first PE at or after the cursor with work in a lane (`PriorityFirst`) | `lane_pes` |
 /// | first PE at or after the cursor with any work (`RoundRobin`) | the OR of the four `lane_pes` words |
 /// | the `k`-th non-empty marking / other mailbox (`Random`) | `lane_pes[Marking]`, the three other `lane_pes` read in `(pe, lane)` order |
+/// | first PE at or after the cursor whose oldest message predates the round (`Rounds`) | as `RoundRobin`, then `round_start` |
 ///
 /// Round-robin needs no per-PE counter: a PE has work iff some lane's set
 /// holds it, and which message it then runs is read off its four queue
-/// fronts.
+/// fronts. Nor do rounds need a per-message mark: seqs are global and
+/// queues seq-sorted, so "sent before the round" is `seq < round_start`.
 #[derive(Debug)]
 pub struct DetSim<M> {
     /// The mailboxes: one queue per `(PE, lane)`, each sorted by sequence
@@ -164,6 +175,8 @@ pub struct DetSim<M> {
     seq: u64,
     pending: usize,
     rr_cursor: usize,
+    /// The first sequence number sent in the current round (`Rounds`).
+    round_start: u64,
     stats: SimStats,
     /// Per-lane mirror of the pending sends' `(seq, pe)` with **lazy
     /// deletion**, `None` until somebody asks for that lane's oldest or
@@ -198,6 +211,7 @@ impl<M> DetSim<M> {
             seq: 0,
             pending: 0,
             rr_cursor: 0,
+            round_start: 0,
             stats: SimStats::default(),
             mirror: Default::default(),
             lane_pes: std::array::from_fn(|_| IdSet::with_capacity(n)),
@@ -377,6 +391,7 @@ impl<M> DetSim<M> {
                     SchedPolicy::RoundRobin => self.pick_round_robin()?,
                     SchedPolicy::Random { marking_bias } => self.pick_random(marking_bias)?,
                     SchedPolicy::PriorityFirst => self.pick_priority_first()?,
+                    SchedPolicy::Rounds => self.pick_rounds(),
                 };
                 (pe, lane, matches!(self.policy, SchedPolicy::Lifo))
             }
@@ -431,12 +446,10 @@ impl<M> DetSim<M> {
         Some(p)
     }
 
-    /// First PE with work at or after the cursor (wrapping) — a PE has
-    /// work iff some lane's set holds it — then the oldest message across
-    /// that PE's four lanes.
+    /// PE `p`'s oldest pending message across its four lanes, as its
+    /// `(seq, lane)`.
     #[inline]
-    fn pick_round_robin(&mut self) -> Option<(usize, Lane)> {
-        let p = self.rotate(|sets, w| sets.iter().fold(0, |any, s| any | s.words[w]))?;
+    fn oldest_on(&self, p: usize) -> Option<(u64, Lane)> {
         let mut best: Option<(u64, Lane)> = None;
         for lane in Lane::ALL {
             if let Some(&(s, _)) = self.pes[p][lane.index()].front() {
@@ -445,7 +458,37 @@ impl<M> DetSim<M> {
                 }
             }
         }
-        best.map(|(_, lane)| (p, lane))
+        best
+    }
+
+    /// First PE with work at or after the cursor (wrapping) — a PE has
+    /// work iff some lane's set holds it — then the oldest message across
+    /// that PE's four lanes.
+    #[inline]
+    fn pick_round_robin(&mut self) -> Option<(usize, Lane)> {
+        let p = self.rotate(|sets, w| sets.iter().fold(0, |any, s| any | s.words[w]))?;
+        self.oldest_on(p).map(|(_, lane)| (p, lane))
+    }
+
+    /// First PE at or after the cursor, not wrapping, whose oldest message
+    /// predates the round; the cursor passes every PE it looks at, as a PE
+    /// with nothing that old gets nothing that old this round. Past the
+    /// last PE the next round begins at PE 0; messages are pending, so it
+    /// delivers.
+    fn pick_rounds(&mut self) -> (usize, Lane) {
+        loop {
+            let (sets, n) = (&self.lane_pes, self.lane_pes[0].words.len());
+            let any = |w| sets.iter().fold(0, |any, s| any | s.words[w]);
+            let Some(p) = first_bit_at_or_after(n, self.rr_cursor, any) else {
+                (self.round_start, self.rr_cursor) = (self.seq, 0);
+                self.stats.rounds += 1;
+                continue;
+            };
+            self.rr_cursor = p + 1;
+            if let Some((_, lane)) = self.oldest_on(p).filter(|&(s, _)| s < self.round_start) {
+                return (p, lane);
+            }
+        }
     }
 
     /// Biased coin between the marking pool and everything else, then a

@@ -5,8 +5,8 @@ use crate::msg::{Lane, PerLane};
 /// Counters kept by [`DetSim`](crate::DetSim), each with a reader:
 /// messages delivered per lane (the GC driver's per-phase event counts and
 /// the benchmark's task count), the current per-lane backlog (the bound
-/// the simulator sweeps its lane mirrors against) and its high water
-/// since the last reset (the marking backlog peak a cycle reports).
+/// the simulator sweeps its lane mirrors against), its high water since
+/// the last reset (the marking backlog peak a cycle reports) and rounds.
 ///
 /// These are plain fields updated inline by the simulator — they are
 /// always on (the `telemetry` feature only affects the shared registry
@@ -19,6 +19,7 @@ pub struct SimStats {
     /// Largest per-lane backlog since the last
     /// [`reset_lane_high_water`](SimStats::reset_lane_high_water).
     lane_high_water: PerLane<usize>,
+    pub(crate) rounds: u64,
 }
 
 impl SimStats {
@@ -64,6 +65,12 @@ impl SimStats {
     /// Total messages delivered (executed events).
     pub fn delivered_total(&self) -> u64 {
         self.delivered.iter().sum()
+    }
+
+    /// Rounds begun under [`SchedPolicy::Rounds`](crate::SchedPolicy::Rounds),
+    /// each delivering at least one message; 0 under the other policies.
+    pub fn rounds(&self) -> u64 {
+        self.rounds
     }
 
     /// Messages currently pending in the given lane.

@@ -7,9 +7,11 @@
 //! arbitrary point, abandoned until the lane's lazily built mirror is
 //! dropped, and asked for again — run at PE counts on both sides of a
 //! 64-bit word of the occupancy sets, and end by checking `SimStats`
-//! against counters recomputed from the script.
+//! against counters recomputed from the script. `SchedPolicy::Rounds`
+//! came later than the scan and has no old code to copy: its reference
+//! is the round-synchronous definition itself.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 
 use dgr_core::driver::{run_mark2, MarkRunConfig};
 use dgr_graph::{oracle, GraphStore, NodeLabel, PeId, Priority, RequestKind, Slot, VertexId};
@@ -30,6 +32,9 @@ struct RefSim<M> {
     seq: u64,
     pending: usize,
     rr_cursor: usize,
+    /// `Rounds`: what each PE held when the current round began.
+    round: Vec<HashSet<u64>>,
+    rounds: u64,
 }
 
 impl<M> RefSim<M> {
@@ -41,6 +46,8 @@ impl<M> RefSim<M> {
             seq: 0,
             pending: 0,
             rr_cursor: 0,
+            round: (0..num_pes).map(|_| HashSet::new()).collect(),
+            rounds: 0,
         }
     }
 
@@ -61,6 +68,7 @@ impl<M> RefSim<M> {
             SchedPolicy::RoundRobin => self.pick_round_robin()?,
             SchedPolicy::Random { marking_bias } => self.pick_random(marking_bias)?,
             SchedPolicy::PriorityFirst => self.pick_priority_first()?,
+            SchedPolicy::Rounds => self.pick_rounds(),
         };
         let deque = &mut self.pes[pe.index()][lane.index()];
         let (_, msg) = if matches!(self.policy, SchedPolicy::Lifo) {
@@ -134,6 +142,33 @@ impl<M> RefSim<M> {
         None
     }
 
+    /// Round-synchronous delivery by its definition: a round begins with
+    /// a snapshot of every PE's pending messages and visits the PEs once
+    /// in index order; each runs its oldest pending message if that one
+    /// is in its snapshot. A message sent during the round waits for the
+    /// next one, and so does everything behind it on its PE.
+    fn pick_rounds(&mut self) -> (PeId, Lane) {
+        loop {
+            for p in self.rr_cursor..self.pes.len() {
+                let lanes = Lane::ALL.into_iter();
+                let oldest = lanes
+                    .filter_map(|lane| self.pes[p][lane.index()].front().map(|&(s, _)| (s, lane)))
+                    .min_by_key(|&(s, _)| s);
+                if let Some((s, lane)) = oldest {
+                    if self.round[p].contains(&s) {
+                        self.rr_cursor = p + 1;
+                        return (PeId::new(p as u16), lane);
+                    }
+                }
+            }
+            for (snapshot, lanes) in self.round.iter_mut().zip(&self.pes) {
+                *snapshot = lanes.iter().flatten().map(|&(s, _)| s).collect();
+            }
+            self.rr_cursor = 0;
+            self.rounds += 1;
+        }
+    }
+
     fn pick_random(&mut self, marking_bias: f64) -> Option<(PeId, Lane)> {
         let mut marking: Vec<(usize, Lane)> = Vec::new();
         let mut other: Vec<(usize, Lane)> = Vec::new();
@@ -185,6 +220,7 @@ fn all_policies() -> Vec<SchedPolicy> {
         SchedPolicy::Lifo,
         SchedPolicy::RoundRobin,
         SchedPolicy::PriorityFirst,
+        SchedPolicy::Rounds,
         SchedPolicy::Random { marking_bias: 0.0 },
         SchedPolicy::Random { marking_bias: 0.3 },
         SchedPolicy::Random { marking_bias: 0.5 },
@@ -394,6 +430,12 @@ impl Pair {
             }
         }
         prop_assert_eq!(self.new_sim.len(), 0);
+        prop_assert_eq!(
+            self.new_sim.stats().rounds(),
+            self.ref_sim.rounds,
+            "{} rounds",
+            ctx
+        );
         self.model.check(self.new_sim.stats())
     }
 
