@@ -7,7 +7,7 @@
 //! The move mutation keeps root-reachability invariant, so every unmarked
 //! live vertex at the end is a definite loss.
 
-use dgr_core::driver::{reset_slot, run_pass, MarkRunConfig};
+use dgr_core::driver::{run_pass, MarkRunConfig};
 use dgr_core::{MarkMsg, MarkState, RMode};
 use dgr_graph::{oracle, GraphStore, MarkParent, Slot};
 use dgr_sim::SchedPolicy;
@@ -39,7 +39,7 @@ pub fn mark_under_mutation(
     seed: u64,
 ) -> CoopReport {
     let root = g.root().expect("marking needs a root");
-    reset_slot(g, Slot::R);
+    g.begin_mark_cycle(Slot::R);
     let mut state = MarkState::new();
     state.cooperation_enabled = cooperating;
     state.begin_r(RMode::Simple);

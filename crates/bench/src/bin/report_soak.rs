@@ -30,10 +30,10 @@ use std::time::{Duration, Instant};
 
 use dgr_bench::{record, Report};
 use dgr_core::threaded::{reset_shared_r, run_mark1_shared_observed};
-use dgr_gc::{GcConfig, GcDriver};
+use dgr_gc::{GcConfig, GcDriver, GcStats};
 use dgr_graph::{dot, PartitionStrategy};
 use dgr_lang::build_with_prelude;
-use dgr_observe::{watchdog, CensusSnapshot, GcProgress, ObserveHub, Server, WatchdogConfig};
+use dgr_observe::{watchdog, ObserveHub, Server, WatchdogConfig};
 use dgr_reduction::{RunOutcome, SystemConfig};
 use dgr_sim::SharedGraph;
 use dgr_telemetry::{flight_path, Phase, Registry, TELEMETRY_ENABLED};
@@ -121,7 +121,7 @@ fn main() {
     let shared = SharedGraph::from_store(binary_tree_dfs(if small { 10 } else { 13 }));
 
     let deadline = Instant::now() + Duration::from_secs(seconds);
-    let mut totals = GcProgress::default();
+    let mut totals = GcStats::default();
     let mut iterations = 0u64;
     let mut scrape_us: Vec<u64> = Vec::new();
     while Instant::now() < deadline {
@@ -141,12 +141,12 @@ fn main() {
             matches!(out, RunOutcome::Value(_)),
             "soak workload: {out:?}"
         );
-        totals.cycles += u64::from(gc.stats().cycles);
-        totals.aborted += u64::from(gc.stats().aborted_cycles);
-        totals.reclaimed += gc.stats().reclaimed_total as u64;
-        totals.expunged += gc.stats().expunged_total as u64;
-        totals.relaned += gc.stats().relaned_total as u64;
-        totals.deadlocked += gc.stats().deadlocks_total as u64;
+        // The timeline keeps the newest `TIMELINE_CAP` cycles; a soak
+        // program runs a few dozen, so it holds every one.
+        assert_eq!(gc.timeline().len(), gc.stats().cycles as usize);
+        for c in gc.timeline() {
+            totals.absorb(c);
+        }
 
         // A threaded mark1 pass per iteration: populates the per-PE
         // mailbox/batch metrics and beats the pulse from real threads.
@@ -169,14 +169,7 @@ fn main() {
         }
         snap.per_pe[0].merge(&gc.sys.telemetry().snapshot().merged());
         hub.publish_metrics(snap);
-        let c = gc.last_report().census;
-        hub.publish_census(CensusSnapshot {
-            vital: c.vital,
-            eager: c.eager,
-            reserve: c.reserve,
-            irrelevant: c.irrelevant,
-            dangling: c.dangling,
-        });
+        hub.publish_census(gc.last_report().census);
         hub.publish_gc(totals);
         hub.publish_lifecycle(gc.lifecycle_snapshot());
         hub.publish_dot(dot::to_dot(
@@ -211,11 +204,11 @@ fn main() {
             "seconds" => seconds,
             "iterations" => iterations,
             "gc_cycles" => totals.cycles,
-            "gc_cycles_aborted" => totals.aborted,
-            "reclaimed" => totals.reclaimed,
-            "expunged" => totals.expunged,
-            "relaned" => totals.relaned,
-            "deadlocked" => totals.deadlocked,
+            "gc_cycles_aborted" => totals.aborted_cycles,
+            "reclaimed" => totals.reclaimed_total,
+            "expunged" => totals.expunged_total,
+            "relaned" => totals.relaned_total,
+            "deadlocked" => totals.deadlocks_total,
             "watchdog_incidents" => incidents_steady,
             "healthz" => healthz_steady,
             "scrapes" => hub.scrapes(),

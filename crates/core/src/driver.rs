@@ -60,14 +60,6 @@ pub struct MarkStats {
     pub rounds: u64,
 }
 
-/// Resets one marking slot on every vertex (free-list vertices included) —
-/// the preparation step at the start of each marking cycle. O(1): bumps
-/// the store's epoch for the slot, and stale per-vertex state is reset
-/// lazily on first access (see [`GraphStore::begin_mark_cycle`]).
-pub fn reset_slot(g: &mut GraphStore, slot: Slot) {
-    g.begin_mark_cycle(slot);
-}
-
 /// Addresses a marking message to the PE it executes on
 /// ([`PartitionMap::pe_of_dest`]).
 fn route(partition: &PartitionMap, msg: MarkMsg) -> Envelope<MarkMsg> {
@@ -194,7 +186,7 @@ pub fn run_mark1(g: &mut GraphStore, cfg: &MarkRunConfig) -> MarkStats {
 /// Panics under the same conditions as [`run_mark1`].
 pub fn run_mark1_with(g: &mut GraphStore, cfg: &MarkRunConfig, telem: &Registry) -> MarkStats {
     let root = g.root().expect("marking needs a root");
-    reset_slot(g, Slot::R);
+    g.begin_mark_cycle(Slot::R);
     let mut state = MarkState::new();
     state.begin_r(RMode::Simple);
     let stats = run_pass(
@@ -221,7 +213,7 @@ pub fn run_mark1_with(g: &mut GraphStore, cfg: &MarkRunConfig, telem: &Registry)
 /// Panics if the graph has no root or termination is not signalled.
 pub fn run_mark2(g: &mut GraphStore, cfg: &MarkRunConfig) -> MarkStats {
     let root = g.root().expect("marking needs a root");
-    reset_slot(g, Slot::R);
+    g.begin_mark_cycle(Slot::R);
     let mut state = MarkState::new();
     state.begin_r(RMode::Priority);
     let stats = run_pass(
@@ -249,7 +241,7 @@ pub fn run_mark2(g: &mut GraphStore, cfg: &MarkRunConfig) -> MarkStats {
 ///
 /// Panics if termination is not signalled.
 pub fn run_mark3(g: &mut GraphStore, tasks: &TaskEndpoints, cfg: &MarkRunConfig) -> MarkStats {
-    reset_slot(g, Slot::T);
+    g.begin_mark_cycle(Slot::T);
     let mut state = MarkState::new();
     state.begin_t(tasks.seeds().len() as u32);
     let initial = tasks
@@ -479,11 +471,11 @@ mod tests {
     }
 
     #[test]
-    fn reset_slot_clears_previous_cycle() {
+    fn begin_mark_cycle_clears_previous_cycle() {
         let (mut g, [root, ..]) = diamond();
         run_mark1(&mut g, &MarkRunConfig::default());
         assert!(g.mark(root, Slot::R).is_marked());
-        reset_slot(&mut g, Slot::R);
+        g.begin_mark_cycle(Slot::R);
         assert!(g.mark(root, Slot::R).is_unmarked());
         assert_eq!(g.mark(root, Slot::R).mt_cnt, 0);
     }

@@ -111,14 +111,6 @@ impl MarkState {
         self.t_active = false;
     }
 
-    /// Registers one more seed hung on the virtual `troot` (used by the
-    /// cooperating mutators when a marked-T vertex gains a new T-arc, and
-    /// by a GC driver seeding a pass one task endpoint at a time).
-    pub fn add_troot_seed(&mut self) {
-        self.troot_outstanding += 1;
-        self.t_done = false;
-    }
-
     /// Handles a return to the virtual `troot`; sets `t_done` when the last
     /// outstanding seed returns.
     pub fn return_to_troot(&mut self) {
@@ -152,12 +144,11 @@ mod tests {
     #[test]
     fn lifecycle_t_counts_seeds() {
         let mut s = MarkState::new();
-        s.begin_t(2);
+        s.begin_t(3);
         assert!(s.t_active && !s.t_done);
         s.return_to_troot();
-        assert!(!s.t_done);
-        s.add_troot_seed();
         s.return_to_troot();
+        assert!(!s.t_done);
         s.return_to_troot();
         assert!(s.t_done);
         s.end_t();

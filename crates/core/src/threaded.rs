@@ -104,7 +104,7 @@ pub fn run_mark1_threaded(
     num_pes: u16,
     strategy: PartitionStrategy,
 ) -> (GraphStore, u64) {
-    crate::driver::reset_slot(&mut store, Slot::R);
+    store.begin_mark_cycle(Slot::R);
     let shared = SharedGraph::from_store(store);
     let stats = run_mark1_shared(&shared, num_pes, strategy);
     (shared.into_store(), stats.messages)
@@ -377,7 +377,7 @@ mod tests {
         // message count), not see stale marks from the previous epoch.
         let shared = SharedGraph::from_store({
             let mut g = tree(5, 3);
-            crate::driver::reset_slot(&mut g, Slot::R);
+            g.begin_mark_cycle(Slot::R);
             g
         });
         let first = run_mark1_shared(&shared, 4, PartitionStrategy::Modulo);

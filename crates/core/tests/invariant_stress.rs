@@ -2,7 +2,7 @@
 //! while the graph is mutated mid-marking through the cooperating
 //! primitives, across algorithms, schedules and mutation rates.
 
-use dgr_core::driver::{reset_slot, run_pass, MarkRunConfig};
+use dgr_core::driver::{run_pass, MarkRunConfig};
 use dgr_core::{coop, MarkMsg, MarkState, RMode};
 use dgr_graph::{GraphStore, MarkParent, NodeLabel, Priority, Slot, VertexId};
 use dgr_sim::SchedPolicy;
@@ -53,7 +53,7 @@ fn random_move(
 
 fn stress(mode: RMode, seed: u64, mutation_period: u64) {
     let mut g = random_tree(6);
-    reset_slot(&mut g, Slot::R);
+    g.begin_mark_cycle(Slot::R);
     let mut state = MarkState::new();
     state.begin_r(mode);
     let root = g.root().unwrap();

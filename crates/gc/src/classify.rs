@@ -54,28 +54,26 @@ pub(crate) struct MarkCensus {
     pub waiting: Vec<VertexId>,
     /// Per vertex slot, the lane priority its pending requests belong in:
     /// `max(M_R priority, engine demand)` for marked vertices, `None` for
-    /// the rest (empty unless `refresh_demand`).
+    /// the rest.
     pub lane_priority: Vec<Option<Priority>>,
 }
 
 impl MarkCensus {
     /// Reads the marks; the T slot only if `M_T` ran this cycle (its
-    /// marks are otherwise an earlier cycle's). With `refresh_demand`
-    /// every marked vertex's demand is also raised to its `lane_priority`
-    /// on the way, so future spawns ride the right lane.
+    /// marks are otherwise an earlier cycle's). Every marked vertex's
+    /// demand is also raised to its `lane_priority` on the way, so future
+    /// spawns ride the right lane.
     ///
     /// Effective priority = max(fresh `M_R` mark, current engine demand):
     /// the mark upgrades speculative work that proved needed, while the
     /// demand guards against marks that are stale-low for vertices
     /// demanded *during* the pass.
-    pub fn take(g: &mut GraphStore, ran_mt: bool, refresh_demand: bool) -> MarkCensus {
+    pub fn take(g: &mut GraphStore, ran_mt: bool) -> MarkCensus {
         let mut c = MarkCensus {
             garbage: VertexSet::with_capacity(g.capacity()),
+            lane_priority: vec![None; g.capacity()],
             ..MarkCensus::default()
         };
-        if refresh_demand {
-            c.lane_priority = vec![None; g.capacity()];
-        }
         for v in g.ids() {
             if g.is_free(v) {
                 continue;
@@ -96,10 +94,8 @@ impl MarkCensus {
             if !vert.requested().is_empty() {
                 c.waiting.push(v);
             }
-            if refresh_demand {
-                vert.demand = vert.demand.max(mr.prior);
-                c.lane_priority[v.index()] = Some(vert.demand);
-            }
+            vert.demand = vert.demand.max(mr.prior);
+            c.lane_priority[v.index()] = Some(vert.demand);
         }
         c
     }
@@ -234,7 +230,7 @@ mod tests {
         let garbage = garbage_vertices(&g);
         let deadlocked = deadlocked_vertices(&g);
         assert!(garbage.contains(dead) && deadlocked.contains(&x));
-        let c = MarkCensus::take(&mut g, true, true);
+        let c = MarkCensus::take(&mut g, true);
         assert_eq!(c.garbage, garbage);
         assert_eq!(c.deadlocked, deadlocked);
         assert_eq!(c.marked_t, 0);
@@ -244,11 +240,13 @@ mod tests {
         assert_eq!(c.lane_priority[dead.index()], None);
         assert_eq!(c.lane_priority[freed.index()], None);
         assert_eq!(g.vertex(x).demand, Priority::Vital, "demand refreshed");
-        // Without the options nothing is written and nothing extra read.
+        // Without `M_T` this cycle the T slot is not read; demand is
+        // refreshed all the same.
         g.vertex_mut(x).demand = Priority::Reserve;
-        let c = MarkCensus::take(&mut g, false, false);
-        assert!(c.deadlocked.is_empty() && c.lane_priority.is_empty());
-        assert_eq!(g.vertex(x).demand, Priority::Reserve);
+        let c = MarkCensus::take(&mut g, false);
+        assert!(c.deadlocked.is_empty() && c.marked_t == 0);
+        assert_eq!(c.lane_priority[x.index()], Some(Priority::Vital));
+        assert_eq!(g.vertex(x).demand, Priority::Vital);
     }
 
     #[test]

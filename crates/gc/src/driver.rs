@@ -31,17 +31,25 @@ const HEARTBEAT_BATCH: u64 = 256;
 /// keeps growing the graph.
 const MARKING_SERVICE_RATIO: u32 = 3;
 
-/// Order of the two marking phases within a cycle.
-///
-/// Theorem 2 requires `M_T` to execute **before** `M_R` for deadlock
-/// detection to be sound; [`CycleOrder::RBeforeT`] is provided as the
-/// ablation (experiment T7) demonstrating why.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CycleOrder {
-    /// The paper's order: `M_T`, then `M_R`.
-    TBeforeR,
-    /// The broken order, for the ablation.
-    RBeforeT,
+/// A marking phase's liveness pulse, beaten in batches: one clock read per
+/// [`HEARTBEAT_BATCH`] deliveries instead of one per event.
+struct Pulse<'a>(&'a HeartbeatHandle);
+
+impl Pulse<'_> {
+    /// The phase made its `n`-th delivery: beats if that closes a batch.
+    fn at(&self, n: u64) {
+        if n.is_multiple_of(HEARTBEAT_BATCH) {
+            self.0.progress(HEARTBEAT_BATCH);
+        }
+    }
+
+    /// The phase stopped after `n` deliveries: beats the partial batch.
+    fn end(&self, n: u64) {
+        let rest = n % HEARTBEAT_BATCH;
+        if rest > 0 {
+            self.0.progress(rest);
+        }
+    }
 }
 
 /// What starts a marking cycle.
@@ -112,14 +120,10 @@ pub struct GcConfig {
     /// Section 6 suggests running it only occasionally since it exists
     /// solely for deadlock detection). `0` disables `M_T` entirely.
     pub mt_every: u32,
-    /// Phase order (see [`CycleOrder`]).
-    pub order: CycleOrder,
     /// Return garbage to the free list.
     pub reclaim: bool,
     /// Expunge irrelevant tasks from the pools (Property 6).
     pub expunge: bool,
-    /// Re-lane pending requests to their destination's priority.
-    pub reprioritize: bool,
     /// Recover deadlocked vertices by returning `⊥` to their requesters
     /// (footnote 5's `is-bottom` pseudo-function).
     pub deadlock_recovery: bool,
@@ -136,10 +140,8 @@ impl Default for GcConfig {
             period: 200,
             trigger: GcTrigger::Period,
             mt_every: 1,
-            order: CycleOrder::TBeforeR,
             reclaim: true,
             expunge: true,
-            reprioritize: true,
             deadlock_recovery: false,
             phase_budget: 2_000_000,
             max_total_events: 100_000_000,
@@ -314,46 +316,29 @@ impl GcDriver {
         // spliced in after a process's `done` fired must still be colored,
         // or it would be misread as garbage (the paper's Lemma 1 argument
         // relies on axiom 2 "also applying after t_c").
-        // Marking-lane deliveries per phase: the message-complexity split
-        // the lifecycle meters charge (`report.mark_events` accumulates
-        // across phases, so the deltas bracket each timed phase exactly).
-        let mut lc_mt = 0u64;
-        let mut lc_mr = 0u64;
-        let order = match self.cfg.order {
-            CycleOrder::TBeforeR => [Phase::Mt, Phase::Mr],
-            CycleOrder::RBeforeT => [Phase::Mr, Phase::Mt],
-        };
-        for phase in order {
-            let is_mt = phase == Phase::Mt;
-            if report.aborted || (is_mt && !run_mt) {
-                continue;
-            }
-            let before = report.mark_events;
-            let us = self.timed_phase(phase, phase.name(), |gc| {
-                if is_mt {
-                    gc.phase_t(&mut report)
-                } else {
-                    gc.phase_r(&mut report)
-                }
-            });
-            let events = report.mark_events - before;
-            if is_mt {
-                (report.mt_us, lc_mt) = (us, events);
-            } else {
-                (report.mr_us, lc_mr) = (us, events);
-            }
+        // `M_T` runs first (Theorem 2: deadlock detection is sound only
+        // in that order), then `M_R`; an aborted phase ends the cycle.
+        if run_mt {
+            report.mt_us =
+                self.timed_phase(Phase::Mt, Phase::Mt.name(), |gc| gc.phase_t(&mut report));
         }
-        // Cooperation during the later phase may have retracted the earlier
-        // phase's `done` flag (orphan marks hung on the virtual roots);
-        // settle both before reading the marks.
+        // Marking-lane deliveries per marking tree: the message-complexity
+        // split the lifecycle meters charge. `M_T` is its own pass; `M_R`
+        // and the settle drive are the rest.
+        let lc_mt = report.mark_events;
         if !report.aborted {
-            let before = report.mark_events;
+            report.mr_us =
+                self.timed_phase(Phase::Mr, Phase::Mr.name(), |gc| gc.phase_r(&mut report));
+        }
+        // Cooperation during `M_R` may have retracted `M_T`'s `done` flag
+        // (orphan marks hung on the virtual `troot`); settle both before
+        // reading the marks.
+        if !report.aborted {
             report.settle_us = self.timed_phase(Phase::Mr, "settle", |gc| {
                 gc.drive_phase(&mut report, |s| {
                     s.mark_state.r_done && (!run_mt || s.mark_state.t_done)
                 })
             });
-            lc_mr += report.mark_events - before;
         }
         if !report.aborted {
             report.restructure_us = self.timed_phase(Phase::Classify, "restructure", |gc| {
@@ -376,7 +361,7 @@ impl GcDriver {
         report.sends_remote = snap1.counter_total(CounterId::SendsRemote)
             - snap0.counter_total(CounterId::SendsRemote);
         self.emit_restructure_tallies(&report);
-        self.close_lifecycle_cycle(&report, lc_mt, lc_mr);
+        self.close_lifecycle_cycle(&report, lc_mt, report.mark_events - lc_mt);
         self.close_heap_cycle(cause);
         self.stats.absorb(&report);
         if self.timeline.len() == TIMELINE_CAP {
@@ -474,16 +459,10 @@ impl GcDriver {
         let start_total = self.sys.sim().stats().delivered_total();
         let start_marking = self.sys.sim().stats().delivered(Lane::Marking);
         let mut events = 0u64;
-        // Beat the liveness pulse in batches: one clock read per
-        // HEARTBEAT_BATCH deliveries instead of per event.
-        let mut beats_flushed = 0u64;
+        let pulse = Pulse(&self.heartbeat);
         // Marking tasks served since the last policy-scheduled task.
         let mut burst = 0u32;
         while !done(&self.sys) {
-            if events - beats_flushed >= HEARTBEAT_BATCH {
-                self.heartbeat.progress(events - beats_flushed);
-                beats_flushed = events;
-            }
             // Priority service for marking tasks, so the wave always
             // outpaces a mutator that keeps allocating (Section 6).
             if burst < MARKING_SERVICE_RATIO && self.sys.step_lane(Lane::Marking) {
@@ -500,15 +479,14 @@ impl GcDriver {
             }
             // Every delivery counts against the budget, a marking one too.
             events += 1;
+            pulse.at(events);
             if events >= self.cfg.phase_budget {
                 report.aborted = true;
                 self.sys.drop_marking();
                 break;
             }
         }
-        if events > beats_flushed {
-            self.heartbeat.progress(events - beats_flushed);
-        }
+        pulse.end(events);
         let marking = self.sys.sim().stats().delivered(Lane::Marking) - start_marking;
         report.mark_events += marking;
         report.reduction_events_during_marking +=
@@ -516,7 +494,7 @@ impl GcDriver {
     }
 
     fn phase_t(&mut self, report: &mut CycleReport) {
-        dgr_core::driver::reset_slot(&mut self.sys.graph, Slot::T);
+        self.sys.graph.begin_mark_cycle(Slot::T);
         // Clear the activity stamps: "touched" now means "task activity
         // at or after t_a", which the deadlock report consults.
         self.sys.graph.clear_touched();
@@ -532,31 +510,12 @@ impl GcDriver {
         // With no reduction task delivered and nothing else sent, the
         // marking lane's oldest-first service is plain send order and the
         // scheduler has nothing to decide, so the pass drains a queue of
-        // its own and the simulator is told the totals once. It hangs one
-        // `mark3` on the virtual `troot` per endpoint of every pending task
-        // (`begin_t(0)` and a seed registered per mark is `begin_t(seeds)`
-        // without counting them first).
-        self.sys.mark_state.begin_t(0);
-        let heartbeat = &self.heartbeat;
-        let (events, finished) = self.sys.drain_marking(
-            |state, v| {
-                state.add_troot_seed();
-                MarkMsg::Mark3 {
-                    v,
-                    par: MarkParent::TaskRootPar,
-                }
-            },
-            |state| state.t_done,
-            self.cfg.phase_budget,
-            |n| {
-                if n % HEARTBEAT_BATCH == 0 {
-                    heartbeat.progress(HEARTBEAT_BATCH);
-                }
-            },
-        );
-        if events % HEARTBEAT_BATCH > 0 {
-            heartbeat.progress(events % HEARTBEAT_BATCH);
-        }
+        // its own and the simulator is told the totals once.
+        let pulse = Pulse(&self.heartbeat);
+        let (events, finished) = self
+            .sys
+            .drain_marking(self.cfg.phase_budget, |n| pulse.at(n));
+        pulse.end(events);
         report.mark_events += events;
         // Aborted: the pass dropped its in-flight marks; colors and
         // counts are reset at the start of the next cycle's phases.
@@ -564,7 +523,7 @@ impl GcDriver {
     }
 
     fn phase_r(&mut self, report: &mut CycleReport) {
-        dgr_core::driver::reset_slot(&mut self.sys.graph, Slot::R);
+        self.sys.graph.begin_mark_cycle(Slot::R);
         let root = self.sys.graph.root().expect("GC needs a root");
         self.sys.mark_state.begin_r(RMode::Priority);
         self.sys.send_mark(MarkMsg::Mark2 {
@@ -587,7 +546,7 @@ impl GcDriver {
             deadlocked,
             waiting,
             lane_priority,
-        } = MarkCensus::take(&mut self.sys.graph, ran_mt, self.cfg.reprioritize);
+        } = MarkCensus::take(&mut self.sys.graph, ran_mt);
         report.marked_t = marked_t;
         report.marked_by_priority = by_priority;
         report.garbage = garbage.len();
@@ -621,11 +580,9 @@ impl GcDriver {
             report.expunged = self.sys.expunge_tasks(|v| garbage.contains(v));
         }
 
-        if self.cfg.reprioritize {
-            // Every marked vertex's demand was refreshed by the census;
-            // re-lane the pending tasks to match.
-            report.relaned = self.sys.relane_requests(|v| lane_priority[v.index()]);
-        }
+        // Every marked vertex's demand was refreshed by the census; re-lane
+        // the pending tasks to match.
+        report.relaned = self.sys.relane_requests(|v| lane_priority[v.index()]);
 
         if self.cfg.deadlock_recovery {
             for &v in &report.deadlocked.clone() {
@@ -1212,6 +1169,13 @@ mod tests {
         assert!(hb.beats() > 0, "phase boundaries beat the pulse");
         assert_eq!(hb.cycles_done(), u64::from(gc.stats().cycles));
         assert!(hb.progress_total() > 0, "deliveries beat the pulse");
+        // Every delivery of every marking phase is beaten exactly once.
+        let delivered: u64 = gc
+            .timeline()
+            .iter()
+            .map(|c| c.mark_events + c.reduction_events_during_marking)
+            .sum();
+        assert_eq!(hb.progress_total(), delivered);
         assert_eq!(hb.phase(), None, "pulse is idle once the run ends");
     }
 
@@ -1421,21 +1385,6 @@ mod tests {
         // are not this cycle's to report.
         assert!(gc.timeline().iter().any(|c| c.ran_mt && c.marked_t > 0));
         assert!(gc.timeline().iter().all(|c| c.ran_mt || c.marked_t == 0));
-    }
-
-    #[test]
-    fn wrong_phase_order_still_collects_garbage_safely() {
-        let sys = sum_system(30, SystemConfig::default());
-        let mut gc = GcDriver::new(
-            sys,
-            GcConfig {
-                period: 25,
-                order: CycleOrder::RBeforeT,
-                ..Default::default()
-            },
-        );
-        assert_eq!(gc.run(), RunOutcome::Value(Value::Int(465)));
-        assert!(gc.stats().reclaimed_total > 0);
     }
 
     #[test]

@@ -58,5 +58,5 @@ pub use classify::{
     classify_pending_tasks, classify_task_by_marks, deadlocked_vertices, garbage_vertices,
     TaskCensus,
 };
-pub use driver::{CycleOrder, GcConfig, GcDriver, GcTrigger};
+pub use driver::{GcConfig, GcDriver, GcTrigger};
 pub use report::{CycleReport, GcStats};

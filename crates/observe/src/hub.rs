@@ -5,8 +5,9 @@
 //! Publishing is push-based on purpose: the GC driver and the reduction
 //! system are `!Sync` by design, so the scrape path can never reach into
 //! them. Instead the driving loop copies out cheap snapshots (a
-//! [`MetricsSnapshot`] is a few arrays) once per cycle, and the drivers
-//! beat the hub's [`Heartbeat`] through the zero-cost
+//! [`MetricsSnapshot`] is a few arrays; the census and the GC totals are
+//! `dgr-gc`'s own [`TaskCensus`] and [`GcStats`]) once per cycle, and the
+//! drivers beat the hub's [`Heartbeat`] through the zero-cost
 //! `HeartbeatHandle` facade.
 
 use std::collections::VecDeque;
@@ -14,52 +15,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use dgr_gc::{GcStats, TaskCensus};
 use dgr_telemetry::heartbeat::Heartbeat;
 use dgr_telemetry::{Event, HeapSnapshot, HeartbeatHandle, LifecycleSnapshot, MetricsSnapshot};
 
 /// Bound on the event tail kept for watchdog flight dumps.
 pub const EVENT_TAIL_CAP: usize = 4096;
-
-/// The task census published per cycle (mirrors `gc::TaskCensus`, kept
-/// as a plain struct here so the observability plane depends on nothing
-/// above the telemetry crate).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CensusSnapshot {
-    /// Tasks whose destination is vitally marked (Property 3).
-    pub vital: usize,
-    /// Tasks whose destination is eagerly marked (Property 4).
-    pub eager: usize,
-    /// Tasks whose destination is reserve-marked (Property 5).
-    pub reserve: usize,
-    /// Tasks whose destination is garbage (Property 6).
-    pub irrelevant: usize,
-    /// Tasks whose destination is already freed (bug indicator).
-    pub dangling: usize,
-}
-
-impl CensusSnapshot {
-    /// Total pending tasks in the census.
-    pub fn total(&self) -> usize {
-        self.vital + self.eager + self.reserve + self.irrelevant + self.dangling
-    }
-}
-
-/// Aggregate GC progress published per cycle.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GcProgress {
-    /// Completed mark-and-restructure cycles.
-    pub cycles: u64,
-    /// Cycles abandoned on the phase budget.
-    pub aborted: u64,
-    /// Garbage vertices returned to the free list, total.
-    pub reclaimed: u64,
-    /// Irrelevant tasks expunged, total.
-    pub expunged: u64,
-    /// Pending tasks moved between priority lanes, total.
-    pub relaned: u64,
-    /// Deadlocked vertices reported, total.
-    pub deadlocked: u64,
-}
 
 /// Health as the watchdog last judged it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -84,8 +45,8 @@ pub struct ObserveHub {
     t0: Instant,
     heartbeat: Arc<Heartbeat>,
     metrics: Mutex<MetricsSnapshot>,
-    census: Mutex<CensusSnapshot>,
-    gc: Mutex<GcProgress>,
+    census: Mutex<TaskCensus>,
+    gc: Mutex<GcStats>,
     lifecycle: Mutex<LifecycleSnapshot>,
     heap: Mutex<HeapSnapshot>,
     dot: Mutex<String>,
@@ -109,8 +70,8 @@ impl ObserveHub {
             t0: Instant::now(),
             heartbeat: Arc::new(Heartbeat::new()),
             metrics: Mutex::new(MetricsSnapshot::default()),
-            census: Mutex::new(CensusSnapshot::default()),
-            gc: Mutex::new(GcProgress::default()),
+            census: Mutex::new(TaskCensus::default()),
+            gc: Mutex::new(GcStats::default()),
             lifecycle: Mutex::new(LifecycleSnapshot::default()),
             heap: Mutex::new(HeapSnapshot::default()),
             dot: Mutex::new(String::new()),
@@ -149,23 +110,25 @@ impl ObserveHub {
         self.metrics.lock().expect("hub metrics poisoned").clone()
     }
 
-    /// Publishes the latest task census.
-    pub fn publish_census(&self, census: CensusSnapshot) {
+    /// Publishes the latest task census (`CycleReport::census` of the
+    /// newest cycle).
+    pub fn publish_census(&self, census: TaskCensus) {
         *self.census.lock().expect("hub census poisoned") = census;
     }
 
     /// The most recently published census.
-    pub fn census(&self) -> CensusSnapshot {
+    pub fn census(&self) -> TaskCensus {
         *self.census.lock().expect("hub census poisoned")
     }
 
-    /// Publishes aggregate GC progress.
-    pub fn publish_gc(&self, gc: GcProgress) {
+    /// Publishes aggregate GC progress: the totals over every cycle the
+    /// exported process ran.
+    pub fn publish_gc(&self, gc: GcStats) {
         *self.gc.lock().expect("hub gc poisoned") = gc;
     }
 
     /// The most recently published GC progress.
-    pub fn gc(&self) -> GcProgress {
+    pub fn gc(&self) -> GcStats {
         *self.gc.lock().expect("hub gc poisoned")
     }
 
@@ -281,7 +244,7 @@ mod tests {
         let hub = ObserveHub::new();
         assert!(hub.health().is_ok());
         assert_eq!(hub.census().total(), 0);
-        hub.publish_census(CensusSnapshot {
+        hub.publish_census(TaskCensus {
             vital: 1,
             eager: 2,
             reserve: 3,
@@ -289,7 +252,7 @@ mod tests {
             dangling: 0,
         });
         assert_eq!(hub.census().total(), 10);
-        hub.publish_gc(GcProgress {
+        hub.publish_gc(GcStats {
             cycles: 7,
             ..Default::default()
         });

@@ -7,7 +7,10 @@
 //! The plane is **push-based**. The GC driver and the reduction system
 //! are `!Sync` by design, so nothing here ever reaches into them;
 //! instead the driving loop (a soak harness, a bench binary) publishes
-//! cheap snapshots into an [`ObserveHub`] once per cycle, and the
+//! cheap snapshots into an [`ObserveHub`] once per cycle — the census and
+//! the GC totals are `dgr-gc`'s own [`TaskCensus`](dgr_gc::TaskCensus) and
+//! [`GcStats`](dgr_gc::GcStats), so the plane sits above the collector and
+//! nothing under `dgr-gc` depends on it — and the
 //! instrumented drivers beat the hub's shared
 //! [`Heartbeat`](dgr_telemetry::Heartbeat) through the zero-cost
 //! `HeartbeatHandle` facade. Two background threads only ever *read*
@@ -47,7 +50,7 @@ pub mod prom;
 pub mod server;
 pub mod watchdog;
 
-pub use hub::{CensusSnapshot, GcProgress, Health, ObserveHub, EVENT_TAIL_CAP};
+pub use hub::{Health, ObserveHub, EVENT_TAIL_CAP};
 pub use prom::{render, render_snapshot};
 pub use server::{respond, status_json, Response, Server};
 pub use watchdog::{check_now, judge, WatchdogConfig};

@@ -299,32 +299,32 @@ pub fn render(hub: &ObserveHub) -> String {
         (
             "dgr_gc_cycles_total",
             "Completed mark-and-restructure cycles",
-            gc.cycles,
+            u64::from(gc.cycles),
         ),
         (
             "dgr_gc_cycles_aborted_total",
             "Cycles abandoned on the phase budget",
-            gc.aborted,
+            u64::from(gc.aborted_cycles),
         ),
         (
             "dgr_gc_reclaimed_total",
             "Garbage vertices returned to the free list",
-            gc.reclaimed,
+            gc.reclaimed_total as u64,
         ),
         (
             "dgr_gc_expunged_total",
             "Irrelevant tasks expunged from the pools",
-            gc.expunged,
+            gc.expunged_total as u64,
         ),
         (
             "dgr_gc_relaned_total",
             "Pending tasks moved between priority lanes",
-            gc.relaned,
+            gc.relaned_total as u64,
         ),
         (
             "dgr_gc_deadlocked_total",
             "Deadlocked vertices reported",
-            gc.deadlocked,
+            gc.deadlocks_total as u64,
         ),
     ] {
         family(&mut out, name, help, "counter");

@@ -12,11 +12,13 @@
 //!
 //! Routing is factored into the pure [`respond`] so tests can exercise
 //! every route without a socket; the accept loop only parses the
-//! request line, calls it, and writes the response. Shutdown is the
-//! hub's flag plus a self-connect to unblock `accept`.
+//! request line, calls it, and writes the response. A request whose line
+//! and headers run past `MAX_REQUEST_BYTES` (8 KiB) is answered `400` and
+//! closed. Shutdown is the hub's flag plus a self-connect to unblock
+//! `accept`.
 
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::thread;
@@ -26,6 +28,11 @@ use dgr_telemetry::{json_escape, CounterId, GaugeId, SchedState};
 
 use crate::hub::{Health, ObserveHub};
 use crate::prom;
+
+/// Bytes read of one request, request line and headers together. A client
+/// that never ends its head gets a `400` once this many have arrived, so
+/// it cannot grow the exporter's memory without bound.
+const MAX_REQUEST_BYTES: u64 = 8 * 1024;
 
 /// A response ready to serialize: status code, content type, body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,6 +48,7 @@ pub struct Response {
 fn reason_phrase(status: u16) -> &'static str {
     match status {
         200 => "OK",
+        400 => "Bad Request",
         404 => "Not Found",
         503 => "Service Unavailable",
         _ => "Error",
@@ -89,7 +97,12 @@ pub fn status_json(hub: &ObserveHub) -> String {
         out,
         "  \"gc\": {{\"cycles\": {}, \"aborted\": {}, \"reclaimed\": {}, \
          \"expunged\": {}, \"relaned\": {}, \"deadlocked\": {}}},",
-        gc.cycles, gc.aborted, gc.reclaimed, gc.expunged, gc.relaned, gc.deadlocked,
+        gc.cycles,
+        gc.aborted_cycles,
+        gc.reclaimed_total,
+        gc.expunged_total,
+        gc.relaned_total,
+        gc.deadlocks_total,
     );
     let _ = writeln!(
         out,
@@ -282,7 +295,7 @@ fn accept_loop(listener: TcpListener, hub: Arc<ObserveHub>) {
 fn serve_one(stream: TcpStream, hub: &ObserveHub) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream).take(MAX_REQUEST_BYTES);
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
     // "GET /path HTTP/1.1" — anything else falls through to 404.
@@ -293,16 +306,23 @@ fn serve_one(stream: TcpStream, hub: &ObserveHub) -> std::io::Result<()> {
             _ => String::new(),
         }
     };
-    // Drain headers so well-behaved clients see a clean close.
+    // Drain headers so well-behaved clients see a clean close. At the cap
+    // `read_line` sees end of input, so the loop ends there too.
+    let mut line = String::new();
     loop {
-        let mut line = String::new();
+        line.clear();
         if reader.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
             break;
         }
     }
-    hub.record_scrape();
-    let response = respond(&path, hub);
-    let mut stream = reader.into_inner();
+    let response = if reader.limit() == 0 {
+        let body = format!("request head exceeds {MAX_REQUEST_BYTES} bytes\n");
+        Response::new(400, "text/plain", body)
+    } else {
+        hub.record_scrape();
+        respond(&path, hub)
+    };
+    let mut stream = reader.into_inner().into_inner();
     stream.write_all(response.to_http().as_bytes())?;
     stream.flush()
 }
@@ -310,12 +330,12 @@ fn serve_one(stream: TcpStream, hub: &ObserveHub) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hub::CensusSnapshot;
+    use dgr_gc::TaskCensus;
 
     #[test]
     fn routes_answer_without_a_socket() {
         let hub = ObserveHub::new();
-        hub.publish_census(CensusSnapshot {
+        hub.publish_census(TaskCensus {
             vital: 2,
             eager: 1,
             reserve: 0,

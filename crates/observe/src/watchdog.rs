@@ -1,7 +1,7 @@
 //! The progress watchdog: decides, from the hub's heartbeat and the
 //! published metrics, whether the marking machinery is still alive.
 //!
-//! Two failure shapes are supervised (§11 of DESIGN.md):
+//! Two failure shapes are supervised (DESIGN.md §6.5):
 //!
 //! * **Stall** — a marking phase is in force but no delivery progress
 //!   and no phase transition has beaten the heartbeat for longer than

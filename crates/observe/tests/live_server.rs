@@ -11,7 +11,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dgr_observe::{watchdog, CensusSnapshot, ObserveHub, Server, WatchdogConfig};
+use dgr_gc::TaskCensus;
+use dgr_observe::{watchdog, ObserveHub, Server, WatchdogConfig};
 use dgr_telemetry::{flight_path, Phase, FLIGHT_DIR_ENV};
 
 /// One raw GET; returns (status, body).
@@ -36,7 +37,7 @@ fn get(addr: SocketAddr, path: &str) -> (u16, String) {
 #[test]
 fn every_route_answers_over_a_real_socket() {
     let hub = Arc::new(ObserveHub::new());
-    hub.publish_census(CensusSnapshot {
+    hub.publish_census(TaskCensus {
         vital: 5,
         eager: 0,
         reserve: 1,
@@ -68,6 +69,64 @@ fn every_route_answers_over_a_real_socket() {
     assert_eq!(get(addr, "/nope").0, 404);
     assert!(hub.scrapes() >= 5, "every request was counted");
     server.shutdown();
+}
+
+/// Sends `head`, then `filler` over and over, until the exporter hangs up
+/// or 64 MiB have gone out; meanwhile reads what comes back. The exporter
+/// must answer `400` (or just close, which reaches the client as a reset,
+/// its bytes being left unread) long before the 64 MiB, and must then
+/// serve the next request.
+fn assert_an_endless_head_is_cut_off(head: &str, filler: &str) {
+    const FEED_CAP: usize = 64 << 20;
+    let hub = Arc::new(ObserveHub::new());
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&hub)).expect("bind ephemeral port");
+    let addr = server.addr();
+    let mut stream = TcpStream::connect(addr).expect("connect to exporter");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let (head, filler) = (head.to_string(), filler.to_string());
+    let feeder = std::thread::spawn(move || {
+        let mut sent = head.len();
+        let mut ok = writer.write_all(head.as_bytes());
+        while ok.is_ok() && sent < FEED_CAP {
+            ok = writer.write_all(filler.as_bytes());
+            sent += filler.len();
+        }
+        ok.is_err()
+    });
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut raw = Vec::new();
+    match stream.read_to_end(&mut raw) {
+        Ok(_) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        Err(e) => panic!("no reply and no close: {e}"),
+    }
+    let reply = String::from_utf8_lossy(&raw);
+    assert!(
+        reply.is_empty() || reply.starts_with("HTTP/1.1 400 Bad Request\r\n"),
+        "got: {reply}"
+    );
+    drop(stream);
+    assert!(
+        feeder.join().expect("feeder thread"),
+        "the exporter read all 64 MiB"
+    );
+    assert_eq!(get(addr, "/healthz"), (200, "ok\n".to_string()));
+    assert_eq!(hub.scrapes(), 1, "the refused request is no scrape");
+    server.shutdown();
+}
+
+#[test]
+fn an_oversized_request_line_is_refused_and_the_exporter_serves_on() {
+    let pad = "a".repeat(4096);
+    assert_an_endless_head_is_cut_off("GET /", &pad);
+}
+
+#[test]
+fn an_endless_header_stream_is_cut_off_and_the_exporter_serves_on() {
+    let header = format!("X-Pad: {}\r\n", "h".repeat(1000));
+    assert_an_endless_head_is_cut_off("GET /metrics HTTP/1.1\r\n", &header);
 }
 
 /// Polls `path` until `want` comes back or the deadline passes.

@@ -13,7 +13,8 @@
 //!   end in `_total`, histograms carry `_bucket`/`_sum`/`_count` plus
 //!   the three quantile gauges.
 
-use dgr_observe::{render, CensusSnapshot, GcProgress, ObserveHub};
+use dgr_gc::{GcStats, TaskCensus};
+use dgr_observe::{render, ObserveHub};
 type Registry = dgr_telemetry::Registry<dgr_telemetry::On>;
 use dgr_telemetry::{
     CounterId, GaugeId, HeapSnapshot, HistId, LifecycleSnapshot, PeHeap, Phase, SchedState,
@@ -48,16 +49,16 @@ fn populated_hub() -> ObserveHub {
     reg.sched_finish(0);
     let hub = ObserveHub::new();
     hub.publish_metrics(reg.snapshot());
-    hub.publish_census(CensusSnapshot {
+    hub.publish_census(TaskCensus {
         vital: 4,
         eager: 3,
         reserve: 2,
         irrelevant: 1,
         dangling: 0,
     });
-    hub.publish_gc(GcProgress {
+    hub.publish_gc(GcStats {
         cycles: 12,
-        reclaimed: 340,
+        reclaimed_total: 340,
         ..Default::default()
     });
     // A lifecycle snapshot with every family non-trivial: 4 reclaims

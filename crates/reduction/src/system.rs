@@ -5,8 +5,8 @@ use std::collections::VecDeque;
 use dgr_core::{handle_mark, MarkMsg, MarkState};
 use dgr_graph::HeapDelta;
 use dgr_graph::{
-    GraphStore, PartitionMap, PartitionStrategy, PeId, Priority, RequestKind, Requester,
-    TaskEndpoints, Value, VertexId,
+    GraphStore, MarkParent, PartitionMap, PartitionStrategy, PeId, Priority, RequestKind,
+    Requester, TaskEndpoints, Value, VertexId,
 };
 use dgr_sim::{DetSim, Envelope, Lane, SchedPolicy};
 use dgr_telemetry::{Build, CounterId, HeapSnapshot, HeapTracker, Registry, Switch};
@@ -453,13 +453,15 @@ impl System {
         true
     }
 
-    /// Runs a marking pass during which no reduction task executes: seeds
-    /// one mark per endpoint of every pending reduction task (`seed` makes
-    /// it, and may register it with the marking state), then delivers
-    /// marking tasks in send order until `done` holds, calling `progress`
-    /// after each delivery with the pass's count so far. Returns the
-    /// deliveries made and whether `done` was reached; after `budget`
-    /// deliveries the pass stops and drops the marking tasks it still holds.
+    /// Runs `M_T` (Figure 5-3) as a pass during which no reduction task
+    /// executes: hangs one `mark3` on the virtual `troot` per endpoint of
+    /// every pending reduction task (registered with
+    /// [`MarkState::begin_t`] once, before the first delivery), then
+    /// delivers marking tasks in send order until the last seed has
+    /// returned (`t_done`), calling `progress` after each delivery with the
+    /// pass's count so far. Returns the deliveries made and whether
+    /// `t_done` was reached; after `budget` deliveries the pass stops and
+    /// drops the marking tasks it still holds.
     ///
     /// Nothing else is sent meanwhile, so send order is the order
     /// [`System::step_lane`] would deliver the marking lane in, and the
@@ -472,14 +474,8 @@ impl System {
     /// # Panics
     ///
     /// Panics if a marking task is pending when the pass starts, or if the
-    /// pass runs out of marking tasks before `done` holds.
-    pub fn drain_marking(
-        &mut self,
-        mut seed: impl FnMut(&mut MarkState, VertexId) -> MarkMsg,
-        done: impl Fn(&MarkState) -> bool,
-        budget: u64,
-        mut progress: impl FnMut(u64),
-    ) -> (u64, bool) {
+    /// pass runs out of marking tasks before `t_done` holds.
+    pub fn drain_marking(&mut self, budget: u64, mut progress: impl FnMut(u64)) -> (u64, bool) {
         let (cycle, telem, partition) = (self.telem_cycle, &self.telem, &self.partition);
         let (fifo, state, graph) = (&mut self.mark_fifo, &mut self.mark_state, &mut self.graph);
         let (mut delivered, mut finished) = (0, true);
@@ -504,12 +500,15 @@ impl System {
                 };
                 fifo.push_back((Build::keep(tag), m));
             };
+            let mut seeds = 0;
             for v in task_endpoints(sim) {
-                let m = seed(state, v);
-                push(fifo, None, m);
+                let par = MarkParent::TaskRootPar;
+                push(fifo, None, MarkMsg::Mark3 { v, par });
+                seeds += 1;
             }
+            state.begin_t(seeds);
             let mut peak = fifo.len();
-            while !done(state) {
+            while !state.t_done {
                 let (tag, m) = fifo
                     .pop_front()
                     .expect("marking drained without its termination signal");

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --example distributed_gc`
 
 use dgr::baseline::refcount::replay_churn_rc;
-use dgr::gc::{CycleOrder, GcConfig, GcDriver};
+use dgr::gc::{GcConfig, GcDriver};
 use dgr::marking::{MarkMsg, MarkState};
 use dgr::prelude::*;
 use dgr::workloads::churn::{churn_trace, ChurnOp, ChurnReplayer};
@@ -29,13 +29,7 @@ fn marking_side(trace: &[ChurnOp]) -> (usize, usize) {
     let live_clusters = rep.live_clusters();
 
     let sys = System::new(rep.g, TemplateStore::new(), SystemConfig::default());
-    let mut gc = GcDriver::new(
-        sys,
-        GcConfig {
-            order: CycleOrder::TBeforeR,
-            ..Default::default()
-        },
-    );
+    let mut gc = GcDriver::new(sys, GcConfig::default());
     let report = gc.run_cycle();
     (report.reclaimed, live_clusters)
 }

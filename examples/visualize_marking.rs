@@ -7,7 +7,7 @@
 
 use dgr::graph::dot::{to_dot, DotOptions};
 use dgr::graph::{MarkParent, Slot};
-use dgr::marking::driver::{reset_slot, run_pass, MarkRunConfig};
+use dgr::marking::driver::{run_pass, MarkRunConfig};
 use dgr::marking::{MarkMsg, MarkState, RMode};
 use dgr::prelude::*;
 use dgr::telemetry::Registry;
@@ -25,7 +25,7 @@ fn main() {
     let root = b.prim2(PrimOp::Add, m0, m1);
     g.set_root(root);
 
-    reset_slot(&mut g, Slot::R);
+    g.begin_mark_cycle(Slot::R);
     let mut state = MarkState::new();
     state.begin_r(RMode::Simple);
     let cfg = MarkRunConfig {

@@ -52,7 +52,7 @@ pub use dgr_workloads as workloads;
 
 /// The most commonly used types, for glob import.
 pub mod prelude {
-    pub use dgr_gc::{CycleOrder, GcConfig, GcDriver};
+    pub use dgr_gc::{GcConfig, GcDriver};
     pub use dgr_graph::{
         GraphStore, NodeLabel, PartitionStrategy, PrimOp, Priority, RequestKind, Value, VertexId,
     };

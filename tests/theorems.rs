@@ -5,7 +5,7 @@
 //! begins, `t_c` = M_R ends).
 
 use dgr::graph::{oracle, MarkParent, Slot, VertexSet};
-use dgr::marking::driver::{reset_slot, run_pass, MarkRunConfig};
+use dgr::marking::driver::{run_pass, MarkRunConfig};
 use dgr::marking::{MarkMsg, MarkState, RMode};
 use dgr::prelude::*;
 use dgr::sim::SchedPolicy;
@@ -24,7 +24,7 @@ fn marked_pass_with_churn(
 ) {
     // The pass holds the graph; the replayer has it back for each op.
     let mut g = std::mem::take(&mut rep.g);
-    reset_slot(&mut g, Slot::R);
+    g.begin_mark_cycle(Slot::R);
     state.begin_r(RMode::Priority);
     let root = g.root().unwrap();
     let cfg = MarkRunConfig {
