@@ -7,13 +7,14 @@
 //! non-working PE-time went: steal overhead, mailbox delay, parking,
 //! true span limit, or load imbalance.
 //!
-//! The span estimate piggybacks on the simulator's round-synchronous
-//! (BSP) policy, `SchedPolicy::Rounds`: with `W` the serial round count
-//! (one task per round on one PE, so the 1-PE pass's message count) and
-//! `R_P` the round count at `P` PEs, the workload's inherent span is
-//! approximated as `serial_wall * R_P / W` and injected into the event
-//! stream as a `bsp_span_us` instant, which `blame` uses when no flow
-//! edges exist (the steal runtime does not flow-stamp its envelopes).
+//! The span estimate comes from `run_mark1` under the simulator's
+//! round-synchronous policy, `SchedPolicy::Rounds`: with `W` the serial
+//! round count (one task per round on one PE, so the 1-PE pass's message
+//! count) and `R_P` the round count at `P` PEs, the workload's inherent
+//! span is approximated as `serial_wall * R_P / W` and injected into the
+//! event stream as a `bsp_span_us` instant (the name predates the
+//! policy), which `blame` uses when no flow edges exist (the steal
+//! runtime does not flow-stamp its envelopes).
 //!
 //! Every measured rep gets a **fresh registry**: the state clock
 //! accumulates across passes, and blame wants pass-exact clocks.

@@ -193,7 +193,7 @@ impl ReadChooser for Chooser {
 
 /// Why the scheduler is picking a new thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Switch {
+enum PickReason {
     /// After an ordinary operation: staying on the current thread is the
     /// default, leaving is a preemption.
     AfterOp,
@@ -339,7 +339,7 @@ impl Shared {
     }
 
     /// Picks the next token holder; `me` is the thread giving it up.
-    fn pick_next(&self, g: &mut Inner, me: usize, why: Switch) {
+    fn pick_next(&self, g: &mut Inner, me: usize, why: PickReason) {
         // Unblock any join whose target has finished.
         for t in 0..g.threads.len() {
             if let VState::BlockedOn(j) = g.threads[t] {
@@ -363,7 +363,7 @@ impl Shared {
         // Build the ordered alternative list: default first.
         let mut alts: Vec<usize> = Vec::with_capacity(runnable.len());
         match why {
-            Switch::AfterOp if me_runnable => {
+            PickReason::AfterOp if me_runnable => {
                 if g.preemptions >= g.preemption_bound && !g.pct {
                     alts.push(me); // bound exhausted: run on
                 } else {
@@ -371,7 +371,7 @@ impl Shared {
                     alts.extend(runnable.iter().copied().filter(|&t| t != me));
                 }
             }
-            Switch::Yield if me_runnable => {
+            PickReason::Yield if me_runnable => {
                 // The point of a yield is to let someone else run.
                 alts.extend(runnable.iter().copied().filter(|&t| t != me));
                 if alts.is_empty() {
@@ -402,7 +402,7 @@ impl Shared {
             .choose(alts.len(), default_pick, ChoiceKind::Thread);
         let next = alts[pick];
         if next != me {
-            if me_runnable && why == Switch::AfterOp {
+            if me_runnable && why == PickReason::AfterOp {
                 g.preemptions += 1;
                 let line = format!("-- t{me} => t{next} (preempt)");
                 g.oplog.push(line);
@@ -420,7 +420,7 @@ impl Shared {
         &self,
         me: usize,
         body: impl FnOnce(&mut Memory, &mut Chooser) -> Result<(R, String), String>,
-        why: Switch,
+        why: PickReason,
     ) -> R {
         let mut g = self.enter(me);
         if !self.bump_step(&mut g) {
@@ -466,7 +466,7 @@ impl Shared {
                 let name = &mem.locs[loc].name;
                 Ok((v, format!("{name}.load({}) = {v}", Self::ord_name(ord))))
             },
-            Switch::AfterOp,
+            PickReason::AfterOp,
         )
     }
 
@@ -479,7 +479,7 @@ impl Shared {
                 let name = &mem.locs[loc].name;
                 Ok(((), format!("{name}.store({val}, {})", Self::ord_name(ord))))
             },
-            Switch::AfterOp,
+            PickReason::AfterOp,
         )
     }
 
@@ -502,7 +502,7 @@ impl Shared {
                     format!("{name}.{label}({}) = {old}", Self::ord_name(ord)),
                 ))
             },
-            Switch::AfterOp,
+            PickReason::AfterOp,
         )
     }
 
@@ -539,7 +539,7 @@ impl Shared {
                     ),
                 ))
             },
-            Switch::AfterOp,
+            PickReason::AfterOp,
         )
     }
 
@@ -554,7 +554,7 @@ impl Shared {
                 }
                 Err(r) => Err(r.0),
             },
-            Switch::AfterOp,
+            PickReason::AfterOp,
         )
     }
 
@@ -569,7 +569,7 @@ impl Shared {
                 }
                 Err(r) => Err(r.0),
             },
-            Switch::AfterOp,
+            PickReason::AfterOp,
         )
     }
 
@@ -581,13 +581,13 @@ impl Shared {
                 mem.fence(me, ord);
                 Ok(((), format!("fence({})", Self::ord_name(ord))))
             },
-            Switch::AfterOp,
+            PickReason::AfterOp,
         )
     }
 
     /// Scheduling point that prefers to run someone else.
     pub fn yield_now(&self, me: usize) {
-        self.op(me, |_, _| Ok(((), String::new())), Switch::Yield)
+        self.op(me, |_, _| Ok(((), String::new())), PickReason::Yield)
     }
 
     /// Registers a new virtual thread; returns its id. Called with the
@@ -631,12 +631,12 @@ impl Shared {
                 let tv = g.mem.views[target].clone();
                 g.mem.views[me].join(&tv);
                 g.oplog.push(format!("-- t{me} joined t{target}"));
-                self.pick_next(&mut g, me, Switch::AfterOp);
+                self.pick_next(&mut g, me, PickReason::AfterOp);
                 return;
             }
             g.threads[me] = VState::BlockedOn(target);
             g.oplog.push(format!("-- t{me} joins t{target}"));
-            self.pick_next(&mut g, me, Switch::Gone);
+            self.pick_next(&mut g, me, PickReason::Gone);
             // Loop back into `enter` until the scheduler hands the token
             // back (it re-readies us once the target finishes).
         }
@@ -647,7 +647,7 @@ impl Shared {
         let mut g = self.lock();
         g.threads[me] = VState::Finished;
         if g.current == me || g.current == usize::MAX {
-            self.pick_next(&mut g, me, Switch::Gone);
+            self.pick_next(&mut g, me, PickReason::Gone);
         }
         self.cv.notify_all();
     }

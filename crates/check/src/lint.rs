@@ -1,6 +1,6 @@
 //! Repo-specific source lints, run in CI alongside the model checker.
 //!
-//! Ten source rules, scoped to `crates/*/src` and the root `src/`, and
+//! Eleven source rules, scoped to `crates/*/src` and the root `src/`, and
 //! one manifest rule over the root and `crates/*` `Cargo.toml` files:
 //!
 //! 1. **mark-word ordering** — a line touching the packed `(epoch, color)`
@@ -67,6 +67,13 @@
 //!     events), the reduction system's own delivery loop and the model
 //!     checker's world. A pass anywhere else, a new `crates/core/src`
 //!     file included, is a hand-copied loop that drifts.
+//! 12. **one message record** — non-test code outside `crates/telemetry/src`
+//!     may stamp a flow (`flow_send` / `flow_recv`) only in `dgr-core`'s
+//!     `msg.rs`, whose `MarkRecord` is the one record of a marking
+//!     message's send and delivery for every simulator loop, and may not
+//!     name `Build::keep` / `Build::with` or a switch's `Keep` type: state
+//!     kept or read per message under one feature state only is a second
+//!     record.
 //!
 //! The needles below are spelled with `concat!` so the lint does not flag
 //! its own source.
@@ -112,6 +119,13 @@ const ORDERING_STRONG: [&str; 4] = [
 const ORDERING_COMMENT: &str = concat!("// ord", "ering:");
 const TELEMETRY_FEATURE: &str = concat!("feature = ", "\"telemetry\"");
 const HANDLE_MARK: &str = concat!("handle_", "mark(");
+const RECORD_NEEDLES: [&str; 5] = [
+    concat!("flow_", "send("),
+    concat!("flow_", "recv("),
+    concat!("Build::", "keep"),
+    concat!("Build::", "with"),
+    concat!("::Ke", "ep<"),
+];
 
 /// Rule 11's exemptions: the handler, the cooperating primitives and the
 /// simulator marking loop, and the two other loops that deliver marks.
@@ -120,6 +134,11 @@ fn may_deliver_marks(rel: &str) -> bool {
     core.is_some_and(|f| ["handler.rs", "coop.rs", "driver.rs"].contains(&f))
         || rel == "crates/reduction/src/system.rs"
         || rel == "crates/check/src/world.rs"
+}
+
+/// Rule 12's exemptions: the telemetry crate and the record's own file.
+fn may_record_messages(rel: &str) -> bool {
+    rel.starts_with("crates/telemetry/src/") || rel == "crates/core/src/msg.rs"
 }
 
 /// Rule 10's scope and its one exemption.
@@ -364,69 +383,43 @@ pub fn run(root: &Path) -> Vec<Finding> {
             if t.starts_with("//") {
                 continue;
             }
-            if l.contains(MARK_WORD) && l.contains(RELAXED) {
+            let mut flag = |rule| {
                 findings.push(Finding {
                     file: rel.clone(),
                     line: i + 1,
-                    rule: "mark-word-relaxed",
+                    rule,
                     text: t.to_string(),
-                });
+                })
+            };
+            if l.contains(MARK_WORD) && l.contains(RELAXED) {
+                flag("mark-word-relaxed");
             }
             if MARKWORD_ARRAYS.iter().any(|n| l.contains(n)) && l.contains(RELAXED) {
-                findings.push(Finding {
-                    file: rel.clone(),
-                    line: i + 1,
-                    rule: "markword-array-relaxed",
-                    text: t.to_string(),
-                });
+                flag("markword-array-relaxed");
             }
             if !in_tests && !allowed_deque(rel) && l.contains(DEQUE_NEW) {
-                findings.push(Finding {
-                    file: rel.clone(),
-                    line: i + 1,
-                    rule: "deque-confinement",
-                    text: t.to_string(),
-                });
+                flag("deque-confinement");
             }
             if !in_tests && !allowed_mut(rel) && MUT_NEEDLES.iter().any(|n| l.contains(n)) {
-                findings.push(Finding {
-                    file: rel.clone(),
-                    line: i + 1,
-                    rule: "mark-state-confinement",
-                    text: t.to_string(),
-                });
+                flag("mark-state-confinement");
             }
             if UNSAFE_NEEDLES.iter().any(|n| l.contains(n)) {
-                findings.push(Finding {
-                    file: rel.clone(),
-                    line: i + 1,
-                    rule: "no-unsafe",
-                    text: t.to_string(),
-                });
+                flag("no-unsafe");
             }
             if !in_tests && !may_deliver_marks(rel) && l.contains(HANDLE_MARK) {
-                findings.push(Finding {
-                    file: rel.clone(),
-                    line: i + 1,
-                    rule: "one-marking-loop",
-                    text: t.to_string(),
-                });
+                flag("one-marking-loop");
+            }
+            if !in_tests
+                && !may_record_messages(rel)
+                && RECORD_NEEDLES.iter().any(|n| l.contains(n))
+            {
+                flag("one-message-record");
             }
             if reads_the_switch_twice(rel) && l.contains(TELEMETRY_FEATURE) {
-                findings.push(Finding {
-                    file: rel.clone(),
-                    line: i + 1,
-                    rule: "telemetry-switch-once",
-                    text: t.to_string(),
-                });
+                flag("telemetry-switch-once");
             }
             if !in_tests && SHIMMED.contains(&rel.as_str()) && l.contains(STD_ATOMIC) {
-                findings.push(Finding {
-                    file: rel.clone(),
-                    line: i + 1,
-                    rule: "facade-bypass",
-                    text: t.to_string(),
-                });
+                flag("facade-bypass");
             }
             if !in_tests
                 && ordering_commented_scope(rel)
@@ -443,12 +436,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
                     .take_while(|&j| j == i || !lines[j].trim().is_empty())
                     .any(|j| lines[j].contains(ORDERING_COMMENT));
                 if !annotated {
-                    findings.push(Finding {
-                        file: rel.clone(),
-                        line: i + 1,
-                        rule: "ordering-comment",
-                        text: t.to_string(),
-                    });
+                    flag("ordering-comment");
                 }
             }
         }
@@ -616,6 +604,44 @@ mod tests {
             ],
             "tests may; in dgr-core only handler, coop and driver may"
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_message_record_outside_the_record_is_reported() {
+        let dir = std::env::temp_dir().join("dgr-check-lint-fixture-record");
+        let calls = format!(
+            "fn f() {{\n    t.{}0, 0, p, n, 1);\n    t.{}0, 0, p, n, 1);\n    \
+             let k = {}(|| 1);\n    {}(&k, 0, |x| *x);\n    \
+             let q: VecDeque<(<Build as Switch>{}u64>, M)>;\n}}\n",
+            RECORD_NEEDLES[0],
+            RECORD_NEEDLES[1],
+            RECORD_NEEDLES[2],
+            RECORD_NEEDLES[3],
+            RECORD_NEEDLES[4]
+        );
+        for (krate, file) in [
+            ("core", "msg.rs"),
+            ("core", "driver.rs"),
+            ("telemetry", "active.rs"),
+            ("reduction", "system.rs"),
+        ] {
+            let src = dir.join("crates").join(krate).join("src");
+            fs::create_dir_all(&src).unwrap();
+            let tests = format!("#[cfg(test)]\nmod tests {{\n{calls}}}\n");
+            fs::write(src.join(file), format!("{calls}{tests}")).unwrap();
+        }
+        let got: Vec<_> = run(&dir)
+            .into_iter()
+            .map(|f| (f.rule, f.file, f.line))
+            .collect();
+        let driver = "crates/core/src/driver.rs".to_string();
+        let system = "crates/reduction/src/system.rs".to_string();
+        let want: Vec<_> = [driver, system]
+            .into_iter()
+            .flat_map(|f| (2..=6).map(move |l| ("one-message-record", f.clone(), l)))
+            .collect();
+        assert_eq!(got, want, "tests, telemetry and the record's file may");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -8,14 +8,14 @@
 //! `dgr-gc`, which interleaves mutator work between marking events.
 
 use dgr_graph::{
-    GraphStore, MarkParent, PartitionMap, PartitionStrategy, Priority, Slot, TaskEndpoints,
+    GraphStore, MarkParent, PartitionMap, PartitionStrategy, PeId, Priority, Slot, TaskEndpoints,
 };
 use dgr_sim::{DetSim, Envelope, Lane, SchedPolicy};
-use dgr_telemetry::{CounterId, Phase, Registry};
+use dgr_telemetry::{Phase, Registry};
 
 use crate::handler::handle_mark;
 use crate::invariants::check_invariants;
-use crate::msg::MarkMsg;
+use crate::msg::{MarkMsg, MarkRecord, Sender};
 use crate::state::{MarkState, RMode};
 
 /// Configuration for a marking pass.
@@ -60,10 +60,19 @@ pub struct MarkStats {
     pub rounds: u64,
 }
 
-/// Addresses a marking message to the PE it executes on
-/// ([`PartitionMap::pe_of_dest`]).
-fn route(partition: &PartitionMap, msg: MarkMsg) -> Envelope<MarkMsg> {
-    Envelope::new(partition.pe_of_dest(msg.dest_vertex()), Lane::Marking, msg)
+/// Sends a marking message to the PE it executes on
+/// ([`PartitionMap::pe_of_dest`]) and records the send; returns whether it
+/// crossed PEs.
+fn send_routed(
+    sim: &mut DetSim<MarkMsg>,
+    partition: &PartitionMap,
+    rec: MarkRecord<'_>,
+    from: Sender,
+    msg: MarkMsg,
+) -> bool {
+    let dst = partition.pe_of_dest(msg.dest_vertex());
+    let seq = sim.send(Envelope::new(dst, Lane::Marking, msg));
+    rec.sent(&msg, from, dst, seq)
 }
 
 /// Dumps the flight recorder (event-ring tail, metrics snapshot and the
@@ -113,31 +122,21 @@ where
     };
     let partition = PartitionMap::new(cfg.num_pes, g.capacity(), cfg.partition);
     let mut sim: DetSim<MarkMsg> = DetSim::new(cfg.num_pes, cfg.policy, cfg.seed);
+    let rec = MarkRecord { telem, cycle: 0 };
     for m in initial {
         // Seeds originate on PE 0, where the marking process starts.
-        let (fphase, fname) = m.flow_meta();
-        let seq = sim.send(route(&partition, m));
-        telem.flow_send(0, 0, fphase, fname, seq + 1);
+        send_routed(&mut sim, &partition, rec, Sender::Seed(PeId::new(0)), m);
     }
     let mut stats = MarkStats::default();
     let _pass = telem.span(0, 0, phase, phase.name());
     while let Some((pe, _lane, seq, msg)) = sim.next_event_from(None) {
-        let (fphase, fname) = msg.flow_meta();
-        telem.flow_recv(pe.raw(), 0, fphase, fname, seq + 1);
-        telem.pe(pe.raw()).inc(CounterId::MarkEvents);
+        rec.delivered(&msg, pe, seq);
         // The handler's sends, and the hook's, go straight into the
         // simulator.
         let mut send = |m: MarkMsg| {
-            let (fphase, fname) = m.flow_meta();
-            let env = route(&partition, m);
-            if env.dst != pe {
+            if send_routed(&mut sim, &partition, rec, Sender::Task(pe), m) {
                 stats.remote_messages += 1;
-                telem.pe(pe.raw()).inc(CounterId::SendsRemote);
-            } else {
-                telem.pe(pe.raw()).inc(CounterId::SendsLocal);
             }
-            let seq = sim.send(env);
-            telem.flow_send(pe.raw(), 0, fphase, fname, seq + 1);
         };
         handle_mark(state, g, msg, &mut send);
         stats.events += 1;
@@ -185,24 +184,10 @@ pub fn run_mark1(g: &mut GraphStore, cfg: &MarkRunConfig) -> MarkStats {
 ///
 /// Panics under the same conditions as [`run_mark1`].
 pub fn run_mark1_with(g: &mut GraphStore, cfg: &MarkRunConfig, telem: &Registry) -> MarkStats {
-    let root = g.root().expect("marking needs a root");
-    g.begin_mark_cycle(Slot::R);
-    let mut state = MarkState::new();
-    state.begin_r(RMode::Simple);
-    let stats = run_pass(
-        g,
-        cfg,
-        &mut state,
-        Slot::R,
-        vec![MarkMsg::Mark1 {
-            v: root,
-            par: MarkParent::RootPar,
-        }],
-        telem,
-        |_, _, _, _| {},
-    );
-    assert!(state.r_done, "mark1 drained without termination signal");
-    stats
+    let (v, par) = (g.root().expect("marking needs a root"), MarkParent::RootPar);
+    let seed = MarkMsg::Mark1 { v, par };
+    let begin = |s: &mut MarkState| s.begin_r(RMode::Simple);
+    run_to_done(g, cfg, Slot::R, begin, vec![seed], telem)
 }
 
 /// Runs the priority-marking process `M_R` (Figure 5-2): spawns
@@ -212,25 +197,15 @@ pub fn run_mark1_with(g: &mut GraphStore, cfg: &MarkRunConfig, telem: &Registry)
 ///
 /// Panics if the graph has no root or termination is not signalled.
 pub fn run_mark2(g: &mut GraphStore, cfg: &MarkRunConfig) -> MarkStats {
-    let root = g.root().expect("marking needs a root");
-    g.begin_mark_cycle(Slot::R);
-    let mut state = MarkState::new();
-    state.begin_r(RMode::Priority);
-    let stats = run_pass(
-        g,
-        cfg,
-        &mut state,
-        Slot::R,
-        vec![MarkMsg::Mark2 {
-            v: root,
-            par: MarkParent::RootPar,
-            prior: Priority::Vital,
-        }],
-        &Registry::new(cfg.num_pes),
-        |_, _, _, _| {},
-    );
-    assert!(state.r_done, "M_R drained without termination signal");
-    stats
+    let (v, par) = (g.root().expect("marking needs a root"), MarkParent::RootPar);
+    let seed = MarkMsg::Mark2 {
+        v,
+        par,
+        prior: Priority::Vital,
+    };
+    let begin = |s: &mut MarkState| s.begin_r(RMode::Priority);
+    let telem = Registry::new(cfg.num_pes);
+    run_to_done(g, cfg, Slot::R, begin, vec![seed], &telem)
 }
 
 /// Runs the task-marking process `M_T` (Figure 5-3): hangs one `mark3`
@@ -241,28 +216,32 @@ pub fn run_mark2(g: &mut GraphStore, cfg: &MarkRunConfig) -> MarkStats {
 ///
 /// Panics if termination is not signalled.
 pub fn run_mark3(g: &mut GraphStore, tasks: &TaskEndpoints, cfg: &MarkRunConfig) -> MarkStats {
-    g.begin_mark_cycle(Slot::T);
-    let mut state = MarkState::new();
-    state.begin_t(tasks.seeds().len() as u32);
-    let initial = tasks
-        .seeds()
-        .iter()
-        .map(|&v| MarkMsg::Mark3 {
-            v,
-            par: MarkParent::TaskRootPar,
-        })
-        .collect();
+    let par = MarkParent::TaskRootPar;
+    let seeds = tasks.seeds().iter().map(|&v| MarkMsg::Mark3 { v, par });
+    let begin = |s: &mut MarkState| s.begin_t(tasks.seeds().len() as u32);
     let telem = Registry::new(cfg.num_pes);
-    let stats = run_pass(
-        g,
-        cfg,
-        &mut state,
-        Slot::T,
-        initial,
-        &telem,
-        |_, _, _, _| {},
-    );
-    assert!(state.t_done, "M_T drained without termination signal");
+    run_to_done(g, cfg, Slot::T, begin, seeds.collect(), &telem)
+}
+
+/// Resets `slot`, opens a fresh state with `begin`, runs `initial` to
+/// quiescence and checks that the slot's termination signal came.
+fn run_to_done(
+    g: &mut GraphStore,
+    cfg: &MarkRunConfig,
+    slot: Slot,
+    begin: impl FnOnce(&mut MarkState),
+    initial: Vec<MarkMsg>,
+    telem: &Registry,
+) -> MarkStats {
+    g.begin_mark_cycle(slot);
+    let mut state = MarkState::new();
+    begin(&mut state);
+    let stats = run_pass(g, cfg, &mut state, slot, initial, telem, |_, _, _, _| {});
+    let done = match slot {
+        Slot::R => state.r_done,
+        Slot::T => state.t_done,
+    };
+    assert!(done, "{slot:?} marking drained without termination signal");
     stats
 }
 

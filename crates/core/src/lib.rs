@@ -70,5 +70,5 @@ mod state;
 pub mod threaded;
 
 pub use handler::handle_mark;
-pub use msg::MarkMsg;
+pub use msg::{count_send, MarkMsg, MarkRecord, Sender};
 pub use state::{MarkState, RMode};

@@ -1,7 +1,8 @@
-//! Marking task messages.
+//! Marking task messages, and what a simulator marking loop records of
+//! each one's send and delivery.
 
-use dgr_graph::{MarkParent, Priority, Slot, VertexId};
-use dgr_telemetry::Phase;
+use dgr_graph::{MarkParent, PeId, Priority, Slot, VertexId};
+use dgr_telemetry::{CounterId, Phase, Registry};
 
 /// A marking task, represented (like every task) as a message `<s, d>`:
 /// the destination vertex is where the task executes, the parent is the
@@ -67,17 +68,81 @@ impl MarkMsg {
         }
     }
 
-    /// Phase tag and flow-event name of this message, by slot: the
-    /// task-marking wave (`M_T`) and the priority-marking wave (`M_R`) are
-    /// traced under distinct names so a cycle analyzer can keep their
-    /// fan-outs apart (Theorem 2 orders them).
+    /// Phase tag, flow-event name and flow id of this message under
+    /// simulator sequence number `seq`. The task-marking wave (`M_T`) and
+    /// the priority-marking wave (`M_R`) are traced under distinct names so
+    /// a cycle analyzer can keep their fan-outs apart (Theorem 2 orders
+    /// them). The id is `seq + 1`: sequence numbers are unique across a
+    /// simulator's lifetime, and 0 stays the "no flow" value.
     #[inline]
-    pub fn flow_meta(&self) -> (Phase, &'static str) {
-        match self.slot() {
+    fn flow(&self, seq: u64) -> (Phase, &'static str, u64) {
+        let (phase, name) = match self.slot() {
             Slot::T => (Phase::Mt, "M_T"),
             Slot::R => (Phase::Mr, "M_R"),
-        }
+        };
+        (phase, name, seq + 1)
     }
+}
+
+/// Who sent a marking message, as [`MarkRecord::sent`] counts it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sender {
+    /// A task running on this PE: the send counts there as local or
+    /// remote, and is stamped there.
+    Task(PeId),
+    /// A seed of the pass: stamped at this PE, counted on none.
+    Seed(PeId),
+}
+
+/// The one record of a marking message's send and of its delivery, for
+/// every simulator marking loop (`driver::run_pass`, `reduction::System`'s
+/// mailbox path and its `M_T` pass): the local/remote send split, the
+/// `MarkEvents` count and the flow stamps (DESIGN §6.4).
+#[derive(Debug, Clone, Copy)]
+pub struct MarkRecord<'a> {
+    /// Where the counts and stamps go.
+    pub telem: &'a Registry,
+    /// The marking cycle the stamps carry.
+    pub cycle: u32,
+}
+
+impl MarkRecord<'_> {
+    /// Records `msg`'s send to PE `dst` under simulator sequence number
+    /// `seq`. Returns whether it crossed PEs; a seed never does.
+    #[inline]
+    pub fn sent(self, msg: &MarkMsg, from: Sender, dst: PeId, seq: u64) -> bool {
+        let (at, remote) = match from {
+            Sender::Task(src) => (src, count_send(self.telem, src, dst)),
+            Sender::Seed(at) => (at, false),
+        };
+        let (phase, name, id) = msg.flow(seq);
+        self.telem.flow_send(at.raw(), self.cycle, phase, name, id);
+        remote
+    }
+
+    /// Records `msg`'s delivery on PE `pe`; `seq` is the number its send
+    /// took.
+    #[inline]
+    pub fn delivered(self, msg: &MarkMsg, pe: PeId, seq: u64) {
+        self.telem.pe(pe.raw()).inc(CounterId::MarkEvents);
+        let (phase, name, id) = msg.flow(seq);
+        self.telem.flow_recv(pe.raw(), self.cycle, phase, name, id);
+    }
+}
+
+/// Counts a task's send from PE `src` to PE `dst` on `src`, as local or
+/// remote, and returns whether it is remote. Marking and reduction sends
+/// split the same way.
+#[inline]
+pub fn count_send(telem: &Registry, src: PeId, dst: PeId) -> bool {
+    let remote = src != dst;
+    let id = if remote {
+        CounterId::SendsRemote
+    } else {
+        CounterId::SendsLocal
+    };
+    telem.pe(src.raw()).inc(id);
+    remote
 }
 
 #[cfg(test)]

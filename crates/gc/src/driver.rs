@@ -885,7 +885,6 @@ mod tests {
         );
         gc.run();
         assert!(gc.sys.heap_snapshot().is_empty());
-        assert!(!gc.sys.heap_tracker().enabled());
     }
 
     #[test]

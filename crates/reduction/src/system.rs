@@ -2,14 +2,14 @@
 
 use std::collections::VecDeque;
 
-use dgr_core::{handle_mark, MarkMsg, MarkState};
+use dgr_core::{count_send, handle_mark, MarkMsg, MarkRecord, MarkState, Sender};
 use dgr_graph::HeapDelta;
 use dgr_graph::{
     GraphStore, MarkParent, PartitionMap, PartitionStrategy, PeId, Priority, RequestKind,
     Requester, TaskEndpoints, Value, VertexId,
 };
 use dgr_sim::{DetSim, Envelope, Lane, SchedPolicy};
-use dgr_telemetry::{Build, CounterId, HeapSnapshot, HeapTracker, Registry, Switch};
+use dgr_telemetry::{CounterId, HeapSnapshot, HeapTracker, Registry};
 
 use crate::engine::{handle_red, EngineCtx};
 use crate::msg::{RedMsg, SysMsg};
@@ -90,11 +90,6 @@ pub struct System {
     /// feature is on): per-PE lane-delivery counters and local/remote
     /// send attribution.
     telem: Registry,
-    /// The PE whose task is currently dispatching — sends issued while
-    /// `Some(pe)` are attributed to that PE as local or remote; sends
-    /// with no executing task (external injection, GC driver seeds) are
-    /// not attributed.
-    executing: Option<PeId>,
     /// The marking cycle flow events are attributed to; a GC driver sets
     /// it at the start of each cycle so the causal trace of the marking
     /// wave groups by cycle.
@@ -115,14 +110,8 @@ pub struct System {
     fresh: Vec<VertexId>,
     /// The queue [`System::drain_marking`] runs a pass from, empty between
     /// passes and kept for its capacity.
-    mark_fifo: VecDeque<Queued>,
+    mark_fifo: VecDeque<MarkMsg>,
 }
-
-/// A marking task queued by [`System::drain_marking`]. Under `Off` it is
-/// the bare message; under `On` it also carries the sequence number the
-/// send took and the PE it routes to, which its delivery's flow event and
-/// event counter need.
-type Queued = (<Build as Switch>::Keep<(u64, PeId)>, MarkMsg);
 
 /// The endpoints of every pending reduction task, in the simulator's
 /// `iter_pending` order: the seeds of `M_T`'s virtual task roots.
@@ -135,42 +124,22 @@ fn task_endpoints(sim: &DetSim<SysMsg>) -> impl Iterator<Item = VertexId> + '_ {
         })
 }
 
-/// Attributes a send to the PE whose task is currently executing, as
-/// local (same PE) or remote. Sends with no executing task (external
-/// injection) are not counted.
-#[inline]
-fn count_send(telem: &Registry, executing: Option<PeId>, dst: PeId) {
-    let Some(src) = executing else { return };
-    let id = if src == dst {
-        CounterId::SendsLocal
-    } else {
-        CounterId::SendsRemote
-    };
-    telem.pe(src.raw()).inc(id);
-}
-
-/// Routes and enqueues a marking task, recording a flow-send event (the
-/// causal edge's origin) on the sending PE — the currently executing one,
-/// or the destination for externally injected seeds. Takes the system's
-/// fields apart so the marking handler's sink can call it while the
-/// handler holds the graph and the marking state.
+/// Routes and enqueues a marking task and records its send: from the PE
+/// whose task sent it, or, for a seed (`from == None`), stamped at its
+/// destination. Takes the system's fields apart so the marking handler's
+/// sink can call it while the handler holds the graph and the marking
+/// state.
 #[inline]
 fn enqueue_mark(
     sim: &mut DetSim<SysMsg>,
-    telem: &Registry,
     partition: &PartitionMap,
-    cycle: u32,
-    executing: Option<PeId>,
+    rec: MarkRecord<'_>,
+    from: Option<PeId>,
     msg: MarkMsg,
 ) {
     let pe = partition.pe_of_dest(msg.dest_vertex());
-    count_send(telem, executing, pe);
-    let (fphase, fname) = msg.flow_meta();
-    let src = executing.unwrap_or(pe);
     let seq = sim.send(Envelope::new(pe, Lane::Marking, SysMsg::Mark(msg)));
-    // Flow id = seq + 1: the simulator's sequence numbers are unique
-    // across the system's lifetime, and 0 stays the "no flow" value.
-    telem.flow_send(src.raw(), cycle, fphase, fname, seq + 1);
+    rec.sent(&msg, from.map_or(Sender::Seed(pe), Sender::Task), pe, seq);
 }
 
 impl System {
@@ -204,7 +173,6 @@ impl System {
             sim,
             events: 0,
             telem,
-            executing: None,
             telem_cycle: 0,
             heap,
             partition,
@@ -228,12 +196,6 @@ impl System {
     /// build). GC drivers snapshot it around cycle phases.
     pub fn telemetry(&self) -> &Registry {
         &self.telem
-    }
-
-    /// The system's heap tracker (the zero-sized no-op in a default
-    /// build). GC drivers close a heap cycle on it per marking cycle.
-    pub fn heap_tracker(&self) -> &HeapTracker {
-        &self.heap
     }
 
     /// The heap tracker, mutably (for `close_cycle` / `record_trigger` /
@@ -273,12 +235,6 @@ impl System {
     /// The system configuration.
     pub fn config(&self) -> &SystemConfig {
         &self.config
-    }
-
-    /// The current vertex-to-PE assignment (heap growth is reflected as
-    /// soon as the task that grew it has executed).
-    pub fn partition(&self) -> PartitionMap {
-        self.partition.clone()
     }
 
     /// Events delivered so far.
@@ -326,22 +282,16 @@ impl System {
     /// Routes and enqueues a reduction task with the given lane priority.
     pub fn send_red(&mut self, msg: RedMsg, prio: Priority) {
         let pe = self.partition.pe_of_dest(msg.dest_vertex());
-        count_send(&self.telem, self.executing, pe);
         self.sim
             .send(Envelope::new(pe, Lane::Reduction(prio), SysMsg::Red(msg)));
     }
 
-    /// Routes and enqueues a marking task (a GC driver's seeds; tasks
-    /// spawned while dispatching take the same path).
+    /// Routes and enqueues a marking task from outside any task (a GC
+    /// driver's seeds).
     pub fn send_mark(&mut self, msg: MarkMsg) {
-        enqueue_mark(
-            &mut self.sim,
-            &self.telem,
-            &self.partition,
-            self.telem_cycle,
-            self.executing,
-            msg,
-        );
+        let (telem, cycle) = (&self.telem, self.telem_cycle);
+        let rec = MarkRecord { telem, cycle };
+        enqueue_mark(&mut self.sim, &self.partition, rec, None, msg);
     }
 
     /// Spawns the initial task `<-, root>`.
@@ -396,13 +346,11 @@ impl System {
             return false;
         };
         self.events += 1;
-        let shard = self.telem.pe(pe.raw());
-        match lane {
-            Lane::Marking => shard.inc(CounterId::MarkEvents),
-            Lane::Reduction(_) => shard.inc(CounterId::RedEvents),
+        if let Lane::Reduction(_) = lane {
+            self.telem.pe(pe.raw()).inc(CounterId::RedEvents);
         }
-        self.executing = Some(pe);
-        let (cycle, sim, telem) = (self.telem_cycle, &mut self.sim, &self.telem);
+        let (sim, telem, cycle) = (&mut self.sim, &self.telem, self.telem_cycle);
+        let rec = MarkRecord { telem, cycle };
         match msg {
             SysMsg::Red(RedMsg::Return {
                 dst: Requester::External,
@@ -420,7 +368,7 @@ impl System {
                         stats: &mut self.stats,
                         partition: &mut self.partition,
                         red: |dst, m, prio| {
-                            count_send(telem, Some(pe), dst);
+                            count_send(telem, pe, dst);
                             sim.send(Envelope::new(dst, Lane::Reduction(prio), SysMsg::Red(m)));
                         },
                         spawned: 0,
@@ -431,24 +379,22 @@ impl System {
                     m,
                 );
                 for m in self.out_mark.drain(..) {
-                    enqueue_mark(sim, telem, &self.partition, cycle, Some(pe), m);
+                    enqueue_mark(sim, &self.partition, rec, Some(pe), m);
                 }
             }
             SysMsg::Mark(m) => {
                 // The delivery end of the flow edge `enqueue_mark` opened;
                 // reduction messages are not flow-traced.
-                let (fphase, fname) = m.flow_meta();
-                telem.flow_recv(pe.raw(), cycle, fphase, fname, seq + 1);
+                rec.delivered(&m, pe, seq);
                 let partition = &self.partition;
                 handle_mark(
                     &mut self.mark_state,
                     &mut self.graph,
                     m,
-                    &mut |m: MarkMsg| enqueue_mark(sim, telem, partition, cycle, Some(pe), m),
+                    &mut |m: MarkMsg| enqueue_mark(sim, partition, rec, Some(pe), m),
                 );
             }
         }
-        self.executing = None;
         self.drain_heap_journal();
         true
     }
@@ -467,17 +413,28 @@ impl System {
     /// [`System::step_lane`] would deliver the marking lane in, and the
     /// pass needs nothing from the scheduler: it runs from a queue the
     /// system keeps across passes, and the simulator is told the totals
-    /// once, by [`DetSim::bypass`]. The telemetry of every send and
-    /// delivery is recorded as `step_lane` records it, with the same flow
-    /// ids.
+    /// once, by [`DetSim::bypass`]. The queue holds bare messages: the
+    /// pass's `i`-th send takes sequence number `base + i` and is its
+    /// `i`-th delivery, on the PE the message routes to (no reduction task
+    /// runs, so the partition holds still). Both are recorded as
+    /// `step_lane` records them, with the same flow ids; with telemetry
+    /// off nothing is routed.
     ///
     /// # Panics
     ///
     /// Panics if a marking task is pending when the pass starts, or if the
     /// pass runs out of marking tasks before `t_done` holds.
     pub fn drain_marking(&mut self, budget: u64, mut progress: impl FnMut(u64)) -> (u64, bool) {
-        let (cycle, telem, partition) = (self.telem_cycle, &self.telem, &self.partition);
+        let (telem, cycle) = (&self.telem, self.telem_cycle);
+        let rec = MarkRecord { telem, cycle };
         let (fifo, state, graph) = (&mut self.mark_fifo, &mut self.mark_state, &mut self.graph);
+        let partition = &self.partition;
+        // The PE a message runs on, asked for only when it is recorded.
+        let routed = |m: &MarkMsg| {
+            rec.telem
+                .enabled()
+                .then(|| partition.pe_of_dest(m.dest_vertex()))
+        };
         let (mut delivered, mut finished) = (0, true);
         self.sim.bypass(Lane::Marking, |sim, base| {
             assert_eq!(
@@ -485,20 +442,20 @@ impl System {
                 0,
                 "a marking pass starts with no marking task pending"
             );
-            // Queues a marking task sent from `src` (`None`: a seed),
+            // Queues a marking task sent from `from` (`None`: a seed),
             // recorded as `enqueue_mark` records a send.
             let mut sent = 0;
-            let mut push = |fifo: &mut VecDeque<Queued>, src: Option<PeId>, m: MarkMsg| {
-                let seq = base + sent;
+            let mut push = |fifo: &mut VecDeque<MarkMsg>, from: Option<PeId>, m: MarkMsg| {
+                if let Some(pe) = routed(&m) {
+                    rec.sent(
+                        &m,
+                        from.map_or(Sender::Seed(pe), Sender::Task),
+                        pe,
+                        base + sent,
+                    );
+                }
                 sent += 1;
-                let tag = || {
-                    let pe = partition.pe_of_dest(m.dest_vertex());
-                    count_send(telem, src, pe);
-                    let (fphase, fname) = m.flow_meta();
-                    telem.flow_send(src.unwrap_or(pe).raw(), cycle, fphase, fname, seq + 1);
-                    (seq, pe)
-                };
-                fifo.push_back((Build::keep(tag), m));
+                fifo.push_back(m);
             };
             let mut seeds = 0;
             for v in task_endpoints(sim) {
@@ -509,16 +466,14 @@ impl System {
             state.begin_t(seeds);
             let mut peak = fifo.len();
             while !state.t_done {
-                let (tag, m) = fifo
+                let m = fifo
                     .pop_front()
                     .expect("marking drained without its termination signal");
                 // Recorded as `deliver` records a marking task's delivery.
-                let pe = Build::with(&tag, None, |&(seq, pe): &(u64, PeId)| {
-                    telem.pe(pe.raw()).inc(CounterId::MarkEvents);
-                    let (fphase, fname) = m.flow_meta();
-                    telem.flow_recv(pe.raw(), cycle, fphase, fname, seq + 1);
-                    Some(pe)
-                });
+                let pe = routed(&m);
+                if let Some(pe) = pe {
+                    rec.delivered(&m, pe, base + delivered);
+                }
                 handle_mark(state, graph, m, &mut |m| push(fifo, pe, m));
                 peak = peak.max(fifo.len());
                 delivered += 1;

@@ -237,6 +237,10 @@ pub(crate) fn quantile(buckets: &[u64; HIST_BUCKETS], count: u64, max: u64, q: f
 /// are `cycle + 1`).
 const UNSTAMPED: u64 = 0;
 
+/// `since` of a vertex reclaimed this cycle: unstamped, but still on the
+/// `floating` list until `end_cycle`'s sweep drops it.
+const RECLAIMED: u64 = u64::MAX;
+
 /// What a recording [`Tracker`] keeps.
 #[derive(Debug, Default)]
 struct Books {
@@ -244,7 +248,8 @@ struct Books {
     since: Vec<u64>,
     /// Per-vertex: last cycle censused garbage + 1 (resurrection sweep).
     seen: Vec<u64>,
-    /// Indices currently stamped (compact sweep/offender list).
+    /// Indices stamped since the last sweep, each once (compact
+    /// sweep/offender list); a reclaim leaves its entry to the sweep.
     floating: Vec<u32>,
     /// The open cycle's ledger.
     cur: CycleLifecycle,
@@ -312,9 +317,11 @@ impl<R: Switch> Tracker<R> {
             }
             *seen = cycle + 1;
             let since = slot(&mut b.since, idx);
-            let age = if *since == UNSTAMPED {
-                *since = cycle + 1;
+            if *since == UNSTAMPED {
                 b.floating.push(idx as u32);
+            }
+            let age = if matches!(*since, UNSTAMPED | RECLAIMED) {
+                *since = cycle + 1;
                 0
             } else {
                 cycle - (*since - 1)
@@ -334,13 +341,12 @@ impl<R: Switch> Tracker<R> {
             b.cur.reclaimed += 1;
             b.snap.reclaimed += 1;
             let since = slot(&mut b.since, idx);
-            if *since == UNSTAMPED {
+            if *since == UNSTAMPED || *since == RECLAIMED {
                 return; // never censused: latency unknown
             }
             let latency = cycle - (*since - 1);
-            *since = UNSTAMPED;
+            *since = RECLAIMED;
             b.seen[idx] = UNSTAMPED;
-            b.floating.retain(|&f| f as usize != idx);
             b.cur.exact += 1;
             b.cur.latency_sum += latency;
             b.snap.exact += 1;
@@ -361,8 +367,8 @@ impl<R: Switch> Tracker<R> {
     }
 
     /// Closes the cycle: sweeps stamps that were not re-censused (the
-    /// vertex was resurrected or silently freed — its float episode is
-    /// over), fixes the cycle's float count, folds the ledger into the
+    /// vertex was resurrected, reclaimed or silently freed — its float
+    /// episode is over), fixes the cycle's float count, folds the ledger into the
     /// running totals and returns it.
     pub fn end_cycle(&mut self) -> CycleLifecycle {
         R::with_mut(&mut self.0, CycleLifecycle::default(), |b| {
@@ -401,6 +407,7 @@ impl<R: Switch> Tracker<R> {
         R::with(&self.0, Vec::new(), |b| {
             let cycle = b.cur.cycle;
             let mut out: Vec<(u32, u64)> = (b.floating.iter())
+                .filter(|&&f| b.since[f as usize] != RECLAIMED)
                 .map(|&f| (f, cycle - (b.since[f as usize] - 1)))
                 .collect();
             out.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
@@ -497,6 +504,19 @@ mod tests {
         t.reclaim_vertex(9);
         let rec = t.end_cycle();
         assert_eq!(rec.latency_sum, 1);
+    }
+
+    #[test]
+    fn a_reclaimed_vertex_censused_again_floats_once() {
+        let mut t = Tracker::default();
+        t.begin_cycle(1);
+        t.garbage_vertex(5);
+        t.reclaim_vertex(5);
+        assert!(t.worst_floaters(4).is_empty(), "reclaimed, not floating");
+        t.garbage_vertex(5);
+        assert_eq!(t.worst_floaters(4), vec![(5, 0)]);
+        assert_eq!(t.end_cycle().float, 1);
+        assert_eq!(t.worst_floaters(4), vec![(5, 0)], "listed once");
     }
 
     #[test]

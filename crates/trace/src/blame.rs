@@ -20,8 +20,9 @@
 //!
 //! The span estimate comes from the flow-event critical path when the
 //! stream carries `flow_send`/`flow_recv` pairs, else from a
-//! `bsp_span_us` instant (a BSP-round lower bound a bench can emit),
-//! else idle is attributed wholly to load imbalance and the report says
+//! `bsp_span_us` instant (a round-count estimate a bench can emit: the
+//! simulator's rounds under `SchedPolicy::Rounds`, where each PE runs one
+//! task per round; the instant keeps its historical name), else idle is attributed wholly to load imbalance and the report says
 //! so. By the clock's exact-sum invariant a finished episode accounts
 //! for 100% of its span; the report prints the worst PE's accounted
 //! fraction so a truncated stream is visible.
@@ -37,7 +38,8 @@ use crate::{critical_paths, fold, match_flows, Kind, ParsedEvent};
 pub enum SpanSource {
     /// Summed per-cycle critical paths of matched flow edges.
     Flow,
-    /// A `bsp_span_us` instant emitted by the bench harness.
+    /// A `bsp_span_us` instant emitted by the bench harness: serial wall
+    /// time scaled by the `SchedPolicy::Rounds` round counts.
     Bsp,
     /// No estimate available; idle is all called load imbalance.
     None,
