@@ -67,6 +67,12 @@ pub enum Site {
     /// moves it *before* the claim CAS, re-pinning PR 6's parent-clobber
     /// race (a losing claimant overwrites the winner's parent).
     MwParentPublish,
+    /// `MarkWords::settle_child`'s probe of the child's state word
+    /// (Acquire — pairs with a rival's claim CAS, so a parent that settles
+    /// an already-visited child at the spawn site happens-after everything
+    /// the child's claimer did first, exactly as a duplicate mark task
+    /// would).
+    MwSettleProbe,
     /// `StealDeque::push`'s bottom publish (Release — pairs with the
     /// thief's bottom load so the cell write is visible before the index).
     DequeBottomPublish,
@@ -95,6 +101,7 @@ impl Site {
         match self {
             Site::MwClaimCas => "mw-claim-cas-relaxed",
             Site::MwParentPublish => "mw-parent-before-claim",
+            Site::MwSettleProbe => "mw-settle-probe-relaxed",
             Site::DequeBottomPublish => "deque-bottom-no-release",
             Site::DequeLastElem => "deque-last-elem-no-seqcst",
             Site::MailboxTailPublish => "mailbox-stale-head",
@@ -346,6 +353,7 @@ mod tests {
         for site in [
             Site::MwClaimCas,
             Site::MwParentPublish,
+            Site::MwSettleProbe,
             Site::DequeBottomPublish,
             Site::DequeLastElem,
             Site::MailboxTailPublish,

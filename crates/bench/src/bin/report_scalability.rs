@@ -159,6 +159,8 @@ fn main() {
     // once and epoch-reset per run. Envelope counts stay the
     // hardware-independent signal; wall speedup is meaningful only up to
     // the parallelism the host delivers (printed in the table title).
+    // `settled` counts the duplicate visits claim winners settled in
+    // place of two tasks: it varies with the schedule and is not gated.
     // Each entry: (name, vertices, graph, (floor, gate, decay)) — see
     // `assert_monotone_ish`. The trees' decay leaves room for what a
     // 16-PE pass costs before any task runs (1.3 ms on the 2-vCPU
@@ -218,6 +220,7 @@ fn main() {
                 "messages" => stats.messages,
                 "wall_us" => best_ms * 1e3,
                 "envelopes" => stats.envelopes,
+                "settled" => stats.settled,
                 "speedup" => speedup,
             });
         }

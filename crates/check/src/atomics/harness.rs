@@ -17,8 +17,8 @@
 use std::sync::Arc;
 
 use dgr_atomic::Site;
-use dgr_graph::markword::Claim;
-use dgr_graph::{MarkParent, MarkWords};
+use dgr_graph::markword::{Claim, Settle};
+use dgr_graph::{Color, MarkParent, MarkWords, VertexId};
 use dgr_sim::deque::Steal;
 use dgr_sim::{QuiesceState, SpscRing, StealDeque};
 
@@ -299,6 +299,59 @@ fn markword_parent_race() -> Box<dyn FnOnce() + Send + 'static> {
     })
 }
 
+/// Settling a duplicate visit at the spawn site. An expander claims `p`
+/// (vertex 0) with one child `c` (vertex 1) and settles or spawns it;
+/// a rival writes a payload and then claims `c` under another parent. A
+/// spawned mark runs on the expander as its task would: claim `c` or
+/// lose it, then return to `p`. Whichever way `c` is decided, `p` must
+/// complete exactly once, and a settle that saw `c` visited must see
+/// the payload written before the claim it saw (a stale read is a race
+/// the model reports).
+fn markword_settle_at_spawn() -> Box<dyn FnOnce() + Send + 'static> {
+    Box::new(|| {
+        let words: Arc<MarkWords<ShimAtomics>> = Arc::new(MarkWords::new(2));
+        let payload = Arc::new(ShimCell::new(NONE));
+        let t = {
+            let words = Arc::clone(&words);
+            let payload = Arc::clone(&payload);
+            spawn(move || {
+                payload.write(42);
+                words.try_claim(1, 1, 0, MarkParent::TaskRootPar);
+            })
+        };
+        let won = words.try_claim(0, 1, 1, MarkParent::RootPar);
+        shim_assert(won == Claim::Won(Color::Transient), || {
+            format!("the expander's claim on p read {won:?}")
+        });
+        let mut completions = 0;
+        match words.settle_child(1, 0, 1) {
+            Settle::Spawn => {
+                words.try_claim(1, 1, 0, MarkParent::Vertex(VertexId::new(0)));
+                if words.complete_child(0, 1) == Some(MarkParent::RootPar) {
+                    completions += 1;
+                }
+            }
+            settled => {
+                let v = payload.read();
+                shim_assert(v == 42, || {
+                    format!("settle saw c visited but the payload reads {v}")
+                });
+                if settled == Settle::Completed(MarkParent::RootPar) {
+                    completions += 1;
+                }
+            }
+        }
+        t.join();
+        shim_assert(completions == 1, || {
+            format!("p completed {completions} times, want exactly once")
+        });
+        let p = words.probe_state(0, 1);
+        shim_assert(p == Some((Color::Marked, 0)), || {
+            format!("p ends as {p:?}, want Marked with nothing owed")
+        });
+    })
+}
+
 /// Quiescence: the worker whose release drives the count to zero must
 /// see every other worker's task effects through the counter's
 /// release/acquire chain.
@@ -429,6 +482,11 @@ pub const SCENARIOS: &[Scenario] = &[
         make: markword_parent_race,
     },
     Scenario {
+        name: "markword-settle-at-spawn",
+        about: "settle of a visited child: p completes once, payload visible",
+        make: markword_settle_at_spawn,
+    },
+    Scenario {
         name: "quiesce-publish",
         about: "zero-observer sees every released worker's effects",
         make: quiesce_publish,
@@ -490,6 +548,12 @@ pub const MUTATIONS: &[Mutation] = &[
         scenario: "markword-parent-race",
         what: "parent word published before the claim CAS",
         killed_by: "loser clobbers winner's parent; drain misroutes the return",
+    },
+    Mutation {
+        site: Site::MwSettleProbe,
+        scenario: "markword-settle-at-spawn",
+        what: "settle probe of the child's word Acquire -> Relaxed",
+        killed_by: "settle sees the rival's claim, payload read races (stale payload)",
     },
     Mutation {
         site: Site::QuiesceRelease,

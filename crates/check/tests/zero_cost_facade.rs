@@ -34,6 +34,7 @@ fn production_mutation_hooks_are_inert() {
     for site in [
         Site::MwClaimCas,
         Site::MwParentPublish,
+        Site::MwSettleProbe,
         Site::DequeBottomPublish,
         Site::DequeLastElem,
         Site::MailboxTailPublish,

@@ -1,9 +1,13 @@
 //! `mark1` on the work-stealing parallel runtime.
 //!
-//! Each marking task touches exactly one vertex and never holds a lock
-//! while waiting on another PE — the property Section 6 uses to argue
-//! that resource deadlock between marking tasks is impossible and
-//! interference with the reduction process is minimal.
+//! Each marking task claims or drains exactly one vertex and never holds
+//! a lock while waiting on another PE — the property Section 6 uses to
+//! argue that resource deadlock between marking tasks is impossible and
+//! interference with the reduction process is minimal. The task that
+//! wins a claim also probes its children's mark words: a mark to a child
+//! already visited this cycle would do nothing but return, so that mark
+//! and its return run in place ([`MarkWords::settle_child`]) and only
+//! the other children are sent.
 //!
 //! This module is used by the scalability experiments (T5): the same
 //! algorithm that the deterministic simulator executes runs here on one
@@ -28,12 +32,16 @@
 //!   partition — the paper's distribution model, and what the envelope
 //!   counter measures — but an idle PE may steal it: soundness does not
 //!   depend on placement because every state transition is a CAS or an
-//!   owned decrement on the shared mark words.
+//!   owned decrement on the shared mark words. Settling a duplicate visit
+//!   at the spawn site is the same kind of placement choice: the mark
+//!   and its return still both happen, and both are counted.
+//!
+//! [`MarkWords::settle_child`]: dgr_graph::MarkWords::settle_child
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use dgr_graph::{markword::Claim, PeId};
-use dgr_graph::{GraphStore, MarkParent, PartitionMap, PartitionStrategy, Slot, VertexId};
+use dgr_graph::markword::{Claim, Settle};
+use dgr_graph::{GraphStore, MarkParent, PartitionMap, PartitionStrategy, PeId, Slot, VertexId};
 use dgr_sim::steal::with_depth;
 use dgr_sim::{SharedGraph, SpawnScope, StealRuntime};
 use dgr_telemetry::{CounterId, HeartbeatHandle, Phase, Registry};
@@ -56,6 +64,15 @@ fn return_task(to: u64, depth: u64) -> u64 {
     with_depth(KIND_RETURN | to, depth)
 }
 
+/// The return a drained vertex at `depth` owes its `mt_par`.
+fn parent_return(parent: MarkParent, depth: u64) -> u64 {
+    match parent {
+        MarkParent::RootPar => return_task(ROOTPAR, depth),
+        MarkParent::Vertex(p) => return_task(u64::from(p.raw()), depth),
+        MarkParent::TaskRootPar => unreachable!("mark1 never uses the task root"),
+    }
+}
+
 /// Owner PE of a task: where its subject vertex lives (`rootpar` returns
 /// go to PE 0, which spawned the root mark).
 fn route(partition: &PartitionMap, task: u64) -> PeId {
@@ -70,11 +87,18 @@ fn route(partition: &PartitionMap, task: u64) -> PeId {
 /// Counters from one threaded `mark1` pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ThreadedMarkStats {
-    /// Marking tasks executed (marks + returns). `mark1` sends exactly
-    /// one return per mark, and marks a first visit exactly once, so this
-    /// count is schedule-independent and equals the event count of a
+    /// Marking messages delivered (marks + returns): the tasks executed
+    /// plus 2 per [`settled`](Self::settled) arc, the mark and the return
+    /// it stands for. `mark1` sends exactly one return per mark, and
+    /// marks a first visit exactly once, so this count is
+    /// schedule-independent and equals the event count of a
     /// deterministic-simulator pass over the same graph.
     pub messages: u64,
+    /// Duplicate visits settled at the spawn site: arcs whose target the
+    /// claim winner found already visited, so their mark and return ran
+    /// in place instead of as two tasks. Schedule-dependent; zero on a
+    /// graph where no vertex has two incoming arcs.
+    pub settled: u64,
     /// Cross-PE envelopes the runtime routed through the mailbox mesh
     /// (tasks whose owner PE differed from the spawning PE).
     pub envelopes: u64,
@@ -137,7 +161,8 @@ pub fn run_mark1_shared(
 
 /// [`run_mark1_shared`] with an explicit telemetry registry and a
 /// liveness pulse. The pass is wrapped in an `M_R` span, each PE's
-/// executed marking tasks land in its mark-event counter, and the
+/// marking messages land in its mark-event counter (a task is one, a
+/// settled arc two, so the counters sum to `messages`), and the
 /// underlying runtime records deque depth, steals, drained batch sizes
 /// and park events per PE. The pass also brackets an `M_R` phase on `hb`
 /// and the runtime beats delivery progress per local drain run, so the
@@ -203,10 +228,28 @@ pub fn run_mark1_shared_observed(
                 // The winner of the CAS claim owns the expansion.
                 match marks.try_claim(v.index(), epoch, children.len() as u32, parent) {
                     Claim::Won(_) if !children.is_empty() => {
-                        // Spawn deepest-last so the runtime chains the
-                        // final child and thieves get the first ones.
+                        // Settle the children already visited in place;
+                        // spawn the rest deepest-last so the runtime
+                        // chains the final child and thieves get the
+                        // first ones.
+                        let mut settled = 0;
                         for &c in children {
-                            emit(scope, mark_task(c, u64::from(v.raw()), depth + 1));
+                            match marks.settle_child(c.index(), v.index(), epoch) {
+                                Settle::Spawn => {
+                                    emit(scope, mark_task(c, u64::from(v.raw()), depth + 1));
+                                }
+                                Settle::Settled => settled += 1,
+                                Settle::Completed(p) => {
+                                    settled += 1;
+                                    emit(scope, parent_return(p, depth));
+                                }
+                            }
+                        }
+                        if settled > 0 {
+                            scope.credit(settled);
+                            telem
+                                .pe(scope.me().raw())
+                                .add(CounterId::MarkEvents, 2 * settled);
                         }
                     }
                     Claim::Won(_) | Claim::Lost => emit(scope, return_task(par, depth)),
@@ -222,16 +265,7 @@ pub fn run_mark1_shared_observed(
                 }
                 let v = VertexId::new(to as u32);
                 if let Some(parent) = marks.complete_child(v.index(), epoch) {
-                    let t = match parent {
-                        MarkParent::RootPar => return_task(ROOTPAR, depth),
-                        MarkParent::Vertex(p) => {
-                            return_task(u64::from(p.raw()), depth.saturating_sub(1))
-                        }
-                        MarkParent::TaskRootPar => {
-                            unreachable!("mark1 never uses the task root")
-                        }
-                    };
-                    emit(scope, t);
+                    emit(scope, parent_return(parent, depth.saturating_sub(1)));
                 }
             }
         },
@@ -246,7 +280,8 @@ pub fn run_mark1_shared_observed(
         crate::driver::flight_dump_and_panic("quiescent without termination signal", 0, telem, &[]);
     }
     ThreadedMarkStats {
-        messages: stats.executed,
+        messages: stats.executed + 2 * stats.credited,
+        settled: stats.credited,
         envelopes: stats.envelopes,
         steals: stats.steals,
         steal_fails: stats.steal_fails,

@@ -237,4 +237,37 @@ mod feature_on {
         assert_eq!(sends, recvs, "every stamped send was resolved");
         assert_eq!(telem.flows_in_flight(), 0, "no flow left open");
     }
+
+    /// A threaded pass's per-PE mark-event counters sum to its message
+    /// count, duplicate visits settled at the spawn site included.
+    #[test]
+    fn threaded_pass_counts_every_message() {
+        use dgr_core::threaded::{reset_shared_r, run_mark1_shared_observed};
+        use dgr_graph::{PartitionStrategy, VertexId};
+        use dgr_sim::SharedGraph;
+
+        // A chain with arcs back to every earlier third vertex: plenty of
+        // vertices with several parents.
+        let mut g = chain(300);
+        for i in 1..300u32 {
+            g.connect(VertexId::new(i), VertexId::new(i / 3 * 3));
+        }
+        let shared = SharedGraph::from_store(g);
+        for pes in [1u16, 2] {
+            reset_shared_r(&shared);
+            let telem = Registry::new(pes);
+            let stats = run_mark1_shared_observed(
+                &shared,
+                pes,
+                PartitionStrategy::Block,
+                &telem,
+                &HeartbeatHandle::new(),
+            );
+            assert_eq!(
+                telem.snapshot().counter_total(CounterId::MarkEvents),
+                stats.messages,
+                "{pes} PEs"
+            );
+        }
+    }
 }

@@ -99,6 +99,19 @@ pub enum Claim {
     Lost,
 }
 
+/// Result of a [`MarkWords::settle_child`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Settle {
+    /// The child is not visited this cycle: its mark must be sent.
+    Spawn,
+    /// The child was already visited; its duplicate mark and return ran
+    /// in place, and the parent still owes other children.
+    Settled,
+    /// As [`Settle::Settled`], and that return drained the parent: it is
+    /// now Marked, and this is its `mt_par`, owed a return of its own.
+    Completed(MarkParent),
+}
+
 /// Dense struct-of-arrays marking state for one [`Slot`] of every vertex.
 ///
 /// # Example
@@ -296,6 +309,34 @@ impl<A: Atomics> MarkWords<A> {
         decode_parent(par as u32)
     }
 
+    /// Settles the mark a claimed vertex `parent` owes its child `child`
+    /// at the spawn site, if the child is already visited this cycle.
+    ///
+    /// A mark sent to a visited vertex does nothing but return, so the
+    /// claim winner may run that mark and its return in place: the same
+    /// Acquire probe a duplicate mark task makes, then the parent's
+    /// [`MarkWords::complete_child`]. An unvisited child, a freed vertex
+    /// behind a dangling arc included, reads [`Settle::Spawn`]: this
+    /// never claims the child and never reads its children, so whether
+    /// it settles is decided once, by the probe.
+    ///
+    /// `parent` must have been claimed this cycle with `child` among the
+    /// marks it still owes — the caller is the claim winner, settling or
+    /// spawning each of its children exactly once.
+    pub fn settle_child(&self, child: usize, parent: usize, epoch: u32) -> Settle {
+        // ordering: Acquire pairs with the child claimer's Release CAS, as
+        // in `probe`: settling happens-after everything the claimer did
+        // first. The seeded mutation `mw-settle-probe-relaxed` weakens it.
+        let w = self.mark_words[child].load(A::remap(Site::MwSettleProbe, Ordering::Acquire));
+        if state_epoch(w) != epoch || code_color(w) == Color::Unmarked {
+            return Settle::Spawn;
+        }
+        match self.complete_child(parent, epoch) {
+            None => Settle::Settled,
+            Some(par) => Settle::Completed(par),
+        }
+    }
+
     /// Writes the array's state back into the vertices' slots (leaving
     /// the shared form). A never-written word leaves the slot alone; a
     /// word from the same epoch the slot already carries only refreshes
@@ -367,6 +408,45 @@ mod tests {
             Some(MarkParent::Vertex(VertexId::new(0)))
         );
         assert_eq!(words.probe_state(1, 1), Some((Color::Marked, 0)));
+    }
+
+    #[test]
+    fn settle_child_settles_only_visited_children() {
+        let words: MarkWords = MarkWords::new(4);
+        let root = MarkParent::RootPar;
+        assert!(matches!(words.try_claim(0, 1, 3, root), Claim::Won(_)));
+        assert_eq!(words.settle_child(1, 0, 1), Settle::Spawn, "never written");
+        assert_eq!(words.probe(1, 1), None, "a spawn verdict claims nothing");
+        assert!(matches!(
+            words.try_claim(2, 1, 0, MarkParent::Vertex(VertexId::new(3))),
+            Claim::Won(_)
+        ));
+        assert_eq!(words.settle_child(2, 0, 1), Settle::Settled);
+        assert_eq!(words.probe_state(0, 1), Some((Color::Transient, 2)));
+        assert_eq!(words.settle_child(2, 0, 2), Settle::Spawn, "stale epoch");
+        // A self-loop: the claimed parent is its own visited child.
+        assert_eq!(words.settle_child(0, 0, 1), Settle::Settled);
+        assert_eq!(words.complete_child(0, 1), Some(root));
+        assert_eq!(words.probe_state(0, 1), Some((Color::Marked, 0)));
+    }
+
+    #[test]
+    fn settling_the_last_owed_child_completes_the_parent() {
+        let words: MarkWords = MarkWords::new(2);
+        let par = MarkParent::Vertex(VertexId::new(7));
+        assert!(matches!(words.try_claim(0, 1, 2, par), Claim::Won(_)));
+        assert_eq!(words.settle_child(0, 0, 1), Settle::Settled, "self-loop");
+        assert!(matches!(
+            words.try_claim(1, 1, 1, MarkParent::Vertex(VertexId::new(0))),
+            Claim::Won(Color::Transient)
+        ));
+        assert_eq!(words.settle_child(1, 0, 1), Settle::Completed(par));
+        assert_eq!(words.probe(0, 1), Some(Color::Marked));
+        assert_eq!(
+            words.probe_state(1, 1),
+            Some((Color::Transient, 1)),
+            "the settled child is untouched"
+        );
     }
 
     #[test]

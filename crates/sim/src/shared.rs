@@ -14,9 +14,12 @@ const FREE: u32 = 1 << 31;
 /// sparse row snapshot taken when the graph enters the shared form.
 ///
 /// Nothing allocates, frees or rewires a vertex while a graph is shared,
-/// so the snapshot needs no lock: a task touches one vertex's mark word
-/// and one contiguous slice (Section 6: marking tasks "never nest the
-/// locking of vertices"). This is the static-graph form, all
+/// so the snapshot needs no lock: a task claims or drains one vertex's
+/// mark word and reads one contiguous slice, and the task that claims a
+/// vertex also probes its children's words, settling the children
+/// already visited in place (Section 6: marking tasks "never nest the
+/// locking of vertices" — a probe locks nothing). This is the
+/// static-graph form, all
 /// [`StealRuntime`] runs today; a mutator running beside the marker has
 /// to bring an adjacency it can write.
 ///

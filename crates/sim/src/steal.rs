@@ -71,6 +71,10 @@ pub fn task_depth(task: u64) -> u64 {
 pub struct StealStats {
     /// Tasks executed (every spawned task exactly once).
     pub executed: u64,
+    /// Work the handlers did in place of spawning, as they credited it
+    /// through [`SpawnScope::credit`]; the runtime adds it up per worker
+    /// and gives it no other meaning.
+    pub credited: u64,
     /// Cross-PE envelopes sent through the mailbox grid (counted at the
     /// send decision, whether or not the task was briefly staged).
     pub envelopes: u64,
@@ -96,6 +100,7 @@ pub struct SpawnScope<'w> {
     me: PeId,
     num_pes: usize,
     out: &'w mut Vec<(PeId, u64)>,
+    credited: &'w mut u64,
 }
 
 impl SpawnScope<'_> {
@@ -112,6 +117,13 @@ impl SpawnScope<'_> {
     /// Spawns `task` for PE `dst` (which may be this PE).
     pub fn spawn(&mut self, dst: PeId, task: u64) {
         self.out.push((dst, task));
+    }
+
+    /// Credits `n` units of work this task did in place instead of
+    /// spawning them. A plain add to the executing worker's own counter,
+    /// summed into [`StealStats::credited`] when the pass ends.
+    pub fn credit(&mut self, n: u64) {
+        *self.credited += n;
     }
 }
 
@@ -212,6 +224,7 @@ struct Worker {
     /// xorshift64* state for victim selection (seeded per PE, no clock).
     rng: u64,
     executed: u64,
+    credited: u64,
     envelopes: u64,
     steals: u64,
     steal_fails: u64,
@@ -396,6 +409,7 @@ impl StealRuntime {
                         batch: Vec::new(),
                         rng: 0x9E37_79B9_7F4A_7C15 ^ ((me as u64 + 1) << 17),
                         executed: 0,
+                        credited: 0,
                         envelopes: 0,
                         steals: 0,
                         steal_fails: 0,
@@ -416,6 +430,7 @@ impl StealRuntime {
                     shard.observe(HistId::DequeDepthPeak, w.deque_high);
                     let mut t = totals.lock().expect("pass totals poisoned");
                     t.executed += w.executed;
+                    t.credited += w.credited;
                     t.envelopes += w.envelopes;
                     t.steals += w.steals;
                     t.steal_fails += w.steal_fails;
@@ -453,6 +468,7 @@ where
             me: PeId::new(me as u16),
             num_pes: n,
             out: &mut w.spawned,
+            credited: &mut w.credited,
         };
         handler(&mut scope, task);
         // Keep one local spawn as the chain's next link; everything else
@@ -759,6 +775,25 @@ mod tests {
         });
         assert_eq!(stats.executed, (1 << 13) - 1);
         assert_eq!(hits.load(Ordering::SeqCst), (1 << 13) - 1);
+    }
+
+    #[test]
+    fn credits_add_up_across_workers() {
+        // Leaves credit one unit each instead of running two more tasks.
+        for pes in [1u16, 2, 4] {
+            let stats = StealRuntime::new(pes).run(vec![(PeId::new(0), 8u64)], |scope, n| {
+                if n == 0 {
+                    scope.credit(1);
+                    return;
+                }
+                for t in 0..2u16 {
+                    let dst = PeId::new((scope.me().raw() + t) % pes);
+                    scope.spawn(dst, n - 1);
+                }
+            });
+            assert_eq!(stats.executed, (1 << 9) - 1, "{pes} PEs");
+            assert_eq!(stats.credited, 1 << 8, "{pes} PEs");
+        }
     }
 
     #[test]

@@ -40,7 +40,9 @@ impl Phase {
 pub enum CounterId {
     /// Messages handled by the threaded runtime (any kind).
     Tasks,
-    /// Marking-lane deliveries (mark + return tasks).
+    /// Marking-lane deliveries (mark + return tasks). A threaded pass
+    /// adds 2 per duplicate visit settled at the spawn site, so its
+    /// counters sum to its `messages`.
     MarkEvents,
     /// Reduction-lane deliveries.
     RedEvents,
