@@ -73,6 +73,11 @@ pub enum Site {
     /// the child's claimer did first, exactly as a duplicate mark task
     /// would).
     MwSettleProbe,
+    /// `MarkWords::complete_child`'s count drain (AcqRel — the Acquire
+    /// half makes the siblings' subtrees visible to whichever caller
+    /// drains the count, and so to the return it walks on up `mt_par`).
+    /// The seeded mutation keeps only the Release half.
+    MwCompleteDrain,
     /// `StealDeque::push`'s bottom publish (Release — pairs with the
     /// thief's bottom load so the cell write is visible before the index).
     DequeBottomPublish,
@@ -102,6 +107,7 @@ impl Site {
             Site::MwClaimCas => "mw-claim-cas-relaxed",
             Site::MwParentPublish => "mw-parent-before-claim",
             Site::MwSettleProbe => "mw-settle-probe-relaxed",
+            Site::MwCompleteDrain => "mw-complete-drain-no-acquire",
             Site::DequeBottomPublish => "deque-bottom-no-release",
             Site::DequeLastElem => "deque-last-elem-no-seqcst",
             Site::MailboxTailPublish => "mailbox-stale-head",
@@ -354,6 +360,7 @@ mod tests {
             Site::MwClaimCas,
             Site::MwParentPublish,
             Site::MwSettleProbe,
+            Site::MwCompleteDrain,
             Site::DequeBottomPublish,
             Site::DequeLastElem,
             Site::MailboxTailPublish,

@@ -352,6 +352,54 @@ fn markword_settle_at_spawn() -> Box<dyn FnOnce() + Send + 'static> {
     })
 }
 
+/// A return run in place walks on up `mt_par`. Vertex `g` (0) is
+/// claimed with one child, `p` (1), and `p` with two children. Two
+/// workers each write a payload and then run the return one child of
+/// `p` owes it, as the threaded runtime does where a mark ends: drain
+/// `p`, and whoever drains it walks on to `g`. Exactly one of them must
+/// reach `rootpar`, and it must read both payloads — the sibling's only
+/// through the Acquire half of `p`'s drain (a stale read is a race the
+/// model reports).
+fn markword_return_in_place() -> Box<dyn FnOnce() + Send + 'static> {
+    Box::new(|| {
+        let words: Arc<MarkWords<ShimAtomics>> = Arc::new(MarkWords::new(2));
+        words.try_claim(0, 1, 1, MarkParent::RootPar);
+        words.try_claim(1, 1, 2, MarkParent::Vertex(VertexId::new(0)));
+        let payloads: Arc<[ShimCell; 2]> = Arc::new([ShimCell::new(NONE), ShimCell::new(NONE)]);
+        let roots: Arc<[ShimCell; 2]> = Arc::new([ShimCell::new(0), ShimCell::new(0)]);
+        let workers: Vec<_> = (0..2)
+            .map(|me| {
+                let words = Arc::clone(&words);
+                let (payloads, roots) = (Arc::clone(&payloads), Arc::clone(&roots));
+                spawn(move || {
+                    payloads[me].write(10 + me as u64);
+                    let mut to = MarkParent::Vertex(VertexId::new(1));
+                    while let MarkParent::Vertex(v) = to {
+                        match words.complete_child(v.index(), 1) {
+                            Some(up) => to = up,
+                            None => return,
+                        }
+                    }
+                    roots[me].write(1);
+                    for (i, c) in payloads.iter().enumerate() {
+                        let v = c.read();
+                        shim_assert(v == 10 + i as u64, || {
+                            format!("rootpar reached but payload {i} reads {v}")
+                        });
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join();
+        }
+        let reached = roots[0].read() + roots[1].read();
+        shim_assert(reached == 1, || {
+            format!("rootpar reached {reached} times, want exactly once")
+        });
+    })
+}
+
 /// Quiescence: the worker whose release drives the count to zero must
 /// see every other worker's task effects through the counter's
 /// release/acquire chain.
@@ -487,6 +535,11 @@ pub const SCENARIOS: &[Scenario] = &[
         make: markword_settle_at_spawn,
     },
     Scenario {
+        name: "markword-return-in-place",
+        about: "a return walks up mt_par: rootpar once, both payloads visible",
+        make: markword_return_in_place,
+    },
+    Scenario {
         name: "quiesce-publish",
         about: "zero-observer sees every released worker's effects",
         make: quiesce_publish,
@@ -554,6 +607,12 @@ pub const MUTATIONS: &[Mutation] = &[
         scenario: "markword-settle-at-spawn",
         what: "settle probe of the child's word Acquire -> Relaxed",
         killed_by: "settle sees the rival's claim, payload read races (stale payload)",
+    },
+    Mutation {
+        site: Site::MwCompleteDrain,
+        scenario: "markword-return-in-place",
+        what: "complete_child's count drain AcqRel -> Release",
+        killed_by: "the walk reaches rootpar, the sibling's payload read races",
     },
     Mutation {
         site: Site::QuiesceRelease,

@@ -83,10 +83,11 @@ impl Atomics for ShimAtomics {
     type Bool = ShimAtomicBool;
 
     fn remap(site: Site, default: Ordering) -> Ordering {
-        if Self::mutated(site) {
-            Ordering::Relaxed
-        } else {
-            default
+        match site {
+            _ if !Self::mutated(site) => default,
+            // The drain keeps its Release half and loses the Acquire one.
+            Site::MwCompleteDrain => Ordering::Release,
+            _ => Ordering::Relaxed,
         }
     }
 

@@ -35,6 +35,7 @@ fn production_mutation_hooks_are_inert() {
         Site::MwClaimCas,
         Site::MwParentPublish,
         Site::MwSettleProbe,
+        Site::MwCompleteDrain,
         Site::DequeBottomPublish,
         Site::DequeLastElem,
         Site::MailboxTailPublish,

@@ -1,13 +1,16 @@
 //! `mark1` on the work-stealing parallel runtime.
 //!
-//! Each marking task claims or drains exactly one vertex and never holds
-//! a lock while waiting on another PE — the property Section 6 uses to
-//! argue that resource deadlock between marking tasks is impossible and
-//! interference with the reduction process is minimal. The task that
-//! wins a claim also probes its children's mark words: a mark to a child
-//! already visited this cycle would do nothing but return, so that mark
-//! and its return run in place ([`MarkWords::settle_child`]) and only
-//! the other children are sent.
+//! Every task is a mark: it claims or settles exactly one vertex and
+//! never holds a lock while waiting on another PE — the property Section
+//! 6 uses to argue that resource deadlock between marking tasks is
+//! impossible and interference with the reduction process is minimal.
+//! The return a mark owes its parent runs in place, where the mark ends:
+//! one `fetch_sub` on the parent's count ([`MarkWords::complete_child`]),
+//! climbing on up the `mt_par` chain while each drain completes a
+//! vertex. The task that wins a claim also probes its children's mark
+//! words: a mark to a child already visited this cycle would do nothing
+//! but return, so that mark runs in place too
+//! ([`MarkWords::settle_child`]) and only the other children are sent.
 //!
 //! This module is used by the scalability experiments (T5): the same
 //! algorithm that the deterministic simulator executes runs here on one
@@ -18,89 +21,95 @@
 //!
 //! * between-pass resets are an O(1) epoch bump ([`reset_shared_r`]);
 //! * the per-vertex mark state lives in the shared graph's dense
-//!   [`MarkWords`](dgr_graph::MarkWords) array: the Unmarked → Transient
-//!   transition is a CAS claim, the count drain of a `Return` is one
-//!   `fetch_sub`, and the claim winner reads the child list from the
-//!   graph's immutable [`SharedGraph::r_children`] snapshot — no lock
-//!   anywhere, and the return path, half of all marking tasks, touches
-//!   the mark words only;
+//!   [`MarkWords`] array: the Unmarked → Transient transition is a CAS
+//!   claim, a return is one `fetch_sub` on the count, and the claim
+//!   winner reads the child list from the graph's immutable
+//!   [`SharedGraph::r_children`] snapshot — no lock anywhere;
 //! * tasks are allocation-free `u64` words carrying a saturating depth
 //!   hint, so the runtime's LIFO pop / oldest-first steal discipline
 //!   executes deep work locally and hands thieves the biggest remaining
 //!   subtrees (critical-path-aware scheduling);
-//! * a task for vertex `v` is still *routed* to `v`'s owner PE per the
+//! * a mark for vertex `v` is still *routed* to `v`'s owner PE per the
 //!   partition — the paper's distribution model, and what the envelope
 //!   counter measures — but an idle PE may steal it: soundness does not
 //!   depend on placement because every state transition is a CAS or an
-//!   owned decrement on the shared mark words. Settling a duplicate visit
-//!   at the spawn site is the same kind of placement choice: the mark
-//!   and its return still both happen, and both are counted.
+//!   owned decrement on the shared mark words. Running a return where
+//!   the count drains, and settling a duplicate visit at the spawn site,
+//!   are the same kind of placement choice: every mark and every return
+//!   still happens, and each is counted. The deterministic simulator
+//!   routes each return to its parent's PE, as the paper does.
 //!
+//! [`MarkWords`]: dgr_graph::MarkWords
+//! [`MarkWords::complete_child`]: dgr_graph::MarkWords::complete_child
 //! [`MarkWords::settle_child`]: dgr_graph::MarkWords::settle_child
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use dgr_graph::markword::{Claim, Settle};
-use dgr_graph::{GraphStore, MarkParent, PartitionMap, PartitionStrategy, PeId, Slot, VertexId};
+use dgr_graph::{
+    GraphStore, MarkParent, MarkWords, PartitionMap, PartitionStrategy, PeId, Slot, VertexId,
+};
 use dgr_sim::steal::with_depth;
 use dgr_sim::{SharedGraph, SpawnScope, StealRuntime};
 use dgr_telemetry::{CounterId, HeartbeatHandle, Phase, Registry};
 
-/// Task words: `depth(6) | kind(1) | par(28) | v(28)` with the depth hint
-/// in the runtime's reserved top bits. 28-bit vertex fields bound the
-/// graph at ~268M vertices — far beyond any workload here, asserted at
-/// pass start.
+/// Task words: `depth(6) | par(28) | v(28)` with the depth hint in the
+/// runtime's reserved top bits. 28-bit vertex fields bound the graph at
+/// ~268M vertices — far beyond any workload here, asserted at pass
+/// start.
 const FIELD_BITS: u32 = 28;
 const FIELD_MAX: u64 = (1 << FIELD_BITS) - 1;
-/// `par`/`to` sentinel for the paper's `rootpar` termination target.
+/// `par` sentinel for the paper's `rootpar` termination target.
 const ROOTPAR: u64 = FIELD_MAX;
-const KIND_RETURN: u64 = 1 << (2 * FIELD_BITS);
 
 fn mark_task(v: VertexId, par: u64, depth: u64) -> u64 {
     with_depth((par << FIELD_BITS) | u64::from(v.raw()), depth)
 }
 
-fn return_task(to: u64, depth: u64) -> u64 {
-    with_depth(KIND_RETURN | to, depth)
-}
-
-/// The return a drained vertex at `depth` owes its `mt_par`.
-fn parent_return(parent: MarkParent, depth: u64) -> u64 {
-    match parent {
-        MarkParent::RootPar => return_task(ROOTPAR, depth),
-        MarkParent::Vertex(p) => return_task(u64::from(p.raw()), depth),
-        MarkParent::TaskRootPar => unreachable!("mark1 never uses the task root"),
-    }
-}
-
-/// Owner PE of a task: where its subject vertex lives (`rootpar` returns
-/// go to PE 0, which spawned the root mark).
+/// Owner PE of a mark: where its subject vertex lives.
 fn route(partition: &PartitionMap, task: u64) -> PeId {
-    let v = task & FIELD_MAX;
-    if v == ROOTPAR {
-        PeId::new(0)
-    } else {
-        partition.pe_of(VertexId::new(v as u32))
+    partition.pe_of(VertexId::new((task & FIELD_MAX) as u32))
+}
+
+/// Runs the return a mark owes `to` in place: drains one child of `to`
+/// and, while each drain completes a vertex, the return that vertex owes
+/// its own `mt_par`. Reaching `rootpar` ends the pass.
+fn ascend(marks: &MarkWords, epoch: u32, mut to: MarkParent, done: &AtomicBool) {
+    loop {
+        match to {
+            MarkParent::Vertex(p) => match marks.complete_child(p.index(), epoch) {
+                Some(up) => to = up,
+                None => return,
+            },
+            MarkParent::RootPar => {
+                // Relaxed: asserted only after the runtime joins its
+                // workers, which synchronizes.
+                done.store(true, Ordering::Relaxed);
+                return;
+            }
+            MarkParent::TaskRootPar => unreachable!("mark1 never uses the task root"),
+        }
     }
 }
 
 /// Counters from one threaded `mark1` pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ThreadedMarkStats {
-    /// Marking messages delivered (marks + returns): the tasks executed
-    /// plus 2 per [`settled`](Self::settled) arc, the mark and the return
-    /// it stands for. `mark1` sends exactly one return per mark, and
-    /// marks a first visit exactly once, so this count is
+    /// Marking messages (marks + returns): two per mark, since every
+    /// mark, sent as a task or [`settled`](Self::settled) in place, owes
+    /// exactly one return and that return runs where the mark ends.
+    /// `mark1` marks a first visit exactly once, so this count is
     /// schedule-independent and equals the event count of a
     /// deterministic-simulator pass over the same graph.
     pub messages: u64,
     /// Duplicate visits settled at the spawn site: arcs whose target the
-    /// claim winner found already visited, so their mark and return ran
-    /// in place instead of as two tasks. Schedule-dependent; zero on a
-    /// graph where no vertex has two incoming arcs.
+    /// claim winner found already visited, so their mark ran in place
+    /// instead of as a task. Schedule-dependent; zero on a graph where
+    /// no vertex has two incoming arcs.
     pub settled: u64,
-    /// Cross-PE envelopes the runtime routed through the mailbox mesh
-    /// (tasks whose owner PE differed from the spawning PE).
+    /// Cross-PE envelopes the runtime routed through the mailbox mesh:
+    /// marks whose owner PE differed from the spawning PE. A return
+    /// never travels.
     pub envelopes: u64,
     /// Successful steal operations across all workers.
     pub steals: u64,
@@ -113,7 +122,7 @@ pub struct ThreadedMarkStats {
 }
 
 /// Runs a complete `mark1` pass over `store` using `num_pes` OS threads,
-/// returning the marked store and the number of marking tasks executed.
+/// returning the marked store and its [`ThreadedMarkStats::messages`].
 ///
 /// The R slot is reset first. Termination is detected both by the
 /// algorithm (the `done` flag set by the return to `rootpar`) and by
@@ -161,10 +170,10 @@ pub fn run_mark1_shared(
 
 /// [`run_mark1_shared`] with an explicit telemetry registry and a
 /// liveness pulse. The pass is wrapped in an `M_R` span, each PE's
-/// marking messages land in its mark-event counter (a task is one, a
-/// settled arc two, so the counters sum to `messages`), and the
-/// underlying runtime records deque depth, steals, drained batch sizes
-/// and park events per PE. The pass also brackets an `M_R` phase on `hb`
+/// marking messages land in its mark-event counter (two per task and
+/// two per settled arc, a mark and its return, so the counters sum to
+/// `messages`), and the underlying runtime records deque depth, steals,
+/// drained batch sizes and park events per PE. The pass also brackets an `M_R` phase on `hb`
 /// and the runtime beats delivery progress per local drain run, so the
 /// `dgr-observe` watchdog can supervise a long pass from another thread;
 /// pass `&HeartbeatHandle::new()` (a no-op) for no pulse.
@@ -197,77 +206,58 @@ pub fn run_mark1_shared_observed(
     let stats = StealRuntime::new(num_pes).run_observed(
         vec![(route(&partition, seed), seed)],
         |scope: &mut SpawnScope<'_>, task: u64| {
-            telem.pe(scope.me().raw()).inc(CounterId::MarkEvents);
             let depth = dgr_sim::steal::task_depth(task);
-            let emit = |scope: &mut SpawnScope<'_>, t: u64| {
-                scope.spawn(route(&partition, t), t);
-            };
-            if task & KIND_RETURN == 0 {
-                // A mark task: claim `v` for this cycle or settle as a
-                // duplicate visit.
-                let v = VertexId::new((task & FIELD_MAX) as u32);
-                let par = (task >> FIELD_BITS) & FIELD_MAX;
-                // Lock-free fast path: a current-epoch color other than
-                // Unmarked means this mark1 returns immediately.
-                let probed = marks.probe(v.index(), epoch);
-                if probed.is_some_and(|c| c != dgr_graph::Color::Unmarked) {
-                    emit(scope, return_task(par, depth));
-                    return;
-                }
-                // A dangling arc into a freed vertex settles like a
-                // duplicate visit, without claiming it.
-                let Some(children) = shared.r_children(v) else {
-                    emit(scope, return_task(par, depth));
-                    return;
-                };
-                let parent = if par == ROOTPAR {
-                    MarkParent::RootPar
-                } else {
-                    MarkParent::Vertex(VertexId::new(par as u32))
-                };
-                // The winner of the CAS claim owns the expansion.
-                match marks.try_claim(v.index(), epoch, children.len() as u32, parent) {
-                    Claim::Won(_) if !children.is_empty() => {
-                        // Settle the children already visited in place;
-                        // spawn the rest deepest-last so the runtime
-                        // chains the final child and thieves get the
-                        // first ones.
-                        let mut settled = 0;
-                        for &c in children {
-                            match marks.settle_child(c.index(), v.index(), epoch) {
-                                Settle::Spawn => {
-                                    emit(scope, mark_task(c, u64::from(v.raw()), depth + 1));
-                                }
-                                Settle::Settled => settled += 1,
-                                Settle::Completed(p) => {
-                                    settled += 1;
-                                    emit(scope, parent_return(p, depth));
-                                }
-                            }
-                        }
-                        if settled > 0 {
-                            scope.credit(settled);
-                            telem
-                                .pe(scope.me().raw())
-                                .add(CounterId::MarkEvents, 2 * settled);
-                        }
-                    }
-                    Claim::Won(_) | Claim::Lost => emit(scope, return_task(par, depth)),
-                }
+            let v = VertexId::new((task & FIELD_MAX) as u32);
+            let par = (task >> FIELD_BITS) & FIELD_MAX;
+            let parent = if par == ROOTPAR {
+                MarkParent::RootPar
             } else {
-                // A return task: drain one outstanding child of `to`.
-                let to = task & FIELD_MAX;
-                if to == ROOTPAR {
-                    // Relaxed: asserted only after the runtime joins its
-                    // workers, which synchronizes.
-                    done.store(true, Ordering::Relaxed);
-                    return;
+                MarkParent::Vertex(VertexId::new(par as u32))
+            };
+            // Lock-free fast path: a current-epoch color other than
+            // Unmarked means this mark returns at once. A dangling arc
+            // into a freed vertex returns the same way, without a claim.
+            let visited = marks
+                .probe(v.index(), epoch)
+                .is_some_and(|c| c != dgr_graph::Color::Unmarked);
+            // The winner of the CAS claim owns the expansion, and its own
+            // return runs when its count drains.
+            let expand = match shared.r_children(v) {
+                Some(children) if !visited => {
+                    match marks.try_claim(v.index(), epoch, children.len() as u32, parent) {
+                        Claim::Won(_) => children,
+                        Claim::Lost => &[],
+                    }
                 }
-                let v = VertexId::new(to as u32);
-                if let Some(parent) = marks.complete_child(v.index(), epoch) {
-                    emit(scope, parent_return(parent, depth.saturating_sub(1)));
+                _ => &[],
+            };
+            if expand.is_empty() {
+                ascend(marks, epoch, parent, &done);
+            }
+            // Settle the children already visited in place; spawn the
+            // rest deepest-last so the runtime chains the final child and
+            // thieves get the first ones.
+            let mut settled = 0;
+            for &c in expand {
+                match marks.settle_child(c.index(), v.index(), epoch) {
+                    Settle::Spawn => {
+                        let t = mark_task(c, u64::from(v.raw()), depth + 1);
+                        scope.spawn(route(&partition, t), t);
+                    }
+                    Settle::Settled => settled += 1,
+                    Settle::Completed(p) => {
+                        settled += 1;
+                        ascend(marks, epoch, p, &done);
+                    }
                 }
             }
+            if settled > 0 {
+                scope.credit(settled);
+            }
+            // This mark, its return and those of the settled arcs.
+            telem
+                .pe(scope.me().raw())
+                .add(CounterId::MarkEvents, 2 * (1 + settled));
         },
         telem,
         hb,
@@ -280,7 +270,7 @@ pub fn run_mark1_shared_observed(
         crate::driver::flight_dump_and_panic("quiescent without termination signal", 0, telem, &[]);
     }
     ThreadedMarkStats {
-        messages: stats.executed + 2 * stats.credited,
+        messages: 2 * (stats.executed + stats.credited),
         settled: stats.credited,
         envelopes: stats.envelopes,
         steals: stats.steals,

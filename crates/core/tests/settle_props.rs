@@ -15,7 +15,10 @@
 //!    one arc on every schedule, and no graph settles more arcs than it
 //!    has duplicate visits;
 //! 3. a tree or a chain, where every vertex has one incoming arc, never
-//!    settles one.
+//!    settles one;
+//! 4. a return never travels: every envelope carries a mark the pass
+//!    spawned, and those number fewer than the marks it executed, so
+//!    envelopes and settled arcs together stay below `messages / 2`.
 
 use dgr_core::driver::{run_mark1, MarkRunConfig};
 use dgr_core::threaded::{run_mark1_shared, ThreadedMarkStats};
@@ -114,7 +117,7 @@ fn run_threaded(
     (stats, marked)
 }
 
-/// Checks properties 1 and 2 on one pass; returns its settled count.
+/// Checks properties 1, 2 and 4 on one pass; returns its settled count.
 fn check(g: &GraphStore, pes: u16, strat: PartitionStrategy) -> Result<u64, TestCaseError> {
     let want = reference(g, pes, strat);
     let (stats, marked) = run_threaded(g, pes, strat);
@@ -130,6 +133,14 @@ fn check(g: &GraphStore, pes: u16, strat: PartitionStrategy) -> Result<u64, Test
         "{} settled, only {} duplicate visits ({} PEs)",
         stats.settled,
         want.duplicates,
+        pes
+    );
+    prop_assert!(
+        stats.envelopes + stats.settled < stats.messages / 2,
+        "{} envelopes + {} settled of {} messages: a return travelled ({} PEs)",
+        stats.envelopes,
+        stats.settled,
+        stats.messages,
         pes
     );
     if want.back_to_root {
@@ -180,8 +191,10 @@ fn one_parent_per_vertex_settles_nothing() {
     for tree in [false, true] {
         let g = one_parent_each(511, tree);
         for pes in PES {
-            let settled = check(&g, pes, PartitionStrategy::Block).unwrap();
-            assert_eq!(settled, 0, "tree {tree}, {pes} PEs");
+            for strat in [PartitionStrategy::Block, PartitionStrategy::Modulo] {
+                let settled = check(&g, pes, strat).unwrap();
+                assert_eq!(settled, 0, "tree {tree}, {pes} PEs, {strat:?}");
+            }
         }
     }
 }
@@ -190,8 +203,8 @@ fn one_parent_per_vertex_settles_nothing() {
 fn a_self_loop_always_settles_and_a_dangling_arc_never_does() {
     // Root 0 → {0, 1, 2}, 1 → 2, and 2 → 3 where 3 is freed: the self-loop
     // always settles, the dangling arc never does (a freed vertex is never
-    // claimed, so its mark is sent and returns as a task), and 1 → 2
-    // settles only when 2 was claimed first.
+    // claimed, so its mark is sent as a task, whose return runs where it
+    // ends), and 1 → 2 settles only when 2 was claimed first.
     let mut g = GraphStore::with_capacity(4);
     let ids: Vec<VertexId> = (0..4)
         .map(|i| g.alloc(NodeLabel::lit_int(i)).unwrap())

@@ -7,10 +7,12 @@
 //!    set — stealing moves tasks between PEs, but mark transitions are
 //!    CAS/fetch-sub on the shared mark words, so placement must not be
 //!    observable in the result;
-//! 2. the total task count (marks + returns) equals the deterministic
+//! 2. the message count (marks + returns) equals the deterministic
 //!    event simulator's event count on the same graph — Hudak's mark1
 //!    performs a schedule-independent amount of work, so the racy real
-//!    runtime must do exactly as many deliveries as the serialized one.
+//!    runtime must run exactly as many marks and returns as the
+//!    serialized one delivers, though every threaded task is a mark and
+//!    its return runs in place where the mark ends.
 //!
 //! Multi-parent vertices are the interesting case (concurrent claims,
 //! lost races, wrong-parent return routing), so the generator leans on

@@ -5,7 +5,7 @@
 //! argument values, requesters — and a wave that kept its state there
 //! would pull a whole-vertex cache line per color transition; the
 //! `Return` half of the wave (one return per mark, exactly half of all
-//! marking tasks) needs nothing of a vertex but `mt_cnt`. This module
+//! marking messages) needs nothing of a vertex but `mt_cnt`. This module
 //! keeps that state outside the vertex structs, in two dense arrays:
 //!
 //! * **state words** — `epoch(32) | mt_cnt(30) | color(2)` per vertex.
@@ -222,9 +222,11 @@ impl<A: Atomics> MarkWords<A> {
     /// to the wrong vertex (double-decrementing one parent and starving
     /// the real one, which deadlocks the wave). Readers still always see
     /// the winner's store: a `complete_child` on this vertex can only be
-    /// reached through return tasks of the children the winner spawned
-    /// *after* `try_claim` returned, and every task hand-off on the way
-    /// is a release/acquire edge.
+    /// reached through the returns of the child marks the winner spawned
+    /// or settled *after* `try_claim` returned — each run in place where
+    /// its mark ends, or climbing from a descendant's drain — and every
+    /// task hand-off and count drain on the way is a release/acquire
+    /// edge.
     pub fn try_claim(&self, i: usize, epoch: u32, n_children: u32, parent: MarkParent) -> Claim {
         let par_word = (u64::from(epoch) << 32) | u64::from(encode_parent(Some(parent)));
         // Seeded mutation `mw-parent-before-claim`: reintroduce the PR 6
@@ -285,14 +287,18 @@ impl<A: Atomics> MarkWords<A> {
     ///
     /// Must only be called for a `(i, epoch)` pair that was claimed this
     /// cycle with a nonzero child count — which the marking protocol
-    /// guarantees, since return tasks are only spawned by child marks
-    /// that the claim itself emitted.
+    /// guarantees, since a return is only ever owed by a child mark that
+    /// the claim winner itself sent or settled. The threaded runtime runs
+    /// each return in place, where its mark ends, and walks on up
+    /// `mt_par` while each call drains a count.
     pub fn complete_child(&self, i: usize, epoch: u32) -> Option<MarkParent> {
         // One child's worth in the count field (the color bits are below).
         // ordering: AcqRel — Release orders this child's subtree effects
         // before the decrement; Acquire makes the siblings' subtrees
-        // visible to whichever caller drains the count.
-        let prev = self.mark_words[i].fetch_sub(1 << 2, Ordering::AcqRel);
+        // visible to whichever caller drains the count. The seeded
+        // mutation `mw-complete-drain-no-acquire` keeps only Release.
+        let prev =
+            self.mark_words[i].fetch_sub(1 << 2, A::remap(Site::MwCompleteDrain, Ordering::AcqRel));
         debug_assert_eq!(state_epoch(prev), epoch, "return for a stale cycle");
         debug_assert!(state_cnt(prev) > 0, "mt_cnt underflow");
         debug_assert_eq!(code_color(prev), Color::Transient);

@@ -14,15 +14,16 @@
 //! every route without a socket; the accept loop only parses the
 //! request line, calls it, and writes the response. A request whose line
 //! and headers run past `MAX_REQUEST_BYTES` (8 KiB) is answered `400` and
-//! closed. Shutdown is the hub's flag plus a self-connect to unblock
-//! `accept`.
+//! closed; one whose head has not arrived `HEAD_DEADLINE` (2 s) after
+//! accept is closed unanswered, however steadily it trickles. Shutdown
+//! is the hub's flag plus a self-connect to unblock `accept`.
 
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dgr_telemetry::{json_escape, CounterId, GaugeId, SchedState};
 
@@ -33,6 +34,30 @@ use crate::prom;
 /// that never ends its head gets a `400` once this many have arrived, so
 /// it cannot grow the exporter's memory without bound.
 const MAX_REQUEST_BYTES: u64 = 8 * 1024;
+
+/// Time a client has, from accept, to send its whole request head. The
+/// accept loop serves one connection at a time, so this bounds how long
+/// any one client can hold it.
+const HEAD_DEADLINE: Duration = Duration::from_secs(2);
+
+/// The connection's read half with one deadline for the whole head: each
+/// read first sets the socket timeout to the time left, so a byte that
+/// arrives does not re-arm it.
+struct HeadReader {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl Read for HeadReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
 
 /// A response ready to serialize: status code, content type, body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -293,9 +318,9 @@ fn accept_loop(listener: TcpListener, hub: Arc<ObserveHub>) {
 }
 
 fn serve_one(stream: TcpStream, hub: &ObserveHub) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
+    let deadline = Instant::now() + HEAD_DEADLINE;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let mut reader = BufReader::new(stream).take(MAX_REQUEST_BYTES);
+    let mut reader = BufReader::new(HeadReader { stream, deadline }).take(MAX_REQUEST_BYTES);
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
     // "GET /path HTTP/1.1" — anything else falls through to 404.
@@ -322,7 +347,7 @@ fn serve_one(stream: TcpStream, hub: &ObserveHub) -> std::io::Result<()> {
         hub.record_scrape();
         respond(&path, hub)
     };
-    let mut stream = reader.into_inner().into_inner();
+    let mut stream = reader.into_inner().into_inner().stream;
     stream.write_all(response.to_http().as_bytes())?;
     stream.flush()
 }

@@ -129,6 +129,44 @@ fn an_endless_header_stream_is_cut_off_and_the_exporter_serves_on() {
     assert_an_endless_head_is_cut_off("GET /metrics HTTP/1.1\r\n", &header);
 }
 
+#[test]
+fn a_trickling_client_is_cut_off_and_the_exporter_serves_on() {
+    // One byte every 200 ms would keep a per-read timeout armed for ever;
+    // the head's one deadline closes the connection within 4 s.
+    let hub = Arc::new(ObserveHub::new());
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&hub)).expect("bind ephemeral port");
+    let addr = server.addr();
+    let mut stream = TcpStream::connect(addr).expect("connect to exporter");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    let start = Instant::now();
+    let closed = loop {
+        if start.elapsed() > Duration::from_secs(4) {
+            break false;
+        }
+        if stream.write_all(b"G").is_err() {
+            break true;
+        }
+        let mut buf = [0u8; 64];
+        match stream.read(&mut buf) {
+            Ok(0) => break true,
+            Ok(_) => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) => {}
+            Err(_) => break true,
+        }
+        std::thread::sleep(Duration::from_millis(150));
+    };
+    assert!(closed, "a trickling client held the exporter for 4 s");
+    drop(stream);
+    assert_eq!(get(addr, "/healthz"), (200, "ok\n".to_string()));
+    server.shutdown();
+}
+
 /// Polls `path` until `want` comes back or the deadline passes.
 fn poll_for_status(addr: SocketAddr, path: &str, want: u16, deadline: Duration) -> bool {
     let t0 = Instant::now();
