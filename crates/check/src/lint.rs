@@ -4,14 +4,17 @@
 //! one manifest rule over the root and `crates/*` `Cargo.toml` files:
 //!
 //! 1. **mark-word ordering** — a line touching the packed `(epoch, color)`
-//!    mark word (`r_words`, the lock-free probe target the SoA arrays
-//!    generalized) must not use `Ordering::Relaxed`: the release/acquire
-//!    pairing on the mark word is what publishes a vertex's marked state
-//!    to other workers.
-//! 2. **markword-array ordering** — same rule for the dense SoA arrays
-//!    (`mark_words` / `par_words` in `dgr-graph`'s `markword` module):
+//!    mark word (`r_words`, the lock-free probe target the per-vertex
+//!    records generalized) must not use `Ordering::Relaxed`: the
+//!    release/acquire pairing on the mark word is what publishes a
+//!    vertex's marked state to other workers.
+//! 2. **markword-array ordering** — same rule for the atomic fields of
+//!    the per-vertex records (`state_word` / `par_word` in `dgr-graph`'s
+//!    `markword` module; a test pins that the module still names them):
 //!    every access must use a sanctioned ordering (Acquire, Release,
-//!    AcqRel, or SeqCst), never Relaxed. A Relaxed probe could observe a
+//!    AcqRel, or SeqCst), never Relaxed — on the field's line or on the
+//!    rest of its statement, where rustfmt puts the call of a chain it
+//!    splits after the field. A Relaxed probe could observe a
 //!    claimed color without the claim's preceding writes; a Relaxed
 //!    drain could read a stale parent and misroute the return wave.
 //! 3. **mark-state confinement** — direct mark-slot mutation
@@ -95,7 +98,7 @@ pub struct Finding {
 }
 
 const MARK_WORD: &str = concat!("r_w", "ords");
-const MARKWORD_ARRAYS: [&str; 2] = [concat!("mark_w", "ords"), concat!("par_w", "ords")];
+const MARKWORD_ARRAYS: [&str; 2] = [concat!("state_", "word"), concat!("par_", "word")];
 const RELAXED: &str = concat!("Rel", "axed");
 const DEQUE_NEW: &str = concat!("StealDeque::", "new(");
 const MUT_NEEDLES: [&str; 3] = [
@@ -394,7 +397,15 @@ pub fn run(root: &Path) -> Vec<Finding> {
             if l.contains(MARK_WORD) && l.contains(RELAXED) {
                 flag("mark-word-relaxed");
             }
-            if MARKWORD_ARRAYS.iter().any(|n| l.contains(n)) && l.contains(RELAXED) {
+            // rustfmt splits a long chain after the field, so the
+            // ordering may sit on a later line of the same statement.
+            let statement = || {
+                let end = (i..lines.len().min(i + 3))
+                    .find(|&j| lines[j].trim_end().ends_with(';'))
+                    .unwrap_or(i);
+                lines[i..=end].iter().any(|l| l.contains(RELAXED))
+            };
+            if MARKWORD_ARRAYS.iter().any(|n| l.contains(n)) && statement() {
                 flag("markword-array-relaxed");
             }
             if !in_tests && !allowed_deque(rel) && l.contains(DEQUE_NEW) {
@@ -471,8 +482,19 @@ mod tests {
         fs::create_dir_all(&src).unwrap();
         let bad = format!(
             "fn f() {{\n    x.{}y, Ordering::{});\n    g.{}v, s).mt_cnt += 1;\n    \
-             self.{}[i].load(Ordering::{});\n    let q = {}64);\n}}\n",
-            MARK_WORD, RELAXED, MUT_NEEDLES[0], MARKWORD_ARRAYS[1], RELAXED, DEQUE_NEW
+             self.recs[i].{}.load(Ordering::{});\n    \
+             self.recs[i].{}.store(p, Ordering::{});\n    let q = {}64);\n    \
+             let w = r\n        .{}\n        .load(Ordering::{});\n}}\n",
+            MARK_WORD,
+            RELAXED,
+            MUT_NEEDLES[0],
+            MARKWORD_ARRAYS[0],
+            RELAXED,
+            MARKWORD_ARRAYS[1],
+            RELAXED,
+            DEQUE_NEW,
+            MARKWORD_ARRAYS[0],
+            RELAXED,
         );
         fs::write(src.join("evil.rs"), bad).unwrap();
         fs::write(
@@ -491,9 +513,34 @@ mod tests {
         assert_eq!(deps, [4, 6], "anyhow and libc, not proptest");
         assert!(findings.iter().any(|f| f.rule == "mark-word-relaxed"));
         assert!(findings.iter().any(|f| f.rule == "mark-state-confinement"));
-        assert!(findings.iter().any(|f| f.rule == "markword-array-relaxed"));
+        let arrays: Vec<_> = findings
+            .iter()
+            .filter(|f| f.rule == "markword-array-relaxed")
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(
+            arrays,
+            [4, 5, 8],
+            "the state word, the parent word, and a chain rustfmt split"
+        );
         assert!(findings.iter().any(|f| f.rule == "deque-confinement"));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_markword_needles_name_the_records_fields() {
+        let path = repo_root().join("crates/graph/src/markword.rs");
+        let text = fs::read_to_string(&path).expect("the markword module");
+        for needle in MARKWORD_ARRAYS {
+            let accesses = text
+                .lines()
+                .filter(|l| l.contains(needle) && ORDERING_STRONG.iter().any(|o| l.contains(o)))
+                .count();
+            assert!(
+                accesses > 0,
+                "no ordered access names `{needle}`: rule 2 checks nothing"
+            );
+        }
     }
 
     #[test]

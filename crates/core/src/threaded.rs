@@ -20,11 +20,12 @@
 //! The hot-path structure, all semantics-preserving:
 //!
 //! * between-pass resets are an O(1) epoch bump ([`reset_shared_r`]);
-//! * the per-vertex mark state lives in the shared graph's dense
-//!   [`MarkWords`] array: the Unmarked → Transient transition is a CAS
+//! * the per-vertex mark state lives in the shared graph's
+//!   [`MarkWords`] records: the Unmarked → Transient transition is a CAS
 //!   claim, a return is one `fetch_sub` on the count, and the claim
 //!   winner reads the child list from the graph's immutable
-//!   [`SharedGraph::r_children`] snapshot — no lock anywhere;
+//!   [`SharedGraph::r_children`] snapshot, whose row start sits in the
+//!   same record — no lock anywhere;
 //! * tasks are allocation-free `u64` words carrying a saturating depth
 //!   hint, so the runtime's LIFO pop / oldest-first steal discipline
 //!   executes deep work locally and hands thieves the biggest remaining

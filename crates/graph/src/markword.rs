@@ -1,30 +1,30 @@
-//! Struct-of-arrays atomic mark words: the hot per-vertex marking state
-//! of one [`Slot`], packed into dense atomic arrays.
+//! Atomic mark words: the hot per-vertex marking state of one [`Slot`],
+//! packed into one 16-byte record per vertex.
 //!
 //! A vertex struct is fat and mostly cold to the marking wave — label,
 //! argument values, requesters — and a wave that kept its state there
-//! would pull a whole-vertex cache line per color transition; the
-//! `Return` half of the wave (one return per mark, exactly half of all
-//! marking messages) needs nothing of a vertex but `mt_cnt`. This module
-//! keeps that state outside the vertex structs, in two dense arrays:
+//! would pull a whole-vertex cache line per color transition. A marking
+//! task touches one vertex (Section 6), so all it needs of that vertex
+//! sits in one record outside the vertex structs, four to a cache line:
 //!
-//! * **state words** — `epoch(32) | mt_cnt(30) | color(2)` per vertex.
-//!   Eight vertices share a cache line, so a DFS-numbered subtree's marks
-//!   stream through the cache instead of hopping between fat vertices.
-//! * **parent words** — `epoch(32) | mt_par(32)` per vertex, written once
-//!   when the vertex is claimed and read once when its count drains.
-//!
-//! Epoch versioning keeps the O(1) between-pass reset: a word whose epoch
-//! half differs from the current cycle reads as freshly unmarked, so
-//! starting a cycle is still a single counter bump and no sweep.
+//! * **state word** — `epoch(32) | mt_cnt(30) | color(2)`. A word whose
+//!   epoch half differs from the current cycle reads as freshly unmarked,
+//!   so starting a cycle is a single counter bump and no sweep.
+//! * **parent word** — `mt_par(32)`, stored by the claim winner. It needs
+//!   no epoch half: only a drain of the count this epoch's claim installed
+//!   and [`MarkWords::write_back`] of a current-epoch claim read it.
+//! * **row start** — immutable: where the vertex's child row starts; it
+//!   ends where the next record's starts (a sentinel ends the last). The
+//!   spawner's [`MarkWords::settle_child`] probe of a child brings the
+//!   child's row start into cache with its state word.
 //!
 //! Memory-ordering discipline (enforced by `dgr-check`'s mark-word lint):
-//! every access to `mark_words` / `par_words` uses Acquire/Release (or
-//! stronger) — the Release on a claim or completion is what publishes the
-//! transition to workers that observe the color lock-free, exactly like
-//! the `r_words` probe it generalizes.
+//! every access to a record's `state_word` / `par_word` uses
+//! Acquire/Release (or stronger) — the Release on a claim or completion is
+//! what publishes the transition to workers that observe the color
+//! lock-free, exactly like the `r_words` probe it generalizes.
 
-use dgr_atomic::{AtomicU64Api, Atomics, Ordering, Site, StdAtomics};
+use dgr_atomic::{AtomicU32Api, AtomicU64Api, Atomics, Ordering, Site, StdAtomics};
 
 use crate::ids::VertexId;
 use crate::vertex::{Color, MarkParent, MarkSlot, Vertex};
@@ -69,7 +69,7 @@ fn state_cnt(word: u64) -> u32 {
     ((word >> 2) & CNT_MAX) as u32
 }
 
-/// Encodes a [`MarkParent`] into the low half of a parent word.
+/// Encodes a [`MarkParent`] into a parent word.
 pub fn encode_parent(par: Option<MarkParent>) -> u32 {
     match par {
         Some(MarkParent::Vertex(v)) => v.raw(),
@@ -79,7 +79,7 @@ pub fn encode_parent(par: Option<MarkParent>) -> u32 {
     }
 }
 
-/// Decodes the low half of a parent word back into a [`MarkParent`].
+/// Decodes a parent word back into a [`MarkParent`].
 pub fn decode_parent(code: u32) -> Option<MarkParent> {
     match code {
         PAR_ROOTPAR => Some(MarkParent::RootPar),
@@ -112,7 +112,31 @@ pub enum Settle {
     Completed(MarkParent),
 }
 
-/// Dense struct-of-arrays marking state for one [`Slot`] of every vertex.
+/// One vertex's record: see the module docs. Sixteen bytes under
+/// [`StdAtomics`], so four share a cache line.
+#[derive(Debug)]
+#[repr(align(16))]
+struct Record<A: Atomics> {
+    /// `epoch | mt_cnt | color`.
+    state_word: A::U64,
+    /// `mt_par` as this epoch's claim winner stored it.
+    par_word: A::U32,
+    /// Row start, immutable.
+    row: u32,
+}
+
+impl<A: Atomics> Record<A> {
+    fn new(state: u64, par: u32, row: u32) -> Self {
+        Record {
+            state_word: A::U64::new(state),
+            par_word: A::U32::new(par),
+            row,
+        }
+    }
+}
+
+/// The marking state for one [`Slot`] of every vertex, one record per
+/// vertex plus a sentinel.
 ///
 /// # Example
 ///
@@ -140,53 +164,55 @@ pub enum Settle {
 /// claim/complete protocol under seeded ordering mutations.
 #[derive(Debug)]
 pub struct MarkWords<A: Atomics = StdAtomics> {
-    /// Per-vertex `epoch | mt_cnt | color` state words.
-    mark_words: Vec<A::U64>,
-    /// Per-vertex `epoch | mt_par` parent words.
-    par_words: Vec<A::U64>,
+    /// One record per vertex, then the sentinel that ends the last row.
+    recs: Vec<Record<A>>,
 }
 
 impl<A: Atomics> MarkWords<A> {
-    /// A fresh array of `capacity` never-written words (epoch half `0`,
-    /// which is never a live epoch).
+    /// `capacity` never-written records (epoch half `0`, which is never a
+    /// live epoch), every row empty.
     pub fn new(capacity: usize) -> Self {
         MarkWords {
-            mark_words: (0..capacity).map(|_| A::U64::new(0)).collect(),
-            par_words: (0..capacity).map(|_| A::U64::new(0)).collect(),
+            recs: (0..=capacity).map(|_| Record::new(0, 0, 0)).collect(),
         }
     }
 
-    /// Builds the array from existing vertex slots (entering the shared
+    /// Builds the records from existing vertex slots (entering the shared
     /// form mid-computation must not lose marks a simulator pass wrote).
-    pub fn from_slots(verts: &[Vertex], slot: Slot) -> Self {
-        let mark_words = verts
-            .iter()
-            .map(|v| {
-                let s = v.slot(slot);
-                A::U64::new(encode_state(s.epoch, s.mt_cnt, s.color))
-            })
-            .collect();
-        let par_words = verts
-            .iter()
-            .map(|v| {
-                let s = v.slot(slot);
-                A::U64::new((u64::from(s.epoch) << 32) | u64::from(encode_parent(s.mt_par)))
-            })
-            .collect();
-        MarkWords {
-            mark_words,
-            par_words,
+    /// `row_start` is called once per vertex, in order, and then once with
+    /// `None` for the sentinel: it returns where that row starts.
+    pub fn from_slots(
+        verts: &[Vertex],
+        slot: Slot,
+        mut row_start: impl FnMut(Option<&Vertex>) -> u32,
+    ) -> Self {
+        let mut recs = Vec::with_capacity(verts.len() + 1);
+        for v in verts {
+            let s = v.slot(slot);
+            recs.push(Record::new(
+                encode_state(s.epoch, s.mt_cnt, s.color),
+                encode_parent(s.mt_par),
+                row_start(Some(v)),
+            ));
         }
+        recs.push(Record::new(0, 0, row_start(None)));
+        MarkWords { recs }
     }
 
     /// Number of vertex slots covered.
     pub fn len(&self) -> usize {
-        self.mark_words.len()
+        self.recs.len() - 1
     }
 
-    /// `true` if the array covers no vertices.
+    /// `true` if the records cover no vertices.
     pub fn is_empty(&self) -> bool {
-        self.mark_words.is_empty()
+        self.len() == 0
+    }
+
+    /// Vertex `i`'s row: its start and the next record's, as `row_start`
+    /// returned them to [`MarkWords::from_slots`].
+    pub fn row(&self, i: usize) -> (u32, u32) {
+        (self.recs[i].row, self.recs[i + 1].row)
     }
 
     /// Lock-free probe of vertex `i`'s color in cycle `epoch`, or `None`
@@ -200,14 +226,14 @@ impl<A: Atomics> MarkWords<A> {
     pub fn probe(&self, i: usize, epoch: u32) -> Option<Color> {
         // ordering: Acquire pairs with the claim/complete Release stores
         // (see the method docs above).
-        let w = self.mark_words[i].load(Ordering::Acquire);
+        let w = self.recs[i].state_word.load(Ordering::Acquire);
         (state_epoch(w) == epoch).then(|| code_color(w))
     }
 
     /// Full current-cycle state of vertex `i`: `(color, mt_cnt)`.
     pub fn probe_state(&self, i: usize, epoch: u32) -> Option<(Color, u32)> {
         // ordering: Acquire — same pairing as `probe`.
-        let w = self.mark_words[i].load(Ordering::Acquire);
+        let w = self.recs[i].state_word.load(Ordering::Acquire);
         (state_epoch(w) == epoch).then(|| (code_color(w), state_cnt(w)))
     }
 
@@ -228,7 +254,7 @@ impl<A: Atomics> MarkWords<A> {
     /// task hand-off and count drain on the way is a release/acquire
     /// edge.
     pub fn try_claim(&self, i: usize, epoch: u32, n_children: u32, parent: MarkParent) -> Claim {
-        let par_word = (u64::from(epoch) << 32) | u64::from(encode_parent(Some(parent)));
+        let par = encode_parent(Some(parent));
         // Seeded mutation `mw-parent-before-claim`: reintroduce the PR 6
         // parent-clobber bug by publishing the parent word *before* the
         // claim CAS decides a winner — a losing claimant then overwrites
@@ -239,11 +265,11 @@ impl<A: Atomics> MarkWords<A> {
             // ordering: Release is irrelevant here — the bug this branch
             // seeds is the *placement* (before the CAS picks a winner),
             // not the strength.
-            self.par_words[i].store(par_word, Ordering::Release);
+            self.recs[i].par_word.store(par, Ordering::Release);
         }
         // ordering: Acquire pairs with a rival's Release-claim — losing
         // settles the duplicate visit on this load alone.
-        let mut cur = self.mark_words[i].load(Ordering::Acquire);
+        let mut cur = self.recs[i].state_word.load(Ordering::Acquire);
         loop {
             if state_epoch(cur) == epoch && code_color(cur) != Color::Unmarked {
                 return Claim::Lost;
@@ -259,7 +285,7 @@ impl<A: Atomics> MarkWords<A> {
             // winner's parent store after every prior transition it must
             // not clobber. The seeded mutation `mw-claim-cas-relaxed`
             // weakens the success ordering to Relaxed.
-            match self.mark_words[i].compare_exchange_weak(
+            match self.recs[i].state_word.compare_exchange_weak(
                 cur,
                 next,
                 A::remap(Site::MwClaimCas, Ordering::AcqRel),
@@ -271,7 +297,7 @@ impl<A: Atomics> MarkWords<A> {
                         // be visible to the `complete_child` that drains the
                         // count (the hand-off chain is release/acquire all
                         // the way, see the method docs).
-                        self.par_words[i].store(par_word, Ordering::Release);
+                        self.recs[i].par_word.store(par, Ordering::Release);
                     }
                     return Claim::Won(color);
                 }
@@ -292,13 +318,15 @@ impl<A: Atomics> MarkWords<A> {
     /// each return in place, where its mark ends, and walks on up
     /// `mt_par` while each call drains a count.
     pub fn complete_child(&self, i: usize, epoch: u32) -> Option<MarkParent> {
+        let r = &self.recs[i];
         // One child's worth in the count field (the color bits are below).
         // ordering: AcqRel — Release orders this child's subtree effects
         // before the decrement; Acquire makes the siblings' subtrees
         // visible to whichever caller drains the count. The seeded
         // mutation `mw-complete-drain-no-acquire` keeps only Release.
-        let prev =
-            self.mark_words[i].fetch_sub(1 << 2, A::remap(Site::MwCompleteDrain, Ordering::AcqRel));
+        let prev = r
+            .state_word
+            .fetch_sub(1 << 2, A::remap(Site::MwCompleteDrain, Ordering::AcqRel));
         debug_assert_eq!(state_epoch(prev), epoch, "return for a stale cycle");
         debug_assert!(state_cnt(prev) > 0, "mt_cnt underflow");
         debug_assert_eq!(code_color(prev), Color::Transient);
@@ -308,11 +336,10 @@ impl<A: Atomics> MarkWords<A> {
         // Count drained: this caller owns the Transient → Marked step.
         // ordering: Release publishes Marked (and the whole subtree's
         // effects) to lock-free probes.
-        self.mark_words[i].store(encode_state(epoch, 0, Color::Marked), Ordering::Release);
+        r.state_word
+            .store(encode_state(epoch, 0, Color::Marked), Ordering::Release);
         // ordering: Acquire pairs with the winner's Release parent store.
-        let par = self.par_words[i].load(Ordering::Acquire);
-        debug_assert_eq!((par >> 32) as u32, epoch, "parent from a stale cycle");
-        decode_parent(par as u32)
+        decode_parent(r.par_word.load(Ordering::Acquire))
     }
 
     /// Settles the mark a claimed vertex `parent` owes its child `child`
@@ -333,7 +360,9 @@ impl<A: Atomics> MarkWords<A> {
         // ordering: Acquire pairs with the child claimer's Release CAS, as
         // in `probe`: settling happens-after everything the claimer did
         // first. The seeded mutation `mw-settle-probe-relaxed` weakens it.
-        let w = self.mark_words[child].load(A::remap(Site::MwSettleProbe, Ordering::Acquire));
+        let w = self.recs[child]
+            .state_word
+            .load(A::remap(Site::MwSettleProbe, Ordering::Acquire));
         if state_epoch(w) != epoch || code_color(w) == Color::Unmarked {
             return Settle::Spawn;
         }
@@ -343,34 +372,31 @@ impl<A: Atomics> MarkWords<A> {
         }
     }
 
-    /// Writes the array's state back into the vertices' slots (leaving
+    /// Writes the records' state back into the vertices' slots (leaving
     /// the shared form). A never-written word leaves the slot alone; a
     /// word from the same epoch the slot already carries only refreshes
     /// the fields the marking wave owns (color, count, parent), so
     /// simulator-written extras like the priority survive a round-trip.
-    pub fn write_back(&self, verts: &mut [Vertex], slot: Slot) {
-        for (i, v) in verts.iter_mut().enumerate() {
+    /// Only a word claimed in the current cycle `epoch` restores `mt_par`.
+    pub fn write_back(&self, verts: &mut [Vertex], slot: Slot, epoch: u32) {
+        for (v, r) in verts.iter_mut().zip(&self.recs) {
             // ordering: Acquire — write-back happens-after every worker's
             // published transitions (same pairing as `probe`).
-            let w = self.mark_words[i].load(Ordering::Acquire);
-            let epoch = state_epoch(w);
-            if epoch == 0 {
+            let w = r.state_word.load(Ordering::Acquire);
+            let word_epoch = state_epoch(w);
+            if word_epoch == 0 {
                 continue;
             }
-            // ordering: Acquire pairs with the winner's parent Release.
-            let par_w = self.par_words[i].load(Ordering::Acquire);
-            let mt_par = if (par_w >> 32) as u32 == epoch {
-                decode_parent(par_w as u32)
-            } else {
-                None
-            };
             let s = v.slot_mut(slot);
-            if s.epoch != epoch {
-                *s = MarkSlot::fresh(epoch);
+            if s.epoch != word_epoch {
+                *s = MarkSlot::fresh(word_epoch);
             }
             s.color = code_color(w);
             s.mt_cnt = state_cnt(w);
-            s.mt_par = mt_par;
+            if word_epoch == epoch && s.color != Color::Unmarked {
+                // ordering: Acquire pairs with the winner's parent Release.
+                s.mt_par = decode_parent(r.par_word.load(Ordering::Acquire));
+            }
         }
     }
 }
@@ -479,7 +505,7 @@ mod tests {
             s.mt_cnt = 2;
             s.mt_par = Some(MarkParent::Vertex(VertexId::new(0)));
         }
-        let words: MarkWords = MarkWords::from_slots(&verts, Slot::R);
+        let words: MarkWords = MarkWords::from_slots(&verts, Slot::R, |_| 0);
         assert_eq!(words.probe_state(1, 7), Some((Color::Transient, 2)));
         assert_eq!(
             words.complete_child(1, 7),
@@ -487,12 +513,72 @@ mod tests {
             "one of two children returned"
         );
         let mut back = verts.clone();
-        words.write_back(&mut back, Slot::R);
+        words.write_back(&mut back, Slot::R, 7);
         let s = back[1].mark_at(Slot::R, 7);
         assert!(s.is_transient());
         assert_eq!(s.mt_cnt, 1);
         assert_eq!(s.mt_par, Some(MarkParent::Vertex(VertexId::new(0))));
         assert!(back[0].mark_at(Slot::R, 7).is_unmarked(), "untouched");
+    }
+
+    #[test]
+    fn a_record_is_one_aligned_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Record<StdAtomics>>(), 16);
+        assert_eq!(std::mem::align_of::<Record<StdAtomics>>(), 16);
+    }
+
+    #[test]
+    fn rows_end_where_the_next_record_starts() {
+        let verts = vec![Vertex::new(NodeLabel::Hole); 3];
+        let mut next = 0;
+        let words: MarkWords = MarkWords::from_slots(&verts, Slot::R, |v| {
+            next += 2 * u32::from(v.is_some());
+            next
+        });
+        assert_eq!(words.len(), 3);
+        assert_eq!(words.row(0), (2, 4));
+        assert_eq!(words.row(2), (6, 6), "the sentinel ends the last row");
+    }
+
+    #[test]
+    fn a_drain_reads_this_epochs_parent_after_a_bump() {
+        let words: MarkWords = MarkWords::new(1);
+        let (a, b) = (
+            MarkParent::Vertex(VertexId::new(3)),
+            MarkParent::Vertex(VertexId::new(4)),
+        );
+        assert_eq!(words.try_claim(0, 1, 1, a), Claim::Won(Color::Transient));
+        assert_eq!(words.try_claim(0, 2, 1, b), Claim::Won(Color::Transient));
+        assert_eq!(words.complete_child(0, 2), Some(b));
+    }
+
+    #[test]
+    fn write_back_restores_the_parent_only_of_a_current_claim() {
+        let par = |v| Some(MarkParent::Vertex(VertexId::new(v)));
+        let mut verts = vec![Vertex::new(NodeLabel::Hole); 3];
+        // Vertex 1: Unmarked in the current cycle 5, with a parent
+        // recorded; vertex 2: claimed in the stale cycle 4.
+        verts[1].mark_at_mut(Slot::R, 5).mt_par = par(9);
+        {
+            let s = verts[2].mark_at_mut(Slot::R, 4);
+            s.color = Color::Marked;
+            s.mt_par = par(8);
+        }
+        let words: MarkWords = MarkWords::from_slots(&verts, Slot::R, |_| 0);
+        assert!(matches!(
+            words.try_claim(0, 5, 0, par(7).unwrap()),
+            Claim::Won(_)
+        ));
+        let mut back = verts.clone();
+        for v in &mut back[1..] {
+            v.slot_mut(Slot::R).mt_par = None;
+        }
+        words.write_back(&mut back, Slot::R, 5);
+        assert_eq!(back[0].mark_at(Slot::R, 5).mt_par, par(7), "claimed");
+        assert_eq!(back[0].mark_at(Slot::R, 5).color, Color::Marked);
+        assert_eq!(back[1].mark_at(Slot::R, 5).mt_par, None, "unmarked");
+        assert_eq!(back[2].mark_at(Slot::R, 4).mt_par, None, "stale");
+        assert_eq!(back[2].mark_at(Slot::R, 4).color, Color::Marked);
     }
 
     #[test]

@@ -167,6 +167,34 @@ fn a_trickling_client_is_cut_off_and_the_exporter_serves_on() {
     server.shutdown();
 }
 
+#[test]
+fn a_pipelined_second_request_is_dropped_and_the_exporter_serves_on() {
+    // The exporter answers one request per connection and closes it: a
+    // second head sent in the same write gets no answer of its own, but
+    // must not cost the first its reply or the next client its turn.
+    let hub = Arc::new(ObserveHub::new());
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&hub)).expect("bind ephemeral port");
+    let addr = server.addr();
+    let mut stream = TcpStream::connect(addr).expect("connect to exporter");
+    let head = "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n";
+    stream
+        .write_all(format!("{head}{head}").as_bytes())
+        .expect("write both heads");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut raw = String::new();
+    stream
+        .read_to_string(&mut raw)
+        .expect("one reply, then a clean close");
+    assert_eq!(raw.matches("HTTP/1.1 ").count(), 1, "got: {raw}");
+    assert!(raw.starts_with("HTTP/1.1 200 OK\r\n"), "got: {raw}");
+    assert!(raw.ends_with("\r\n\r\nok\n"), "got: {raw}");
+    drop(stream);
+    assert_eq!(get(addr, "/healthz"), (200, "ok\n".to_string()));
+    server.shutdown();
+}
+
 /// Polls `path` until `want` comes back or the deadline passes.
 fn poll_for_status(addr: SocketAddr, path: &str, want: u16, deadline: Duration) -> bool {
     let t0 = Instant::now();

@@ -5,17 +5,18 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use dgr_graph::{Epochs, GraphStore, MarkWords, Slot, Vertex, VertexId};
 
-/// Set in a [`SharedGraph`] offset word whose vertex is on the free list.
+/// Set in the row start of a vertex on the free list.
 const FREE: u32 = 1 << 31;
 
-/// The computation graph in the form the threaded runtime uses: the
-/// marking state in a dense atomic array, and the one thing a marking
-/// task reads besides it — a vertex's R-children — in a compressed
-/// sparse row snapshot taken when the graph enters the shared form.
+/// The computation graph in the form the threaded runtime uses: one
+/// [`MarkWords`] record per vertex carrying its marking state and the
+/// start of its R-children row, and the rows themselves in one array — a
+/// compressed sparse row snapshot taken when the graph enters the shared
+/// form.
 ///
 /// Nothing allocates, frees or rewires a vertex while a graph is shared,
 /// so the snapshot needs no lock: a task claims or drains one vertex's
-/// mark word and reads one contiguous slice, and the task that claims a
+/// record and reads one contiguous slice, and the task that claims a
 /// vertex also probes its children's words, settling the children
 /// already visited in place (Section 6: marking tasks "never nest the
 /// locking of vertices" — a probe locks nothing). This is the
@@ -58,17 +59,15 @@ pub struct SharedGraph {
     /// Touch epoch, carried through for round-tripping (the threaded
     /// marking runtime never touches vertices).
     touch_epoch: u32,
-    /// The hot R-slot marking state, as a dense struct-of-arrays atomic
-    /// array (see [`MarkWords`]): marking passes transition colors with
-    /// CAS, and the state streams through the cache instead of hopping
-    /// between fat vertices. The array is authoritative while the graph
-    /// is shared; [`SharedGraph::into_store`] writes it back into the
-    /// vertex slots.
+    /// One 16-byte record per vertex (see [`MarkWords`]): the hot R-slot
+    /// state word that marking passes transition with CAS, the parent,
+    /// and the start of the vertex's row in `child_targets`, which
+    /// carries [`FREE`] iff the vertex is on the free list. The records
+    /// are authoritative while the graph is shared;
+    /// [`SharedGraph::into_store`] writes them back into the vertex slots.
     marks: MarkWords,
-    /// Vertex `v`'s R-children are `child_targets[child_start[v] ..
-    /// child_start[v + 1]]`, both ends with [`FREE`] masked off;
-    /// `child_start[v]` carries [`FREE`] iff `v` is on the free list.
-    child_start: Vec<u32>,
+    /// Every vertex's R-children, row after row: vertex `v`'s row spans
+    /// its record's row start to the next record's, [`FREE`] masked off.
     child_targets: Vec<VertexId>,
 }
 
@@ -76,20 +75,19 @@ impl SharedGraph {
     /// Converts a plain store into the shared form.
     pub fn from_store(store: GraphStore) -> Self {
         let (verts, free, root, epochs) = store.into_parts();
-        let marks = MarkWords::from_slots(&verts, Slot::R);
-        let mut child_start = Vec::with_capacity(verts.len() + 1);
         let mut child_targets = Vec::new();
-        for v in &verts {
+        let marks = MarkWords::from_slots(&verts, Slot::R, |v| {
             let start = child_targets.len() as u32;
-            if v.is_free() {
-                child_start.push(start | FREE);
-            } else {
-                child_start.push(start);
-                v.for_each_r_child(|c| child_targets.push(c));
+            match v {
+                Some(v) if v.is_free() => start | FREE,
+                Some(v) => {
+                    v.for_each_r_child(|c| child_targets.push(c));
+                    start
+                }
+                None => start,
             }
-        }
+        });
         assert!(child_targets.len() < FREE as usize, "too many arcs");
-        child_start.push(child_targets.len() as u32);
         SharedGraph {
             verts,
             free,
@@ -100,7 +98,6 @@ impl SharedGraph {
             ],
             touch_epoch: epochs.touch,
             marks,
-            child_start,
             child_targets,
         }
     }
@@ -109,16 +106,17 @@ impl SharedGraph {
     /// vertex slots.
     pub fn into_store(self) -> GraphStore {
         let mut verts = self.verts;
-        self.marks.write_back(&mut verts, Slot::R);
         let [epoch_r, epoch_t] = self.mark_epochs;
+        let epoch_r = epoch_r.into_inner();
+        self.marks.write_back(&mut verts, Slot::R, epoch_r);
         let epochs = Epochs {
-            mark: [epoch_r.into_inner(), epoch_t.into_inner()],
+            mark: [epoch_r, epoch_t.into_inner()],
             touch: self.touch_epoch,
         };
         GraphStore::from_parts(verts, self.free, self.root, epochs)
     }
 
-    /// The dense atomic marking state of every vertex's R slot — the
+    /// The atomic marking state of every vertex's R slot — the
     /// lock-free substrate marking passes run on (probe, claim,
     /// complete). Authoritative while the graph is shared.
     pub fn marks(&self) -> &MarkWords {
@@ -161,9 +159,8 @@ impl SharedGraph {
     ///
     /// Panics if `id` is out of range.
     pub fn r_children(&self, id: VertexId) -> Option<&[VertexId]> {
-        let start = self.child_start[id.index()];
-        let end = self.child_start[id.index() + 1] & !FREE;
-        (start & FREE == 0).then(|| &self.child_targets[start as usize..end as usize])
+        let (start, end) = self.marks.row(id.index());
+        (start & FREE == 0).then(|| &self.child_targets[start as usize..(end & !FREE) as usize])
     }
 }
 

@@ -40,6 +40,63 @@ fn store(
     g
 }
 
+/// Checks both properties below on one store: every row is what
+/// [`Vertex::for_each_r_child`] visits (a free vertex has none), and
+/// marks a simulator pass wrote survive entering and leaving the shared
+/// form.
+///
+/// [`Vertex::for_each_r_child`]: dgr_graph::Vertex::for_each_r_child
+fn assert_snapshot_and_round_trip(mut g: GraphStore) {
+    run_mark2(&mut g, &MarkRunConfig::default());
+    let shared = SharedGraph::from_store(g.clone());
+    assert_eq!(shared.capacity(), g.capacity());
+    for v in g.ids() {
+        if g.is_free(v) {
+            assert_eq!(shared.r_children(v), None, "free {v} is claimable");
+        } else {
+            let mut want = Vec::new();
+            g.vertex(v).for_each_r_child(|c| want.push(c));
+            assert_eq!(shared.r_children(v), Some(&want[..]), "children of {v}");
+        }
+    }
+    let back = shared.into_store();
+    for v in g.ids() {
+        assert_eq!(back.vertex(v), g.vertex(v), "vertex {v}");
+        assert_eq!(back.mark(v, Slot::R), g.mark(v, Slot::R));
+    }
+    assert!(back.check_consistency().is_ok());
+}
+
+/// A store of exactly `n` vertices, all allocated, then `freed` freed.
+fn exact(n: usize, edges: &[(usize, usize)], freed: &[usize]) -> GraphStore {
+    let mut g = GraphStore::with_capacity(n);
+    let ids: Vec<VertexId> = (0..n)
+        .map(|i| g.alloc(NodeLabel::lit_int(i as i64)).unwrap())
+        .collect();
+    for &(a, b) in edges {
+        g.connect(ids[a], ids[b]);
+    }
+    g.set_root(ids[0]);
+    for &f in freed {
+        g.free(ids[f]);
+    }
+    assert_eq!(g.capacity(), n);
+    g
+}
+
+#[test]
+fn the_sentinel_ends_the_last_row() {
+    // The last vertex is free, with arcs still pointing at it.
+    assert_snapshot_and_round_trip(exact(4, &[(0, 1), (1, 3), (0, 3), (2, 0)], &[3]));
+    // The last vertex is live and its row runs to the sentinel.
+    assert_snapshot_and_round_trip(exact(3, &[(0, 2), (2, 1), (2, 0)], &[]));
+    // One vertex, with a self-loop and without.
+    assert_snapshot_and_round_trip(exact(1, &[(0, 0)], &[]));
+    assert_snapshot_and_round_trip(exact(1, &[], &[]));
+    // Every vertex but the root is free.
+    assert_snapshot_and_round_trip(exact(5, &[(0, 1), (0, 4), (0, 0)], &[1, 2, 3, 4]));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
