@@ -67,13 +67,19 @@ pub enum Site {
     /// moves it *before* the claim CAS, re-pinning PR 6's parent-clobber
     /// race (a losing claimant overwrites the winner's parent).
     MwParentPublish,
+    /// `MarkWords::try_claim`'s pre-CAS load and CAS failure ordering
+    /// (Acquire — pairs with a rival's claim CAS, so a caller that loses
+    /// the claim on a leaf and settles it as a duplicate visit
+    /// happens-after everything the winner did first). The seeded
+    /// mutation weakens both to Relaxed.
+    MwClaimLoss,
     /// `MarkWords::settle_child`'s probe of the child's state word
     /// (Acquire — pairs with a rival's claim CAS, so a parent that settles
     /// an already-visited child at the spawn site happens-after everything
     /// the child's claimer did first, exactly as a duplicate mark task
     /// would).
     MwSettleProbe,
-    /// `MarkWords::complete_child`'s count drain (AcqRel — the Acquire
+    /// `MarkWords::complete_children`'s count drain (AcqRel — the Acquire
     /// half makes the siblings' subtrees visible to whichever caller
     /// drains the count, and so to the return it walks on up `mt_par`).
     /// The seeded mutation keeps only the Release half.
@@ -106,6 +112,7 @@ impl Site {
         match self {
             Site::MwClaimCas => "mw-claim-cas-relaxed",
             Site::MwParentPublish => "mw-parent-before-claim",
+            Site::MwClaimLoss => "mw-claim-loss-relaxed",
             Site::MwSettleProbe => "mw-settle-probe-relaxed",
             Site::MwCompleteDrain => "mw-complete-drain-no-acquire",
             Site::DequeBottomPublish => "deque-bottom-no-release",
@@ -366,6 +373,7 @@ mod tests {
             Site::MailboxTailPublish,
             Site::QuiesceRelease,
             Site::QuiesceCreditTopUp,
+            Site::MwClaimLoss,
         ] {
             assert!(!StdAtomics::mutated(site));
             for ord in [Ordering::Relaxed, Ordering::SeqCst, Ordering::AcqRel] {

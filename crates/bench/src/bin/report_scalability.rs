@@ -161,6 +161,8 @@ fn main() {
     // the parallelism the host delivers (printed in the table title).
     // `settled` counts the duplicate visits claim winners settled in
     // place of two tasks: it varies with the schedule and is not gated.
+    // `leaves` counts the leaves they marked in place: one per reachable
+    // leaf below the root on every schedule, printed, not gated.
     // Each entry: (name, vertices, graph, (floor, gate, decay)) — see
     // `assert_monotone_ish`. The trees' decay leaves room for what a
     // 16-PE pass costs before any task runs (1.3 ms on the 2-vCPU
@@ -221,6 +223,7 @@ fn main() {
                 "wall_us" => best_ms * 1e3,
                 "envelopes" => stats.envelopes,
                 "settled" => stats.settled,
+                "leaves" => stats.leaves,
                 "speedup" => speedup,
             });
         }

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use dgr_atomic::Site;
 use dgr_graph::markword::{Claim, Settle};
-use dgr_graph::{Color, MarkParent, MarkWords, VertexId};
+use dgr_graph::{Color, MarkParent, MarkWords, NodeLabel, Slot, Vertex, VertexId};
 use dgr_sim::deque::Steal;
 use dgr_sim::{QuiesceState, SpscRing, StealDeque};
 
@@ -303,10 +303,10 @@ fn markword_parent_race() -> Box<dyn FnOnce() + Send + 'static> {
 /// (vertex 0) with one child `c` (vertex 1) and settles or spawns it;
 /// a rival writes a payload and then claims `c` under another parent. A
 /// spawned mark runs on the expander as its task would: claim `c` or
-/// lose it, then return to `p`. Whichever way `c` is decided, `p` must
-/// complete exactly once, and a settle that saw `c` visited must see
-/// the payload written before the claim it saw (a stale read is a race
-/// the model reports).
+/// lose it, then return to `p`; a settled one returns to `p` in place.
+/// Whichever way `c` is decided, `p` must complete exactly once, and a
+/// settle that saw `c` visited must see the payload written before the
+/// claim it saw (a stale read is a race the model reports).
 fn markword_settle_at_spawn() -> Box<dyn FnOnce() + Send + 'static> {
     Box::new(|| {
         let words: Arc<MarkWords<ShimAtomics>> = Arc::new(MarkWords::new(2));
@@ -324,22 +324,19 @@ fn markword_settle_at_spawn() -> Box<dyn FnOnce() + Send + 'static> {
             format!("the expander's claim on p read {won:?}")
         });
         let mut completions = 0;
-        match words.settle_child(1, 0, 1) {
+        match words.settle_child(1, 1) {
             Settle::Spawn => {
                 words.try_claim(1, 1, 0, MarkParent::Vertex(VertexId::new(0)));
-                if words.complete_child(0, 1) == Some(MarkParent::RootPar) {
-                    completions += 1;
-                }
             }
-            settled => {
+            Settle::Settled => {
                 let v = payload.read();
                 shim_assert(v == 42, || {
                     format!("settle saw c visited but the payload reads {v}")
                 });
-                if settled == Settle::Completed(MarkParent::RootPar) {
-                    completions += 1;
-                }
             }
+        }
+        if words.complete_child(0, 1) == Some(MarkParent::RootPar) {
+            completions += 1;
         }
         t.join();
         shim_assert(completions == 1, || {
@@ -397,6 +394,80 @@ fn markword_return_in_place() -> Box<dyn FnOnce() + Send + 'static> {
         shim_assert(reached == 1, || {
             format!("rootpar reached {reached} times, want exactly once")
         });
+    })
+}
+
+/// A leaf marked where it is found. Two expanders each claim their own
+/// parent, `p0` (vertex 0) or `p1` (vertex 1), with one child, and both
+/// parents' child is the leaf `c` (vertex 2). Each writes a payload,
+/// then decides `c` as the threaded runtime's claim winner does: settle
+/// it if the probe sees it visited, otherwise claim it in place and
+/// settle it if that claim loses; then it drains its own parent by one.
+/// Exactly one claim on `c` may win, `c` must end Marked with the
+/// winner's parent, each parent must complete exactly once, and a thread
+/// that settles `c` must read the winner's payload — through the settle
+/// probe's Acquire or through the losing claim's (a stale read is a race
+/// the model reports).
+fn markword_leaf_in_place() -> Box<dyn FnOnce() + Send + 'static> {
+    const ABOVE: [MarkParent; 2] = [MarkParent::RootPar, MarkParent::TaskRootPar];
+    Box::new(|| {
+        let words: Arc<MarkWords<ShimAtomics>> = Arc::new(MarkWords::new(3));
+        let payloads: Arc<[ShimCell; 2]> = Arc::new([ShimCell::new(NONE), ShimCell::new(NONE)]);
+        let wins: Arc<[ShimCell; 2]> = Arc::new([ShimCell::new(0), ShimCell::new(0)]);
+        let completions: Arc<[ShimCell; 2]> = Arc::new([ShimCell::new(0), ShimCell::new(0)]);
+        let expanders: Vec<_> = (0..2)
+            .map(|me| {
+                let words = Arc::clone(&words);
+                let (payloads, wins) = (Arc::clone(&payloads), Arc::clone(&wins));
+                let completions = Arc::clone(&completions);
+                spawn(move || {
+                    let won = words.try_claim(me, 1, 1, ABOVE[me]);
+                    shim_assert(won == Claim::Won(Color::Transient), || {
+                        format!("expander {me}'s claim on its parent read {won:?}")
+                    });
+                    payloads[me].write(10 + me as u64);
+                    let parent = MarkParent::Vertex(VertexId::new(me as u32));
+                    let marked = words.settle_child(2, 1) == Settle::Spawn
+                        && words.try_claim(2, 1, 0, parent) == Claim::Won(Color::Marked);
+                    if marked {
+                        wins[me].write(1);
+                    } else {
+                        let other = 1 - me;
+                        let v = payloads[other].read();
+                        shim_assert(v == 10 + other as u64, || {
+                            format!("expander {me} settled c but the winner's payload reads {v}")
+                        });
+                    }
+                    if words.complete_child(me, 1) == Some(ABOVE[me]) {
+                        completions[me].write(1);
+                    }
+                })
+            })
+            .collect();
+        for e in expanders {
+            e.join();
+        }
+        let (w0, w1) = (wins[0].read(), wins[1].read());
+        shim_assert(w0 + w1 == 1, || {
+            format!("{} claims on c won, want exactly one", w0 + w1)
+        });
+        let c = words.probe_state(2, 1);
+        shim_assert(c == Some((Color::Marked, 0)), || {
+            format!("c ends as {c:?}, want Marked with nothing owed")
+        });
+        let mut verts = vec![Vertex::new(NodeLabel::Hole); 3];
+        words.write_back(&mut verts, Slot::R, 1);
+        let got = verts[2].mark_at(Slot::R, 1).mt_par;
+        let want = Some(MarkParent::Vertex(VertexId::new(u32::from(w0 == 0))));
+        shim_assert(got == want, || {
+            format!("write_back gives c the parent {got:?}, the winner was {want:?}")
+        });
+        for (p, done) in completions.iter().enumerate() {
+            let n = done.read();
+            shim_assert(n == 1, || {
+                format!("p{p} completed {n} times, want exactly once")
+            });
+        }
     })
 }
 
@@ -540,6 +611,11 @@ pub const SCENARIOS: &[Scenario] = &[
         make: markword_return_in_place,
     },
     Scenario {
+        name: "markword-leaf-in-place",
+        about: "a shared leaf claimed in place: one winner, loser reads its payload",
+        make: markword_leaf_in_place,
+    },
+    Scenario {
         name: "quiesce-publish",
         about: "zero-observer sees every released worker's effects",
         make: quiesce_publish,
@@ -611,8 +687,14 @@ pub const MUTATIONS: &[Mutation] = &[
     Mutation {
         site: Site::MwCompleteDrain,
         scenario: "markword-return-in-place",
-        what: "complete_child's count drain AcqRel -> Release",
+        what: "complete_children's count drain AcqRel -> Release",
         killed_by: "the walk reaches rootpar, the sibling's payload read races",
+    },
+    Mutation {
+        site: Site::MwClaimLoss,
+        scenario: "markword-leaf-in-place",
+        what: "try_claim's pre-CAS load and CAS failure Acquire -> Relaxed",
+        killed_by: "the losing leaf claim settles c, winner's payload read races",
     },
     Mutation {
         site: Site::QuiesceRelease,

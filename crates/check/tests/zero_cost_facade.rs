@@ -41,6 +41,7 @@ fn production_mutation_hooks_are_inert() {
         Site::MailboxTailPublish,
         Site::QuiesceRelease,
         Site::QuiesceCreditTopUp,
+        Site::MwClaimLoss,
     ] {
         for ord in [
             Ordering::Relaxed,

@@ -7,10 +7,23 @@
 //! The return a mark owes its parent runs in place, where the mark ends:
 //! one `fetch_sub` on the parent's count ([`MarkWords::complete_child`]),
 //! climbing on up the `mt_par` chain while each drain completes a
-//! vertex. The task that wins a claim also probes its children's mark
-//! words: a mark to a child already visited this cycle would do nothing
-//! but return, so that mark runs in place too
-//! ([`MarkWords::settle_child`]) and only the other children are sent.
+//! vertex. The task that wins a claim also decides each child's mark
+//! once, at the spawn site:
+//!
+//! * a child already visited this cycle would do nothing but return, so
+//!   that mark is settled in place ([`MarkWords::settle_child`]);
+//! * a live child with no children of its own (a leaf) would only color
+//!   itself and return, so the winner claims it in place
+//!   ([`MarkWords::try_claim`] with no children); losing that claim to a
+//!   rival makes the mark a duplicate visit, settled as above;
+//! * every other child — a freed vertex behind a dangling arc included —
+//!   gets its mark sent as a task.
+//!
+//! The winner then runs the returns of every child it marked in place
+//! with one drain of its own count ([`MarkWords::complete_children`]).
+//! Only it touches that count until the handler returns: the only
+//! decrements come from the children's returns, and the children it
+//! spawned wait in the [`SpawnScope`].
 //!
 //! This module is used by the scalability experiments (T5): the same
 //! algorithm that the deterministic simulator executes runs here on one
@@ -35,14 +48,17 @@
 //!   counter measures — but an idle PE may steal it: soundness does not
 //!   depend on placement because every state transition is a CAS or an
 //!   owned decrement on the shared mark words. Running a return where
-//!   the count drains, and settling a duplicate visit at the spawn site,
-//!   are the same kind of placement choice: every mark and every return
-//!   still happens, and each is counted. The deterministic simulator
-//!   routes each return to its parent's PE, as the paper does.
+//!   the count drains, and settling a duplicate visit or marking a leaf
+//!   at the spawn site, are the same kind of placement choice: every
+//!   mark and every return still happens, and each is counted. The
+//!   deterministic simulator sends each of those marks and routes each
+//!   return to its parent's PE, as the paper does.
 //!
 //! [`MarkWords`]: dgr_graph::MarkWords
 //! [`MarkWords::complete_child`]: dgr_graph::MarkWords::complete_child
+//! [`MarkWords::complete_children`]: dgr_graph::MarkWords::complete_children
 //! [`MarkWords::settle_child`]: dgr_graph::MarkWords::settle_child
+//! [`MarkWords::try_claim`]: dgr_graph::MarkWords::try_claim
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -97,17 +113,27 @@ fn ascend(marks: &MarkWords, epoch: u32, mut to: MarkParent, done: &AtomicBool) 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ThreadedMarkStats {
     /// Marking messages (marks + returns): two per mark, since every
-    /// mark, sent as a task or [`settled`](Self::settled) in place, owes
-    /// exactly one return and that return runs where the mark ends.
-    /// `mark1` marks a first visit exactly once, so this count is
-    /// schedule-independent and equals the event count of a
-    /// deterministic-simulator pass over the same graph.
+    /// mark — sent as a task, [`settled`](Self::settled) in place or a
+    /// [`leaf`](Self::leaves) claimed in place — owes exactly one return,
+    /// and that return runs where the mark ends. `mark1` marks a first
+    /// visit exactly once, so this count is schedule-independent and
+    /// equals the event count of a deterministic-simulator pass over the
+    /// same graph: `2 × (executed + settled + leaves)`.
     pub messages: u64,
+    /// Mark tasks the runtime executed: the root's and every mark a claim
+    /// winner spawned.
+    pub executed: u64,
     /// Duplicate visits settled at the spawn site: arcs whose target the
-    /// claim winner found already visited, so their mark ran in place
-    /// instead of as a task. Schedule-dependent; zero on a graph where
-    /// no vertex has two incoming arcs.
+    /// claim winner found already visited, or a leaf whose in-place claim
+    /// it lost to a rival, so their mark ran in place instead of as a
+    /// task. Schedule-dependent; zero on a graph where no vertex has two
+    /// incoming arcs.
     pub settled: u64,
+    /// Leaf marks run in place: live vertices with no children that a
+    /// claim winner claimed at the spawn site instead of sending them a
+    /// task. Schedule-independent: every reachable live leaf other than
+    /// the root is counted exactly once.
+    pub leaves: u64,
     /// Cross-PE envelopes the runtime routed through the mailbox mesh:
     /// marks whose owner PE differed from the spawning PE. A return
     /// never travels.
@@ -171,9 +197,9 @@ pub fn run_mark1_shared(
 
 /// [`run_mark1_shared`] with an explicit telemetry registry and a
 /// liveness pulse. The pass is wrapped in an `M_R` span, each PE's
-/// marking messages land in its mark-event counter (two per task and
-/// two per settled arc, a mark and its return, so the counters sum to
-/// `messages`), and the underlying runtime records deque depth, steals,
+/// marking messages land in its mark-event counter (two per task, per
+/// settled arc and per leaf marked in place, a mark and its return, so
+/// the counters sum to `messages`), and the underlying runtime records deque depth, steals,
 /// drained batch sizes and park events per PE. The pass also brackets an `M_R` phase on `hb`
 /// and the runtime beats delivery progress per local drain run, so the
 /// `dgr-observe` watchdog can supervise a long pass from another thread;
@@ -235,30 +261,37 @@ pub fn run_mark1_shared_observed(
             if expand.is_empty() {
                 ascend(marks, epoch, parent, &done);
             }
-            // Settle the children already visited in place; spawn the
-            // rest deepest-last so the runtime chains the final child and
-            // thieves get the first ones.
-            let mut settled = 0;
+            // Decide each child's mark once: settle a visited child, claim
+            // a live leaf in place, and spawn the rest deepest-last so the
+            // runtime chains the final child and thieves get the first
+            // ones.
+            let (mut settled, mut leaves) = (0, 0);
             for &c in expand {
-                match marks.settle_child(c.index(), v.index(), epoch) {
-                    Settle::Spawn => {
-                        let t = mark_task(c, u64::from(v.raw()), depth + 1);
-                        scope.spawn(route(&partition, t), t);
+                if marks.settle_child(c.index(), epoch) == Settle::Settled {
+                    settled += 1;
+                } else if shared.r_children(c) == Some(&[]) {
+                    match marks.try_claim(c.index(), epoch, 0, MarkParent::Vertex(v)) {
+                        Claim::Won(_) => leaves += 1,
+                        Claim::Lost => settled += 1,
                     }
-                    Settle::Settled => settled += 1,
-                    Settle::Completed(p) => {
-                        settled += 1;
-                        ascend(marks, epoch, p, &done);
-                    }
+                } else {
+                    let t = mark_task(c, u64::from(v.raw()), depth + 1);
+                    scope.spawn(route(&partition, t), t);
                 }
             }
-            if settled > 0 {
-                scope.credit(settled);
+            // One drain returns every child run in place: until this
+            // handler returns, only it decrements `v`'s count.
+            let in_place = settled + leaves;
+            if in_place > 0 {
+                if let Some(up) = marks.complete_children(v.index(), epoch, in_place) {
+                    ascend(marks, epoch, up, &done);
+                }
+                scope.credit([u64::from(settled), u64::from(leaves)]);
             }
-            // This mark, its return and those of the settled arcs.
+            // This mark, its return and those of the children run in place.
             telem
                 .pe(scope.me().raw())
-                .add(CounterId::MarkEvents, 2 * (1 + settled));
+                .add(CounterId::MarkEvents, 2 * (1 + u64::from(in_place)));
         },
         telem,
         hb,
@@ -270,9 +303,12 @@ pub fn run_mark1_shared_observed(
         // are what's left to explain the missing termination signal.
         crate::driver::flight_dump_and_panic("quiescent without termination signal", 0, telem, &[]);
     }
+    let [settled, leaves] = stats.credited;
     ThreadedMarkStats {
-        messages: 2 * (stats.executed + stats.credited),
-        settled: stats.credited,
+        messages: 2 * (stats.executed + settled + leaves),
+        executed: stats.executed,
+        settled,
+        leaves,
         envelopes: stats.envelopes,
         steals: stats.steals,
         steal_fails: stats.steal_fails,
@@ -362,8 +398,9 @@ mod tests {
     #[test]
     fn threaded_message_count_matches_simulator_events() {
         // mark1 sends one mark per first visit or revisit and exactly one
-        // return per mark, so the task count is schedule-independent:
-        // the threaded pass must execute exactly as many tasks as the
+        // return per mark, so the message count is schedule-independent:
+        // the threaded pass, counting each mark and return it ran, as a
+        // task or in place, must count exactly as many messages as the
         // deterministic simulator delivers events.
         let g = tree(7, 5);
         let mut g_sim = g.clone();

@@ -18,7 +18,11 @@
 //!    settles one;
 //! 4. a return never travels: every envelope carries a mark the pass
 //!    spawned, and those number fewer than the marks it executed, so
-//!    envelopes and settled arcs together stay below `messages / 2`.
+//!    envelopes and settled arcs together stay below `messages / 2`;
+//! 5. a leaf is marked where it is found: `leaves` is exactly the number
+//!    of reachable live vertices other than the root with no children,
+//!    on every schedule, and every other mark is a task or settled:
+//!    `executed == messages / 2 − settled − leaves`.
 
 use dgr_core::driver::{run_mark1, MarkRunConfig};
 use dgr_core::threaded::{run_mark1_shared, ThreadedMarkStats};
@@ -219,5 +223,88 @@ fn a_self_loop_always_settles_and_a_dangling_arc_never_does() {
             let settled = check(&g, pes, strat).unwrap();
             assert!((1..=2).contains(&settled), "{settled} settled, {pes} PEs");
         }
+    }
+}
+
+/// The leaves a pass must mark in place: reachable live vertices other
+/// than the root with no R-children.
+fn live_leaves(g: &GraphStore) -> u64 {
+    let reach = oracle::reachable_r(g);
+    let root = g.root().expect("rooted");
+    g.live_ids()
+        .filter(|&v| v != root && reach.contains(v))
+        .filter(|&v| {
+            let mut children = 0;
+            g.vertex(v).for_each_r_child(|_| children += 1);
+            children == 0
+        })
+        .count() as u64
+}
+
+/// Checks property 5 (and, through `check`, 1, 2 and 4) at every PE
+/// count and both partitions; returns each pass's stats.
+fn check_leaves(g: &GraphStore) -> Result<Vec<ThreadedMarkStats>, TestCaseError> {
+    let want = live_leaves(g);
+    let mut all = Vec::new();
+    for pes in PES {
+        for strat in [PartitionStrategy::Modulo, PartitionStrategy::Block] {
+            check(g, pes, strat)?;
+            let (stats, _) = run_threaded(g, pes, strat);
+            prop_assert_eq!(stats.leaves, want, "leaves ({} PEs, {:?})", pes, strat);
+            prop_assert_eq!(
+                stats.executed,
+                stats.messages / 2 - stats.settled - stats.leaves,
+                "executed != messages / 2 - settled - leaves ({} PEs, {:?})",
+                pes,
+                strat
+            );
+            all.push(stats);
+        }
+    }
+    Ok(all)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn every_live_leaf_is_marked_in_place_once(
+        seed in 0u64..(1u64 << 32),
+        n in 40usize..320,
+        degree in 0.5f64..4.0,
+        self_loop in any::<bool>(),
+        freed in any::<bool>(),
+    ) {
+        let mut g = random_graph(n, degree, seed);
+        let root = g.root().expect("rooted");
+        if self_loop {
+            g.connect(root, root);
+        }
+        if freed {
+            // A dangling arc into a freed leaf: never claimed in place.
+            let victim = VertexId::new((n / 2) as u32);
+            g.connect(root, victim);
+            g.free(victim);
+        }
+        check_leaves(&g)?;
+    }
+}
+
+#[test]
+fn a_tree_marks_its_leaves_in_place_and_runs_only_its_inner_vertices() {
+    let g = one_parent_each(511, true);
+    for stats in check_leaves(&g).unwrap() {
+        assert_eq!(stats.leaves, 256, "{stats:?}");
+        assert_eq!(stats.settled, 0, "{stats:?}");
+        assert_eq!(stats.executed, 255, "{stats:?}");
+    }
+}
+
+#[test]
+fn a_chain_has_one_leaf() {
+    let g = one_parent_each(511, false);
+    for stats in check_leaves(&g).unwrap() {
+        assert_eq!(stats.leaves, 1, "{stats:?}");
+        assert_eq!(stats.executed, 510, "{stats:?}");
     }
 }

@@ -16,7 +16,8 @@
 //! * **row start** — immutable: where the vertex's child row starts; it
 //!   ends where the next record's starts (a sentinel ends the last). The
 //!   spawner's [`MarkWords::settle_child`] probe of a child brings the
-//!   child's row start into cache with its state word.
+//!   child's row start into cache with its state word, so the spawner
+//!   also sees at once whether the child is a leaf it may claim in place.
 //!
 //! Memory-ordering discipline (enforced by `dgr-check`'s mark-word lint):
 //! every access to a record's `state_word` / `par_word` uses
@@ -99,17 +100,15 @@ pub enum Claim {
     Lost,
 }
 
-/// Result of a [`MarkWords::settle_child`].
+/// Result of a [`MarkWords::settle_child`] probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Settle {
-    /// The child is not visited this cycle: its mark must be sent.
+    /// The child is not visited this cycle: its mark must be sent, or
+    /// claimed in place if the child is a leaf.
     Spawn,
-    /// The child was already visited; its duplicate mark and return ran
-    /// in place, and the parent still owes other children.
+    /// The child was already visited: its duplicate mark does nothing
+    /// but return, so the caller runs that return in place.
     Settled,
-    /// As [`Settle::Settled`], and that return drained the parent: it is
-    /// now Marked, and this is its `mt_par`, owed a return of its own.
-    Completed(MarkParent),
 }
 
 /// One vertex's record: see the module docs. Sixteen bytes under
@@ -249,10 +248,14 @@ impl<A: Atomics> MarkWords<A> {
     /// the real one, which deadlocks the wave). Readers still always see
     /// the winner's store: a `complete_child` on this vertex can only be
     /// reached through the returns of the child marks the winner spawned
-    /// or settled *after* `try_claim` returned — each run in place where
-    /// its mark ends, or climbing from a descendant's drain — and every
-    /// task hand-off and count drain on the way is a release/acquire
-    /// edge.
+    /// or ran in place *after* `try_claim` returned — each run where its
+    /// mark ends, drained together by the winner, or climbing from a
+    /// descendant's drain — and every task hand-off and count drain on
+    /// the way is a release/acquire edge.
+    ///
+    /// [`Claim::Lost`] is read with Acquire too: a caller that loses the
+    /// claim on a leaf it meant to mark in place settles it as a
+    /// duplicate visit, after everything the rival winner did first.
     pub fn try_claim(&self, i: usize, epoch: u32, n_children: u32, parent: MarkParent) -> Claim {
         let par = encode_parent(Some(parent));
         // Seeded mutation `mw-parent-before-claim`: reintroduce the PR 6
@@ -268,8 +271,12 @@ impl<A: Atomics> MarkWords<A> {
             self.recs[i].par_word.store(par, Ordering::Release);
         }
         // ordering: Acquire pairs with a rival's Release-claim — losing
-        // settles the duplicate visit on this load alone.
-        let mut cur = self.recs[i].state_word.load(Ordering::Acquire);
+        // settles the duplicate visit on this load alone. The seeded
+        // mutation `mw-claim-loss-relaxed` weakens it and the CAS failure
+        // ordering below to Relaxed.
+        let mut cur = self.recs[i]
+            .state_word
+            .load(A::remap(Site::MwClaimLoss, Ordering::Acquire));
         loop {
             if state_epoch(cur) == epoch && code_color(cur) != Color::Unmarked {
                 return Claim::Lost;
@@ -284,12 +291,13 @@ impl<A: Atomics> MarkWords<A> {
             // new color to lock-free probes; the Acquire half orders the
             // winner's parent store after every prior transition it must
             // not clobber. The seeded mutation `mw-claim-cas-relaxed`
-            // weakens the success ordering to Relaxed.
+            // weakens the success ordering to Relaxed. The failure
+            // ordering is Acquire for the same reason as the load above.
             match self.recs[i].state_word.compare_exchange_weak(
                 cur,
                 next,
                 A::remap(Site::MwClaimCas, Ordering::AcqRel),
-                Ordering::Acquire,
+                A::remap(Site::MwClaimLoss, Ordering::Acquire),
             ) {
                 Ok(_) => {
                     if !A::mutated(Site::MwParentPublish) {
@@ -309,28 +317,43 @@ impl<A: Atomics> MarkWords<A> {
     /// Records the return of one child mark of vertex `i`: decrements the
     /// outstanding count and, if this was the last one, completes the
     /// vertex (Transient → Marked) and returns its `mt_par` so the caller
+    /// can propagate the return. [`MarkWords::complete_children`] with
+    /// `k = 1`.
+    ///
+    /// The threaded runtime runs each return in place, where its mark
+    /// ends, and walks on up `mt_par` while each call drains a count.
+    pub fn complete_child(&self, i: usize, epoch: u32) -> Option<MarkParent> {
+        self.complete_children(i, epoch, 1)
+    }
+
+    /// Records the returns of `k` child marks of vertex `i`: drains `k`
+    /// from the outstanding count and, if that empties it, completes the
+    /// vertex (Transient → Marked) and returns its `mt_par` so the caller
     /// can propagate the return.
     ///
     /// Must only be called for a `(i, epoch)` pair that was claimed this
-    /// cycle with a nonzero child count — which the marking protocol
-    /// guarantees, since a return is only ever owed by a child mark that
-    /// the claim winner itself sent or settled. The threaded runtime runs
-    /// each return in place, where its mark ends, and walks on up
-    /// `mt_par` while each call drains a count.
-    pub fn complete_child(&self, i: usize, epoch: u32) -> Option<MarkParent> {
+    /// cycle with at least `k` children still owed — which the marking
+    /// protocol guarantees, since a return is only ever owed by a child
+    /// mark that the claim winner itself sent or ran in place. The
+    /// threaded runtime's claim winner returns every child it marked in
+    /// place with one call.
+    pub fn complete_children(&self, i: usize, epoch: u32, k: u32) -> Option<MarkParent> {
         let r = &self.recs[i];
-        // One child's worth in the count field (the color bits are below).
-        // ordering: AcqRel — Release orders this child's subtree effects
-        // before the decrement; Acquire makes the siblings' subtrees
-        // visible to whichever caller drains the count. The seeded
-        // mutation `mw-complete-drain-no-acquire` keeps only Release.
-        let prev = r
-            .state_word
-            .fetch_sub(1 << 2, A::remap(Site::MwCompleteDrain, Ordering::AcqRel));
+        // `k` children's worth in the count field (the color bits are
+        // below).
+        // ordering: AcqRel — Release orders these children's subtree
+        // effects before the decrement; Acquire makes the siblings'
+        // subtrees visible to whichever caller drains the count. The
+        // seeded mutation `mw-complete-drain-no-acquire` keeps only
+        // Release.
+        let prev = r.state_word.fetch_sub(
+            u64::from(k) << 2,
+            A::remap(Site::MwCompleteDrain, Ordering::AcqRel),
+        );
         debug_assert_eq!(state_epoch(prev), epoch, "return for a stale cycle");
-        debug_assert!(state_cnt(prev) > 0, "mt_cnt underflow");
+        debug_assert!(state_cnt(prev) >= k, "mt_cnt underflow");
         debug_assert_eq!(code_color(prev), Color::Transient);
-        if state_cnt(prev) != 1 {
+        if state_cnt(prev) != k {
             return None;
         }
         // Count drained: this caller owns the Transient → Marked step.
@@ -342,21 +365,18 @@ impl<A: Atomics> MarkWords<A> {
         decode_parent(r.par_word.load(Ordering::Acquire))
     }
 
-    /// Settles the mark a claimed vertex `parent` owes its child `child`
-    /// at the spawn site, if the child is already visited this cycle.
+    /// Probes, for the claim winner of some vertex, whether the mark it
+    /// owes its child `child` would do anything: [`Settle::Settled`] if
+    /// the child is already visited this cycle, [`Settle::Spawn`] if not.
     ///
     /// A mark sent to a visited vertex does nothing but return, so the
-    /// claim winner may run that mark and its return in place: the same
-    /// Acquire probe a duplicate mark task makes, then the parent's
-    /// [`MarkWords::complete_child`]. An unvisited child, a freed vertex
+    /// claim winner may settle it where it stands: the same Acquire probe
+    /// a duplicate mark task makes, with its return left to the caller,
+    /// which drains every child it ran in place with one
+    /// [`MarkWords::complete_children`]. An unvisited child, a freed vertex
     /// behind a dangling arc included, reads [`Settle::Spawn`]: this
-    /// never claims the child and never reads its children, so whether
-    /// it settles is decided once, by the probe.
-    ///
-    /// `parent` must have been claimed this cycle with `child` among the
-    /// marks it still owes — the caller is the claim winner, settling or
-    /// spawning each of its children exactly once.
-    pub fn settle_child(&self, child: usize, parent: usize, epoch: u32) -> Settle {
+    /// never claims the child and never reads its children.
+    pub fn settle_child(&self, child: usize, epoch: u32) -> Settle {
         // ordering: Acquire pairs with the child claimer's Release CAS, as
         // in `probe`: settling happens-after everything the claimer did
         // first. The seeded mutation `mw-settle-probe-relaxed` weakens it.
@@ -364,11 +384,9 @@ impl<A: Atomics> MarkWords<A> {
             .state_word
             .load(A::remap(Site::MwSettleProbe, Ordering::Acquire));
         if state_epoch(w) != epoch || code_color(w) == Color::Unmarked {
-            return Settle::Spawn;
-        }
-        match self.complete_child(parent, epoch) {
-            None => Settle::Settled,
-            Some(par) => Settle::Completed(par),
+            Settle::Spawn
+        } else {
+            Settle::Settled
         }
     }
 
@@ -447,19 +465,21 @@ mod tests {
         let words: MarkWords = MarkWords::new(4);
         let root = MarkParent::RootPar;
         assert!(matches!(words.try_claim(0, 1, 3, root), Claim::Won(_)));
-        assert_eq!(words.settle_child(1, 0, 1), Settle::Spawn, "never written");
+        assert_eq!(words.settle_child(1, 1), Settle::Spawn, "never written");
         assert_eq!(words.probe(1, 1), None, "a spawn verdict claims nothing");
         assert!(matches!(
             words.try_claim(2, 1, 0, MarkParent::Vertex(VertexId::new(3))),
             Claim::Won(_)
         ));
-        assert_eq!(words.settle_child(2, 0, 1), Settle::Settled);
-        assert_eq!(words.probe_state(0, 1), Some((Color::Transient, 2)));
-        assert_eq!(words.settle_child(2, 0, 2), Settle::Spawn, "stale epoch");
+        assert_eq!(words.settle_child(2, 1), Settle::Settled);
+        assert_eq!(
+            words.probe_state(0, 1),
+            Some((Color::Transient, 3)),
+            "a verdict drains nothing"
+        );
+        assert_eq!(words.settle_child(2, 2), Settle::Spawn, "stale epoch");
         // A self-loop: the claimed parent is its own visited child.
-        assert_eq!(words.settle_child(0, 0, 1), Settle::Settled);
-        assert_eq!(words.complete_child(0, 1), Some(root));
-        assert_eq!(words.probe_state(0, 1), Some((Color::Marked, 0)));
+        assert_eq!(words.settle_child(0, 1), Settle::Settled);
     }
 
     #[test]
@@ -467,18 +487,59 @@ mod tests {
         let words: MarkWords = MarkWords::new(2);
         let par = MarkParent::Vertex(VertexId::new(7));
         assert!(matches!(words.try_claim(0, 1, 2, par), Claim::Won(_)));
-        assert_eq!(words.settle_child(0, 0, 1), Settle::Settled, "self-loop");
+        assert_eq!(words.settle_child(0, 1), Settle::Settled, "self-loop");
         assert!(matches!(
             words.try_claim(1, 1, 1, MarkParent::Vertex(VertexId::new(0))),
             Claim::Won(Color::Transient)
         ));
-        assert_eq!(words.settle_child(1, 0, 1), Settle::Completed(par));
+        assert_eq!(words.settle_child(1, 1), Settle::Settled);
+        // The caller returns both settled children with one drain.
+        assert_eq!(words.complete_children(0, 1, 2), Some(par));
         assert_eq!(words.probe(0, 1), Some(Color::Marked));
         assert_eq!(
             words.probe_state(1, 1),
             Some((Color::Transient, 1)),
             "the settled child is untouched"
         );
+    }
+
+    #[test]
+    fn one_drain_returns_every_child_run_in_place() {
+        let words: MarkWords = MarkWords::new(3);
+        let par = MarkParent::Vertex(VertexId::new(7));
+        assert!(matches!(words.try_claim(0, 1, 3, par), Claim::Won(_)));
+        // A self-loop settles; a leaf child is claimed in place.
+        assert_eq!(words.settle_child(0, 1), Settle::Settled, "self-loop");
+        assert_eq!(words.settle_child(1, 1), Settle::Spawn);
+        assert_eq!(
+            words.try_claim(1, 1, 0, MarkParent::Vertex(VertexId::new(0))),
+            Claim::Won(Color::Marked)
+        );
+        assert_eq!(
+            words.complete_children(0, 1, 2),
+            None,
+            "one child still owed"
+        );
+        assert_eq!(words.probe_state(0, 1), Some((Color::Transient, 1)));
+        assert_eq!(words.complete_child(0, 1), Some(par));
+        assert_eq!(words.probe_state(0, 1), Some((Color::Marked, 0)));
+    }
+
+    #[test]
+    fn complete_children_drains_by_k_and_completes_only_at_zero() {
+        let words: MarkWords = MarkWords::new(1);
+        let par = MarkParent::Vertex(VertexId::new(4));
+        assert!(matches!(words.try_claim(0, 3, 6, par), Claim::Won(_)));
+        assert_eq!(words.complete_children(0, 3, 2), None);
+        assert_eq!(words.probe_state(0, 3), Some((Color::Transient, 4)));
+        assert_eq!(words.complete_children(0, 3, 3), None);
+        assert_eq!(words.probe_state(0, 3), Some((Color::Transient, 1)));
+        assert_eq!(words.complete_child(0, 3), Some(par));
+        assert_eq!(words.probe_state(0, 3), Some((Color::Marked, 0)));
+        // A drain of the whole count at once completes in one call.
+        assert!(matches!(words.try_claim(0, 4, 5, par), Claim::Won(_)));
+        assert_eq!(words.complete_children(0, 4, 5), Some(par));
+        assert_eq!(words.probe_state(0, 4), Some((Color::Marked, 0)));
     }
 
     #[test]

@@ -40,22 +40,47 @@ const MAX_REQUEST_BYTES: u64 = 8 * 1024;
 /// any one client can hold it.
 const HEAD_DEADLINE: Duration = Duration::from_secs(2);
 
-/// The connection's read half with one deadline for the whole head: each
-/// read first sets the socket timeout to the time left, so a byte that
-/// arrives does not re-arm it.
-struct HeadReader {
+/// Time a client has, from the first byte of the response, to take all
+/// of it: the other half of the bound on how long one client holds the
+/// accept loop, whatever the size of a published DOT snapshot.
+const RESPONSE_DEADLINE: Duration = Duration::from_secs(2);
+
+/// A connection under one deadline: each read or write first sets the
+/// socket timeout to the time left, so a byte that moves does not re-arm
+/// it. A slow client is cut off at the deadline, however steadily it
+/// trickles.
+struct Deadlined {
     stream: TcpStream,
     deadline: Instant,
 }
 
-impl Read for HeadReader {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+impl Deadlined {
+    fn time_left(&self) -> std::io::Result<Duration> {
         let left = self.deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
             return Err(std::io::ErrorKind::TimedOut.into());
         }
+        Ok(left)
+    }
+}
+
+impl Read for Deadlined {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.time_left()?;
         self.stream.set_read_timeout(Some(left))?;
         self.stream.read(buf)
+    }
+}
+
+impl Write for Deadlined {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let left = self.time_left()?;
+        self.stream.set_write_timeout(Some(left))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
     }
 }
 
@@ -319,8 +344,7 @@ fn accept_loop(listener: TcpListener, hub: Arc<ObserveHub>) {
 
 fn serve_one(stream: TcpStream, hub: &ObserveHub) -> std::io::Result<()> {
     let deadline = Instant::now() + HEAD_DEADLINE;
-    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let mut reader = BufReader::new(HeadReader { stream, deadline }).take(MAX_REQUEST_BYTES);
+    let mut reader = BufReader::new(Deadlined { stream, deadline }).take(MAX_REQUEST_BYTES);
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
     // "GET /path HTTP/1.1" — anything else falls through to 404.
@@ -347,9 +371,10 @@ fn serve_one(stream: TcpStream, hub: &ObserveHub) -> std::io::Result<()> {
         hub.record_scrape();
         respond(&path, hub)
     };
-    let mut stream = reader.into_inner().into_inner().stream;
-    stream.write_all(response.to_http().as_bytes())?;
-    stream.flush()
+    let mut out = reader.into_inner().into_inner();
+    out.deadline = Instant::now() + RESPONSE_DEADLINE;
+    out.write_all(response.to_http().as_bytes())?;
+    out.flush()
 }
 
 #[cfg(test)]

@@ -195,6 +195,67 @@ fn a_pipelined_second_request_is_dropped_and_the_exporter_serves_on() {
     server.shutdown();
 }
 
+#[test]
+fn a_slow_reader_is_cut_off_and_the_exporter_serves_on() {
+    // A published DOT snapshot has no size limit. A client that takes
+    // 16 KiB of one every 300 ms would need minutes for 32 MiB, and a
+    // per-write timeout re-armed by each chunk it takes never fires; the
+    // response's one deadline must close it, so the next client is served.
+    let hub = Arc::new(ObserveHub::new());
+    hub.publish_dot(format!(
+        "digraph dgr {{ /* {} */ }}\n",
+        "x".repeat(32 << 20)
+    ));
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&hub)).expect("bind ephemeral port");
+    let addr = server.addr();
+    let mut slow = TcpStream::connect(addr).expect("connect to exporter");
+    write!(slow, "GET /graph.dot HTTP/1.1\r\nHost: localhost\r\n\r\n").expect("write request");
+    slow.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let (started, reading) = std::sync::mpsc::channel();
+    let reader = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut buf = vec![0u8; 16 << 10];
+            let mut taken = 0;
+            // Relaxed: the flag only ends the loop; nothing is read after it.
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                match slow.read(&mut buf) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => taken += n,
+                }
+                let _ = started.send(());
+                std::thread::sleep(Duration::from_millis(300));
+            }
+            taken
+        })
+    };
+    reading
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the response never started");
+    let t0 = Instant::now();
+    let healthz = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).expect("connect to exporter");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        write!(stream, "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n").expect("write");
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).map(|_| raw)
+    });
+    let reply = healthz.join().expect("healthz thread");
+    let waited = t0.elapsed();
+    // Stop the slow reader before asserting, so the exporter's accept
+    // loop is free for `shutdown` on either outcome.
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    let taken = reader.join().expect("reader thread");
+    let reply = reply.expect("no /healthz reply within 5 s behind a slow reader");
+    assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "got: {reply}");
+    assert!(waited < Duration::from_secs(5), "waited {waited:?}");
+    assert!(taken < 32 << 20, "the slow reader took the whole body");
+    server.shutdown();
+}
+
 /// Polls `path` until `want` comes back or the deadline passes.
 fn poll_for_status(addr: SocketAddr, path: &str, want: u16, deadline: Duration) -> bool {
     let t0 = Instant::now();

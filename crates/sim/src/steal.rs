@@ -66,15 +66,18 @@ pub fn task_depth(task: u64) -> u64 {
     task >> DEPTH_SHIFT
 }
 
+/// Tallies a handler keeps through [`SpawnScope::credit`].
+pub const TALLIES: usize = 2;
+
 /// Counters from one [`StealRuntime::run`] pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StealStats {
     /// Tasks executed (every spawned task exactly once).
     pub executed: u64,
     /// Work the handlers did in place of spawning, as they credited it
-    /// through [`SpawnScope::credit`]; the runtime adds it up per worker
-    /// and gives it no other meaning.
-    pub credited: u64,
+    /// through [`SpawnScope::credit`], one sum per tally; the runtime adds
+    /// it up per worker and gives it no other meaning.
+    pub credited: [u64; TALLIES],
     /// Cross-PE envelopes sent through the mailbox grid (counted at the
     /// send decision, whether or not the task was briefly staged).
     pub envelopes: u64,
@@ -100,7 +103,7 @@ pub struct SpawnScope<'w> {
     me: PeId,
     num_pes: usize,
     out: &'w mut Vec<(PeId, u64)>,
-    credited: &'w mut u64,
+    credited: &'w mut [u64; TALLIES],
 }
 
 impl SpawnScope<'_> {
@@ -119,11 +122,17 @@ impl SpawnScope<'_> {
         self.out.push((dst, task));
     }
 
-    /// Credits `n` units of work this task did in place instead of
-    /// spawning them. A plain add to the executing worker's own counter,
-    /// summed into [`StealStats::credited`] when the pass ends.
-    pub fn credit(&mut self, n: u64) {
-        *self.credited += n;
+    /// Credits `n[i]` units of work of tally `i` that this task did in
+    /// place instead of spawning them. Plain adds to the executing
+    /// worker's own counters, summed into [`StealStats::credited`] when
+    /// the pass ends.
+    // Called per task on the marking hot path, from another crate: left
+    // to itself, rustc keeps this loop out of line there.
+    #[inline]
+    pub fn credit(&mut self, n: [u64; TALLIES]) {
+        for (t, n) in self.credited.iter_mut().zip(n) {
+            *t += n;
+        }
     }
 }
 
@@ -224,7 +233,7 @@ struct Worker {
     /// xorshift64* state for victim selection (seeded per PE, no clock).
     rng: u64,
     executed: u64,
-    credited: u64,
+    credited: [u64; TALLIES],
     envelopes: u64,
     steals: u64,
     steal_fails: u64,
@@ -409,7 +418,7 @@ impl StealRuntime {
                         batch: Vec::new(),
                         rng: 0x9E37_79B9_7F4A_7C15 ^ ((me as u64 + 1) << 17),
                         executed: 0,
-                        credited: 0,
+                        credited: [0; TALLIES],
                         envelopes: 0,
                         steals: 0,
                         steal_fails: 0,
@@ -430,7 +439,9 @@ impl StealRuntime {
                     shard.observe(HistId::DequeDepthPeak, w.deque_high);
                     let mut t = totals.lock().expect("pass totals poisoned");
                     t.executed += w.executed;
-                    t.credited += w.credited;
+                    for (t, w) in t.credited.iter_mut().zip(w.credited) {
+                        *t += w;
+                    }
                     t.envelopes += w.envelopes;
                     t.steals += w.steals;
                     t.steal_fails += w.steal_fails;
@@ -779,11 +790,12 @@ mod tests {
 
     #[test]
     fn credits_add_up_across_workers() {
-        // Leaves credit one unit each instead of running two more tasks.
+        // Leaves credit one unit each instead of running two more tasks,
+        // and three units of the second tally.
         for pes in [1u16, 2, 4] {
             let stats = StealRuntime::new(pes).run(vec![(PeId::new(0), 8u64)], |scope, n| {
                 if n == 0 {
-                    scope.credit(1);
+                    scope.credit([1, 3]);
                     return;
                 }
                 for t in 0..2u16 {
@@ -792,7 +804,7 @@ mod tests {
                 }
             });
             assert_eq!(stats.executed, (1 << 9) - 1, "{pes} PEs");
-            assert_eq!(stats.credited, 1 << 8, "{pes} PEs");
+            assert_eq!(stats.credited, [1 << 8, 3 << 8], "{pes} PEs");
         }
     }
 

@@ -41,9 +41,10 @@ pub enum CounterId {
     /// Messages handled by the threaded runtime (any kind).
     Tasks,
     /// Marking-lane deliveries (mark + return tasks). A threaded pass,
-    /// whose returns run in place where their marks end, adds 2 per task
-    /// and 2 per duplicate visit settled at the spawn site — a mark and
-    /// its return each — so its counters sum to its `messages`.
+    /// whose returns run in place where their marks end, adds 2 per task,
+    /// per duplicate visit settled at the spawn site and per leaf marked
+    /// there — a mark and its return each — so its counters sum to its
+    /// `messages`.
     MarkEvents,
     /// Reduction-lane deliveries.
     RedEvents,
