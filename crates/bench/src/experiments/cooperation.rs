@@ -12,8 +12,8 @@
 //! mark another parent owes its child is still in flight — the case
 //! trees cannot reach (DESIGN §9 note 11).
 
+use crate::{record, Report};
 use dgr_baseline::noncoop::mark_under_mutation;
-use dgr_bench::{record, Report};
 use dgr_graph::GraphStore;
 use dgr_workloads::graphs::{binary_tree, rooted_digraph};
 
@@ -57,11 +57,10 @@ fn family(report: &mut Report, title: &str, build: impl Fn(u64) -> GraphStore) {
     );
 }
 
-fn main() {
-    let mut report = Report::new("cooperation", &[], &[]);
-    family(&mut report, "binary tree d=9", |_| binary_tree(9));
+pub(crate) fn run(report: &mut Report) {
+    family(report, "binary tree d=9", |_| binary_tree(9));
     family(
-        &mut report,
+        report,
         "random digraph n=2000 deg 3 + 16 root arcs",
         |seed| rooted_digraph(2000, 3.0, seed),
     );
@@ -69,5 +68,4 @@ fn main() {
         "\nShape check: cooperation ON loses 0 at every rate; cooperation OFF \
          loses vertices increasingly often as the mutation rate rises."
     );
-    report.finish();
 }

@@ -1,14 +1,13 @@
 //! Experiment T4: space overhead of the marking machinery (the Section 6
 //! remark).
 
-use dgr_bench::{record, Report};
+use crate::{record, Report};
 use dgr_core::driver::{run_mark1, MarkRunConfig};
 use dgr_core::footprint;
 use dgr_graph::{PartitionMap, Slot};
 use dgr_workloads::graphs::random_digraph;
 
-fn main() {
-    let mut report = Report::new("footprint", &[], &[]);
+pub(crate) fn run(report: &mut Report) {
     let f = footprint::measure();
     report.table(
         "T4: marking-state footprint (bytes; a slot is color, mt-cnt, mt-par, \
@@ -78,5 +77,4 @@ fn main() {
          one acknowledgement per cross-PE mark; the paper deems the full \
          per-vertex form acceptable when object granularity is large."
     );
-    report.finish();
 }

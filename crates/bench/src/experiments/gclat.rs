@@ -26,15 +26,15 @@
 //! that means a backend reclaimed vertices its census never saw.
 //!
 //! Each (backend, workload) cell carries `mean_latency_cycles` under a
-//! telemetry build, for `bench_gate --max mean_latency_cycles=N`; that
+//! telemetry build, for `dgr-report gate --max mean_latency_cycles=N`; that
 //! build also writes `BENCH_gclat_events.jsonl` (the gcdriver cell's
 //! event stream) for `dgr-trace lifecycle`. `--small` shrinks the
 //! workloads for CI's `ledger-smoke` job.
 
+use crate::{record, timed, Report};
 use dgr_baseline::noncoop::mark_under_mutation_observed;
 use dgr_baseline::refcount::replay_churn_rc_observed;
 use dgr_baseline::stw::collect_stw_observed;
-use dgr_bench::{record, timed, Report};
 use dgr_gc::{GcConfig, GcDriver};
 use dgr_graph::{GraphStore, VertexId};
 use dgr_lang::build_with_prelude;
@@ -136,63 +136,32 @@ fn run_rc(steps: usize) -> Cell {
     }
 }
 
-/// Stop-the-world over a mutating store: each cycle severs arcs and
-/// collects; the caller owns the cycle bracket so all collections
-/// share one ledger.
-fn run_stw(
+/// A collector over a mutating store, `cycles` times: each cycle first
+/// severs `sever` arcs (`rng` seeds the choice), then `collect` censuses
+/// and reclaims the resulting garbage and returns its work count. The
+/// caller owns the cycle bracket, so all collections share one ledger.
+fn run_cycles(
     name: &'static str,
     mut g: GraphStore,
     vertices: u64,
     cycles: u64,
-    sever: usize,
+    (mut rng, sever): (u64, usize),
+    mut collect: impl FnMut(&mut GraphStore, &mut LifecycleTracker, u64) -> u64,
 ) -> Cell {
     let mut lc = LifecycleTracker::new();
-    let mut rng = 0x9e3779b97f4a7c15u64;
-    let mut traced = 0u64;
+    let mut messages = 0u64;
     let (_, wall_ms) = timed(|| {
         for c in 0..cycles {
             sever_arcs(&mut g, &mut rng, sever);
             lc.begin_cycle(c);
-            let r = collect_stw_observed(&mut g, &mut lc);
+            messages += collect(&mut g, &mut lc, c);
             lc.end_cycle();
-            traced += r.traced as u64;
         }
     });
     Cell {
         name,
         vertices,
-        messages: traced,
-        wall_ms,
-        snap: lc.snapshot(),
-    }
-}
-
-/// The non-cooperating marking pass, repeated: arcs are severed between
-/// passes (a tree's internal move-mutations orphan nothing on their
-/// own), and each pass censuses and reclaims the resulting garbage.
-fn run_noncoop(
-    name: &'static str,
-    mut g: GraphStore,
-    vertices: u64,
-    cycles: u64,
-    period: u64,
-) -> Cell {
-    let mut lc = LifecycleTracker::new();
-    let mut rng = 0x2545f4914f6cdd1du64;
-    let mut mark_events = 0u64;
-    let (_, wall_ms) = timed(|| {
-        for c in 0..cycles {
-            sever_arcs(&mut g, &mut rng, 8);
-            lc.begin_cycle(c);
-            let r = mark_under_mutation_observed(&mut g, false, period, 5 + c, &mut lc);
-            lc.end_cycle();
-            mark_events += r.mark_events;
-        }
-    });
-    Cell {
-        name,
-        vertices,
-        messages: mark_events,
+        messages,
         wall_ms,
         snap: lc.snapshot(),
     }
@@ -212,17 +181,8 @@ fn hist_line(buckets: &[u64; HIST_BUCKETS]) -> String {
     }
 }
 
-fn main() {
-    let mut report = Report::new("gclat", &["--small"], &[]);
+pub(crate) fn run(report: &mut Report) {
     let small = report.has("--small");
-    if !TELEMETRY_ENABLED {
-        println!(
-            "note: built without the `telemetry` feature — the lifecycle \
-             tracker is a zero-sized no-op, so the latency/float/message \
-             columns are absent; wall times and message counts are reported"
-        );
-    }
-
     let (sum_n, churn_steps, tree_depth, digraph_n, cycles) = if small {
         (150i64, 400usize, 8usize, 2_000usize, 8u64)
     } else {
@@ -233,36 +193,52 @@ fn main() {
     if TELEMETRY_ENABLED {
         report.side_file("BENCH_gclat_events.jsonl", &gc_events);
     }
+    // Stop-the-world counts the vertices it traced. The non-cooperating
+    // pass counts its marking events; a tree's internal move-mutations
+    // orphan nothing on their own, hence the severed arcs.
+    let stw = |g: &mut GraphStore, lc: &mut LifecycleTracker, _| {
+        collect_stw_observed(g, lc).traced as u64
+    };
+    let noncoop = |g: &mut GraphStore, lc: &mut LifecycleTracker, c| {
+        mark_under_mutation_observed(g, false, 16, 5 + c, lc).mark_events
+    };
+    let (stw_rng, noncoop_rng) = (0x9e3779b97f4a7c15u64, 0x2545f4914f6cdd1du64);
+    let tree_vertices = (1u64 << (tree_depth + 1)) - 1;
+    let digraph = || random_digraph(digraph_n, 2.5, 7);
     let cells = [
         gc_cell,
         run_rc(churn_steps),
-        run_stw(
+        run_cycles(
             "stw_tree",
             binary_tree(tree_depth),
-            (1u64 << (tree_depth + 1)) - 1,
+            tree_vertices,
             cycles,
-            8,
+            (stw_rng, 8),
+            stw,
         ),
-        run_stw(
+        run_cycles(
             "stw_digraph",
-            random_digraph(digraph_n, 2.5, 7),
+            digraph(),
             digraph_n as u64,
             cycles,
-            16,
+            (stw_rng, 16),
+            stw,
         ),
-        run_noncoop(
+        run_cycles(
             "noncoop_tree",
             binary_tree(tree_depth),
-            (1u64 << (tree_depth + 1)) - 1,
+            tree_vertices,
             cycles.min(8),
-            16,
+            (noncoop_rng, 8),
+            noncoop,
         ),
-        run_noncoop(
+        run_cycles(
             "noncoop_digraph",
-            random_digraph(digraph_n, 2.5, 7),
+            digraph(),
             digraph_n as u64,
             cycles.min(8),
-            16,
+            (noncoop_rng, 8),
+            noncoop,
         ),
     ];
 
@@ -326,6 +302,4 @@ fn main() {
              dgr-trace lifecycle BENCH_gclat_events.jsonl"
         );
     }
-
-    report.finish();
 }

@@ -31,12 +31,12 @@
 //! means bytes were freed that no stamp ever covered.
 //!
 //! Each (family, bound) cell carries `peak_live_bytes` under a telemetry
-//! build, for `bench_gate --max peak_live_bytes=N`; that build also
+//! build, for `dgr-report gate --max peak_live_bytes=N`; that build also
 //! writes `BENCH_heap_events.jsonl` (the tightest `sumsq` cell's event
 //! stream) for `dgr-trace heap`. `--small` shrinks the workloads for
 //! CI's `ledger-smoke` job.
 
-use dgr_bench::{record, timed, Report};
+use crate::{record, timed, Report};
 use dgr_gc::{GcConfig, GcDriver, GcTrigger};
 use dgr_lang::build_with_prelude;
 use dgr_reduction::{RunOutcome, SystemConfig};
@@ -146,17 +146,8 @@ fn sweep_bounds(live0: u64, peak: u64) -> [u64; 4] {
     ]
 }
 
-fn main() {
-    let mut report = Report::new("heap", &["--small"], &[]);
+pub(crate) fn run(report: &mut Report) {
     let small = report.has("--small");
-    if !TELEMETRY_ENABLED {
-        println!(
-            "note: built without the `telemetry` feature — the heap tracker \
-             is a zero-sized no-op, so its waterline and exactness columns \
-             are absent; the sampled peak reads the graph clock per cycle"
-        );
-    }
-
     let (sum_n, churn_m) = if small { (120i64, 14i64) } else { (300, 30) };
     let sumsq_src = format!("sum (map (\\x -> x * x) (range 1 {sum_n}))");
     let churn_src = format!("sum (map (\\x -> sum (range 1 x)) (range 1 {churn_m}))");
@@ -286,6 +277,4 @@ fn main() {
              dgr-trace heap BENCH_heap_events.jsonl"
         );
     }
-
-    report.finish();
 }

@@ -6,13 +6,13 @@
 //! wasted work is bounded; without it, the event budget blows up (or the
 //! run never finishes).
 
-use dgr_bench::{record, JsonRecord, Report};
+use crate::{record, JsonRecord, Report};
 use dgr_gc::{GcConfig, GcDriver};
 use dgr_lang::build_with_prelude;
 use dgr_reduction::{RunOutcome, SystemConfig};
 use dgr_sim::SchedPolicy;
 
-fn run(src: &str, label: &str, expunge: bool, reclaim: bool, budget: u64) -> JsonRecord {
+fn restructured(src: &str, label: &str, expunge: bool, reclaim: bool, budget: u64) -> JsonRecord {
     let cfg = SystemConfig {
         speculation: true,
         policy: SchedPolicy::Random { marking_bias: 0.5 },
@@ -48,17 +48,16 @@ fn run(src: &str, label: &str, expunge: bool, reclaim: bool, budget: u64) -> Jso
     }
 }
 
-fn main() {
-    let mut report = Report::new("irrelevant", &[], &[]);
+pub(crate) fn run(report: &mut Report) {
     // fib under speculation: every `fib k, k<2` speculates an infinite
     // descent that the predicate then cancels — an unbounded irrelevant
     // workload unless the restructuring phase intervenes.
     let src = "fib 10";
     let budget = 2_000_000;
     let rows = vec![
-        run(src, "expunge + reclaim", true, true, budget),
-        run(src, "reclaim only", false, true, budget),
-        run(src, "neither", false, false, budget),
+        restructured(src, "expunge + reclaim", true, true, budget),
+        restructured(src, "reclaim only", false, true, budget),
+        restructured(src, "neither", false, false, budget),
     ];
     report.table(
         "T3: speculative `fib 10` under three restructuring policies \
@@ -72,5 +71,4 @@ fn main() {
          0) and more work is wasted; with neither, the speculative descent is \
          never cut and the budget is exhausted."
     );
-    report.finish();
 }

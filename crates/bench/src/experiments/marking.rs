@@ -2,15 +2,13 @@
 //! quiescent graphs — correctness against the oracle and cost/shape of
 //! the marking wave across graph sizes, degrees and schedules.
 
-use dgr_bench::{record, timed, Report};
+use crate::{record, timed, Report};
 use dgr_core::driver::{run_mark1, MarkRunConfig};
 use dgr_graph::{oracle, Slot};
 use dgr_sim::SchedPolicy;
 use dgr_workloads::graphs::{binary_tree, chain, random_digraph};
 
-fn main() {
-    let mut report = Report::new("marking", &[], &[]);
-
+pub(crate) fn run(report: &mut Report) {
     // Size sweep on random digraphs.
     let mut rows = Vec::new();
     for &n in &[1_000usize, 10_000, 100_000] {
@@ -90,6 +88,4 @@ fn main() {
         "mark set must be schedule-independent"
     );
     report.table("F4-1c: schedule independence (|V|=20k, degree 3)", rows);
-
-    report.finish();
 }

@@ -15,10 +15,10 @@
 //! run must end with both a smaller heap capacity and fewer live bytes
 //! than the uncollected run.
 
-use dgr_bench::{record, timed, Report};
+use crate::{record, timed, Report};
 use dgr_gc::{GcConfig, GcDriver};
 use dgr_lang::build_with_prelude;
-use dgr_reduction::SystemConfig;
+use dgr_reduction::{System, SystemConfig};
 use dgr_telemetry::TELEMETRY_ENABLED;
 
 const SRC: &str = "sum (map (\\x -> x * x) (range 1 200))";
@@ -27,9 +27,12 @@ const SAMPLE_EVERY: u64 = 2_000;
 /// One sampled point: `(events, live vertices, capacity, live bytes)`.
 type Sample = (u64, usize, usize, u64);
 
-fn main() {
-    let mut report = Report::new("memory", &[], &[]);
+fn sample(sys: &System) -> Sample {
+    let g = &sys.graph;
+    (sys.events(), g.live_count(), g.capacity(), g.live_bytes())
+}
 
+pub(crate) fn run(report: &mut Report) {
     // With GC.
     let sys = build_with_prelude(SRC, SystemConfig::default()).unwrap();
     let mut gc = GcDriver::new(
@@ -48,21 +51,11 @@ fn main() {
         gc.run_more_with(|gc| {
             gc_peak = gc_peak.max(gc.sys.graph.live_bytes());
             if gc.sys.events() / SAMPLE_EVERY > gc_samples.len() as u64 {
-                gc_samples.push((
-                    gc.sys.events(),
-                    gc.sys.graph.live_count(),
-                    gc.sys.graph.capacity(),
-                    gc.sys.graph.live_bytes(),
-                ));
+                gc_samples.push(sample(&gc.sys));
             }
         })
     });
-    let gc_final: Sample = (
-        gc.sys.events(),
-        gc.sys.graph.live_count(),
-        gc.sys.graph.capacity(),
-        gc.sys.graph.live_bytes(),
-    );
+    let gc_final = sample(&gc.sys);
     let snap = gc.sys.heap_snapshot();
 
     // Without GC.
@@ -72,21 +65,11 @@ fn main() {
         plain.demand_root();
         while plain.result.is_none() && plain.step() {
             if plain.events().is_multiple_of(SAMPLE_EVERY) {
-                plain_samples.push((
-                    plain.events(),
-                    plain.graph.live_count(),
-                    plain.graph.capacity(),
-                    plain.graph.live_bytes(),
-                ));
+                plain_samples.push(sample(&plain));
             }
         }
     });
-    let plain_final: Sample = (
-        plain.events(),
-        plain.graph.live_count(),
-        plain.graph.capacity(),
-        plain.graph.live_bytes(),
-    );
+    let plain_final = sample(&plain);
 
     let rows = gc_samples
         .iter()
@@ -148,6 +131,4 @@ fn main() {
          bounded near the working set; without it both grow monotonically with \
          total allocation — memory equal to the entire history of the program."
     );
-
-    report.finish();
 }

@@ -12,7 +12,7 @@
 //! * Paper's order (`M_T` then `M_R`): the fresh R marks already exclude
 //!   the dereferenced region, so nothing is misreported.
 
-use dgr_bench::{record, Report};
+use crate::{record, Report};
 use dgr_core::driver::{run_mark2, run_mark3, MarkRunConfig};
 use dgr_gc::deadlocked_vertices;
 use dgr_graph::{oracle, GraphStore, NodeLabel, PrimOp, RequestKind, VertexId};
@@ -58,8 +58,7 @@ fn deref_region(g: &mut GraphStore, root: VertexId, region: &[VertexId]) {
     g.remove_requester(region[0], dgr_graph::Requester::Vertex(root));
 }
 
-fn main() {
-    let mut report = Report::new("ordering", &[], &[]);
+pub(crate) fn run(report: &mut Report) {
     const RUNS: u64 = 25;
     let cfg = MarkRunConfig::default();
     let mut rows = Vec::new();
@@ -110,5 +109,4 @@ fn main() {
          (stale `R_v` ∩ fresh `¬T`); the paper's order reports none — \
          exactly the asymmetry Theorem 2's proof part (b) isolates."
     );
-    report.finish();
 }

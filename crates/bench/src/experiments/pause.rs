@@ -6,14 +6,13 @@
 //! interleaves reduction tasks throughout (the overlap column), so the
 //! mutator never observes a pause longer than one task execution.
 
+use crate::{record, Report};
 use dgr_baseline::stw::collect_stw;
-use dgr_bench::{record, Report};
 use dgr_gc::{GcConfig, GcDriver};
 use dgr_lang::build_with_prelude;
 use dgr_reduction::SystemConfig;
 
-fn main() {
-    let mut report = Report::new("pause", &[], &[]);
+pub(crate) fn run(report: &mut Report) {
     let mut rows = Vec::new();
     for &n in &[50u64, 150, 400, 1000] {
         // The same program twice: once under the concurrent collector,
@@ -82,5 +81,4 @@ fn main() {
          zero by definition. The occasional M_T pass is the one synchronous \
          piece (Section 6 runs it rarely for exactly that reason)."
     );
-    report.finish();
 }

@@ -10,7 +10,7 @@
 //! becomes vital; the following GC cycles re-mark it, re-lane its pending
 //! tasks, and refresh the vertices' demand priority.
 
-use dgr_bench::{record, Report};
+use crate::{record, Report};
 use dgr_core::driver::{run_mark1, run_mark2, MarkRunConfig};
 use dgr_gc::{GcConfig, GcDriver};
 use dgr_graph::{oracle, GraphStore, NodeLabel, RequestKind, Slot};
@@ -35,24 +35,17 @@ fn ladder(n: usize) -> GraphStore {
     }
     let mut prev = root;
     for &r in &rungs {
-        if prev == root {
-            g.connect(prev, r);
-            let idx = g.vertex(prev).args().len() - 1;
-            g.vertex_mut(prev)
-                .set_request_kind(idx, Some(RequestKind::Vital));
-        } else {
-            g.connect(prev, r);
-            g.vertex_mut(prev)
-                .set_request_kind(0, Some(RequestKind::Vital));
-        }
+        g.connect(prev, r);
+        let idx = g.vertex(prev).args().len() - 1;
+        g.vertex_mut(prev)
+            .set_request_kind(idx, Some(RequestKind::Vital));
         prev = r;
     }
     g.set_root(root);
     g
 }
 
-fn main() {
-    let mut report = Report::new("priority", &[], &[]);
+pub(crate) fn run(report: &mut Report) {
     // Part A: re-marking overhead.
     let mut rows = Vec::new();
     for &n in &[64usize, 256, 1024] {
@@ -131,5 +124,4 @@ fn main() {
          the adversarial schedule and stays near 1 otherwise; shorter GC \
          periods re-lane upgraded work sooner, finishing in fewer events."
     );
-    report.finish();
 }

@@ -7,8 +7,8 @@
 //! ones and leaks the rest, at a cost of one count message per reference
 //! operation.
 
+use crate::{record, Report};
 use dgr_baseline::refcount::replay_churn_rc;
-use dgr_bench::{record, Report};
 use dgr_core::{MarkMsg, MarkState};
 use dgr_gc::{GcConfig, GcDriver};
 use dgr_reduction::{System, SystemConfig, TemplateStore};
@@ -27,8 +27,7 @@ fn marking_reclaim(trace: &[dgr_workloads::churn::ChurnOp]) -> (usize, u64) {
     (report.reclaimed, report.mark_events)
 }
 
-fn main() {
-    let mut report = Report::new("rc_vs_marking", &[], &[]);
+pub(crate) fn run(report: &mut Report) {
     let mut rows = Vec::new();
     for &cyclic in &[0.0f64, 0.1, 0.25, 0.5, 0.75, 1.0] {
         let trace = churn_trace(1_000, 6, cyclic, 0.6, 99);
@@ -61,5 +60,4 @@ fn main() {
          The paper's second deficiency — RC cannot classify tasks or detect \
          deadlock — holds by construction: counts carry no reachability."
     );
-    report.finish();
 }

@@ -16,7 +16,7 @@
 //! `--small` runs a reduced T5c only (one tree + the digraph, PEs
 //! 1/2/4/16) for the CI scalability smoke job.
 
-use dgr_bench::{record, timed, Report};
+use crate::{record, timed, Report};
 use dgr_core::driver::{run_mark1, MarkRunConfig};
 use dgr_core::threaded::{reset_shared_r, run_mark1_shared};
 use dgr_graph::PartitionStrategy;
@@ -108,8 +108,7 @@ fn assert_monotone_ish(
     );
 }
 
-fn main() {
-    let mut report = Report::new("scalability", &["--small"], &[]);
+pub(crate) fn run(report: &mut Report) {
     let small = report.has("--small");
 
     if !small {
@@ -162,7 +161,7 @@ fn main() {
     // `settled` counts the duplicate visits claim winners settled in
     // place of two tasks: it varies with the schedule and is not gated.
     // `leaves` counts the leaves they marked in place: one per reachable
-    // leaf below the root on every schedule, printed, not gated.
+    // leaf below the root on every schedule, and gated.
     // Each entry: (name, vertices, graph, (floor, gate, decay)) — see
     // `assert_monotone_ish`. The trees' decay leaves room for what a
     // 16-PE pass costs before any task runs (1.3 ms on the 2-vCPU
@@ -276,6 +275,4 @@ fn main() {
              magnitude fewer cross-PE messages than hashed placement."
         );
     }
-
-    report.finish();
 }

@@ -28,7 +28,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dgr_bench::{record, Report};
+use crate::{record, Report};
 use dgr_core::threaded::{reset_shared_r, run_mark1_shared_observed};
 use dgr_gc::{GcConfig, GcDriver, GcStats};
 use dgr_graph::{dot, PartitionStrategy};
@@ -77,25 +77,13 @@ fn quantile_us(sorted: &[u64], q: f64) -> u64 {
     sorted[idx]
 }
 
-fn main() {
-    let mut report = Report::new(
-        "soak",
-        &["--small", "--inject-stall"],
-        &["--seconds", "--addr"],
-    );
+pub(crate) fn run(report: &mut Report) {
     let small = report.has("--small");
     let inject_stall = report.has("--inject-stall");
     let seconds: u64 = report
         .value_as("--seconds")
         .unwrap_or(if small { 5 } else { 20 });
     let addr = report.value("--addr").unwrap_or("127.0.0.1:0").to_string();
-
-    if !TELEMETRY_ENABLED {
-        println!(
-            "note: built without the `telemetry` feature — the exporter serves \
-             empty metrics and the heartbeat never beats (watchdog stays idle)"
-        );
-    }
 
     let hub = Arc::new(ObserveHub::new());
     let server = Server::bind(addr.as_str(), Arc::clone(&hub)).expect("exporter binds");
@@ -270,7 +258,6 @@ fn main() {
         }
     }
 
-    report.finish();
     server.shutdown();
     dog.join().expect("watchdog joins");
 }

@@ -7,15 +7,14 @@
 //! along the needed spine. After each cycle the Figure 3-3 relationships
 //! are checked against the sequential oracle.
 
-use dgr_bench::{record, Report};
+use crate::{record, Report};
 use dgr_gc::{classify_pending_tasks, GcConfig, GcDriver};
 use dgr_graph::oracle;
 use dgr_lang::build_with_prelude;
 use dgr_reduction::SystemConfig;
 use dgr_sim::SchedPolicy;
 
-fn main() {
-    let mut report = Report::new("taxonomy", &[], &[]);
+pub(crate) fn run(report: &mut Report) {
     let src = "
         let rec spin = \\n -> if n == 0 then 0 else spin (n - 1) + nfib 5
         in (if nfib 9 > 0 then 1 + nfib 7 else spin 500)
@@ -94,5 +93,4 @@ fn main() {
          irrelevant and are expunged, vital tasks carry the spine, and the \
          Figure 3-3 set relationships hold at every cycle."
     );
-    report.finish();
 }

@@ -13,7 +13,7 @@
 //! counters (task deliveries, batches, parks, local/remote sends) and the
 //! batch-size histogram. Pass `--small` for a CI-sized workload.
 
-use dgr_bench::{record, Report};
+use crate::{record, Report};
 use dgr_core::threaded::{reset_shared_r, run_mark1_shared_observed};
 use dgr_gc::{GcConfig, GcDriver};
 use dgr_graph::PartitionStrategy;
@@ -26,8 +26,7 @@ use dgr_telemetry::{
 };
 use dgr_workloads::graphs::binary_tree_dfs;
 
-fn main() {
-    let mut report = Report::new("telemetry", &["--small"], &[]);
+pub(crate) fn run(report: &mut Report) {
     let small = report.has("--small");
     if !TELEMETRY_ENABLED {
         println!(
@@ -148,6 +147,4 @@ fn main() {
     if !rows.is_empty() {
         report.table("outbox batch sizes", rows);
     }
-
-    report.finish();
 }

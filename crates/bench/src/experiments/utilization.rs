@@ -24,7 +24,7 @@
 //! `dgr-trace blame` reads back. `--small` shrinks the workloads for
 //! CI's `ledger-smoke` job.
 
-use dgr_bench::{record, timed, Report};
+use crate::{record, timed, Report};
 use dgr_core::driver::{run_mark1, MarkRunConfig};
 use dgr_core::threaded::{reset_shared_r, run_mark1_shared_observed, ThreadedMarkStats};
 use dgr_graph::{GraphStore, PartitionStrategy};
@@ -65,16 +65,8 @@ fn measure(shared: &SharedGraph, pes: u16) -> Cell {
     best.expect("REPS >= 1")
 }
 
-fn main() {
-    let mut report = Report::new("utilization", &["--small"], &[]);
+pub(crate) fn run(report: &mut Report) {
     let small = report.has("--small");
-    if !TELEMETRY_ENABLED {
-        println!(
-            "note: built without the `telemetry` feature — state clocks are \
-             zero-sized no-ops, so utilization and blame are absent; wall \
-             times and message counts are reported"
-        );
-    }
 
     // (name, vertices, store) — the scalability families, headline cells
     // tree_d16 @ 16 PEs and digraph_1m @ 4 PEs in full mode.
@@ -176,6 +168,4 @@ fn main() {
             rows,
         );
     }
-
-    report.finish();
 }

@@ -1,20 +1,25 @@
-//! The CI gate over `BENCH_*.json` (the `bench_gate` binary).
+//! The CI gate over `BENCH_*.json` (`dgr-report gate`).
 //!
 //! ```text
-//! bench_gate <baseline.json> <fresh.json> [--max FIELD=N]...
-//! bench_gate <fresh.json> --max FIELD=N [--max FIELD=N]...
+//! dgr-report gate <baseline.json> <fresh.json> [--max FIELD=N]...
+//! dgr-report gate <fresh.json> --max FIELD=N [--max FIELD=N]...
 //! ```
 //!
-//! A gated record is a line that carries `benchmark`, `messages` and
-//! `wall_us`; it is keyed by `(benchmark, vertices, pes)`, and its family
-//! is that key without the PE count.
+//! Every line of such a file that is not an array bracket is a record,
+//! one flat object ([`dgr_trace::read_object`]). A record's family is
+//! `benchmark/v<vertices>`: the records of one family differ only in PE
+//! count.
 //!
-//! With two files, every baseline record must be present in the fresh
-//! file with the same message count — counts are deterministic (fixed
-//! seeds, fixed schedules), so any difference is a behaviour change.
-//! `wall_us` is printed beside its baseline and never gated: a shared
-//! runner's clock cannot tell a regression from a noisy neighbour
-//! (`benchmark/` gates timings on paired runs).
+//! With two files, the fresh records must match the baseline's one for
+//! one, in order, and each pair must agree exactly on every integer and
+//! string column, keys and key order included: the counts come from fixed
+//! seeds and deterministic schedules, so any difference is a behaviour
+//! change. Floats (wall times, ratios) are not compared, nor are the
+//! columns the experiment declares volatile
+//! ([`Experiment::volatile`](crate::Experiment::volatile)). `wall_us` is
+//! printed beside its baseline and never gated: a shared runner's clock
+//! cannot tell a regression from a noisy neighbour (`benchmark/` gates
+//! timings on paired runs).
 //!
 //! Each `--max FIELD=N` is a ceiling: among the records that carry
 //! FIELD, the worst cell of each family must read at most N, and at
@@ -24,63 +29,66 @@
 //! graph's byte clock) this way — simulator clocks that repeat exactly
 //! on any host.
 
-/// One gated record of a `BENCH_*.json` file.
+use dgr_trace::{field, read_object, JsonValue};
+
+/// One record of a `BENCH_*.json` file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Record {
-    /// `benchmark/v<vertices>/pe<pes>`: what a baseline and a fresh
-    /// record are matched by.
-    key: String,
-    /// The key without its PE count: records in one family differ only
-    /// in PE count.
+    /// `benchmark/v<vertices>`.
     family: String,
     pes: u64,
-    messages: u64,
-    /// Printed beside its baseline, never gated.
-    wall_us: f64,
-    line: String,
+    fields: Vec<(String, JsonValue)>,
 }
 
 impl Record {
     /// The number in field `name`, if the record carries one.
     fn number(&self, name: &str) -> Option<f64> {
-        field(&self.line, name)?.parse().ok()
+        field(&self.fields, name)?.number()
+    }
+
+    /// The columns [`diff`] compares, as `key=value`: integers and
+    /// strings, less the `volatile` ones.
+    fn gated(&self, volatile: &[&str]) -> Vec<String> {
+        (self.fields.iter())
+            .filter(|(k, v)| !matches!(v, JsonValue::Float(_)) && !volatile.contains(&k.as_str()))
+            .map(|(k, v)| format!("{k}={}", v.json()))
+            .collect()
+    }
+
+    /// How the gate names the record: its family and PE count, or its
+    /// first column when it has no `benchmark`.
+    fn label(&self) -> String {
+        match (field(&self.fields, "benchmark"), self.fields.first()) {
+            (Some(_), _) => format!("{}/pe{}", self.family, self.pes),
+            (None, first) => first.map_or(String::new(), |(k, v)| format!("{k}={}", v.json())),
+        }
     }
 }
 
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let at = line.find(&needle)? + needle.len();
-    let rest = line[at..].trim_start();
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
-/// The gated records of a `BENCH_*.json` text; lines that are not one
-/// are skipped.
+/// The records of a `BENCH_*.json` text.
 ///
 /// # Errors
 ///
-/// Fails if the text holds no gated record.
+/// Fails on a line that is neither an array bracket nor a flat object,
+/// and if the text holds no record.
 pub fn parse(text: &str) -> Result<Vec<Record>, String> {
     let mut out = Vec::new();
-    for raw in text.lines() {
-        let line = raw.trim().trim_end_matches(',');
-        let (Some(bench), Some(messages), Some(wall_us)) = (
-            field(line, "benchmark").filter(|_| line.starts_with('{')),
-            field(line, "messages").and_then(|v| v.parse().ok()),
-            field(line, "wall_us").and_then(|v| v.parse().ok()),
-        ) else {
+    for (n, line) in text.lines().enumerate() {
+        if matches!(line.trim(), "" | "[" | "]") {
             continue;
+        }
+        let fields = read_object(line).ok_or(format!("line {}: not a flat object", n + 1))?;
+        let text = |key| match field(&fields, key) {
+            Some(JsonValue::Str(s)) => s.clone(),
+            Some(v) => v.json(),
+            None => "?".to_string(),
         };
-        let vertices = field(line, "vertices").unwrap_or("?");
-        let pes = field(line, "pes").and_then(|v| v.parse().ok()).unwrap_or(0);
         out.push(Record {
-            key: format!("{bench}/v{vertices}/pe{pes}"),
-            family: format!("{bench}/v{vertices}"),
-            pes,
-            messages,
-            wall_us,
-            line: line.to_string(),
+            family: format!("{}/v{}", text("benchmark"), text("vertices")),
+            pes: field(&fields, "pes")
+                .and_then(JsonValue::number)
+                .unwrap_or(0.0) as u64,
+            fields,
         });
     }
     if out.is_empty() {
@@ -115,47 +123,40 @@ impl Verdict {
     }
 }
 
-/// Every baseline record must be in `fresh` with the same message count.
-pub fn diff(baseline: &[Record], fresh: &[Record]) -> Verdict {
+/// The fresh records must match the baseline's one for one, in order, on
+/// every column but floats and `volatile` ones.
+pub fn diff(baseline: &[Record], fresh: &[Record], volatile: &[&str]) -> Verdict {
     let mut v = Verdict::default();
-    v.say(format!(
-        "{:<44} {:>12} {:>12} {:>8}  status",
-        "benchmark", "base us", "fresh us", "delta"
-    ));
-    for base in baseline {
-        let Some(new) = fresh.iter().find(|r| r.key == base.key) else {
-            v.fail(format!(
-                "{:<44} {:>12} {:>12} {:>8}  MISSING",
-                base.key, base.wall_us, "-", "-"
-            ));
-            continue;
+    let mut rows = Vec::new();
+    for i in 0..baseline.len().max(fresh.len()) {
+        let (base, new) = (baseline.get(i), fresh.get(i));
+        let status = match (base, new) {
+            (Some(base), Some(new)) => {
+                let (want, got) = (base.gated(volatile), new.gated(volatile));
+                let show = |col: Option<&String>| col.map_or("-", String::as_str).to_string();
+                match (0..want.len().max(got.len())).find(|&c| want.get(c) != got.get(c)) {
+                    None => "ok".to_string(),
+                    Some(c) => format!("{} != {}", show(got.get(c)), show(want.get(c))),
+                }
+            }
+            (Some(_), None) => "MISSING".to_string(),
+            _ => "EXTRA".to_string(),
         };
-        let delta_pct = if base.wall_us > 0.0 {
-            (new.wall_us - base.wall_us) / base.wall_us * 100.0
-        } else {
-            0.0
-        };
-        let line = format!(
-            "{:<44} {:>12.1} {:>12.1} {:>+7.1}%",
-            base.key, base.wall_us, new.wall_us, delta_pct
-        );
-        if new.messages == base.messages {
-            v.say(format!("{line}  ok"));
-        } else {
-            v.fail(format!(
-                "{line}  COUNT {} != {}",
-                new.messages, base.messages
-            ));
+        v.failures += u32::from(status != "ok");
+        let mut row =
+            crate::record! { "record" => base.or(new).map_or(String::new(), Record::label) };
+        let wall = |r: Option<&Record>| r.and_then(|r| r.number("wall_us"));
+        if let (Some(b), Some(f)) = (wall(base), wall(new)) {
+            let delta = if b > 0.0 { (f - b) / b * 100.0 } else { 0.0 };
+            row.extend(crate::record! { "base_us" => b, "fresh_us" => f, "delta_pct" => delta });
         }
+        row.push(("status", status.into()));
+        rows.push(row);
     }
-    for new in fresh {
-        if !baseline.iter().any(|r| r.key == new.key) {
-            v.say(format!(
-                "{:<44} {:>12} {:>12.1} {:>8}  NEW (not gated)",
-                new.key, "-", new.wall_us, "-"
-            ));
-        }
-    }
+    v.text = crate::table_text(
+        "every integer and string column but the volatile ones",
+        &rows,
+    );
     v
 }
 
@@ -211,26 +212,19 @@ pub fn ceiling(fresh: &[Record], c: &Ceiling) -> Verdict {
         ));
         return v;
     }
-    v.say(format!(
-        "\n{} ceiling: worst cell per family <= {}",
-        c.field, c.max
-    ));
-    v.say(format!(
-        "{:<36} {:>8} {:>14}  status",
-        "family", "pes", "worst"
-    ));
-    for (r, x) in worst {
-        let line = format!("{:<36} {:>8} {x:>14.2}", r.family, r.pes);
-        if x > c.max {
-            v.fail(format!("{line}  TOO HIGH"));
-        } else {
-            v.say(format!("{line}  ok"));
-        }
-    }
+    let rows: Vec<_> = (worst.into_iter())
+        .map(|(r, x)| {
+            v.failures += u32::from(x > c.max);
+            let status = if x > c.max { "TOO HIGH" } else { "ok" };
+            crate::record! { "family" => r.family.as_str(), "pes" => r.pes, "worst" => x, "status" => status }
+        })
+        .collect();
+    let title = format!("{} ceiling: worst cell per family <= {}", c.field, c.max);
+    v.text = crate::table_text(&title, &rows);
     v
 }
 
-/// The `bench_gate` command line.
+/// The `dgr-report gate` command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Args {
     /// `[baseline, fresh]` or `[fresh]`.
@@ -238,7 +232,7 @@ pub struct Args {
     ceilings: Vec<Ceiling>,
 }
 
-/// Parses the `bench_gate` arguments (program name excluded).
+/// Parses the `dgr-report gate` arguments (`gate` excluded).
 ///
 /// # Errors
 ///
@@ -264,11 +258,13 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String
     }
 }
 
-/// Runs every gate `args` asks for. The last file is the fresh one.
+/// Runs every gate `args` asks for. The last file is the fresh one; a
+/// baseline's file name, `BENCH_<name>.json`, names the experiment whose
+/// volatile columns are not compared.
 ///
 /// # Errors
 ///
-/// Fails if a file cannot be read or holds no gated record.
+/// Fails if a file cannot be read or holds no record.
 pub fn run(args: &Args) -> Result<Verdict, String> {
     let read = |path: &String| {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -282,7 +278,11 @@ pub fn run(args: &Args) -> Result<Verdict, String> {
             "bench gate: {} vs baseline {}",
             args.files[1], args.files[0]
         ));
-        v.absorb(diff(baseline, fresh));
+        let volatile = (args.files[0].rsplit(['/', '\\']).next())
+            .and_then(|f| f.strip_prefix("BENCH_")?.strip_suffix(".json"))
+            .and_then(crate::Experiment::find)
+            .map_or(&[][..], |e| e.volatile);
+        v.absorb(diff(baseline, fresh, volatile));
     }
     for c in &args.ceilings {
         v.absorb(ceiling(fresh, c));
@@ -307,40 +307,99 @@ mod tests {
     #[test]
     fn parse_keys_records_and_skips_the_rest() {
         let r = records(&[BASE[0], r#"  {"policy": "fifo", "messages": 3}"#, BASE[2]]);
-        assert_eq!(r.len(), 2);
-        assert_eq!(
-            (r[0].key.as_str(), r[0].family.as_str()),
-            ("tree/v7/pe1", "tree/v7")
-        );
-        assert_eq!((r[1].messages, r[1].wall_us), (16, 4.0));
+        assert_eq!(r.len(), 3);
+        assert_eq!((r[0].family.as_str(), r[0].pes), ("tree/v7", 1));
+        assert_eq!(r[0].label(), "tree/v7/pe1");
+        assert_eq!(r[1].label(), "policy=\"fifo\"");
+        assert_eq!(r[2].number("wall_us"), Some(4.0));
         assert!(parse("[\n]\n").is_err(), "no records is an error");
+        assert!(
+            parse("[\n  {\"a\": [1]}\n]\n").is_err(),
+            "a nested value is an error"
+        );
+    }
+
+    /// `BASE` with `edit` applied to line `at`.
+    fn edited(at: usize, edit: impl Fn(&str) -> String) -> Vec<Record> {
+        let lines: Vec<String> = (BASE.iter().enumerate())
+            .map(|(i, l)| if i == at { edit(l) } else { l.to_string() })
+            .collect();
+        records(&lines.iter().map(String::as_str).collect::<Vec<_>>())
     }
 
     #[test]
     fn diff_flags_a_missing_record_and_a_count_mismatch() {
         let base = records(&BASE);
-        assert_eq!(diff(&base, &base).failures, 0);
-        let missing = diff(&base, &records(&BASE[..2]));
+        assert_eq!(diff(&base, &base, &[]).failures, 0);
+        let missing = diff(&base, &records(&BASE[..2]), &[]);
         assert_eq!(missing.failures, 1);
         assert!(missing.text.contains("chain/v9/pe1") && missing.text.contains("MISSING"));
-        let miscounted = BASE[1].replace("\"messages\": 12", "\"messages\": 13");
-        let v = diff(&base, &records(&[BASE[0], &miscounted, BASE[2]]));
+        let miscounted = edited(1, |l| l.replace("\"messages\": 12", "\"messages\": 13"));
+        let v = diff(&base, &miscounted, &[]);
         assert_eq!(v.failures, 1);
-        assert!(v.text.contains("COUNT 13 != 12"));
-        let extra = diff(&base[..1], &base);
-        assert_eq!(
-            extra.failures, 0,
-            "a record the baseline lacks is not gated"
+        assert!(v.text.contains("messages=13 != messages=12"), "{}", v.text);
+        let extra = diff(&base[..1], &base, &[]);
+        assert_eq!(extra.failures, 2, "a record the baseline lacks fails");
+        assert!(extra.text.contains("EXTRA"));
+    }
+
+    #[test]
+    fn diff_fails_a_changed_string_swapped_rows_and_changed_columns() {
+        let base = records(&BASE);
+        let v = diff(&base, &edited(2, |l| l.replace("chain", "chained")), &[]);
+        assert_eq!(v.failures, 1);
+        assert!(
+            v.text
+                .contains("benchmark=\"chained\" != benchmark=\"chain\""),
+            "{}",
+            v.text
         );
-        assert!(extra.text.contains("NEW (not gated)"));
+        let swapped = records(&[BASE[1], BASE[0], BASE[2]]);
+        assert_eq!(diff(&base, &swapped, &[]).failures, 2);
+        let renamed = diff(&base, &edited(0, |l| l.replace("messages", "events")), &[]);
+        assert_eq!(renamed.failures, 1);
+        assert!(
+            renamed.text.contains("events=12 != messages=12"),
+            "{}",
+            renamed.text
+        );
+        let dropped = edited(0, |l| l.replace(", \"messages\": 12", ""));
+        assert_eq!(diff(&base, &dropped, &[]).failures, 1);
     }
 
     #[test]
     fn diff_never_gates_wall_time() {
         let slow: Vec<String> = BASE.iter().map(|l| l.replace(".0}", "000.0}")).collect();
         let slow: Vec<&str> = slow.iter().map(String::as_str).collect();
-        let v = diff(&records(&BASE), &records(&slow));
+        let v = diff(&records(&BASE), &records(&slow), &[]);
         assert_eq!(v.failures, 0, "{}", v.text);
+    }
+
+    #[test]
+    fn diff_skips_floats_and_volatile_columns() {
+        let with = |ratio: &str, steals: u64| {
+            edited(0, |l| {
+                l.replace(
+                    '}',
+                    &format!(", \"ratio\": {ratio}, \"steals\": {steals}}}"),
+                )
+            })
+        };
+        let base = with("1.5", 3);
+        assert_eq!(diff(&base, &with("2.5", 3), &[]).failures, 0, "a float");
+        assert_eq!(diff(&base, &with("null", 3), &[]).failures, 0, "a null");
+        assert_eq!(diff(&base, &with("1.5", 4), &[]).failures, 1);
+        assert_eq!(diff(&base, &with("1.5", 4), &["steals"]).failures, 0);
+    }
+
+    #[test]
+    fn a_label_survives_json_text_and_the_reader() {
+        let label = "a, b} \"c\"\nd";
+        let text = crate::json_text(&[crate::record! { "label" => label, "messages" => 7u64 }]);
+        let r = parse(&text).expect("one record");
+        assert_eq!(r.len(), 1);
+        assert_eq!(field(&r[0].fields, "label"), Some(&JsonValue::from(label)));
+        assert_eq!(diff(&r, &r, &[]).failures, 0);
     }
 
     #[test]

@@ -1,17 +1,21 @@
 //! The evaluation harness.
 //!
-//! Each experiment in `EXPERIMENTS.md` is regenerated by one binary in
-//! `src/bin/`. Every one of them goes through a [`Report`]: it parses the
-//! strict command line, prints each table and, under `--json`, writes the
-//! same rows to `BENCH_<name>.json`. A measured cell is written once, as
-//! a [`JsonRecord`] built with [`record!`]: its keys are both the printed
-//! column headers and the JSON keys. [`gate`] is the CI gate over those
-//! files.
+//! Each experiment in `EXPERIMENTS.md` is regenerated by one entry of
+//! [`EXPERIMENTS`], run as `dgr-report <name>`. Every one of them goes
+//! through a [`Report`]: it parses the strict command line, prints each
+//! table and, under `--json`, writes the same rows to `BENCH_<name>.json`.
+//! A measured cell is written once, as a [`JsonRecord`] built with
+//! [`record!`]: its keys are both the printed column headers and the JSON
+//! keys. [`gate`] is the CI gate over those files.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod experiments;
 pub mod gate;
+
+pub use dgr_trace::JsonValue;
+pub use experiments::EXPERIMENTS;
 
 use std::time::Instant;
 
@@ -23,103 +27,36 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64() * 1e3)
 }
 
-/// The command line of a report binary, parsed strictly: every argument
-/// must be one of the switches or value flags the binary declares.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct Flags {
-    given: Vec<(String, Option<String>)>,
-}
-
-impl Flags {
-    /// Parses `args` against the `switches` (bare flags such as
-    /// `--small`, `--json`) and `valued` flags (such as `--seconds N`)
-    /// this binary accepts. Anything else — an unknown flag, a stray
-    /// positional, a value flag at the end of the line — is an error.
-    fn parse_from(
-        mut args: impl Iterator<Item = String>,
-        switches: &[&str],
-        valued: &[&str],
-    ) -> Result<Flags, String> {
-        let mut given = Vec::new();
-        while let Some(a) = args.next() {
-            if switches.contains(&a.as_str()) {
-                given.push((a, None));
-            } else if valued.contains(&a.as_str()) {
-                let v = args.next().ok_or(format!("{a} takes a value"))?;
-                given.push((a, Some(v)));
-            } else {
-                return Err(format!("unknown argument {a}"));
-            }
-        }
-        Ok(Flags { given })
-    }
-
-    fn has(&self, flag: &str) -> bool {
-        self.given.iter().any(|(f, _)| f == flag)
-    }
-
-    fn value(&self, flag: &str) -> Option<&str> {
-        let hit = self.given.iter().rfind(|(f, _)| f == flag)?;
-        hit.1.as_deref()
-    }
-}
-
-/// A scalar in a [`JsonRecord`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// An integer (vertex counts, PEs, message counts).
-    Int(u64),
-    /// A float (wall times, ratios): one decimal in JSON, two in a table.
-    Float(f64),
-    /// A string (benchmark names, labels).
-    Str(String),
-}
-
-impl JsonValue {
-    fn render(&self) -> String {
-        match self {
-            JsonValue::Int(n) => n.to_string(),
-            JsonValue::Float(x) if x.is_finite() => format!("{x:.1}"),
-            JsonValue::Float(_) => "null".to_string(),
-            JsonValue::Str(s) => format!("\"{}\"", dgr_telemetry::json_escape(s)),
+/// An experiment's command line, parsed strictly against the `switches`
+/// (bare flags such as `--small`, `--json`) and `valued` flags (such as
+/// `--seconds N`) it accepts, as `(flag, value)` pairs. Anything else — an
+/// unknown flag, a stray positional, a value flag at the end of the line —
+/// is an error.
+fn parse_flags(
+    mut args: impl Iterator<Item = String>,
+    switches: &[&str],
+    valued: &[&str],
+) -> Result<Vec<(String, Option<String>)>, String> {
+    let mut given = Vec::new();
+    while let Some(a) = args.next() {
+        if switches.contains(&a.as_str()) {
+            given.push((a, None));
+        } else if valued.contains(&a.as_str()) {
+            let v = args.next().ok_or(format!("{a} takes a value"))?;
+            given.push((a, Some(v)));
+        } else {
+            return Err(format!("unknown argument {a}"));
         }
     }
-
-    fn cell(&self) -> String {
-        match self {
-            JsonValue::Int(n) => n.to_string(),
-            JsonValue::Float(x) => format!("{x:.2}"),
-            JsonValue::Str(s) => s.clone(),
-        }
-    }
+    Ok(given)
 }
 
-macro_rules! int_from {
-    ($($t:ty),*) => {$(
-        impl From<$t> for JsonValue {
-            fn from(n: $t) -> Self {
-                JsonValue::Int(n as u64)
-            }
-        }
-    )*};
-}
-int_from!(u64, u32, u16, usize, bool);
-
-impl From<f64> for JsonValue {
-    fn from(x: f64) -> Self {
-        JsonValue::Float(x)
-    }
-}
-
-impl From<&str> for JsonValue {
-    fn from(s: &str) -> Self {
-        JsonValue::Str(s.to_string())
-    }
-}
-
-impl From<String> for JsonValue {
-    fn from(s: String) -> Self {
-        JsonValue::Str(s)
+/// How a value reads in a table: floats with two decimals.
+fn cell(value: &JsonValue) -> String {
+    match value {
+        JsonValue::Int(n) => n.to_string(),
+        JsonValue::Float(x) => format!("{x:.2}"),
+        JsonValue::Str(s) => s.clone(),
     }
 }
 
@@ -150,7 +87,7 @@ pub fn table_text(title: &str, rows: &[JsonRecord]) -> String {
     // The header is the grid's first line, so it sizes the columns too.
     let mut grid: Vec<Vec<String>> = vec![keys.iter().map(|k| k.to_string()).collect()];
     grid.extend(rows.iter().map(|row| {
-        let cell = |key| row.iter().find(|(k, _)| *k == key).map(|(_, v)| v.cell());
+        let cell = |key| row.iter().find(|(k, _)| *k == key).map(|(_, v)| cell(v));
         keys.iter()
             .map(|&k| cell(k).unwrap_or("-".into()))
             .collect()
@@ -190,7 +127,7 @@ pub fn json_text(records: &[JsonRecord]) -> String {
         .map(|rec| {
             let fields: Vec<String> = rec
                 .iter()
-                .map(|(k, v)| format!("\"{k}\": {}", v.render()))
+                .map(|(k, v)| format!("\"{k}\": {}", v.json()))
                 .collect();
             format!("  {{{}}}", fields.join(", "))
         })
@@ -202,56 +139,98 @@ pub fn json_text(records: &[JsonRecord]) -> String {
     format!("[\n{body}]\n")
 }
 
-/// One report binary's run: its command line, the rows of every table
-/// it printed, and its output files.
+/// One experiment of [`EXPERIMENTS`]: its command line, what its gate
+/// leaves out, and its body.
+#[derive(Debug)]
+pub struct Experiment {
+    /// What `dgr-report` runs it by; its output is `BENCH_<name>.json`.
+    pub name: &'static str,
+    /// The bare flags it takes besides `--json` (such as `--small`).
+    pub switches: &'static [&'static str],
+    /// The flags it takes a value with (such as `--seconds N`).
+    pub valued: &'static [&'static str],
+    /// Whether its baseline is taken, and CI gates it, in a
+    /// `--features telemetry` build: the recording is its instrument.
+    pub telemetry: bool,
+    /// The integer and string columns the gate skips: those that read the
+    /// clock or the host, or move with the threaded runtime's schedule.
+    pub volatile: &'static [&'static str],
+    /// The experiment itself: prints its tables into the report.
+    pub run: fn(&mut Report),
+}
+
+impl Experiment {
+    /// A flagless experiment, gated on every integer and string column in
+    /// a default build.
+    const fn new(name: &'static str, run: fn(&mut Report)) -> Experiment {
+        Experiment {
+            name,
+            switches: &[],
+            valued: &[],
+            telemetry: false,
+            volatile: &[],
+            run,
+        }
+    }
+
+    /// The experiment called `name`, if there is one.
+    pub fn find(name: &str) -> Option<&'static Experiment> {
+        EXPERIMENTS.iter().find(|e| e.name == name)
+    }
+
+    /// Its command line: `dgr-report <name> [flags] [--json]`.
+    pub fn usage(&self) -> String {
+        let flags: Vec<String> = (self.switches.iter().map(|s| format!(" [{s}]")))
+            .chain(self.valued.iter().map(|v| format!(" [{v} VALUE]")))
+            .collect();
+        format!("dgr-report {}{} [--json]", self.name, flags.concat())
+    }
+}
+
+/// One experiment's run: its command line, the rows of every table it
+/// printed, and its output files.
 #[derive(Debug)]
 pub struct Report {
-    name: &'static str,
-    /// The binary's name, and its usage line for a bad argument.
-    bin: String,
-    usage: String,
-    flags: Flags,
+    exp: &'static Experiment,
+    flags: Vec<(String, Option<String>)>,
     records: Vec<JsonRecord>,
 }
 
 impl Report {
-    /// Parses the command line strictly: `switches`, `valued` flags and
-    /// `--json`. Anything else prints the usage and exits with status 2.
-    /// Under `--json`, [`finish`](Report::finish) writes
-    /// `BENCH_<name>.json` into the current directory.
-    pub fn new(name: &'static str, switches: &[&str], valued: &[&str]) -> Report {
-        let switches: Vec<&str> = switches.iter().copied().chain(["--json"]).collect();
-        let mut args = std::env::args();
-        let bin = args.next().unwrap_or_default();
-        let bin = bin.rsplit(['/', '\\']).next().unwrap_or(&bin).to_string();
-        let usage: Vec<String> = (switches.iter().map(|s| format!("[{s}]")))
-            .chain(valued.iter().map(|v| format!("[{v} VALUE]")))
-            .collect();
+    /// Parses `args`, the command line after the experiment's name,
+    /// strictly: its switches, valued flags and `--json`. Anything else
+    /// prints the usage and exits with status 2. Under `--json`,
+    /// [`finish`](Report::finish) writes `BENCH_<name>.json` into the
+    /// current directory.
+    pub fn new(exp: &'static Experiment, args: impl Iterator<Item = String>) -> Report {
+        let switches: Vec<&str> = exp.switches.iter().copied().chain(["--json"]).collect();
         let mut report = Report {
-            name,
-            usage: format!("usage: {bin} {}", usage.join(" ")),
-            bin,
-            flags: Flags::default(),
+            exp,
+            flags: Vec::new(),
             records: Vec::new(),
         };
-        report.flags = Flags::parse_from(args, &switches, valued)
+        report.flags = parse_flags(args, &switches, exp.valued)
             .unwrap_or_else(|bad| report.exit_with_usage(&bad));
         report
     }
 
     fn exit_with_usage(&self, bad: &str) -> ! {
-        eprintln!("{}: {bad}\n{}", self.bin, self.usage);
+        eprintln!(
+            "dgr-report {}: {bad}\nusage: {}",
+            self.exp.name,
+            self.exp.usage()
+        );
         std::process::exit(2);
     }
 
     /// Whether `flag` was passed.
     pub fn has(&self, flag: &str) -> bool {
-        self.flags.has(flag)
+        self.flags.iter().any(|(f, _)| f == flag)
     }
 
     /// The value passed with `flag`, if it was (the last one wins).
     pub fn value(&self, flag: &str) -> Option<&str> {
-        self.flags.value(flag)
+        self.flags.iter().rfind(|(f, _)| f == flag)?.1.as_deref()
     }
 
     /// The value passed with `flag`, parsed as a `T`. A value that does
@@ -288,7 +267,7 @@ impl Report {
     /// `BENCH_<name>.json`, one record per row.
     pub fn finish(self) {
         if self.has("--json") {
-            let path = format!("BENCH_{}.json", self.name);
+            let path = format!("BENCH_{}.json", self.exp.name);
             println!();
             self.side_file(&path, &json_text(&self.records));
         }
@@ -309,17 +288,21 @@ mod tests {
     #[test]
     fn flags_accept_only_what_the_binary_declares() {
         let parse = |line: &[&str]| {
-            Flags::parse_from(
+            parse_flags(
                 line.iter().map(|s| s.to_string()),
                 &["--small", "--json"],
                 &["--seconds"],
             )
         };
-        let f = parse(&["--json", "--seconds", "5", "--seconds", "7"]).unwrap();
+        let f = Report {
+            exp: &EXPERIMENTS[0],
+            flags: parse(&["--json", "--seconds", "5", "--seconds", "7"]).unwrap(),
+            records: Vec::new(),
+        };
         assert!(f.has("--json") && !f.has("--small"));
         assert_eq!(f.value("--seconds"), Some("7"), "last one wins");
         assert_eq!(f.value("--json"), None);
-        assert_eq!(parse(&[]).unwrap(), Flags::default());
+        assert_eq!(parse(&[]).unwrap(), []);
         assert!(parse(&["--smal"]).unwrap_err().contains("--smal"));
         assert!(parse(&["extra"]).is_err(), "no positionals");
         assert!(parse(&["--seconds"]).unwrap_err().contains("takes a value"));

@@ -1,10 +1,12 @@
-//! Runs report binaries end to end, each in a fresh temporary directory
+//! Runs `dgr-report` end to end, each run in a fresh temporary directory
 //! (never in the repository, whose root holds the regenerated files).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use dgr_bench::gate;
+use dgr_bench::{gate, EXPERIMENTS};
+
+const REPORT: &str = env!("CARGO_BIN_EXE_dgr-report");
 
 /// A fresh directory for one report run, removed on drop.
 struct Scratch(PathBuf);
@@ -17,16 +19,16 @@ impl Scratch {
         Scratch(dir)
     }
 
-    /// Runs `bin` with `args` here; returns its stdout.
-    fn run(&self, bin: &str, args: &[&str]) -> String {
-        let out = Command::new(bin)
+    /// Runs `dgr-report` with `args` here; returns its stdout.
+    fn run(&self, args: &[&str]) -> String {
+        let out = Command::new(REPORT)
             .args(args)
             .current_dir(&self.0)
             .output()
             .expect("report runs");
         assert!(
             out.status.success(),
-            "{bin} {args:?} failed:\n{}",
+            "dgr-report {args:?} failed:\n{}",
             String::from_utf8_lossy(&out.stderr)
         );
         String::from_utf8(out.stdout).expect("utf-8 output")
@@ -67,25 +69,25 @@ fn printed_rows(stdout: &str) -> usize {
 #[test]
 fn marking_json_passes_the_gate_against_the_committed_baseline() {
     let dir = Scratch::new("marking");
-    let stdout = dir.run(env!("CARGO_BIN_EXE_report_marking"), &["--json"]);
+    let stdout = dir.run(&["marking", "--json"]);
     let fresh = gate::parse(&dir.read("BENCH_marking.json")).expect("gated records");
     let baseline = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines/BENCH_marking.json");
     let baseline = gate::parse(&std::fs::read_to_string(baseline).expect("baseline"))
         .expect("baseline records");
-    let verdict = gate::diff(&baseline, &fresh);
+    let verdict = gate::diff(&baseline, &fresh, &[]);
     assert_eq!(verdict.failures, 0, "{}", verdict.text);
     let records = dir.read("BENCH_marking.json").matches("\n  {").count();
     assert_eq!(records, printed_rows(&stdout), "one record per printed row");
 }
 
 /// T4b's rows, recorded from the binary that still ran the compressed
-/// protocol: its message columns are the counts `report_footprint` now
+/// protocol: its message columns are the counts `footprint` now
 /// takes from the marked graph, and each remote mark is half a full
 /// remote pair (a mark and its return).
 #[test]
 fn footprint_counts_the_compressed_messages_the_protocol_sent() {
     let dir = Scratch::new("footprint");
-    dir.run(env!("CARGO_BIN_EXE_report_footprint"), &["--json"]);
+    dir.run(&["footprint", "--json"]);
     let json = dir.read("BENCH_footprint.json");
     let rows: Vec<&str> = json
         .lines()
@@ -110,10 +112,9 @@ fn footprint_counts_the_compressed_messages_the_protocol_sent() {
 #[test]
 fn ordering_writes_one_record_per_printed_row_and_only_under_json() {
     let dir = Scratch::new("ordering");
-    let bin = env!("CARGO_BIN_EXE_report_ordering");
-    dir.run(bin, &[]);
+    dir.run(&["ordering"]);
     assert!(!dir.has("BENCH_ordering.json"), "no --json, no file");
-    let stdout = dir.run(bin, &["--json"]);
+    let stdout = dir.run(&["ordering", "--json"]);
     let json = dir.read("BENCH_ordering.json");
     let rows = printed_rows(&stdout);
     assert_eq!(rows, 2, "{stdout}");
@@ -124,21 +125,61 @@ fn ordering_writes_one_record_per_printed_row_and_only_under_json() {
     );
 }
 
+/// An unknown experiment, a flag the experiment does not declare, and a
+/// value its flag cannot parse: each prints the usage and exits 2.
 #[test]
 fn an_unparsable_value_is_usage_and_exit_2_not_a_panic() {
-    let dir = Scratch::new("soak_bad_seconds");
-    let out = Command::new(env!("CARGO_BIN_EXE_report_soak"))
-        .args(["--seconds", "x"])
-        .current_dir(&dir.0)
-        .output()
-        .expect("report runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("usage: report_soak"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+    let dir = Scratch::new("bad_command_lines");
+    let table: [(&[&str], &str); 5] = [
+        (&["soak", "--seconds", "x"], "usage: dgr-report soak"),
+        (
+            &["soak", "--json", "--minutes", "1"],
+            "usage: dgr-report soak",
+        ),
+        (&["marking", "--small"], "usage: dgr-report marking"),
+        (&["markin", "--json"], "dgr-report marking [--json]"),
+        (&[], "dgr-report gate <baseline.json>"),
+    ];
+    for (args, usage) in table {
+        let out = Command::new(REPORT)
+            .args(args)
+            .current_dir(&dir.0)
+            .output()
+            .expect("report runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(usage), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(!dir.has("BENCH_soak.json") && !dir.has("BENCH_marking.json"));
+    }
 }
 
-/// `report_scalability`'s T5a and T5b rows, computed through the library
+/// Every experiment but the time-boxed `soak` has a committed baseline,
+/// every baseline an experiment, and `list` names the experiments gated
+/// in this build's feature state.
+#[test]
+fn every_experiment_but_soak_has_a_baseline() {
+    let baselines = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines");
+    let mut files: Vec<String> = std::fs::read_dir(&baselines)
+        .expect("baselines/")
+        .map(|f| f.expect("entry").file_name().to_string_lossy().into_owned())
+        .filter(|f| f.starts_with("BENCH_"))
+        .collect();
+    files.sort();
+    let mut want: Vec<String> = (EXPERIMENTS.iter())
+        .filter(|e| e.name != "soak")
+        .map(|e| format!("BENCH_{}.json", e.name))
+        .collect();
+    want.sort();
+    assert_eq!(files, want);
+    let listed = Scratch::new("list").run(&["list"]);
+    let gated_here = (EXPERIMENTS.iter())
+        .filter(|e| e.telemetry == dgr_telemetry::TELEMETRY_ENABLED)
+        .map(|e| format!("{}\n", e.name));
+    assert_eq!(listed, gated_here.collect::<String>());
+}
+
+/// The `scalability` experiment's T5a and T5b rows, computed through the library
 /// the report calls: `mark1` under `SchedPolicy::Rounds` with the
 /// default (modulo) placement. The round counts are those the report
 /// printed when a separate round-synchronous loop produced them.

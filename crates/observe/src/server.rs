@@ -12,7 +12,9 @@
 //!
 //! Routing is factored into the pure [`respond`] so tests can exercise
 //! every route without a socket; the accept loop only parses the
-//! request line, calls it, and writes the response. A request whose line
+//! request line, calls it, and writes the response. The head is read as
+//! bytes: a request line that is not ASCII is answered `400`, and header
+//! values may carry any byte. A request whose line
 //! and headers run past `MAX_REQUEST_BYTES` (8 KiB) is answered `400` and
 //! closed; one whose head has not arrived `HEAD_DEADLINE` (2 s) after
 //! accept is closed unanswered, however steadily it trickles. Shutdown
@@ -342,36 +344,55 @@ fn accept_loop(listener: TcpListener, hub: Arc<ObserveHub>) {
     }
 }
 
-fn serve_one(stream: TcpStream, hub: &ObserveHub) -> std::io::Result<()> {
-    let deadline = Instant::now() + HEAD_DEADLINE;
-    let mut reader = BufReader::new(Deadlined { stream, deadline }).take(MAX_REQUEST_BYTES);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // "GET /path HTTP/1.1" — anything else falls through to 404.
-    let path = {
-        let mut parts = request_line.split_whitespace();
-        match (parts.next(), parts.next()) {
-            (Some("GET"), Some(p)) => p.to_string(),
-            _ => String::new(),
-        }
-    };
+/// Reads one request head — the request line, then headers up to the
+/// blank line — as bytes, and says what to answer: `Ok` with the path of
+/// a `GET` (empty for any other request line, which routes to 404), or
+/// `Err` with the body of a `400`. A head past `MAX_REQUEST_BYTES` and a
+/// request line that is not ASCII are refused; header values may carry
+/// any byte (HTTP's `obs-text`) and are skipped unread.
+fn read_head(reader: &mut impl BufRead) -> std::io::Result<Result<String, String>> {
+    let mut head = reader.take(MAX_REQUEST_BYTES);
+    let mut request_line = Vec::new();
+    head.read_until(b'\n', &mut request_line)?;
     // Drain headers so well-behaved clients see a clean close. At the cap
-    // `read_line` sees end of input, so the loop ends there too.
-    let mut line = String::new();
+    // `read_until` sees end of input, so the loop ends there too.
+    let mut line = Vec::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
+        if head.read_until(b'\n', &mut line)? == 0 || line == b"\r\n" || line == b"\n" {
             break;
         }
     }
-    let response = if reader.limit() == 0 {
-        let body = format!("request head exceeds {MAX_REQUEST_BYTES} bytes\n");
-        Response::new(400, "text/plain", body)
-    } else {
-        hub.record_scrape();
-        respond(&path, hub)
+    if head.limit() == 0 {
+        return Ok(Err(format!(
+            "request head exceeds {MAX_REQUEST_BYTES} bytes\n"
+        )));
+    }
+    let Some(request_line) = std::str::from_utf8(&request_line)
+        .ok()
+        .filter(|l| l.is_ascii())
+    else {
+        return Ok(Err("request line is not ASCII\n".to_string()));
     };
-    let mut out = reader.into_inner().into_inner();
+    // "GET /path HTTP/1.1" — anything else falls through to 404.
+    let mut parts = request_line.split_whitespace();
+    Ok(Ok(match (parts.next(), parts.next()) {
+        (Some("GET"), Some(p)) => p.to_string(),
+        _ => String::new(),
+    }))
+}
+
+fn serve_one(stream: TcpStream, hub: &ObserveHub) -> std::io::Result<()> {
+    let deadline = Instant::now() + HEAD_DEADLINE;
+    let mut reader = BufReader::new(Deadlined { stream, deadline });
+    let response = match read_head(&mut reader)? {
+        Ok(path) => {
+            hub.record_scrape();
+            respond(&path, hub)
+        }
+        Err(body) => Response::new(400, "text/plain", body),
+    };
+    let mut out = reader.into_inner();
     out.deadline = Instant::now() + RESPONSE_DEADLINE;
     out.write_all(response.to_http().as_bytes())?;
     out.flush()
@@ -381,6 +402,34 @@ fn serve_one(stream: TcpStream, hub: &ObserveHub) -> std::io::Result<()> {
 mod tests {
     use super::*;
     use dgr_gc::TaskCensus;
+
+    #[test]
+    fn read_head_answers_every_malformed_head() {
+        let big = format!("GET /{}", "a".repeat(MAX_REQUEST_BYTES as usize - 4));
+        let table: [(&[u8], Result<&str, &str>); 8] = [
+            (b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n", Ok("/healthz")),
+            (b"GET /\xff HTTP/1.1\r\n\r\n", Err("not ASCII")),
+            (
+                b"GET /healthz HTTP/1.1\r\nX-A: \xfe\xff\r\n\r\n",
+                Ok("/healthz"),
+            ),
+            (b"GET /status HTTP/1.1\nHost: x\n\n", Ok("/status")),
+            (b"GET /metrics HTTP/1.1", Ok("/metrics")),
+            (b"", Ok("")),
+            (b"POST /metrics HTTP/1.1\r\n\r\n", Ok("")),
+            (big.as_bytes(), Err("exceeds 8192 bytes")),
+        ];
+        assert_eq!(big.len() as u64, MAX_REQUEST_BYTES + 1);
+        for (head, want) in table {
+            let got = read_head(&mut &head[..]).expect("a byte slice reads");
+            let shown = String::from_utf8_lossy(head);
+            match (got, want) {
+                (Ok(path), Ok(want)) => assert_eq!(path, want, "{shown:?}"),
+                (Err(body), Err(want)) => assert!(body.contains(want), "{shown:?}: {body}"),
+                (got, _) => panic!("{shown:?}: got {got:?}, want {want:?}"),
+            }
+        }
+    }
 
     #[test]
     fn routes_answer_without_a_socket() {

@@ -71,6 +71,33 @@ fn every_route_answers_over_a_real_socket() {
     server.shutdown();
 }
 
+/// Sends `head` as raw bytes; returns the status of the reply, or `None`
+/// when the exporter closed the connection without one.
+fn status_of_raw(addr: SocketAddr, head: &[u8]) -> Option<u16> {
+    let mut stream = TcpStream::connect(addr).expect("connect to exporter");
+    stream.write_all(head).expect("write request");
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("read response");
+    let raw = String::from_utf8_lossy(&raw);
+    raw.split_whitespace().nth(1).and_then(|s| s.parse().ok())
+}
+
+#[test]
+fn a_head_that_is_not_utf8_is_answered() {
+    let hub = Arc::new(ObserveHub::new());
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&hub)).expect("bind ephemeral port");
+    let addr = server.addr();
+    assert_eq!(
+        status_of_raw(addr, b"GET /\xff HTTP/1.1\r\n\r\n"),
+        Some(400)
+    );
+    // A header value may carry any byte (`obs-text`): the route answers.
+    let head = b"GET /healthz HTTP/1.1\r\nX-A: \xfe\xff\r\nConnection: close\r\n\r\n";
+    assert_eq!(status_of_raw(addr, head), Some(200));
+    assert_eq!(get(addr, "/healthz"), (200, "ok\n".to_string()));
+    server.shutdown();
+}
+
 /// Sends `head`, then `filler` over and over, until the exporter hangs up
 /// or 64 MiB have gone out; meanwhile reads what comes back. The exporter
 /// must answer `400` (or just close, which reaches the client as a reset,

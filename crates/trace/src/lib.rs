@@ -45,6 +45,8 @@ pub mod blame;
 pub use blame::{attribution, blame, blame_text, Attribution, BlameReport, SpanSource};
 pub mod heap;
 pub use heap::{heap, heap_text, HeapReport};
+pub mod json;
+pub use json::{field, read_object, JsonValue};
 pub mod lifecycle;
 pub use lifecycle::{lifecycle, lifecycle_text, LifecycleReport};
 
@@ -69,76 +71,36 @@ pub struct ParsedEvent {
     pub lamport: u64,
 }
 
-/// Extracts an unsigned integer field `"key": 123` from a JSON-ish line.
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = line.find(&needle)? + needle.len();
-    let rest = line[at..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    if end == 0 {
-        return None;
-    }
-    rest[..end].parse().ok()
-}
-
-/// Extracts a string field `"key": "val"` from a JSON-ish line. Handles
-/// the escapes our writers produce (`\"`, `\\`); stops at the closing
-/// quote.
-fn json_str(line: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let at = line.find(&needle)? + needle.len();
-    let rest = line[at..].trim_start().strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                other => out.push(other),
-            },
-            other => out.push(other),
-        }
-    }
-    None
-}
-
 /// Parses every event-shaped line in `text`, ignoring everything else.
 ///
-/// A line qualifies if (after trimming whitespace and a trailing comma)
-/// it is an object that carries `ts_us`, a known `kind`, and a `pe` —
+/// A line qualifies if it is a flat object ([`read_object`]) that
+/// carries `ts_us`, a known `kind`, and a `pe` —
 /// exactly what both the JSONL writer and the flight recorder's embedded
 /// `events` array produce. Malformed or foreign lines are skipped, so a
 /// truncated dump still yields its intact prefix.
 pub fn parse_events(text: &str) -> Vec<ParsedEvent> {
-    let mut out = Vec::new();
-    for raw in text.lines() {
-        let line = raw.trim().trim_end_matches(',');
-        if !line.starts_with('{') || !line.contains("\"ts_us\"") {
-            continue;
-        }
-        let (Some(ts_us), Some(pe), Some(kind)) = (
-            json_u64(line, "ts_us"),
-            json_u64(line, "pe"),
-            json_str(line, "kind").and_then(|k| Kind::parse(&k)),
-        ) else {
-            continue;
+    let event = |line: &str| {
+        let fields = read_object(line)?;
+        let int = |key| match field(&fields, key) {
+            Some(&JsonValue::Int(n)) => Some(n),
+            _ => None,
         };
-        out.push(ParsedEvent {
-            ts_us,
-            pe: pe as u16,
-            cycle: json_u64(line, "cycle").unwrap_or(0) as u32,
-            phase: json_str(line, "phase").unwrap_or_default(),
-            kind,
-            name: json_str(line, "name").unwrap_or_default(),
-            value: json_u64(line, "value").unwrap_or(0),
-            lamport: json_u64(line, "lamport").unwrap_or(0),
-        });
-    }
-    out
+        let text = |key| match field(&fields, key) {
+            Some(JsonValue::Str(s)) => Some(s.clone()),
+            _ => None,
+        };
+        Some(ParsedEvent {
+            ts_us: int("ts_us")?,
+            pe: int("pe")? as u16,
+            cycle: int("cycle").unwrap_or(0) as u32,
+            phase: text("phase").unwrap_or_default(),
+            kind: Kind::parse(&text("kind")?)?,
+            name: text("name").unwrap_or_default(),
+            value: int("value").unwrap_or(0),
+            lamport: int("lamport").unwrap_or(0),
+        })
+    };
+    text.lines().filter_map(event).collect()
 }
 
 /// Rebuilds `key → ledger` from the instants a run emitted `L` as
