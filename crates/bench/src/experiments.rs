@@ -42,12 +42,24 @@ pub const EXPERIMENTS: &[Experiment] = &[
         volatile: &["envelopes", "settled"],
         ..Experiment::new("scalability", scalability::run)
     },
-    // The phase clocks. Gated in a default build: with the recording on,
-    // the threaded pass's runtime counters and the rows of its batch-size
-    // histogram move with the schedule.
+    // The phase clocks, and the threaded pass's runtime counters: how
+    // many batches a worker drained, how often it parked and where its
+    // spawns went move with the schedule. Its task count, the GC cycles'
+    // message counts and the batch-size histogram's row set do not.
     Experiment {
         switches: SMALL,
-        volatile: &["mt_us", "mr_us", "settle_us", "classify_us", "total_us"],
+        telemetry: true,
+        volatile: &[
+            "mt_us",
+            "mr_us",
+            "settle_us",
+            "classify_us",
+            "total_us",
+            "batches",
+            "parks",
+            "spawns_local",
+            "spawns_remote",
+        ],
         ..Experiment::new("telemetry", telemetry::run)
     },
     // Steals and parks move with the schedule; the span estimate is a

@@ -161,7 +161,10 @@ pub(crate) fn run(report: &mut Report) {
     // `settled` counts the duplicate visits claim winners settled in
     // place of two tasks: it varies with the schedule and is not gated.
     // `leaves` counts the leaves they marked in place: one per reachable
-    // leaf below the root on every schedule, and gated.
+    // leaf below the root on every schedule, and gated. A tree row also
+    // gates `executed`: no vertex has two parents, so nothing settles
+    // and `executed = messages / 2 - leaves` on every schedule; on the
+    // digraph it moves with `settled` and is left out.
     // Each entry: (name, vertices, graph, (floor, gate, decay)) — see
     // `assert_monotone_ish`. The trees' decay leaves room for what a
     // 16-PE pass costs before any task runs (1.3 ms on the 2-vCPU
@@ -214,7 +217,7 @@ pub(crate) fn run(report: &mut Report) {
             let stats = stats.expect("REPS >= 1");
             let speedup = profile.first().map_or(1.0, |&(_, base)| base / best_ms);
             profile.push((pes, best_ms));
-            rows.push(record! {
+            let mut row = record! {
                 "benchmark" => format!("threaded_mark1_{name}"),
                 "vertices" => vertices,
                 "pes" => pes,
@@ -224,7 +227,11 @@ pub(crate) fn run(report: &mut Report) {
                 "settled" => stats.settled,
                 "leaves" => stats.leaves,
                 "speedup" => speedup,
-            });
+            };
+            if name.starts_with("tree") {
+                row.push(("executed", stats.executed.into()));
+            }
+            rows.push(row);
         }
         // Both before and after the cells, for the gate to apply.
         delivered = delivered.min(delivered_parallelism(reported));

@@ -10,8 +10,9 @@
 //! * `BENCH_telemetry_events.jsonl` — the same events as JSON Lines.
 //!
 //! A second section drives the threaded marking runtime and reports its
-//! counters (task deliveries, batches, parks, local/remote sends) and the
-//! batch-size histogram. Pass `--small` for a CI-sized workload.
+//! counters (task deliveries, batches, parks, local/remote spawns) and
+//! the batch-size histogram, one row per bucket. Pass `--small` for a
+//! CI-sized workload.
 
 use crate::{record, Report};
 use dgr_core::threaded::{reset_shared_r, run_mark1_shared_observed};
@@ -134,17 +135,17 @@ pub(crate) fn run(report: &mut Report) {
             "tasks" => snap.counter(CounterId::Tasks),
             "batches" => snap.counter(CounterId::Batches),
             "parks" => snap.counter(CounterId::Parks),
-            "sends_local" => snap.counter(CounterId::SendsLocal),
-            "sends_remote" => snap.counter(CounterId::SendsRemote),
+            // Which worker ran a spawning task decides these two, so they
+            // are named apart from the GC cycles' deterministic sends.
+            "spawns_local" => snap.counter(CounterId::SendsLocal),
+            "spawns_remote" => snap.counter(CounterId::SendsRemote),
             "batch_mean" => batch.mean(),
             "mailbox_hw" => snap.gauge(GaugeId::MailboxHighWater).max(0) as u64,
         }],
     );
-    let rows: Vec<_> = (batch.buckets.iter().enumerate())
-        .filter(|(_, &count)| count > 0)
+    // Every bucket, empty ones included: the row set stays fixed.
+    let rows = (batch.buckets.iter().enumerate())
         .map(|(i, &count)| record! { "bucket" => bucket_label(i), "batches" => count })
         .collect();
-    if !rows.is_empty() {
-        report.table("outbox batch sizes", rows);
-    }
+    report.table("outbox batch sizes", rows);
 }

@@ -39,10 +39,13 @@
 //!   winner reads the child list from the graph's immutable
 //!   [`SharedGraph::r_children`] snapshot, whose row start sits in the
 //!   same record — no lock anywhere;
-//! * tasks are allocation-free `u64` words carrying a saturating depth
-//!   hint, so the runtime's LIFO pop / oldest-first steal discipline
-//!   executes deep work locally and hands thieves the biggest remaining
-//!   subtrees (critical-path-aware scheduling);
+//! * a task is an allocation-free `u64` word naming a mark's vertex and
+//!   parent, and only this module encodes or decodes it: the runtime's
+//!   LIFO pop / oldest-first steal discipline executes deep work locally
+//!   and hands thieves the biggest remaining subtrees without reading it;
+//! * a visit is decided by the claim alone: [`MarkWords::try_claim`]
+//!   loses on a vertex already visited this cycle, so the handler probes
+//!   nothing before it;
 //! * a mark for vertex `v` is still *routed* to `v`'s owner PE per the
 //!   partition — the paper's distribution model, and what the envelope
 //!   counter measures — but an idle PE may steal it: soundness does not
@@ -66,21 +69,19 @@ use dgr_graph::markword::{Claim, Settle};
 use dgr_graph::{
     GraphStore, MarkParent, MarkWords, PartitionMap, PartitionStrategy, PeId, Slot, VertexId,
 };
-use dgr_sim::steal::with_depth;
 use dgr_sim::{SharedGraph, SpawnScope, StealRuntime};
 use dgr_telemetry::{CounterId, HeartbeatHandle, Phase, Registry};
 
-/// Task words: `depth(6) | par(28) | v(28)` with the depth hint in the
-/// runtime's reserved top bits. 28-bit vertex fields bound the graph at
-/// ~268M vertices — far beyond any workload here, asserted at pass
-/// start.
+/// Task words: `par(28) | v(28)`, the top byte zero. 28-bit vertex
+/// fields bound the graph at ~268M vertices — far beyond any workload
+/// here, asserted at pass start.
 const FIELD_BITS: u32 = 28;
 const FIELD_MAX: u64 = (1 << FIELD_BITS) - 1;
 /// `par` sentinel for the paper's `rootpar` termination target.
 const ROOTPAR: u64 = FIELD_MAX;
 
-fn mark_task(v: VertexId, par: u64, depth: u64) -> u64 {
-    with_depth((par << FIELD_BITS) | u64::from(v.raw()), depth)
+fn mark_task(v: VertexId, par: u64) -> u64 {
+    (par << FIELD_BITS) | u64::from(v.raw())
 }
 
 /// Owner PE of a mark: where its subject vertex lives.
@@ -201,7 +202,7 @@ pub fn run_mark1_shared(
 /// settled arc and per leaf marked in place, a mark and its return, so
 /// the counters sum to `messages`), and the underlying runtime records deque depth, steals,
 /// drained batch sizes and park events per PE. The pass also brackets an `M_R` phase on `hb`
-/// and the runtime beats delivery progress per local drain run, so the
+/// and the runtime beats delivery progress in batches of tasks, so the
 /// `dgr-observe` watchdog can supervise a long pass from another thread;
 /// pass `&HeartbeatHandle::new()` (a no-op) for no pulse.
 ///
@@ -229,42 +230,36 @@ pub fn run_mark1_shared_observed(
 
     let _pass = telem.span(0, 0, Phase::Mr, "mark1_threaded");
     hb.begin_phase(0, Phase::Mr);
-    let seed = mark_task(root, ROOTPAR, 0);
+    let seed = mark_task(root, ROOTPAR);
     let stats = StealRuntime::new(num_pes).run_observed(
         vec![(route(&partition, seed), seed)],
         |scope: &mut SpawnScope<'_>, task: u64| {
-            let depth = dgr_sim::steal::task_depth(task);
             let v = VertexId::new((task & FIELD_MAX) as u32);
-            let par = (task >> FIELD_BITS) & FIELD_MAX;
+            let par = task >> FIELD_BITS;
             let parent = if par == ROOTPAR {
                 MarkParent::RootPar
             } else {
                 MarkParent::Vertex(VertexId::new(par as u32))
             };
-            // Lock-free fast path: a current-epoch color other than
-            // Unmarked means this mark returns at once. A dangling arc
-            // into a freed vertex returns the same way, without a claim.
-            let visited = marks
-                .probe(v.index(), epoch)
-                .is_some_and(|c| c != dgr_graph::Color::Unmarked);
-            // The winner of the CAS claim owns the expansion, and its own
-            // return runs when its count drains.
+            // The claim alone decides the visit: it loses on a vertex
+            // visited this cycle, and its winner owns the expansion, whose
+            // own return runs when its count drains. A dangling arc into
+            // a freed vertex returns at once, without a claim.
             let expand = match shared.r_children(v) {
-                Some(children) if !visited => {
+                Some(children) => {
                     match marks.try_claim(v.index(), epoch, children.len() as u32, parent) {
                         Claim::Won(_) => children,
                         Claim::Lost => &[],
                     }
                 }
-                _ => &[],
+                None => &[],
             };
             if expand.is_empty() {
                 ascend(marks, epoch, parent, &done);
             }
             // Decide each child's mark once: settle a visited child, claim
-            // a live leaf in place, and spawn the rest deepest-last so the
-            // runtime chains the final child and thieves get the first
-            // ones.
+            // a live leaf in place, and spawn the rest; the runtime chains
+            // into the last spawn and thieves take the first ones.
             let (mut settled, mut leaves) = (0, 0);
             for &c in expand {
                 if marks.settle_child(c.index(), epoch) == Settle::Settled {
@@ -275,7 +270,7 @@ pub fn run_mark1_shared_observed(
                         Claim::Lost => settled += 1,
                     }
                 } else {
-                    let t = mark_task(c, u64::from(v.raw()), depth + 1);
+                    let t = mark_task(c, u64::from(v.raw()));
                     scope.spawn(route(&partition, t), t);
                 }
             }

@@ -8,6 +8,7 @@ use dgr_core::{MarkMsg, RMode};
 use dgr_graph::{MarkParent, Priority, Requester, Slot, Value};
 use dgr_reduction::{RedMsg, RunOutcome, System};
 use dgr_sim::Lane;
+use dgr_telemetry::heartbeat::PROGRESS_BATCH;
 use dgr_telemetry::{
     CounterId, CycleHeap, Floater, GaugeId, HeartbeatHandle, HistId, LifecycleSnapshot,
     LifecycleTracker, Phase, TriggerCause,
@@ -20,11 +21,6 @@ use crate::report::{CycleReport, GcStats};
 /// drivers retain the most recent this-many cycles.
 pub const TIMELINE_CAP: usize = 4096;
 
-/// Deliveries per liveness-pulse progress beat inside a marking phase:
-/// batching keeps the beat (a clock read) off the per-event path while
-/// staying far below any sane watchdog deadline.
-const HEARTBEAT_BATCH: u64 = 256;
-
 /// During a marking phase, up to this many marking tasks are delivered for
 /// every one policy-scheduled task (the paper's Section 6 remark that
 /// marking tasks can take precedence), so marking outpaces a mutator that
@@ -32,20 +28,20 @@ const HEARTBEAT_BATCH: u64 = 256;
 const MARKING_SERVICE_RATIO: u32 = 3;
 
 /// A marking phase's liveness pulse, beaten in batches: one clock read per
-/// [`HEARTBEAT_BATCH`] deliveries instead of one per event.
+/// [`PROGRESS_BATCH`] deliveries instead of one per event.
 struct Pulse<'a>(&'a HeartbeatHandle);
 
 impl Pulse<'_> {
     /// The phase made its `n`-th delivery: beats if that closes a batch.
     fn at(&self, n: u64) {
-        if n.is_multiple_of(HEARTBEAT_BATCH) {
-            self.0.progress(HEARTBEAT_BATCH);
+        if n.is_multiple_of(PROGRESS_BATCH) {
+            self.0.progress(PROGRESS_BATCH);
         }
     }
 
     /// The phase stopped after `n` deliveries: beats the partial batch.
     fn end(&self, n: u64) {
-        let rest = n % HEARTBEAT_BATCH;
+        let rest = n % PROGRESS_BATCH;
         if rest > 0 {
             self.0.progress(rest);
         }

@@ -191,7 +191,7 @@ fn render_heap(out: &mut String, hub: &ObserveHub) {
     family(
         out,
         "dgr_heap_live_bytes",
-        "Bytes of live graph vertices owned by the PE right now",
+        "Bytes of live graph vertices allocated while the PE owned them",
         "gauge",
     );
     for (pe, p) in hp.per_pe.iter().enumerate() {

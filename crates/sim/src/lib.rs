@@ -13,8 +13,8 @@
 //!   property tests quantify over adversarial interleavings.
 //! * [`StealRuntime`] — a **real parallel runtime**: one OS thread per PE
 //!   with a Chase–Lev deque ([`StealDeque`]) each, a sharded lock-free
-//!   mailbox mesh ([`MailboxGrid`]) for cross-PE envelopes, adaptive
-//!   parking, and critical-path depth hints on its `u64` tasks.
+//!   mailbox mesh ([`MailboxGrid`]) for cross-PE envelopes, and adaptive
+//!   parking; its tasks are opaque `u64` words it never reads.
 //!   Termination is detected with a global in-flight task counter
 //!   ([`QuiesceState`]). The graph its tasks share is a [`SharedGraph`]:
 //!   a dense array of atomic mark words carries the marking state — one

@@ -13,10 +13,9 @@
 //!   remaining subtrees — so one steal buys a long private runway;
 //! * cross-PE envelopes travel the [`MailboxGrid`]'s SPSC rings — one
 //!   Release store per send, no locks, senders never block;
-//! * tasks are plain `u64`s, so spawning allocates nothing, and the top
-//!   [`DEPTH_BITS`] carry a saturating depth hint: drained mailbox
-//!   batches are executed deepest-first, which bounds the straggler tail
-//!   on unbalanced digraphs (critical-path-aware scheduling);
+//! * tasks are opaque `u64`s, so spawning allocates nothing: the runtime
+//!   reads nothing out of a task word, and runs a drained or stolen batch
+//!   in the order it arrived;
 //! * idle workers spin briefly (only when real cores are available),
 //!   then yield, then park with a bounded timeout — the adaptive backoff
 //!   that fixes the tree_d15 wakeup ping-pong;
@@ -40,6 +39,7 @@ use std::time::{Duration, Instant};
 
 use dgr_atomic::CachePadded;
 use dgr_graph::PeId;
+use dgr_telemetry::heartbeat::PROGRESS_BATCH;
 use dgr_telemetry::{
     CounterId, GaugeId, HeartbeatHandle, HistId, PeSchedSnapshot, Registry, SchedState,
 };
@@ -47,24 +47,6 @@ use dgr_telemetry::{
 use crate::deque::StealDeque;
 use crate::mailbox::MailboxGrid;
 use crate::quiesce::QuiesceState;
-
-/// Bits of a task word reserved for the depth/priority hint (the top
-/// bits, so depth sorts tasks without unpacking them).
-pub const DEPTH_BITS: u32 = 6;
-/// Shift that positions the depth hint.
-pub const DEPTH_SHIFT: u32 = 64 - DEPTH_BITS;
-/// Largest encodable depth hint; deeper tasks saturate here.
-pub const DEPTH_MAX: u64 = (1 << DEPTH_BITS) - 1;
-
-/// Stamps `depth` (saturating) into the hint bits of `task`.
-pub fn with_depth(task: u64, depth: u64) -> u64 {
-    (task & !(DEPTH_MAX << DEPTH_SHIFT)) | (depth.min(DEPTH_MAX) << DEPTH_SHIFT)
-}
-
-/// Reads a task's depth hint back.
-pub fn task_depth(task: u64) -> u64 {
-    task >> DEPTH_SHIFT
-}
 
 /// Tallies a handler keeps through [`SpawnScope::credit`].
 pub const TALLIES: usize = 2;
@@ -233,6 +215,8 @@ struct Worker {
     /// xorshift64* state for victim selection (seeded per PE, no clock).
     rng: u64,
     executed: u64,
+    /// Tasks run since the worker last beat the liveness pulse.
+    unbeaten: u64,
     credited: [u64; TALLIES],
     envelopes: u64,
     steals: u64,
@@ -273,8 +257,7 @@ impl Worker {
 ///
 /// [`StealRuntime::run`] seeds the initial tasks, lets handlers spawn
 /// until global quiescence, and returns the pass counters. Tasks are
-/// `u64` words — encoding is the caller's contract, except the top
-/// [`DEPTH_BITS`] which the runtime reads as a scheduling hint.
+/// opaque `u64` words: their encoding is the caller's alone.
 ///
 /// # Example
 ///
@@ -355,7 +338,9 @@ impl StealRuntime {
     /// transition charges wall-clock to exactly one state, emitted as
     /// per-pass `sched_*` delta instants when the pass ends (so several
     /// passes on one registry each report only their own time); `hb`
-    /// beats once per local drain run. In a default (no-`telemetry`)
+    /// beats once per [`PROGRESS_BATCH`] tasks a worker runs and whenever
+    /// it runs out of local work, so the beats sum to
+    /// [`StealStats::executed`]. In a default (no-`telemetry`)
     /// build both are zero-sized no-ops.
     pub fn run_observed<F>(
         &self,
@@ -418,6 +403,7 @@ impl StealRuntime {
                         batch: Vec::new(),
                         rng: 0x9E37_79B9_7F4A_7C15 ^ ((me as u64 + 1) << 17),
                         executed: 0,
+                        unbeaten: 0,
                         credited: [0; TALLIES],
                         envelopes: 0,
                         steals: 0,
@@ -483,8 +469,9 @@ where
         };
         handler(&mut scope, task);
         // Keep one local spawn as the chain's next link; everything else
-        // is published. The *last* local spawn is the deepest child under
-        // depth-ordered spawning, which keeps the chain depth-first.
+        // is published. Continuing into the *last* local spawn runs the
+        // handler's newest work next, as a LIFO pop would, which keeps
+        // the chain depth-first.
         let mut next = None;
         for i in (0..w.spawned.len()).rev() {
             if w.spawned[i].0.index() == me {
@@ -562,12 +549,10 @@ fn flush_stage(w: &mut Worker, mesh: &Mesh<'_>) -> bool {
     progressed
 }
 
-/// Moves a drained/stolen batch into the local deque deepest-last, so the
-/// LIFO pop order executes the structurally deepest work first. Batch
-/// tasks are already registered (by their original publisher), so deque
-/// overflow keeps them in the registered spill.
+/// Moves a drained/stolen batch into the local deque in the order it
+/// arrived. Batch tasks are already registered (by their original
+/// publisher), so deque overflow keeps them in the registered spill.
 fn absorb_batch(w: &mut Worker, mesh: &Mesh<'_>) {
-    w.batch.sort_unstable_by_key(|&t| task_depth(t));
     for &t in &w.batch {
         if let Err(t) = mesh.deques[w.me].push(t) {
             w.spill_reg.push(t);
@@ -612,7 +597,12 @@ fn run_worker<F>(
             }
             w.executed += ran;
             mesh.telem.pe(me as u16).add(CounterId::Tasks, ran);
-            hb.progress(ran);
+            // A beat reads the clock: one per batch of tasks, not per
+            // chain.
+            w.unbeaten += ran;
+            if w.unbeaten >= PROGRESS_BATCH {
+                hb.progress(std::mem::take(&mut w.unbeaten));
+            }
             // Once per chain (not per spawn): decide whether the next
             // chain's local spawns should top up the stealable window.
             w.feed_deque = n > 1 && mesh.deques[me].len() < DEQUE_LOW_WATER;
@@ -623,6 +613,9 @@ fn run_worker<F>(
         // the unused credit — only now can the global count legitimately
         // reach zero on our account.
         mesh.telem.sched_enter(me as u16, SchedState::MailboxDrain);
+        if w.unbeaten > 0 {
+            hb.progress(std::mem::take(&mut w.unbeaten));
+        }
         let returned = std::mem::take(&mut w.held_releases) + std::mem::take(&mut w.credit);
         if returned > 0 {
             mesh.finish_check(returned);
@@ -713,15 +706,6 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn depth_hint_roundtrips_and_saturates() {
-        let t = with_depth(0x00AB_CDEF, 5);
-        assert_eq!(task_depth(t), 5);
-        assert_eq!(t & 0x00FF_FFFF, 0x00AB_CDEF);
-        assert_eq!(task_depth(with_depth(0, 1_000_000)), DEPTH_MAX);
-        assert_eq!(task_depth(with_depth(t, 2)), 2, "restamp replaces");
-    }
-
-    #[test]
     fn park_flags_never_share_a_line() {
         let parks: Vec<CachePadded<ParkSlot>> = (0..3).map(|_| CachePadded::default()).collect();
         let at: Vec<usize> = parks
@@ -786,6 +770,48 @@ mod tests {
         });
         assert_eq!(stats.executed, (1 << 13) - 1);
         assert_eq!(hits.load(Ordering::SeqCst), (1 << 13) - 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(8))]
+
+        /// The runtime reads nothing out of a task: arbitrary words, half
+        /// of them with the top byte set, spawned as a binary heap (word `i`
+        /// spawns words `2i + 1` and `2i + 2`) through rings of 8 so that
+        /// drains, steals, spills and staging all happen, each reach the
+        /// handler exactly once and unchanged.
+        #[test]
+        fn task_words_are_opaque(
+            raw in proptest::collection::vec(proptest::prelude::any::<u64>(), 512..3000),
+        ) {
+            // Even positions keep the top byte clear, odd ones keep it as
+            // drawn; duplicates would make the heap ambiguous.
+            let mut words = Vec::with_capacity(raw.len());
+            let mut seen = std::collections::HashSet::new();
+            for (i, w) in raw.into_iter().enumerate() {
+                let w = if i % 2 == 0 { w >> 8 } else { w };
+                if seen.insert(w) {
+                    words.push(w);
+                }
+            }
+            let at: std::collections::HashMap<u64, usize> =
+                words.iter().enumerate().map(|(i, &w)| (w, i)).collect();
+            for pes in [1u16, 2, 4] {
+                let hits: Vec<AtomicU64> = words.iter().map(|_| AtomicU64::new(0)).collect();
+                let rt = StealRuntime::with_rings(pes, 8, 8);
+                let stats = rt.run(vec![(PeId::new(0), words[0])], |scope, w| {
+                    let i = *at.get(&w).expect("the handler got a word nobody spawned");
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                    for c in [2 * i + 1, 2 * i + 2].into_iter().filter(|&c| c < words.len()) {
+                        scope.spawn(PeId::new((c * 7 % usize::from(pes)) as u16), words[c]);
+                    }
+                });
+                proptest::prop_assert_eq!(stats.executed, words.len() as u64, "{} PEs", pes);
+                for (i, h) in hits.iter().enumerate() {
+                    proptest::prop_assert_eq!(h.load(Ordering::Relaxed), 1, "word {}, {} PEs", i, pes);
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,17 +21,16 @@ use proptest::prelude::*;
 fn run_workload(telem: &Registry, num_pes: u16, seeds: u16, depth: u64) -> u64 {
     let rt = StealRuntime::new(num_pes);
     let initial: Vec<(PeId, u64)> = (0..seeds)
-        .map(|i| (PeId::new(i % num_pes), dgr_sim::steal::with_depth(0, depth)))
+        .map(|i| (PeId::new(i % num_pes), depth))
         .collect();
     let start = std::time::Instant::now();
     rt.run_observed(
         initial,
-        |scope, task| {
-            let d = dgr_sim::steal::task_depth(task);
+        |scope, d| {
             if d > 0 {
                 let next = PeId::new((scope.me().raw() + 1) % num_pes);
-                scope.spawn(next, dgr_sim::steal::with_depth(0, d - 1));
-                scope.spawn(scope.me(), dgr_sim::steal::with_depth(0, d - 1));
+                scope.spawn(next, d - 1);
+                scope.spawn(scope.me(), d - 1);
             }
         },
         telem,

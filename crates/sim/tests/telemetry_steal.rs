@@ -89,3 +89,30 @@ fn run_observed_accounts_for_every_task() {
         "envelopes only arrive through a mailbox drain"
     );
 }
+
+#[cfg(feature = "telemetry")]
+#[test]
+fn the_pulse_counts_every_executed_task() {
+    use dgr_telemetry::{HeartbeatHandle, Registry};
+
+    // Workers beat in batches and flush the rest when they run out of
+    // local work, so no task is missing from the pulse at quiescence.
+    for pes in [1u16, 2, 4] {
+        let hb = HeartbeatHandle::new();
+        let initial: Vec<_> = (0..7).map(|i| (PeId::new(i % pes), 9u64)).collect();
+        let stats = StealRuntime::new(pes).run_observed(
+            initial,
+            |scope, n| {
+                if n > 0 {
+                    let next = PeId::new((scope.me().raw() + 1) % pes);
+                    scope.spawn(scope.me(), n - 1);
+                    scope.spawn(next, n - 1);
+                }
+            },
+            &Registry::new(pes),
+            &hb,
+        );
+        assert_eq!(stats.executed, 7 * ((1 << 10) - 1), "{pes} PEs");
+        assert_eq!(hb.shared().progress_total(), stats.executed, "{pes} PEs");
+    }
+}

@@ -5,18 +5,21 @@
 //! one subtract per free — always on, so `GcTrigger::HeapBytes` works in
 //! every build) and journals each delta. `reduction::System` drains that
 //! journal after every dispatch and replays it into a [`Tracker`],
-//! attributing each vertex's bytes to the PE that owns it under the
-//! current partition — Hudak's PEs own only local store, so heap pressure
-//! is a per-PE quantity here too:
+//! charging each allocation to the PE that owns the vertex under the
+//! partition at that moment — Hudak's PEs own only local store, so heap
+//! pressure is a per-PE quantity here too:
 //!
-//! 1. [`Tracker::alloc`] stamps a vertex's byte weight at allocation,
-//!    feeds the per-PE live clock, the peak waterline, and the
+//! 1. [`Tracker::alloc`] stamps the vertex with the PE it charged, and
+//!    feeds that PE's live clock, the peak waterline, and the
 //!    power-of-two size-class histogram (same [`bucket_index`] edge math
 //!    as every other histogram in this crate);
-//! 2. [`Tracker::free`] releases the bytes. A free whose vertex carried
-//!    an allocation stamp is **exact** (the ≥95 % bytes-exactness the
-//!    bench harness asserts); a tracker attached mid-run counts the rest
-//!    as inexact;
+//! 2. [`Tracker::free`] releases the bytes from the PE the stamp names,
+//!    even if a grow has since moved the vertex's owner (a `Block`
+//!    partition does), so the per-PE live clocks always sum to the
+//!    total. A free whose vertex carried a stamp is **exact** (the
+//!    ≥95 % bytes-exactness the bench harness asserts); a tracker
+//!    attached mid-run never counted the rest as live, and counts their
+//!    frees as inexact;
 //! 3. [`Tracker::close_cycle`] is called by the GC driver once per
 //!    marking cycle: it snapshots the traffic since the previous close
 //!    into a [`CycleHeap`] ledger (the source of the `hp_*` instants);
@@ -150,7 +153,8 @@ impl CycleHeap {
 /// One PE's byte meters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PeHeap {
-    /// Live bytes owned by this PE now.
+    /// Live bytes of the vertices whose allocation was charged to this
+    /// PE (their owner when they were allocated), until they are freed.
     pub live: u64,
     /// Peak live bytes since the episode began.
     pub peak: u64,
@@ -234,15 +238,11 @@ impl HeapSnapshot {
     }
 }
 
-/// Sentinel for "no stamp" in the per-vertex byte-stamp array (stored
-/// values are `bytes + 1`).
-const UNSTAMPED: u64 = 0;
-
 /// What a recording [`Tracker`] keeps.
 #[derive(Debug, Default)]
 struct Books {
-    /// Per-vertex: allocation-stamped byte weight + 1.
-    stamps: Vec<u64>,
+    /// Per-vertex: the PE its live allocation was charged to.
+    stamps: Vec<Option<u32>>,
     /// The open window's ledger (traffic since the last `close_cycle`).
     cur: CycleHeap,
     /// Running totals.
@@ -280,10 +280,11 @@ impl<R: Switch> Tracker<R> {
     }
 
     /// Records vertex `idx` (owned by `pe`) allocating `bytes`: stamps
-    /// the weight, feeds the clocks, waterlines and size histogram.
+    /// the vertex with `pe`, feeds the clocks, waterlines and size
+    /// histogram.
     pub fn alloc(&mut self, pe: usize, idx: usize, bytes: u64) {
         R::with_mut(&mut self.0, (), |b| {
-            *slot(&mut b.stamps, idx) = bytes + 1;
+            *slot(&mut b.stamps, idx) = Some(pe as u32);
             let shard = slot(&mut b.snap.per_pe, pe);
             shard.live += bytes;
             shard.peak = shard.peak.max(shard.live);
@@ -303,20 +304,23 @@ impl<R: Switch> Tracker<R> {
         });
     }
 
-    /// Records vertex `idx` (owned by `pe`) freeing `bytes`. Exact when
-    /// the vertex carried an allocation stamp; inexact otherwise (the
-    /// tracker attached after the vertex was built).
+    /// Records vertex `idx` (owned by `pe` now) freeing `bytes`. Exact
+    /// when the vertex carried an allocation stamp: the bytes leave the
+    /// live clock of the PE the stamp names. Inexact otherwise (the
+    /// tracker attached after the vertex was built, so its bytes were
+    /// never live here): only `pe`'s free meters count it.
     pub fn free(&mut self, pe: usize, idx: usize, bytes: u64) {
         R::with_mut(&mut self.0, (), |b| {
-            let exact = idx < b.stamps.len() && b.stamps[idx] != UNSTAMPED;
+            let stamp = b.stamps.get_mut(idx).and_then(Option::take);
+            let shard = slot(&mut b.snap.per_pe, stamp.map_or(pe, |p| p as usize));
+            let exact = stamp.is_some();
             if exact {
-                b.stamps[idx] = UNSTAMPED;
+                debug_assert!(shard.live >= bytes && b.snap.live >= bytes);
+                shard.live -= bytes;
+                b.snap.live -= bytes;
             }
-            let shard = slot(&mut b.snap.per_pe, pe);
-            shard.live = shard.live.saturating_sub(bytes);
             shard.free_bytes += bytes;
             shard.frees += 1;
-            b.snap.live = b.snap.live.saturating_sub(bytes);
             b.snap.freed_bytes += bytes;
             b.snap.frees += 1;
             b.cur.frees += 1;
