@@ -22,8 +22,8 @@ use dgr_lang::build_with_prelude;
 use dgr_reduction::SystemConfig;
 use dgr_sim::SharedGraph;
 use dgr_telemetry::{
-    bucket_label, chrome_trace_json, events_jsonl, CounterId, GaugeId, HeartbeatHandle, HistId,
-    Registry, TELEMETRY_ENABLED,
+    bucket_label, chrome_trace_json, events_jsonl, CounterId, HeartbeatHandle, HistId, Registry,
+    TELEMETRY_ENABLED,
 };
 use dgr_workloads::graphs::binary_tree_dfs;
 
@@ -140,7 +140,6 @@ pub(crate) fn run(report: &mut Report) {
             "spawns_local" => snap.counter(CounterId::SendsLocal),
             "spawns_remote" => snap.counter(CounterId::SendsRemote),
             "batch_mean" => batch.mean(),
-            "mailbox_hw" => snap.gauge(GaugeId::MailboxHighWater).max(0) as u64,
         }],
     );
     // Every bucket, empty ones included: the row set stays fixed.

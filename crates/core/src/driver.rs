@@ -129,7 +129,7 @@ where
     }
     let mut stats = MarkStats::default();
     let _pass = telem.span(0, 0, phase, phase.name());
-    while let Some((pe, _lane, seq, msg)) = sim.next_event_from(None) {
+    while let Some((pe, _lane, seq, msg)) = sim.next_tagged() {
         rec.delivered(&msg, pe, seq);
         // The handler's sends, and the hook's, go straight into the
         // simulator.

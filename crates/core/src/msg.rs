@@ -95,9 +95,10 @@ pub enum Sender {
 }
 
 /// The one record of a marking message's send and of its delivery, for
-/// every simulator marking loop (`driver::run_pass`, `reduction::System`'s
-/// mailbox path and its `M_T` pass): the local/remote send split, the
-/// `MarkEvents` count and the flow stamps (DESIGN §6.4).
+/// every simulator marking loop (`driver::run_pass` and
+/// `reduction::System`'s marking queue, which both passes share): the
+/// local/remote send split, the `MarkEvents` count and the flow stamps
+/// (DESIGN §6.4).
 #[derive(Debug, Clone, Copy)]
 pub struct MarkRecord<'a> {
     /// Where the counts and stamps go.

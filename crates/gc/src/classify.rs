@@ -148,7 +148,7 @@ impl TaskCensus {
 pub fn classify_pending_tasks(sys: &System) -> TaskCensus {
     let mut census = TaskCensus::default();
     for (_pe, _lane, msg) in sys.sim().iter_pending() {
-        if let Some(RedMsg::Request { dst, .. }) = msg.as_red() {
+        if let RedMsg::Request { dst, .. } = msg {
             match classify_task_by_marks(&sys.graph, *dst) {
                 TaskClass::Vital => census.vital += 1,
                 TaskClass::Eager => census.eager += 1,

@@ -21,9 +21,11 @@
 //!    (Property 2'), and optionally *recovered* by returning `⊥` to their
 //!    requesters (the `is-bottom` pseudo-function of footnote 5).
 //!
-//! Crucially, both marking phases run **concurrently with reduction**: the
-//! driver keeps delivering reduction tasks between marking tasks, and the
-//! cooperating mutator primitives keep the marking invariants intact.
+//! Crucially, `M_R` runs **concurrently with reduction**: the driver
+//! delivers one reduction task of the scheduling policy's choosing after
+//! every four marking tasks, and the cooperating mutator primitives keep
+//! the marking invariants intact. (`M_T` is the one synchronous pass, as
+//! Section 6 allows for a pass run only occasionally.)
 //!
 //! # Example
 //!

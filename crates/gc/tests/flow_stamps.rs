@@ -1,8 +1,8 @@
 //! The collector's flow stamps pair up: with `M_T` every cycle, under
 //! several scheduling policies and programs, every `flow_recv` a
 //! `GcDriver` run records resolves exactly one earlier `flow_send` with
-//! the same id, and no id is sent twice — on `M_R`'s mailbox path and on
-//! the `M_T` pass alike.
+//! the same id, and no id is sent twice — in `M_R`, interleaved with
+//! reduction tasks, and in the `M_T` pass alike.
 
 #![cfg(feature = "telemetry")]
 

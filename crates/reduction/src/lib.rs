@@ -61,7 +61,7 @@ mod templates;
 
 pub use builder::Builder;
 pub use engine::{handle_red, EngineCtx};
-pub use msg::{RedMsg, SysMsg};
+pub use msg::RedMsg;
 pub use stats::RedStats;
 pub use system::{RunOutcome, System, SystemConfig};
 pub use templates::{TemplateId, TemplateStore};

@@ -1,6 +1,5 @@
-//! Reduction task messages and the combined system message type.
+//! Reduction task messages.
 
-use dgr_core::MarkMsg;
 use dgr_graph::{RequestKind, Requester, Value, VertexId};
 
 /// A task of the reduction process, represented as a message `<s, d>`.
@@ -50,46 +49,6 @@ impl RedMsg {
     }
 }
 
-/// The union message type delivered by a full system (reduction tasks,
-/// marking tasks, or both, in their respective lanes).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SysMsg {
-    /// A reduction task.
-    Red(RedMsg),
-    /// A marking task.
-    Mark(MarkMsg),
-}
-
-impl SysMsg {
-    /// The vertex the message executes at, if any.
-    pub fn dest_vertex(&self) -> Option<VertexId> {
-        match self {
-            SysMsg::Red(m) => m.dest_vertex(),
-            SysMsg::Mark(m) => m.dest_vertex(),
-        }
-    }
-
-    /// Returns the reduction task, if this is one.
-    pub fn as_red(&self) -> Option<&RedMsg> {
-        match self {
-            SysMsg::Red(m) => Some(m),
-            SysMsg::Mark(_) => None,
-        }
-    }
-}
-
-impl From<RedMsg> for SysMsg {
-    fn from(m: RedMsg) -> Self {
-        SysMsg::Red(m)
-    }
-}
-
-impl From<MarkMsg> for SysMsg {
-    fn from(m: MarkMsg) -> Self {
-        SysMsg::Mark(m)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,23 +86,5 @@ mod tests {
         };
         assert_eq!(m.dest_vertex(), None);
         assert_eq!(m.endpoints(), (Some(VertexId::new(3)), None));
-    }
-
-    #[test]
-    fn sysmsg_conversions() {
-        let r: SysMsg = RedMsg::Request {
-            src: Requester::External,
-            dst: VertexId::new(0),
-            kind: RequestKind::Vital,
-        }
-        .into();
-        assert!(r.as_red().is_some());
-        let m: SysMsg = MarkMsg::Return {
-            slot: dgr_graph::Slot::R,
-            to: dgr_graph::MarkParent::RootPar,
-        }
-        .into();
-        assert!(m.as_red().is_none());
-        assert_eq!(m.dest_vertex(), None);
     }
 }

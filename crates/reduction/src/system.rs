@@ -12,7 +12,7 @@ use dgr_sim::{DetSim, Envelope, Lane, SchedPolicy};
 use dgr_telemetry::{CounterId, HeapSnapshot, HeapTracker, Registry};
 
 use crate::engine::{handle_red, EngineCtx};
-use crate::msg::{RedMsg, SysMsg};
+use crate::msg::RedMsg;
 use crate::stats::RedStats;
 use crate::templates::TemplateStore;
 
@@ -64,13 +64,14 @@ pub enum RunOutcome {
 }
 
 /// A reduction system: the computation graph, the supercombinators, the
-/// marking state, and the simulator carrying both reduction and marking
-/// tasks.
+/// marking state, the simulator carrying the reduction tasks, and the
+/// queue carrying the marking tasks.
 ///
-/// [`System::step`] delivers one task — reduction or marking, whichever
-/// the scheduling policy picks — so marking cycles injected by a GC driver
-/// execute *concurrently* with reduction, interleaved at task granularity
-/// exactly as in the paper.
+/// [`System::step`] delivers the reduction task the scheduling policy
+/// picks and [`System::step_mark`] the oldest marking task, so a GC
+/// driver that alternates the two runs its marking cycles *concurrently*
+/// with reduction, interleaved at task granularity exactly as in the
+/// paper, at a share of its own choosing.
 #[derive(Debug)]
 pub struct System {
     /// The computation graph.
@@ -84,7 +85,7 @@ pub struct System {
     /// The root's computed value, once returned to the external observer.
     pub result: Option<Value>,
     config: SystemConfig,
-    sim: DetSim<SysMsg>,
+    sim: DetSim<RedMsg>,
     events: u64,
     /// Telemetry registry (the zero-sized no-op unless the `telemetry`
     /// feature is on): per-PE lane-delivery counters and local/remote
@@ -103,43 +104,45 @@ pub struct System {
     /// else.
     partition: PartitionMap,
     /// The marking tasks one reduction task spawned, held back until its
-    /// reduction sends are in (see `System::deliver`), and the engine's
+    /// reduction sends are in (see [`System::step`]), and the engine's
     /// two id lists; all kept across dispatches for their capacity.
     out_mark: Vec<MarkMsg>,
     actuals: Vec<VertexId>,
     fresh: Vec<VertexId>,
-    /// The queue [`System::drain_marking`] runs a pass from, empty between
-    /// passes and kept for its capacity.
-    mark_fifo: VecDeque<MarkMsg>,
+    /// Every pending marking task of both passes, oldest first, each with
+    /// the sequence number its send took: the queue
+    /// [`System::step_mark`] delivers from, kept for its capacity.
+    mark_fifo: VecDeque<(u64, MarkMsg)>,
 }
 
 /// The endpoints of every pending reduction task, in the simulator's
 /// `iter_pending` order: the seeds of `M_T`'s virtual task roots.
-fn task_endpoints(sim: &DetSim<SysMsg>) -> impl Iterator<Item = VertexId> + '_ {
-    sim.iter_pending()
-        .filter_map(|(_, _, msg)| msg.as_red())
-        .flat_map(|red| {
-            let (s, d) = red.endpoints();
-            s.into_iter().chain(d)
-        })
+fn task_endpoints(sim: &DetSim<RedMsg>) -> impl Iterator<Item = VertexId> + '_ {
+    sim.iter_pending().flat_map(|(_, _, red)| {
+        let (s, d) = red.endpoints();
+        s.into_iter().chain(d)
+    })
 }
 
-/// Routes and enqueues a marking task and records its send: from the PE
-/// whose task sent it, or, for a seed (`from == None`), stamped at its
-/// destination. Takes the system's fields apart so the marking handler's
-/// sink can call it while the handler holds the graph and the marking
-/// state.
+/// Takes a marking task's sequence number from the simulator and, when
+/// recording, routes it and records its send: from the PE whose task sent
+/// it, or, for a seed (`from == None`), stamped at its destination.
+/// Takes the system's fields apart so the marking handler's sink can call
+/// it while the handler holds the graph and the marking state.
 #[inline]
-fn enqueue_mark(
-    sim: &mut DetSim<SysMsg>,
+fn stamp_mark(
+    sim: &mut DetSim<RedMsg>,
     partition: &PartitionMap,
     rec: MarkRecord<'_>,
     from: Option<PeId>,
-    msg: MarkMsg,
-) {
-    let pe = partition.pe_of_dest(msg.dest_vertex());
-    let seq = sim.send(Envelope::new(pe, Lane::Marking, SysMsg::Mark(msg)));
-    rec.sent(&msg, from.map_or(Sender::Seed(pe), Sender::Task), pe, seq);
+    msg: &MarkMsg,
+) -> u64 {
+    let seq = sim.send_off_mailbox(Lane::Marking);
+    if rec.telem.enabled() {
+        let pe = partition.pe_of_dest(msg.dest_vertex());
+        rec.sent(msg, from.map_or(Sender::Seed(pe), Sender::Task), pe, seq);
+    }
+    seq
 }
 
 impl System {
@@ -242,8 +245,10 @@ impl System {
         self.events
     }
 
-    /// The simulator (for task-pool inspection).
-    pub fn sim(&self) -> &DetSim<SysMsg> {
+    /// The simulator (for reduction-task-pool inspection). Its marking
+    /// lane counts the marking tasks' sends, deliveries and backlog, but
+    /// its mailboxes never hold one.
+    pub fn sim(&self) -> &DetSim<RedMsg> {
         &self.sim
     }
 
@@ -253,12 +258,9 @@ impl System {
     /// is garbage goes too, since its reply target may be recycled.
     /// Returns how many tasks were deleted.
     pub fn expunge_tasks(&mut self, dead: impl Fn(VertexId) -> bool) -> usize {
-        self.sim.expunge(|_, _, msg| match msg.as_red() {
-            Some(red) => {
-                let (src, dst) = red.endpoints();
-                !src.is_some_and(&dead) && !dst.is_some_and(&dead)
-            }
-            None => true,
+        self.sim.expunge(|_, _, red| {
+            let (src, dst) = red.endpoints();
+            !src.is_some_and(&dead) && !dst.is_some_and(&dead)
         })
     }
 
@@ -266,9 +268,9 @@ impl System {
     /// priority into that priority's lane — the restructuring phase's
     /// dynamic re-prioritization. Returns how many tasks moved.
     pub fn relane_requests(&mut self, lane_of: impl Fn(VertexId) -> Option<Priority>) -> usize {
-        self.sim.relane(|_, lane, msg| match msg.as_red() {
-            Some(RedMsg::Request { dst, .. }) => lane_of(*dst).map_or(lane, Lane::Reduction),
-            _ => lane,
+        self.sim.relane(|_, lane, msg| match msg {
+            RedMsg::Request { dst, .. } => lane_of(*dst).map_or(lane, Lane::Reduction),
+            RedMsg::Return { .. } => lane,
         })
     }
 
@@ -276,22 +278,24 @@ impl System {
     /// budget abandons its pass (the next cycle's phases reset colors and
     /// counts).
     pub fn drop_marking(&mut self) {
-        self.sim.expunge(|_, _, msg| msg.as_red().is_some());
+        for _ in self.mark_fifo.drain(..) {
+            self.sim.take_off_mailbox(Lane::Marking, false);
+        }
     }
 
     /// Routes and enqueues a reduction task with the given lane priority.
     pub fn send_red(&mut self, msg: RedMsg, prio: Priority) {
         let pe = self.partition.pe_of_dest(msg.dest_vertex());
-        self.sim
-            .send(Envelope::new(pe, Lane::Reduction(prio), SysMsg::Red(msg)));
+        self.sim.send(Envelope::new(pe, Lane::Reduction(prio), msg));
     }
 
-    /// Routes and enqueues a marking task from outside any task (a GC
-    /// driver's seeds).
+    /// Enqueues a marking task from outside any task (a GC driver's
+    /// seeds).
     pub fn send_mark(&mut self, msg: MarkMsg) {
         let (telem, cycle) = (&self.telem, self.telem_cycle);
         let rec = MarkRecord { telem, cycle };
-        enqueue_mark(&mut self.sim, &self.partition, rec, None, msg);
+        let seq = stamp_mark(&mut self.sim, &self.partition, rec, None, &msg);
+        self.mark_fifo.push_back((seq, msg));
     }
 
     /// Spawns the initial task `<-, root>`.
@@ -311,53 +315,30 @@ impl System {
         );
     }
 
-    /// Delivers and executes one task. Returns `false` if the system is
-    /// quiescent.
-    pub fn step(&mut self) -> bool {
-        self.deliver(None)
-    }
-
-    /// Delivers and executes one task from the given lane (oldest first),
-    /// regardless of the scheduling policy. Returns `false` if that lane
-    /// is empty. Used by the GC driver to give marking tasks priority
-    /// service during a collection phase (the paper's Section 6 remark
-    /// that marking tasks may take precedence at a vertex).
-    pub fn step_lane(&mut self, lane: Lane) -> bool {
-        self.deliver(Some(lane))
-    }
-
-    /// Pops one task — the policy's pick, or the oldest of `only` — and
-    /// executes it where it was popped, enqueueing what it spawns: the one
-    /// deliver-and-dispatch body behind [`System::step`] and
-    /// [`System::step_lane`], so the message moves from its queue slot
-    /// into its handler and nowhere in between.
+    /// Delivers and executes the reduction task the scheduling policy
+    /// picks, enqueueing what it spawns. Returns `false` if no reduction
+    /// task is pending.
     ///
     /// A task's sends go straight from its handler into the simulator: one
     /// event is one queue pop, one handler call and its sends. The one
-    /// exception is the marking tasks a *reduction* task spawns through
-    /// the cooperating mutators, which wait in `out_mark` until the engine
-    /// returns. The engine interleaves the two kinds and the order they
-    /// enter the simulator is part of the delivery order — sequence
-    /// numbers are global, and round-robin picks a PE's oldest message
-    /// *across* lanes — so all of a task's reduction sends get their
-    /// numbers before any of its marking sends, as they always have.
-    fn deliver(&mut self, only: Option<Lane>) -> bool {
-        let Some((pe, lane, seq, msg)) = self.sim.next_event_from(only) else {
+    /// exception is the marking tasks it spawns through the cooperating
+    /// mutators, which wait in `out_mark` until the engine returns, so
+    /// all of a task's reduction sends take their sequence numbers before
+    /// any of its marking sends, as they always have.
+    pub fn step(&mut self) -> bool {
+        let Some((pe, _, msg)) = self.sim.next_event() else {
             return false;
         };
         self.events += 1;
-        if let Lane::Reduction(_) = lane {
-            self.telem.pe(pe.raw()).inc(CounterId::RedEvents);
-        }
-        let (sim, telem, cycle) = (&mut self.sim, &self.telem, self.telem_cycle);
-        let rec = MarkRecord { telem, cycle };
+        self.telem.pe(pe.raw()).inc(CounterId::RedEvents);
+        let (sim, telem) = (&mut self.sim, &self.telem);
         match msg {
-            SysMsg::Red(RedMsg::Return {
+            RedMsg::Return {
                 dst: Requester::External,
                 value,
                 ..
-            }) => self.result = Some(value),
-            SysMsg::Red(m) => {
+            } => self.result = Some(value),
+            m => {
                 handle_red(
                     &mut EngineCtx {
                         state: &mut self.mark_state,
@@ -369,7 +350,7 @@ impl System {
                         partition: &mut self.partition,
                         red: |dst, m, prio| {
                             count_send(telem, pe, dst);
-                            sim.send(Envelope::new(dst, Lane::Reduction(prio), SysMsg::Red(m)));
+                            sim.send(Envelope::new(dst, Lane::Reduction(prio), m));
                         },
                         spawned: 0,
                         out_mark: &mut self.out_mark,
@@ -378,24 +359,49 @@ impl System {
                     },
                     m,
                 );
+                let rec = MarkRecord {
+                    telem,
+                    cycle: self.telem_cycle,
+                };
                 for m in self.out_mark.drain(..) {
-                    enqueue_mark(sim, &self.partition, rec, Some(pe), m);
+                    let seq = stamp_mark(sim, &self.partition, rec, Some(pe), &m);
+                    self.mark_fifo.push_back((seq, m));
                 }
-            }
-            SysMsg::Mark(m) => {
-                // The delivery end of the flow edge `enqueue_mark` opened;
-                // reduction messages are not flow-traced.
-                rec.delivered(&m, pe, seq);
-                let partition = &self.partition;
-                handle_mark(
-                    &mut self.mark_state,
-                    &mut self.graph,
-                    m,
-                    &mut |m: MarkMsg| enqueue_mark(sim, partition, rec, Some(pe), m),
-                );
             }
         }
         self.drain_heap_journal();
+        true
+    }
+
+    /// Delivers and executes the oldest pending marking task, of either
+    /// pass, enqueueing what it spawns behind the rest. Returns `false` if
+    /// no marking task is pending.
+    ///
+    /// The queue is in send order; the simulator only counts the traffic
+    /// in its marking lane ([`DetSim::send_off_mailbox`],
+    /// [`DetSim::take_off_mailbox`]). A marking task never allocates or
+    /// frees a vertex, so the partition and the heap journal are left
+    /// alone. With telemetry on, the task is recorded on the PE its
+    /// destination routes to now, and its sends as sent from there; with
+    /// it off nothing is routed.
+    pub fn step_mark(&mut self) -> bool {
+        let Some((seq, m)) = self.mark_fifo.pop_front() else {
+            return false;
+        };
+        self.events += 1;
+        self.sim.take_off_mailbox(Lane::Marking, true);
+        let (telem, cycle) = (&self.telem, self.telem_cycle);
+        let rec = MarkRecord { telem, cycle };
+        let (sim, fifo, partition) = (&mut self.sim, &mut self.mark_fifo, &self.partition);
+        let pe = telem
+            .enabled()
+            .then(|| partition.pe_of_dest(m.dest_vertex()));
+        if let Some(pe) = pe {
+            rec.delivered(&m, pe, seq);
+        }
+        handle_mark(&mut self.mark_state, &mut self.graph, m, &mut |m| {
+            fifo.push_back((stamp_mark(sim, partition, rec, pe, &m), m));
+        });
         true
     }
 
@@ -403,91 +409,42 @@ impl System {
     /// executes: hangs one `mark3` on the virtual `troot` per endpoint of
     /// every pending reduction task (registered with
     /// [`MarkState::begin_t`] once, before the first delivery), then
-    /// delivers marking tasks in send order until the last seed has
-    /// returned (`t_done`), calling `progress` after each delivery with the
-    /// pass's count so far. Returns the deliveries made and whether
-    /// `t_done` was reached; after `budget` deliveries the pass stops and
-    /// drops the marking tasks it still holds.
-    ///
-    /// Nothing else is sent meanwhile, so send order is the order
-    /// [`System::step_lane`] would deliver the marking lane in, and the
-    /// pass needs nothing from the scheduler: it runs from a queue the
-    /// system keeps across passes, and the simulator is told the totals
-    /// once, by [`DetSim::bypass`]. The queue holds bare messages: the
-    /// pass's `i`-th send takes sequence number `base + i` and is its
-    /// `i`-th delivery, on the PE the message routes to (no reduction task
-    /// runs, so the partition holds still). Both are recorded as
-    /// `step_lane` records them, with the same flow ids; with telemetry
-    /// off nothing is routed.
+    /// delivers marking tasks with [`System::step_mark`] until the last
+    /// seed has returned (`t_done`), calling `progress` after each
+    /// delivery with the pass's count so far. Returns the deliveries made
+    /// and whether `t_done` was reached; after `budget` deliveries the
+    /// pass stops and drops the marking tasks it still holds.
     ///
     /// # Panics
     ///
     /// Panics if a marking task is pending when the pass starts, or if the
     /// pass runs out of marking tasks before `t_done` holds.
     pub fn drain_marking(&mut self, budget: u64, mut progress: impl FnMut(u64)) -> (u64, bool) {
+        assert!(
+            self.mark_fifo.is_empty(),
+            "a marking pass starts with no marking task pending"
+        );
+        let par = MarkParent::TaskRootPar;
+        let seeds = task_endpoints(&self.sim).map(|v| (0, MarkMsg::Mark3 { v, par }));
+        self.mark_fifo.extend(seeds);
         let (telem, cycle) = (&self.telem, self.telem_cycle);
         let rec = MarkRecord { telem, cycle };
-        let (fifo, state, graph) = (&mut self.mark_fifo, &mut self.mark_state, &mut self.graph);
-        let partition = &self.partition;
-        // The PE a message runs on, asked for only when it is recorded.
-        let routed = |m: &MarkMsg| {
-            rec.telem
-                .enabled()
-                .then(|| partition.pe_of_dest(m.dest_vertex()))
-        };
-        let (mut delivered, mut finished) = (0, true);
-        self.sim.bypass(Lane::Marking, |sim, base| {
-            assert_eq!(
-                sim.stats().lane_depth(Lane::Marking),
-                0,
-                "a marking pass starts with no marking task pending"
-            );
-            // Queues a marking task sent from `from` (`None`: a seed),
-            // recorded as `enqueue_mark` records a send.
-            let mut sent = 0;
-            let mut push = |fifo: &mut VecDeque<MarkMsg>, from: Option<PeId>, m: MarkMsg| {
-                if let Some(pe) = routed(&m) {
-                    rec.sent(
-                        &m,
-                        from.map_or(Sender::Seed(pe), Sender::Task),
-                        pe,
-                        base + sent,
-                    );
-                }
-                sent += 1;
-                fifo.push_back(m);
-            };
-            let mut seeds = 0;
-            for v in task_endpoints(sim) {
-                let par = MarkParent::TaskRootPar;
-                push(fifo, None, MarkMsg::Mark3 { v, par });
-                seeds += 1;
+        for (seq, m) in self.mark_fifo.iter_mut() {
+            *seq = stamp_mark(&mut self.sim, &self.partition, rec, None, m);
+        }
+        self.mark_state.begin_t(self.mark_fifo.len() as u32);
+        let mut delivered = 0;
+        while !self.mark_state.t_done {
+            let stepped = self.step_mark();
+            assert!(stepped, "marking drained without its termination signal");
+            delivered += 1;
+            progress(delivered);
+            if delivered >= budget {
+                self.drop_marking();
+                return (delivered, false);
             }
-            state.begin_t(seeds);
-            let mut peak = fifo.len();
-            while !state.t_done {
-                let m = fifo
-                    .pop_front()
-                    .expect("marking drained without its termination signal");
-                // Recorded as `deliver` records a marking task's delivery.
-                let pe = routed(&m);
-                if let Some(pe) = pe {
-                    rec.delivered(&m, pe, base + delivered);
-                }
-                handle_mark(state, graph, m, &mut |m| push(fifo, pe, m));
-                peak = peak.max(fifo.len());
-                delivered += 1;
-                progress(delivered);
-                if delivered >= budget {
-                    fifo.clear();
-                    finished = false;
-                    break;
-                }
-            }
-            (sent, delivered, peak)
-        });
-        self.events += delivered;
-        (delivered, finished)
+        }
+        (delivered, true)
     }
 
     /// Demands the root and runs until the result arrives, the system is

@@ -25,7 +25,11 @@ pub enum SchedPolicy {
     RoundRobin,
     /// Uniformly random choice among pending messages, except that marking
     /// messages are chosen with probability `marking_bias` when both
-    /// marking and non-marking work is pending (`0.5` = unbiased).
+    /// marking and non-marking work is pending (`0.5` = unbiased). The
+    /// bias acts only where marking messages travel through the mailboxes,
+    /// as in `dgr-core`'s own marking passes (`core::driver`); a reduction
+    /// system's marking tasks never enter them, so under a GC driver the
+    /// policy orders reduction tasks only.
     Random {
         /// Probability of preferring the marking lane when both kinds of
         /// work exist. `0.0` starves marking; `1.0` runs marking eagerly.
@@ -33,15 +37,18 @@ pub enum SchedPolicy {
     },
     /// Highest-preference lane first ([`Lane::ALL`] order), rotating among
     /// PEs within a lane. Models a scheduler that favors marking, then
-    /// vital reduction work.
+    /// vital reduction work; as with `Random`'s bias, the marking
+    /// preference acts only where marking messages enter the mailboxes
+    /// (`core::driver`'s passes), so under a GC driver it orders the
+    /// reduction lanes alone.
     PriorityFirst,
     /// Round-synchronous (BSP): in each round every PE, in index order,
     /// runs its oldest pending message across its lanes if that message
     /// was sent before the round began. [`SimStats::rounds`](crate::SimStats::rounds)
     /// is then a pass's ideal parallel time on that many PEs, experiment
     /// T5's hardware-independent scalability measure (wall-clock speedup
-    /// needs more hardware threads than a CI container has). Lane service
-    /// ([`DetSim::next_event_from`] with a lane) and [`DetSim::bypass`]
+    /// needs more hardware threads than a CI container has). Off-mailbox
+    /// messages ([`DetSim::send_off_mailbox`]) take sequence numbers but
     /// run outside the rounds.
     Rounds,
 }
@@ -49,13 +56,6 @@ pub enum SchedPolicy {
 /// Index of the marking lane, the one lane outside the random policy's
 /// non-marking pool.
 const MARKING: usize = Lane::Marking.index();
-
-/// Stale entries a lane's mirror may hold beyond its pending depth before
-/// a send drops it: `len ≤ 2 × depth + MIRROR_SLACK` after every send to
-/// the lane, and deliveries never grow a mirror, so it stays within twice
-/// the lane's peak backlog. The constant keeps a near-empty lane's mirror
-/// from being dropped and rebuilt every few sends.
-const MIRROR_SLACK: usize = 64;
 
 /// One PE's mailboxes: a queue of `(seq, message)` per lane.
 type Mailboxes<M> = PerLane<VecDeque<(u64, M)>>;
@@ -155,7 +155,7 @@ impl IdSet {
 ///
 /// | question | index |
 /// |---|---|
-/// | oldest / newest message of a lane, any PE (`Fifo`, `Lifo`, in-lane service) | `mirror`, built when first asked |
+/// | oldest / newest message of a lane, any PE (`Fifo`, `Lifo`) | `mirror`, built when first asked |
 /// | first PE at or after the cursor with work in a lane (`PriorityFirst`) | `lane_pes` |
 /// | first PE at or after the cursor with any work (`RoundRobin`) | the OR of the four `lane_pes` words |
 /// | the `k`-th non-empty marking / other mailbox (`Random`) | `lane_pes[Marking]`, the three other `lane_pes` read in `(pe, lane)` order |
@@ -179,17 +179,15 @@ pub struct DetSim<M> {
     round_start: u64,
     stats: SimStats,
     /// Per-lane mirror of the pending sends' `(seq, pe)` with **lazy
-    /// deletion**, `None` until somebody asks for that lane's oldest or
-    /// newest — a lane only the policy's occupancy sets pick from never
-    /// pays for one. A mirror is seq-sorted: its first entry still
-    /// matching the front of its mailbox queue is the lane's globally
-    /// oldest pending message, and its last entry matching a queue back is
-    /// the newest. Deliveries leave stale entries behind and peeks discard
-    /// them from the ends; once stale entries outnumber pending ones by
-    /// [`MIRROR_SLACK`] most deliveries are bypassing the mirror, so the
-    /// send that notices drops it and the next ask, if one comes, builds
-    /// it afresh in O(depth) — at least `depth + MIRROR_SLACK` sends
-    /// apart, amortised O(1) per message.
+    /// deletion**, `None` until a `Fifo` or `Lifo` pick first asks for
+    /// that lane's oldest or newest (and again after surgery) — the other
+    /// policies pick from the occupancy sets and never pay for one. A
+    /// mirror is seq-sorted: its first entry still matching the front of
+    /// its mailbox queue is the lane's globally oldest pending message,
+    /// and its last entry matching a queue back is the newest. A delivery
+    /// leaves its entry behind, at the end the pick read it from, and the
+    /// next pick, which peeks every lane at that end, discards it: a
+    /// mirror holds at most one entry beyond its lane's depth.
     mirror: PerLane<Option<Mirror>>,
     /// Per-lane set of PEs whose mailbox for that lane is non-empty.
     lane_pes: PerLane<IdSet>,
@@ -287,7 +285,7 @@ impl<M> DetSim<M> {
     /// Enqueues a message, returning its globally unique sequence number.
     ///
     /// The sequence number doubles as a causal handle:
-    /// [`DetSim::next_event_from`] returns it with the message, so a
+    /// [`DetSim::next_tagged`] returns it with the message, so a
     /// caller can pair every delivery with its send — the flow-id scheme
     /// the tracing layer builds happens-before edges from — without the
     /// simulator carrying any extra per-message state.
@@ -309,38 +307,43 @@ impl<M> DetSim<M> {
         self.stats.record_send(env.lane);
         if let Some(mirror) = &mut self.mirror[l] {
             mirror.push_back((seq, pe as u16));
-            if mirror.len() > 2 * self.stats.lane_depth(env.lane) + MIRROR_SLACK {
-                self.mirror[l] = None;
-            }
         }
         seq
     }
 
-    /// Accounts for a burst of `lane` traffic that never enters the
-    /// mailboxes: `pass` queues and delivers the burst itself, in send
-    /// order, while the simulator can only be read. `pass` gets the first
-    /// sequence number it may assign and returns `(sent, delivered, peak)`:
-    /// how many messages it sent (each took the next sequence number), how
-    /// many of them it delivered (dropping the rest, as
-    /// [`DetSim::expunge`] would) and its own queue's largest backlog.
-    /// Afterwards the simulator stands where those sends and deliveries
-    /// through the lane's mailboxes would have left it: the sequence
-    /// numbers are consumed, the lane's delivered count has grown, its
-    /// depth is where it was, and its high water is at least that depth
-    /// plus `peak`.
-    pub fn bypass(&mut self, lane: Lane, pass: impl FnOnce(&Self, u64) -> (u64, u64, usize)) {
-        let (sent, delivered, peak) = pass(self, self.seq);
-        debug_assert!(delivered <= sent, "delivered more than was sent");
-        self.seq += sent;
-        self.stats.record_bypass(lane, delivered, peak);
+    /// Records the send of a `lane` message that never enters the
+    /// mailboxes — the caller queues and delivers it itself — and returns
+    /// its sequence number, the next one, as [`DetSim::send`] would. The
+    /// message counts in the lane's depth and high water until
+    /// [`DetSim::take_off_mailbox`] takes it, but not in
+    /// [`DetSim::len`]: no policy pick ever returns it.
+    #[inline]
+    pub fn send_off_mailbox(&mut self, lane: Lane) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        self.stats.record_send(lane);
+        seq
     }
 
-    /// Number of pending messages.
+    /// Records that the caller took one message it sent with
+    /// [`DetSim::send_off_mailbox`] off its own queue: `delivered`, which
+    /// counts as a delivery in the lane, or dropped, which leaves the lane
+    /// as [`DetSim::expunge`] would.
+    #[inline]
+    pub fn take_off_mailbox(&mut self, lane: Lane, delivered: bool) {
+        if delivered {
+            self.stats.record_deliver(lane);
+        } else {
+            self.stats.record_drop(lane);
+        }
+    }
+
+    /// Number of pending messages in the mailboxes.
     pub fn len(&self) -> usize {
         self.pending
     }
 
-    /// Returns `true` if no messages are pending.
+    /// Returns `true` if no messages are pending in the mailboxes.
     pub fn is_empty(&self) -> bool {
         self.pending == 0
     }
@@ -360,52 +363,35 @@ impl<M> DetSim<M> {
     /// Picks, removes and returns the next message per the policy, or
     /// `None` when the system is quiescent.
     pub fn next_event(&mut self) -> Option<(PeId, Lane, M)> {
-        self.next_event_from(None)
-            .map(|(pe, lane, _, m)| (pe, lane, m))
+        self.next_tagged().map(|(pe, lane, _, m)| (pe, lane, m))
     }
 
-    /// The one dequeue: the policy's pick, or with `only` the oldest
-    /// pending message of that lane (any PE) regardless of policy — used
-    /// to give one lane priority service (e.g. marking tasks during a
-    /// collection phase, per the paper's Section 6 remark). Also returns
-    /// the sequence number [`DetSim::send`] assigned the message — the
-    /// handle tracing uses to match this delivery to its send.
+    /// The one dequeue: the policy's pick, with the sequence number
+    /// [`DetSim::send`] assigned the message — the handle tracing uses to
+    /// match this delivery to its send.
     #[inline]
-    pub fn next_event_from(&mut self, only: Option<Lane>) -> Option<(PeId, Lane, u64, M)> {
-        let (pe, lane, newest) = match only {
-            Some(lane) => {
-                let l = lane.index();
-                let (pes, mirror) = self.lane_mirror(l);
-                let (_, pe) = Self::lane_oldest(pes, mirror, l)?;
-                // The entry about to be served is the mirror's front: drop
-                // it now rather than leave it for the next peek to find
-                // stale.
-                mirror.pop_front();
-                (pe as usize, lane, false)
-            }
-            None if self.pending == 0 => return None,
-            None => {
-                let (pe, lane) = match self.policy {
-                    SchedPolicy::Fifo => self.pick_extreme(false)?,
-                    SchedPolicy::Lifo => self.pick_extreme(true)?,
-                    SchedPolicy::RoundRobin => self.pick_round_robin()?,
-                    SchedPolicy::Random { marking_bias } => self.pick_random(marking_bias)?,
-                    SchedPolicy::PriorityFirst => self.pick_priority_first()?,
-                    SchedPolicy::Rounds => self.pick_rounds(),
-                };
-                (pe, lane, matches!(self.policy, SchedPolicy::Lifo))
-            }
+    pub fn next_tagged(&mut self) -> Option<(PeId, Lane, u64, M)> {
+        if self.pending == 0 {
+            return None;
+        }
+        let (pe, lane) = match self.policy {
+            SchedPolicy::Fifo => self.pick_extreme(false)?,
+            SchedPolicy::Lifo => self.pick_extreme(true)?,
+            SchedPolicy::RoundRobin => self.pick_round_robin()?,
+            SchedPolicy::Random { marking_bias } => self.pick_random(marking_bias)?,
+            SchedPolicy::PriorityFirst => self.pick_priority_first()?,
+            SchedPolicy::Rounds => self.pick_rounds(),
         };
         let l = lane.index();
         let q = &mut self.pes[pe][l];
-        let (seq, msg) = if newest {
+        let (seq, msg) = if matches!(self.policy, SchedPolicy::Lifo) {
             q.pop_back()?
         } else {
             q.pop_front()?
         };
         if q.is_empty() {
-            // The mirror entries of what the mailbox held, if the lane has
-            // a mirror, stay behind as stale for a later peek to discard.
+            // The mirror entry of what the mailbox held, if the lane has a
+            // mirror, stays behind as stale for the next peek to discard.
             self.lane_pes[l].remove(pe);
         }
         self.pending -= 1;
@@ -744,13 +730,11 @@ mod tests {
         let s1 = sim.send(env(1, Lane::Reduction(Priority::Vital), 11));
         let s2 = sim.send(env(0, Lane::Marking, 12));
         assert_eq!((s0, s1, s2), (0, 1, 2), "seqs are assigned in send order");
-        let (_, _, seq, m) = sim.next_event_from(None).unwrap();
-        assert_eq!((seq, m), (s0, 10));
-        let (_, _, seq, m) = sim.next_event_from(Some(Lane::Marking)).unwrap();
-        assert_eq!((seq, m), (s2, 12), "lane dequeue skips other lanes");
-        let (_, _, seq, m) = sim.next_event_from(None).unwrap();
-        assert_eq!((seq, m), (s1, 11));
-        assert!(sim.next_event_from(None).is_none());
+        for (want_seq, want_m) in [(s0, 10), (s1, 11), (s2, 12)] {
+            let (_, _, seq, m) = sim.next_tagged().unwrap();
+            assert_eq!((seq, m), (want_seq, want_m));
+        }
+        assert!(sim.next_tagged().is_none());
     }
 
     /// The three policies that pick by occupancy set, never by mirror.
@@ -786,76 +770,72 @@ mod tests {
         }
     }
 
-    /// Asked once, then left to the policy: each mirror is built by the
-    /// ask, kept within `2 × depth + MIRROR_SLACK` at every send to its
-    /// lane (dropped when it would cross) and within that of the lane's
-    /// peak depth at all times, and an ask after the drop still finds
-    /// every pending message.
+    /// Under the two policies that read the mirrors, every pick peeks
+    /// every lane at the end it delivers from, so a mirror never holds
+    /// more than the one stale entry the last delivery left behind —
+    /// through surgery too, which drops the mirrors for the next pick to
+    /// rebuild.
     #[test]
-    fn an_abandoned_mirror_stays_bounded_until_it_is_dropped() {
-        let len =
-            |sim: &DetSim<u64>, lane: Lane| sim.mirror[lane.index()].as_ref().map(VecDeque::len);
-        for policy in SET_POLICIES {
+    fn a_mirror_holds_at_most_one_entry_beyond_its_lane_depth() {
+        for policy in [SchedPolicy::Fifo, SchedPolicy::Lifo] {
             let mut sim = DetSim::new(4, policy, 11);
             for i in 0..28 {
                 strided_send(&mut sim, i);
             }
-            for lane in Lane::ALL {
-                sim.next_event_from(Some(lane)).expect("seven per lane");
-                assert!(
-                    len(&sim, lane).is_some(),
-                    "{policy:?} {lane:?}: the ask builds"
-                );
-            }
-            let mut dropped = 0;
-            for i in 28..1_000_028 {
-                let before = len(&sim, Lane::ALL[(i * 5 % 4) as usize]);
-                let lane = strided_send(&mut sim, i);
-                let room = 2 * sim.stats().lane_depth(lane) + MIRROR_SLACK;
-                match len(&sim, lane) {
-                    Some(n) => assert!(n <= room, "{policy:?} {lane:?}: {n} > {room} at a send"),
-                    None => dropped += usize::from(before.is_some()),
-                }
+            for i in 28..100_028 {
+                strided_send(&mut sim, i);
                 sim.next_event().expect("backlog is never empty");
+                if i % 10_000 == 0 {
+                    let dropped = sim.expunge(|_, _, &m| m % 3 != 0);
+                    let rebuilt = dropped == 0 || sim.mirror.iter().all(Option::is_none);
+                    assert!(rebuilt, "{policy:?}: surgery drops the mirrors");
+                    (0..dropped as u64).for_each(|j| _ = strided_send(&mut sim, i + j));
+                }
                 for lane in Lane::ALL {
-                    let room = 2 * sim.stats().lane_high_water(lane) + MIRROR_SLACK;
-                    let n = len(&sim, lane).unwrap_or(0);
-                    assert!(n <= room, "{policy:?} {lane:?}: {n} > {room}");
+                    let depth = sim.stats().lane_depth(lane);
+                    let n = sim.mirror[lane.index()].as_ref().map_or(0, VecDeque::len);
+                    assert!(n <= depth + 1, "{policy:?} {lane:?}: {n} > {depth} + 1");
                 }
             }
-            assert_eq!(
-                dropped, 4,
-                "{policy:?}: each abandoned mirror is dropped once"
-            );
-            assert_eq!(sim.len(), 24);
-            let mut drained = 0;
-            for lane in Lane::ALL {
-                while sim.next_event_from(Some(lane)).is_some() {
-                    drained += 1;
-                }
-            }
-            assert_eq!(
-                drained, 24,
-                "{policy:?}: a rebuilt mirror lost a pending entry"
-            );
+            assert!(sim.mirror.iter().all(Option::is_some), "{policy:?}");
         }
     }
 
+    /// Off-mailbox sends take their sequence numbers from the same
+    /// counter as mailbox sends, and the lane's depth, high water and
+    /// delivered count see them exactly as they see mailbox traffic; a
+    /// drop lowers the depth without a delivery, and no policy pick ever
+    /// returns an off-mailbox message.
     #[test]
-    fn a_bypass_consumes_its_sequence_numbers_and_leaves_the_queues_alone() {
+    fn off_mailbox_traffic_shares_the_seqs_and_the_lane_counts() {
         let mut sim = DetSim::new(2, SchedPolicy::Fifo, 0);
-        sim.send(env(1, Lane::Reduction(Priority::Vital), 10));
-        sim.bypass(Lane::Marking, |sim, base| {
-            assert_eq!((base, sim.len()), (1, 1), "the pass reads the simulator");
-            (5, 4, 3)
-        });
-        assert_eq!(sim.send(env(0, Lane::Marking, 11)), 1 + 5);
+        let mut seqs = vec![sim.send(env(1, Lane::Reduction(Priority::Vital), 10))];
+        seqs.push(sim.send_off_mailbox(Lane::Marking));
+        seqs.push(sim.send_off_mailbox(Lane::Marking));
+        seqs.push(sim.send(env(0, Lane::Marking, 11)));
+        seqs.push(sim.send_off_mailbox(Lane::Marking));
+        assert_eq!(seqs, [0, 1, 2, 3, 4], "one counter, unique and monotone");
+        let stats = sim.stats();
+        assert_eq!(stats.lane_depth(Lane::Marking), 4);
+        assert_eq!(stats.lane_high_water(Lane::Marking), 4);
+        assert_eq!(sim.len(), 2, "off-mailbox messages are not pending here");
+        sim.take_off_mailbox(Lane::Marking, true);
+        sim.take_off_mailbox(Lane::Marking, true);
+        sim.take_off_mailbox(Lane::Marking, false);
+        let stats = sim.stats();
+        assert_eq!(stats.delivered(Lane::Marking), 2);
+        assert_eq!(stats.lane_depth(Lane::Marking), 1);
+        assert_eq!(stats.lane_high_water(Lane::Marking), 4);
+        sim.reset_lane_high_water();
+        assert_eq!(sim.send_off_mailbox(Lane::Marking), 5);
+        assert_eq!(sim.stats().lane_high_water(Lane::Marking), 2);
+        let got: Vec<u32> = std::iter::from_fn(|| sim.next_event().map(|(_, _, m)| m)).collect();
+        assert_eq!(got, vec![10, 11], "the picks see the mailboxes only");
+        sim.take_off_mailbox(Lane::Marking, true);
         let stats = sim.stats();
         assert_eq!(stats.delivered(Lane::Marking), 4);
-        assert_eq!(stats.lane_depth(Lane::Marking), 1);
-        assert_eq!(stats.lane_high_water(Lane::Marking), 3);
-        let got: Vec<u32> = std::iter::from_fn(|| sim.next_event().map(|(_, _, m)| m)).collect();
-        assert_eq!(got, vec![10, 11]);
+        assert_eq!(stats.delivered_total(), 5);
+        assert_eq!(stats.lane_depth(Lane::Marking), 0);
     }
 
     #[test]

@@ -37,15 +37,10 @@ impl SimStats {
         self.lane_depth[l] -= 1;
     }
 
-    /// What `record_send` and `record_deliver` would have recorded for a
-    /// burst of `lane` traffic that bypassed the mailboxes and ended with
-    /// its own queue empty: `delivered` more deliveries, the depth where
-    /// it was, and a high water of at least the depth plus the burst's
-    /// `peak` backlog.
-    pub(crate) fn record_bypass(&mut self, lane: Lane, delivered: u64, peak: usize) {
-        let l = lane.index();
-        self.delivered[l] += delivered;
-        self.lane_high_water[l] = self.lane_high_water[l].max(self.lane_depth[l] + peak);
+    /// A pending message left its lane without a delivery.
+    #[inline]
+    pub(crate) fn record_drop(&mut self, lane: Lane) {
+        self.lane_depth[lane.index()] -= 1;
     }
 
     /// Re-derives per-lane depths after bulk mailbox surgery
@@ -132,22 +127,19 @@ mod tests {
     }
 
     #[test]
-    fn a_bypass_counts_as_its_sends_and_deliveries() {
-        // One pending marking task, then a burst that peaks at three and
-        // delivers four of its five sends, dropping the fifth.
-        let mut bypassed = SimStats::default();
-        bypassed.record_send(Lane::Marking);
-        let mut sent = bypassed.clone();
-        bypassed.record_bypass(Lane::Marking, 4, 3);
-        for burst in [3, 1] {
-            (0..burst).for_each(|_| sent.record_send(Lane::Marking));
-            (0..burst).for_each(|_| sent.record_deliver(Lane::Marking));
-        }
-        sent.record_send(Lane::Marking);
-        sent.set_lane_depths([1, 0, 0, 0]);
-        assert_eq!(bypassed.delivered(Lane::Marking), 5 - 1);
-        assert_eq!(bypassed, sent);
-        assert_eq!(bypassed.lane_high_water(Lane::Marking), 1 + 3);
+    fn a_drop_leaves_the_backlog_as_surgery_would() {
+        // Three pending marking tasks, one delivered and one dropped: the
+        // same stats as surgery that finds one left.
+        let mut dropped = SimStats::default();
+        (0..3).for_each(|_| dropped.record_send(Lane::Marking));
+        let mut surgery = dropped.clone();
+        dropped.record_deliver(Lane::Marking);
+        dropped.record_drop(Lane::Marking);
+        surgery.record_deliver(Lane::Marking);
+        surgery.set_lane_depths([1, 0, 0, 0]);
+        assert_eq!(dropped, surgery);
+        assert_eq!(dropped.delivered(Lane::Marking), 1);
+        assert_eq!(dropped.lane_high_water(Lane::Marking), 3);
     }
 
     #[test]

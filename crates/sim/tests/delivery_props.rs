@@ -200,27 +200,4 @@ proptest! {
         prop_assert_eq!(count, before - dropped);
     }
 
-    /// In-lane service never returns a message from another lane and
-    /// drains oldest-first.
-    #[test]
-    fn lane_targeted_delivery(
-        sends in proptest::collection::vec((0u16..4, 0u8..5), 1..80),
-    ) {
-        let mut sim: DetSim<u32> = DetSim::new(4, SchedPolicy::Fifo, 0);
-        for (i, &(pe, tag)) in sends.iter().enumerate() {
-            sim.send(Envelope::new(PeId::new(pe), lane_of(tag), i as u32));
-        }
-        let mut last = None;
-        while let Some((_pe, lane, _seq, id)) = sim.next_event_from(Some(Lane::Marking)) {
-            prop_assert_eq!(lane, Lane::Marking);
-            if let Some(prev) = last {
-                prop_assert!(id > prev, "oldest-first within the lane");
-            }
-            last = Some(id);
-        }
-        // Remaining messages are all non-marking.
-        while let Some((_pe, lane, _)) = sim.next_event() {
-            prop_assert_ne!(lane, Lane::Marking);
-        }
-    }
 }

@@ -3,11 +3,10 @@
 //! every policy and seed. `RefSim` below is a faithful copy of the old
 //! scan-based pick logic (including the order in which it consults the
 //! RNG), so any divergence in pick order or RNG stream fails here. The
-//! scripts mix policy picks with in-lane service — first asked for at an
-//! arbitrary point, abandoned until the lane's lazily built mirror is
-//! dropped, and asked for again — run at PE counts on both sides of a
-//! 64-bit word of the occupancy sets, and end by checking `SimStats`
-//! against counters recomputed from the script. `SchedPolicy::Rounds`
+//! scripts interleave sends, picks and surgery — before the first pick
+//! and while the lazily built `Fifo` / `Lifo` mirrors exist — run at PE
+//! counts on both sides of a 64-bit word of the occupancy sets, and end
+//! by checking `SimStats` against counters recomputed from the script. `SchedPolicy::Rounds`
 //! came later than the scan and has no old code to copy: its reference
 //! is the round-synchronous definition itself.
 
@@ -78,18 +77,6 @@ impl<M> RefSim<M> {
         };
         self.pending -= 1;
         Some((pe, lane, msg))
-    }
-
-    /// In-lane service by scan: the lane's smallest front over all PEs.
-    fn next_in_lane(&mut self, lane: Lane) -> Option<(PeId, Lane, M)> {
-        let l = lane.index();
-        let fronts = self.pes.iter().enumerate();
-        let (_, p) = fronts
-            .filter_map(|(p, lanes)| lanes[l].front().map(|&(s, _)| (s, p)))
-            .min()?;
-        let (_, msg) = self.pes[p][l].pop_front()?;
-        self.pending -= 1;
-        Some((PeId::new(p as u16), lane, msg))
     }
 
     fn pick_extreme(&self, newest: bool) -> Option<(PeId, Lane)> {
@@ -228,8 +215,7 @@ fn all_policies() -> Vec<SchedPolicy> {
     ]
 }
 
-/// Tag 1 is the marking lane, which the `[1, 1, 1, 5]` pick script
-/// serves.
+/// Tag 1 is the marking lane.
 fn lane_of(tag: u8) -> Lane {
     match tag % 4 {
         1 => Lane::Marking,
@@ -379,39 +365,24 @@ impl Pair {
         self.next_id += 1;
     }
 
-    /// One delivery from both simulators: a `pick` below 5 asks for the
-    /// oldest message of that lane and, like `GcDriver` when the marking
-    /// lane is empty, falls through to a policy pick if there is none; any
-    /// other byte is a policy pick. Returns `false` once both are empty.
-    fn step(&mut self, pick: u8, ctx: &str, step: usize) -> Result<bool, TestCaseError> {
-        let mut got = None;
-        if pick < 5 {
-            got = self
-                .new_sim
-                .next_event_from(Some(lane_of(pick)))
-                .map(|(pe, lane, _, m)| (pe, lane, m));
-            let want = self.ref_sim.next_in_lane(lane_of(pick));
-            prop_assert_eq!(&got, &want, "{} step {} in lane {}", ctx, step, pick);
-        }
-        if got.is_none() {
-            got = self.new_sim.next_event();
-            let want = self.ref_sim.next_event();
-            prop_assert_eq!(&got, &want, "{} step {}", ctx, step);
-        }
+    /// One policy pick from both simulators. Returns `false` once both
+    /// are empty.
+    fn step(&mut self, ctx: &str, step: usize) -> Result<bool, TestCaseError> {
+        let got = self.new_sim.next_event();
+        let want = self.ref_sim.next_event();
+        prop_assert_eq!(&got, &want, "{} step {}", ctx, step);
         if let Some((_, lane, _)) = got {
             self.model.deliver(lane);
         }
         Ok(got.is_some())
     }
 
-    /// Drains both simulators by the pick script (cycled, see
-    /// [`Pair::step`]). One `extra` send follows every delivery so picks
-    /// happen against queues in every state, not just a monotone drain,
-    /// and high-water tracking restarts once on the way. Ends by checking
-    /// the stats.
+    /// Drains both simulators. One `extra` send follows every delivery so
+    /// picks happen against queues in every state, not just a monotone
+    /// drain, and high-water tracking restarts once on the way. Ends by
+    /// checking the stats.
     fn drain(
         &mut self,
-        picks: &[u8],
         extra: &[(u16, u8)],
         reset_at: usize,
         ctx: &str,
@@ -422,7 +393,7 @@ impl Pair {
                 self.new_sim.reset_lane_high_water();
                 self.model.high_water = self.model.depth;
             }
-            if !self.step(picks[step % picks.len()], ctx, step)? {
+            if !self.step(ctx, step)? {
                 break;
             }
             if let Some(&send) = extra.next() {
@@ -471,17 +442,6 @@ impl Pair {
     }
 }
 
-/// Pick scripts: the policy alone (`System::run`), `GcDriver`'s marking
-/// service — three marking-lane picks to one of the policy's — and
-/// arbitrary mixes over every lane.
-fn pick_scripts() -> BoxedStrategy<Vec<u8>> {
-    prop_oneof![
-        Just(vec![5]),
-        Just(vec![1, 1, 1, 5]),
-        proptest::collection::vec(0u8..8, 1..12),
-    ]
-}
-
 /// PE counts: one word of the occupancy sets, just past one, past two.
 fn pe_counts() -> BoxedStrategy<u16> {
     prop_oneof![Just(5u16), Just(65u16), Just(130u16)]
@@ -498,7 +458,6 @@ proptest! {
         extra in proptest::collection::vec((0u16..130, 0u8..5), 0..60),
         seed in 0u64..200,
         num_pes in pe_counts(),
-        picks in pick_scripts(),
         reset_at in 0usize..120,
     ) {
         for policy in all_policies() {
@@ -507,7 +466,7 @@ proptest! {
                 pair.send(send);
             }
             let ctx = format!("policy {policy:?} seed {seed}");
-            pair.drain(&picks, &extra, reset_at, &ctx)?;
+            pair.drain(&extra, reset_at, &ctx)?;
         }
     }
 
@@ -519,7 +478,6 @@ proptest! {
         drop_mod in 2u32..5,
         seed in 0u64..100,
         num_pes in pe_counts(),
-        picks in pick_scripts(),
         reset_at in 0usize..60,
     ) {
         for policy in all_policies() {
@@ -529,71 +487,38 @@ proptest! {
             }
             pair.surgery(drop_mod);
             let ctx = format!("policy {policy:?} seed {seed}");
-            pair.drain(&picks, &[], reset_at, &ctx)?;
+            pair.drain(&[], reset_at, &ctx)?;
         }
     }
 
-    /// A lane's mirror exists only from the first ask for that lane's
-    /// oldest, and is dropped by surgery and by a send once policy picks
-    /// have bypassed it `2 × depth + MIRROR_SLACK` times. The first ask
-    /// lands after sends, `warm` policy picks and optionally surgery; the
-    /// asked lanes are then abandoned to the policy for long enough to
-    /// force the drop (with sends aimed at them, and optionally another
-    /// surgery while their mirrors exist) and asked again.
+    /// A `Fifo` / `Lifo` mirror exists from its lane's first pick, is
+    /// dropped by surgery and rebuilt by the next pick. The first picks
+    /// land after sends; surgery then runs while the mirrors exist, and
+    /// again after `warm` more picks with a send after each, and the
+    /// drain that follows still matches the reference under every policy.
     #[test]
     fn lazily_built_mirrors_match_reference(
         sends in proptest::collection::vec((0u16..130, 0u8..5), 1..80),
         warm in 0usize..40,
-        asks in proptest::collection::vec(1u8..5, 1..6),
-        surgery_before_ask in 0u32..5,
-        surgery_after_ask in 0u32..5,
+        first_mod in 2u32..5,
+        second_mod in 2u32..5,
         seed in 0u64..100,
         num_pes in pe_counts(),
-        picks in pick_scripts(),
     ) {
-        /// `MIRROR_SLACK` in `det.rs`, plus a margin.
-        const SLACK: usize = 64 + 8;
         for policy in all_policies() {
             let ctx = format!("policy {policy:?} seed {seed}");
             let mut pair = Pair::new(num_pes, policy, seed);
-            let mut step = 0;
             for &send in &sends {
                 pair.send(send);
             }
-            for &send in sends.iter().cycle().take(warm) {
-                pair.step(5, &ctx, step)?;
+            pair.step(&ctx, 0)?;
+            pair.surgery(first_mod);
+            for (step, &send) in sends.iter().cycle().take(warm).enumerate() {
+                pair.step(&ctx, 1 + step)?;
                 pair.send(send);
-                step += 1;
             }
-            // A modulus below 2 stands for no surgery.
-            if surgery_before_ask >= 2 {
-                pair.surgery(surgery_before_ask);
-            }
-            for &ask in &asks {
-                pair.step(ask, &ctx, step)?;
-                step += 1;
-            }
-            if surgery_after_ask >= 2 {
-                pair.surgery(surgery_after_ask);
-                for &ask in &asks {
-                    pair.step(ask, &ctx, step)?;
-                    step += 1;
-                }
-            }
-            // Every asked lane receives more than `2 × depth + MIRROR_SLACK`
-            // sends while nothing but the policy delivers: no lane is
-            // deeper than everything pending.
-            let abandon = asks.len() * (2 * (pair.new_sim.len() + 1) + SLACK);
-            for (i, &(pe, _)) in sends.iter().cycle().take(abandon).enumerate() {
-                pair.send((pe, asks[i % asks.len()]));
-                pair.step(5, &ctx, step)?;
-                step += 1;
-            }
-            for &ask in &asks {
-                pair.step(ask, &ctx, step)?;
-                step += 1;
-            }
-            pair.drain(&picks, &[], usize::MAX, &ctx)?;
+            pair.surgery(second_mod);
+            pair.drain(&sends, usize::MAX, &ctx)?;
         }
     }
 }

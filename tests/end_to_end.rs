@@ -307,11 +307,14 @@ fn deadlock_recovery_never_misfires_on_live_programs() {
 
 #[test]
 fn gc_counts_pin_the_delivery_order() {
-    // Every count below is a function of the exact order in which the
-    // simulator delivers reduction and marking tasks (round-robin compares
-    // global sequence numbers across lanes). The tuples were recorded on
-    // the commit before the marking-event path was rewritten; a change
-    // that reorders sends or deliveries moves at least one of them.
+    // Every count below is a function of the exact order in which
+    // reduction and marking tasks are delivered: the policy's order of the
+    // reduction tasks (round-robin compares global sequence numbers across
+    // the reduction lanes), the marking queue's send order, and the
+    // collector's four marking deliveries to each reduction delivery. The
+    // tuples were recorded when marking tasks left the simulator's
+    // mailboxes; a change that reorders sends or deliveries moves at least
+    // one of them.
     let rr = (SchedPolicy::RoundRobin, 0);
     // The two policies whose pick code the four-lane simulator rewrote
     // (the random pool, the preference-order walk), recorded on the commit
@@ -331,77 +334,77 @@ fn gc_counts_pin_the_delivery_order() {
             false,
             rr,
             modulo2,
-            (7, 39_308, 5_774, 0, 223),
+            (9, 46_550, 6_451, 0, 333),
         ),
         (
             programs::qsort(30),
             false,
             rr,
             modulo2,
-            (53, 108_314, 7_258, 0, 18),
+            (33, 61_303, 7_428, 0, 7),
         ),
         (
             programs::cyclic_sum(100),
             false,
             rr,
             modulo2,
-            (14, 34_626, 1_711, 0, 8),
+            (9, 21_931, 1_855, 0, 1),
         ),
         (
             programs::primes(30),
             false,
             rr,
             modulo2,
-            (30, 13_032, 3_889, 0, 14),
+            (27, 12_080, 3_947, 0, 13),
         ),
         (
             programs::nfib(9),
             true,
             rr,
             modulo2,
-            (7, 27_010, 4_951, 723, 451),
+            (8, 28_190, 4_809, 646, 529),
         ),
         (
             programs::qsort(30),
             false,
             random(7),
             modulo2,
-            (43, 81_711, 7_468, 0, 22),
+            (33, 61_464, 7_419, 0, 9),
         ),
         (
             programs::nfib(9),
             true,
             random(8),
             modulo2,
-            (11, 65_644, 6_077, 1_121, 1_479),
+            (9, 58_958, 8_169, 1_613, 1_498),
         ),
         (
             programs::nfib(9),
             true,
             pf,
             modulo2,
-            (9, 19_188, 1_259, 102, 104),
+            (8, 11_818, 2_124, 151, 178),
         ),
         (
             programs::cyclic_sum(100),
             false,
             pf,
             modulo2,
-            (25, 69_774, 1_889, 0, 0),
+            (9, 21_931, 1_855, 0, 1),
         ),
         (
             programs::nfib(12),
             false,
             rr,
             (2, PartitionStrategy::Block),
-            (8, 43_474, 5_829, 0, 368),
+            (9, 45_684, 6_395, 0, 403),
         ),
         (
             programs::nfib(9),
             true,
             rr,
             (4, PartitionStrategy::Block),
-            (7, 19_604, 3_545, 574, 427),
+            (7, 23_750, 3_264, 535, 509),
         ),
     ];
     for (p, speculation, (policy, seed), (num_pes, partition), want) in cases {
@@ -445,8 +448,9 @@ fn gc_timelines_pin_every_cycle() {
     // What the totals above miss: each cycle's marking events, marking
     // backlog peak, reduction events during marking and restructure
     // tallies, then the run's delivered events in all and per lane. Each
-    // cell is a digest of those words, recorded on the commit before the
-    // M_T pass stopped going through the simulator's mailboxes.
+    // cell is a digest of those words, recorded when marking tasks left
+    // the simulator's mailboxes and the collector's marking share became
+    // exactly four to one.
     use dgr::sim::Lane;
     let policies = [
         SchedPolicy::RoundRobin,
@@ -464,34 +468,34 @@ fn gc_timelines_pin_every_cycle() {
     // One row per policy, one column per program, in the orders above.
     let want: [[u64; 4]; 5] = [
         [
-            0x7a77_7cb7_36fd_6ff2,
-            0x0801_e8fa_03f7_436c,
-            0x12d5_6185_efbf_e757,
-            0x7643_3671_8b0a_ec47,
+            0x124c_047e_9103_e936,
+            0xb377_dc0b_b845_6ed4,
+            0x9812_555a_5d6a_a64a,
+            0x4b38_1efb_bc3d_5332,
         ],
         [
-            0x6da5_9b98_0daf_bfc5,
-            0xf928_c80e_804d_adfa,
-            0x82ac_59ea_7deb_9f8a,
-            0x6def_d4c8_7f96_a849,
+            0x7abf_b837_8650_97d3,
+            0x3c71_3035_3afc_46d4,
+            0x710e_c5d3_f452_3dcb,
+            0x91b5_c877_203c_b2c6,
         ],
         [
-            0xe8a2_20ee_17c4_be05,
-            0x8999_fc2e_8e61_2bb4,
-            0xa9b5_f39c_1d8a_cd83,
-            0x43af_ea3b_852b_eeb2,
+            0xd6d4_9b89_d97d_8737,
+            0x5e18_6b27_3a68_9f65,
+            0xf0f1_85a8_24ea_cee8,
+            0xf841_3b7e_0c42_db66,
         ],
         [
-            0x8a8a_49a7_f70d_2389,
-            0x5269_e1ac_59cb_6547,
-            0xe69f_dc37_6393_882f,
-            0x386c_1ff5_fa9e_bc2f,
+            0xc26c_7bb9_6039_7fcd,
+            0x4441_7c09_479f_421f,
+            0x7e59_22b3_be8e_250e,
+            0x4b38_1efb_bc3d_5332,
         ],
         [
-            0x32fc_dbf2_ff0b_6fda,
-            0x76fb_d0fd_51da_9e88,
-            0xacf6_0c2f_eb3c_0f53,
-            0x9c91_e62b_667b_5b52,
+            0xf83d_7b75_1f24_f5e8,
+            0xc055_9340_d4c8_2ce6,
+            0x6b41_a8f2_e0ce_6d5f,
+            0xd89e_9125_c129_3199,
         ],
     ];
     for (policy, want) in policies.into_iter().zip(want) {
@@ -502,11 +506,10 @@ fn gc_timelines_pin_every_cycle() {
                 speculation: *speculation,
                 ..Default::default()
             };
-            // Some runs do not finish within the budget: newest-first
+            // One run does not finish within the budget: newest-first
             // chases the speculative `nfib` recursion, which never bottoms
-            // out, and marking-first leaves the mutator little beyond the
-            // 50-event windows between cycles. Those are pinned up to the
-            // budget, their outcome folded into the digest.
+            // out. It is pinned up to the budget, its outcome folded into
+            // the digest.
             let gc_cfg = GcConfig {
                 period: 50,
                 max_total_events: 500_000,
