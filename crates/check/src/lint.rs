@@ -315,8 +315,25 @@ fn produces(l: &str, needle: &str) -> bool {
         })
 }
 
+/// A file's lines before its trailing test module, cut where
+/// `scripts/lines.sh` cuts: at the last `#[cfg(test)]` line followed by a
+/// `mod` line. A `#[cfg(test)]` item above it hides nothing below.
+fn before_test_module(text: &str) -> Vec<&str> {
+    let mut lines: Vec<&str> = text.lines().collect();
+    let module = lines
+        .windows(2)
+        .rposition(|w| w[0].trim() == "#[cfg(test)]" && w[1].trim_start().starts_with("mod "));
+    lines.truncate(module.unwrap_or(lines.len()));
+    lines
+}
+
 /// Rule 9 over the collected sources (`(repo-relative path, text)`).
 fn lint_produced(sources: &[(String, String)], findings: &mut Vec<Finding>) {
+    let bodies: Vec<(&String, Vec<&str>)> = sources
+        .iter()
+        .filter(|(rel, _)| !ID_CARRIERS.iter().any(|c| rel.starts_with(c)))
+        .map(|(rel, text)| (rel, before_test_module(text)))
+        .collect();
     for (name, home) in PRODUCED_ENUMS {
         let Some((_, text)) = sources.iter().find(|(rel, _)| rel == home) else {
             continue;
@@ -326,19 +343,13 @@ fn lint_produced(sources: &[(String, String)], findings: &mut Vec<Finding>) {
         let own_impl = block(&home_lines, &format!("impl {name} {{"));
         for (line, variant) in enum_variants(&home_lines, decl.clone()) {
             let needle = format!("{name}::{variant}");
-            let produced = sources
-                .iter()
-                .filter(|(rel, _)| !ID_CARRIERS.iter().any(|c| rel.starts_with(c)))
-                .any(|(rel, text)| {
-                    text.lines()
-                        .enumerate()
-                        .take_while(|(_, l)| {
-                            let t = l.trim();
-                            t != "#[cfg(test)]" && !t.starts_with("mod tests")
-                        })
-                        .filter(|(i, _)| rel != home || !(decl.contains(i) || own_impl.contains(i)))
-                        .any(|(_, l)| produces(l, &needle))
-                });
+            let produced = bodies.iter().any(|(rel, lines)| {
+                lines
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| *rel != home || !(decl.contains(i) || own_impl.contains(i)))
+                    .any(|(_, l)| produces(l, &needle))
+            });
             if !produced {
                 findings.push(Finding {
                     file: home.to_string(),
@@ -597,6 +608,41 @@ mod tests {
                 ("ids-have-writers", ids, 4, "CounterId::Orphan".to_string()),
                 ("ids-have-writers", msg, 4, "Lane::Idle".to_string()),
             ]
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_test_only_field_hides_no_producer() {
+        let dir = std::env::temp_dir().join("dgr-check-lint-fixture-cfg-field");
+        let src = |krate: &str| {
+            let src = dir.join("crates").join(krate).join("src");
+            fs::create_dir_all(&src).unwrap();
+            src
+        };
+        let ids = "pub enum CounterId {\n    Used,\n}\n";
+        fs::write(src("telemetry").join("ids.rs"), ids).unwrap();
+        // The one producer sits below a `#[cfg(test)]` field: the file is
+        // cut at its test module, where `scripts/lines.sh` cuts it.
+        let driver = "pub struct Driver {\n    #[cfg(test)]\n    probe: u32,\n}\n\n\
+                      fn f(shard: &Shard) {\n    shard.inc(CounterId::Used);\n}\n\n\
+                      #[cfg(test)]\nmod tests {}\n";
+        fs::write(src("gc").join("driver.rs"), driver).unwrap();
+        assert_eq!(run(&dir), []);
+        // Produced only inside the test module: reported.
+        let driver = driver.replace("    shard.inc(CounterId::Used);\n", "");
+        let driver = driver.replace(
+            "mod tests {}",
+            "mod tests {\n    fn t() { shard.inc(CounterId::Used); }\n}",
+        );
+        fs::write(src("gc").join("driver.rs"), driver).unwrap();
+        let got: Vec<_> = run(&dir)
+            .into_iter()
+            .map(|f| (f.rule, f.line, f.text))
+            .collect();
+        assert_eq!(
+            got,
+            [("ids-have-writers", 2, "CounterId::Used".to_string())]
         );
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -123,9 +123,16 @@ pub struct GcConfig {
     /// consults `period`; the byte-bound variants consult the graph's
     /// always-on live-bytes clock.
     pub trigger: GcTrigger,
-    /// Run `M_T` every this many cycles (`1` = every cycle; the paper's
-    /// Section 6 suggests running it only occasionally since it exists
-    /// solely for deadlock detection). `0` disables `M_T` entirely.
+    /// Run `M_T` at most every this many cycles (`1` = every cycle it can
+    /// find something; the paper's Section 6 suggests running it only
+    /// occasionally since it exists solely for deadlock detection). On
+    /// that period it runs in the first cycle and, after that, only once
+    /// the reduction engine has seen a request that may close a cycle of
+    /// waits ([`RedStats::wait_cycles`] > 0): before that no vertex can be
+    /// deadlocked and the pass would report nothing. `0` disables `M_T`
+    /// entirely.
+    ///
+    /// [`RedStats::wait_cycles`]: dgr_reduction::RedStats::wait_cycles
     pub mt_every: u32,
     /// Return garbage to the free list.
     pub reclaim: bool,
@@ -137,7 +144,10 @@ pub struct GcConfig {
     /// Maximum events per marking phase before the cycle is abandoned
     /// (protects against marking chasing an unboundedly growing region).
     pub phase_budget: u64,
-    /// Overall event budget for [`GcDriver::run`].
+    /// Overall event budget for [`GcDriver::run`]: every delivery counts
+    /// against it, reduction and marking alike (both passes' marking
+    /// tasks), so a run that skips `M_T` reaches further on the same
+    /// budget.
     pub max_total_events: u64,
 }
 
@@ -306,7 +316,13 @@ impl GcDriver {
         self.cycle += 1;
         self.sys.heap_tracker_mut().record_trigger(cause);
         self.sys.begin_cycle(self.cycle);
-        let run_mt = self.cfg.mt_every > 0 && (self.cycle - 1).is_multiple_of(self.cfg.mt_every);
+        // `M_T` only reports vertices on a cycle of waits or below one, and
+        // only a join the engine counts in `wait_cycles` can close such a
+        // cycle; the first cycle also covers a graph that arrived waiting
+        // (DESIGN note 13).
+        let run_mt = self.cfg.mt_every > 0
+            && (self.cycle - 1).is_multiple_of(self.cfg.mt_every)
+            && (self.cycle == 1 || self.sys.stats.wait_cycles > 0);
         let mut report = CycleReport {
             cycle: self.cycle,
             ran_mt: run_mt,
@@ -730,6 +746,9 @@ mod tests {
                     ..Default::default()
                 },
             );
+            // `sum` never closes a cycle of waits; count one as a join
+            // would, so that M_T runs in every cycle, not only the first.
+            gc.sys.stats.wait_cycles = 1;
             gc.sys.demand_root();
             // Each window after the first opens on what an aborted cycle
             // left: no marking task anywhere in the simulator, whose
@@ -1179,6 +1198,9 @@ mod tests {
                 ..Default::default()
             },
         );
+        // `sum` never closes a cycle of waits; count one as a join would,
+        // so that every cycle runs an M_T pass to check.
+        gc.sys.stats.wait_cycles = 1;
         gc.sys.demand_root();
         // The sequence number each cycle's M_T pass starts from: every
         // send so far was delivered, is pending, or was expunged.
@@ -1544,15 +1566,26 @@ mod tests {
 
     #[test]
     fn mt_every_skips_task_marking() {
-        let sys = sum_system(30, SystemConfig::default());
-        let mut gc = GcDriver::new(
-            sys,
-            GcConfig {
-                period: 25,
-                mt_every: 3,
-                ..Default::default()
-            },
-        );
+        let cfg = GcConfig {
+            period: 25,
+            mt_every: 3,
+            ..Default::default()
+        };
+        // `sum` never closes a cycle of waits: M_T runs in the first cycle
+        // only, whatever its period.
+        let mut gc = GcDriver::new(sum_system(30, SystemConfig::default()), cfg.clone());
+        gc.run();
+        assert!(gc.stats().cycles > 3);
+        let ran: Vec<u32> = gc
+            .timeline()
+            .iter()
+            .filter(|c| c.ran_mt)
+            .map(|c| c.cycle)
+            .collect();
+        assert_eq!((ran, gc.sys.stats.wait_cycles), (vec![1], 0));
+        // Once a join may have closed one, M_T keeps its period.
+        let mut gc = GcDriver::new(sum_system(30, SystemConfig::default()), cfg);
+        gc.sys.stats.wait_cycles = 1;
         gc.run();
         assert!(gc.stats().mt_cycles < gc.stats().cycles);
         assert!(gc.stats().mt_cycles >= gc.stats().cycles / 3);

@@ -4,11 +4,14 @@
 //! The [`GcDriver`] wraps a reduction [`System`](dgr_reduction::System) and
 //! repeats the paper's endless cycle:
 //!
-//! 1. **`M_T`** (Figure 5-3, run first per Theorem 2, and only every
-//!    [`GcConfig::mt_every`] cycles per the Section 6 remark): marks every
-//!    vertex task activity can reach, seeding one `mark3` per pending-task
+//! 1. **`M_T`** (Figure 5-3, run first per Theorem 2): marks every vertex
+//!    task activity can reach, seeding one `mark3` per pending-task
 //!    endpoint (in-transit tasks included — the simulator mailboxes are the
-//!    task pools plus the network).
+//!    task pools plus the network). Per the Section 6 remark it runs only
+//!    occasionally: at most every [`GcConfig::mt_every`] cycles, and after
+//!    the first cycle only once the reduction engine has seen a request
+//!    that may close a cycle of waits, without which nothing can be
+//!    deadlocked.
 //! 2. **`M_R`** (Figures 5-1/5-2): marks everything reachable from the
 //!    root through `args`, tagging each vertex with its priority
 //!    (vital / eager / reserve).

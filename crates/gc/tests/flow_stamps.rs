@@ -1,8 +1,9 @@
-//! The collector's flow stamps pair up: with `M_T` every cycle, under
-//! several scheduling policies and programs, every `flow_recv` a
-//! `GcDriver` run records resolves exactly one earlier `flow_send` with
-//! the same id, and no id is sent twice — in `M_R`, interleaved with
-//! reduction tasks, and in the `M_T` pass alike.
+//! The collector's flow stamps pair up: under several scheduling policies
+//! and programs, every `flow_recv` a `GcDriver` run records resolves
+//! exactly one earlier `flow_send` with the same id, and no id is sent
+//! twice — in `M_R`, interleaved with reduction tasks, and in the `M_T`
+//! pass alike. `M_T` runs in the first cycle, and in every cycle of the
+//! program whose discarded speculative branch closes a cycle of waits.
 
 #![cfg(feature = "telemetry")]
 
@@ -20,7 +21,11 @@ fn every_collector_delivery_resolves_one_earlier_send() {
         SchedPolicy::PriorityFirst,
         SchedPolicy::Random { marking_bias: 0.5 },
     ];
-    let programs = [("nfib 9", true), ("sum (range 1 60)", false)];
+    let programs = [
+        ("nfib 9", true),
+        ("sum (range 1 60)", false),
+        ("if 1 < 2 then nfib 7 else (let rec x = x + 1 in x)", true),
+    ];
     for policy in policies {
         for (src, speculation) in programs {
             let cfg = SystemConfig {
@@ -75,7 +80,12 @@ fn every_collector_delivery_resolves_one_earlier_send() {
                     e.value
                 );
             }
-            let mark_events = gc.stats().mark_events_total;
+            let s = gc.stats();
+            if src.contains("let rec") {
+                assert!(gc.sys.stats.wait_cycles > 0, "{case}");
+                assert!(s.cycles > 2 && s.mt_cycles == s.cycles, "{case}: {s:?}");
+            }
+            let mark_events = s.mark_events_total;
             assert_eq!(resolved.len() as u64, mark_events, "{case}");
             for phase in [Phase::Mt, Phase::Mr] {
                 assert!(resolved.values().any(|&p| p == phase), "{case}: {phase:?}");

@@ -10,6 +10,10 @@ use crate::msg::RedMsg;
 use crate::stats::RedStats;
 use crate::templates::{TemplateId, TemplateStore};
 
+/// How many vertices a join's wait walk ([`EngineCtx::request`]) visits
+/// before it gives up and counts a possible cycle of waits.
+const WAIT_WALK_BOUND: u32 = 1024;
+
 /// Everything the engine needs to execute one reduction task.
 ///
 /// The borrowed fields are deliberately separate (rather than a single
@@ -43,7 +47,8 @@ pub struct EngineCtx<'a, R> {
     /// the runtime once the task has executed.
     pub out_mark: &'a mut Vec<MarkMsg>,
     /// Scratch for an application's actuals and an expansion's fresh
-    /// vertices, kept across tasks for their capacity.
+    /// vertices (`fresh` is also the wait walk's stack), kept across tasks
+    /// for their capacity.
     pub actuals: &'a mut Vec<VertexId>,
     /// See `actuals`.
     pub fresh: &'a mut Vec<VertexId>,
@@ -98,10 +103,47 @@ impl<R: FnMut(PeId, RedMsg, Priority)> EngineCtx<'_, R> {
         coop::add_requester(self.state, self.g, v, src, &mut |m| self.out_mark.push(m));
         let vert = self.g.vertex_mut(v);
         vert.demand = vert.demand.max(kind.priority());
-        if self.g.vertex(v).requested().len() == 1 {
+        let first = vert.requested().len() == 1;
+        // The one new wait edge that can close a cycle of waits: onto a
+        // vertex that is already evaluating — demanded before, or demanded
+        // anew while still waiting on its own arguments after its
+        // requesters were dropped (DESIGN note 13).
+        if let Requester::Vertex(s) = src {
+            if (!first || vert.pending_arg_values() > 0) && self.waits_on(v, s) {
+                self.stats.wait_cycles += 1;
+            }
+        }
+        if first {
             // First demand: activate the vertex.
             self.dispatch(v);
         }
+    }
+
+    /// Whether `v` waits on `s`, itself or through a chain of pending waits
+    /// (requested arcs whose value has not arrived). A walk longer than
+    /// [`WAIT_WALK_BOUND`] vertices answers yes: the answer may only err
+    /// towards running `M_T`.
+    fn waits_on(&mut self, v: VertexId, s: VertexId) -> bool {
+        let mut stack = std::mem::take(self.fresh);
+        stack.clear();
+        stack.push(v);
+        let mut walked = 0;
+        let found = loop {
+            let Some(w) = stack.pop() else { break false };
+            walked += 1;
+            if w == s || walked > WAIT_WALK_BOUND {
+                break true;
+            }
+            let vert = self.g.vertex(w);
+            let arcs = vert.args().iter().zip(vert.request_kinds());
+            for ((&a, k), val) in arcs.zip(vert.arg_values()) {
+                if k.is_some() && val.is_none() {
+                    stack.push(a);
+                }
+            }
+        };
+        *self.fresh = stack;
+        found
     }
 
     /// Activates vertex `v` according to its label (on first demand, and again
@@ -602,6 +644,131 @@ mod tests {
             Value::Int(-3)
         );
         assert_eq!(s.bottoms, 0);
+    }
+
+    /// Delivers one request `<src, dst>` to a hand-built graph and returns
+    /// the engine's counters.
+    fn request(g: &mut GraphStore, src: VertexId, dst: VertexId) -> RedStats {
+        let mut stats = RedStats::default();
+        let mut partition = PartitionMap::new(1, g.capacity(), dgr_graph::PartitionStrategy::Block);
+        let kind = RequestKind::Vital;
+        let msg = RedMsg::Request {
+            src: Requester::Vertex(src),
+            dst,
+            kind,
+        };
+        handle_red(
+            &mut EngineCtx {
+                state: &mut MarkState::new(),
+                g,
+                templates: &TemplateStore::new(),
+                speculation: false,
+                grow_step: 0,
+                stats: &mut stats,
+                partition: &mut partition,
+                red: |_, _, _| {},
+                spawned: 0,
+                out_mark: &mut Vec::new(),
+                actuals: &mut Vec::new(),
+                fresh: &mut Vec::new(),
+            },
+            msg,
+        );
+        stats
+    }
+
+    /// `n` evaluating `neg` vertices, each waiting on the next; the first
+    /// is demanded from outside, the last waits on nothing yet.
+    fn waiting_chain(g: &mut GraphStore, n: usize) -> Vec<VertexId> {
+        let chain: Vec<_> = (0..n)
+            .map(|_| g.alloc(NodeLabel::Prim(PrimOp::Neg)).unwrap())
+            .collect();
+        g.vertex_mut(chain[0]).add_requester(Requester::External);
+        for w in chain.windows(2) {
+            wait(g, w[0], w[1]);
+        }
+        chain
+    }
+
+    /// `a` requests `b` and the request has run: a pending wait `a → b`.
+    fn wait(g: &mut GraphStore, a: VertexId, b: VertexId) {
+        g.connect(a, b);
+        let i = g.vertex(a).args().len() - 1;
+        g.vertex_mut(a)
+            .set_request_kind(i, Some(RequestKind::Vital));
+        g.vertex_mut(b).add_requester(Requester::Vertex(a));
+    }
+
+    #[test]
+    fn a_request_that_closes_a_cycle_of_waits_is_counted() {
+        // `x = neg x`: x, demanded and waiting on its argument, requests
+        // itself.
+        let mut g = GraphStore::with_capacity(8);
+        let x = waiting_chain(&mut g, 1)[0];
+        g.connect(x, x);
+        g.vertex_mut(x)
+            .set_request_kind(0, Some(RequestKind::Vital));
+        assert_eq!(request(&mut g, x, x).wait_cycles, 1);
+        // `a = neg b; b = neg a`: a waits on b, and b's request reaches a.
+        let mut g = GraphStore::with_capacity(8);
+        let [a, b] = waiting_chain(&mut g, 2)[..] else {
+            unreachable!()
+        };
+        g.connect(b, a);
+        g.vertex_mut(b)
+            .set_request_kind(0, Some(RequestKind::Vital));
+        assert_eq!(request(&mut g, b, a).wait_cycles, 1);
+        // The same edge onto an `a` whose requesters were all dropped
+        // (dereferenced, or purged as garbage) while it kept waiting on
+        // `b`: a first demand that re-dispatches, walked all the same.
+        let mut g = GraphStore::with_capacity(8);
+        let [a, b] = waiting_chain(&mut g, 2)[..] else {
+            unreachable!()
+        };
+        g.vertex_mut(a).retain_requesters(|_| false);
+        g.connect(b, a);
+        g.vertex_mut(b)
+            .set_request_kind(0, Some(RequestKind::Vital));
+        let stats = request(&mut g, b, a);
+        assert_eq!((stats.requests, stats.wait_cycles), (1, 1));
+    }
+
+    #[test]
+    fn a_join_on_a_shared_computing_argument_is_not_counted() {
+        // p waits on s, which waits on l; q, beside p, requests s too.
+        let mut g = GraphStore::with_capacity(8);
+        let [p, s, _l] = waiting_chain(&mut g, 3)[..] else {
+            unreachable!()
+        };
+        let q = g.alloc(NodeLabel::Prim(PrimOp::Neg)).unwrap();
+        g.vertex_mut(q).add_requester(Requester::External);
+        g.connect(q, s);
+        g.vertex_mut(q)
+            .set_request_kind(0, Some(RequestKind::Vital));
+        let stats = request(&mut g, q, s);
+        assert_eq!(g.vertex(s).requested().len(), 2, "a join: {p} and {q}");
+        assert_eq!(stats.wait_cycles, 0);
+        // A first demand of a vertex with no pending wait walks nothing.
+        let fresh = g.alloc(NodeLabel::Prim(PrimOp::Neg)).unwrap();
+        g.connect(q, fresh);
+        assert_eq!(request(&mut g, q, fresh).wait_cycles, 0);
+    }
+
+    #[test]
+    fn a_walk_cut_off_by_its_bound_is_counted() {
+        let n = WAIT_WALK_BOUND as usize;
+        // A chain the walk covers: no cycle, nothing counted.
+        let mut g = GraphStore::with_capacity(n + 2);
+        let chain = waiting_chain(&mut g, n);
+        let q = g.alloc(NodeLabel::Prim(PrimOp::Neg)).unwrap();
+        g.connect(q, chain[0]);
+        assert_eq!(request(&mut g, q, chain[0]).wait_cycles, 0);
+        // One vertex longer: the walk gives up and counts.
+        let mut g = GraphStore::with_capacity(n + 2);
+        let chain = waiting_chain(&mut g, n + 1);
+        let q = g.alloc(NodeLabel::Prim(PrimOp::Neg)).unwrap();
+        g.connect(q, chain[0]);
+        assert_eq!(request(&mut g, q, chain[0]).wait_cycles, 1);
     }
 
     /// The engine under a runtime that is not `System`: a sink collecting

@@ -28,6 +28,11 @@ pub struct RedStats {
     pub grows: u64,
     /// Reductions that produced `⊥` (type errors, division by zero, …).
     pub bottoms: u64,
+    /// Requests whose new wait edge may have closed a cycle of waits: the
+    /// requester was found among the vertices the destination already
+    /// waits on, or the walk looking for it hit its bound. Zero means no
+    /// vertex can be deadlocked, so `GcDriver` need not run `M_T`.
+    pub wait_cycles: u64,
 }
 
 impl RedStats {

@@ -174,6 +174,8 @@ fn mt_every_zero_disables_deadlock_detection_but_not_collection() {
     assert_eq!(out, RunOutcome::Quiescent);
     assert_eq!(gc.stats().deadlocks_total, 0, "no M_T, no reports");
     assert_eq!(gc.stats().mt_cycles, 0);
+    // The cycle of waits was seen: `mt_every: 0` alone kept `M_T` off.
+    assert!(gc.sys.stats.wait_cycles > 0);
 }
 
 #[test]
@@ -314,7 +316,9 @@ fn gc_counts_pin_the_delivery_order() {
     // collector's four marking deliveries to each reduction delivery. The
     // tuples were recorded when marking tasks left the simulator's
     // mailboxes; a change that reorders sends or deliveries moves at least
-    // one of them.
+    // one of them. None of these programs closes a cycle of waits, so
+    // `M_T` runs in the first cycle only: its marking events are the one
+    // column that moved when `M_T` began to run by need.
     let rr = (SchedPolicy::RoundRobin, 0);
     // The two policies whose pick code the four-lane simulator rewrote
     // (the random pool, the preference-order walk), recorded on the commit
@@ -334,77 +338,77 @@ fn gc_counts_pin_the_delivery_order() {
             false,
             rr,
             modulo2,
-            (9, 46_550, 6_451, 0, 333),
+            (9, 26_544, 6_451, 0, 333),
         ),
         (
             programs::qsort(30),
             false,
             rr,
             modulo2,
-            (33, 61_303, 7_428, 0, 7),
+            (33, 33_163, 7_428, 0, 7),
         ),
         (
             programs::cyclic_sum(100),
             false,
             rr,
             modulo2,
-            (9, 21_931, 1_855, 0, 1),
+            (9, 12_963, 1_855, 0, 1),
         ),
         (
             programs::primes(30),
             false,
             rr,
             modulo2,
-            (27, 12_080, 3_947, 0, 13),
+            (27, 7_722, 3_947, 0, 13),
         ),
         (
             programs::nfib(9),
             true,
             rr,
             modulo2,
-            (8, 28_190, 4_809, 646, 529),
+            (8, 13_714, 4_809, 646, 529),
         ),
         (
             programs::qsort(30),
             false,
             random(7),
             modulo2,
-            (33, 61_464, 7_419, 0, 9),
+            (33, 33_190, 7_419, 0, 9),
         ),
         (
             programs::nfib(9),
             true,
             random(8),
             modulo2,
-            (9, 58_958, 8_169, 1_613, 1_498),
+            (9, 26_752, 8_169, 1_613, 1_498),
         ),
         (
             programs::nfib(9),
             true,
             pf,
             modulo2,
-            (8, 11_818, 2_124, 151, 178),
+            (8, 5_168, 2_124, 151, 178),
         ),
         (
             programs::cyclic_sum(100),
             false,
             pf,
             modulo2,
-            (9, 21_931, 1_855, 0, 1),
+            (9, 12_963, 1_855, 0, 1),
         ),
         (
             programs::nfib(12),
             false,
             rr,
             (2, PartitionStrategy::Block),
-            (9, 45_684, 6_395, 0, 403),
+            (9, 26_490, 6_395, 0, 403),
         ),
         (
             programs::nfib(9),
             true,
             rr,
             (4, PartitionStrategy::Block),
-            (7, 23_750, 3_264, 535, 509),
+            (7, 10_960, 3_264, 535, 509),
         ),
     ];
     for (p, speculation, (policy, seed), (num_pes, partition), want) in cases {
@@ -448,9 +452,9 @@ fn gc_timelines_pin_every_cycle() {
     // What the totals above miss: each cycle's marking events, marking
     // backlog peak, reduction events during marking and restructure
     // tallies, then the run's delivered events in all and per lane. Each
-    // cell is a digest of those words, recorded when marking tasks left
-    // the simulator's mailboxes and the collector's marking share became
-    // exactly four to one.
+    // cell is a digest of those words, recorded when `M_T` began to run
+    // only once a cycle of waits can exist (DESIGN note 13), at the
+    // collector's exact four-to-one marking share.
     use dgr::sim::Lane;
     let policies = [
         SchedPolicy::RoundRobin,
@@ -468,34 +472,34 @@ fn gc_timelines_pin_every_cycle() {
     // One row per policy, one column per program, in the orders above.
     let want: [[u64; 4]; 5] = [
         [
-            0x124c_047e_9103_e936,
-            0xb377_dc0b_b845_6ed4,
-            0x9812_555a_5d6a_a64a,
-            0x4b38_1efb_bc3d_5332,
+            0x56fb_777d_32ac_0007,
+            0x9aac_46f6_3ec0_07f4,
+            0xa26f_ee59_9b5c_136b,
+            0x7939_3389_cbdd_a02c,
         ],
         [
-            0x7abf_b837_8650_97d3,
-            0x3c71_3035_3afc_46d4,
-            0x710e_c5d3_f452_3dcb,
-            0x91b5_c877_203c_b2c6,
+            0xa382_a29f_fafc_5167,
+            0x5fbd_ad69_863a_d037,
+            0x9a95_393d_3662_9518,
+            0x1bb5_e841_e7d7_cf3a,
         ],
         [
-            0xd6d4_9b89_d97d_8737,
+            0x51db_e322_0ddb_df2d,
             0x5e18_6b27_3a68_9f65,
-            0xf0f1_85a8_24ea_cee8,
-            0xf841_3b7e_0c42_db66,
+            0x9c95_09ee_9a86_501b,
+            0x73a3_d7be_9604_908d,
         ],
         [
-            0xc26c_7bb9_6039_7fcd,
-            0x4441_7c09_479f_421f,
-            0x7e59_22b3_be8e_250e,
-            0x4b38_1efb_bc3d_5332,
+            0xec54_71c6_75d5_106e,
+            0x52c9_8508_9e8e_5f99,
+            0x97e0_ed69_9672_1d83,
+            0x7939_3389_cbdd_a02c,
         ],
         [
-            0xf83d_7b75_1f24_f5e8,
-            0xc055_9340_d4c8_2ce6,
-            0x6b41_a8f2_e0ce_6d5f,
-            0xd89e_9125_c129_3199,
+            0x7007_542e_e450_1f98,
+            0xc2dd_7be7_5f96_6abe,
+            0xb0de_f180_e1c4_7050,
+            0x4d15_b09d_2594_c896,
         ],
     ];
     for (policy, want) in policies.into_iter().zip(want) {
