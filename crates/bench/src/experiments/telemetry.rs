@@ -67,6 +67,7 @@ pub(crate) fn run(report: &mut Report) {
                 "classify_us" => c.restructure_us,
                 "total_us" => c.total_us,
                 "mark_events" => c.mark_events,
+                "marks_in_place" => c.marks_in_place,
                 "red_events_during_marking" => c.reduction_events_during_marking,
                 "sends_local" => c.sends_local,
                 "sends_remote" => c.sends_remote,

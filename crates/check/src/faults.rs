@@ -4,8 +4,9 @@
 //! works. Each [`Fault`] here re-creates a known way to get the protocol
 //! wrong — dropping a `Return`, delivering one twice, double-counting
 //! `mt-cnt`, marking a vertex before its children returned, skipping
-//! `mark2`'s upgrade rule, misrouting a return to the dummy root, splicing
-//! an arc without the `add-reference` cooperation — and the harness
+//! `mark2`'s upgrade rule, settling a local child in place below the
+//! mark's priority, misrouting a return to the dummy root, splicing an
+//! arc without the `add-reference` cooperation — and the harness
 //! demands the explorer catches every one with a replayable
 //! counterexample. [`pass_ordering`] covers the one fault that is not an
 //! interleaving fault: running `M_R` before `M_T` across a GC cycle, which
@@ -46,6 +47,10 @@ pub enum Fault {
     /// Ignore `mark2`'s upgrade rule: treat a higher-priority re-mark as a
     /// duplicate and return immediately.
     SkipUpgrade,
+    /// Settle a child on its parent's PE in place although it is marked
+    /// at a lower priority than the mark: the upgrade a message would
+    /// carry is lost (DESIGN note 14's rule without its priority test).
+    SettleBelowPriority,
     /// Perform `add-reference` as a raw arc splice, without the
     /// Figure 4-2 cooperation.
     SkipCoopSplice,
@@ -66,12 +71,13 @@ pub enum Fault {
 impl Fault {
     /// The interleaving faults the harness injects (pass ordering is
     /// checked separately by [`pass_ordering`]).
-    pub const INJECTED: [Fault; 7] = [
+    pub const INJECTED: [Fault; 8] = [
         Fault::DropReturn,
         Fault::MisrouteReturn,
         Fault::DoubleCount,
         Fault::PrematureMark,
         Fault::SkipUpgrade,
+        Fault::SettleBelowPriority,
         Fault::SkipCoopSplice,
         Fault::DuplicateDeliver,
     ];
@@ -85,6 +91,7 @@ impl Fault {
             Fault::DoubleCount => "double-count",
             Fault::PrematureMark => "premature-mark",
             Fault::SkipUpgrade => "skip-upgrade",
+            Fault::SettleBelowPriority => "settle-below-priority",
             Fault::SkipCoopSplice => "skip-coop-splice",
             Fault::DuplicateDeliver => "duplicate-deliver",
             Fault::ReorderDeliver => "reorder-deliver",
@@ -94,7 +101,7 @@ impl Fault {
     /// The corpus scenario this fault is injected into.
     pub fn scenario(self) -> &'static str {
         match self {
-            Fault::SkipUpgrade => "mark2-shared-upgrade",
+            Fault::SkipUpgrade | Fault::SettleBelowPriority => "mark2-shared-upgrade",
             Fault::SkipCoopSplice => "mark1-move-mid-mark",
             _ => "mark1-cycle-diamond",
         }
@@ -149,6 +156,34 @@ pub fn post_deliver(w: &mut World, ctx: &Ctx, msg: &MarkMsg, out: &mut Vec<MarkM
                     };
                     w.fault_fired = true;
                     break;
+                }
+            }
+        }
+        Fault::SettleBelowPriority => {
+            // The handler messaged an upgrade to a child on the marker's
+            // own PE; the bug settles it in place instead, as if already
+            // marked high enough. The mark is never counted, so the
+            // marker completes now if it owed nothing else.
+            let MarkMsg::Mark2 { v, .. } = *msg else {
+                return;
+            };
+            let local = |c| ctx.owner.pe_of(c) == ctx.owner.pe_of(v);
+            let settled = out.iter().position(|m| match *m {
+                MarkMsg::Mark2 { v: c, par, prior } => {
+                    let s = w.g.mark(c, Slot::R);
+                    par == MarkParent::Vertex(v) && local(c) && !s.is_unmarked() && s.prior < prior
+                }
+                _ => false,
+            });
+            if let Some(i) = settled {
+                out.remove(i);
+                w.fault_fired = true;
+                let s = w.g.mark_mut(v, Slot::R);
+                s.mt_cnt -= 1;
+                if s.mt_cnt == 0 {
+                    s.color = Color::Marked;
+                    let to = s.mt_par.expect("a transient vertex has a parent");
+                    out.push(MarkMsg::Return { slot: Slot::R, to });
                 }
             }
         }

@@ -160,7 +160,7 @@ fn run_faults(bounds: &Bounds, write_traces: Option<&str>) -> bool {
                     ok = false;
                 }
                 println!(
-                    "{:<18} in {:<24} {} ({} events)",
+                    "{:<21} in {:<24} {} ({} events)",
                     fault.name(),
                     cx.scenario,
                     status,
@@ -176,7 +176,7 @@ fn run_faults(bounds: &Bounds, write_traces: Option<&str>) -> bool {
             None => {
                 ok = false;
                 println!(
-                    "{:<18} in {:<24} NOT DETECTED ({} states explored{})",
+                    "{:<21} in {:<24} NOT DETECTED ({} states explored{})",
                     fault.name(),
                     sc.name,
                     r.states,

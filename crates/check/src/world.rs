@@ -73,8 +73,12 @@ pub struct Ctx {
     pub mode: Mode,
     /// Injected protocol fault ([`Fault::None`] for clean runs).
     pub fault: Fault,
-    /// Vertex → PE map.
+    /// Vertex → PE map the mailboxes are routed by.
     pub partition: PartitionMap,
+    /// The map `handle_mark` runs under: two PEs, `Modulo`, whatever the
+    /// mode's PE count, so every scenario holds children `mark2` settles
+    /// in place (those on their parent's PE) and children it messages.
+    pub owner: PartitionMap,
     /// `R` of the initial graph.
     pub r_initial: VertexSet,
     /// `R` of the final graph (after the full mutation script).
@@ -95,6 +99,7 @@ impl Ctx {
         let gf = built.final_graph();
         let partition =
             PartitionMap::new(mode.num_pes, built.g.capacity(), PartitionStrategy::Modulo);
+        let owner = PartitionMap::new(2, built.g.capacity(), PartitionStrategy::Modulo);
         Ctx {
             r_initial: oracle::reachable_r(&built.g),
             r_final: oracle::reachable_r(&gf),
@@ -106,6 +111,7 @@ impl Ctx {
             mode,
             fault,
             partition,
+            owner,
         }
     }
 
@@ -253,7 +259,9 @@ impl World {
                 q.remove(pos);
                 let mut out: Vec<MarkMsg> = Vec::new();
                 if !faults::pre_deliver(self, ctx, &msg, &mut out) {
-                    handle_mark(&mut self.state, &mut self.g, msg, &mut |m| out.push(m));
+                    handle_mark(&mut self.state, &mut self.g, &ctx.owner, msg, &mut |m| {
+                        out.push(m)
+                    });
                 }
                 faults::post_deliver(self, ctx, &msg, &mut out);
                 for m in out {
@@ -462,10 +470,13 @@ impl World {
                 self.g.mark(v, Slot::T),
             );
         }
+        // How many marks were settled in place is history, not state.
+        let mut state = self.state.clone();
+        state.marks_in_place = 0;
         let _ = write!(
             s,
-            "st={:?};mc={};ff={};scr={:?};",
-            self.state, self.mut_cursor, self.fault_fired, self.screened
+            "st={state:?};mc={};ff={};scr={:?};",
+            self.mut_cursor, self.fault_fired, self.screened
         );
         if ctx.mode.any_order {
             let mut msgs: Vec<String> = self

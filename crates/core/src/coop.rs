@@ -25,7 +25,8 @@
 //! measures the live vertices lost as a result.
 
 use dgr_graph::{
-    GraphError, GraphStore, MarkParent, Priority, Requester, Slot, Template, VertexId,
+    GraphError, GraphStore, MarkParent, PartitionMap, PartitionStrategy, Priority, Requester, Slot,
+    Template, VertexId,
 };
 
 use crate::handler::handle_mark;
@@ -44,6 +45,19 @@ fn r_mark(mode: RMode, v: VertexId, par: MarkParent) -> MarkMsg {
             prior: Priority::Reserve,
         },
     }
+}
+
+/// Executes a mark synchronously, as the mutator does when a new arc
+/// would otherwise leave a marked vertex with an unmarked child. The
+/// mutator reads and writes the store on the spot, so it runs the mark as
+/// on one PE: `mark2` settles every child it can in place (DESIGN note
+/// 14).
+fn mark_now<S>(state: &mut MarkState, g: &mut GraphStore, msg: MarkMsg, sink: &mut S)
+where
+    S: FnMut(MarkMsg) + ?Sized,
+{
+    let here = PartitionMap::new(1, 0, PartitionStrategy::Modulo);
+    handle_mark(state, g, &here, msg, sink);
 }
 
 /// Whether `c` is in the child set `M_R` traces from `v`.
@@ -116,7 +130,7 @@ where
                 // transient b.
                 g.mark_mut(b, Slot::R).mt_cnt += 1;
                 let msg = r_mark(mode, c, MarkParent::Vertex(b));
-                handle_mark(state, g, msg, sink);
+                mark_now(state, g, msg, sink);
             } else if sa == Marked && sb == Unmarked && g.mark(c, Slot::R).is_unmarked() {
                 // A marked vertex with an unmarked child: invariant 2 holds
                 // only modulo marks in flight. The both-transient case
@@ -130,7 +144,7 @@ where
                 // a marked source).
                 state.add_r_extra();
                 let msg = r_mark(mode, c, MarkParent::TaskRootPar);
-                handle_mark(state, g, msg, sink);
+                mark_now(state, g, msg, sink);
             }
             // All other cases need no action: if both are transient, b
             // already owes a mark to each of its children including c; if
@@ -210,7 +224,7 @@ pub fn coop_r_arc<S>(
         dgr_graph::Color::Marked => {
             state.add_r_extra();
             let msg = r_mark(mode, to, MarkParent::TaskRootPar);
-            handle_mark(state, g, msg, sink);
+            mark_now(state, g, msg, sink);
         }
         dgr_graph::Color::Unmarked => {}
     }
@@ -331,7 +345,7 @@ mod tests {
         let mut events = 0;
         while let Some(m) = queue.pop() {
             let mut buf = Vec::new();
-            handle_mark(state, g, m, &mut |m| buf.push(m));
+            mark_now(state, g, m, &mut |m| buf.push(m));
             queue.extend(buf);
             events += 1;
             assert!(events < 100_000, "marking diverged");
@@ -357,7 +371,7 @@ mod tests {
         // Marking has touched a (transient, owes one mark to b) but the
         // mark task on b has not executed yet.
         let mut pending = Vec::new();
-        handle_mark(
+        mark_now(
             &mut state,
             &mut g,
             MarkMsg::Mark1 {
@@ -395,7 +409,7 @@ mod tests {
         state.cooperation_enabled = false;
         state.begin_r(RMode::Simple);
         let mut pending = Vec::new();
-        handle_mark(
+        mark_now(
             &mut state,
             &mut g,
             MarkMsg::Mark1 {

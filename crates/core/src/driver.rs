@@ -138,7 +138,7 @@ where
                 stats.remote_messages += 1;
             }
         };
-        handle_mark(state, g, msg, &mut send);
+        handle_mark(state, g, &partition, msg, &mut send);
         stats.events += 1;
         after_event(stats.events, state, g, &mut send);
         if cfg.check_invariants {

@@ -1,6 +1,6 @@
 //! Execution of marking tasks: `mark1`, `mark2`, `mark3` and `return1`.
 
-use dgr_graph::{Color, GraphStore, MarkParent, Priority, Slot, VertexId};
+use dgr_graph::{Color, GraphStore, MarkParent, PartitionMap, Priority, Slot, VertexId};
 
 use crate::msg::MarkMsg;
 use crate::state::MarkState;
@@ -15,19 +15,29 @@ use crate::state::MarkState;
 /// task types follow Figures 4-1, 5-1 and 5-3 of the paper; see the module
 /// documentation of [`crate`](crate#) for the correspondence.
 ///
+/// `owner` is the vertex → PE map the caller routes by. `mark2` settles
+/// a child on its vertex's own PE in place when the child's mark would
+/// spawn nothing (DESIGN note 14): no mark, no return, nothing added to
+/// `mt-cnt`, one count in [`MarkState::marks_in_place`].
+///
 /// Executing a mark task addressed to a vertex that is (erroneously)
 /// on the free list is treated as marking a leaf that is already marked:
 /// an immediate return. A correct system never produces such a task; the
 /// behavior is defensive.
 #[inline]
-pub fn handle_mark<S>(state: &mut MarkState, g: &mut GraphStore, msg: MarkMsg, sink: &mut S)
-where
+pub fn handle_mark<S>(
+    state: &mut MarkState,
+    g: &mut GraphStore,
+    owner: &PartitionMap,
+    msg: MarkMsg,
+    sink: &mut S,
+) where
     S: FnMut(MarkMsg) + ?Sized,
 {
     match msg {
         MarkMsg::Mark1 { v, par } => mark_simple(g, Slot::R, v, par, sink),
         MarkMsg::Mark3 { v, par } => mark_simple(g, Slot::T, v, par, sink),
-        MarkMsg::Mark2 { v, par, prior } => mark2(g, v, par, prior, sink),
+        MarkMsg::Mark2 { v, par, prior } => mark2(state, g, owner, v, par, prior, sink),
         MarkMsg::Return { slot, to } => return1(state, g, slot, to, sink),
     }
 }
@@ -76,8 +86,15 @@ where
 }
 
 /// `mark2` (Figure 5-1): priority marking for `M_R`.
-fn mark2<S>(g: &mut GraphStore, v: VertexId, par: MarkParent, prior: Priority, sink: &mut S)
-where
+fn mark2<S>(
+    state: &mut MarkState,
+    g: &mut GraphStore,
+    owner: &PartitionMap,
+    v: VertexId,
+    par: MarkParent,
+    prior: Priority,
+    sink: &mut S,
+) where
     S: FnMut(MarkMsg) + ?Sized,
 {
     if g.vertex(v).is_free() {
@@ -89,7 +106,7 @@ where
     }
     let slot = g.mark(v, Slot::R);
     if slot.is_unmarked() {
-        modify(g, v, par, prior, sink);
+        modify(state, g, owner, v, par, prior, sink);
     } else if prior <= slot.prior {
         sink(MarkMsg::Return {
             slot: Slot::R,
@@ -106,13 +123,22 @@ where
                 to: old_par,
             });
         }
-        modify(g, v, par, prior, sink);
+        modify(state, g, owner, v, par, prior, sink);
     }
 }
 
-/// `modify(v, par, prior)` from Figure 5-1.
-fn modify<S>(g: &mut GraphStore, v: VertexId, par: MarkParent, prior: Priority, sink: &mut S)
-where
+/// `modify(v, par, prior)` from Figure 5-1, with the marks to children on
+/// `v`'s own PE that would spawn nothing run in place
+/// ([`mark2_in_place`]).
+fn modify<S>(
+    state: &mut MarkState,
+    g: &mut GraphStore,
+    owner: &PartitionMap,
+    v: VertexId,
+    par: MarkParent,
+    prior: Priority,
+    sink: &mut S,
+) where
     S: FnMut(MarkMsg) + ?Sized,
 {
     {
@@ -121,15 +147,25 @@ where
         s.mt_par = Some(par);
         s.prior = prior;
     }
+    let here = owner.pe_of(v);
     let mut spawned = 0u32;
-    g.vertex(v).for_each_r_child_kind(|c, kind| {
+    // By index: an in-place mark writes a child's record between two
+    // visits.
+    let mut i = 0;
+    while let Some((c, kind)) = g.vertex(v).r_child_at(i) {
+        i += 1;
+        let prior = prior.min(Priority::of_request(kind));
+        if owner.pe_of(c) == here && mark2_in_place(g, v, c, prior) {
+            state.marks_in_place += 1;
+            continue;
+        }
         spawned += 1;
         sink(MarkMsg::Mark2 {
             v: c,
             par: MarkParent::Vertex(v),
-            prior: prior.min(Priority::of_request(kind)),
+            prior,
         });
-    });
+    }
     // `+=`, not `=`: when re-marking a transient vertex, marks from the
     // previous traversal are still outstanding and their returns must be
     // absorbed before the vertex completes.
@@ -142,6 +178,27 @@ where
             to: par,
         });
     }
+}
+
+/// Runs `mark2(c, v, prior)` and its return at once if that mark would
+/// spawn nothing, and says whether it did. It spawns nothing when `c` is
+/// free, Transient or Marked at `prior` or above (the mark returns
+/// untouched), or a leaf that is not Transient (it is Marked at `prior`,
+/// under `v`). Any other `c` needs its message.
+fn mark2_in_place(g: &mut GraphStore, v: VertexId, c: VertexId, prior: Priority) -> bool {
+    let s = g.mark(c, Slot::R);
+    let child = g.vertex(c);
+    if child.is_free() || (!s.is_unmarked() && prior <= s.prior) {
+        return true;
+    }
+    if s.is_transient() || child.r_child_at(0).is_some() {
+        return false;
+    }
+    let s = g.mark_mut(c, Slot::R);
+    s.color = Color::Marked;
+    s.mt_par = Some(MarkParent::Vertex(v));
+    s.prior = prior;
+    true
 }
 
 /// `return1` (Figure 4-1), extended with the virtual `troot` of `M_T`.
@@ -175,16 +232,37 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgr_graph::{NodeLabel, RequestKind};
+    use dgr_graph::{NodeLabel, PartitionStrategy, RequestKind, Value};
 
-    /// Runs messages to quiescence with a simple FIFO queue (single PE).
+    /// `n` PEs, vertices dealt round.
+    fn modulo(n: u16, g: &GraphStore) -> PartitionMap {
+        PartitionMap::new(n, g.capacity(), PartitionStrategy::Modulo)
+    }
+
+    /// Every vertex on a PE of its own: every mark is a message.
+    fn apart(g: &GraphStore) -> PartitionMap {
+        modulo(g.capacity() as u16, g)
+    }
+
+    /// Runs messages to quiescence with a simple FIFO queue, no mark in
+    /// place.
     fn drain(state: &mut MarkState, g: &mut GraphStore, initial: MarkMsg) -> u64 {
+        drain_on(&apart(g), state, g, initial)
+    }
+
+    /// [`drain`] under the vertex → PE map `owner`.
+    fn drain_on(
+        owner: &PartitionMap,
+        state: &mut MarkState,
+        g: &mut GraphStore,
+        initial: MarkMsg,
+    ) -> u64 {
         let mut queue = std::collections::VecDeque::new();
         queue.push_back(initial);
         let mut events = 0;
         while let Some(m) = queue.pop_front() {
             let mut buf = Vec::new();
-            handle_mark(state, g, m, &mut |m| buf.push(m));
+            handle_mark(state, g, owner, m, &mut |m| buf.push(m));
             queue.extend(buf);
             events += 1;
             assert!(events < 100_000, "marking diverged");
@@ -396,6 +474,7 @@ mod tests {
         handle_mark(
             &mut state,
             &mut g,
+            &modulo(1, &GraphStore::default()),
             MarkMsg::Mark1 {
                 v: a,
                 par: MarkParent::RootPar,
@@ -421,6 +500,7 @@ mod tests {
         handle_mark(
             &mut state,
             &mut g,
+            &modulo(1, &GraphStore::default()),
             MarkMsg::Return {
                 slot: Slot::T,
                 to: MarkParent::TaskRootPar,
@@ -431,6 +511,7 @@ mod tests {
         handle_mark(
             &mut state,
             &mut g,
+            &modulo(1, &GraphStore::default()),
             MarkMsg::Return {
                 slot: Slot::T,
                 to: MarkParent::TaskRootPar,
@@ -438,5 +519,183 @@ mod tests {
             &mut sink,
         );
         assert!(state.t_done);
+    }
+
+    /// The root of a fresh graph on two PEs (`Modulo`: even indices on
+    /// PE 0, odd on PE 1), with `n` more vertices: even ones local to the
+    /// root, odd ones remote.
+    fn two_pe_graph(n: usize) -> (GraphStore, PartitionMap, VertexId, Vec<VertexId>) {
+        let mut g = GraphStore::with_capacity(n + 1);
+        let root = g.alloc(NodeLabel::If).unwrap();
+        let rest = (0..n)
+            .map(|i| g.alloc(NodeLabel::lit_int(i as i64)).unwrap())
+            .collect::<Vec<_>>();
+        g.set_root(root);
+        let owner = modulo(2, &g);
+        assert_eq!(owner.pe_of(root).raw(), 0);
+        (g, owner, root, rest)
+    }
+
+    /// Connects `a → b` requested as `kind`.
+    fn arc(g: &mut GraphStore, a: VertexId, b: VertexId, kind: Option<RequestKind>) {
+        g.connect(a, b);
+        let i = g.vertex(a).args().len() - 1;
+        g.vertex_mut(a).set_request_kind(i, kind);
+    }
+
+    /// Delivers `mark2(root, rootpar, 3)` alone and returns its sends.
+    fn mark_root(owner: &PartitionMap, state: &mut MarkState, g: &mut GraphStore) -> Vec<MarkMsg> {
+        let v = g.root().unwrap();
+        let (par, prior) = (MarkParent::RootPar, Priority::Vital);
+        let mut out = Vec::new();
+        handle_mark(
+            state,
+            g,
+            owner,
+            MarkMsg::Mark2 { v, par, prior },
+            &mut |m| out.push(m),
+        );
+        out
+    }
+
+    fn set_mark(g: &mut GraphStore, v: VertexId, color: Color, prior: Priority, mt_cnt: u32) {
+        let s = g.mark_mut(v, Slot::R);
+        (s.color, s.prior, s.mt_cnt) = (color, prior, mt_cnt);
+        s.mt_par = Some(MarkParent::RootPar);
+    }
+
+    const ROOT_DONE: MarkMsg = MarkMsg::Return {
+        slot: Slot::R,
+        to: MarkParent::RootPar,
+    };
+
+    #[test]
+    fn a_local_leaf_is_marked_in_place_with_no_message() {
+        let (mut g, owner, root, rest) = two_pe_graph(2);
+        let leaf = rest[1];
+        assert_eq!(owner.pe_of(leaf), owner.pe_of(root));
+        arc(&mut g, root, leaf, Some(RequestKind::Eager));
+        let mut state = MarkState::new();
+        state.begin_r(crate::RMode::Priority);
+        assert_eq!(mark_root(&owner, &mut state, &mut g), vec![ROOT_DONE]);
+        let s = g.mark(leaf, Slot::R);
+        assert!(s.is_marked() && s.mt_cnt == 0);
+        assert_eq!(s.prior, Priority::Eager, "min(prior, request-type)");
+        assert_eq!(s.mt_par, Some(MarkParent::Vertex(root)));
+        assert!(g.mark(root, Slot::R).is_marked());
+        assert_eq!(state.marks_in_place, 1);
+    }
+
+    #[test]
+    fn a_remote_leaf_still_costs_a_mark_and_a_return() {
+        let (mut g, owner, root, rest) = two_pe_graph(1);
+        let leaf = rest[0];
+        assert_ne!(owner.pe_of(leaf), owner.pe_of(root));
+        arc(&mut g, root, leaf, Some(RequestKind::Vital));
+        let mut state = MarkState::new();
+        state.begin_r(crate::RMode::Priority);
+        let (v, par, prior) = (root, MarkParent::RootPar, Priority::Vital);
+        let events = drain_on(&owner, &mut state, &mut g, MarkMsg::Mark2 { v, par, prior });
+        assert_eq!(events, 4, "two marks, two returns");
+        assert!(state.r_done && g.mark(leaf, Slot::R).is_marked());
+        assert_eq!(state.marks_in_place, 0);
+    }
+
+    #[test]
+    fn a_local_child_transient_or_marked_at_the_priority_settles_silently() {
+        let (mut g, owner, root, rest) = two_pe_graph(4);
+        let (busy, done) = (rest[1], rest[3]);
+        arc(&mut g, root, busy, Some(RequestKind::Eager));
+        arc(&mut g, root, done, Some(RequestKind::Vital));
+        arc(&mut g, busy, rest[0], None);
+        set_mark(&mut g, busy, Color::Transient, Priority::Eager, 1);
+        set_mark(&mut g, done, Color::Marked, Priority::Vital, 0);
+        let before = (g.mark(busy, Slot::R), g.mark(done, Slot::R));
+        let mut state = MarkState::new();
+        state.begin_r(crate::RMode::Priority);
+        assert_eq!(mark_root(&owner, &mut state, &mut g), vec![ROOT_DONE]);
+        assert_eq!((g.mark(busy, Slot::R), g.mark(done, Slot::R)), before);
+        assert_eq!(state.marks_in_place, 2);
+    }
+
+    #[test]
+    fn a_local_marked_leaf_below_the_priority_is_raised_in_place() {
+        let (mut g, owner, root, rest) = two_pe_graph(2);
+        let leaf = rest[1];
+        arc(&mut g, root, leaf, Some(RequestKind::Vital));
+        set_mark(&mut g, leaf, Color::Marked, Priority::Reserve, 0);
+        let mut state = MarkState::new();
+        state.begin_r(crate::RMode::Priority);
+        assert_eq!(mark_root(&owner, &mut state, &mut g), vec![ROOT_DONE]);
+        let s = g.mark(leaf, Slot::R);
+        assert!(s.is_marked());
+        assert_eq!(
+            (s.prior, s.mt_par),
+            (Priority::Vital, Some(MarkParent::Vertex(root)))
+        );
+        assert_eq!(state.marks_in_place, 1);
+    }
+
+    #[test]
+    fn a_local_transient_child_below_the_priority_gets_its_upgrade() {
+        let (mut g, owner, root, rest) = two_pe_graph(2);
+        let busy = rest[1];
+        arc(&mut g, root, busy, Some(RequestKind::Vital));
+        set_mark(&mut g, busy, Color::Transient, Priority::Reserve, 0);
+        let mut state = MarkState::new();
+        state.begin_r(crate::RMode::Priority);
+        let (par, prior) = (MarkParent::Vertex(root), Priority::Vital);
+        let out = mark_root(&owner, &mut state, &mut g);
+        assert_eq!(
+            out,
+            vec![MarkMsg::Mark2 {
+                v: busy,
+                par,
+                prior
+            }]
+        );
+        assert_eq!(g.mark(root, Slot::R).mt_cnt, 1);
+        assert_eq!(state.marks_in_place, 0);
+    }
+
+    #[test]
+    fn a_cons_values_head_and_tail_follow_the_rule_at_reserve() {
+        let (mut g, owner, root, rest) = two_pe_graph(2);
+        let (tail, head) = (rest[0], rest[1]);
+        g.vertex_mut(root).label = NodeLabel::Cons;
+        g.vertex_mut(root).value = Some(Value::Cons(head, tail));
+        let mut state = MarkState::new();
+        state.begin_r(crate::RMode::Priority);
+        let (par, prior) = (MarkParent::Vertex(root), Priority::Reserve);
+        let out = mark_root(&owner, &mut state, &mut g);
+        assert_eq!(
+            out,
+            vec![MarkMsg::Mark2 {
+                v: tail,
+                par,
+                prior
+            }]
+        );
+        let s = g.mark(head, Slot::R);
+        assert!(s.is_marked() && s.prior == Priority::Reserve);
+        assert_eq!(state.marks_in_place, 1);
+    }
+
+    #[test]
+    fn on_one_pe_every_leaf_is_in_place() {
+        let (mut g, _, root, rest) = two_pe_graph(3);
+        for &c in &rest {
+            arc(&mut g, root, c, Some(RequestKind::Vital));
+        }
+        arc(&mut g, root, rest[0], None);
+        let mut state = MarkState::new();
+        state.begin_r(crate::RMode::Priority);
+        let one = modulo(1, &g);
+        assert_eq!(mark_root(&one, &mut state, &mut g), vec![ROOT_DONE]);
+        for &c in &rest {
+            assert_eq!(g.mark(c, Slot::R).prior, Priority::Vital, "{c}");
+            assert!(g.mark(c, Slot::R).is_marked());
+        }
+        assert_eq!(state.marks_in_place, 4, "the duplicate arc settles");
     }
 }

@@ -211,7 +211,7 @@ mod tests {
     use super::*;
     use crate::handler::handle_mark;
     use crate::state::RMode;
-    use dgr_graph::{NodeLabel, Priority};
+    use dgr_graph::{NodeLabel, PartitionMap, PartitionStrategy, Priority};
 
     /// Run mark1 step by step, checking invariants after every event.
     #[test]
@@ -229,6 +229,7 @@ mod tests {
         g.connect(c, root);
         g.set_root(root);
 
+        let owner = PartitionMap::new(1, g.capacity(), PartitionStrategy::Modulo);
         let mut state = MarkState::new();
         state.begin_r(RMode::Simple);
         let mut queue = vec![MarkMsg::Mark1 {
@@ -240,7 +241,7 @@ mod tests {
             // LIFO order for variety.
 
             let mut buf = Vec::new();
-            handle_mark(&mut state, &mut g, m, &mut |m| buf.push(m));
+            handle_mark(&mut state, &mut g, &owner, m, &mut |m| buf.push(m));
             queue.extend(buf);
             check_invariants(&g, Slot::R, &queue, &state).unwrap();
         }
@@ -268,6 +269,8 @@ mod tests {
             .set_request_kind(0, Some(dgr_graph::RequestKind::Vital));
         g.set_root(root);
 
+        // Two PEs: mid's mark to d is local, and still an upgrade message.
+        let owner = PartitionMap::new(2, g.capacity(), PartitionStrategy::Modulo);
         let mut state = MarkState::new();
         state.begin_r(RMode::Priority);
         // FIFO so the eager path reaches d first, forcing a re-mark.
@@ -279,7 +282,7 @@ mod tests {
         });
         while let Some(m) = queue.pop_front() {
             let mut buf = Vec::new();
-            handle_mark(&mut state, &mut g, m, &mut |m| buf.push(m));
+            handle_mark(&mut state, &mut g, &owner, m, &mut |m| buf.push(m));
             queue.extend(buf);
             let pending: Vec<MarkMsg> = queue.iter().copied().collect();
             check_invariants(&g, Slot::R, &pending, &state).unwrap();

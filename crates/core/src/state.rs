@@ -39,6 +39,11 @@ pub struct MarkState {
     /// Mark tasks hung on the virtual `troot` that have not yet returned
     /// (the `mt-cnt` of `troot`).
     pub troot_outstanding: u32,
+    /// Marks `mark2` settled in place since this state was made: each is
+    /// a mark to a child on its parent's own PE, and its return, that
+    /// were never sent (DESIGN note 14). Never reset; drivers read the
+    /// difference across what they measure.
+    pub marks_in_place: u64,
     /// `false` disables mutator cooperation entirely — the ablation that
     /// reproduces the static-graph assumption of Chandy–Misra-style
     /// algorithms (experiment T-abl).

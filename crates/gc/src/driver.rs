@@ -21,11 +21,16 @@ use crate::report::{CycleReport, GcStats};
 /// drivers retain the most recent this-many cycles.
 pub const TIMELINE_CAP: usize = 4096;
 
-/// During a marking phase, up to this many marking tasks are delivered for
-/// every one reduction task of the policy's choosing (the paper's Section
-/// 6 remark that marking tasks can take precedence), so marking outpaces
-/// a mutator that keeps growing the graph; while both kinds are pending
-/// the share is exactly this many to one.
+/// During a marking phase, marking work worth this many deliveries is
+/// served for every one reduction task of the policy's choosing (the
+/// paper's Section 6 remark that marking tasks can take precedence), so
+/// marking outpaces a mutator that keeps growing the graph; while both
+/// kinds are pending the share is exactly this many to one. A mark `M_R`
+/// settles in place counts as the two deliveries it saved, its mark and
+/// its return, and work beyond the share is carried over to the next
+/// burst: the share stays one of marking work, so settling in place
+/// sends fewer messages without speeding the wave past the mutator
+/// (DESIGN note 14).
 ///
 /// The share trades memory against makespan (arXiv:1210.2580): a larger
 /// one ends each wave sooner, so less garbage floats and the heap peaks
@@ -126,13 +131,13 @@ pub struct GcConfig {
     /// Run `M_T` at most every this many cycles (`1` = every cycle it can
     /// find something; the paper's Section 6 suggests running it only
     /// occasionally since it exists solely for deadlock detection). On
-    /// that period it runs in the first cycle and, after that, only once
-    /// the reduction engine has seen a request that may close a cycle of
-    /// waits ([`RedStats::wait_cycles`] > 0): before that no vertex can be
-    /// deadlocked and the pass would report nothing. `0` disables `M_T`
-    /// entirely.
+    /// that period it runs in the first cycle and, after that, only while
+    /// a requester whose request may have closed a cycle of waits is
+    /// neither reclaimed nor valued ([`System::waiters`] is not empty):
+    /// otherwise no vertex can be deadlocked and the pass would report
+    /// nothing. `0` disables `M_T` entirely.
     ///
-    /// [`RedStats::wait_cycles`]: dgr_reduction::RedStats::wait_cycles
+    /// [`System::waiters`]: dgr_reduction::System::waiters
     pub mt_every: u32,
     /// Return garbage to the free list.
     pub reclaim: bool,
@@ -318,17 +323,19 @@ impl GcDriver {
         self.sys.begin_cycle(self.cycle);
         // `M_T` only reports vertices on a cycle of waits or below one, and
         // only a join the engine counts in `wait_cycles` can close such a
-        // cycle; the first cycle also covers a graph that arrived waiting
+        // cycle: its requester stays in `waiters` until it is reclaimed or
+        // valued. The first cycle also covers a graph that arrived waiting
         // (DESIGN note 13).
         let run_mt = self.cfg.mt_every > 0
             && (self.cycle - 1).is_multiple_of(self.cfg.mt_every)
-            && (self.cycle == 1 || self.sys.stats.wait_cycles > 0);
+            && (self.cycle == 1 || !self.sys.waiters.is_empty());
         let mut report = CycleReport {
             cycle: self.cycle,
             ran_mt: run_mt,
             ..Default::default()
         };
         let cycle_start = Instant::now();
+        let in_place = self.sys.mark_state.marks_in_place;
         self.lifecycle.begin_cycle(u64::from(self.cycle));
         let snap0 = self.sys.telemetry().snapshot();
         self.sys
@@ -372,6 +379,7 @@ impl GcDriver {
         self.sys.mark_state.end_t();
         self.sys.telemetry().end(0, self.cycle, Phase::Gc, "cycle");
         report.total_us = cycle_start.elapsed().as_micros() as u64;
+        report.marks_in_place = self.sys.mark_state.marks_in_place - in_place;
         report.mark_backlog_hw = self.sys.sim().stats().lane_high_water(Lane::Marking) as u64;
         // The simulator's lanes are system-wide, so the backlog peak and
         // the cycle time land on PE 0's shard like the restructure tallies.
@@ -475,6 +483,13 @@ impl GcDriver {
         us
     }
 
+    /// The deliveries a marking phase may make: `phase_budget`, or what
+    /// remains of `max_total_events` if that is less.
+    fn phase_budget(&self) -> u64 {
+        let left = self.cfg.max_total_events.saturating_sub(self.sys.events());
+        self.cfg.phase_budget.min(left)
+    }
+
     /// Runs a marking phase: keeps delivering events (reduction included —
     /// the phases are concurrent) until the process signals `done` or the
     /// phase budget is exhausted. `done` is evaluated once per delivery
@@ -482,33 +497,38 @@ impl GcDriver {
     fn drive_phase(&mut self, report: &mut CycleReport, done: impl Fn(&System) -> bool) {
         let start_total = self.sys.sim().stats().delivered_total();
         let start_marking = self.sys.sim().stats().delivered(Lane::Marking);
+        let budget = self.phase_budget();
         let mut events = 0u64;
         let pulse = Pulse(&self.heartbeat);
-        // Marking tasks served since the last reduction task.
-        let mut burst = 0u32;
+        // Marking work served since the last reduction task, in deliveries
+        // (see `MARKING_SERVICE_RATIO`).
+        let mut burst = 0u64;
+        let share = u64::from(MARKING_SERVICE_RATIO);
         while !done(&self.sys) {
-            // Priority service for marking tasks, so the wave always
-            // outpaces a mutator that keeps allocating (Section 6).
-            if burst < MARKING_SERVICE_RATIO && self.sys.step_mark() {
-                burst += 1;
-            } else {
-                // No marking task is pending or they have had their share:
-                // one reduction task of the policy's choosing.
-                let progressed = burst > 0;
-                burst = 0;
-                if !self.sys.step() {
-                    assert!(progressed, "marking drained without its termination signal");
-                    continue;
-                }
-            }
             // Every delivery counts against the budget, a marking one too.
-            events += 1;
-            pulse.at(events);
-            if events >= self.cfg.phase_budget {
+            if events >= budget {
                 report.aborted = true;
                 self.sys.drop_marking();
                 break;
             }
+            // Priority service for marking tasks, so the wave always
+            // outpaces a mutator that keeps allocating (Section 6).
+            let in_place = self.sys.mark_state.marks_in_place;
+            if burst < share && self.sys.step_mark() {
+                burst += 1 + 2 * (self.sys.mark_state.marks_in_place - in_place);
+            } else {
+                // No marking task is pending or they have had their share:
+                // one reduction task of the policy's choosing.
+                let progressed = burst > 0;
+                if !self.sys.step() {
+                    burst = 0;
+                    assert!(progressed, "marking drained without its termination signal");
+                    continue;
+                }
+                burst = burst.saturating_sub(share);
+            }
+            events += 1;
+            pulse.at(events);
         }
         pulse.end(events);
         let marking = self.sys.sim().stats().delivered(Lane::Marking) - start_marking;
@@ -534,9 +554,8 @@ impl GcDriver {
         // With no reduction task delivered, the pass is the marking queue
         // drained in send order.
         let pulse = Pulse(&self.heartbeat);
-        let (events, finished) = self
-            .sys
-            .drain_marking(self.cfg.phase_budget, |n| pulse.at(n));
+        let budget = self.phase_budget();
+        let (events, finished) = self.sys.drain_marking(budget, |n| pulse.at(n));
         pulse.end(events);
         report.mark_events += events;
         // Aborted: the pass dropped its in-flight marks; colors and
@@ -627,6 +646,13 @@ impl GcDriver {
                 }
             }
         }
+
+        // A requester that may have closed a cycle of waits stops calling
+        // for `M_T` once it is reclaimed or holds a value (⊥ included): a
+        // cycle of waits is all live or all garbage, and a valued vertex
+        // waits on nothing.
+        let (graph, waiters) = (&self.sys.graph, &mut self.sys.waiters);
+        waiters.retain(|&s| !graph.is_free(s) && graph.vertex(s).value.is_none());
     }
 }
 
@@ -746,9 +772,11 @@ mod tests {
                     ..Default::default()
                 },
             );
-            // `sum` never closes a cycle of waits; count one as a join
+            // `sum` never closes a cycle of waits; hand the trigger a
+            // requester that stays live and unvalued, as a counted join
             // would, so that M_T runs in every cycle, not only the first.
-            gc.sys.stats.wait_cycles = 1;
+            let root = gc.sys.graph.root().unwrap();
+            gc.sys.waiters.push(root);
             gc.sys.demand_root();
             // Each window after the first opens on what an aborted cycle
             // left: no marking task anywhere in the simulator, whose
@@ -944,9 +972,9 @@ mod tests {
     #[derive(Debug, Clone, Copy)]
     struct Tally {
         marking_pending: usize,
-        reduction_pending: usize,
         marking_delivered: u64,
         delivered: u64,
+        in_place: u64,
     }
 
     /// A marking phase's tallies, one per call of its `done`.
@@ -963,9 +991,9 @@ mod tests {
             let stats = sys.sim().stats();
             let tally = Tally {
                 marking_pending: stats.lane_depth(Lane::Marking),
-                reduction_pending: sys.sim().len(),
                 marking_delivered: stats.delivered(Lane::Marking),
                 delivered: stats.delivered_total(),
+                in_place: sys.mark_state.marks_in_place,
             };
             phases.borrow_mut().last_mut().unwrap().push(tally);
             done(sys)
@@ -1019,10 +1047,13 @@ mod tests {
     }
 
     /// Under every policy and on programs of every shape, each marking
-    /// phase delivers at most `MARKING_SERVICE_RATIO` marking tasks before
-    /// a reduction task, and exactly that many between two reduction
-    /// tasks while both kinds are pending: the policy's pick is always a
-    /// reduction task.
+    /// phase serves marking work worth exactly `MARKING_SERVICE_RATIO`
+    /// deliveries per reduction task while both kinds are pending, an
+    /// in-place mark counting as two and any excess carried over: a
+    /// marking task is delivered only while the burst's credit is below
+    /// the share, and a reduction task, while marking is pending, only
+    /// once it has reached it. The policy's pick is always a reduction
+    /// task.
     #[test]
     fn marking_gets_exactly_its_share_of_every_phase() {
         let k = u64::from(MARKING_SERVICE_RATIO);
@@ -1075,33 +1106,37 @@ mod tests {
                     }
                 }
                 assert_eq!(gc.sys.result, Some(Value::Int(want)), "{what}");
-                let (mut full_runs, mut most) = (0, 0);
+                let (mut full_runs, mut settled) = (0, 0);
                 for phase in phases.borrow().iter() {
-                    // Marking deliveries since the last reduction delivery,
-                    // and whether a reduction task was pending at each.
-                    let (mut run, mut contended) = (0, true);
+                    // Marking work since the last reduction delivery, in
+                    // deliveries, as the phase's burst counts it.
+                    let mut credit = 0;
                     for pair in phase.windows(2) {
                         let (before, after) = (pair[0], pair[1]);
                         match after.delivered - before.delivered {
-                            0 => continue, // a reduction pick found none
+                            // A reduction pick found none: the burst ends.
+                            0 => {
+                                credit = 0;
+                                continue;
+                            }
                             n => assert_eq!(n, 1, "{what}"),
                         }
                         if after.marking_delivered > before.marking_delivered {
-                            run += 1;
-                            contended &= before.reduction_pending > 0;
+                            assert!(credit < k, "{what}: marked at credit {credit}");
+                            let in_place = after.in_place - before.in_place;
+                            settled += in_place;
+                            credit += 1 + 2 * in_place;
                             continue;
                         }
-                        assert!(run <= k, "{what}: {run} marking deliveries in a row");
-                        if contended && before.marking_pending > 0 {
-                            assert_eq!(run, k, "{what}: both kinds were pending");
+                        if before.marking_pending > 0 {
+                            assert!(credit >= k, "{what}: reduced at credit {credit}");
                             full_runs += 1;
                         }
-                        most = most.max(run);
-                        (run, contended) = (0, true);
+                        credit = credit.saturating_sub(k);
                     }
                 }
                 assert!(full_runs > 0, "{what}: no phase had both kinds pending");
-                assert_eq!(most, k, "{what}");
+                assert!(settled > 0, "{what}: no mark was settled in place");
             }
         }
     }
@@ -1198,9 +1233,11 @@ mod tests {
                 ..Default::default()
             },
         );
-        // `sum` never closes a cycle of waits; count one as a join would,
-        // so that every cycle runs an M_T pass to check.
-        gc.sys.stats.wait_cycles = 1;
+        // `sum` never closes a cycle of waits; hand the trigger a requester
+        // that stays live and unvalued, as a counted join would, so that
+        // every cycle runs an M_T pass to check.
+        let root = gc.sys.graph.root().unwrap();
+        gc.sys.waiters.push(root);
         gc.sys.demand_root();
         // The sequence number each cycle's M_T pass starts from: every
         // send so far was delivered, is pending, or was expunged.
@@ -1583,9 +1620,10 @@ mod tests {
             .map(|c| c.cycle)
             .collect();
         assert_eq!((ran, gc.sys.stats.wait_cycles), (vec![1], 0));
-        // Once a join may have closed one, M_T keeps its period.
+        // While a join may have closed one, M_T keeps its period.
         let mut gc = GcDriver::new(sum_system(30, SystemConfig::default()), cfg);
-        gc.sys.stats.wait_cycles = 1;
+        let root = gc.sys.graph.root().unwrap();
+        gc.sys.waiters.push(root);
         gc.run();
         assert!(gc.stats().mt_cycles < gc.stats().cycles);
         assert!(gc.stats().mt_cycles >= gc.stats().cycles / 3);

@@ -9,9 +9,9 @@
 //!    endpoint (in-transit tasks included — the simulator mailboxes are the
 //!    task pools plus the network). Per the Section 6 remark it runs only
 //!    occasionally: at most every [`GcConfig::mt_every`] cycles, and after
-//!    the first cycle only once the reduction engine has seen a request
-//!    that may close a cycle of waits, without which nothing can be
-//!    deadlocked.
+//!    the first cycle only while a request the reduction engine saw may
+//!    have closed a cycle of waits that is still live, without which
+//!    nothing can be deadlocked.
 //! 2. **`M_R`** (Figures 5-1/5-2): marks everything reachable from the
 //!    root through `args`, tagging each vertex with its priority
 //!    (vital / eager / reserve).
@@ -26,7 +26,8 @@
 //!
 //! Crucially, `M_R` runs **concurrently with reduction**: the driver
 //! delivers one reduction task of the scheduling policy's choosing after
-//! every four marking tasks, and the cooperating mutator primitives keep
+//! every four deliveries' worth of marking work (a mark settled in place
+//! counts as the two it saved), and the cooperating mutator primitives keep
 //! the marking invariants intact. (`M_T` is the one synchronous pass, as
 //! Section 6 allows for a pass run only occasionally.)
 //!

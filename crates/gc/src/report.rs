@@ -26,6 +26,10 @@ pub struct CycleReport {
     pub marked_by_priority: [usize; 3],
     /// Marking-task events executed (both processes).
     pub mark_events: u64,
+    /// Marks `M_R` settled in place: each a mark and its return to a
+    /// child on its parent's own PE that were never sent (DESIGN note
+    /// 14), and not counted in `mark_events`.
+    pub marks_in_place: u64,
     /// Reduction-task events that executed *during* the marking phases
     /// (the measure of concurrency — a stop-the-world collector would have
     /// zero).
@@ -88,6 +92,8 @@ pub struct GcStats {
     pub relaned_total: usize,
     /// Total marking events executed.
     pub mark_events_total: u64,
+    /// Total marks settled in place.
+    pub marks_in_place_total: u64,
     /// Largest number of marking events in one cycle (the bound on how
     /// much marking work a cycle injects — the concurrent analogue of a
     /// pause).
@@ -109,6 +115,7 @@ impl GcStats {
         self.expunged_total += r.expunged;
         self.relaned_total += r.relaned;
         self.mark_events_total += r.mark_events;
+        self.marks_in_place_total += r.marks_in_place;
         self.max_cycle_mark_events = self.max_cycle_mark_events.max(r.mark_events);
         self.deadlocks_total += r.deadlocked.len();
         if r.aborted {
@@ -130,6 +137,7 @@ mod tests {
             reclaimed: 3,
             expunged: 2,
             mark_events: 10,
+            marks_in_place: 4,
             ..Default::default()
         });
         s.absorb(&CycleReport {
@@ -144,6 +152,7 @@ mod tests {
         assert_eq!(s.reclaimed_total, 4);
         assert_eq!(s.expunged_total, 2);
         assert_eq!(s.max_cycle_mark_events, 30);
+        assert_eq!(s.marks_in_place_total, 4);
         assert_eq!(s.aborted_cycles, 1);
     }
 

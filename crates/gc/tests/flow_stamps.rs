@@ -3,7 +3,9 @@
 //! exactly one earlier `flow_send` with the same id, and no id is sent
 //! twice — in `M_R`, interleaved with reduction tasks, and in the `M_T`
 //! pass alike. `M_T` runs in the first cycle, and in every cycle of the
-//! program whose discarded speculative branch closes a cycle of waits.
+//! program whose discarded speculative branch closes a cycle of waits:
+//! the branch is reclaimed within a cycle or two, so the run hands the
+//! `M_T` trigger the root, which stays live and unvalued until the end.
 
 #![cfg(feature = "telemetry")]
 
@@ -43,6 +45,10 @@ fn every_collector_delivery_resolves_one_earlier_send() {
                     ..Default::default()
                 },
             );
+            if src.contains("let rec") {
+                let root = gc.sys.graph.root().unwrap();
+                gc.sys.waiters.push(root);
+            }
             gc.sys.demand_root();
             // Drained at every window's end, so no ring wraps.
             let mut events: Vec<Event> = Vec::new();

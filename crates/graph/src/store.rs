@@ -34,6 +34,11 @@ pub struct PartitionMap {
     /// [`PartitionMap::pe_of`] — called once per routed task — divides
     /// once, not twice.
     block: usize,
+    /// `⌈2⁶⁴ / num_pes⌉`, so that [`PartitionMap::pe_of`] takes a 32-bit
+    /// index modulo `num_pes` with two multiplications instead of a
+    /// division (Lemire, Kaser and Kurz, "Faster remainder by direct
+    /// computation", 2019); `mark2` asks once per arc it traverses.
+    modulo_inv: u64,
     strategy: PartitionStrategy,
 }
 
@@ -48,6 +53,7 @@ impl PartitionMap {
         PartitionMap {
             num_pes,
             block: capacity.div_ceil(num_pes as usize).max(1),
+            modulo_inv: (u64::MAX / u64::from(num_pes)).wrapping_add(1),
             strategy,
         }
     }
@@ -66,7 +72,10 @@ impl PartitionMap {
             return PeId::new(0);
         }
         match self.strategy {
-            PartitionStrategy::Modulo => PeId::new((v.index() % n) as u16),
+            PartitionStrategy::Modulo => {
+                let fraction = self.modulo_inv.wrapping_mul(v.index() as u64);
+                PeId::new(((u128::from(fraction) * n as u128) >> 64) as u16)
+            }
             PartitionStrategy::Block => PeId::new(((v.index() / self.block).min(n - 1)) as u16),
         }
     }
@@ -857,6 +866,18 @@ mod tests {
                         "{n} {capacity} {v}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn modulo_holds_for_every_32_bit_index() {
+        for n in [2u16, 3, 5, 7, 16, 1000, 65_521, u16::MAX] {
+            let p = PartitionMap::new(n, 0, PartitionStrategy::Modulo);
+            let edges = (0..4096u32).chain(u32::MAX - 4096..=u32::MAX);
+            for v in edges.chain((0..4096u32).map(|k| k.wrapping_mul(2_654_435_761))) {
+                let want = v % u32::from(n);
+                assert_eq!(p.pe_of(VertexId::new(v)).index(), want as usize, "{n} {v}");
             }
         }
     }

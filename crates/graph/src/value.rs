@@ -98,6 +98,15 @@ impl Value {
             _ => {}
         }
     }
+
+    /// The `j`-th vertex [`Value::for_each_referenced`] visits, if any.
+    pub fn referenced(&self, j: usize) -> Option<VertexId> {
+        match self {
+            Value::Cons(h, t) => [*h, *t].get(j).copied(),
+            Value::Fn(_, caps) => caps.get(j).copied(),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for Value {

@@ -528,6 +528,18 @@ impl Vertex {
         }
     }
 
+    /// The `i`-th visit of [`Vertex::for_each_r_child_kind`], or `None`
+    /// past the last. A walk by index holds no borrow of the vertex
+    /// between two children, so the store can be written in between.
+    pub fn r_child_at(&self, i: usize) -> Option<(VertexId, Option<RequestKind>)> {
+        let (args, kinds) = (self.args(), self.request_kinds());
+        if let Some(&c) = args.get(i) {
+            return Some((c, kinds[i]));
+        }
+        let c = self.value.as_ref()?.referenced(i - args.len())?;
+        Some((c, None))
+    }
+
     /// Number of requested arcs whose values have not yet arrived.
     pub fn pending_arg_values(&self) -> usize {
         self.request_kinds()
@@ -698,6 +710,17 @@ mod tests {
         let mut kinds = Vec::new();
         x.for_each_r_child_kind(|c, k| kinds.push((c, k)));
         assert_eq!(kinds, vec![(v(3), None), (v(4), None), (v(5), None)]);
+        // The walk by index visits the same children in the same order,
+        // a function value's captures too.
+        let by_index = |x: &Vertex| (0..).map_while(|i| x.r_child_at(i)).collect::<Vec<_>>();
+        assert_eq!(by_index(&x), kinds);
+        x.set_request_kind(0, Some(RequestKind::Eager));
+        x.value = Some(Value::function(0, vec![v(6), v(7), v(8)]));
+        let mut kinds = Vec::new();
+        x.for_each_r_child_kind(|c, k| kinds.push((c, k)));
+        assert_eq!(by_index(&x), kinds);
+        assert_eq!(kinds.len(), 4);
+        assert_eq!(Vertex::new(NodeLabel::lit_int(1)).r_child_at(0), None);
     }
 
     #[test]

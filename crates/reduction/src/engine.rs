@@ -35,6 +35,9 @@ pub struct EngineCtx<'a, R> {
     pub grow_step: usize,
     /// Engine counters.
     pub stats: &'a mut RedStats,
+    /// Receives each requester whose request [`RedStats::wait_cycles`]
+    /// counts ([`System::waiters`](crate::System::waiters)).
+    pub waiters: &'a mut Vec<VertexId>,
     /// The vertex-to-PE assignment spawned reduction tasks are routed by,
     /// resized by the task that grows the heap before it spawns anything.
     pub partition: &'a mut PartitionMap,
@@ -111,6 +114,7 @@ impl<R: FnMut(PeId, RedMsg, Priority)> EngineCtx<'_, R> {
         if let Requester::Vertex(s) = src {
             if (!first || vert.pending_arg_values() > 0) && self.waits_on(v, s) {
                 self.stats.wait_cycles += 1;
+                self.waiters.push(s);
             }
         }
         if first {
@@ -649,7 +653,7 @@ mod tests {
     /// Delivers one request `<src, dst>` to a hand-built graph and returns
     /// the engine's counters.
     fn request(g: &mut GraphStore, src: VertexId, dst: VertexId) -> RedStats {
-        let mut stats = RedStats::default();
+        let (mut stats, mut waiters) = (RedStats::default(), Vec::new());
         let mut partition = PartitionMap::new(1, g.capacity(), dgr_graph::PartitionStrategy::Block);
         let kind = RequestKind::Vital;
         let msg = RedMsg::Request {
@@ -665,6 +669,7 @@ mod tests {
                 speculation: false,
                 grow_step: 0,
                 stats: &mut stats,
+                waiters: &mut waiters,
                 partition: &mut partition,
                 red: |_, _, _| {},
                 spawned: 0,
@@ -674,6 +679,9 @@ mod tests {
             },
             msg,
         );
+        // A counted request hands its requester to the `M_T` trigger.
+        assert_eq!(waiters.len() as u64, stats.wait_cycles);
+        assert!(waiters.iter().all(|&w| w == src));
         stats
     }
 
@@ -814,6 +822,7 @@ mod tests {
                 speculation: false,
                 grow_step: 16,
                 stats: &mut stats,
+                waiters: &mut Vec::new(),
                 partition: &mut partition,
                 red: |pe: PeId, m, prio| sent.push((pe.raw(), prio, m)),
                 spawned: 0,

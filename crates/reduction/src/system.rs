@@ -82,6 +82,12 @@ pub struct System {
     pub mark_state: MarkState,
     /// Reduction counters.
     pub stats: RedStats,
+    /// Requesters whose request may have closed a cycle of waits (each
+    /// one [`RedStats::wait_cycles`] counts), until a GC cycle reclaims
+    /// them or finds them holding a value. `GcDriver` runs `M_T` while
+    /// any remain (DESIGN note 13); a test forces `M_T` by pushing a
+    /// vertex that stays live and unvalued, such as the root.
+    pub waiters: Vec<VertexId>,
     /// The root's computed value, once returned to the external observer.
     pub result: Option<Value>,
     config: SystemConfig,
@@ -171,6 +177,7 @@ impl System {
             templates,
             mark_state: MarkState::new(),
             stats: RedStats::default(),
+            waiters: Vec::new(),
             result: None,
             config,
             sim,
@@ -347,6 +354,7 @@ impl System {
                         speculation: self.config.speculation,
                         grow_step: self.config.grow_step,
                         stats: &mut self.stats,
+                        waiters: &mut self.waiters,
                         partition: &mut self.partition,
                         red: |dst, m, prio| {
                             count_send(telem, pe, dst);
@@ -399,9 +407,15 @@ impl System {
         if let Some(pe) = pe {
             rec.delivered(&m, pe, seq);
         }
-        handle_mark(&mut self.mark_state, &mut self.graph, m, &mut |m| {
-            fifo.push_back((stamp_mark(sim, partition, rec, pe, &m), m));
-        });
+        handle_mark(
+            &mut self.mark_state,
+            &mut self.graph,
+            partition,
+            m,
+            &mut |m| {
+                fifo.push_back((stamp_mark(sim, partition, rec, pe, &m), m));
+            },
+        );
         true
     }
 
@@ -412,8 +426,9 @@ impl System {
     /// delivers marking tasks with [`System::step_mark`] until the last
     /// seed has returned (`t_done`), calling `progress` after each
     /// delivery with the pass's count so far. Returns the deliveries made
-    /// and whether `t_done` was reached; after `budget` deliveries the
-    /// pass stops and drops the marking tasks it still holds.
+    /// and whether `t_done` was reached; a pass still short of `t_done`
+    /// after `budget` deliveries (none if `budget` is 0) stops there and
+    /// drops the marking tasks it still holds.
     ///
     /// # Panics
     ///
@@ -435,14 +450,14 @@ impl System {
         self.mark_state.begin_t(self.mark_fifo.len() as u32);
         let mut delivered = 0;
         while !self.mark_state.t_done {
-            let stepped = self.step_mark();
-            assert!(stepped, "marking drained without its termination signal");
-            delivered += 1;
-            progress(delivered);
             if delivered >= budget {
                 self.drop_marking();
                 return (delivered, false);
             }
+            let stepped = self.step_mark();
+            assert!(stepped, "marking drained without its termination signal");
+            delivered += 1;
+            progress(delivered);
         }
         (delivered, true)
     }

@@ -313,12 +313,12 @@ fn gc_counts_pin_the_delivery_order() {
     // reduction and marking tasks are delivered: the policy's order of the
     // reduction tasks (round-robin compares global sequence numbers across
     // the reduction lanes), the marking queue's send order, and the
-    // collector's four marking deliveries to each reduction delivery. The
-    // tuples were recorded when marking tasks left the simulator's
-    // mailboxes; a change that reorders sends or deliveries moves at least
+    // collector's four deliveries' worth of marking work to each
+    // reduction delivery. The tuples were recorded when `M_R` began to
+    // settle a local child whose mark would spawn nothing in place (DESIGN
+    // note 14); a change that reorders sends or deliveries moves at least
     // one of them. None of these programs closes a cycle of waits, so
-    // `M_T` runs in the first cycle only: its marking events are the one
-    // column that moved when `M_T` began to run by need.
+    // `M_T` runs in the first cycle only.
     let rr = (SchedPolicy::RoundRobin, 0);
     // The two policies whose pick code the four-lane simulator rewrote
     // (the random pool, the preference-order walk), recorded on the commit
@@ -338,77 +338,77 @@ fn gc_counts_pin_the_delivery_order() {
             false,
             rr,
             modulo2,
-            (9, 26_544, 6_451, 0, 333),
+            (9, 22_780, 6_293, 0, 335),
         ),
         (
             programs::qsort(30),
             false,
             rr,
             modulo2,
-            (33, 33_163, 7_428, 0, 7),
+            (33, 25_154, 7_239, 0, 9),
         ),
         (
             programs::cyclic_sum(100),
             false,
             rr,
             modulo2,
-            (9, 12_963, 1_855, 0, 1),
+            (9, 9_839, 1_831, 0, 7),
         ),
         (
             programs::primes(30),
             false,
             rr,
             modulo2,
-            (27, 7_722, 3_947, 0, 13),
+            (27, 5_770, 3_803, 0, 12),
         ),
         (
             programs::nfib(9),
             true,
             rr,
             modulo2,
-            (8, 13_714, 4_809, 646, 529),
+            (8, 12_184, 5_051, 661, 524),
         ),
         (
             programs::qsort(30),
             false,
             random(7),
             modulo2,
-            (33, 33_190, 7_419, 0, 9),
+            (33, 25_148, 7_261, 0, 13),
         ),
         (
             programs::nfib(9),
             true,
             random(8),
             modulo2,
-            (9, 26_752, 8_169, 1_613, 1_498),
+            (9, 23_806, 8_809, 1_763, 1_565),
         ),
         (
             programs::nfib(9),
             true,
             pf,
             modulo2,
-            (8, 5_168, 2_124, 151, 178),
+            (8, 5_302, 2_217, 167, 213),
         ),
         (
             programs::cyclic_sum(100),
             false,
             pf,
             modulo2,
-            (9, 12_963, 1_855, 0, 1),
+            (9, 9_839, 1_831, 0, 7),
         ),
         (
             programs::nfib(12),
             false,
             rr,
             (2, PartitionStrategy::Block),
-            (9, 26_490, 6_395, 0, 403),
+            (9, 15_614, 6_499, 0, 395),
         ),
         (
             programs::nfib(9),
             true,
             rr,
             (4, PartitionStrategy::Block),
-            (7, 10_960, 3_264, 535, 509),
+            (7, 6_592, 3_209, 496, 475),
         ),
     ];
     for (p, speculation, (policy, seed), (num_pes, partition), want) in cases {
@@ -452,9 +452,9 @@ fn gc_timelines_pin_every_cycle() {
     // What the totals above miss: each cycle's marking events, marking
     // backlog peak, reduction events during marking and restructure
     // tallies, then the run's delivered events in all and per lane. Each
-    // cell is a digest of those words, recorded when `M_T` began to run
-    // only once a cycle of waits can exist (DESIGN note 13), at the
-    // collector's exact four-to-one marking share.
+    // cell is a digest of those words, recorded when `M_R` began to settle
+    // a local child whose mark would spawn nothing in place (DESIGN note
+    // 14), at the collector's exact four-to-one share of marking work.
     use dgr::sim::Lane;
     let policies = [
         SchedPolicy::RoundRobin,
@@ -472,34 +472,34 @@ fn gc_timelines_pin_every_cycle() {
     // One row per policy, one column per program, in the orders above.
     let want: [[u64; 4]; 5] = [
         [
-            0x56fb_777d_32ac_0007,
-            0x9aac_46f6_3ec0_07f4,
-            0xa26f_ee59_9b5c_136b,
-            0x7939_3389_cbdd_a02c,
+            0x531d_0ee7_04fe_e504,
+            0xf3d2_3fef_cbc8_4efa,
+            0xbc3b_bba8_4f36_0536,
+            0xdcbd_30fd_50cc_5180,
         ],
         [
-            0xa382_a29f_fafc_5167,
-            0x5fbd_ad69_863a_d037,
-            0x9a95_393d_3662_9518,
-            0x1bb5_e841_e7d7_cf3a,
+            0xf693_afe8_1179_5d6d,
+            0x8b66_d928_810c_6073,
+            0x9959_4594_7551_347a,
+            0x3473_9e5b_a183_b9e7,
         ],
         [
-            0x51db_e322_0ddb_df2d,
-            0x5e18_6b27_3a68_9f65,
-            0x9c95_09ee_9a86_501b,
-            0x73a3_d7be_9604_908d,
+            0xf8e1_59ad_92d3_36af,
+            0x8723_2eb7_55f6_b239,
+            0xb923_3740_c4ad_5716,
+            0x10aa_6226_ba0f_2486,
         ],
         [
-            0xec54_71c6_75d5_106e,
-            0x52c9_8508_9e8e_5f99,
-            0x97e0_ed69_9672_1d83,
-            0x7939_3389_cbdd_a02c,
+            0xaee7_af06_6b77_544d,
+            0xa521_9839_4f5b_657a,
+            0xfbad_104e_3d33_b10e,
+            0xdcbd_30fd_50cc_5180,
         ],
         [
-            0x7007_542e_e450_1f98,
-            0xc2dd_7be7_5f96_6abe,
-            0xb0de_f180_e1c4_7050,
-            0x4d15_b09d_2594_c896,
+            0xbed3_4438_72ca_7f18,
+            0x88b6_1e81_70df_8f02,
+            0x2063_64a3_3452_df43,
+            0x63fb_3f2a_cc01_6991,
         ],
     ];
     for (policy, want) in policies.into_iter().zip(want) {
@@ -512,17 +512,20 @@ fn gc_timelines_pin_every_cycle() {
             };
             // One run does not finish within the budget: newest-first
             // chases the speculative `nfib` recursion, which never bottoms
-            // out. It is pinned up to the budget, its outcome folded into
-            // the digest.
+            // out. It is pinned up to the budget, which its last cycle's
+            // marking phase stops at, its outcome folded into the digest.
             let gc_cfg = GcConfig {
                 period: 50,
                 max_total_events: 500_000,
                 ..Default::default()
             };
+            let budget = gc_cfg.max_total_events;
             let (out, gc) = run_gc(&p.source, p.needs_prelude, cfg, gc_cfg);
             let what = format!("{} (speculation {speculation}, {policy:?})", p.name);
             let finished = out == RunOutcome::Value(p.expected.clone().unwrap());
             assert!(finished || out == RunOutcome::Budget, "{what}: {out:?}");
+            let events = gc.sys.events();
+            assert!(events <= budget, "{what}: {events} events");
             let cycles = gc.timeline().iter().flat_map(|c| {
                 [
                     c.mark_events,

@@ -219,7 +219,7 @@ fn figure_4_1_simplified_marking() {
 /// mark for b is in flight).
 #[test]
 fn figure_4_2_cooperating_mutators() {
-    use dgr::graph::MarkParent;
+    use dgr::graph::{MarkParent, PartitionMap, PartitionStrategy};
     use dgr::marking::{coop, handle_mark, MarkMsg, MarkState, RMode};
 
     for coop_on in [true, false] {
@@ -234,10 +234,12 @@ fn figure_4_2_cooperating_mutators() {
         let mut state = MarkState::new();
         state.cooperation_enabled = coop_on;
         state.begin_r(RMode::Simple);
+        let one_pe = PartitionMap::new(1, g.capacity(), PartitionStrategy::Modulo);
         let mut pending = Vec::new();
         handle_mark(
             &mut state,
             &mut g,
+            &one_pe,
             MarkMsg::Mark1 {
                 v: a,
                 par: MarkParent::RootPar,
@@ -249,7 +251,7 @@ fn figure_4_2_cooperating_mutators() {
         coop::delete_reference(&mut g, b, c);
         while let Some(m) = pending.pop() {
             let mut buf = Vec::new();
-            handle_mark(&mut state, &mut g, m, &mut |m| buf.push(m));
+            handle_mark(&mut state, &mut g, &one_pe, m, &mut |m| buf.push(m));
             pending.extend(buf);
         }
         assert!(state.r_done);

@@ -1,6 +1,7 @@
 //! `M_T` by need: `GcDriver` runs the task-marking pass only in its first
-//! cycle and once the reduction engine has counted a request that may
-//! close a cycle of waits (`RedStats::wait_cycles`). The oracle, computed
+//! cycle and while a requester whose request may have closed a cycle of
+//! waits (`RedStats::wait_cycles` counts it) is neither reclaimed nor
+//! valued (`System::waiters`). The oracle, computed
 //! at every window's end (the next cycle's `t_a`), checks that a skipped
 //! pass had nothing to find and that a pass that ran kept Theorem 2's
 //! containments, under every policy, on 1–3 PEs, with and without
@@ -165,4 +166,52 @@ fn a_skipped_m_t_had_nothing_to_find() {
     }
     // Neither check is vacuous: cycles were skipped, and deadlocks found.
     assert!(skipped > 1000 && contained > 100, "{skipped} {contained}");
+}
+
+/// A cycle of waits closed inside a speculative branch that is then
+/// discarded stops calling for `M_T` once the branch is reclaimed: its
+/// requester leaves `System::waiters`, and later cycles skip the pass.
+#[test]
+fn a_discarded_cycle_of_waits_stops_calling_for_m_t() {
+    let source = "if 1 < 2 then nfib 6 else (let rec x = x + 1 in x)";
+    let policies = [
+        SchedPolicy::Fifo,
+        SchedPolicy::Lifo,
+        SchedPolicy::RoundRobin,
+        SchedPolicy::Random { marking_bias: 0.5 },
+        SchedPolicy::PriorityFirst,
+        SchedPolicy::Rounds,
+    ];
+    for policy in policies {
+        for num_pes in 1..=3 {
+            let cfg = SystemConfig {
+                num_pes,
+                policy,
+                speculation: true,
+                ..Default::default()
+            };
+            let gc_cfg = GcConfig {
+                phase_budget: 20_000,
+                max_total_events: 40_000,
+                ..Default::default()
+            };
+            let mut gc = GcDriver::new(build_with_prelude(source, cfg).unwrap(), gc_cfg);
+            let out = gc.run();
+            let (s, what) = (gc.stats(), format!("{policy:?}, {num_pes} PEs: {out:?}"));
+            assert!(gc.sys.stats.wait_cycles > 0, "{what}");
+            assert!(
+                s.mt_cycles <= 2,
+                "{what}: M_T in {} of {}",
+                s.mt_cycles,
+                s.cycles
+            );
+            // Newest-first chases the speculation and never settles the
+            // condition within the budget, so the branch is never
+            // discarded.
+            if out != RunOutcome::Budget {
+                assert_eq!(out, RunOutcome::Value(Value::Int(25)), "{what}");
+                assert!(s.cycles > 2 && gc.sys.waiters.is_empty(), "{what}");
+            }
+        }
+    }
 }

@@ -3,7 +3,7 @@
 //! against a reference evaluator on random arithmetic programs.
 
 use dgr::graph::{oracle, GraphStore, NodeLabel, PrimOp, Slot, TaskEndpoints};
-use dgr::marking::driver::{run_mark1, run_mark2, run_mark3, MarkRunConfig};
+use dgr::marking::driver::{run_mark1, run_mark3, MarkRunConfig};
 use dgr::prelude::*;
 use proptest::prelude::*;
 
@@ -98,21 +98,50 @@ proptest! {
         }
     }
 
-    /// mark2 assigns exactly the oracle's max-min priorities.
+    /// mark2 assigns exactly the oracle's max-min priorities on 1, 2 or 4
+    /// PEs under either partition, whichever children it settles in
+    /// place: every `mt-cnt` ends at 0, and every mark delivered has its
+    /// return delivered.
     #[test]
-    fn prop_mark2_matches_oracle(rg in graph_strategy(50), seed in 0u64..1000) {
+    fn prop_mark2_matches_oracle(
+        rg in graph_strategy(50),
+        seed in 0u64..1000,
+        pe_log in 0u32..3,
+        block in any::<bool>(),
+    ) {
+        use dgr::graph::{MarkParent, PartitionMap, PartitionStrategy, Priority};
+        use dgr::marking::{handle_mark, MarkMsg, MarkState, RMode};
+        use dgr::sim::{DetSim, Envelope, Lane, SchedPolicy};
         let (mut g, _) = build(&rg);
-        if g.is_free(g.root().unwrap()) { return Ok(()); }
+        let root = g.root().unwrap();
+        if g.is_free(root) { return Ok(()); }
         let want = oracle::priorities(&g);
-        let cfg = MarkRunConfig {
-            policy: dgr::sim::SchedPolicy::Random { marking_bias: 0.5 },
-            seed,
-            ..Default::default()
+        let pes = 1u16 << pe_log;
+        let partition = if block { PartitionStrategy::Block } else { PartitionStrategy::Modulo };
+        let owner = PartitionMap::new(pes, g.capacity(), partition);
+        g.begin_mark_cycle(Slot::R);
+        let mut state = MarkState::new();
+        state.begin_r(RMode::Priority);
+        let mut sim = DetSim::new(pes, SchedPolicy::Random { marking_bias: 0.5 }, seed);
+        let send = |sim: &mut DetSim<MarkMsg>, m: MarkMsg| {
+            sim.send(Envelope::new(owner.pe_of_dest(m.dest_vertex()), Lane::Marking, m));
         };
-        run_mark2(&mut g, &cfg);
+        let (par, prior) = (MarkParent::RootPar, Priority::Vital);
+        send(&mut sim, MarkMsg::Mark2 { v: root, par, prior });
+        let (mut marks, mut returns) = (0u64, 0u64);
+        while let Some((_, _, _, m)) = sim.next_tagged() {
+            match m {
+                MarkMsg::Return { .. } => returns += 1,
+                _ => marks += 1,
+            }
+            handle_mark(&mut state, &mut g, &owner, m, &mut |m| send(&mut sim, m));
+        }
+        prop_assert!(state.r_done);
+        prop_assert_eq!(marks, returns);
         for v in g.live_ids() {
-            let got = g.vertex(v).mr.is_marked().then(|| g.vertex(v).mr.prior);
-            prop_assert_eq!(got, want[v.index()]);
+            let s = g.mark(v, Slot::R);
+            prop_assert_eq!(s.mt_cnt, 0);
+            prop_assert_eq!(s.is_marked().then_some(s.prior), want[v.index()]);
         }
     }
 
